@@ -8,17 +8,18 @@ the Galois condition for the canonical bialgebroid.
 """
 
 from .fields import GF, QQ, FieldError, PrimeField, Rationals
-from .linalg import Matrix, Subspace, quotient_structure, solve_in_span
+from .linalg import Matrix, Subspace, combine, quotient_structure, solve_in_span
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
-                       SubalgebraData, centralizer, field_as_algebra, group_algebra,
-                       group_pair, ground_field_extension, ideal_closure,
+                       SelfCheckError, SubalgebraData, centralizer, field_as_algebra,
+                       group_algebra, group_pair, ground_field_extension, ideal_closure,
                        make_algebra, matrix_algebra, normality_audit,
                        subgroup_extension, trivial_extension)
-from .bimodules import (Bimodule, QuasibaseSet, TensorSquare, b_centralized,
+from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         compose_extensions, coproduct_summand_test, group_quasibase,
                         h_separability_test, hom_space, left_d2_quasibase,
-                        right_d2_quasibase, split_projectivity_audit, tensor_power,
-                        tensor_square, verify_left_quasibase, verify_right_quasibase)
+                        restrict, right_d2_quasibase, split_projectivity_audit,
+                        tensor_power, tensor_square, verify_left_quasibase,
+                        verify_right_quasibase)
 from .bialgebroid import (RightBialgebroid, TripleTensorWitness, axiom_audit,
                           build_T, commutative_flip_check, left_r_projectivity,
                           r_module_dual_bases, t_core, triple_tensor_witness)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .algebras import AlgebraError, Extension, FiniteAlgebra
 from .bialgebroid import RightBialgebroid, build_T
 from .bimodules import QuasibaseSet, hom_space, left_module_bimodule
-from .linalg import Matrix, Subspace, nullspace, solve_in_span
+from .linalg import Matrix, Subspace, combine, nullspace, solve_in_span
 
 
 class LeftModule:
@@ -31,37 +31,21 @@ class LeftModule:
 
     def _validate(self):
         A = self.algebra
-        field = A.field
-        unit_act = Matrix.zeros(field, self.dim, self.dim)
-        for i, c in enumerate(A.unit):
-            if c:
-                unit_act = unit_act + self.action[i].scaled(c)
-        if unit_act != Matrix.identity(field, self.dim):
+        if combine(self.action, A.unit) != Matrix.identity(A.field, self.dim):
             raise AlgebraError("module action is not unital")
         for i in range(A.dim):
             for j in range(A.dim):
-                combo = Matrix.zeros(field, self.dim, self.dim)
-                for k, c in enumerate(A.table[i][j]):
-                    if c:
-                        combo = combo + self.action[k].scaled(c)
-                if self.action[i] @ self.action[j] != combo:
+                if self.action[i] @ self.action[j] != combine(self.action, A.table[i][j]):
                     raise AlgebraError(f"module action fails on (e_{i}, e_{j})")
 
     @classmethod
     def regular(cls, A: FiniteAlgebra) -> "LeftModule":
-        return cls(A, A.dim, [A.left_mult(i) for i in range(A.dim)], validate=False)
-
-    def act_by(self, x: list) -> Matrix:
-        m = Matrix.zeros(self.algebra.field, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                m = m + self.action[i].scaled(c)
-        return m
+        return cls(A, A.dim, A.left_mults, validate=False)
 
 
 def b_endomorphisms(ext: Extension, M: LeftModule) -> list[Matrix]:
     """Basis of endomorphisms of M as a module over B (restricted via iota)."""
-    action = [M.act_by(ext.iota_col(j)) for j in range(ext.B.dim)]
+    action = [combine(M.action, ext.iota_col(j)) for j in range(ext.B.dim)]
     bm = left_module_bimodule(ext.B, M.dim, action)
     return hom_space(bm, bm)
 
@@ -82,27 +66,12 @@ class MeasuredEndos:
     def dim(self) -> int:
         return len(self.endo_basis)
 
-    def act(self, tcoords: list) -> Matrix:
-        m = Matrix.zeros(self.module.algebra.field, self.dim, self.dim)
-        for c, x in enumerate(tcoords):
-            if x:
-                m = m + self.action[c].scaled(x)
-        return m
-
     def endo_coords(self, endo: Matrix) -> list:
         coords = solve_in_span(endo.vec(), [f.vec() for f in self.endo_basis],
                                self.module.algebra.field)
         if coords is None:
             raise AlgebraError("endomorphism is not B-linear")
         return coords
-
-    def from_coords(self, coords: list) -> Matrix:
-        field = self.module.algebra.field
-        out = Matrix.zeros(field, self.module.dim, self.module.dim)
-        for a, c in enumerate(coords):
-            if c:
-                out = out + self.endo_basis[a].scaled(c)
-        return out
 
 
 def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
@@ -143,24 +112,21 @@ def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
     me = MeasuredEndos(bgd, M, endos, action)
 
     # unitality: f . 1_T = f
-    if me.act(core.unit_T) != Matrix.identity(field, ne):
+    if combine(action, core.unit_T) != Matrix.identity(field, ne):
         raise AlgebraError("T-action is not unital")
     # module law: (f . t) . u = f . (t u)
     for c in range(m):
         for d in range(m):
             prod = core.T_alg.table[c][d]
-            if me.action[d] @ me.action[c] != me.act(prod):
+            if action[d] @ action[c] != combine(action, prod):
                 raise AlgebraError(f"T-action fails the module law on (t_{c}, t_{d})")
     # measuring: (f . t_(1)) o (g . t_(2)) = (f o g) . t
     for c in range(m):
-        lift = core.tt.lift(bgd.Delta.column(c))
+        lift = core.tt.lift_items(bgd.Delta.column(c))
         for a in range(ne):
             for b in range(ne):
                 rhs_m = Matrix.zeros(field, M.dim, M.dim)
-                for idx, coeff in enumerate(lift):
-                    if not coeff:
-                        continue
-                    e, f = divmod(idx, m)
+                for (e, f), coeff in lift:
                     rhs_m = rhs_m + (acted_table[a][e] @ acted_table[b][f]).scaled(coeff)
                 lhs_m = acted(endos[a] @ endos[b], c)
                 if lhs_m != rhs_m:
@@ -169,9 +135,9 @@ def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
     # id_M . t = id_M . s_R(eps(t))
     id_coords = me.endo_coords(Matrix.identity(field, M.dim))
     for c in range(m):
-        tvec = [field.one if i == c else field.zero for i in range(m)]
+        tvec = core.T_alg.basis_vector(c)
         twisted = core.s_R.apply(core.eps.apply(tvec))
-        if me.act(tvec).apply(id_coords) != me.act(twisted).apply(id_coords):
+        if combine(action, tvec).apply(id_coords) != combine(action, twisted).apply(id_coords):
             raise AlgebraError(f"identity is not invariant at t_{c}")
     return me
 
@@ -184,14 +150,14 @@ def action_invariants(me: MeasuredEndos, M: LeftModule) -> Subspace:
     m = core.dim
     rows = []
     for c in range(m):
-        tvec = [field.one if i == c else field.zero for i in range(m)]
+        tvec = core.T_alg.basis_vector(c)
         twisted = core.s_R.apply(core.eps.apply(tvec))
-        diff = me.act(tvec) - me.act(twisted)
+        diff = combine(me.action, tvec) - combine(me.action, twisted)
         rows.extend(diff.data)
     coords_basis = nullspace(rows, field, me.dim) if rows else \
         Matrix.identity(field, me.dim).data
     amb = M.dim * M.dim
-    vectors = [me.from_coords(coords).vec() for coords in coords_basis]
+    vectors = [combine(me.endo_basis, coords).vec() for coords in coords_basis]
     invariants = Subspace.span(field, amb, vectors)
 
     a_bm = left_module_bimodule(M.algebra, M.dim, M.action)
@@ -211,15 +177,6 @@ class AnchorAction:
         self.bgd = bgd
         self.action = action
 
-    def act(self, tcoords: list) -> Matrix:
-        core = self.bgd.core
-        field = core.ext.A.field
-        m = Matrix.zeros(field, core.R_alg.dim, core.R_alg.dim)
-        for c, x in enumerate(tcoords):
-            if x:
-                m = m + self.action[c].scaled(x)
-        return m
-
 
 def anchor(ext: Extension, rqb: QuasibaseSet,
            bgd: RightBialgebroid | None = None) -> AnchorAction:
@@ -232,44 +189,37 @@ def anchor(ext: Extension, rqb: QuasibaseSet,
     field = A.field
     m = core.dim
     rdim = core.R_alg.dim
+    # r . t_c = t_c^1 r t_c^2
+    right_by_r = [combine(A.right_mults, core.incl_R.column(r)) for r in range(rdim)]
     action = []
     for c in range(m):
         cols = []
         for r in range(rdim):
-            acc = [field.zero] * A.dim
-            rvec = core.incl_R.column(r)
-            for (s, t), coeff in core.t_lift_items(c):
-                term = A.mul(A.mul(A.basis_vector(s), rvec), A.basis_vector(t))
-                acc = [x + coeff * y for x, y in zip(acc, term)]
-            coords = core.R.coords_of(acc)
+            coords = core.R.coords_of(core.contract(c, left=right_by_r[r]))
             if coords is None:
                 raise AlgebraError("anchor value escaped the centralizer")
             cols.append(coords)
         action.append(Matrix.from_columns(field, cols, nrows=rdim))
     out = AnchorAction(bgd, action)
 
-    if out.act(core.unit_T) != Matrix.identity(field, rdim):
+    if combine(action, core.unit_T) != Matrix.identity(field, rdim):
         raise AlgebraError("anchor: r . 1_T != r")
     for c in range(m):
-        tvec = [field.one if i == c else field.zero for i in range(m)]
-        if out.act(tvec).apply(core.R_alg.unit) != core.eps.column(c):
+        if action[c].apply(core.R_alg.unit) != core.eps.column(c):
             raise AlgebraError(f"anchor: 1_R . t_{c} != eps(t_{c})")
     # module law over products of T
     for c in range(m):
         for d in range(m):
-            if out.act(core.T_alg.table[c][d]) != action[d] @ action[c]:
+            if combine(action, core.T_alg.table[c][d]) != action[d] @ action[c]:
                 raise AlgebraError("anchor fails the module law")
     # measuring: (r s) . t = (r . t_(1)) (s . t_(2))
     for c in range(m):
-        lift = core.tt.lift(bgd.Delta.column(c))
+        lift = core.tt.lift_items(bgd.Delta.column(c))
         for r in range(rdim):
             for s in range(rdim):
                 lhs = action[c].apply(core.R_alg.table[r][s])
                 rhs = [field.zero] * rdim
-                for idx, coeff in enumerate(lift):
-                    if not coeff:
-                        continue
-                    e, f = divmod(idx, m)
+                for (e, f), coeff in lift:
                     term = core.R_alg.mul(
                         action[e].apply(core.R_alg.basis_vector(r)),
                         action[f].apply(core.R_alg.basis_vector(s)))

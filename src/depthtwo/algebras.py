@@ -9,11 +9,15 @@ rather than by b itself.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, solve_in_span, nullspace
+from .linalg import Matrix, Subspace, combine, solve_in_span, nullspace
 
 
 class AlgebraError(ValueError):
     """Invalid algebraic data; the message names the first violated identity."""
+
+
+class SelfCheckError(AlgebraError):
+    """A computed result failed its own verification: a bug, not bad input."""
 
 
 class FiniteAlgebra:
@@ -97,37 +101,31 @@ class FiniteAlgebra:
                         out[k] = out[k] + c * tk
         return out
 
-    def left_mult(self, i: int) -> Matrix:
-        """Matrix of x -> e_i * x."""
+    @property
+    def left_mults(self) -> list[Matrix]:
+        """Matrices of x -> e_i * x, one per basis element."""
         if self._left is None:
             self._left = [
                 Matrix(self.field, [[self.structure[a][j][k] for j in range(self.dim)]
                                     for k in range(self.dim)])
                 for a in range(self.dim)]
-        return self._left[i]
+        return self._left
 
-    def right_mult(self, j: int) -> Matrix:
-        """Matrix of x -> x * e_j."""
+    @property
+    def right_mults(self) -> list[Matrix]:
+        """Matrices of x -> x * e_j, one per basis element."""
         if self._right is None:
             self._right = [
                 Matrix(self.field, [[self.structure[i][b][k] for i in range(self.dim)]
                                     for k in range(self.dim)])
                 for b in range(self.dim)]
-        return self._right[j]
+        return self._right
 
-    def left_mult_by(self, x: list) -> Matrix:
-        m = Matrix.zeros(self.field, self.dim, self.dim)
-        for i, xi in enumerate(x):
-            if xi:
-                m = m + self.left_mult(i).scaled(xi)
-        return m
+    def left_mult(self, i: int) -> Matrix:
+        return self.left_mults[i]
 
-    def right_mult_by(self, y: list) -> Matrix:
-        m = Matrix.zeros(self.field, self.dim, self.dim)
-        for j, yj in enumerate(y):
-            if yj:
-                m = m + self.right_mult(j).scaled(yj)
-        return m
+    def right_mult(self, j: int) -> Matrix:
+        return self.right_mults[j]
 
     def is_commutative(self) -> bool:
         t = self.table
@@ -193,13 +191,18 @@ def matrix_algebra(field, n: int) -> FiniteAlgebra:
 # -- groups ------------------------------------------------------------
 
 
+def _is_index_list(xs, n: int) -> bool:
+    return isinstance(xs, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n for x in xs)
+
+
 def _check_group_table(table: list[list[int]]) -> int:
     """Validate a Cayley table (indices); returns the identity index."""
+    if not isinstance(table, list) or not table:
+        raise AlgebraError("group table must be a non-empty list of rows")
     n = len(table)
-    if n == 0:
-        raise AlgebraError("empty group table")
     for row in table:
-        if len(row) != n or any(not (0 <= x < n) for x in row):
+        if not _is_index_list(row, n) or len(row) != n:
             raise AlgebraError("group table is not an n x n table of indices")
     identity = -1
     for e in range(n):
@@ -249,6 +252,8 @@ def subgroup_extension(field, table: list[list[int]], subgroup: list[int]):
     Returns (Extension, sorted subgroup indices).
     """
     identity = _check_group_table(table)
+    if not _is_index_list(subgroup, len(table)):
+        raise AlgebraError("subgroup must be a list of indices into the group table")
     sub = sorted(set(subgroup))
     if not sub:
         raise AlgebraError("empty subgroup")
@@ -326,12 +331,6 @@ class AlgebraMorphism:
     def apply(self, vec: list) -> list:
         return self.matrix.apply(vec)
 
-    def compose(self, inner: "AlgebraMorphism") -> "AlgebraMorphism":
-        if inner.target is not self.source and inner.target.structure != self.source.structure:
-            raise AlgebraError("composition mismatch")
-        return AlgebraMorphism(inner.source, self.target,
-                               self.matrix @ inner.matrix, validate=False)
-
 
 class Extension:
     """An algebra extension A|B: the morphism iota: B -> A with both algebras."""
@@ -353,10 +352,10 @@ class Extension:
         return Subspace.span(self.A.field, self.A.dim, self.iota.matrix.columns())
 
     def left_mult_iota(self, j: int) -> Matrix:
-        return self.A.left_mult_by(self.iota_col(j))
+        return combine(self.A.left_mults, self.iota_col(j))
 
     def right_mult_iota(self, j: int) -> Matrix:
-        return self.A.right_mult_by(self.iota_col(j))
+        return combine(self.A.right_mults, self.iota_col(j))
 
 
 def trivial_extension(A: FiniteAlgebra) -> Extension:
@@ -423,7 +422,7 @@ def centralizer(ext: Extension) -> SubalgebraData:
     A = ext.A
     rows: list[list] = []
     for j in ext.B.generating_indices():
-        diff = A.left_mult_by(ext.iota_col(j)) - A.right_mult_by(ext.iota_col(j))
+        diff = ext.left_mult_iota(j) - ext.right_mult_iota(j)
         rows.extend(diff.data)
     if not rows:
         space = Subspace.full(A.field, A.dim)

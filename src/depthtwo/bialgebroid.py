@@ -17,11 +17,11 @@ power and compares coordinates exactly.
 
 from __future__ import annotations
 
-from .algebras import AlgebraError, Extension, centralizer, make_algebra
-from .bimodules import (QuasibaseSet, b_centralized, coproduct_summand_test,
-                        left_module_bimodule, tensor_power, tensor_square)
-from .linalg import (LinAlgError, Matrix, Subspace, kron_vec, quotient_structure,
-                     solve_in_span)
+from .algebras import AlgebraError, Extension, SelfCheckError, centralizer, make_algebra
+from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
+                        coproduct_summand_test, left_module_bimodule, tensor_power,
+                        tensor_square)
+from .linalg import LinAlgError, Matrix, Subspace, combine, solve_in_span
 
 
 class TCore:
@@ -39,7 +39,7 @@ class TCore:
         self.ts = ts
         self.R = centralizer(ext)
         self.R_alg, self.incl_R = self.R.as_algebra()
-        self.t_space = b_centralized(ts)
+        self.t_space = b_centralized(ext, ts)
         self.t_basis = self.t_space.basis
         m = len(self.t_basis)
         if m == 0:
@@ -62,20 +62,13 @@ class TCore:
                           "target map image escaped T")
             for r in range(rdim)])
         self.eps = Matrix.from_columns(field, [
-            self._into_R(ts.mu.apply(t), "counit value escaped R")
-            for t in self.t_basis])
-        self.lam_R = [self._restricted_action(ts.left_act_by(self.incl_R.column(r)))
+            self._into_R(self.contract(c), "counit value escaped R") for c in range(m)])
+        self.lam_R = [self._restricted_action(combine(ts.left_action, self.incl_R.column(r)))
                       for r in range(rdim)]
-        self.rho_R = [self._restricted_action(ts.right_act_by(self.incl_R.column(r)))
+        self.rho_R = [self._restricted_action(combine(ts.right_action, self.incl_R.column(r)))
                       for r in range(rdim)]
-
-        relations = []
-        eye_m = Matrix.identity(field, m)
-        for r in self.R_alg.generating_indices():
-            diff = self.rho_R[r].kron(eye_m) - eye_m.kron(self.lam_R[r])
-            relations.extend(diff.transpose().data)
-        rel = Subspace.span(field, m * m, relations)
-        self.tt = quotient_structure(m * m, rel)
+        T = self.r_bimodule()
+        self.tt = balanced_tensor(T, T)
 
     # -- coordinates ----------------------------------------------------
 
@@ -89,6 +82,10 @@ class TCore:
         for name in TCore.__slots__:
             setattr(clone, name, kw.get(name, getattr(self, name)))
         return clone
+
+    def r_bimodule(self) -> Bimodule:
+        """T as an R-R-bimodule through lam_R and rho_R."""
+        return Bimodule(self.R_alg, self.R_alg, self.dim, self.lam_R, self.rho_R)
 
     def t_coords(self, ts_vec: list, err: str) -> list:
         coords = solve_in_span(ts_vec, self.t_basis, self.ext.A.field)
@@ -113,6 +110,17 @@ class TCore:
 
     def t_lift_items(self, c: int) -> list[tuple[tuple[int, int], object]]:
         return self.ts.lift_items(self.t_basis[c])
+
+    def contract(self, c: int, left: Matrix | None = None,
+                 right: Matrix | None = None) -> list:
+        """A coordinates of left(t_c^1) right(t_c^2); identity maps by default."""
+        A = self.ext.A
+        acc = [A.field.zero] * A.dim
+        for (s, t), x in self.t_lift_items(c):
+            u = A.basis_vector(s) if left is None else left.column(s)
+            v = A.basis_vector(t) if right is None else right.column(t)
+            acc = [a + x * b for a, b in zip(acc, A.mul(u, v))]
+        return acc
 
     def _restricted_action(self, ambient: Matrix) -> Matrix:
         cols = [self.t_coords(ambient.apply(t), "R-action left the B-central subspace")
@@ -144,23 +152,6 @@ class TCore:
     def t_mul(self, x: list, y: list) -> list:
         return self.T_alg.mul(x, y)
 
-    def class_tt(self, tc: list, td: list) -> list:
-        return self.tt.project(kron_vec(self.ext.A.field, tc, td))
-
-    def lam_R_by(self, rcoords: list) -> Matrix:
-        m = Matrix.zeros(self.ext.A.field, self.dim, self.dim)
-        for r, c in enumerate(rcoords):
-            if c:
-                m = m + self.lam_R[r].scaled(c)
-        return m
-
-    def rho_R_by(self, rcoords: list) -> Matrix:
-        m = Matrix.zeros(self.ext.A.field, self.dim, self.dim)
-        for r, c in enumerate(rcoords):
-            if c:
-                m = m + self.rho_R[r].scaled(c)
-        return m
-
 
 def t_core(ext: Extension) -> TCore:
     if "tcore" not in ext._cache:
@@ -168,7 +159,7 @@ def t_core(ext: Extension) -> TCore:
     return ext._cache["tcore"]
 
 
-class WitnessError(AlgebraError):
+class WitnessError(SelfCheckError):
     """The tensor-power comparison isomorphism failed to materialize."""
 
 
@@ -177,8 +168,7 @@ class TripleTensorWitness:
     fourfold analogue, with verified mutually-inverse matrices."""
 
     __slots__ = ("core", "q3", "q3b", "w3", "w3_inv", "q4", "q4b", "ttt",
-                 "rho_TT", "w4", "w4_inv", "_sandwich3", "_sandwich4_unit",
-                 "_fwd3_cache")
+                 "w4", "w4_inv", "_sandwich3", "_sandwich4_unit", "_fwd3_cache")
 
     def __init__(self, core: TCore, rqb: QuasibaseSet | None):
         self.core = core
@@ -191,8 +181,8 @@ class TripleTensorWitness:
         q4 = tensor_power(ext, 4)
         self.q3 = q3
         self.q4 = q4
-        self.q3b = b_centralized(q3)
-        self.q4b = b_centralized(q4)
+        self.q3b = b_centralized(ext, q3)
+        self.q4b = b_centralized(ext, q4)
 
         # sandwich3[c] : a -> image of t_c^1 (x) a (x) t_c^2 in Q3 coordinates
         self._sandwich3 = []
@@ -213,71 +203,33 @@ class TripleTensorWitness:
             self._sandwich4_unit.append(q4.project_items(items))
 
         # forward map on T (x)_R T, one column per class of t_c (x) t_d
-        fwd_cols = []
-        for flat in range(core.tt.dim):
-            lifted = core.tt.lift([field.one if i == flat else field.zero
-                                   for i in range(core.tt.dim)])
-            acc = [field.zero] * q3.dim
-            for idx, coeff in enumerate(lifted):
-                if not coeff:
-                    continue
-                c, d = divmod(idx, m)
-                img = self._forward3_pure(c, d)
-                acc = [x + coeff * y for x, y in zip(acc, img)]
-            fwd_cols.append(acc)
-        self.w3 = Matrix.from_columns(field, fwd_cols, nrows=q3.dim)
-        for col in fwd_cols:
-            if not self.q3b.contains(col):
-                raise WitnessError("forward image is not B-central in the triple power")
-        if self.q3b.dim != core.tt.dim:
-            raise WitnessError("dim T(x)_R T != dim of B-central triple power")
-        self.w3_inv = self._invert(self.w3, self.q3b, rqb, self._inv3_column)
-        self._check_round_trip(self.w3, self.w3_inv, self.q3b, core.tt.dim)
+        self.w3 = self._forward(core.tt, q3.dim, self.forward3)
+        on_b3 = self._on_central(self.w3, self.q3b, "triple")
+        self.w3_inv = self._invert(on_b3, self.q3b, rqb, self._inv3_column)
+        self._check_round_trip(on_b3, self.w3_inv)
 
         # the quadruple stage: (T (x)_R T) (x)_R T
-        eye_m = Matrix.identity(field, m)
-        self.rho_TT = [core.tt.induced(eye_m.kron(core.rho_R[r]))
-                       for r in range(core.R_alg.dim)]
-        relations = []
-        eye_tt = Matrix.identity(field, core.tt.dim)
-        for r in core.R_alg.generating_indices():
-            diff = self.rho_TT[r].kron(eye_m) - eye_tt.kron(core.lam_R[r])
-            relations.extend(diff.transpose().data)
-        rel = Subspace.span(field, core.tt.dim * m, relations)
-        self.ttt = quotient_structure(core.tt.dim * m, rel)
-
-        fwd4_cols = []
-        for flat in range(self.ttt.dim):
-            lifted = self.ttt.lift([field.one if i == flat else field.zero
-                                    for i in range(self.ttt.dim)])
-            acc = [field.zero] * q4.dim
-            for idx, coeff in enumerate(lifted):
-                if not coeff:
-                    continue
-                w, e = divmod(idx, m)
-                tt_lift = core.tt.lift([field.one if i == w else field.zero
-                                        for i in range(core.tt.dim)])
-                for idx2, coeff2 in enumerate(tt_lift):
-                    if not coeff2:
-                        continue
-                    c, d = divmod(idx2, m)
-                    img = self._forward4_pure(c, d, e)
-                    cc = coeff * coeff2
-                    acc = [x + cc * y for x, y in zip(acc, img)]
-            fwd4_cols.append(acc)
-        self.w4 = Matrix.from_columns(field, fwd4_cols, nrows=q4.dim)
-        for col in fwd4_cols:
-            if not self.q4b.contains(col):
-                raise WitnessError("forward image is not B-central in the quadruple power")
-        if self.q4b.dim != self.ttt.dim:
-            raise WitnessError("dim T(x)_R T(x)_R T != dim of B-central quadruple power")
-        self.w4_inv = self._invert(self.w4, self.q4b, rqb, self._inv4_column)
-        self._check_round_trip(self.w4, self.w4_inv, self.q4b, self.ttt.dim)
+        self.ttt = balanced_tensor(core.tt, core.r_bimodule())
+        self.w4 = self._forward(self.ttt, q4.dim, self._forward4)
+        on_b4 = self._on_central(self.w4, self.q4b, "quadruple")
+        self.w4_inv = self._invert(on_b4, self.q4b, rqb, self._inv4_column)
+        self._check_round_trip(on_b4, self.w4_inv)
 
     # -- forward maps ----------------------------------------------------
 
-    def _forward3_pure(self, c: int, d: int) -> list:
-        """Q3 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2."""
+    def _forward(self, source, target_dim: int, pure) -> Matrix:
+        """Columns: images of the basis classes of source, summed over their lifts."""
+        field = self.core.ext.A.field
+        cols = []
+        for e in Matrix.identity(field, source.dim).data:
+            acc = [field.zero] * target_dim
+            for idx, coeff in source.lift_items(e):
+                acc = [x + coeff * y for x, y in zip(acc, pure(*idx))]
+            cols.append(acc)
+        return Matrix.from_columns(field, cols, nrows=target_dim)
+
+    def forward3(self, c: int, d: int) -> list:
+        """Q3 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2, cached."""
         cached = self._fwd3_cache.get((c, d))
         if cached is not None:
             return cached
@@ -293,11 +245,7 @@ class TripleTensorWitness:
         self._fwd3_cache[(c, d)] = out
         return out
 
-    def forward3(self, c: int, d: int) -> list:
-        """Public cached image of the class of t_c (x) t_d in the triple power."""
-        return self._forward3_pure(c, d)
-
-    def _forward4_pure(self, c: int, d: int, e: int) -> list:
+    def _forward4(self, c: int, d: int, e: int) -> list:
         """Q4 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2 t_e^1 (x) t_e^2."""
         A = self.core.ext.A
         items = []
@@ -319,22 +267,26 @@ class TripleTensorWitness:
 
     # -- inverses ----------------------------------------------------------
 
-    def _invert(self, fwd: Matrix, target: Subspace, rqb, column_fn) -> Matrix:
+    def _on_central(self, fwd: Matrix, target: Subspace, power: str) -> Matrix:
+        """The forward map in coordinates of the B-central subspace it must land in."""
         field = self.core.ext.A.field
-        if rqb is not None:
-            cols = [column_fn(v, rqb) for v in target.basis]
-            return Matrix.from_columns(field, cols,
-                                       nrows=fwd.ncols)
-        # without a quasibase the inverse is forced linearly
-        on_b = []
+        cols = []
         for j in range(fwd.ncols):
             coords = solve_in_span(fwd.column(j), target.basis, field)
             if coords is None:
-                raise WitnessError("forward image escaped the B-central subspace")
-            on_b.append(coords)
-        square = Matrix.from_columns(field, on_b, nrows=target.dim)
+                raise WitnessError(f"forward image is not B-central in the {power} power")
+            cols.append(coords)
+        if target.dim != fwd.ncols:
+            raise WitnessError(f"dim of the T power != dim of B-central {power} power")
+        return Matrix.from_columns(field, cols, nrows=target.dim)
+
+    def _invert(self, on_b: Matrix, target: Subspace, rqb, column_fn) -> Matrix:
+        if rqb is not None:
+            cols = [column_fn(v, rqb) for v in target.basis]
+            return Matrix.from_columns(self.core.ext.A.field, cols, nrows=on_b.ncols)
+        # without a quasibase the inverse is forced linearly
         try:
-            return square.inverse()
+            return on_b.inverse()
         except LinAlgError as exc:
             raise WitnessError("forward map is not invertible") from exc
 
@@ -342,9 +294,8 @@ class TripleTensorWitness:
         """v -> sum_i (v^1 (x) v^2 gamma_i(v^3)) (x)_R u_i, in T(x)_R T coordinates."""
         core = self.core
         A = core.ext.A
-        field = A.field
         items3 = self.q3.lift_items(v)
-        acc = [field.zero] * core.tt.dim
+        acc = [A.field.zero] * core.tt.dim
         for gamma, u in rqb.pairs:
             u_t = core.t_coords(u, "quasibase tensor escaped T")
             pair_items = []
@@ -354,17 +305,15 @@ class TripleTensorWitness:
                         pair_items.append(((i, l), c * a))
             w = core.t_coords(core.ts.project_items(pair_items),
                               "witness inverse left T")
-            term = core.tt.project(kron_vec(field, w, u_t))
-            acc = [x + y for x, y in zip(acc, term)]
+            acc = [x + y for x, y in zip(acc, core.tt.class_of(w, u_t))]
         return acc
 
     def _inv4_column(self, v: list, rqb: QuasibaseSet) -> list:
         """Fold the rightmost leg with the quasibase, then reuse the triple inverse."""
         core = self.core
         A = core.ext.A
-        field = A.field
         items4 = self.q4.lift_items(v)
-        acc = [field.zero] * self.ttt.dim
+        acc = [A.field.zero] * self.ttt.dim
         for gamma, u in rqb.pairs:
             u_t = core.t_coords(u, "quasibase tensor escaped T")
             items3 = []
@@ -372,30 +321,15 @@ class TripleTensorWitness:
                 for s, a in enumerate(A.mul(A.basis_vector(k), gamma.column(l))):
                     if a:
                         items3.append(((i, j, s), c * a))
-            v3 = self.q3.project_items(items3)
-            w = self._inv3_column_cached(v3, rqb)
-            term = self.ttt.project(kron_vec(field, w, u_t))
-            acc = [x + y for x, y in zip(acc, term)]
+            w = self.w3_inv.apply(self.to_q3b(self.q3.project_items(items3)))
+            acc = [x + y for x, y in zip(acc, self.ttt.class_of(w, u_t))]
         return acc
 
-    def _inv3_column_cached(self, v3: list, rqb) -> list:
-        coords = solve_in_span(v3, self.q3b.basis, self.core.ext.A.field)
-        if coords is None:
-            raise WitnessError("folded leg is not B-central")
-        return self.w3_inv.apply(coords)
-
-    def _check_round_trip(self, fwd: Matrix, inv: Matrix, target: Subspace, dim: int):
+    def _check_round_trip(self, on_b: Matrix, inv: Matrix):
         field = self.core.ext.A.field
-        on_b_cols = []
-        for j in range(fwd.ncols):
-            coords = solve_in_span(fwd.column(j), target.basis, field)
-            if coords is None:
-                raise WitnessError("forward image escaped the B-central subspace")
-            on_b_cols.append(coords)
-        on_b = Matrix.from_columns(field, on_b_cols, nrows=target.dim)
-        if inv @ on_b != Matrix.identity(field, dim):
+        if inv @ on_b != Matrix.identity(field, on_b.ncols):
             raise WitnessError("inverse o forward is not the identity")
-        if on_b @ inv != Matrix.identity(field, target.dim):
+        if on_b @ inv != Matrix.identity(field, on_b.nrows):
             raise WitnessError("forward o inverse is not the identity")
 
     # -- distinguished images --------------------------------------------
@@ -452,19 +386,16 @@ class RightBialgebroid:
 
 
 def _delta_from_witness(core: TCore, witness: TripleTensorWitness) -> Matrix:
-    field = core.ext.A.field
     cols = []
     for c in range(core.dim):
-        tcoords = [field.one if i == c else field.zero for i in range(core.dim)]
-        img = witness.sandwich3(tcoords, core.ext.A.unit)
+        img = witness.sandwich3(core.T_alg.basis_vector(c), core.ext.A.unit)
         cols.append(witness.w3_inv.apply(witness.to_q3b(img)))
-    return Matrix.from_columns(field, cols, nrows=core.tt.dim)
+    return Matrix.from_columns(core.ext.A.field, cols, nrows=core.tt.dim)
 
 
 def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
     """Delta(t) = sum_i (t^1 (x) gamma_i(t^2)) (x)_R u_i, the quasibase formula."""
-    A = core.ext.A
-    field = A.field
+    field = core.ext.A.field
     cols = []
     for c in range(core.dim):
         acc = [field.zero] * core.tt.dim
@@ -477,8 +408,7 @@ def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
                         items.append(((s, l), c1 * a))
             w = core.t_coords(core.ts.project_items(items),
                               "coproduct first leg escaped T")
-            term = core.tt.project(kron_vec(field, w, u_t))
-            acc = [x + y for x, y in zip(acc, term)]
+            acc = [x + y for x, y in zip(acc, core.tt.class_of(w, u_t))]
         cols.append(acc)
     return Matrix.from_columns(field, cols, nrows=core.tt.dim)
 
@@ -498,7 +428,7 @@ def build_T(ext: Extension, rqb: QuasibaseSet) -> RightBialgebroid:
     witness = TripleTensorWitness(core, rqb)
     delta = _delta_from_witness(core, witness)
     if delta != _delta_direct(core, rqb):
-        raise AlgebraError("witness coproduct disagrees with the quasibase formula")
+        raise SelfCheckError("witness coproduct disagrees with the quasibase formula")
     return RightBialgebroid(core, witness, delta, rqb)
 
 
@@ -521,14 +451,26 @@ def triple_tensor_witness(ext: Extension, rqb: QuasibaseSet) -> TripleTensorWitn
 # -- the axiom audit -----------------------------------------------------
 
 
+def first_failure(cases) -> str | None:
+    """Witness of the first failing (ok, witness) case, or None when all pass.
+
+    Cases are consumed lazily, so nothing after the first failure is computed.
+    """
+    for ok, witness in cases:
+        if not ok:
+            return witness
+    return None
+
+
 class AuditReport:
-    """Ordered per-axiom results; witness strings name the first counterexample."""
+    """Ordered named checks; a failing check keeps its first counterexample."""
 
     def __init__(self):
         self.results: dict[str, tuple[bool, str | None]] = {}
 
-    def record(self, name: str, ok: bool, witness: str | None = None):
-        self.results[name] = (ok, None if ok else witness)
+    def check(self, name: str, cases):
+        witness = first_failure(cases)
+        self.results[name] = (witness is None, witness)
 
     @property
     def all_pass(self) -> bool:
@@ -541,6 +483,10 @@ class AuditReport:
         return {name: {"pass": ok, **({} if ok else {"witness": wit})}
                 for name, (ok, wit) in self.results.items()}
 
+    def to_json_list(self):
+        """The same checks as a list of objects carrying their names."""
+        return [{"name": name, **entry} for name, entry in self.to_json().items()]
+
 
 def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
     """Machine-verify every bialgebroid identity on basis elements.
@@ -550,214 +496,131 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
     """
     core = bgd.core
     wit = bgd.witness
-    field = core.ext.A.field
     A = core.ext.A
+    field = A.field
+    R, T, tt, Delta = core.R_alg, core.T_alg, core.tt, bgd.Delta
     m = core.dim
-    rdim = core.R_alg.dim
+    rdim = R.dim
+    tvec = T.basis_vector
     report = AuditReport()
     eye_m = Matrix.identity(field, m)
 
-    def basis(i, size):
-        v = [field.zero] * size
-        v[i] = field.one
-        return v
-
-    # source map: algebra homomorphism
-    ok, witness = True, None
-    if core.s_R.apply(core.R_alg.unit) != core.unit_T:
-        ok, witness = False, "s_R(1_R) != 1_T"
-    else:
+    def structure_map(name, f, anti):
+        yield f.apply(R.unit) == core.unit_T, f"{name}(1_R) != 1_T"
         for i in range(rdim):
             for j in range(rdim):
-                lhs = core.s_R.apply(core.R_alg.table[i][j])
-                rhs = core.t_mul(core.s_R.column(i), core.s_R.column(j))
-                if lhs != rhs:
-                    ok, witness = False, f"s_R not multiplicative on (r_{i}, r_{j})"
-                    break
-            if not ok:
-                break
-    report.record("source_homomorphism", ok, witness)
+                a, b = (j, i) if anti else (i, j)
+                yield (f.apply(R.table[i][j]) == core.t_mul(f.column(a), f.column(b)),
+                       f"{name} not {'anti-' if anti else ''}multiplicative on (r_{i}, r_{j})")
 
-    # target map: algebra anti-homomorphism
-    ok, witness = True, None
-    if core.t_R.apply(core.R_alg.unit) != core.unit_T:
-        ok, witness = False, "t_R(1_R) != 1_T"
-    else:
+    def source_target_commute():
         for i in range(rdim):
             for j in range(rdim):
-                lhs = core.t_R.apply(core.R_alg.table[i][j])
-                rhs = core.t_mul(core.t_R.column(j), core.t_R.column(i))
-                if lhs != rhs:
-                    ok, witness = False, f"t_R not anti-multiplicative on (r_{i}, r_{j})"
-                    break
-            if not ok:
-                break
-    report.record("target_antihomomorphism", ok, witness)
-
-    # commuting images
-    ok, witness = True, None
-    for i in range(rdim):
-        for j in range(rdim):
-            lhs = core.t_mul(core.s_R.column(i), core.t_R.column(j))
-            rhs = core.t_mul(core.t_R.column(j), core.s_R.column(i))
-            if lhs != rhs:
-                ok, witness = False, f"images do not commute on (r_{i}, r_{j})"
-                break
-        if not ok:
-            break
-    report.record("source_target_commute", ok, witness)
+                lhs = core.t_mul(core.s_R.column(i), core.t_R.column(j))
+                rhs = core.t_mul(core.t_R.column(j), core.s_R.column(i))
+                yield lhs == rhs, f"images do not commute on (r_{i}, r_{j})"
 
     # the R-R-bimodule of T is multiplication by t_R and s_R:
     # t * t_R(r) * s_R(s) = r t^1 (x) t^2 s
-    ok, witness = True, None
-    for c in range(m):
-        for r in range(rdim):
-            for s in range(rdim):
-                via_mul = core.t_mul(core.t_mul(basis(c, m), core.t_R.column(r)),
-                                     core.s_R.column(s))
-                via_action = core.rho_R[s].apply(core.lam_R[r].apply(basis(c, m)))
-                if via_mul != via_action:
-                    ok, witness = False, f"bimodule mismatch at (t_{c}, r_{r}, r_{s})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.record("base_bimodule_compatibility", ok, witness)
+    def base_bimodule_compatibility():
+        for c in range(m):
+            for r in range(rdim):
+                for s in range(rdim):
+                    via_mul = core.t_mul(core.t_mul(tvec(c), core.t_R.column(r)),
+                                         core.s_R.column(s))
+                    via_action = core.rho_R[s].apply(core.lam_R[r].apply(tvec(c)))
+                    yield via_mul == via_action, f"bimodule mismatch at (t_{c}, r_{r}, r_{s})"
 
-    # unit preservation
-    report.record("counit_unital",
-                  core.eps.apply(core.unit_T) == core.R_alg.unit,
-                  "eps(1_T) != 1_R")
-    report.record("coproduct_unital",
-                  bgd.Delta.apply(core.unit_T) == core.class_tt(core.unit_T, core.unit_T),
-                  "Delta(1_T) != 1_T (x) 1_T")
+    report.check("source_homomorphism", structure_map("s_R", core.s_R, False))
+    report.check("target_antihomomorphism", structure_map("t_R", core.t_R, True))
+    report.check("source_target_commute", source_target_commute())
+    report.check("base_bimodule_compatibility", base_bimodule_compatibility())
+    report.check("counit_unital", [(core.eps.apply(core.unit_T) == R.unit,
+                                    "eps(1_T) != 1_R")])
+    report.check("coproduct_unital",
+                 [(Delta.apply(core.unit_T) == tt.class_of(core.unit_T, core.unit_T),
+                   "Delta(1_T) != 1_T (x) 1_T")])
 
     # counit laws through the R-actions
     e1_cols, e2_cols = [], []
-    for w in range(core.tt.dim):
-        lifted = core.tt.lift(basis(w, core.tt.dim))
+    for e in Matrix.identity(field, tt.dim).data:
         acc1 = [field.zero] * m
         acc2 = [field.zero] * m
-        for idx, coeff in enumerate(lifted):
-            if not coeff:
-                continue
-            c, d = divmod(idx, m)
-            t1 = core.lam_R_by(core.eps.column(c)).apply(basis(d, m))
-            t2 = core.rho_R_by(core.eps.column(d)).apply(basis(c, m))
+        for (c, d), coeff in tt.lift_items(e):
+            t1 = combine(core.lam_R, core.eps.column(c)).apply(tvec(d))
+            t2 = combine(core.rho_R, core.eps.column(d)).apply(tvec(c))
             acc1 = [x + coeff * y for x, y in zip(acc1, t1)]
             acc2 = [x + coeff * y for x, y in zip(acc2, t2)]
         e1_cols.append(acc1)
         e2_cols.append(acc2)
     e1 = Matrix.from_columns(field, e1_cols, nrows=m)
     e2 = Matrix.from_columns(field, e2_cols, nrows=m)
-    report.record("counit_law_left", e1 @ bgd.Delta == eye_m,
-                  "(eps (x) id) o Delta != id")
-    report.record("counit_law_right", e2 @ bgd.Delta == eye_m,
-                  "(id (x) eps) o Delta != id")
+    report.check("counit_law_left", [(e1 @ Delta == eye_m, "(eps (x) id) o Delta != id")])
+    report.check("counit_law_right", [(e2 @ Delta == eye_m, "(id (x) eps) o Delta != id")])
 
     # Delta is right R-linear: Delta(t r) = t_(1) (x) t_(2) r
-    ok, witness = True, None
-    for c in range(m):
-        for r in range(rdim):
-            lhs = bgd.Delta.apply(core.rho_R[r].apply(basis(c, m)))
-            rhs = wit.rho_TT[r].apply(bgd.Delta.apply(basis(c, m)))
-            if lhs != rhs:
-                ok, witness = False, f"right R-linearity fails at (t_{c}, r_{r})"
-                break
-            expected = wit.q3.right_act_by(core.incl_R.column(r)).apply(
-                wit.sandwich3(basis(c, m), A.unit))
-            if wit.w3.apply(lhs) != expected or wit.w3.apply(rhs) != expected:
-                ok, witness = False, f"triple-power image mismatch at (t_{c}, r_{r})"
-                break
-        if not ok:
-            break
-    report.record("coproduct_right_linear", ok, witness)
+    def coproduct_right_linear():
+        for c in range(m):
+            for r in range(rdim):
+                lhs = Delta.apply(core.rho_R[r].apply(tvec(c)))
+                rhs = tt.right_action[r].apply(Delta.apply(tvec(c)))
+                yield lhs == rhs, f"right R-linearity fails at (t_{c}, r_{r})"
+                expected = combine(wit.q3.right_action, core.incl_R.column(r)).apply(
+                    wit.sandwich3(tvec(c), A.unit))
+                yield (wit.w3.apply(lhs) == expected and wit.w3.apply(rhs) == expected,
+                       f"triple-power image mismatch at (t_{c}, r_{r})")
 
     # s_R(r) t_(1) (x) t_(2) = t_(1) (x) t_R(r) t_(2)
-    ok, witness = True, None
-    for r in range(rdim):
-        lmul_s = core.T_alg.left_mult_by(core.s_R.column(r))
-        lmul_t = core.T_alg.left_mult_by(core.t_R.column(r))
-        left_map = core.tt.induced(lmul_s.kron(eye_m))
-        right_map = core.tt.induced(eye_m.kron(lmul_t))
-        for c in range(m):
-            dcol = bgd.Delta.apply(basis(c, m))
-            lhs = left_map.apply(dcol)
-            rhs = right_map.apply(dcol)
-            if lhs != rhs:
-                ok, witness = False, f"base balance fails at (t_{c}, r_{r})"
-                break
-            expected = wit.sandwich3(basis(c, m), core.incl_R.column(r))
-            if wit.w3.apply(lhs) != expected:
-                ok, witness = False, f"triple-power image mismatch at (t_{c}, r_{r})"
-                break
-        if not ok:
-            break
-    report.record("base_balance", ok, witness)
+    def base_balance():
+        for r in range(rdim):
+            lmul_s = combine(T.left_mults, core.s_R.column(r))
+            lmul_t = combine(T.left_mults, core.t_R.column(r))
+            left_map = tt.quot.induced(lmul_s.kron(eye_m))
+            right_map = tt.quot.induced(eye_m.kron(lmul_t))
+            for c in range(m):
+                dcol = Delta.apply(tvec(c))
+                lhs = left_map.apply(dcol)
+                yield lhs == right_map.apply(dcol), f"base balance fails at (t_{c}, r_{r})"
+                yield (wit.w3.apply(lhs) == wit.sandwich3(tvec(c), core.incl_R.column(r)),
+                       f"triple-power image mismatch at (t_{c}, r_{r})")
 
-    # Delta is multiplicative
-    ok, witness = True, None
-    for c in range(m):
-        dc = core.tt.lift(bgd.Delta.apply(basis(c, m)))
-        for d in range(m):
-            dd = core.tt.lift(bgd.Delta.apply(basis(d, m)))
-            prod = core.t_mul(basis(c, m), basis(d, m))
-            lhs = bgd.Delta.apply(prod)
-            rhs = [field.zero] * core.tt.dim
-            for idx1, c1 in enumerate(dc):
-                if not c1:
-                    continue
-                a, b = divmod(idx1, m)
-                for idx2, c2 in enumerate(dd):
-                    if not c2:
-                        continue
-                    e, f = divmod(idx2, m)
-                    term = core.class_tt(core.T_alg.table[a][e], core.T_alg.table[b][f])
-                    cc = c1 * c2
-                    rhs = [x + cc * y for x, y in zip(rhs, term)]
-            if lhs != rhs:
-                ok, witness = False, f"multiplicativity fails at (t_{c}, t_{d})"
-                break
-            expected = wit.sandwich3(prod, A.unit)
-            if wit.w3.apply(lhs) != expected:
-                ok, witness = False, f"triple-power image mismatch at (t_{c}, t_{d})"
-                break
-        if not ok:
-            break
-    report.record("multiplicativity", ok, witness)
+    def multiplicativity():
+        for c in range(m):
+            dc = tt.lift_items(Delta.apply(tvec(c)))
+            for d in range(m):
+                dd = tt.lift_items(Delta.apply(tvec(d)))
+                prod = core.t_mul(tvec(c), tvec(d))
+                lhs = Delta.apply(prod)
+                rhs = [field.zero] * tt.dim
+                for (a, b), c1 in dc:
+                    for (e, f), c2 in dd:
+                        term = tt.class_of(T.table[a][e], T.table[b][f])
+                        cc = c1 * c2
+                        rhs = [x + cc * y for x, y in zip(rhs, term)]
+                yield lhs == rhs, f"multiplicativity fails at (t_{c}, t_{d})"
+                yield (wit.w3.apply(lhs) == wit.sandwich3(prod, A.unit),
+                       f"triple-power image mismatch at (t_{c}, t_{d})")
 
     # coassociativity via the quadruple power
-    ok, witness = True, None
-    for c in range(m):
-        dc = core.tt.lift(bgd.Delta.apply(basis(c, m)))
-        lhs = [field.zero] * wit.ttt.dim
-        rhs = [field.zero] * wit.ttt.dim
-        for idx, coeff in enumerate(dc):
-            if not coeff:
-                continue
-            a, b = divmod(idx, m)
-            da = bgd.Delta.apply(basis(a, m))
-            term = wit.ttt.project(kron_vec(field, da, basis(b, m)))
-            lhs = [x + coeff * y for x, y in zip(lhs, term)]
-            db = core.tt.lift(bgd.Delta.apply(basis(b, m)))
-            for idx2, coeff2 in enumerate(db):
-                if not coeff2:
-                    continue
-                e, f = divmod(idx2, m)
-                inner = core.class_tt(basis(a, m), basis(e, m))
-                term2 = wit.ttt.project(kron_vec(field, inner, basis(f, m)))
-                cc = coeff * coeff2
-                rhs = [x + cc * y for x, y in zip(rhs, term2)]
-        if lhs != rhs:
-            ok, witness = False, f"coassociativity fails at t_{c}"
-            break
-        expected = wit.sandwich4_unit(basis(c, m))
-        if wit.w4.apply(lhs) != expected:
-            ok, witness = False, f"quadruple-power image mismatch at t_{c}"
-            break
-    report.record("coassociativity", ok, witness)
+    def coassociativity():
+        for c in range(m):
+            lhs = [field.zero] * wit.ttt.dim
+            rhs = [field.zero] * wit.ttt.dim
+            for (a, b), coeff in tt.lift_items(Delta.apply(tvec(c))):
+                term = wit.ttt.class_of(Delta.apply(tvec(a)), tvec(b))
+                lhs = [x + coeff * y for x, y in zip(lhs, term)]
+                for (e, f), coeff2 in tt.lift_items(Delta.apply(tvec(b))):
+                    term2 = wit.ttt.class_of(tt.class_of(tvec(a), tvec(e)), tvec(f))
+                    cc = coeff * coeff2
+                    rhs = [x + cc * y for x, y in zip(rhs, term2)]
+            yield lhs == rhs, f"coassociativity fails at t_{c}"
+            yield (wit.w4.apply(lhs) == wit.sandwich4_unit(tvec(c)),
+                   f"quadruple-power image mismatch at t_{c}")
 
+    report.check("coproduct_right_linear", coproduct_right_linear())
+    report.check("base_balance", base_balance())
+    report.check("multiplicativity", multiplicativity())
+    report.check("coassociativity", coassociativity())
     return report
 
 
@@ -777,84 +640,59 @@ class ModuleDualBasis:
         return len(self.elements)
 
 
+def _check_reconstruction(core: TCore, actions: list[Matrix], db: ModuleDualBasis,
+                          err: str):
+    """x = sum_i act(phi_i(x)) m_i on every basis vector of T."""
+    for x in Matrix.identity(core.ext.A.field, core.dim).data:
+        acc = [core.ext.A.field.zero] * core.dim
+        for m_i, phi in zip(db.elements, db.functionals):
+            term = combine(actions, phi.apply(x)).apply(m_i)
+            acc = [a + b for a, b in zip(acc, term)]
+        if acc != x:
+            raise SelfCheckError(err)
+
+
 def left_r_projectivity(core: TCore) -> ModuleDualBasis | None:
     """Dual bases witnessing that T is projective as a left R-module,
     decided by the summand criterion; no quasibase involved."""
     R = core.R_alg
     M = left_module_bimodule(R, core.dim, core.lam_R)
-    P = left_module_bimodule(R, R.dim, [R.left_mult(i) for i in range(R.dim)])
+    P = left_module_bimodule(R, R.dim, R.left_mults)
     fact = coproduct_summand_test(M, P)
     if fact is None:
         return None
-    elements = [f.apply(R.unit) for f, _ in fact.pairs]
-    functionals = [g for _, g in fact.pairs]
-    # reconstruction x = sum_i lam(phi_i(x)) m_i on every basis vector
-    field = R.field
-    for c in range(core.dim):
-        x = [field.one if i == c else field.zero for i in range(core.dim)]
-        acc = [field.zero] * core.dim
-        for m_i, phi in zip(elements, functionals):
-            term = core.lam_R_by(phi.apply(x)).apply(m_i)
-            acc = [a + b for a, b in zip(acc, term)]
-        if acc != x:
-            raise AlgebraError("projectivity dual basis failed reconstruction")
-    return ModuleDualBasis(elements, functionals)
+    db = ModuleDualBasis([f.apply(R.unit) for f, _ in fact.pairs],
+                         [g for _, g in fact.pairs])
+    _check_reconstruction(core, core.lam_R, db,
+                          "projectivity dual basis failed reconstruction")
+    return db
 
 
 def r_module_dual_bases(ext: Extension, lqb: QuasibaseSet, rqb: QuasibaseSet):
     """Dual bases for T as a right R-module (from the left quasibase) and
     as a left R-module (from the right quasibase), reconstruction verified."""
     core = t_core(ext)
-    A = ext.A
-    field = A.field
+    field = ext.A.field
     if lqb is None or rqb is None:
         raise AlgebraError("both quasibase sides are required")
 
-    def functional_from(endo: Matrix) -> Matrix:
-        # t -> endo(t^1) t^2 as a map into R
-        cols = []
-        for c in range(core.dim):
-            acc = [field.zero] * A.dim
-            for (s, t), c1 in core.t_lift_items(c):
-                term = A.mul(endo.column(s), A.basis_vector(t))
-                acc = [x + c1 * y for x, y in zip(acc, term)]
-            cols.append(core._into_R(acc, "dual-basis functional escaped R"))
+    def functional(left=None, right=None) -> Matrix:
+        # t -> left(t^1) right(t^2) as a map into R
+        cols = [core._into_R(core.contract(c, left, right),
+                             "dual-basis functional escaped R") for c in range(core.dim)]
         return Matrix.from_columns(field, cols, nrows=core.R_alg.dim)
 
-    def cofunctional_from(endo: Matrix) -> Matrix:
-        # t -> t^1 endo(t^2) as a map into R
-        cols = []
-        for c in range(core.dim):
-            acc = [field.zero] * A.dim
-            for (s, t), c1 in core.t_lift_items(c):
-                term = A.mul(A.basis_vector(s), endo.column(t))
-                acc = [x + c1 * y for x, y in zip(acc, term)]
-            cols.append(core._into_R(acc, "dual-basis functional escaped R"))
-        return Matrix.from_columns(field, cols, nrows=core.R_alg.dim)
-
-    right_elements = [core.t_coords(t, "left-quasibase tensor escaped T")
-                      for _, t in lqb.pairs]
-    right_functionals = [functional_from(beta) for beta, _ in lqb.pairs]
-    left_elements = [core.t_coords(u, "right-quasibase tensor escaped T")
-                     for _, u in rqb.pairs]
-    left_functionals = [cofunctional_from(gamma) for gamma, _ in rqb.pairs]
-
-    for c in range(core.dim):
-        x = [field.one if i == c else field.zero for i in range(core.dim)]
-        acc = [field.zero] * core.dim
-        for elem, phi in zip(right_elements, right_functionals):
-            term = core.rho_R_by(phi.apply(x)).apply(elem)
-            acc = [a + b for a, b in zip(acc, term)]
-        if acc != x:
-            raise AlgebraError("right R-module dual basis failed reconstruction")
-        acc = [field.zero] * core.dim
-        for elem, phi in zip(left_elements, left_functionals):
-            term = core.lam_R_by(phi.apply(x)).apply(elem)
-            acc = [a + b for a, b in zip(acc, term)]
-        if acc != x:
-            raise AlgebraError("left R-module dual basis failed reconstruction")
-    return (ModuleDualBasis(right_elements, right_functionals),
-            ModuleDualBasis(left_elements, left_functionals))
+    right_db = ModuleDualBasis(
+        [core.t_coords(t, "left-quasibase tensor escaped T") for _, t in lqb.pairs],
+        [functional(left=beta) for beta, _ in lqb.pairs])
+    left_db = ModuleDualBasis(
+        [core.t_coords(u, "right-quasibase tensor escaped T") for _, u in rqb.pairs],
+        [functional(right=gamma) for gamma, _ in rqb.pairs])
+    _check_reconstruction(core, core.rho_R, right_db,
+                          "right R-module dual basis failed reconstruction")
+    _check_reconstruction(core, core.lam_R, left_db,
+                          "left R-module dual basis failed reconstruction")
+    return right_db, left_db
 
 
 # -- commutative specialization -------------------------------------------
@@ -885,13 +723,11 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
     from .bimodules import right_d2_quasibase
     A = ext.A
     field = A.field
+    n = A.dim
     if not A.is_commutative():
         raise AlgebraError("flip check requires a commutative algebra")
-    image = ext.b_image_subspace()
-    for v in image.basis:
-        lm = A.left_mult_by(v)
-        rm = A.right_mult_by(v)
-        if lm != rm:
+    for v in ext.b_image_subspace().basis:
+        if combine(A.left_mults, v) != combine(A.right_mults, v):
             raise AlgebraError("flip check requires iota(B) central in A")
     rqb = right_d2_quasibase(ext)
     if rqb is None:
@@ -899,91 +735,53 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
     bgd = build_T(ext, rqb)
     core = bgd.core
     ts = core.ts
-
-    base_whole = core.R_alg.dim == A.dim
-    t_whole = core.dim == ts.dim
-
-    # componentwise product on the tensor square agrees with the T product
-    tensor_alg = t_whole
-    if tensor_alg:
-        for c in range(core.dim):
-            for d in range(core.dim):
-                amb = [field.zero] * (A.dim * A.dim)
-                for (s, t), c1 in core.t_lift_items(c):
-                    for (p, q), c2 in core.t_lift_items(d):
-                        coeff = c1 * c2
-                        v1 = A.table[s][p]
-                        v2 = A.table[t][q]
-                        for i, a in enumerate(v1):
-                            if not a:
-                                continue
-                            off = i * A.dim
-                            ca = coeff * a
-                            for j, b in enumerate(v2):
-                                if b:
-                                    amb[off + j] = amb[off + j] + ca * b
-                componentwise = core.t_coords(ts.quot.project(amb),
-                                              "componentwise product escaped T")
-                if componentwise != core.T_alg.table[c][d]:
-                    tensor_alg = False
-                    break
-            if not tensor_alg:
-                break
-
-    # Sweedler form through the witness: W3(Delta(class(x (x) y))) = x (x) 1 (x) y
-    sweedler = True
     wit = bgd.witness
-    for i in range(A.dim):
-        for j in range(A.dim):
-            tcoords = core.t_coords(ts.class_of(A.basis_vector(i), A.basis_vector(j)),
-                                    "pure tensor escaped T")
-            img = wit.w3.apply(bgd.Delta.apply(tcoords))
-            expected = wit.q3.project_items(
-                [((i, u, j), cu) for u, cu in enumerate(A.unit) if cu])
-            if img != expected:
-                sweedler = False
-                break
-        if not sweedler:
-            break
+    m = core.dim
+    pairs = [(i, j) for i in range(n) for j in range(n)]
 
-    # eps is multiplication
-    eps_mu = True
+    def componentwise(c, d):
+        # T coordinates of t_c^1 t_d^1 (x) t_c^2 t_d^2
+        amb = [field.zero] * (n * n)
+        for (s, t), c1 in core.t_lift_items(c):
+            for (p, q), c2 in core.t_lift_items(d):
+                coeff = c1 * c2
+                for i, a in enumerate(A.table[s][p]):
+                    if not a:
+                        continue
+                    ca = coeff * a
+                    for j, b in enumerate(A.table[t][q]):
+                        if b:
+                            amb[i * n + j] = amb[i * n + j] + ca * b
+        return core.t_coords(ts.quot.project(amb), "componentwise product escaped T")
+
+    def pure(i, j):
+        return core.t_coords(ts.class_of(A.basis_vector(i), A.basis_vector(j)),
+                             "pure tensor escaped T")
+
+    def sweedler(i, j):
+        # W3(Delta(class(x (x) y))) = x (x) 1 (x) y
+        expected = wit.q3.project_items([((i, u, j), cu) for u, cu in enumerate(A.unit) if cu])
+        return wit.w3.apply(bgd.Delta.apply(pure(i, j))) == expected
+
+    tensor_alg = m == ts.dim and all(componentwise(c, d) == core.T_alg.table[c][d]
+                                     for c in range(m) for d in range(m))
     eps_in_A = core.incl_R @ core.eps
-    for i in range(A.dim):
-        for j in range(A.dim):
-            tcoords = core.t_coords(ts.class_of(A.basis_vector(i), A.basis_vector(j)),
-                                    "pure tensor escaped T")
-            if eps_in_A.apply(tcoords) != A.table[i][j]:
-                eps_mu = False
-                break
-        if not eps_mu:
-            break
 
     # the flip x (x) y -> y (x) x descends and is an involutive anti-automorphism
-    n = A.dim
     swap = Matrix.zeros(field, n * n, n * n)
-    for i in range(n):
-        for j in range(n):
-            swap.data[j * n + i][i * n + j] = field.one
+    for i, j in pairs:
+        swap.data[j * n + i][i * n + j] = field.one
     tau_q2 = ts.quot.induced(swap)
-    tau_cols = [core.t_coords(tau_q2.apply(core.t_basis[c]), "flip left T")
-                for c in range(core.dim)]
-    tau = Matrix.from_columns(field, tau_cols, nrows=core.dim)
-    involutive = tau @ tau == Matrix.identity(field, core.dim)
-    anti = True
-    for c in range(core.dim):
-        for d in range(core.dim):
-            lhs = tau.apply(core.T_alg.table[c][d])
-            rhs = core.t_mul(tau.column(d), tau.column(c))
-            if lhs != rhs:
-                anti = False
-                break
-        if not anti:
-            break
+    tau_cols = [core.t_coords(tau_q2.apply(t), "flip left T") for t in core.t_basis]
+    tau = Matrix.from_columns(field, tau_cols, nrows=m)
 
-    return FlipReport(base_is_whole_algebra=base_whole,
-                      tensor_algebra_product=tensor_alg,
-                      sweedler_coproduct=sweedler,
-                      counit_is_multiplication=eps_mu,
-                      flip_involutive=involutive,
-                      flip_antimultiplicative=anti)
+    return FlipReport(
+        base_is_whole_algebra=core.R_alg.dim == n,
+        tensor_algebra_product=tensor_alg,
+        sweedler_coproduct=all(sweedler(i, j) for i, j in pairs),
+        counit_is_multiplication=all(eps_in_A.apply(pure(i, j)) == A.table[i][j]
+                                     for i, j in pairs),
+        flip_involutive=tau @ tau == Matrix.identity(field, m),
+        flip_antimultiplicative=all(
+            tau.apply(core.T_alg.table[c][d]) == core.t_mul(tau.column(d), tau.column(c))
+            for c in range(m) for d in range(m)))

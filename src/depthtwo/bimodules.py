@@ -1,10 +1,13 @@
-"""Bimodules, tensor powers over B, hom spaces and depth-two quasibases.
+"""Bimodules, balanced tensor products, hom spaces and depth-two quasibases.
 
-The tensor square A (x)_B A is realized as an explicit quotient of
-A (x)_k A with projection/section matrices; higher powers are built by
-iterating (- (x)_B A) on the previous quotient, so ambient dimensions
-stay manageable and every section lifts a quotient basis vector to a
-single pure tensor.
+Every tensor product over an algebra is one construction:
+``balanced_tensor(M, N)`` realizes M (x)_C N as an explicit quotient of
+M (x)_k N with projection/section matrices and induces the outer actions
+on first use.  The tensor square A (x)_B A is the first instance; higher
+powers nest it on the left, (A (x)_B A) (x)_B A and so on, so ambient
+dimensions stay manageable and every section lifts a quotient basis
+vector to a single pure tensor.  Actions of B are those of A pulled back
+along iota (``restrict``).
 
 The depth-two decision is span membership of the identity in the image
 of the composition pairing Hom(P, M) x Hom(M, P) -> End(M); a successful
@@ -14,9 +17,11 @@ before being returned.
 
 from __future__ import annotations
 
+import copy
+
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
-                       field_as_algebra, group_inverses)
-from .linalg import (Matrix, Subspace, kron_vec, nullspace, quotient_structure,
+                       SelfCheckError, field_as_algebra, group_inverses)
+from .linalg import (Matrix, Subspace, combine, kron_vec, nullspace, quotient_structure,
                      solve_in_span)
 
 
@@ -26,88 +31,91 @@ class Bimodule:
     ``left_action[i]`` is the matrix of the i-th basis element of P acting
     on the left; ``right_action[j]`` likewise on the right.  Left actions
     form a unital representation, right actions a unital anti-representation.
+    Either action may be given as a function that builds the list on first use.
     """
 
-    __slots__ = ("left_algebra", "right_algebra", "dim", "left_action", "right_action")
+    __slots__ = ("left_algebra", "right_algebra", "dim", "_left", "_right")
 
     def __init__(self, left_algebra: FiniteAlgebra, right_algebra: FiniteAlgebra,
-                 dim: int, left_action: list[Matrix], right_action: list[Matrix]):
+                 dim: int, left_action, right_action):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.dim = dim
-        self.left_action = left_action
-        self.right_action = right_action
+        self._left = left_action
+        self._right = right_action
+
+    @property
+    def left_action(self) -> list[Matrix]:
+        if callable(self._left):
+            self._left = self._left()
+        return self._left
+
+    @property
+    def right_action(self) -> list[Matrix]:
+        if callable(self._right):
+            self._right = self._right()
+        return self._right
 
     def check(self):
         """Full validation sweep; raises AlgebraError on the first violation."""
         P, Q, n = self.left_algebra, self.right_algebra, self.dim
-        field = P.field
-        eye = Matrix.identity(field, n)
+        eye = Matrix.identity(P.field, n)
         lam, rho = self.left_action, self.right_action
-        unit_l = Matrix.zeros(field, n, n)
-        for i, c in enumerate(P.unit):
-            if c:
-                unit_l = unit_l + lam[i].scaled(c)
-        if unit_l != eye:
+        if combine(lam, P.unit) != eye:
             raise AlgebraError("left action is not unital")
-        unit_r = Matrix.zeros(field, n, n)
-        for j, c in enumerate(Q.unit):
-            if c:
-                unit_r = unit_r + rho[j].scaled(c)
-        if unit_r != eye:
+        if combine(rho, Q.unit) != eye:
             raise AlgebraError("right action is not unital")
         for i in range(P.dim):
             for j in range(P.dim):
-                combo = Matrix.zeros(field, n, n)
-                for k, c in enumerate(P.table[i][j]):
-                    if c:
-                        combo = combo + lam[k].scaled(c)
-                if lam[i] @ lam[j] != combo:
+                if lam[i] @ lam[j] != combine(lam, P.table[i][j]):
                     raise AlgebraError(f"left action not multiplicative on (e_{i}, e_{j})")
         for i in range(Q.dim):
             for j in range(Q.dim):
-                combo = Matrix.zeros(field, n, n)
-                for k, c in enumerate(Q.table[i][j]):
-                    if c:
-                        combo = combo + rho[k].scaled(c)
-                if rho[j] @ rho[i] != combo:
+                if rho[j] @ rho[i] != combine(rho, Q.table[i][j]):
                     raise AlgebraError(f"right action not anti-multiplicative on (e_{i}, e_{j})")
         for i in range(P.dim):
             for j in range(Q.dim):
                 if lam[i] @ rho[j] != rho[j] @ lam[i]:
                     raise AlgebraError(f"actions do not commute at (e_{i}, e_{j})")
 
-    def left_act_by(self, x: list) -> Matrix:
-        m = Matrix.zeros(self.left_algebra.field, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                m = m + self.left_action[i].scaled(c)
-        return m
+    # A plain bimodule is a single tensor leg: its items are ((index,), coefficient).
 
-    def right_act_by(self, y: list) -> Matrix:
-        m = Matrix.zeros(self.right_algebra.field, self.dim, self.dim)
-        for j, c in enumerate(y):
-            if c:
-                m = m + self.right_action[j].scaled(c)
-        return m
+    def lift_items(self, coords: list) -> list[tuple[tuple, object]]:
+        return [((i,), c) for i, c in enumerate(coords) if c]
+
+    def project_items(self, items: list[tuple[tuple, object]]) -> list:
+        coords = [self.left_algebra.field.zero] * self.dim
+        for (i,), c in items:
+            coords[i] = coords[i] + c
+        return coords
+
+
+def restrict(M: Bimodule, left: AlgebraMorphism | None = None,
+             right: AlgebraMorphism | None = None) -> Bimodule:
+    """M with its left and/or right action pulled back along an algebra map
+    into the acting algebra; the pulled-back actions are combined on first use.
+    A balanced tensor product stays one, with the same quotient coordinates."""
+    out = copy.copy(M)
+    out._left = lambda: M.left_action if left is None else \
+        [combine(M.left_action, col) for col in left.matrix.columns()]
+    out._right = lambda: M.right_action if right is None else \
+        [combine(M.right_action, col) for col in right.matrix.columns()]
+    if left is not None:
+        out.left_algebra = left.source
+    if right is not None:
+        out.right_algebra = right.source
+    return out
 
 
 def algebra_bimodule(ext: Extension, left: str, right: str) -> Bimodule:
     """A itself as a bimodule, with 'A' or 'B' (through iota) acting on each side."""
+    for side in (left, right):
+        if side not in ("A", "B"):
+            raise ValueError(f"unknown side {side!r}")
     A = ext.A
-    if left == "A":
-        lalg, lact = A, [A.left_mult(i) for i in range(A.dim)]
-    elif left == "B":
-        lalg, lact = ext.B, [ext.left_mult_iota(j) for j in range(ext.B.dim)]
-    else:
-        raise ValueError(f"unknown side {left!r}")
-    if right == "A":
-        ralg, ract = A, [A.right_mult(i) for i in range(A.dim)]
-    elif right == "B":
-        ralg, ract = ext.B, [ext.right_mult_iota(j) for j in range(ext.B.dim)]
-    else:
-        raise ValueError(f"unknown side {right!r}")
-    return Bimodule(lalg, ralg, A.dim, lact, ract)
+    regular = Bimodule(A, A, A.dim, A.left_mults, A.right_mults)
+    return restrict(regular, ext.iota if left == "B" else None,
+                    ext.iota if right == "B" else None)
 
 
 def left_module_bimodule(P: FiniteAlgebra, dim: int, action: list[Matrix]) -> Bimodule:
@@ -116,187 +124,97 @@ def left_module_bimodule(P: FiniteAlgebra, dim: int, action: list[Matrix]) -> Bi
     return Bimodule(P, k, dim, action, [Matrix.identity(P.field, dim)])
 
 
-# -- tensor powers over B ----------------------------------------------
+# -- balanced tensor products ----------------------------------------------
 
 
-class TensorSquare:
-    """A (x)_B A as an explicit quotient of A (x)_k A with all four actions.
+class BalancedTensor(Bimodule):
+    """M (x)_C N realized as a quotient of M (x)_k N; built by ``balanced_tensor``.
 
-    ``mu`` is the multiplication map back to A restricted to the quotient.
+    Ambient index (i, j) flattens to i * N.dim + j.  The outer actions are
+    induced from M's left and N's right action on first use.  Items of
+    ``lift_items``/``project_items`` are indexed by tuples over the plain
+    factors, so a product nested on the left stays sparse at every level.
     """
 
-    __slots__ = ("ext", "quot", "dim", "left_A", "right_A", "left_B", "right_B",
-                 "mu")
+    __slots__ = ("M", "N", "quot")
 
-    def __init__(self, ext: Extension):
-        A, B = ext.A, ext.B
-        n = A.dim
-        field = A.field
-        eye = Matrix.identity(field, n)
-        relations = []
-        # generators of B suffice: the balancing relation for a product
-        # splits into two relations for the factors
-        for j in B.generating_indices():
-            lb = ext.left_mult_iota(j)
-            rb = ext.right_mult_iota(j)
-            # (x*b) (x) y - x (x) (b*y) over all basis pairs
-            diff = rb.kron(eye) - eye.kron(lb)
-            relations.extend(diff.transpose().data)
-        rel = Subspace.span(field, n * n, relations)
-        self.ext = ext
-        self.quot = quotient_structure(n * n, rel)
-        self.dim = self.quot.dim
-        self.left_A = [self.quot.induced(A.left_mult(i).kron(eye)) for i in range(n)]
-        self.right_A = [self.quot.induced(eye.kron(A.right_mult(i))) for i in range(n)]
-        self.left_B = [self.quot.induced(ext.left_mult_iota(j).kron(eye))
-                       for j in range(B.dim)]
-        self.right_B = [self.quot.induced(eye.kron(ext.right_mult_iota(j)))
-                        for j in range(B.dim)]
-        mult = Matrix.zeros(field, n, n * n)
-        for i in range(n):
-            for j in range(n):
-                for k, c in enumerate(A.table[i][j]):
-                    if c:
-                        mult.data[k][i * n + j] = c
-        self.mu = mult @ self.quot.section
+    def __init__(self, M: Bimodule, N: Bimodule, quot):
+        self.M = M
+        self.N = N
+        self.quot = quot
+        super().__init__(M.left_algebra, N.right_algebra, quot.dim,
+                         self._induced_left, self._induced_right)
 
-    @property
-    def k(self) -> int:
-        return 2
+    def _induced_left(self) -> list[Matrix]:
+        eye = Matrix.identity(self.quot.field, self.N.dim)
+        return [self.quot.induced(a.kron(eye)) for a in self.M.left_action]
+
+    def _induced_right(self) -> list[Matrix]:
+        eye = Matrix.identity(self.quot.field, self.M.dim)
+        return [self.quot.induced(eye.kron(b)) for b in self.N.right_action]
 
     def class_of(self, x: list, y: list) -> list:
-        """Quotient coordinates of x (x) y."""
-        return self.quot.project(kron_vec(self.ext.A.field, x, y))
-
-    def lift_items(self, coords: list) -> list[tuple[tuple[int, int], object]]:
-        """Sparse lift to A (x) A, as ((i, j), coefficient) pairs."""
-        n = self.ext.A.dim
-        vec = self.quot.lift(coords)
-        return [((f // n, f % n), c) for f, c in enumerate(vec) if c]
-
-    def project_items(self, items: list[tuple[tuple, object]]) -> list:
-        """Quotient coordinates of a sparse A (x) A vector given as index pairs."""
-        n = self.ext.A.dim
-        field = self.ext.A.field
-        amb = [field.zero] * (n * n)
-        for (i, j), c in items:
-            amb[i * n + j] = amb[i * n + j] + c
-        return self.quot.project(amb)
-
-    def left_act_by(self, x: list) -> Matrix:
-        m = Matrix.zeros(self.ext.A.field, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                m = m + self.left_A[i].scaled(c)
-        return m
-
-    def right_act_by(self, y: list) -> Matrix:
-        m = Matrix.zeros(self.ext.A.field, self.dim, self.dim)
-        for j, c in enumerate(y):
-            if c:
-                m = m + self.right_A[j].scaled(c)
-        return m
-
-    def as_bimodule(self, left: str, right: str) -> Bimodule:
-        pick = {"A": (self.ext.A, self.left_A, self.right_A),
-                "B": (self.ext.B, self.left_B, self.right_B)}
-        lalg, lact, _ = pick[left]
-        ralg, _, ract = pick[right]
-        return Bimodule(lalg, ralg, self.dim, lact, ract)
-
-
-class TensorPower:
-    """A (x)_B ... (x)_B A with k factors, built as (previous power) (x)_B A."""
-
-    __slots__ = ("ext", "k", "prev", "quot", "dim", "left_A", "right_A",
-                 "left_B", "right_B")
-
-    def __init__(self, ext: Extension, prev):
-        A, B = ext.A, ext.B
-        n = A.dim
-        field = A.field
-        self.ext = ext
-        self.k = prev.k + 1
-        self.prev = prev
-        eye_n = Matrix.identity(field, n)
-        eye_p = Matrix.identity(field, prev.dim)
-        relations = []
-        for j in B.generating_indices():
-            rb_prev = prev.right_B[j]
-            lb = ext.left_mult_iota(j)
-            diff = rb_prev.kron(eye_n) - eye_p.kron(lb)
-            relations.extend(diff.transpose().data)
-        rel = Subspace.span(field, prev.dim * n, relations)
-        self.quot = quotient_structure(prev.dim * n, rel)
-        self.dim = self.quot.dim
-        self.left_A = [self.quot.induced(prev.left_A[i].kron(eye_n)) for i in range(n)]
-        self.right_A = [self.quot.induced(eye_p.kron(A.right_mult(i))) for i in range(n)]
-        self.left_B = [self.quot.induced(prev.left_B[j].kron(eye_n))
-                       for j in range(B.dim)]
-        self.right_B = [self.quot.induced(eye_p.kron(ext.right_mult_iota(j)))
-                        for j in range(B.dim)]
-
-    def class_of_pair(self, prev_coords: list, a_vec: list) -> list:
-        return self.quot.project(kron_vec(self.ext.A.field, prev_coords, a_vec))
-
-    def left_act_by(self, x: list) -> Matrix:
-        m = Matrix.zeros(self.ext.A.field, self.dim, self.dim)
-        for i, c in enumerate(x):
-            if c:
-                m = m + self.left_A[i].scaled(c)
-        return m
-
-    def right_act_by(self, y: list) -> Matrix:
-        m = Matrix.zeros(self.ext.A.field, self.dim, self.dim)
-        for j, c in enumerate(y):
-            if c:
-                m = m + self.right_A[j].scaled(c)
-        return m
+        """Quotient coordinates of x (x) y for x in M and y in N coordinates."""
+        return self.quot.project(kron_vec(self.quot.field, x, y))
 
     def lift_items(self, coords: list) -> list[tuple[tuple, object]]:
-        """Sparse lift to the full k-fold tensor power of A."""
-        n = self.ext.A.dim
-        vec = self.quot.lift(coords)
+        """Sparse lift to the full tensor product of the plain factors."""
+        zero = self.quot.field.zero
         out = []
-        for f, c in enumerate(vec):
-            if not c:
-                continue
-            prev_idx, last = divmod(f, n)
-            prev_coords = [self.ext.A.field.zero] * self.prev.dim
-            prev_coords[prev_idx] = c
-            for idx, cc in self.prev.lift_items(prev_coords):
-                out.append((idx + (last,), cc))
+        for f, c in enumerate(self.quot.lift(coords)):
+            if c:
+                i, j = divmod(f, self.N.dim)
+                leg = [zero] * self.M.dim
+                leg[i] = c
+                out.extend((idx + (j,), a) for idx, a in self.M.lift_items(leg))
         return out
 
     def project_items(self, items: list[tuple[tuple, object]]) -> list:
         """Quotient coordinates of a sparse full-tensor vector, computed stagewise."""
-        n = self.ext.A.dim
-        field = self.ext.A.field
-        grouped: dict[int, list[tuple[tuple, object]]] = {}
+        dn = self.N.dim
+        by_last: dict[int, list[tuple[tuple, object]]] = {}
         for idx, c in items:
-            grouped.setdefault(idx[-1], []).append((idx[:-1], c))
-        out = [field.zero] * self.dim
-        proj = self.quot.projection
-        for last, sub in grouped.items():
-            prev_coords = self.prev.project_items(sub)
-            for p, c in enumerate(prev_coords):
-                if not c:
-                    continue
-                col = p * n + last
-                for r in range(self.dim):
-                    pc = proj.data[r][col]
-                    if pc:
-                        out[r] = out[r] + pc * c
-        return out
+            by_last.setdefault(idx[-1], []).append((idx[:-1], c))
+        amb = [self.quot.field.zero] * self.quot.ambient_dim
+        for j, sub in by_last.items():
+            for i, c in enumerate(self.M.project_items(sub)):
+                if c:
+                    amb[i * dn + j] = amb[i * dn + j] + c
+        return self.quot.project(amb)
 
 
-def tensor_square(ext: Extension) -> TensorSquare:
+def balanced_tensor(M: Bimodule, N: Bimodule) -> BalancedTensor:
+    """M (x)_C N for a P-C-bimodule M and a C-Q-bimodule N, as a P-Q-bimodule.
+
+    The relations m.c (x) n - m (x) c.n are imposed for the generators of C;
+    multiplicativity extends them to all of C.  Products nest on the left
+    only, so N must be a plain bimodule.
+    """
+    C = M.right_algebra
+    if N.left_algebra.dim != C.dim:
+        raise AlgebraError("balanced_tensor: M's right and N's left algebra differ")
+    if isinstance(N, BalancedTensor):
+        raise AlgebraError("balanced_tensor: nest products on the left")
+    field = C.field
+    eye_m = Matrix.identity(field, M.dim)
+    eye_n = Matrix.identity(field, N.dim)
+    relations = []
+    for c in C.generating_indices():
+        diff = M.right_action[c].kron(eye_n) - eye_m.kron(N.left_action[c])
+        relations.extend(diff.transpose().data)
+    rel = Subspace.span(field, M.dim * N.dim, relations)
+    return BalancedTensor(M, N, quotient_structure(M.dim * N.dim, rel))
+
+
+def tensor_square(ext: Extension) -> BalancedTensor:
+    """A (x)_B A as an A-A-bimodule, cached on the extension."""
     if "ts" not in ext._cache:
-        ext._cache["ts"] = TensorSquare(ext)
+        ext._cache["ts"] = balanced_tensor(algebra_bimodule(ext, "A", "B"),
+                                           algebra_bimodule(ext, "B", "A"))
     return ext._cache["ts"]
 
 
-def tensor_power(ext: Extension, k: int):
+def tensor_power(ext: Extension, k: int) -> BalancedTensor:
     """The k-fold tensor power of A over B (k >= 2), cached on the extension."""
     if k < 2:
         raise ValueError("tensor_power needs k >= 2")
@@ -304,43 +222,42 @@ def tensor_power(ext: Extension, k: int):
         return tensor_square(ext)
     key = ("power", k)
     if key not in ext._cache:
-        ext._cache[key] = TensorPower(ext, tensor_power(ext, k - 1))
+        prev = restrict(tensor_power(ext, k - 1), right=ext.iota)
+        ext._cache[key] = balanced_tensor(prev, algebra_bimodule(ext, "B", "A"))
     return ext._cache[key]
 
 
-def b_centralized(space) -> Subspace:
-    """B-central elements {t : b.t = t.b for all b} of a tensor power."""
-    ext = space.ext
+def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
+    """B-central elements {m : b.m = m.b for all b} of an A-A-bimodule."""
     field = ext.A.field
+    bb = restrict(M, ext.iota, ext.iota)
     rows: list[list] = []
     for j in ext.B.generating_indices():
-        diff = space.left_B[j] - space.right_B[j]
-        rows.extend(diff.data)
+        rows.extend((bb.left_action[j] - bb.right_action[j]).data)
     if not rows:
-        return Subspace.full(field, space.dim)
-    return Subspace.span(field, space.dim, nullspace(rows, field, space.dim))
+        return Subspace.full(field, M.dim)
+    return Subspace.span(field, M.dim, nullspace(rows, field, M.dim))
+
+
+def unit_tensor(ext: Extension, unit_first: bool) -> Matrix:
+    """The map a -> 1 (x) a (unit_first) or a -> a (x) 1 into the tensor square."""
+    A = ext.A
+    ts = tensor_square(ext)
+    cols = [ts.class_of(A.unit, A.basis_vector(a)) if unit_first
+            else ts.class_of(A.basis_vector(a), A.unit) for a in range(A.dim)]
+    return Matrix.from_columns(A.field, cols, nrows=ts.dim)
 
 
 # -- hom spaces and the direct-summand criterion -------------------------
 
 
-def hom_space(M: Bimodule, N: Bimodule) -> list[Matrix]:
-    """Canonical basis of bimodule maps M -> N (matrices N.dim x M.dim).
-
-    Intertwining is imposed on generating sets of both acting algebras;
-    multiplicativity extends it to the full algebras.
-    """
-    if M.left_algebra.dim != N.left_algebra.dim or \
-            M.right_algebra.dim != N.right_algebra.dim:
-        raise AlgebraError("hom_space: algebra mismatch")
-    field = M.left_algebra.field
-    dm, dn = M.dim, N.dim
+def intertwiners(field, dm: int, dn: int, pairs: list[tuple[Matrix, Matrix]]) -> list[Matrix]:
+    """Canonical basis of the maps F (dn x dm) with F @ a = b @ F for every pair (a, b)."""
     nunk = dn * dm
+    zero = field.zero
     rows: list[list] = []
-
-    def intertwine(act_M: Matrix, act_N: Matrix):
+    for act_M, act_N in pairs:
         # F @ act_M - act_N @ F = 0, row-major unknowns F[r][c]
-        zero = field.zero
         for r in range(dn):
             nrow = act_N.data[r]
             for c in range(dm):
@@ -355,16 +272,27 @@ def hom_space(M: Bimodule, N: Bimodule) -> list[Matrix]:
                     if x:
                         row[k * dm + c] = row[k * dm + c] - x
                 rows.append(row)
-
-    for i in M.left_algebra.generating_indices():
-        intertwine(M.left_action[i], N.left_action[i])
-    for j in M.right_algebra.generating_indices():
-        intertwine(M.right_action[j], N.right_action[j])
     if not rows:
         sols = Matrix.identity(field, nunk).data
     else:
         sols = nullspace(rows, field, nunk)
     return [Matrix.unvec(field, v, dn, dm) for v in sols]
+
+
+def hom_space(M: Bimodule, N: Bimodule) -> list[Matrix]:
+    """Canonical basis of bimodule maps M -> N (matrices N.dim x M.dim).
+
+    Intertwining is imposed on generating sets of both acting algebras;
+    multiplicativity extends it to the full algebras.
+    """
+    if M.left_algebra.dim != N.left_algebra.dim or \
+            M.right_algebra.dim != N.right_algebra.dim:
+        raise AlgebraError("hom_space: algebra mismatch")
+    pairs = [(M.left_action[i], N.left_action[i])
+             for i in M.left_algebra.generating_indices()]
+    pairs += [(M.right_action[j], N.right_action[j])
+              for j in M.right_algebra.generating_indices()]
+    return intertwiners(M.left_algebra.field, M.dim, N.dim, pairs)
 
 
 class SummandFactorization:
@@ -405,20 +333,14 @@ def coproduct_summand_test(M: Bimodule, P: Bimodule) -> SummandFactorization | N
     pairs = []
     nmp = len(homs_mp)
     for b, g in enumerate(homs_mp):
-        combo = Matrix.zeros(field, M.dim, P.dim)
-        used = False
-        for a, f in enumerate(homs_pm):
-            c = coeffs[a * nmp + b]
-            if c:
-                combo = combo + f.scaled(c)
-                used = True
-        if used:
-            pairs.append((combo, g))
+        column = [coeffs[a * nmp + b] for a in range(len(homs_pm))]
+        if any(column):
+            pairs.append((combine(homs_pm, column), g))
     total = Matrix.zeros(field, M.dim, M.dim)
     for f, g in pairs:
         total = total + f @ g
     if total != Matrix.identity(field, M.dim):
-        raise AlgebraError("summand factorization failed its own reconstruction")
+        raise SelfCheckError("summand factorization failed its own reconstruction")
     return SummandFactorization(pairs)
 
 
@@ -435,7 +357,7 @@ class QuasibaseSet:
 
     __slots__ = ("side", "pairs", "ts")
 
-    def __init__(self, side: str, pairs: list[tuple[Matrix, list]], ts: TensorSquare):
+    def __init__(self, side: str, pairs: list[tuple[Matrix, list]], ts: BalancedTensor):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.side = side
@@ -444,30 +366,6 @@ class QuasibaseSet:
 
     def __len__(self):
         return len(self.pairs)
-
-
-def _unit_tensor_left(ext: Extension) -> Matrix:
-    """The map y -> 1 (x) y into A (x)_k A coordinates."""
-    A = ext.A
-    n = A.dim
-    m = Matrix.zeros(A.field, n * n, n)
-    for s, c in enumerate(A.unit):
-        if c:
-            for j in range(n):
-                m.data[s * n + j][j] = c
-    return m
-
-
-def _unit_tensor_right(ext: Extension) -> Matrix:
-    """The map x -> x (x) 1 into A (x)_k A coordinates."""
-    A = ext.A
-    n = A.dim
-    m = Matrix.zeros(A.field, n * n, n)
-    for t, c in enumerate(A.unit):
-        if c:
-            for i in range(n):
-                m.data[i * n + t][i] = c
-    return m
 
 
 def _is_bb_endomorphism(ext: Extension, endo: Matrix) -> bool:
@@ -484,7 +382,7 @@ def verify_right_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     that each gamma_i is a B-B-endomorphism and each u_i is B-central."""
     ts = qb.ts
     A = ext.A
-    central = b_centralized(ts)
+    central = b_centralized(ext, ts)
     for gamma, u in qb.pairs:
         if not _is_bb_endomorphism(ext, gamma):
             return False
@@ -497,7 +395,7 @@ def verify_right_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
             rhs = [A.field.zero] * ts.dim
             for gamma, u in qb.pairs:
                 coeff = A.mul(ex, gamma.column(y))
-                term = ts.left_act_by(coeff).apply(u)
+                term = combine(ts.left_action, coeff).apply(u)
                 rhs = [a + b for a, b in zip(rhs, term)]
             if lhs != rhs:
                 return False
@@ -509,7 +407,7 @@ def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     the compact form a (x) 1 = sum_i t_i beta_i(a)."""
     ts = qb.ts
     A = ext.A
-    central = b_centralized(ts)
+    central = b_centralized(ext, ts)
     for beta, t in qb.pairs:
         if not _is_bb_endomorphism(ext, beta):
             return False
@@ -523,7 +421,7 @@ def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
             rhs = [A.field.zero] * ts.dim
             for beta, t in qb.pairs:
                 coeff = A.mul(beta.column(x), ey)
-                term = ts.right_act_by(coeff).apply(t)
+                term = combine(ts.right_action, coeff).apply(t)
                 rhs = [a + b for a, b in zip(rhs, term)]
             if lhs != rhs:
                 return False
@@ -531,7 +429,7 @@ def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
         lhs = ts.class_of(ex, A.unit)
         rhs = [A.field.zero] * ts.dim
         for beta, t in qb.pairs:
-            term = ts.right_act_by(beta.column(x)).apply(t)
+            term = combine(ts.right_action, beta.column(x)).apply(t)
             rhs = [a + b for a, b in zip(rhs, term)]
         if lhs != rhs:
             return False
@@ -541,48 +439,34 @@ def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
 def right_d2_quasibase(ext: Extension) -> QuasibaseSet | None:
     """Right depth-two quasibase (gamma_i, u_i), or None when the
     tensor square is not a summand of a free A-B-bimodule power of A."""
-    key = "rqb"
-    if key in ext._cache:
-        return ext._cache[key]
-    ts = tensor_square(ext)
-    M = ts.as_bimodule("A", "B")
-    P = algebra_bimodule(ext, "A", "B")
-    fact = coproduct_summand_test(M, P)
-    result = None
-    if fact is not None:
-        umap = _unit_tensor_left(ext)
-        pairs = []
-        for f, g in fact.pairs:
-            u = f.apply(ext.A.unit)
-            gamma = g @ ts.quot.projection @ umap
-            pairs.append((gamma, u))
-        result = QuasibaseSet("right", pairs, ts)
-        if not verify_right_quasibase(ext, result):
-            raise AlgebraError("derived right quasibase failed verification")
-    ext._cache[key] = result
-    return result
+    return _d2_quasibase(ext, "right")
 
 
 def left_d2_quasibase(ext: Extension) -> QuasibaseSet | None:
     """Left depth-two quasibase (beta_i, t_i), mirror of the right case."""
-    key = "lqb"
+    return _d2_quasibase(ext, "left")
+
+
+def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
+    key = side[0] + "qb"
     if key in ext._cache:
         return ext._cache[key]
+    right = side == "right"
     ts = tensor_square(ext)
-    M = ts.as_bimodule("B", "A")
-    P = algebra_bimodule(ext, "B", "A")
+    if right:
+        M, P = restrict(ts, right=ext.iota), algebra_bimodule(ext, "A", "B")
+    else:
+        M, P = restrict(ts, left=ext.iota), algebra_bimodule(ext, "B", "A")
     fact = coproduct_summand_test(M, P)
     result = None
     if fact is not None:
-        vmap = _unit_tensor_right(ext)
-        pairs = []
-        for f, g in fact.pairs:
-            t = f.apply(ext.A.unit)
-            beta = g @ ts.quot.projection @ vmap
-            pairs.append((beta, t))
-        result = QuasibaseSet("left", pairs, ts)
-        if not verify_left_quasibase(ext, result):
-            raise AlgebraError("derived left quasibase failed verification")
+        # gamma_i = g_i(1 (x) -) on the right side, beta_i = g_i(- (x) 1) on the left
+        unit_map = unit_tensor(ext, unit_first=right)
+        pairs = [(g @ unit_map, f.apply(ext.A.unit)) for f, g in fact.pairs]
+        result = QuasibaseSet(side, pairs, ts)
+        verify = verify_right_quasibase if right else verify_left_quasibase
+        if not verify(ext, result):
+            raise SelfCheckError(f"derived {side} quasibase failed verification")
     ext._cache[key] = result
     return result
 
@@ -623,10 +507,7 @@ def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],
 
 def h_separability_test(ext: Extension) -> SummandFactorization | None:
     """Is the tensor square a summand of a free power of A as an A-A-bimodule?"""
-    ts = tensor_square(ext)
-    M = ts.as_bimodule("A", "A")
-    P = algebra_bimodule(ext, "A", "A")
-    return coproduct_summand_test(M, P)
+    return coproduct_summand_test(tensor_square(ext), algebra_bimodule(ext, "A", "A"))
 
 
 def compose_extensions(inner: Extension, outer: Extension) -> Extension:
@@ -676,9 +557,7 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
     for gamma, u in rqb.pairs:
         for (s, t), c in ts.lift_items(u):
             # functional y -> p(gamma(y) * (c * e_s)), element e_t
-            w = [field.zero] * n
-            w[s] = c
-            functional = p @ A.right_mult_by(w) @ gamma
+            functional = p @ A.right_mult(s).scaled(c) @ gamma
             pairs.append((functional, A.basis_vector(t)))
     for y in range(n):
         ey = A.basis_vector(y)
@@ -687,5 +566,5 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
             piece = A.mul(ext.iota.apply(functional.apply(ey)), elem)
             acc = [a + b for a, b in zip(acc, piece)]
         if acc != ey:
-            raise AlgebraError("dual basis reconstruction failed")
+            raise SelfCheckError("dual basis reconstruction failed")
     return DualBasis(pairs)

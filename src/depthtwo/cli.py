@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for a completed analysis (negative mathematical verdicts
-included), 1 for input errors, 2 for an internal consistency failure,
-i.e. the two independent decision procedures disagreed.
+included), 1 for input errors, 2 for an internal consistency failure:
+the two independent decision procedures disagreed, or a computed result
+failed its own verification.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .algebras import AlgebraError
+from .algebras import AlgebraError, SelfCheckError
 from .bialgebroid import axiom_audit, build_T, t_core
 from .bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square
 from .catalog import catalog_names
@@ -152,7 +153,7 @@ def _cmd_galois(args, out) -> int:
         "balanced": bal.balanced,
         "galois_bijective": data.galois.bijective,
         "coinvariants": data.coinvariants.to_json(),
-        "comodule_conditions": comodule.to_json(),
+        "comodule_conditions": comodule.to_json_list(),
     }
     _emit(report, args.json, out)
     return EXIT_OK
@@ -214,6 +215,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
             return EXIT_INPUT
     try:
         return args.func(args, out)
+    except SelfCheckError as exc:
+        sys.stderr.write(f"error: internal self-check failed: {exc}\n")
+        return EXIT_INCONSISTENT
     except (ParseError, AlgebraError, FieldError, OSError,
             json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

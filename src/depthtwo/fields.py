@@ -16,16 +16,35 @@ class FieldError(ValueError):
     """Invalid field data: composite modulus, mixed-field arithmetic, bad literal."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test; raises FieldError above the certified bound."""
+    if p >= _MR_BOUND:
+        raise FieldError(f"modulus {p} is too large to certify as prime")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -184,6 +203,8 @@ class PrimeField:
                 q = Fraction(obj)
             except (ValueError, ZeroDivisionError) as exc:
                 raise FieldError(f"bad F_{self.p} literal {obj!r}") from exc
+            if q.denominator % self.p == 0:
+                raise FieldError(f"F_{self.p} literal {obj!r} divides by zero")
             return FpElement(q.numerator, self.p) / FpElement(q.denominator, self.p)
         raise FieldError(f"not an F_{self.p} literal: {obj!r}")
 

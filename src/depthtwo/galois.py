@@ -11,75 +11,36 @@ characterizations (quasibase + balance versus Galois data) always agree.
 
 from __future__ import annotations
 
-from .algebras import AlgebraError, Extension, SubalgebraData
-from .bialgebroid import (RightBialgebroid, TCore, WitnessError, build_T,
+from .algebras import AlgebraError, AlgebraMorphism, Extension, SubalgebraData
+from .bialgebroid import (AuditReport, RightBialgebroid, TCore, WitnessError,
                           build_T_quasibase_free, left_r_projectivity, t_core)
-from .bimodules import QuasibaseSet, right_d2_quasibase, tensor_square
-from .linalg import (LinAlgError, Matrix, Subspace, kron_vec, nullspace,
-                     quotient_structure)
+from .bimodules import (BalancedTensor, QuasibaseSet, algebra_bimodule, balanced_tensor,
+                        intertwiners, restrict, right_d2_quasibase, tensor_square,
+                        unit_tensor)
+from .linalg import LinAlgError, Matrix, Subspace, combine, nullspace
 
 
-class TensorWithT:
-    """A (x)_R T realized as a quotient of A (x) T."""
-
-    __slots__ = ("core", "quot", "dim")
-
-    def __init__(self, core: TCore):
-        self.core = core
-        A = core.ext.A
-        field = A.field
-        n, m = A.dim, core.dim
-        eye_n = Matrix.identity(field, n)
-        eye_m = Matrix.identity(field, m)
-        relations = []
-        for r in core.R_alg.generating_indices():
-            rm = A.right_mult_by(core.incl_R.column(r))
-            diff = rm.kron(eye_m) - eye_n.kron(core.lam_R[r])
-            relations.extend(diff.transpose().data)
-        rel = Subspace.span(field, n * m, relations)
-        self.quot = quotient_structure(n * m, rel)
-        self.dim = self.quot.dim
-
-    def class_of(self, avec: list, tcoords: list) -> list:
-        return self.quot.project(kron_vec(self.core.ext.A.field, avec, tcoords))
-
-    def lift_items(self, coords: list) -> list[tuple[tuple[int, int], object]]:
-        m = self.core.dim
-        vec = self.quot.lift(coords)
-        return [((f // m, f % m), c) for f, c in enumerate(vec) if c]
-
-    def right_R_action(self, r: int) -> Matrix:
-        eye_n = Matrix.identity(self.core.ext.A.field, self.core.ext.A.dim)
-        return self.quot.induced(eye_n.kron(self.core.rho_R[r]))
-
-
-def tensor_with_t(ext: Extension) -> TensorWithT:
+def tensor_with_t(ext: Extension) -> BalancedTensor:
+    """A (x)_R T as an A-R-bimodule, cached on the extension."""
     if "at" not in ext._cache:
-        ext._cache["at"] = TensorWithT(t_core(ext))
+        core = t_core(ext)
+        incl = AlgebraMorphism(core.R_alg, ext.A, core.incl_R, validate=False)
+        A_R = restrict(algebra_bimodule(ext, "A", "A"), right=incl)
+        ext._cache["at"] = balanced_tensor(A_R, core.r_bimodule())
     return ext._cache["at"]
 
 
-def ice_matrix(core: TCore, at: TensorWithT) -> Matrix:
+def ice_matrix(core: TCore, at: BalancedTensor) -> Matrix:
     """The comparison map A (x)_R T -> A (x)_B A, a (x) t -> a t^1 (x) t^2."""
     field = core.ext.A.field
     cols = []
-    for j in range(at.dim):
+    for e in Matrix.identity(field, at.dim).data:
         acc = [field.zero] * core.ts.dim
-        for (k, c), coeff in at.lift_items(
-                [field.one if i == j else field.zero for i in range(at.dim)]):
-            term = core.ts.left_act_by(core.ext.A.basis_vector(k)).apply(core.t_basis[c])
+        for (k, c), coeff in at.lift_items(e):
+            term = core.ts.left_action[k].apply(core.t_basis[c])
             acc = [x + coeff * y for x, y in zip(acc, term)]
         cols.append(acc)
     return Matrix.from_columns(field, cols, nrows=core.ts.dim)
-
-
-def unit_coaction_target(ext: Extension, at: TensorWithT) -> Matrix:
-    """The map a -> class of (1 (x) a) in A (x)_B A coordinates."""
-    A = ext.A
-    ts = tensor_square(ext)
-    field = A.field
-    cols = [ts.class_of(A.unit, A.basis_vector(j)) for j in range(A.dim)]
-    return Matrix.from_columns(field, cols, nrows=ts.dim)
 
 
 def coaction(ext: Extension, rqb: QuasibaseSet) -> Matrix:
@@ -126,10 +87,9 @@ def galois_map(ext: Extension, rqb: QuasibaseSet) -> GaloisMap:
     field = A.field
     u_ts = [core.t_coords(u, "quasibase tensor escaped T") for _, u in rqb.pairs]
     cols = []
-    for w in range(ts.dim):
+    for e in Matrix.identity(field, ts.dim).data:
         acc = [field.zero] * at.dim
-        for (s, t), coeff in ts.lift_items(
-                [field.one if i == w else field.zero for i in range(ts.dim)]):
+        for (s, t), coeff in ts.lift_items(e):
             for (gamma, _), u_t in zip(rqb.pairs, u_ts):
                 xv = A.mul(A.basis_vector(s), gamma.column(t))
                 term = at.class_of(xv, u_t)
@@ -151,7 +111,7 @@ class GaloisData:
     __slots__ = ("delta", "galois", "coinvariants", "tensor_at")
 
     def __init__(self, delta: Matrix, galois: GaloisMap, coinvariants_report,
-                 tensor_at: TensorWithT):
+                 tensor_at: BalancedTensor):
         self.delta = delta
         self.galois = galois
         self.coinvariants = coinvariants_report
@@ -235,39 +195,10 @@ def balanced_audit(ext: Extension) -> BalancedReport:
     A = ext.A
     field = A.field
     n = A.dim
-    rows = []
-    for j in ext.B.generating_indices():
-        rb = ext.right_mult_iota(j)
-        for r in range(n):
-            for c in range(n):
-                row = [field.zero] * (n * n)
-                for k in range(n):
-                    x = rb.data[k][c]
-                    if x:
-                        row[r * n + k] = row[r * n + k] + x
-                    x2 = rb.data[r][k]
-                    if x2:
-                        row[k * n + c] = row[k * n + c] - x2
-                rows.append(row)
-    e_basis = nullspace(rows, field, n * n) if rows else Matrix.identity(field, n * n).data
-    e_mats = [Matrix.unvec(field, v, n, n) for v in e_basis]
-
-    rows2 = []
-    for em in e_mats:
-        for r in range(n):
-            for c in range(n):
-                row = [field.zero] * (n * n)
-                for k in range(n):
-                    x = em.data[k][c]
-                    if x:
-                        row[r * n + k] = row[r * n + k] + x
-                    x2 = em.data[r][k]
-                    if x2:
-                        row[k * n + c] = row[k * n + c] - x2
-                rows2.append(row)
-    dc_basis = nullspace(rows2, field, n * n) if rows2 else \
-        Matrix.identity(field, n * n).data
-    dc_space = Subspace.span(field, n * n, dc_basis)
+    rho = [ext.right_mult_iota(j) for j in ext.B.generating_indices()]
+    e_mats = intertwiners(field, n, n, [(rb, rb) for rb in rho])
+    double_commutant = intertwiners(field, n, n, [(em, em) for em in e_mats])
+    dc_space = Subspace.span(field, n * n, [f.vec() for f in double_commutant])
     rho_b = Subspace.span(field, n * n,
                           [ext.right_mult_iota(j).vec() for j in range(ext.B.dim)])
     if not rho_b.is_contained_in(dc_space):
@@ -282,33 +213,8 @@ def balanced_audit(ext: Extension) -> BalancedReport:
     return BalancedReport(balanced, len(e_mats), dc_space.dim, witness)
 
 
-class ComoduleReport:
-    """The five comodule-algebra conditions, each with a counterexample label."""
-
-    CONDITIONS = ("base_map_is_algebra_map", "comodule_counit_and_coassociativity",
-                  "coaction_unital", "base_twist_compatibility",
-                  "coaction_multiplicative")
-
-    def __init__(self):
-        self.results: dict[str, tuple[bool, str | None]] = {}
-
-    def record(self, name, ok, witness=None):
-        self.results[name] = (ok, None if ok else witness)
-
-    @property
-    def all_pass(self):
-        return all(ok for ok, _ in self.results.values())
-
-    def failing(self) -> list[str]:
-        return [name for name, (ok, _) in self.results.items() if not ok]
-
-    def to_json(self):
-        return [{"name": name, "pass": ok, **({} if ok else {"witness": wit})}
-                for name, (ok, wit) in self.results.items()]
-
-
 def comodule_algebra_audit(ext: Extension, delta: Matrix,
-                           bgd: RightBialgebroid) -> ComoduleReport:
+                           bgd: RightBialgebroid) -> AuditReport:
     """Check the five conditions making A a right T-comodule algebra.
 
     Coassociativity of the coaction is compared inside the realized triple
@@ -319,120 +225,88 @@ def comodule_algebra_audit(ext: Extension, delta: Matrix,
     at = tensor_with_t(ext)
     A = ext.A
     field = A.field
-    n, m = A.dim, core.dim
-    report = ComoduleReport()
+    n = A.dim
+    R = core.R_alg
+    report = AuditReport()
+    ice = ice_matrix(core, at)
 
     # (1) R -> A is an algebra map (the centralizer inclusion)
-    ok, witness = True, None
-    if core.incl_R.apply(core.R_alg.unit) != A.unit:
-        ok, witness = False, "inclusion does not preserve the unit"
-    else:
-        for i in range(core.R_alg.dim):
-            for j in range(core.R_alg.dim):
+    def base_map_is_algebra_map():
+        yield core.incl_R.apply(R.unit) == A.unit, "inclusion does not preserve the unit"
+        for i in range(R.dim):
+            for j in range(R.dim):
                 lhs = A.mul(core.incl_R.column(i), core.incl_R.column(j))
-                rhs = core.incl_R.apply(core.R_alg.table[i][j])
-                if lhs != rhs:
-                    ok, witness = False, f"inclusion not multiplicative at (r_{i}, r_{j})"
-                    break
-            if not ok:
-                break
-    report.record("base_map_is_algebra_map", ok, witness)
+                rhs = core.incl_R.apply(R.table[i][j])
+                yield lhs == rhs, f"inclusion not multiplicative at (r_{i}, r_{j})"
 
     # (2) comodule structure: right R-linearity, counit, coassociativity
-    ok, witness = True, None
-    for r in range(core.R_alg.dim):
-        lhs = delta @ A.right_mult_by(core.incl_R.column(r))
-        rhs = at.right_R_action(r) @ delta
-        if lhs != rhs:
-            ok, witness = False, f"coaction not right R-linear at r_{r}"
-            break
-    if ok:
+    def comodule_counit_and_coassociativity():
+        for r in range(R.dim):
+            lhs = delta @ combine(A.right_mults, core.incl_R.column(r))
+            yield lhs == at.right_action[r] @ delta, f"coaction not right R-linear at r_{r}"
         eps_in_A = core.incl_R @ core.eps
         for a in range(n):
             acc = [field.zero] * n
             for (k, c), coeff in at.lift_items(delta.column(a)):
                 term = A.mul(A.basis_vector(k), eps_in_A.column(c))
                 acc = [x + coeff * y for x, y in zip(acc, term)]
-            if acc != A.basis_vector(a):
-                ok, witness = False, f"counit condition fails at e_{a}"
-                break
-    if ok:
+            yield acc == A.basis_vector(a), f"counit condition fails at e_{a}"
+        unit_nz = [(i, c) for i, c in enumerate(A.unit) if c]
         for a in range(n):
-            items = at.lift_items(delta.column(a))
             lhs3 = [field.zero] * wit.q3.dim
             rhs3 = [field.zero] * wit.q3.dim
-            for (k, c), coeff in items:
+            for (k, c), coeff in at.lift_items(delta.column(a)):
                 # (delta (x) id): expand delta(e_k) in the first leg
                 for (k2, c2), coeff2 in at.lift_items(delta.column(k)):
-                    img = wit.q3.left_A[k2].apply(wit.forward3(c2, c))
+                    img = wit.q3.left_action[k2].apply(wit.forward3(c2, c))
                     cc = coeff * coeff2
                     lhs3 = [x + cc * y for x, y in zip(lhs3, img)]
                 # (id (x) Delta): expand Delta(t_c) in the last two legs
-                for idx, coeff2 in enumerate(core.tt.lift(bgd.Delta.column(c))):
-                    if not coeff2:
-                        continue
-                    e, f = divmod(idx, m)
-                    img = wit.q3.left_A[k].apply(wit.forward3(e, f))
+                for (e, f), coeff2 in core.tt.lift_items(bgd.Delta.column(c)):
+                    img = wit.q3.left_action[k].apply(wit.forward3(e, f))
                     cc = coeff * coeff2
                     rhs3 = [x + cc * y for x, y in zip(rhs3, img)]
-            unit_nz = [(i, c) for i, c in enumerate(A.unit) if c]
             expected = wit.q3.project_items(
                 [((u1, u2, a), c1 * c2) for u1, c1 in unit_nz for u2, c2 in unit_nz])
-            if lhs3 != rhs3 or lhs3 != expected:
-                ok, witness = False, f"coassociativity fails at e_{a}"
-                break
-    report.record("comodule_counit_and_coassociativity", ok, witness)
-
-    # (3) delta(1) = 1 (x) 1_T
-    report.record("coaction_unital",
-                  delta.apply(A.unit) == at.class_of(A.unit, core.unit_T),
-                  "delta(1) != 1 (x) 1_T")
+            yield lhs3 == rhs3 and lhs3 == expected, f"coassociativity fails at e_{a}"
 
     # (4) r a_(0) (x) a_(1) = a_(0) (x) t_R(r) a_(1)
-    ok, witness = True, None
-    eye_m = Matrix.identity(field, m)
-    eye_n = Matrix.identity(field, n)
-    ice = ice_matrix(core, at)
-    for r in range(core.R_alg.dim):
-        rvec = core.incl_R.column(r)
-        lmap = at.quot.induced(A.left_mult_by(rvec).kron(eye_m))
-        rmap = at.quot.induced(eye_n.kron(core.T_alg.left_mult_by(core.t_R.column(r))))
-        for a in range(n):
-            lhs = lmap.apply(delta.column(a))
-            rhs = rmap.apply(delta.column(a))
-            if lhs != rhs:
-                ok, witness = False, f"base twist fails at (r_{r}, e_{a})"
-                break
-            expected = core.ts.class_of(rvec, A.basis_vector(a))
-            if ice.apply(lhs) != expected:
-                ok, witness = False, f"tensor-square image mismatch at (r_{r}, e_{a})"
-                break
-        if not ok:
-            break
-    report.record("base_twist_compatibility", ok, witness)
+    def base_twist_compatibility():
+        eye_n = Matrix.identity(field, n)
+        for r in range(R.dim):
+            rvec = core.incl_R.column(r)
+            lmap = combine(at.left_action, rvec)
+            lmul_t = combine(core.T_alg.left_mults, core.t_R.column(r))
+            rmap = at.quot.induced(eye_n.kron(lmul_t))
+            for a in range(n):
+                lhs = lmap.apply(delta.column(a))
+                yield lhs == rmap.apply(delta.column(a)), f"base twist fails at (r_{r}, e_{a})"
+                yield (ice.apply(lhs) == core.ts.class_of(rvec, A.basis_vector(a)),
+                       f"tensor-square image mismatch at (r_{r}, e_{a})")
 
     # (5) delta(xy) = x_(0) y_(0) (x) x_(1) y_(1)
-    ok, witness = True, None
-    for x in range(n):
-        items_x = at.lift_items(delta.column(x))
-        for y in range(n):
-            items_y = at.lift_items(delta.column(y))
-            rhs = [field.zero] * at.dim
-            for (k, c), c1 in items_x:
-                for (l, d), c2 in items_y:
-                    term = at.class_of(A.table[k][l], core.T_alg.table[c][d])
-                    cc = c1 * c2
-                    rhs = [u + cc * v for u, v in zip(rhs, term)]
-            lhs = delta.apply(A.table[x][y])
-            if lhs != rhs:
-                ok, witness = False, f"multiplicativity fails at (e_{x}, e_{y})"
-                break
-            if ice.apply(rhs) != core.ts.class_of(A.unit, A.table[x][y]):
-                ok, witness = False, f"tensor-square image mismatch at (e_{x}, e_{y})"
-                break
-        if not ok:
-            break
-    report.record("coaction_multiplicative", ok, witness)
+    def coaction_multiplicative():
+        for x in range(n):
+            items_x = at.lift_items(delta.column(x))
+            for y in range(n):
+                items_y = at.lift_items(delta.column(y))
+                rhs = [field.zero] * at.dim
+                for (k, c), c1 in items_x:
+                    for (l, d), c2 in items_y:
+                        term = at.class_of(A.table[k][l], core.T_alg.table[c][d])
+                        cc = c1 * c2
+                        rhs = [u + cc * v for u, v in zip(rhs, term)]
+                yield delta.apply(A.table[x][y]) == rhs, f"multiplicativity fails at (e_{x}, e_{y})"
+                yield (ice.apply(rhs) == core.ts.class_of(A.unit, A.table[x][y]),
+                       f"tensor-square image mismatch at (e_{x}, e_{y})")
+
+    report.check("base_map_is_algebra_map", base_map_is_algebra_map())
+    report.check("comodule_counit_and_coassociativity", comodule_counit_and_coassociativity())
+    # (3) delta(1) = 1 (x) 1_T
+    report.check("coaction_unital", [(delta.apply(A.unit) == at.class_of(A.unit, core.unit_T),
+                                      "delta(1) != 1 (x) 1_T")])
+    report.check("base_twist_compatibility", base_twist_compatibility())
+    report.check("coaction_multiplicative", coaction_multiplicative())
     return report
 
 
@@ -489,7 +363,7 @@ class MainTheoremReport:
             "rt_projective": self.rt_projective,
             "coinvariants_equal_B": self.coinvariants_equal_b,
             "comodule_conditions": (None if self.comodule is None
-                                    else self.comodule.to_json()),
+                                    else self.comodule.to_json_list()),
             "main_theorem_consistent": self.consistent,
         }
 
@@ -516,7 +390,7 @@ def main_theorem_audit(ext: Extension) -> MainTheoremReport:
     if galois_bij and proj is not None:
         try:
             ice_inv = ice.inverse()
-            delta = ice_inv @ unit_coaction_target(ext, at)
+            delta = ice_inv @ unit_tensor(ext, unit_first=True)
             bgd = build_T_quasibase_free(ext)
             coinv = coinvariants(ext, delta)
             comodule = comodule_algebra_audit(ext, delta, bgd)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        group_pair, subgroup_extension)
 from .fields import FieldError, field_from_json
-from .linalg import Matrix
+from .linalg import LinAlgError, Matrix
 
 
 class ParseError(ValueError):
@@ -56,10 +56,9 @@ def matrix_to_json(field, m: Matrix) -> list[list]:
 
 def matrix_from_json(field, obj, nrows: int, ncols: int) -> Matrix:
     try:
-        data = [[field.parse(x) for x in row] for row in obj]
-    except (TypeError, FieldError) as exc:
+        m = Matrix(field, [[field.parse(x) for x in row] for row in obj])
+    except (TypeError, FieldError, LinAlgError) as exc:
         raise ParseError(f"bad matrix: {exc}") from exc
-    m = Matrix(field, data)
     if (m.nrows, m.ncols) != (nrows, ncols):
         raise ParseError(f"matrix must be {nrows}x{ncols}")
     return m

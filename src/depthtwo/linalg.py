@@ -180,6 +180,22 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
+def combine(mats: list[Matrix], coeffs: list) -> Matrix:
+    """sum_i coeffs[i] * mats[i] for a non-empty list of equally shaped matrices."""
+    if not mats or len(mats) != len(coeffs):
+        raise LinAlgError("combine: need one coefficient per matrix")
+    first = mats[0]
+    out = Matrix.zeros(first.field, first.nrows, first.ncols)
+    for m, c in zip(mats, coeffs):
+        if not c:
+            continue
+        for orow, row in zip(out.data, m.data):
+            for j, x in enumerate(row):
+                if x:
+                    orow[j] = orow[j] + c * x
+    return out
+
+
 def kron_vec(field, u: list, v: list) -> list:
     """Coordinates of u (x) v; entry (i, j) flattens to i*len(v) + j."""
     zero = field.zero

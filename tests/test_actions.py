@@ -9,7 +9,7 @@ from depthtwo.bialgebroid import build_T
 from depthtwo.bimodules import (hom_space, left_module_bimodule,
                                 right_d2_quasibase)
 from depthtwo.fields import QQ
-from depthtwo.linalg import Matrix, Subspace
+from depthtwo.linalg import Matrix, Subspace, combine
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def test_twisted_module_differs_from_regular(sqrt2):
 
 def test_action_unital(s3_setup):
     _, _, bgd, _, me = s3_setup
-    assert me.act(bgd.core.unit_T) == Matrix.identity(QQ, me.dim)
+    assert combine(me.action, bgd.core.unit_T) == Matrix.identity(QQ, me.dim)
 
 
 def test_endomorphism_ring_dimension(s3_setup):
@@ -62,10 +62,11 @@ def test_left_multiplication_by_centralizer_is_t_stable(s3_setup):
     for c in range(core.dim):
         tvec = [QQ.one if i == c else QQ.zero for i in range(core.dim)]
         for r in range(core.R_alg.dim):
-            lam_r = ext.A.left_mult_by(core.incl_R.column(r))
-            lhs = me.from_coords(me.act(tvec).apply(me.endo_coords(lam_r)))
-            moved = anc.act(tvec).apply(core.R_alg.basis_vector(r))
-            rhs = ext.A.left_mult_by(core.incl_R.apply(moved))
+            lam_r = combine(ext.A.left_mults, core.incl_R.column(r))
+            lhs = combine(me.endo_basis,
+                          combine(me.action, tvec).apply(me.endo_coords(lam_r)))
+            moved = combine(anc.action, tvec).apply(core.R_alg.basis_vector(r))
+            rhs = combine(ext.A.left_mults, core.incl_R.apply(moved))
             assert lhs == rhs
 
 
@@ -103,10 +104,10 @@ def test_anchor_unit_laws(s3_setup):
     ext, rqb, bgd, _, _ = s3_setup
     core = bgd.core
     anc = anchor(ext, rqb, bgd=bgd)
-    assert anc.act(core.unit_T) == Matrix.identity(QQ, core.R_alg.dim)
+    assert combine(anc.action, core.unit_T) == Matrix.identity(QQ, core.R_alg.dim)
     for c in range(core.dim):
         tvec = [QQ.one if i == c else QQ.zero for i in range(core.dim)]
-        assert anc.act(tvec).apply(core.R_alg.unit) == core.eps.column(c)
+        assert combine(anc.action, tvec).apply(core.R_alg.unit) == core.eps.column(c)
 
 
 def test_action_identified_with_composition(s3_setup):
@@ -139,5 +140,6 @@ def test_action_identified_with_composition(s3_setup):
         f = me.endo_basis[a]
         for c in range(core.dim):
             tvec = [QQ.one if i == c else QQ.zero for i in range(core.dim)]
-            acted = me.from_coords(me.act(tvec).apply(me.endo_coords(f)))
+            acted = combine(me.endo_basis,
+                            combine(me.action, tvec).apply(me.endo_coords(f)))
             assert hat(acted) == hat(f) @ f_t(c)

@@ -41,7 +41,7 @@ def test_trivial_extension_gives_center(bgd_trivial):
     assert core.R_alg.dim == 1
     assert core.eps.apply(core.unit_T) == core.R_alg.unit
     assert bgd_trivial.Delta.apply(core.unit_T) == \
-        core.class_tt(core.unit_T, core.unit_T)
+        core.tt.class_of(core.unit_T, core.unit_T)
 
 
 def test_sqrt2_gives_full_tensor_algebra(bgd_sqrt2, sqrt2):
@@ -115,7 +115,7 @@ def test_forward_of_coproduct_is_middle_unit(bgd_s3a3, s3a3):
 def test_image_of_unit_tensor_unit(bgd_sqrt2, sqrt2):
     core = bgd_sqrt2.core
     wit = bgd_sqrt2.witness
-    img = wit.w3.apply(core.class_tt(core.unit_T, core.unit_T))
+    img = wit.w3.apply(core.tt.class_of(core.unit_T, core.unit_T))
     unit_items = [((i, j, k), ci * cj * ck)
                   for i, ci in enumerate(sqrt2.A.unit) if ci
                   for j, cj in enumerate(sqrt2.A.unit) if cj

@@ -4,16 +4,18 @@ import pytest
 
 from depthtwo.algebras import (AlgebraError, group_pair, ground_field_extension,
                                matrix_algebra, trivial_extension)
-from depthtwo.bimodules import (Bimodule, algebra_bimodule, b_centralized,
+from depthtwo.bialgebroid import t_core
+from depthtwo.bimodules import (Bimodule, algebra_bimodule, b_centralized, balanced_tensor,
                                 compose_extensions, coproduct_summand_test,
                                 group_quasibase, h_separability_test, hom_space,
-                                left_d2_quasibase, right_d2_quasibase,
+                                left_d2_quasibase, restrict, right_d2_quasibase,
                                 split_projectivity_audit, tensor_power,
                                 tensor_square, verify_left_quasibase,
                                 verify_right_quasibase)
-from depthtwo.catalog import A3_INDICES, S3_TABLE, m2_over_ground_field
+from depthtwo.catalog import A3_INDICES, S3_TABLE, build_example, m2_over_ground_field
 from depthtwo.fields import QQ
-from depthtwo.linalg import Matrix, Subspace, nullspace
+from depthtwo.galois import d2_iff_corollary_audit, tensor_with_t
+from depthtwo.linalg import Matrix, Quotient, Subspace, combine, nullspace
 
 
 # -- tensor square -----------------------------------------------------------
@@ -41,10 +43,10 @@ def test_tensor_square_s3_a3_coset_basis_oracle(s3a3):
 
 def test_tensor_square_actions_are_bimodules(s3a3):
     ts = tensor_square(s3a3)
-    ts.as_bimodule("A", "B").check()
-    ts.as_bimodule("B", "A").check()
-    ts.as_bimodule("A", "A").check()
-    ts.as_bimodule("B", "B").check()
+    restrict(ts, right=s3a3.iota).check()
+    restrict(ts, left=s3a3.iota).check()
+    ts.check()
+    restrict(ts, s3a3.iota, s3a3.iota).check()
 
 
 def test_mu_factors_through_quotient(s3a3):
@@ -53,7 +55,10 @@ def test_mu_factors_through_quotient(s3a3):
     for i in range(A.dim):
         for j in range(A.dim):
             cls = ts.class_of(A.basis_vector(i), A.basis_vector(j))
-            assert ts.mu.apply(cls) == A.table[i][j]
+            product = [QQ.zero] * A.dim
+            for (s, t), c in ts.lift_items(cls):
+                product = [x + c * y for x, y in zip(product, A.table[s][t])]
+            assert product == A.table[i][j]
 
 
 def test_tensor_power_dims_chain(s3a3):
@@ -64,11 +69,68 @@ def test_tensor_power_dims_chain(s3a3):
     assert q4.dim == 48
 
 
+# -- balanced tensor products ---------------------------------------------------
+
+def _balanced_quotient(ext, name):
+    core = t_core(ext)
+    if name == "ts":
+        return tensor_square(ext)
+    if name == "q3":
+        return tensor_power(ext, 3)
+    if name == "tt":
+        return core.tt
+    if name == "ttt":
+        return balanced_tensor(core.tt, core.r_bimodule())
+    return tensor_with_t(ext)
+
+
+@pytest.mark.parametrize("name", ["ts", "q3", "tt", "ttt", "at"])
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "c2_over_k"])
+def test_balanced_tensor_relations_and_items(fixture, name, request):
+    ext = request.getfixturevalue(fixture)
+    X = _balanced_quotient(ext, name)
+    M, N = X.M, X.N
+    field = ext.A.field
+    eye_m = Matrix.identity(field, M.dim).data
+    eye_n = Matrix.identity(field, N.dim).data
+    # m.c (x) n and m (x) c.n have the same class for every generator c
+    for c in M.right_algebra.generating_indices():
+        for m in eye_m:
+            mc = M.right_action[c].apply(m)
+            for n in eye_n:
+                assert X.class_of(mc, n) == X.class_of(m, N.left_action[c].apply(n))
+    # the sparse lift is a section of the stagewise projection
+    for x in Matrix.identity(field, X.dim).data:
+        assert X.project_items(X.lift_items(x)) == x
+    if name in ("ts", "q3"):
+        X.check()
+
+
+def test_d2_path_induces_only_the_tensor_square_actions(monkeypatch):
+    # B-actions are combined from A-actions through iota, and the actions of
+    # T (x)_R T and A (x)_R T are induced only when an audit needs them
+    calls = []
+    induced = Quotient.induced
+
+    def counted(self, ambient_map):
+        calls.append(self.dim)
+        return induced(self, ambient_map)
+
+    monkeypatch.setattr(Quotient, "induced", counted)
+    ext = build_example("s3-a3")
+    tensor_square(ext)
+    right_d2_quasibase(ext)
+    left_d2_quasibase(ext)
+    t_core(ext)
+    d2_iff_corollary_audit(ext)
+    assert len(calls) <= 2 * ext.A.dim
+
+
 # -- hom spaces ---------------------------------------------------------------
 
 def test_hom_space_contains_identity(s3a3):
     ts = tensor_square(s3a3)
-    M = ts.as_bimodule("A", "B")
+    M = restrict(ts, right=s3a3.iota)
     homs = hom_space(M, M)
     vecs = [h.vec() for h in homs]
     span = Subspace.span(QQ, ts.dim ** 2, vecs)
@@ -78,8 +140,8 @@ def test_hom_space_contains_identity(s3a3):
 def test_hom_from_a_is_b_central_tensor_square(s3a3):
     # Hom of A-B-bimodules (A, A(x)_B A) = (A(x)_B A)^B via f -> f(1)
     ts = tensor_square(s3a3)
-    homs = hom_space(algebra_bimodule(s3a3, "A", "B"), ts.as_bimodule("A", "B"))
-    central = b_centralized(ts)
+    homs = hom_space(algebra_bimodule(s3a3, "A", "B"), restrict(ts, right=s3a3.iota))
+    central = b_centralized(s3a3, ts)
     assert len(homs) == central.dim
     images = [f.apply(s3a3.A.unit) for f in homs]
     assert Subspace.span(QQ, ts.dim, images).dim == len(homs)
@@ -90,7 +152,7 @@ def test_hom_from_a_is_b_central_tensor_square(s3a3):
 def test_hom_to_a_is_bb_endomorphisms(s3a3):
     # Hom of A-B-bimodules (A(x)_B A, A) = End of the B-B-bimodule A
     ts = tensor_square(s3a3)
-    homs = hom_space(ts.as_bimodule("A", "B"), algebra_bimodule(s3a3, "A", "B"))
+    homs = hom_space(restrict(ts, right=s3a3.iota), algebra_bimodule(s3a3, "A", "B"))
     bb_endos = hom_space(algebra_bimodule(s3a3, "B", "B"),
                          algebra_bimodule(s3a3, "B", "B"))
     assert len(homs) == len(bb_endos)
@@ -105,12 +167,12 @@ def test_hom_space_mismatch_raises(s3a3, sqrt2):
 
 def test_b_central_over_ground_field_is_everything(c2_over_k):
     ts = tensor_square(c2_over_k)
-    assert b_centralized(ts).dim == ts.dim
+    assert b_centralized(c2_over_k, ts).dim == ts.dim
 
 
 def test_b_central_trivial_extension_matches_center(trivial_m2):
     ts = tensor_square(trivial_m2)
-    central = b_centralized(ts)
+    central = b_centralized(trivial_m2, ts)
     # center of M2 computed independently
     A = trivial_m2.A
     rows = []
@@ -123,7 +185,7 @@ def test_b_central_trivial_extension_matches_center(trivial_m2):
 
 def test_b_central_contains_transversal_tensors(s3a3):
     ts = tensor_square(s3a3)
-    central = b_centralized(ts)
+    central = b_centralized(s3a3, ts)
     A = s3a3.A
     inv = {0: 0, 3: 3}  # e and (12) are involutions
     for g, gi in inv.items():
@@ -176,7 +238,7 @@ def test_summand_test_on_doubled_module(sqrt2):
 
 def test_summand_test_absent_for_non_d2_tensor_square(s3_transposition):
     ts = tensor_square(s3_transposition)
-    M = ts.as_bimodule("A", "B")
+    M = restrict(ts, right=s3_transposition.iota)
     P = algebra_bimodule(s3_transposition, "A", "B")
     assert coproduct_summand_test(M, P) is None
 
@@ -219,8 +281,8 @@ def test_quasibase_size_bound(s3a3):
     # |pairs| <= dim Hom(A, A(x)A) * dim Hom(A(x)A, A)
     ts = tensor_square(s3a3)
     rqb = right_d2_quasibase(s3a3)
-    hp = hom_space(algebra_bimodule(s3a3, "A", "B"), ts.as_bimodule("A", "B"))
-    hm = hom_space(ts.as_bimodule("A", "B"), algebra_bimodule(s3a3, "A", "B"))
+    hp = hom_space(algebra_bimodule(s3a3, "A", "B"), restrict(ts, right=s3a3.iota))
+    hm = hom_space(restrict(ts, right=s3a3.iota), algebra_bimodule(s3a3, "A", "B"))
     assert len(rqb) <= len(hp) * len(hm)
 
 
@@ -241,7 +303,7 @@ def test_endo_ring_splitting_from_quasibase(s3a3):
             for (s, t), c in ts.lift_items(u):
                 term = A.mul(A.basis_vector(s), alpha.column(t))
                 w = [x + c * y for x, y in zip(w, term)]
-            total = total + A.right_mult_by(w) @ gamma
+            total = total + combine(A.right_mults, w) @ gamma
         assert total == alpha
 
 

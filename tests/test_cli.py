@@ -6,7 +6,7 @@ import json
 import pytest
 
 from depthtwo.catalog import catalog_names
-from depthtwo.cli import EXIT_INPUT, EXIT_OK, main
+from depthtwo.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
 from depthtwo.jsonio import (example_to_json, extension_from_json,
                              extension_to_json)
 
@@ -192,3 +192,49 @@ def test_inconsistency_exit_code(tmp_path, monkeypatch):
     path = write_example(tmp_path, "field-sqrt2")
     code, _ = run_cli("audit", str(path), "--json")
     assert code == 2
+
+
+def _one_line_extension(field, entry):
+    return {"field": field, "kind": "extension",
+            "A": {"dim": 1, "structure": [[[entry]]], "unit": [1]},
+            "B": {"dim": 1, "structure": [[[1]]], "unit": [1]},
+            "iota": [[1]]}
+
+
+MALFORMED = {
+    "fraction-dividing-by-p": _one_line_extension({"Fp": 2}, "1/2"),
+    "table-not-a-list": {"field": "Q", "kind": "group", "table": 5, "subgroup": [0]},
+    "subgroup-index-outside-table": {"field": "Q", "kind": "group",
+                                     "table": [[0, 1], [1, 0]], "subgroup": [0, 7]},
+    "table-entry-not-an-index": {"field": "Q", "kind": "group",
+                                 "table": [[0, "a"], [1, 0]], "subgroup": [0]},
+    "ragged-iota": {**_one_line_extension("Q", 1), "iota": [[1, 2], [1]]},
+    "modulus-too-large": {"field": {"Fp": 2 ** 89 - 1}, "kind": "group",
+                          "table": [[0, 1], [1, 0]], "subgroup": [0]},
+}
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_input_is_one_error_line(doc, capsys):
+    code, _ = run_cli("d2", json.dumps(doc))
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INPUT
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_failed_self_check_exits_inconsistent(monkeypatch, capsys):
+    # a quasibase that fails its own verification is a bug, not bad input
+    import depthtwo.bimodules as bimodules_mod
+    monkeypatch.setattr(bimodules_mod, "verify_right_quasibase", lambda ext, qb: False)
+    code, _ = run_cli("d2", json.dumps(example_to_json("s3-a3")))
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INCONSISTENT
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_large_prime_modulus_runs():
+    doc = {"field": {"Fp": 10 ** 18 + 3}, "kind": "group",
+           "table": [[0, 1], [1, 0]], "subgroup": [0]}
+    code, out = run_cli("d2", json.dumps(doc), "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["right_d2"] is True

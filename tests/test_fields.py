@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from depthtwo.fields import GF, QQ, FieldError, FpElement, field_from_json
+from depthtwo.fields import GF, QQ, FieldError, FpElement, _is_prime, field_from_json
 
 
 def test_rational_parse_render_round_trip():
@@ -34,6 +34,26 @@ def test_prime_field_rejects_composite():
         GF(6)
     with pytest.raises(FieldError):
         GF(1)
+
+
+@pytest.mark.parametrize("n, prime", [
+    (561, False),              # Carmichael number
+    (3215031751, False),       # strong pseudoprime to bases 2, 3, 5 and 7
+    (2 ** 61 - 1, True),
+    (10 ** 18 + 3, True),
+])
+def test_primality_on_hard_cases(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_modulus_beyond_certified_bound_rejected():
+    with pytest.raises(FieldError, match="too large"):
+        GF(2 ** 89 - 1)
+
+
+def test_fp_parse_rejects_denominator_divisible_by_p():
+    with pytest.raises(FieldError):
+        GF(2).parse("1/2")
 
 
 def test_mixed_moduli_rejected():
