@@ -9,7 +9,9 @@ rather than by b itself.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, combine, solve_in_span, nullspace
+from .linalg import Matrix, Subspace, combine, nullspace
+# re-exported: callers and profiling tools look solve_in_span up in this module
+from .linalg import solve_in_span  # noqa: F401
 
 
 class AlgebraError(ValueError):
@@ -401,12 +403,12 @@ class SubalgebraData:
         for u in basis:
             row = []
             for v in basis:
-                coords = solve_in_span(amb.mul(u, v), basis, amb.field)
+                coords = self.space.coords(amb.mul(u, v))
                 if coords is None:
                     raise AlgebraError("subspace not closed under multiplication")
                 row.append(coords)
             structure.append(row)
-        unit = solve_in_span(amb.unit, basis, amb.field)
+        unit = self.space.coords(amb.unit)
         if unit is None:
             raise AlgebraError("subalgebra does not contain the unit")
         alg = FiniteAlgebra(amb.field, structure, unit, validate=False)
@@ -414,7 +416,7 @@ class SubalgebraData:
         return alg, incl
 
     def coords_of(self, vec: list) -> list | None:
-        return solve_in_span(vec, self.space.basis, self.ambient.field)
+        return self.space.coords(vec)
 
 
 def centralizer(ext: Extension) -> SubalgebraData:

@@ -88,7 +88,7 @@ class TCore:
         return Bimodule(self.R_alg, self.R_alg, self.dim, self.lam_R, self.rho_R)
 
     def t_coords(self, ts_vec: list, err: str) -> list:
-        coords = solve_in_span(ts_vec, self.t_basis, self.ext.A.field)
+        coords = self.t_space.coords(ts_vec)
         if coords is None:
             raise AlgebraError(err)
         return coords
@@ -354,7 +354,7 @@ class TripleTensorWitness:
         return acc
 
     def to_q3b(self, q3_coords: list) -> list:
-        coords = solve_in_span(q3_coords, self.q3b.basis, self.core.ext.A.field)
+        coords = self.q3b.coords(q3_coords)
         if coords is None:
             raise WitnessError("element is not B-central in the triple power")
         return coords

@@ -127,6 +127,30 @@ def left_module_bimodule(P: FiniteAlgebra, dim: int, action: list[Matrix]) -> Bi
 # -- balanced tensor products ----------------------------------------------
 
 
+def _nonzeros(vectors: list[list]) -> list[list[tuple[int, object]]]:
+    return [[(k, x) for k, x in enumerate(v) if x] for v in vectors]
+
+
+def _sylvester_rows(n1: int, n2: int, p_cols: list, q_rows: list) -> list[dict]:
+    """Sparse rows of X -> X @ P - Q @ X on n1 x n2 matrices X, unknown X[a][b] at a*n2 + b.
+
+    ``p_cols[b]`` and ``q_rows[a]`` list the nonzeros (k, x) of column b of P
+    and of row a of Q; row (a, b) has P[k][b] at (a, k) and -Q[a][k] at (k, b).
+    """
+    rows = []
+    for a in range(n1):
+        base = a * n2
+        for b in range(n2):
+            row = {base + k: x for k, x in p_cols[b]}
+            for k, x in q_rows[a]:
+                f = k * n2 + b
+                y = row.get(f)
+                row[f] = -x if y is None else y - x
+            rows.append(row)
+    return rows
+
+
+
 class BalancedTensor(Bimodule):
     """M (x)_C N realized as a quotient of M (x)_k N; built by ``balanced_tensor``.
 
@@ -196,14 +220,15 @@ def balanced_tensor(M: Bimodule, N: Bimodule) -> BalancedTensor:
     if isinstance(N, BalancedTensor):
         raise AlgebraError("balanced_tensor: nest products on the left")
     field = C.field
-    eye_m = Matrix.identity(field, M.dim)
-    eye_n = Matrix.identity(field, N.dim)
-    relations = []
+    dm, dn = M.dim, N.dim
+    relations: list[dict] = []
     for c in C.generating_indices():
-        diff = M.right_action[c].kron(eye_n) - eye_m.kron(N.left_action[c])
-        relations.extend(diff.transpose().data)
-    rel = Subspace.span(field, M.dim * N.dim, relations)
-    return BalancedTensor(M, N, quotient_structure(M.dim * N.dim, rel))
+        # row (i, j) is minus the relation for e_i (x) e_j: lambda(c)[l][j] at (i, l)
+        # minus rho(c)[k][i] at (k, j), i.e. X -> X @ lambda(c) - rho(c)^T @ X
+        relations += _sylvester_rows(dm, dn, _nonzeros(N.left_action[c].columns()),
+                                     _nonzeros(M.right_action[c].columns()))
+    rel = Subspace.span(field, dm * dn, relations)
+    return BalancedTensor(M, N, quotient_structure(dm * dn, rel))
 
 
 def tensor_square(ext: Extension) -> BalancedTensor:
@@ -254,24 +279,9 @@ def unit_tensor(ext: Extension, unit_first: bool) -> Matrix:
 def intertwiners(field, dm: int, dn: int, pairs: list[tuple[Matrix, Matrix]]) -> list[Matrix]:
     """Canonical basis of the maps F (dn x dm) with F @ a = b @ F for every pair (a, b)."""
     nunk = dn * dm
-    zero = field.zero
-    rows: list[list] = []
+    rows: list[dict] = []
     for act_M, act_N in pairs:
-        # F @ act_M - act_N @ F = 0, row-major unknowns F[r][c]
-        for r in range(dn):
-            nrow = act_N.data[r]
-            for c in range(dm):
-                row = [zero] * nunk
-                base = r * dm
-                for k in range(dm):
-                    x = act_M.data[k][c]
-                    if x:
-                        row[base + k] = row[base + k] + x
-                for k in range(dn):
-                    x = nrow[k]
-                    if x:
-                        row[k * dm + c] = row[k * dm + c] - x
-                rows.append(row)
+        rows += _sylvester_rows(dn, dm, _nonzeros(act_M.columns()), _nonzeros(act_N.data))
     if not rows:
         sols = Matrix.identity(field, nunk).data
     else:

@@ -1,8 +1,10 @@
-"""Dense exact linear algebra: matrices, RREF, subspaces, quotients.
+"""Exact linear algebra: dense matrices, sparse-row RREF, subspaces, quotients.
 
-Pivot choice is always the leftmost nonzero column, so every reduced
-echelon form, nullspace basis and quotient coordinate system produced
-here is canonical; identical inputs give bit-identical outputs.
+Elimination works on sparse {column: value} rows, so its cost follows the
+nonzeros of the system rather than rows x columns; it accepts dense lists
+or dicts and returns dense rows.  Every reduced echelon form, nullspace
+basis and quotient coordinate system produced here is the unique canonical
+one; identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -211,57 +213,85 @@ def kron_vec(field, u: list, v: list) -> list:
     return out
 
 
-def rref(rows: list[list], field, ncols: int) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form in place of a copy; returns (nonzero rows, pivot cols)."""
-    rows = [row[:] for row in rows]
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
+def _sparse_row(vec, ncols: int, what: str) -> dict:
+    """The nonzero entries {column: value} of a dense list or a dict of length ncols."""
+    if isinstance(vec, dict):
+        for c in vec:
+            if not (isinstance(c, int) and 0 <= c < ncols):
+                raise LinAlgError(f"{what}: column {c!r} outside range({ncols})")
+        return {c: x for c, x in vec.items() if x}
+    if len(vec) != ncols:
+        raise LinAlgError(f"{what}: row of length {len(vec)} in {ncols} columns")
+    return {c: x for c, x in enumerate(vec) if x}
+
+
+def _subtract(row: dict, f, other: dict) -> None:
+    """row -= f * other on sparse rows, dropping the entries that cancel."""
+    for c, y in other.items():
+        x = row.get(c)
+        if x is None:
+            row[c] = -(f * y)
+        else:
+            x = x - f * y
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+
+
+def rref(rows: list, field, ncols: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of dense or {column: value} rows.
+
+    Returns (nonzero rows, pivot cols) with dense rows.  Rows are inserted one
+    at a time into a reduced basis keyed by pivot column, so the work follows
+    the nonzeros; the RREF is unique, so the order of insertion does not matter.
+    """
+    basis: dict[int, dict] = {}
     one = field.one
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
+    for vec in rows:
+        row = _sparse_row(vec, ncols, "rref")
+        # a stored row is zero at every other pivot, so one pass reduces fully
+        for p in [c for c in row if c in basis]:
+            _subtract(row, row[p], basis[p])
+        if not row:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pv = prow[c]
+        lead = min(row)
+        pv = row[lead]
         if pv != one:
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] / pv
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
+            row = {c: x / pv for c, x in row.items()}
+        for other in basis.values():
+            f = other.get(lead)
             if f:
-                row = rows[i]
-                for j in range(c, ncols):
-                    pj = prow[j]
-                    if pj:
-                        row[j] = row[j] - f * pj
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+                _subtract(other, f, row)
+        basis[lead] = row
+    pivots = sorted(basis)
+    zero = field.zero
+    out = []
+    for p in pivots:
+        dense = [zero] * ncols
+        for c, x in basis[p].items():
+            dense[c] = x
+        out.append(dense)
+    return out, pivots
 
 
-def solve_in_span(target: list, generators: list[list], field) -> list | None:
+def solve_in_span(target, generators: list, field) -> list | None:
     """Coefficients c with sum_i c_i * generators[i] = target, or None.
 
     The returned solution is the RREF particular solution: free variables
-    are pinned to zero, so it is unique and reproducible.
+    are pinned to zero, so it is unique and reproducible.  The target is a
+    dense list; the generators may be dense lists or {index: value} dicts.
     """
+    if isinstance(target, dict):
+        raise LinAlgError("solve_in_span: the target must be a dense list")
     n = len(target)
-    for g in generators:
-        if len(g) != n:
-            raise LinAlgError("solve_in_span: ambient dimension mismatch")
     ng = len(generators)
-    rows = [[g[r] for g in generators] + [target[r]] for r in range(n)]
+    rows: list[dict] = [{} for _ in range(n)]
+    for i, g in enumerate(generators):
+        for r, x in _sparse_row(g, n, "solve_in_span").items():
+            rows[r][i] = x
+    for r, x in _sparse_row(target, n, "solve_in_span").items():
+        rows[r][ng] = x
     red, pivots = rref(rows, field, ng + 1)
     if pivots and pivots[-1] == ng:
         return None
@@ -272,7 +302,7 @@ def solve_in_span(target: list, generators: list[list], field) -> list | None:
     return coeffs
 
 
-def nullspace(rows: list[list], field, ncols: int) -> list[list]:
+def nullspace(rows: list, field, ncols: int) -> list[list]:
     """Canonical basis of {x : rows @ x = 0}, ordered by ascending free column."""
     red, pivots = rref(rows, field, ncols)
     pivot_set = set(pivots)
@@ -303,10 +333,8 @@ class Subspace:
         self.pivots = pivots
 
     @classmethod
-    def span(cls, field, ambient_dim: int, vectors: list[list]) -> "Subspace":
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise LinAlgError("span: ambient dimension mismatch")
+    def span(cls, field, ambient_dim: int, vectors: list) -> "Subspace":
+        """The span of dense or {index: value} vectors; rref checks their dimension."""
         basis, pivots = rref(vectors, field, ambient_dim)
         return cls(field, ambient_dim, basis, pivots)
 
@@ -339,6 +367,16 @@ class Subspace:
 
     def contains(self, vec: list) -> bool:
         return all(not x for x in self.reduce(vec))
+
+    def coords(self, vec: list) -> list | None:
+        """Coordinates of vec in the RREF basis, or None when vec is not in the span.
+
+        A basis row is 1 at its own pivot and 0 at the others, so the
+        coordinates are the entries of vec at the pivots.
+        """
+        if not self.contains(vec):
+            return None
+        return [vec[p] for p in self.pivots]
 
     def is_contained_in(self, other: "Subspace") -> bool:
         return all(other.contains(v) for v in self.basis)
@@ -380,15 +418,16 @@ class Quotient:
     identity and ``projection`` kills exactly the relation subspace.
     """
 
-    __slots__ = ("field", "ambient_dim", "dim", "projection", "section", "relations")
+    __slots__ = ("field", "ambient_dim", "dim", "projection", "section", "relations", "free")
 
-    def __init__(self, field, ambient_dim, dim, projection, section, relations):
+    def __init__(self, field, ambient_dim, dim, projection, section, relations, free):
         self.field = field
         self.ambient_dim = ambient_dim
         self.dim = dim
         self.projection = projection
         self.section = section
         self.relations = relations
+        self.free = free
 
     def project(self, vec: list) -> list:
         return self.projection.apply(vec)
@@ -397,8 +436,15 @@ class Quotient:
         return self.section.apply(coords)
 
     def induced(self, ambient_map: Matrix) -> Matrix:
-        """Induced map on the quotient; valid when ambient_map preserves the relations."""
-        return self.projection @ ambient_map @ self.section
+        """Induced map on the quotient; valid when ambient_map preserves the relations.
+
+        ``ambient_map @ section`` only picks the columns at the free indices.
+        """
+        if (ambient_map.nrows, ambient_map.ncols) != (self.ambient_dim, self.ambient_dim):
+            raise LinAlgError("induced: map does not act on the ambient space")
+        free = self.free
+        picked = Matrix(self.field, [[row[f] for f in free] for row in ambient_map.data])
+        return self.projection @ picked
 
 
 def quotient_structure(ambient_dim: int, relations: Subspace) -> Quotient:
@@ -420,4 +466,4 @@ def quotient_structure(ambient_dim: int, relations: Subspace) -> Quotient:
     sect = Matrix.zeros(field, ambient_dim, q)
     for qi, f in enumerate(free):
         sect.data[f][qi] = one
-    return Quotient(field, ambient_dim, q, proj, sect, relations)
+    return Quotient(field, ambient_dim, q, proj, sect, relations, free)

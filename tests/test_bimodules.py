@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from depthtwo.algebras import (AlgebraError, group_pair, ground_field_extension,
@@ -8,12 +10,12 @@ from depthtwo.bialgebroid import t_core
 from depthtwo.bimodules import (Bimodule, algebra_bimodule, b_centralized, balanced_tensor,
                                 compose_extensions, coproduct_summand_test,
                                 group_quasibase, h_separability_test, hom_space,
-                                left_d2_quasibase, restrict, right_d2_quasibase,
+                                intertwiners, left_d2_quasibase, restrict, right_d2_quasibase,
                                 split_projectivity_audit, tensor_power,
                                 tensor_square, verify_left_quasibase,
                                 verify_right_quasibase)
 from depthtwo.catalog import A3_INDICES, S3_TABLE, build_example, m2_over_ground_field
-from depthtwo.fields import QQ
+from depthtwo.fields import GF, QQ
 from depthtwo.galois import d2_iff_corollary_audit, tensor_with_t
 from depthtwo.linalg import Matrix, Quotient, Subspace, combine, nullspace
 
@@ -126,7 +128,87 @@ def test_d2_path_induces_only_the_tensor_square_actions(monkeypatch):
     assert len(calls) <= 2 * ext.A.dim
 
 
+@pytest.mark.parametrize("name", ["ts", "q3", "tt", "ttt", "at"])
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "c2_over_k"])
+def test_balanced_tensor_relations_match_the_kron_difference(fixture, name, request):
+    ext = request.getfixturevalue(fixture)
+    X = _balanced_quotient(ext, name)
+    M, N = X.M, X.N
+    field = ext.A.field
+    eye_m = Matrix.identity(field, M.dim)
+    eye_n = Matrix.identity(field, N.dim)
+    rows = []
+    for c in M.right_algebra.generating_indices():
+        diff = M.right_action[c].kron(eye_n) - eye_m.kron(N.left_action[c])
+        rows.extend(diff.transpose().data)
+    assert X.quot.relations == Subspace.span(field, M.dim * N.dim, rows)
+
+
+def test_balanced_tensor_writes_relations_without_dense_blocks(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense block built")
+
+    monkeypatch.setattr(Matrix, "kron", forbidden)
+    monkeypatch.setattr(Matrix, "__sub__", forbidden)
+    # the outer actions of a product are induced later; only the relations are built here
+    assert tensor_square(build_example("s3-a3")).dim == 12
+
+
 # -- hom spaces ---------------------------------------------------------------
+
+
+def _dense_sylvester_system(field, dm, dn, pairs):
+    """Rows of F @ a - b @ F = 0 over the row-major unknowns F[r][c], written densely."""
+    rows = []
+    for a, b in pairs:
+        for r in range(dn):
+            for c in range(dm):
+                row = [field.zero] * (dn * dm)
+                for k in range(dm):
+                    row[r * dm + k] = row[r * dm + k] + a.data[k][c]
+                for k in range(dn):
+                    row[k * dm + c] = row[k * dm + c] - b.data[r][k]
+                rows.append(row)
+    return rows
+
+
+def _check_intertwiners(field, dm, dn, pairs):
+    homs = intertwiners(field, dm, dn, pairs)
+    for F in homs:
+        assert (F.nrows, F.ncols) == (dn, dm)
+        for a, b in pairs:
+            assert F @ a == b @ F
+    rank = Matrix(field, _dense_sylvester_system(field, dm, dn, pairs)).rank()
+    assert len(homs) == dm * dn - rank
+    assert Subspace.span(field, dm * dn, [F.vec() for F in homs]).dim == len(homs)
+
+
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "c2_over_k"])
+def test_intertwiners_solve_the_sylvester_system(fixture, request):
+    ext = request.getfixturevalue(fixture)
+    ts = restrict(tensor_square(ext), right=ext.iota)
+    A_AB = algebra_bimodule(ext, "A", "B")
+    for M, N in ((A_AB, ts), (ts, A_AB), (A_AB, A_AB)):
+        pairs = [(M.left_action[i], N.left_action[i])
+                 for i in M.left_algebra.generating_indices()]
+        pairs += [(M.right_action[j], N.right_action[j])
+                  for j in M.right_algebra.generating_indices()]
+        _check_intertwiners(ext.A.field, M.dim, N.dim, pairs)
+
+
+def test_intertwiners_of_random_pairs():
+    rng = random.Random(61)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(15):
+            dm, dn = rng.randint(1, 4), rng.randint(1, 4)
+            pairs = []
+            for _ in range(rng.randint(1, 2)):
+                a = Matrix(field, [[field.of(rng.choice((0, 0, 1, -1, 2))) for _ in range(dm)]
+                                   for _ in range(dm)])
+                b = Matrix(field, [[field.of(rng.choice((0, 0, 1, -1, 2))) for _ in range(dn)]
+                                   for _ in range(dn)])
+                pairs.append((a, b))
+            _check_intertwiners(field, dm, dn, pairs)
 
 def test_hom_space_contains_identity(s3a3):
     ts = tensor_square(s3a3)

@@ -171,3 +171,138 @@ def test_quotient_invariants_random():
             for r in rel.basis:
                 assert all(not x for x in q.project(r))
             assert q.dim == 6 - rel.dim
+
+
+# -- sparse rows ----------------------------------------------------------
+
+def reference_rref(rows, field, ncols):
+    """Textbook dense Gauss-Jordan with the leftmost pivot column first."""
+    rows = [row[:] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def as_dict(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def sparse_random_rows(rng, field, nrows, ncols):
+    rows = [[field.of(rng.choice((0, 0, 0, 1, -1, 2, 3))) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if rows and rng.random() < 0.5:
+        rows.append(rows[rng.randrange(len(rows))][:])  # a duplicate row
+    if rng.random() < 0.5:
+        rows.insert(rng.randrange(len(rows) + 1), [field.zero] * ncols)
+    return rows
+
+
+def test_rref_of_dict_rows_equals_dense_and_reference():
+    rng = random.Random(41)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(60):
+            ncols = rng.randint(0, 7)
+            rows = sparse_random_rows(rng, field, rng.randint(0, 10), ncols)
+            dense = rref(rows, field, ncols)
+            assert rref([as_dict(r) for r in rows], field, ncols) == dense
+            assert dense == reference_rref(rows, field, ncols)
+            mixed = [as_dict(r) if i % 2 else r for i, r in enumerate(rows)]
+            assert rref(mixed, field, ncols) == dense
+
+
+def test_rref_edge_cases():
+    for field in (QQ, GF(2)):
+        one, zero = field.one, field.zero
+        assert rref([], field, 0) == ([], [])
+        assert rref([{}, {}], field, 0) == ([], [])
+        assert rref([{}, {}], field, 3) == ([], [])
+        assert rref([[zero] * 3], field, 3) == ([], [])
+        # more rows than columns, with duplicates
+        red, piv = rref([{1: one}, {1: one}, {0: one, 1: one}, {}], field, 2)
+        assert (red, piv) == ([[one, zero], [zero, one]], [0, 1])
+    # the stored value 0 in a dict is a zero entry
+    assert rref([{0: QQ.zero, 2: QQ.of(2)}], QQ, 3) == ([vec(QQ, 0, 0, 1)], [2])
+
+
+def test_sparse_rows_outside_the_columns_are_rejected():
+    one = QQ.one
+    for bad in ({3: one}, {-1: one}, {"0": one}):
+        with pytest.raises(LinAlgError):
+            rref([bad], QQ, 3)
+        with pytest.raises(LinAlgError):
+            Subspace.span(QQ, 3, [bad])
+        with pytest.raises(LinAlgError):
+            solve_in_span(vec(QQ, 1, 0, 0), [bad], QQ)
+    with pytest.raises(LinAlgError):
+        rref([vec(QQ, 1, 2)], QQ, 3)
+    with pytest.raises(LinAlgError):
+        Subspace.span(QQ, 3, [vec(QQ, 1, 2)])
+
+
+def test_solve_in_span_with_dict_generators():
+    rng = random.Random(43)
+    for field in (QQ, GF(5)):
+        for _ in range(30):
+            gens = sparse_random_rows(rng, field, rng.randint(0, 4), 5)
+            target = [field.of(rng.randint(-3, 3)) for _ in range(5)]
+            assert solve_in_span(target, [as_dict(g) for g in gens], field) == \
+                solve_in_span(target, gens, field)
+
+
+def test_subspace_span_of_dict_rows():
+    rng = random.Random(47)
+    for field in (QQ, GF(3)):
+        for _ in range(20):
+            rows = sparse_random_rows(rng, field, 4, 6)
+            assert Subspace.span(field, 6, [as_dict(r) for r in rows]) == \
+                Subspace.span(field, 6, rows)
+
+
+def test_subspace_coords_agree_with_solve_in_span():
+    rng = random.Random(53)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(30):
+            space = Subspace.span(field, 6, sparse_random_rows(rng, field, 3, 6))
+            coeffs = [field.of(rng.randint(-3, 3)) for _ in range(space.dim)]
+            member = [field.zero] * 6
+            for c, b in zip(coeffs, space.basis):
+                member = [x + c * y for x, y in zip(member, b)]
+            assert space.coords(member) == coeffs
+            assert space.coords(member) == solve_in_span(member, space.basis, field)
+            other = [field.of(rng.randint(-3, 3)) for _ in range(6)]
+            expected = solve_in_span(other, space.basis, field)
+            assert space.coords(other) == expected
+            assert (expected is None) == (not space.contains(other))
+
+
+def test_subspace_coords_off_the_subspace_is_none():
+    space = Subspace.span(QQ, 3, [vec(QQ, 1, 1, 0)])
+    assert space.coords(vec(QQ, 2, 2, 0)) == vec(QQ, 2)
+    assert space.coords(vec(QQ, 1, 0, 0)) is None
+    assert Subspace.zero(QQ, 3).coords(vec(QQ, 0, 0, 0)) == []
+    assert Subspace.zero(QQ, 3).coords(vec(QQ, 0, 1, 0)) is None
+
+
+def test_quotient_induced_equals_projection_map_section():
+    rng = random.Random(59)
+    for field in (QQ, GF(5)):
+        for _ in range(20):
+            rel = Subspace.span(field, 5, sparse_random_rows(rng, field, 2, 5))
+            q = quotient_structure(5, rel)
+            ambient_map = Matrix(field, random_matrix(rng, field, 5, 5))
+            assert q.induced(ambient_map) == q.projection @ ambient_map @ q.section
+    q = quotient_structure(2, Subspace.zero(QQ, 2))
+    with pytest.raises(LinAlgError):
+        q.induced(Matrix.identity(QQ, 3))
