@@ -15,8 +15,8 @@ from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        make_algebra, matrix_algebra, normality_audit,
                        subgroup_extension, trivial_extension)
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
-                        compose_extensions, coproduct_summand_test, group_quasibase,
-                        h_separability_test, hom_space, left_d2_quasibase,
+                        bimodule_generators, compose_extensions, coproduct_summand_test,
+                        group_quasibase, h_separability_test, hom_space, left_d2_quasibase,
                         restrict, right_d2_quasibase, split_projectivity_audit,
                         tensor_power, tensor_square, verify_left_quasibase,
                         verify_right_quasibase)

@@ -59,14 +59,13 @@ class FiniteAlgebra:
                 raise AlgebraError(f"unit law fails: 1*e_{i} != e_{i}")
             if self.mul(e_i, self.unit) != e_i:
                 raise AlgebraError(f"unit law fails: e_{i}*1 != e_{i}")
-        # associativity on all basis triples
-        t = self.table
+        # associativity on all basis triples, through the nonzeros (m, c) of e_i e_j
+        nz = [[[(m, c) for m, c in enumerate(tij) if c] for tij in ti] for ti in self.table]
         for i in range(n):
             for j in range(n):
-                tij = t[i][j]
                 for k in range(n):
-                    left = self.mul(tij, self.basis_vector(k))
-                    right = self.mul(self.basis_vector(i), t[j][k])
+                    left = _sum_nonzeros((c, nz[m][k]) for m, c in nz[i][j])
+                    right = _sum_nonzeros((c, nz[i][m]) for m, c in nz[j][k])
                     if left != right:
                         raise AlgebraError(
                             f"associativity fails: (e_{i}e_{j})e_{k} != e_{i}(e_{j}e_{k})")
@@ -162,6 +161,16 @@ class FiniteAlgebra:
             if bigger.dim == span.dim:
                 return bigger
             span = bigger
+
+
+def _sum_nonzeros(terms) -> dict:
+    """{index: value} of sum c * v over (c, nonzeros of v), zeros dropped."""
+    acc: dict = {}
+    for c, v in terms:
+        for l, x in v:
+            y = acc.get(l)
+            acc[l] = c * x if y is None else y + c * x
+    return {l: x for l, x in acc.items() if x}
 
 
 def make_algebra(field, structure, unit) -> FiniteAlgebra:

@@ -10,9 +10,11 @@ vector to a single pure tensor.  Actions of B are those of A pulled back
 along iota (``restrict``).
 
 The depth-two decision is span membership of the identity in the image
-of the composition pairing Hom(P, M) x Hom(M, P) -> End(M); a successful
-solve is converted into a quasibase and re-verified on every basis pair
-before being returned.
+of the composition pairing Hom(P, M) x Hom(M, P) -> End(M).  The pairing's
+products are bimodule maps, so the solve compares them on bimodule
+generators of M only (``bimodule_generators``), never on all of End_k(M);
+a successful solve is converted into a quasibase and re-verified on every
+basis pair before being returned.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import copy
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, field_as_algebra, group_inverses)
-from .linalg import (Matrix, Subspace, combine, kron_vec, nullspace, quotient_structure,
-                     solve_in_span)
+from .linalg import (Matrix, Subspace, combine, insert_row, kron_vec, nullspace,
+                     quotient_structure, solve_in_span)
 
 
 class Bimodule:
@@ -318,12 +320,54 @@ class SummandFactorization:
         return len(self.pairs)
 
 
+def bimodule_generators(M: Bimodule) -> list[int]:
+    """Indices of basis vectors generating M as a bimodule, greedy in basis order.
+
+    A basis vector is skipped when it already lies in the sub-bimodule
+    generated so far.  That sub-bimodule is closed under the actions of the
+    generating indices of both acting algebras, which extends to the full
+    algebras by multiplicativity.  One reduced span {pivot: row} grows
+    vector by vector through ``insert_row``.
+    """
+    field = M.left_algebra.field
+    one = field.one
+    acts = [M.left_action[i] for i in M.left_algebra.generating_indices()]
+    acts += [M.right_action[j] for j in M.right_algebra.generating_indices()]
+    span: dict[int, dict] = {}
+
+    def grow(v: list) -> bool:
+        """Add v to the span; False when it lies there already."""
+        return insert_row(span, {j: x for j, x in enumerate(v) if x}, one)
+
+    gens: list[int] = []
+    for i in range(M.dim):
+        if len(span) == M.dim:
+            break
+        e = [field.zero] * M.dim
+        e[i] = one
+        if not grow(e):
+            continue
+        gens.append(i)
+        frontier = [e]
+        while frontier:
+            w = frontier.pop()
+            for act in acts:
+                img = act.apply(w)
+                if grow(img):
+                    frontier.append(img)
+    return gens
+
+
 def coproduct_summand_test(M: Bimodule, P: Bimodule) -> SummandFactorization | None:
     """Decide M + * = P^(I) as bimodules; return a finite factorization or None.
 
     The span of the composition pairing equals the image of
     Hom(P,M) (x) Hom(M,P) -> End(M), so membership of id_M is an exact
-    linear solve.  Pairs are grouped by the Hom(M, P) basis element.
+    linear solve.  Every f o g and id_M are bimodule maps, and a bimodule
+    map is fixed by its values on generators of M, so each product is
+    written as its values on ``bimodule_generators(M)``: the system has the
+    solutions, and the RREF the pivots, of the one over all of End_k(M).
+    Pairs are grouped by the Hom(M, P) basis element.
     """
     field = M.left_algebra.field
     homs_pm = hom_space(P, M)
@@ -332,11 +376,12 @@ def coproduct_summand_test(M: Bimodule, P: Bimodule) -> SummandFactorization | N
         if M.dim == 0:
             return SummandFactorization([])
         return None
-    products = []
-    for f in homs_pm:
-        for g in homs_mp:
-            products.append((f @ g).vec())
-    target = Matrix.identity(field, M.dim).vec()
+    gens = bimodule_generators(M)
+    g_on_gens = [[g.column(i) for i in gens] for g in homs_mp]
+    products = [[x for col in cols for x in f.apply(col)]
+                for f in homs_pm for cols in g_on_gens]
+    eye = Matrix.identity(field, M.dim).data
+    target = [x for i in gens for x in eye[i]]
     coeffs = solve_in_span(target, products, field)
     if coeffs is None:
         return None

@@ -239,6 +239,31 @@ def _subtract(row: dict, f, other: dict) -> None:
                 del row[c]
 
 
+def insert_row(basis: dict[int, dict], row: dict, one) -> bool:
+    """Insert a {column: value} row into a reduced basis {pivot: row}.
+
+    The row is reduced by the stored pivots, scaled to 1 at its leading
+    column, and that column is cleared from the stored rows, so the basis
+    stays reduced.  Returns False, leaving the basis as it was, when the
+    row lies in its span.  The row is consumed.
+    """
+    # a stored row is zero at every other pivot, so one pass reduces fully
+    for p in [c for c in row if c in basis]:
+        _subtract(row, row[p], basis[p])
+    if not row:
+        return False
+    lead = min(row)
+    pv = row[lead]
+    if pv != one:
+        row = {c: x / pv for c, x in row.items()}
+    for other in basis.values():
+        f = other.get(lead)
+        if f:
+            _subtract(other, f, row)
+    basis[lead] = row
+    return True
+
+
 def rref(rows: list, field, ncols: int) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of dense or {column: value} rows.
 
@@ -249,21 +274,7 @@ def rref(rows: list, field, ncols: int) -> tuple[list[list], list[int]]:
     basis: dict[int, dict] = {}
     one = field.one
     for vec in rows:
-        row = _sparse_row(vec, ncols, "rref")
-        # a stored row is zero at every other pivot, so one pass reduces fully
-        for p in [c for c in row if c in basis]:
-            _subtract(row, row[p], basis[p])
-        if not row:
-            continue
-        lead = min(row)
-        pv = row[lead]
-        if pv != one:
-            row = {c: x / pv for c, x in row.items()}
-        for other in basis.values():
-            f = other.get(lead)
-            if f:
-                _subtract(other, f, row)
-        basis[lead] = row
+        insert_row(basis, _sparse_row(vec, ncols, "rref"), one)
     pivots = sorted(basis)
     zero = field.zero
     out = []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from depthtwo.algebras import (AlgebraError, FiniteAlgebra, centralizer,
@@ -8,7 +10,8 @@ from depthtwo.algebras import (AlgebraError, FiniteAlgebra, centralizer,
                                is_two_sided_ideal, make_algebra, matrix_algebra,
                                normality_audit, subgroup_extension,
                                trivial_extension)
-from depthtwo.catalog import A3_INDICES, C2_TABLE, S3_TABLE, TRANSPOSITION_INDICES
+from depthtwo.catalog import (A3_INDICES, C2_TABLE, S3_TABLE, TRANSPOSITION_INDICES,
+                              build_example, catalog_names)
 from depthtwo.fields import GF, QQ
 from depthtwo.linalg import Subspace
 
@@ -224,3 +227,77 @@ def test_non_injective_extension_accepted():
     assert right_d2_quasibase(ext) is not None
     report = main_theorem_audit(ext)
     assert report.lhs and report.rhs and report.consistent
+
+
+# -- associativity check ------------------------------------------------------
+
+
+def _unit_plus_products(field, n: int, products: dict) -> list:
+    """Cube on e_0 = 1, e_1..e_(n-1) with e_i e_j = e_m for (i, j): m in products, else 0."""
+    z, o = field.zero, field.one
+    cube = [[[z] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        cube[0][i][i] = o
+        cube[i][0][i] = o
+    for (i, j), m in products.items():
+        cube[i][j][m] = o
+    return cube
+
+
+def _first_associativity_failure(field, cube, unit):
+    """The dense basis-triple loop, in i, j, k order."""
+    alg = FiniteAlgebra(field, cube, unit, validate=False)
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = alg.mul(alg.table[i][j], alg.basis_vector(k))
+                right = alg.mul(alg.basis_vector(i), alg.table[j][k])
+                if left != right:
+                    return i, j, k
+    return None
+
+
+def _assert_rejected_at(field, cube, unit, triple):
+    assert _first_associativity_failure(field, cube, unit) == triple
+    i, j, k = triple
+    with pytest.raises(AlgebraError, match=re.escape(
+            f"associativity fails: (e_{i}e_{j})e_{k} != e_{i}(e_{j}e_{k})")):
+        make_algebra(field, cube, unit)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+@pytest.mark.parametrize("products, triple", [
+    ({(1, 2): 1}, (1, 2, 2)),              # (e1 e2) e2 = e1, e1 (e2 e2) = 0: the only failure
+    ({(3, 2): 2}, (3, 3, 2)),              # (e3 e3) e2 = 0, e3 (e3 e2) = e2
+    ({(4, 4): 3, (3, 4): 2}, (4, 4, 4)),   # (e4 e4) e4 = e2, e4 (e4 e4) = 0: the last triple
+])
+def test_associativity_rejects_a_single_failing_triple(field, products, triple):
+    cube = _unit_plus_products(field, 5, products)
+    unit = [field.one] + [field.zero] * 4
+    alg = FiniteAlgebra(field, cube, unit, validate=False)
+    failing = [(i, j, k) for i in range(5) for j in range(5) for k in range(5)
+               if alg.mul(alg.table[i][j], alg.basis_vector(k))
+               != alg.mul(alg.basis_vector(i), alg.table[j][k])]
+    assert failing == [triple]
+    _assert_rejected_at(field, cube, unit, triple)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("i, j, bump", [(1, 1, 0), (3, 4, 2), (5, 5, 5), (2, 5, 3)])
+def test_associativity_names_the_first_failure_of_the_dense_loop(field, i, j, bump):
+    # S3 with one structure constant off the identity row and column moved
+    alg = group_algebra(field, S3_TABLE)
+    cube = [[list(v) for v in row] for row in alg.structure]
+    cube[i][j][bump] = cube[i][j][bump] + field.one
+    triple = _first_associativity_failure(field, cube, alg.unit)
+    assert triple is not None
+    _assert_rejected_at(field, cube, alg.unit, triple)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_algebra_passes_validation(name):
+    ext = build_example(name)
+    for alg in (ext.A, ext.B):
+        assert _first_associativity_failure(alg.field, alg.structure, alg.unit) is None
+        assert make_algebra(alg.field, alg.structure, alg.unit).dim == alg.dim

@@ -8,16 +8,18 @@ from depthtwo.algebras import (AlgebraError, group_pair, ground_field_extension,
                                matrix_algebra, trivial_extension)
 from depthtwo.bialgebroid import t_core
 from depthtwo.bimodules import (Bimodule, algebra_bimodule, b_centralized, balanced_tensor,
-                                compose_extensions, coproduct_summand_test,
-                                group_quasibase, h_separability_test, hom_space,
-                                intertwiners, left_d2_quasibase, restrict, right_d2_quasibase,
-                                split_projectivity_audit, tensor_power,
-                                tensor_square, verify_left_quasibase,
+                                bimodule_generators, compose_extensions,
+                                coproduct_summand_test, group_quasibase,
+                                h_separability_test, hom_space, intertwiners,
+                                left_d2_quasibase, left_module_bimodule, restrict,
+                                right_d2_quasibase, split_projectivity_audit,
+                                tensor_power, tensor_square, verify_left_quasibase,
                                 verify_right_quasibase)
-from depthtwo.catalog import A3_INDICES, S3_TABLE, build_example, m2_over_ground_field
+from depthtwo.catalog import (A3_INDICES, S3_TABLE, build_example, catalog_names,
+                              m2_over_ground_field)
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import d2_iff_corollary_audit, tensor_with_t
-from depthtwo.linalg import Matrix, Quotient, Subspace, combine, nullspace
+from depthtwo.linalg import Matrix, Quotient, Subspace, combine, nullspace, solve_in_span
 
 
 # -- tensor square -----------------------------------------------------------
@@ -481,3 +483,110 @@ def test_quasibase_is_bit_reproducible():
     assert len(qb1) == len(qb2)
     for (g1, u1), (g2, u2) in zip(qb1.pairs, qb2.pairs):
         assert g1 == g2 and u1 == u2
+
+
+# -- summand test on bimodule generators ----------------------------------------
+
+
+def _sub_bimodule(M: Bimodule, indices: list[int]) -> Subspace:
+    """Span of a.e_i.b over all basis elements a, b of both acting algebras."""
+    field = M.left_algebra.field
+    eye = Matrix.identity(field, M.dim).data
+    vectors = [rho.apply(lam.apply(eye[i]))
+               for i in indices for lam in M.left_action for rho in M.right_action]
+    return Subspace.span(field, M.dim, vectors)
+
+
+def _catalog_bimodules(ext):
+    """The tensor square restricted A-B, B-A and A-A, and T as a left R-module."""
+    ts = tensor_square(ext)
+    core = t_core(ext)
+    return {"A-B": restrict(ts, right=ext.iota), "B-A": restrict(ts, left=ext.iota),
+            "A-A": ts, "T over R": left_module_bimodule(core.R_alg, core.dim, core.lam_R)}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_bimodule_generators_generate_greedily_and_deterministically(name):
+    bimodules = _catalog_bimodules(build_example(name))
+    again = _catalog_bimodules(build_example(name))
+    for kind, M in bimodules.items():
+        gens = bimodule_generators(M)
+        assert gens == sorted(set(gens)), kind
+        assert _sub_bimodule(M, gens).dim == M.dim, kind
+        # greedy in basis order: a generator lies outside the sub-bimodule of
+        # the generators before it, and every basis vector skipped lies inside
+        eye = Matrix.identity(M.left_algebra.field, M.dim).data
+        for pos, g in enumerate(gens):
+            before = _sub_bimodule(M, gens[:pos])
+            assert not before.contains(eye[g]), kind
+            skipped = range(gens[pos - 1] + 1 if pos else 0, g)
+            assert all(before.contains(eye[i]) for i in skipped), kind
+        assert bimodule_generators(again[kind]) == gens, kind
+
+
+def test_bimodule_generators_of_a_direct_sum(sqrt2):
+    # two copies of A as an A-k-bimodule need one generator per copy
+    M = _doubled(algebra_bimodule(sqrt2, "A", "B"))
+    assert bimodule_generators(M) == [0, 2]
+
+
+def _summand_pairs_on_all_of_end(M: Bimodule, P: Bimodule):
+    """The summand solve written over every coordinate of End_k(M)."""
+    field = M.left_algebra.field
+    homs_pm, homs_mp = hom_space(P, M), hom_space(M, P)
+    if not homs_pm or not homs_mp:
+        return [] if M.dim == 0 else None
+    products = [(f @ g).vec() for f in homs_pm for g in homs_mp]
+    coeffs = solve_in_span(Matrix.identity(field, M.dim).vec(), products, field)
+    if coeffs is None:
+        return None
+    pairs = []
+    for b, g in enumerate(homs_mp):
+        column = [coeffs[a * len(homs_mp) + b] for a in range(len(homs_pm))]
+        if any(column):
+            pairs.append((combine(homs_pm, column), g))
+    return pairs
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_summand_test_matches_the_full_end_solve(name):
+    ext = build_example(name)
+    bimodules = _catalog_bimodules(ext)
+    A_AB, A_BA = algebra_bimodule(ext, "A", "B"), algebra_bimodule(ext, "B", "A")
+    A_AA = algebra_bimodule(ext, "A", "A")
+    core = t_core(ext)
+    R_R = left_module_bimodule(core.R_alg, core.R_alg.dim, core.R_alg.left_mults)
+    cases = {"A-B": A_AB, "B-A": A_BA, "A-A": A_AA, "T over R": R_R}
+    for kind, P in cases.items():
+        M = bimodules[kind]
+        fact = coproduct_summand_test(M, P)
+        expected = _summand_pairs_on_all_of_end(M, P)
+        if expected is None:
+            assert fact is None, kind
+        else:
+            assert fact is not None and fact.pairs == expected, kind
+    expected_hsep = _summand_pairs_on_all_of_end(tensor_square(ext), A_AA)
+    hsep = h_separability_test(ext)
+    assert (hsep is None) == (expected_hsep is None)
+    if hsep is not None:
+        assert hsep.pairs == expected_hsep
+
+
+def test_summand_test_on_transposition_is_none_both_ways(s3_transposition):
+    ext = s3_transposition
+    M = restrict(tensor_square(ext), right=ext.iota)
+    P = algebra_bimodule(ext, "A", "B")
+    assert coproduct_summand_test(M, P) is None
+    assert _summand_pairs_on_all_of_end(M, P) is None
+    assert right_d2_quasibase(ext) is None
+
+
+def test_summand_test_builds_no_vectorized_endomorphism(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("an endomorphism was vectorized")
+
+    monkeypatch.setattr(Matrix, "vec", forbidden)
+    ext = build_example("s3-a3")
+    assert right_d2_quasibase(ext) is not None
+    assert left_d2_quasibase(ext) is not None
+    assert h_separability_test(ext) is None

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from depthtwo.fields import GF, QQ
-from depthtwo.linalg import (LinAlgError, Matrix, Subspace, nullspace,
+from depthtwo.linalg import (LinAlgError, Matrix, Subspace, insert_row, nullspace,
                              quotient_structure, rref, solve_in_span)
 
 
@@ -221,6 +221,22 @@ def test_rref_of_dict_rows_equals_dense_and_reference():
             mixed = [as_dict(r) if i % 2 else r for i, r in enumerate(rows)]
             assert rref(mixed, field, ncols) == dense
 
+
+def test_insert_row_keeps_the_rref_of_every_prefix():
+    rng = random.Random(43)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(40):
+            ncols = rng.randint(1, 7)
+            rows = sparse_random_rows(rng, field, rng.randint(1, 10), ncols)
+            basis: dict = {}
+            for k, row in enumerate(rows):
+                rank = len(basis)
+                grew = insert_row(basis, as_dict(row), field.one)
+                assert grew == (len(basis) == rank + 1)
+                assert grew or len(basis) == rank
+                red, pivots = reference_rref(rows[:k + 1], field, ncols)
+                assert sorted(basis) == pivots
+                assert [basis[p] for p in pivots] == [as_dict(r) for r in red]
 
 def test_rref_edge_cases():
     for field in (QQ, GF(2)):
