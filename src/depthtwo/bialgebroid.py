@@ -28,7 +28,7 @@ class TCore:
     """Quasibase-free part of the bialgebroid: algebra T, base R, s_R, t_R,
     counit, the R-actions on T and the realized quotient T (x)_R T."""
 
-    __slots__ = ("ext", "ts", "R", "R_alg", "incl_R", "t_space", "t_basis",
+    __slots__ = ("ext", "ts", "R", "R_alg", "incl_R", "t_space", "t_basis", "t_items",
                  "T_alg", "unit_T", "s_R", "t_R", "eps", "lam_R", "rho_R", "tt")
 
     def __init__(self, ext: Extension):
@@ -44,6 +44,8 @@ class TCore:
         m = len(self.t_basis)
         if m == 0:
             raise AlgebraError("B-central tensor square is zero")
+        # every product, contraction and witness column reads these lifts
+        self.t_items = [ts.lift_items(t) for t in self.t_basis]
 
         tmul = [[self._tee_product(c, d) for d in range(m)] for c in range(m)]
         unit_T = self.t_coords(ts.class_of(A.unit, A.unit),
@@ -109,7 +111,7 @@ class TCore:
         return out
 
     def t_lift_items(self, c: int) -> list[tuple[tuple[int, int], object]]:
-        return self.ts.lift_items(self.t_basis[c])
+        return self.t_items[c]
 
     def contract(self, c: int, left: Matrix | None = None,
                  right: Matrix | None = None) -> list:
@@ -130,22 +132,20 @@ class TCore:
     def _tee_product(self, c: int, d: int) -> list:
         """T coordinates of t_c * t_d = u^1 t^1 (x) t^2 u^2."""
         A = self.ext.A
-        field = A.field
         n = A.dim
-        amb = [field.zero] * (n * n)
-        for (s, t), c1 in self.ts.lift_items(self.t_basis[c]):
-            for (p, q), c2 in self.ts.lift_items(self.t_basis[d]):
+        amb: dict = {}
+        for (s, t), c1 in self.t_items[c]:
+            for (p, q), c2 in self.t_items[d]:
                 coeff = c1 * c2
-                v1 = A.table[p][s]
-                v2 = A.table[t][q]
-                for i, a in enumerate(v1):
+                v2 = [(j, b) for j, b in enumerate(A.table[t][q]) if b]
+                for i, a in enumerate(A.table[p][s]):
                     if not a:
                         continue
                     off = i * n
                     ca = coeff * a
-                    for j, b in enumerate(v2):
-                        if b:
-                            amb[off + j] = amb[off + j] + ca * b
+                    for j, b in v2:
+                        x = amb.get(off + j)
+                        amb[off + j] = ca * b if x is None else x + ca * b
         return self.t_coords(self.ts.quot.project(amb),
                              "product of B-central elements escaped T")
 
@@ -575,8 +575,8 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
         for r in range(rdim):
             lmul_s = combine(T.left_mults, core.s_R.column(r))
             lmul_t = combine(T.left_mults, core.t_R.column(r))
-            left_map = tt.quot.induced(lmul_s.kron(eye_m))
-            right_map = tt.quot.induced(eye_m.kron(lmul_t))
+            left_map = tt.leg_map(lmul_s, first=True)
+            right_map = tt.leg_map(lmul_t, first=False)
             for c in range(m):
                 dcol = Delta.apply(tvec(c))
                 lhs = left_map.apply(dcol)

@@ -1,13 +1,14 @@
 """Bimodules, balanced tensor products, hom spaces and depth-two quasibases.
 
 Every tensor product over an algebra is one construction:
-``balanced_tensor(M, N)`` realizes M (x)_C N as an explicit quotient of
-M (x)_k N with projection/section matrices and induces the outer actions
-on first use.  The tensor square A (x)_B A is the first instance; higher
-powers nest it on the left, (A (x)_B A) (x)_B A and so on, so ambient
-dimensions stay manageable and every section lifts a quotient basis
-vector to a single pure tensor.  Actions of B are those of A pulled back
-along iota (``restrict``).
+``balanced_tensor(M, N)`` realizes M (x)_C N as a sparse quotient of
+M (x)_k N (reduced relation rows and free columns, no dense matrices).
+Outer actions, classes of pure tensors and every map acting on one leg
+are computed the same way: lift sparsely, act on one leg, project.  The
+tensor square A (x)_B A is the first instance; higher powers nest it on
+the left, (A (x)_B A) (x)_B A and so on, so ambient dimensions stay
+manageable and every quotient basis vector lifts to a single pure tensor.
+Actions of B are those of A pulled back along iota (``restrict``).
 
 The depth-two decision is span membership of the identity in the image
 of the composition pairing Hom(P, M) x Hom(M, P) -> End(M).  The pairing's
@@ -23,8 +24,8 @@ import copy
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, field_as_algebra, group_inverses)
-from .linalg import (Matrix, Subspace, combine, insert_row, kron_vec, nullspace,
-                     quotient_structure, solve_in_span)
+from .linalg import (Matrix, Subspace, combine, insert_row, nullspace, quotient_structure,
+                     solve_in_span)
 
 
 class Bimodule:
@@ -82,14 +83,29 @@ class Bimodule:
 
     # A plain bimodule is a single tensor leg: its items are ((index,), coefficient).
 
-    def lift_items(self, coords: list) -> list[tuple[tuple, object]]:
-        return [((i,), c) for i, c in enumerate(coords) if c]
+    def lift_items(self, coords) -> list[tuple[tuple, object]]:
+        """Items of dense or {index: value} coordinates."""
+        return [((i,), c) for i, c in _entries(coords)]
+
+    def reduce_items(self, items: list[tuple[tuple, object]]) -> dict:
+        """Nonzero coordinates {index: value} of a sum of items."""
+        out: dict = {}
+        for (i,), c in items:
+            x = out.get(i)
+            out[i] = c if x is None else x + c
+        return {i: x for i, x in out.items() if x}
 
     def project_items(self, items: list[tuple[tuple, object]]) -> list:
         coords = [self.left_algebra.field.zero] * self.dim
-        for (i,), c in items:
-            coords[i] = coords[i] + c
+        for i, c in self.reduce_items(items).items():
+            coords[i] = c
         return coords
+
+
+def _entries(coords):
+    """The nonzero (index, value) pairs of a dense list or an {index: value} dict."""
+    pairs = coords.items() if isinstance(coords, dict) else enumerate(coords)
+    return [(i, c) for i, c in pairs if c]
 
 
 def restrict(M: Bimodule, left: AlgebraMorphism | None = None,
@@ -156,10 +172,12 @@ def _sylvester_rows(n1: int, n2: int, p_cols: list, q_rows: list) -> list[dict]:
 class BalancedTensor(Bimodule):
     """M (x)_C N realized as a quotient of M (x)_k N; built by ``balanced_tensor``.
 
-    Ambient index (i, j) flattens to i * N.dim + j.  The outer actions are
-    induced from M's left and N's right action on first use.  Items of
-    ``lift_items``/``project_items`` are indexed by tuples over the plain
-    factors, so a product nested on the left stays sparse at every level.
+    Ambient index (i, j) flattens to i * N.dim + j, and a quotient basis
+    vector lifts to the single ambient basis vector at its free column.  The
+    outer actions are induced from M's left and N's right action on first
+    use, one leg at a time (``leg_map``).  Items of ``lift_items`` and
+    ``reduce_items`` are indexed by tuples over the plain factors, so a
+    product nested on the left stays sparse at every level.
     """
 
     __slots__ = ("M", "N", "quot")
@@ -169,44 +187,55 @@ class BalancedTensor(Bimodule):
         self.N = N
         self.quot = quot
         super().__init__(M.left_algebra, N.right_algebra, quot.dim,
-                         self._induced_left, self._induced_right)
+                         lambda: [self.leg_map(a, first=True) for a in M.left_action],
+                         lambda: [self.leg_map(b, first=False) for b in N.right_action])
 
-    def _induced_left(self) -> list[Matrix]:
-        eye = Matrix.identity(self.quot.field, self.N.dim)
-        return [self.quot.induced(a.kron(eye)) for a in self.M.left_action]
+    def leg_map(self, mat: Matrix, first: bool) -> Matrix:
+        """The map induced by mat acting on the M leg (first) or the N leg.
 
-    def _induced_right(self) -> list[Matrix]:
-        eye = Matrix.identity(self.quot.field, self.M.dim)
-        return [self.quot.induced(eye.kron(b)) for b in self.N.right_action]
+        Each quotient basis vector is lifted, mat acts on one leg of its
+        pure tensor, and the result is projected; no Kronecker product of
+        mat with an identity is formed.
+        """
+        dn = self.N.dim
+        mat_cols = _nonzeros(mat.columns())
+        cols = []
+        for f in self.quot.free:
+            i, j = divmod(f, dn)
+            if first:
+                amb = {k * dn + j: x for k, x in mat_cols[i]}
+            else:
+                amb = {i * dn + k: x for k, x in mat_cols[j]}
+            cols.append(self.quot.project(amb))
+        return Matrix.from_columns(self.quot.field, cols, nrows=self.dim)
 
     def class_of(self, x: list, y: list) -> list:
         """Quotient coordinates of x (x) y for x in M and y in N coordinates."""
-        return self.quot.project(kron_vec(self.quot.field, x, y))
+        dn = self.N.dim
+        ys = _entries(y)
+        return self.quot.project({i * dn + j: a * b for i, a in _entries(x) for j, b in ys})
 
-    def lift_items(self, coords: list) -> list[tuple[tuple, object]]:
-        """Sparse lift to the full tensor product of the plain factors."""
-        zero = self.quot.field.zero
+    def lift_items(self, coords) -> list[tuple[tuple, object]]:
+        """Sparse lift of dense or {index: value} coordinates to the full
+        tensor product of the plain factors."""
+        dn = self.N.dim
         out = []
-        for f, c in enumerate(self.quot.lift(coords)):
-            if c:
-                i, j = divmod(f, self.N.dim)
-                leg = [zero] * self.M.dim
-                leg[i] = c
-                out.extend((idx + (j,), a) for idx, a in self.M.lift_items(leg))
+        for f, c in self.quot.lift(coords).items():
+            i, j = divmod(f, dn)
+            out.extend((idx + (j,), a) for idx, a in self.M.lift_items({i: c}))
         return out
 
-    def project_items(self, items: list[tuple[tuple, object]]) -> list:
-        """Quotient coordinates of a sparse full-tensor vector, computed stagewise."""
+    def reduce_items(self, items: list[tuple[tuple, object]]) -> dict:
+        """Nonzero quotient coordinates of a sparse full-tensor vector, computed stagewise."""
         dn = self.N.dim
         by_last: dict[int, list[tuple[tuple, object]]] = {}
         for idx, c in items:
             by_last.setdefault(idx[-1], []).append((idx[:-1], c))
-        amb = [self.quot.field.zero] * self.quot.ambient_dim
+        amb = {}
         for j, sub in by_last.items():
-            for i, c in enumerate(self.M.project_items(sub)):
-                if c:
-                    amb[i * dn + j] = amb[i * dn + j] + c
-        return self.quot.project(amb)
+            for i, c in self.M.reduce_items(sub).items():
+                amb[i * dn + j] = c
+        return self.quot.reduce(amb)
 
 
 def balanced_tensor(M: Bimodule, N: Bimodule) -> BalancedTensor:
@@ -229,8 +258,7 @@ def balanced_tensor(M: Bimodule, N: Bimodule) -> BalancedTensor:
         # minus rho(c)[k][i] at (k, j), i.e. X -> X @ lambda(c) - rho(c)^T @ X
         relations += _sylvester_rows(dm, dn, _nonzeros(N.left_action[c].columns()),
                                      _nonzeros(M.right_action[c].columns()))
-    rel = Subspace.span(field, dm * dn, relations)
-    return BalancedTensor(M, N, quotient_structure(dm * dn, rel))
+    return BalancedTensor(M, N, quotient_structure(field, dm * dn, relations))
 
 
 def tensor_square(ext: Extension) -> BalancedTensor:
@@ -255,14 +283,31 @@ def tensor_power(ext: Extension, k: int) -> BalancedTensor:
 
 
 def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
-    """B-central elements {m : b.m = m.b for all b} of an A-A-bimodule."""
-    field = ext.A.field
-    bb = restrict(M, ext.iota, ext.iota)
-    rows: list[list] = []
+    """B-central elements {m : b.m = m.b for all b} of A or of a tensor power of A over B.
+
+    The first plain factor of M carries the left and the last the right
+    regular action of A.  For each generator b of B, b.m - m.b is written
+    on every basis vector by acting on those legs of its sparse lift and
+    projecting the items; the columns become sparse rows of one system.
+    """
+    A = ext.A
+    field = A.field
+    legs = []
     for j in ext.B.generating_indices():
-        rows.extend((bb.left_action[j] - bb.right_action[j]).data)
-    if not rows:
+        b = ext.iota.matrix.column(j)
+        legs.append((_nonzeros(combine(A.left_mults, b).columns()),
+                     _nonzeros(combine(A.right_mults, b).columns())))
+    if not legs:
         return Subspace.full(field, M.dim)
+    rows: list[dict] = [{} for _ in range(len(legs) * M.dim)]
+    for q in range(M.dim):
+        items = M.lift_items({q: field.one})
+        for g, (left, right) in enumerate(legs):
+            moved = [((k,) + idx[1:], c * x) for idx, c in items for k, x in left[idx[0]]]
+            moved += [(idx[:-1] + (k,), -(c * x)) for idx, c in items for k, x in right[idx[-1]]]
+            base = g * M.dim
+            for r, x in M.reduce_items(moved).items():
+                rows[base + r][q] = x
     return Subspace.span(field, M.dim, nullspace(rows, field, M.dim))
 
 
@@ -432,27 +477,40 @@ def _is_bb_endomorphism(ext: Extension, endo: Matrix) -> bool:
     return True
 
 
+def _acted(actions: list[Matrix], vectors: list[list]) -> list[list[list]]:
+    """images[i][a] = actions[a] applied to vectors[i], each computed once."""
+    return [[act.apply(v) for act in actions] for v in vectors]
+
+
+def _summed(field, dim: int, images: list[list[list]], coeffs: list[list]) -> list:
+    """sum_i sum_a coeffs[i][a] * images[i][a]."""
+    out = [field.zero] * dim
+    for imgs, coeff in zip(images, coeffs):
+        for a, c in enumerate(coeff):
+            if c:
+                out = [x + c * y for x, y in zip(out, imgs[a])]
+    return out
+
+
+def _central_pairs(ext: Extension, qb: QuasibaseSet) -> bool:
+    """Every endomorphism of the pairs is B-B-linear and every tensor B-central."""
+    central = b_centralized(ext, qb.ts)
+    return all(_is_bb_endomorphism(ext, endo) and central.contains(t) for endo, t in qb.pairs)
+
+
 def verify_right_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     """Check x (x) y = sum_i x gamma_i(y) u_i on every basis pair, plus
     that each gamma_i is a B-B-endomorphism and each u_i is B-central."""
     ts = qb.ts
     A = ext.A
-    central = b_centralized(ext, ts)
-    for gamma, u in qb.pairs:
-        if not _is_bb_endomorphism(ext, gamma):
-            return False
-        if not central.contains(u):
-            return False
+    if not _central_pairs(ext, qb):
+        return False
+    images = _acted(ts.left_action, [u for _, u in qb.pairs])
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
-            lhs = ts.class_of(ex, A.basis_vector(y))
-            rhs = [A.field.zero] * ts.dim
-            for gamma, u in qb.pairs:
-                coeff = A.mul(ex, gamma.column(y))
-                term = combine(ts.left_action, coeff).apply(u)
-                rhs = [a + b for a, b in zip(rhs, term)]
-            if lhs != rhs:
+            coeffs = [A.mul(ex, gamma.column(y)) for gamma, _ in qb.pairs]
+            if ts.class_of(ex, A.basis_vector(y)) != _summed(A.field, ts.dim, images, coeffs):
                 return False
     return True
 
@@ -462,31 +520,19 @@ def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     the compact form a (x) 1 = sum_i t_i beta_i(a)."""
     ts = qb.ts
     A = ext.A
-    central = b_centralized(ext, ts)
-    for beta, t in qb.pairs:
-        if not _is_bb_endomorphism(ext, beta):
-            return False
-        if not central.contains(t):
-            return False
+    if not _central_pairs(ext, qb):
+        return False
+    images = _acted(ts.right_action, [t for _, t in qb.pairs])
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
             ey = A.basis_vector(y)
-            lhs = ts.class_of(ex, ey)
-            rhs = [A.field.zero] * ts.dim
-            for beta, t in qb.pairs:
-                coeff = A.mul(beta.column(x), ey)
-                term = combine(ts.right_action, coeff).apply(t)
-                rhs = [a + b for a, b in zip(rhs, term)]
-            if lhs != rhs:
+            coeffs = [A.mul(beta.column(x), ey) for beta, _ in qb.pairs]
+            if ts.class_of(ex, ey) != _summed(A.field, ts.dim, images, coeffs):
                 return False
         # compact form with y = 1
-        lhs = ts.class_of(ex, A.unit)
-        rhs = [A.field.zero] * ts.dim
-        for beta, t in qb.pairs:
-            term = combine(ts.right_action, beta.column(x)).apply(t)
-            rhs = [a + b for a, b in zip(rhs, term)]
-        if lhs != rhs:
+        coeffs = [beta.column(x) for beta, _ in qb.pairs]
+        if ts.class_of(ex, A.unit) != _summed(A.field, ts.dim, images, coeffs):
             return False
     return True
 

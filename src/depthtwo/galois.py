@@ -272,12 +272,11 @@ def comodule_algebra_audit(ext: Extension, delta: Matrix,
 
     # (4) r a_(0) (x) a_(1) = a_(0) (x) t_R(r) a_(1)
     def base_twist_compatibility():
-        eye_n = Matrix.identity(field, n)
         for r in range(R.dim):
             rvec = core.incl_R.column(r)
             lmap = combine(at.left_action, rvec)
             lmul_t = combine(core.T_alg.left_mults, core.t_R.column(r))
-            rmap = at.quot.induced(eye_n.kron(lmul_t))
+            rmap = at.leg_map(lmul_t, first=False)
             for a in range(n):
                 lhs = lmap.apply(delta.column(a))
                 yield lhs == rmap.apply(delta.column(a)), f"base twist fails at (r_{r}, e_{a})"

@@ -1,10 +1,13 @@
-"""Exact linear algebra: dense matrices, sparse-row RREF, subspaces, quotients.
+"""Exact linear algebra: dense matrices, sparse-row RREF, subspaces, sparse quotients.
 
 Elimination works on sparse {column: value} rows, so its cost follows the
 nonzeros of the system rather than rows x columns; it accepts dense lists
-or dicts and returns dense rows.  Every reduced echelon form, nullspace
-basis and quotient coordinate system produced here is the unique canonical
-one; identical inputs give bit-identical outputs.
+or dicts and returns dense rows.  A quotient keeps only its reduced
+relation rows and free columns: projecting reads the free coordinates and
+rewrites the pivot ones along their rows, lifting places coordinates at
+the free columns.  Every reduced echelon form, nullspace basis and
+quotient coordinate system produced here is the unique canonical one;
+identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -130,23 +133,6 @@ class Matrix:
         return Matrix(self.field, [list(col) for col in zip(*self.data)]) if self.data \
             else Matrix.zeros(self.field, self.ncols, 0)
 
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; index (i, k) of the product flattens to i*other.nrows + k."""
-        zero = self.field.zero
-        out = [[zero] * (self.ncols * other.ncols)
-               for _ in range(self.nrows * other.nrows)]
-        for i, arow in enumerate(self.data):
-            for j, a in enumerate(arow):
-                if not a:
-                    continue
-                for k, brow in enumerate(other.data):
-                    orow = out[i * other.nrows + k]
-                    off = j * other.ncols
-                    for l, b in enumerate(brow):
-                        if b:
-                            orow[off + l] = a * b
-        return Matrix(self.field, out)
-
     def vec(self) -> list:
         """Row-major flattening, the canonical vectorization used for hom spaces."""
         out = []
@@ -163,9 +149,6 @@ class Matrix:
     def rank(self) -> int:
         _, pivots = rref([row[:] for row in self.data], self.field, self.ncols)
         return len(pivots)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -195,21 +178,6 @@ def combine(mats: list[Matrix], coeffs: list) -> Matrix:
             for j, x in enumerate(row):
                 if x:
                     orow[j] = orow[j] + c * x
-    return out
-
-
-def kron_vec(field, u: list, v: list) -> list:
-    """Coordinates of u (x) v; entry (i, j) flattens to i*len(v) + j."""
-    zero = field.zero
-    nv = len(v)
-    out = [zero] * (len(u) * nv)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        off = i * nv
-        for j, b in enumerate(v):
-            if b:
-                out[off + j] = a * b
     return out
 
 
@@ -422,59 +390,75 @@ class Subspace:
 
 
 class Quotient:
-    """A coordinate realization of ambient/relations.
+    """A coordinate realization of ambient/relations, kept sparse.
 
-    Quotient coordinates are indexed by the non-pivot columns of the
-    relations' RREF in ascending order; ``projection @ section`` is the
-    identity and ``projection`` kills exactly the relation subspace.
+    ``rows`` is the reduced echelon basis of the relations, {pivot: {column:
+    value}}, each row 1 at its own pivot and 0 at the others.  Quotient
+    coordinates are indexed by the non-pivot columns ``free`` in ascending
+    order: a free column lifts to its own ambient basis vector, and a pivot
+    column is rewritten along its row.
     """
 
-    __slots__ = ("field", "ambient_dim", "dim", "projection", "section", "relations", "free")
+    __slots__ = ("field", "ambient_dim", "rows", "free", "_index")
 
-    def __init__(self, field, ambient_dim, dim, projection, section, relations, free):
+    def __init__(self, field, ambient_dim: int, rows: dict[int, dict]):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.dim = dim
-        self.projection = projection
-        self.section = section
-        self.relations = relations
-        self.free = free
+        self.rows = rows
+        self.free = [c for c in range(ambient_dim) if c not in rows]
+        self._index = {f: i for i, f in enumerate(self.free)}
 
-    def project(self, vec: list) -> list:
-        return self.projection.apply(vec)
+    @property
+    def dim(self) -> int:
+        return len(self.free)
 
-    def lift(self, coords: list) -> list:
-        return self.section.apply(coords)
+    def reduce(self, vec) -> dict:
+        """Nonzero quotient coordinates {index: value} of a dense or {index: value} vector."""
+        index, rows = self._index, self.rows
+        out: dict = {}
+        for c, x in _sparse_row(vec, self.ambient_dim, "project").items():
+            row = rows.get(c)
+            if row is None:
+                i = index[c]
+                y = out.get(i)
+                out[i] = x if y is None else y + x
+                continue
+            # modulo the relations, e_c = -sum of row[f] e_f over the row's free columns f
+            for f, y in row.items():
+                if f != c:
+                    i = index[f]
+                    z = out.get(i)
+                    out[i] = -(x * y) if z is None else z - x * y
+        return {i: x for i, x in out.items() if x}
+
+    def project(self, vec) -> list:
+        """Quotient coordinates of a dense or {index: value} ambient vector."""
+        out = [self.field.zero] * self.dim
+        for i, x in self.reduce(vec).items():
+            out[i] = x
+        return out
+
+    def lift(self, coords) -> dict:
+        """The ambient vector {column: value} with the coordinates placed at ``free``."""
+        free = self.free
+        return {free[i]: x for i, x in _sparse_row(coords, self.dim, "lift").items()}
 
     def induced(self, ambient_map: Matrix) -> Matrix:
         """Induced map on the quotient; valid when ambient_map preserves the relations.
 
-        ``ambient_map @ section`` only picks the columns at the free indices.
+        Column i is the projection of the ambient map's column at ``free[i]``.
         """
         if (ambient_map.nrows, ambient_map.ncols) != (self.ambient_dim, self.ambient_dim):
             raise LinAlgError("induced: map does not act on the ambient space")
-        free = self.free
-        picked = Matrix(self.field, [[row[f] for f in free] for row in ambient_map.data])
-        return self.projection @ picked
+        cols = [self.project({r: row[f] for r, row in enumerate(ambient_map.data) if row[f]})
+                for f in self.free]
+        return Matrix.from_columns(self.field, cols, nrows=self.dim)
 
 
-def quotient_structure(ambient_dim: int, relations: Subspace) -> Quotient:
-    if relations.ambient_dim != ambient_dim:
-        raise LinAlgError("quotient: ambient dimension mismatch")
-    field = relations.field
-    pivot_set = set(relations.pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    q = len(free)
-    zero, one = field.zero, field.one
-    proj = Matrix.zeros(field, q, ambient_dim)
-    for qi, f in enumerate(free):
-        proj.data[qi][f] = one
-    for row, p in zip(relations.basis, relations.pivots):
-        for qi, f in enumerate(free):
-            x = row[f]
-            if x:
-                proj.data[qi][p] = -x
-    sect = Matrix.zeros(field, ambient_dim, q)
-    for qi, f in enumerate(free):
-        sect.data[f][qi] = one
-    return Quotient(field, ambient_dim, q, proj, sect, relations, free)
+def quotient_structure(field, ambient_dim: int, relations: list) -> Quotient:
+    """The quotient of the coordinate space by the span of dense or {column: value} rows."""
+    rows: dict[int, dict] = {}
+    one = field.one
+    for r in relations:
+        insert_row(rows, _sparse_row(r, ambient_dim, "quotient"), one)
+    return Quotient(field, ambient_dim, rows)

@@ -3,6 +3,17 @@ from __future__ import annotations
 import pytest
 
 from depthtwo.catalog import build_example
+from depthtwo.linalg import Matrix
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Dense Kronecker product, the reference for maps acting on one tensor leg.
+
+    Entry ((i, k), (j, l)) is a[i][j] * b[k][l]; index (i, k) flattens to
+    i * b.nrows + k, the ambient convention of the balanced tensor products.
+    """
+    return Matrix(a.field, [[x * y for x in arow for y in brow]
+                            for arow in a.data for brow in b.data])
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,8 @@ from depthtwo.bimodules import (hom_space, left_module_bimodule,
 from depthtwo.fields import QQ
 from depthtwo.linalg import Matrix, Subspace, combine
 
+from conftest import kron
+
 
 @pytest.fixture(scope="module")
 def s3_setup(s3a3):
@@ -132,7 +134,7 @@ def test_action_identified_with_composition(s3_setup):
     def f_t(c: int) -> Matrix:
         out = Matrix.zeros(QQ, ts.dim, ts.dim)
         for (s, t), coeff in core.t_lift_items(c):
-            amb = A.right_mult(s).kron(A.left_mult(t))
+            amb = kron(A.right_mult(s), A.left_mult(t))
             out = out + ts.quot.induced(amb).scaled(coeff)
         return out
 

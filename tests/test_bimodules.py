@@ -7,7 +7,7 @@ import pytest
 from depthtwo.algebras import (AlgebraError, group_pair, ground_field_extension,
                                matrix_algebra, trivial_extension)
 from depthtwo.bialgebroid import t_core
-from depthtwo.bimodules import (Bimodule, algebra_bimodule, b_centralized, balanced_tensor,
+from depthtwo.bimodules import (BalancedTensor, Bimodule, algebra_bimodule, b_centralized, balanced_tensor,
                                 bimodule_generators, compose_extensions,
                                 coproduct_summand_test, group_quasibase,
                                 h_separability_test, hom_space, intertwiners,
@@ -19,7 +19,9 @@ from depthtwo.catalog import (A3_INDICES, S3_TABLE, build_example, catalog_names
                               m2_over_ground_field)
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import d2_iff_corollary_audit, tensor_with_t
-from depthtwo.linalg import Matrix, Quotient, Subspace, combine, nullspace, solve_in_span
+from depthtwo.linalg import Matrix, Subspace, combine, nullspace, solve_in_span
+
+from conftest import kron
 
 
 # -- tensor square -----------------------------------------------------------
@@ -114,13 +116,13 @@ def test_d2_path_induces_only_the_tensor_square_actions(monkeypatch):
     # B-actions are combined from A-actions through iota, and the actions of
     # T (x)_R T and A (x)_R T are induced only when an audit needs them
     calls = []
-    induced = Quotient.induced
+    leg_map = BalancedTensor.leg_map
 
-    def counted(self, ambient_map):
+    def counted(self, mat, first):
         calls.append(self.dim)
-        return induced(self, ambient_map)
+        return leg_map(self, mat, first)
 
-    monkeypatch.setattr(Quotient, "induced", counted)
+    monkeypatch.setattr(BalancedTensor, "leg_map", counted)
     ext = build_example("s3-a3")
     tensor_square(ext)
     right_d2_quasibase(ext)
@@ -141,16 +143,18 @@ def test_balanced_tensor_relations_match_the_kron_difference(fixture, name, requ
     eye_n = Matrix.identity(field, N.dim)
     rows = []
     for c in M.right_algebra.generating_indices():
-        diff = M.right_action[c].kron(eye_n) - eye_m.kron(N.left_action[c])
+        diff = kron(M.right_action[c], eye_n) - kron(eye_m, N.left_action[c])
         rows.extend(diff.transpose().data)
-    assert X.quot.relations == Subspace.span(field, M.dim * N.dim, rows)
+    # the quotient kills exactly the span of the kron-difference rows
+    for r in rows:
+        assert all(not x for x in X.quot.project(r))
+    assert X.dim == M.dim * N.dim - Matrix(field, rows).rank()
 
 
 def test_balanced_tensor_writes_relations_without_dense_blocks(monkeypatch):
     def forbidden(*args):
         raise AssertionError("dense block built")
 
-    monkeypatch.setattr(Matrix, "kron", forbidden)
     monkeypatch.setattr(Matrix, "__sub__", forbidden)
     # the outer actions of a product are induced later; only the relations are built here
     assert tensor_square(build_example("s3-a3")).dim == 12

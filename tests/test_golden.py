@@ -1,0 +1,115 @@
+"""Golden outputs of the catalog: CLI bytes and exact artifacts.
+
+For every catalog entry this pins the exit code and ``--json`` text of
+``analyze``, ``d2``, ``bialgebroid``, ``galois`` and ``audit``, and a
+sha256 over the exact artifacts (both quasibases, the structure constants
+of T, Delta and the free columns of every realized quotient).  A change
+that is meant to keep results the same must leave this file passing
+unedited.  Regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+
+import pytest
+
+from depthtwo.bialgebroid import build_T, t_core
+from depthtwo.bimodules import (left_d2_quasibase, right_d2_quasibase, tensor_power,
+                                tensor_square)
+from depthtwo.catalog import catalog_names
+from depthtwo.cli import main
+from depthtwo.galois import tensor_with_t
+from depthtwo.jsonio import example_to_json, extension_from_json
+from depthtwo.linalg import Matrix
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "catalog.json")
+COMMANDS = ("analyze", "d2", "bialgebroid", "galois", "audit")
+
+
+def _cli(command: str, doc: dict) -> dict:
+    out = io.StringIO()
+    code = main([command, json.dumps(doc), "--json"], out=out)
+    return {"exit": code, "json": out.getvalue()}
+
+
+def _plain(x):
+    """Matrices, nested lists and field elements as JSON-ready values."""
+    if isinstance(x, Matrix):
+        return _plain(x.data)
+    if isinstance(x, (list, tuple)):
+        return [_plain(y) for y in x]
+    if x is None or isinstance(x, int):
+        return x
+    return str(x)
+
+
+def _artifacts(doc: dict) -> dict:
+    ext = extension_from_json(doc)
+    rqb = right_d2_quasibase(ext)
+    lqb = left_d2_quasibase(ext)
+    core = t_core(ext)
+    out = {
+        "right_quasibase": None if rqb is None else rqb.pairs,
+        "left_quasibase": None if lqb is None else lqb.pairs,
+        "T_alg.structure": core.T_alg.structure,
+        "free.ts": tensor_square(ext).quot.free,
+        "free.tt": core.tt.quot.free,
+        "free.at": tensor_with_t(ext).quot.free,
+        "Delta": None, "free.q3": None, "free.q4": None, "free.ttt": None,
+    }
+    if rqb is not None:
+        bgd = build_T(ext, rqb)
+        out.update({"Delta": bgd.Delta,
+                    "free.q3": tensor_power(ext, 3).quot.free,
+                    "free.q4": tensor_power(ext, 4).quot.free,
+                    "free.ttt": bgd.witness.ttt.quot.free})
+    return out
+
+
+def _digest(doc: dict) -> str:
+    text = json.dumps(_plain_dict(_artifacts(doc)), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _plain_dict(d: dict) -> dict:
+    return {k: _plain(v) for k, v in d.items()}
+
+
+def _record(name: str) -> dict:
+    doc = example_to_json(name)
+    return {"cli": {cmd: _cli(cmd, doc) for cmd in COMMANDS},
+            "artifacts_sha256": _digest(doc)}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_the_catalog(golden):
+    assert sorted(golden) == sorted(catalog_names())
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_cli_json_matches_golden(golden, name):
+    doc = example_to_json(name)
+    for cmd in COMMANDS:
+        assert _cli(cmd, doc) == golden[name]["cli"][cmd], f"{name} {cmd}"
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_artifacts_match_golden(golden, name):
+    assert _digest(example_to_json(name)) == golden[name]["artifacts_sha256"]
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump({name: _record(name) for name in catalog_names()}, fh,
+                  indent=1, sort_keys=True)
+        fh.write("\n")

@@ -8,6 +8,8 @@ from depthtwo.fields import GF, QQ
 from depthtwo.linalg import (LinAlgError, Matrix, Subspace, insert_row, nullspace,
                              quotient_structure, rref, solve_in_span)
 
+from conftest import kron
+
 
 def vec(field, *entries):
     return [field.of(e) for e in entries]
@@ -100,8 +102,10 @@ def test_matmul_against_apply():
 def test_kron_index_convention():
     a = Matrix(QQ, [[QQ.of(2)]])
     b = Matrix.identity(QQ, 2)
-    k = a.kron(b)
+    k = kron(a, b)
     assert k.nrows == 2 and k.data[0][0] == QQ.of(2) and k.data[1][1] == QQ.of(2)
+    c = Matrix(QQ, [vec(QQ, 1, 2), vec(QQ, 3, 4)])
+    assert kron(c, b).data[3][1] == QQ.of(3)  # ((1, 1), (0, 1)) is c[1][0] * b[1][1]
 
 
 def test_inverse_round_trip():
@@ -143,20 +147,20 @@ def test_intersection_and_sum_dims():
 # -- quotients ----------------------------------------------------------------
 
 def test_quotient_by_zero_is_identity():
-    q = quotient_structure(3, Subspace.zero(QQ, 3))
+    q = quotient_structure(QQ, 3, [])
     assert q.dim == 3
-    assert q.projection == Matrix.identity(QQ, 3)
-    assert q.section == Matrix.identity(QQ, 3)
+    for e in Matrix.identity(QQ, 3).data:
+        assert q.project(e) == e
+        assert q.lift(e) == as_dict(e)
 
 
 def test_quotient_by_full_space_is_zero():
-    q = quotient_structure(2, Subspace.full(QQ, 2))
+    q = quotient_structure(QQ, 2, Subspace.full(QQ, 2).basis)
     assert q.dim == 0
 
 
 def test_quotient_identifies_one_relation():
-    rel = Subspace.span(QQ, 2, [vec(QQ, 1, -1)])
-    q = quotient_structure(2, rel)
+    q = quotient_structure(QQ, 2, [vec(QQ, 1, -1)])
     assert q.dim == 1
     assert q.project(vec(QQ, 1, 0)) == q.project(vec(QQ, 0, 1))
 
@@ -166,14 +170,14 @@ def test_quotient_invariants_random():
     for field in (QQ, GF(5)):
         for _ in range(25):
             rel = Subspace.span(field, 6, random_matrix(rng, field, 2, 6))
-            q = quotient_structure(6, rel)
-            assert q.projection @ q.section == Matrix.identity(field, q.dim)
+            q = quotient_structure(field, 6, rel.basis)
+            # project o lift is the identity on quotient coordinates
+            for e in Matrix.identity(field, q.dim).data:
+                assert q.project(q.lift(e)) == e
             for r in rel.basis:
                 assert all(not x for x in q.project(r))
             assert q.dim == 6 - rel.dim
 
-
-# -- sparse rows ----------------------------------------------------------
 
 def reference_rref(rows, field, ncols):
     """Textbook dense Gauss-Jordan with the leftmost pivot column first."""
@@ -311,14 +315,85 @@ def test_subspace_coords_off_the_subspace_is_none():
     assert Subspace.zero(QQ, 3).coords(vec(QQ, 0, 1, 0)) is None
 
 
+def reference_quotient(rows, field, ncols):
+    """The dense (projection, section) pair of the quotient by the span of rows,
+    as row lists, so that a zero-dimensional quotient keeps its shape."""
+    red, pivots = reference_rref(rows, field, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    proj = [[field.zero] * ncols for _ in free]
+    for qi, f in enumerate(free):
+        proj[qi][f] = field.one
+    for row, p in zip(red, pivots):
+        for qi, f in enumerate(free):
+            if row[f]:
+                proj[qi][p] = -row[f]
+    sect = [[field.zero] * len(free) for _ in range(ncols)]
+    for qi, f in enumerate(free):
+        sect[f][qi] = field.one
+    return proj, sect
+
+
+def dense_apply(field, rows, v):
+    return [sum((a * x for a, x in zip(row, v)), field.zero) for row in rows]
+
+
+def relation_cases(rng, field, ncols):
+    """Zero, full and random sparse relation sets."""
+    yield []
+    yield Matrix.identity(field, ncols).data
+    for _ in range(12):
+        yield sparse_random_rows(rng, field, rng.randint(1, ncols), ncols)
+
+
+def test_sparse_quotient_agrees_with_the_dense_reference():
+    rng = random.Random(61)
+    n = 6
+    for field in (QQ, GF(2), GF(5)):
+        for rows in relation_cases(rng, field, n):
+            q = quotient_structure(field, n, [as_dict(r) for r in rows])
+            proj, sect = reference_quotient(rows, field, n)
+            assert q.dim == len(proj)
+            assert q.free == [j for j in range(n) if any(sect[j])]
+            for v in random_matrix(rng, field, 4, n) + Matrix.identity(field, n).data:
+                expected = dense_apply(field, proj, v)
+                assert q.project(v) == expected
+                assert q.project(as_dict(v)) == expected
+                assert q.reduce(v) == as_dict(expected)
+            for c in random_matrix(rng, field, 3, q.dim) + Matrix.identity(field, q.dim).data:
+                expected = as_dict(dense_apply(field, sect, c))
+                assert q.lift(c) == expected
+                assert q.lift(as_dict(c)) == expected
+            ambient_map = Matrix(field, random_matrix(rng, field, n, n))
+            induced = q.induced(ambient_map)
+            assert induced.nrows == q.dim
+            if q.dim:
+                assert induced == Matrix(field, proj) @ ambient_map @ Matrix(field, sect)
+
+
+def test_sparse_quotient_rejects_bad_shapes():
+    q = quotient_structure(QQ, 3, [vec(QQ, 1, -1, 0)])
+    for bad in (vec(QQ, 1, 0), vec(QQ, 1, 0, 0, 0), {3: QQ.one}, {-1: QQ.one}):
+        with pytest.raises(LinAlgError):
+            q.project(bad)
+    for bad in (vec(QQ, 1), vec(QQ, 1, 0, 0), {2: QQ.one}, {"0": QQ.one}):
+        with pytest.raises(LinAlgError):
+            q.lift(bad)
+    for bad in (Matrix.identity(QQ, 2), Matrix.zeros(QQ, 3, 2)):
+        with pytest.raises(LinAlgError):
+            q.induced(bad)
+    with pytest.raises(LinAlgError):
+        quotient_structure(QQ, 2, [vec(QQ, 1, 0, 0)])
+
+
 def test_quotient_induced_equals_projection_map_section():
     rng = random.Random(59)
     for field in (QQ, GF(5)):
         for _ in range(20):
-            rel = Subspace.span(field, 5, sparse_random_rows(rng, field, 2, 5))
-            q = quotient_structure(5, rel)
+            rows = sparse_random_rows(rng, field, 2, 5)
+            q = quotient_structure(field, 5, rows)
+            proj, sect = reference_quotient(rows, field, 5)
             ambient_map = Matrix(field, random_matrix(rng, field, 5, 5))
-            assert q.induced(ambient_map) == q.projection @ ambient_map @ q.section
-    q = quotient_structure(2, Subspace.zero(QQ, 2))
+            assert q.induced(ambient_map) == Matrix(field, proj) @ ambient_map @ Matrix(field, sect)
+    q = quotient_structure(QQ, 2, [])
     with pytest.raises(LinAlgError):
         q.induced(Matrix.identity(QQ, 3))
