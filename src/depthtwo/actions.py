@@ -13,7 +13,9 @@ from __future__ import annotations
 from .algebras import AlgebraError, Extension, FiniteAlgebra
 from .bialgebroid import RightBialgebroid, build_T
 from .bimodules import QuasibaseSet, hom_space, left_module_bimodule
-from .linalg import Matrix, Subspace, combine, nullspace, solve_in_span
+from .linalg import Matrix, Subspace, combine, nullspace
+# re-exported: callers and profiling tools look solve_in_span up in this module
+from .linalg import solve_in_span  # noqa: F401
 
 
 class LeftModule:
@@ -53,7 +55,7 @@ def b_endomorphisms(ext: Extension, M: LeftModule) -> list[Matrix]:
 class MeasuredEndos:
     """End of M over B with its verified right T-module algebra structure."""
 
-    __slots__ = ("bgd", "module", "endo_basis", "action")
+    __slots__ = ("bgd", "module", "endo_basis", "action", "_free")
 
     def __init__(self, bgd: RightBialgebroid, module: LeftModule,
                  endo_basis: list[Matrix], action: list[Matrix]):
@@ -61,16 +63,23 @@ class MeasuredEndos:
         self.module = module
         self.endo_basis = endo_basis
         self.action = action
+        # in the canonical basis from hom_space each map is 1 at its last
+        # nonzero entry (row-major) and every other basis map is 0 there
+        self._free = [max((r, c) for r, row in enumerate(f.data) for c, x in enumerate(row) if x)
+                      for f in endo_basis]
 
     @property
     def dim(self) -> int:
         return len(self.endo_basis)
 
-    def endo_coords(self, endo: Matrix) -> list:
-        coords = solve_in_span(endo.vec(), [f.vec() for f in self.endo_basis],
-                               self.module.algebra.field)
-        if coords is None:
-            raise AlgebraError("endomorphism is not B-linear")
+    def endo_coords(self, endo: Matrix, err: str = "endomorphism is not B-linear") -> list:
+        """Coordinates in ``endo_basis``: the entries of endo at the basis
+        maps' free positions, checked by an exact reconstruction."""
+        coords = [endo.data[r][c] for r, c in self._free]
+        recon = combine(self.endo_basis, coords) if self.endo_basis else \
+            Matrix.zeros(endo.field, endo.nrows, endo.ncols)
+        if recon != endo:
+            raise AlgebraError(err)
         return coords
 
 
@@ -90,7 +99,7 @@ def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
     endos = b_endomorphisms(ext, M)
     ne = len(endos)
     m = core.dim
-    endo_vecs = [f.vec() for f in endos]
+    me = MeasuredEndos(bgd, M, endos, [])
 
     def acted(f: Matrix, c: int) -> Matrix:
         # f . t_c = t_c^1 f(t_c^2 -), summed over the lift of t_c
@@ -100,16 +109,11 @@ def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
         return out
 
     acted_table = [[acted(endos[a], c) for c in range(m)] for a in range(ne)]
-    action = []
+    action = me.action
     for c in range(m):
-        cols = []
-        for a in range(ne):
-            coords = solve_in_span(acted_table[a][c].vec(), endo_vecs, field)
-            if coords is None:
-                raise AlgebraError("T-action left the B-endomorphism algebra")
-            cols.append(coords)
+        cols = [me.endo_coords(acted_table[a][c], "T-action left the B-endomorphism algebra")
+                for a in range(ne)]
         action.append(Matrix.from_columns(field, cols, nrows=ne))
-    me = MeasuredEndos(bgd, M, endos, action)
 
     # unitality: f . 1_T = f
     if combine(action, core.unit_T) != Matrix.identity(field, ne):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .algebras import AlgebraError, Extension, SelfCheckError, centralizer, make_algebra
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
-                        coproduct_summand_test, left_module_bimodule, tensor_power,
+                        coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
 from .linalg import LinAlgError, Matrix, Subspace, combine, solve_in_span
 
@@ -39,7 +39,7 @@ class TCore:
         self.ts = ts
         self.R = centralizer(ext)
         self.R_alg, self.incl_R = self.R.as_algebra()
-        self.t_space = b_centralized(ext, ts)
+        self.t_space = t_space(ext)
         self.t_basis = self.t_space.basis
         m = len(self.t_basis)
         if m == 0:
@@ -218,15 +218,21 @@ class TripleTensorWitness:
     # -- forward maps ----------------------------------------------------
 
     def _forward(self, source, target_dim: int, pure) -> Matrix:
-        """Columns: images of the basis classes of source, summed over their lifts."""
+        """Columns: images of the basis classes of source, summed over their lifts.
+
+        ``pure`` gives dense or {index: value} coordinates; only their
+        nonzeros are added into the matrix.
+        """
         field = self.core.ext.A.field
-        cols = []
-        for e in Matrix.identity(field, source.dim).data:
-            acc = [field.zero] * target_dim
-            for idx, coeff in source.lift_items(e):
-                acc = [x + coeff * y for x, y in zip(acc, pure(*idx))]
-            cols.append(acc)
-        return Matrix.from_columns(field, cols, nrows=target_dim)
+        out = Matrix.zeros(field, target_dim, source.dim)
+        data = out.data
+        for col in range(source.dim):
+            for idx, coeff in source.lift_items({col: field.one}):
+                img = pure(*idx)
+                for r, y in (img.items() if isinstance(img, dict) else enumerate(img)):
+                    if y:
+                        data[r][col] = data[r][col] + coeff * y
+        return out
 
     def forward3(self, c: int, d: int) -> list:
         """Q3 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2, cached."""
@@ -245,8 +251,8 @@ class TripleTensorWitness:
         self._fwd3_cache[(c, d)] = out
         return out
 
-    def _forward4(self, c: int, d: int, e: int) -> list:
-        """Q4 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2 t_e^1 (x) t_e^2."""
+    def _forward4(self, c: int, d: int, e: int) -> dict:
+        """Nonzero Q4 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2 t_e^1 (x) t_e^2."""
         A = self.core.ext.A
         items = []
         for (s, t), c1 in self.core.t_lift_items(c):
@@ -263,7 +269,7 @@ class TripleTensorWitness:
                         for i2, a2 in enumerate(mid2):
                             if a2:
                                 items.append(((s, i1, i2, w), ca * a2))
-        return self.q4.project_items(items)
+        return self.q4.reduce_items(items)
 
     # -- inverses ----------------------------------------------------------
 

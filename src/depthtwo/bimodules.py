@@ -15,7 +15,13 @@ of the composition pairing Hom(P, M) x Hom(M, P) -> End(M).  The pairing's
 products are bimodule maps, so the solve compares them on bimodule
 generators of M only (``bimodule_generators``), never on all of End_k(M);
 a successful solve is converted into a quasibase and re-verified on every
-basis pair before being returned.
+basis pair before being returned.  For depth two, M = A (x)_B A and P = A,
+and neither hom space is solved for: Hom(A, A (x)_B A) is read off
+T = (A (x)_B A)^B through f -> f(1), and Hom(A (x)_B A, A) off
+S = End_{B-B}(A) through g -> g(1 (x) -) or g(- (x) 1) (Kadison and
+Szlachanyi), both brought into the canonical basis ``hom_space`` would
+return.  The generic ``coproduct_summand_test`` solves both hom spaces and
+serves H-separability and projectivity over R.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import copy
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, field_as_algebra, group_inverses)
 from .linalg import (Matrix, Subspace, combine, insert_row, nullspace, quotient_structure,
-                     solve_in_span)
+                     reverse_rref, solve_in_span)
 
 
 class Bimodule:
@@ -311,6 +317,13 @@ def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
     return Subspace.span(field, M.dim, nullspace(rows, field, M.dim))
 
 
+def t_space(ext: Extension) -> Subspace:
+    """T = (A (x)_B A)^B, the B-central tensor square, cached on the extension."""
+    if "T" not in ext._cache:
+        ext._cache["T"] = b_centralized(ext, tensor_square(ext))
+    return ext._cache["T"]
+
+
 def unit_tensor(ext: Extension, unit_first: bool) -> Matrix:
     """The map a -> 1 (x) a (unit_first) or a -> a (x) 1 into the tensor square."""
     A = ext.A
@@ -350,6 +363,18 @@ def hom_space(M: Bimodule, N: Bimodule) -> list[Matrix]:
     pairs += [(M.right_action[j], N.right_action[j])
               for j in M.right_algebra.generating_indices()]
     return intertwiners(M.left_algebra.field, M.dim, N.dim, pairs)
+
+
+def bb_endomorphisms(ext: Extension) -> list[Matrix]:
+    """S = End_{B-B}(A): maps commuting with left and right multiplication by
+    the generators of B, cached on the extension."""
+    if "S" not in ext._cache:
+        pairs = []
+        for j in ext.B.generating_indices():
+            lb, rb = ext.left_mult_iota(j), ext.right_mult_iota(j)
+            pairs += [(lb, lb), (rb, rb)]
+        ext._cache["S"] = intertwiners(ext.A.field, ext.A.dim, ext.A.dim, pairs)
+    return ext._cache["S"]
 
 
 class SummandFactorization:
@@ -404,7 +429,13 @@ def bimodule_generators(M: Bimodule) -> list[int]:
 
 
 def coproduct_summand_test(M: Bimodule, P: Bimodule) -> SummandFactorization | None:
-    """Decide M + * = P^(I) as bimodules; return a finite factorization or None.
+    """Decide M + * = P^(I) as bimodules; return a finite factorization or None."""
+    return summand_factorization(M, hom_space(P, M), hom_space(M, P))
+
+
+def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
+                          homs_mp: list[Matrix]) -> SummandFactorization | None:
+    """Solve sum f_i o g_i = id_M over bases of Hom(P, M) and Hom(M, P).
 
     The span of the composition pairing equals the image of
     Hom(P,M) (x) Hom(M,P) -> End(M), so membership of id_M is an exact
@@ -415,8 +446,6 @@ def coproduct_summand_test(M: Bimodule, P: Bimodule) -> SummandFactorization | N
     Pairs are grouped by the Hom(M, P) basis element.
     """
     field = M.left_algebra.field
-    homs_pm = hom_space(P, M)
-    homs_mp = hom_space(M, P)
     if not homs_pm or not homs_mp:
         if M.dim == 0:
             return SummandFactorization([])
@@ -494,7 +523,7 @@ def _summed(field, dim: int, images: list[list[list]], coeffs: list[list]) -> li
 
 def _central_pairs(ext: Extension, qb: QuasibaseSet) -> bool:
     """Every endomorphism of the pairs is B-B-linear and every tensor B-central."""
-    central = b_centralized(ext, qb.ts)
+    central = t_space(ext)
     return all(_is_bb_endomorphism(ext, endo) and central.contains(t) for endo, t in qb.pairs)
 
 
@@ -554,11 +583,8 @@ def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
         return ext._cache[key]
     right = side == "right"
     ts = tensor_square(ext)
-    if right:
-        M, P = restrict(ts, right=ext.iota), algebra_bimodule(ext, "A", "B")
-    else:
-        M, P = restrict(ts, left=ext.iota), algebra_bimodule(ext, "B", "A")
-    fact = coproduct_summand_test(M, P)
+    M = restrict(ts, right=ext.iota) if right else restrict(ts, left=ext.iota)
+    fact = summand_factorization(M, *_d2_hom_bases(ext, right))
     result = None
     if fact is not None:
         # gamma_i = g_i(1 (x) -) on the right side, beta_i = g_i(- (x) 1) on the left
@@ -570,6 +596,47 @@ def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
             raise SelfCheckError(f"derived {side} quasibase failed verification")
     ext._cache[key] = result
     return result
+
+
+def _d2_hom_bases(ext: Extension, right: bool) -> tuple[list[Matrix], list[Matrix]]:
+    """Hom(A, A (x)_B A) and Hom(A (x)_B A, A) as A-B-bimodule maps (right)
+    or B-A-bimodule maps (left), in the canonical basis of ``hom_space``.
+
+    f -> f(1) identifies the first with T: f_t(a) = a.t (right) or t.a
+    (left).  g -> g(1 (x) -) (right) or g(- (x) 1) (left) identifies the
+    second with S = End_{B-B}(A): g(x (x) y) = x gamma(y) or beta(x) y,
+    read on the pure tensor e_i (x) e_j each quotient basis vector lifts to.
+    Both spans go through ``reverse_rref``, which returns the nullspace
+    basis ``hom_space`` would solve for, with its unknowns in the same order.
+    """
+    A = ext.A
+    field, n = A.field, A.dim
+    ts = tensor_square(ext)
+    d = ts.dim
+    acts = ts.left_action if right else ts.right_action
+    into = []
+    for t in t_space(ext).basis:
+        # column j of f_t is e_j acting on t; unknown (a, j) of the d x n map sits at a*n + j
+        row = {}
+        for j, act in enumerate(acts):
+            for a, x in enumerate(act.apply(t)):
+                if x:
+                    row[a * n + j] = x
+        into.append(row)
+    pure = [divmod(f, n) for f in ts.quot.free]
+    mults = A.left_mults if right else A.right_mults
+    onto = []
+    for s in bb_endomorphisms(ext):
+        cols = s.columns()
+        row = {}
+        for q, (i, j) in enumerate(pure):
+            img = mults[i].apply(cols[j]) if right else mults[j].apply(cols[i])
+            for a, x in enumerate(img):
+                if x:
+                    row[a * d + q] = x
+        onto.append(row)
+    return ([Matrix.unvec(field, v, d, n) for v in reverse_rref(into, field, d * n)],
+            [Matrix.unvec(field, v, n, d) for v in reverse_rref(onto, field, n * d)])
 
 
 def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],

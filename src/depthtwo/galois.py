@@ -11,9 +11,9 @@ characterizations (quasibase + balance versus Galois data) always agree.
 
 from __future__ import annotations
 
-from .algebras import AlgebraError, AlgebraMorphism, Extension, SubalgebraData
-from .bialgebroid import (AuditReport, RightBialgebroid, TCore, WitnessError,
-                          build_T_quasibase_free, left_r_projectivity, t_core)
+from .algebras import AlgebraError, AlgebraMorphism, Extension, SelfCheckError, SubalgebraData
+from .bialgebroid import (AuditReport, RightBialgebroid, TCore, build_T_quasibase_free,
+                          left_r_projectivity, t_core)
 from .bimodules import (BalancedTensor, QuasibaseSet, algebra_bimodule, balanced_tensor,
                         intertwiners, restrict, right_d2_quasibase, tensor_square,
                         unit_tensor)
@@ -387,16 +387,18 @@ def main_theorem_audit(ext: Extension) -> MainTheoremReport:
     comodule = None
     rhs = False
     if galois_bij and proj is not None:
+        # the corollary path already says depth two here, so a failure below is
+        # a failed self-check (WitnessError propagates), not a negative verdict
         try:
             ice_inv = ice.inverse()
-            delta = ice_inv @ unit_tensor(ext, unit_first=True)
-            bgd = build_T_quasibase_free(ext)
-            coinv = coinvariants(ext, delta)
-            comodule = comodule_algebra_audit(ext, delta, bgd)
-            coinv_eq = coinv.equals_b
-            rhs = coinv.equals_b and comodule.all_pass and coinv.symmetric_tensor_ok
-        except (WitnessError, LinAlgError):
-            rhs = False
+        except LinAlgError as exc:
+            raise SelfCheckError("comparison map of full rank is not invertible") from exc
+        delta = ice_inv @ unit_tensor(ext, unit_first=True)
+        bgd = build_T_quasibase_free(ext)
+        coinv = coinvariants(ext, delta)
+        comodule = comodule_algebra_audit(ext, delta, bgd)
+        coinv_eq = coinv.equals_b
+        rhs = coinv.equals_b and comodule.all_pass and coinv.symmetric_tensor_ok
     return MainTheoremReport(right_d2=(rqb is not None),
                              left_d2=(lqb is not None),
                              balanced=bal.balanced,

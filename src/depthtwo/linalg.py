@@ -7,7 +7,8 @@ relation rows and free columns: projecting reads the free coordinates and
 rewrites the pivot ones along their rows, lifting places coordinates at
 the free columns.  Every reduced echelon form, nullspace basis and
 quotient coordinate system produced here is the unique canonical one;
-identical inputs give bit-identical outputs.
+identical inputs give bit-identical outputs.  ``reverse_rref`` brings any
+spanning set of a solution space into the basis ``nullspace`` returns.
 """
 
 from __future__ import annotations
@@ -298,6 +299,36 @@ def nullspace(rows: list, field, ncols: int) -> list[list]:
                 v[p] = -x
         basis.append(v)
     return basis
+
+
+def reverse_rref(vectors: list, field, ncols: int) -> list[list]:
+    """The reduced echelon basis of the span of dense or {column: value}
+    vectors with the column order reversed, as dense rows ordered by
+    ascending leading column (a row leads at its last nonzero entry).
+
+    This is the basis ``nullspace`` returns for any system whose solution
+    space is that span.  nullspace's vector for the free column f is 1 at
+    f, 0 at every other free column, and nonzero elsewhere only at pivots
+    p < f, since an RREF row is zero before its pivot.  So its last
+    nonzero entry is the 1 at f, and every other basis vector is 0 there:
+    read with the columns reversed, those vectors are the reduced echelon
+    basis of their span.  That basis is unique, so inserting any spanning
+    set with the columns reversed reproduces them entry for entry.
+    """
+    last = ncols - 1
+    basis: dict[int, dict] = {}
+    one = field.one
+    for vec in vectors:
+        row = _sparse_row(vec, ncols, "reverse_rref")
+        insert_row(basis, {last - c: x for c, x in row.items()}, one)
+    zero = field.zero
+    out = []
+    for p in sorted(basis, reverse=True):
+        dense = [zero] * ncols
+        for c, x in basis[p].items():
+            dense[last - c] = x
+        out.append(dense)
+    return out
 
 
 class Subspace:

@@ -2,14 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from depthtwo.actions import (LeftModule, action_invariants, anchor,
+from depthtwo.actions import (LeftModule, MeasuredEndos, action_invariants, anchor,
                               b_endomorphisms, t_action)
 from depthtwo.algebras import AlgebraError
 from depthtwo.bialgebroid import build_T
 from depthtwo.bimodules import (hom_space, left_module_bimodule,
                                 right_d2_quasibase)
 from depthtwo.fields import QQ
-from depthtwo.linalg import Matrix, Subspace, combine
+from depthtwo.linalg import Matrix, Subspace, combine, solve_in_span
 
 from conftest import kron
 
@@ -145,3 +145,47 @@ def test_action_identified_with_composition(s3_setup):
             acted = combine(me.endo_basis,
                             combine(me.action, tvec).apply(me.endo_coords(f)))
             assert hat(acted) == hat(f) @ f_t(c)
+
+
+def test_endo_coords_read_off_the_free_positions(s3_setup):
+    # coordinates come from the entries at each basis map's last nonzero,
+    # and equal those of a full solve against the vectorized basis
+    ext, _, _, M, me = s3_setup
+    vecs = [f.vec() for f in me.endo_basis]
+    for k in range(me.dim):
+        coeffs = [QQ.of((3 * a + k) % 5 - 2) for a in range(me.dim)]
+        endo = combine(me.endo_basis, coeffs)
+        assert me.endo_coords(endo) == coeffs == solve_in_span(endo.vec(), vecs, QQ)
+    assert me.endo_coords(Matrix.zeros(QQ, M.dim, M.dim)) == [QQ.zero] * me.dim
+
+
+def test_endo_coords_reject_a_map_that_is_not_b_linear(s3_setup):
+    ext, _, _, M, me = s3_setup
+    # swapping two elements of different B-cosets is k-linear but not B-linear
+    swap = Matrix.identity(QQ, M.dim)
+    swap.data[0][0] = swap.data[3][3] = QQ.zero
+    swap.data[0][3] = swap.data[3][0] = QQ.one
+    assert solve_in_span(swap.vec(), [f.vec() for f in me.endo_basis], QQ) is None
+    with pytest.raises(AlgebraError, match="not B-linear"):
+        me.endo_coords(swap)
+
+
+def test_endo_coords_on_a_dense_basis(s3a3):
+    # the regular module conjugated by a dense matrix: its canonical
+    # B-endomorphisms overlap in support, so only the last nonzero of each
+    # basis map is free of the others
+    n = s3a3.A.dim
+    upper = Matrix(QQ, [[QQ.of(1 if j == i else (-1) ** j if j > i else 0) for j in range(n)]
+                        for i in range(n)])
+    lower = Matrix(QQ, [[QQ.of(1 if j == i else 1 if j == i - 1 else 0) for j in range(n)]
+                        for i in range(n)])
+    p = upper @ lower
+    p_inv = p.inverse()
+    M = LeftModule(s3a3.A, n, [p_inv @ a @ p for a in s3a3.A.left_mults])
+    endos = b_endomorphisms(s3a3, M)
+    me = MeasuredEndos(None, M, endos, [])
+    vecs = [f.vec() for f in endos]
+    for k in range(len(endos)):
+        coeffs = [QQ.of((2 * a + k) % 7 - 3) for a in range(len(endos))]
+        endo = combine(endos, coeffs)
+        assert me.endo_coords(endo) == coeffs == solve_in_span(endo.vec(), vecs, QQ)

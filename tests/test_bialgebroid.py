@@ -123,6 +123,45 @@ def test_image_of_unit_tensor_unit(bgd_sqrt2, sqrt2):
     assert img == wit.q3.project_items(unit_items)
 
 
+def _dense_forward(wit, power: int) -> Matrix:
+    """The forward map written densely: column (c, d[, e]) is the class of
+    t_c^1 (x) t_c^2 t_d^1 (x) ... (x) t_last^2, summed over the lift of the source class."""
+    core = wit.core
+    A = core.ext.A
+    source, target = (core.tt, wit.q3) if power == 3 else (wit.ttt, wit.q4)
+    cols = []
+    for e in Matrix.identity(A.field, source.dim).data:
+        acc = [A.field.zero] * target.dim
+        for idx, coeff in source.lift_items(e):
+            # one pure tensor in A^(x)(power), as {legs: coefficient}
+            legs = {(): coeff}
+            for c in idx:
+                nxt: dict = {}
+                for prefix, x in legs.items():
+                    for (s, t), y in core.t_lift_items(c):
+                        if not prefix:
+                            nxt[(s, t)] = nxt.get((s, t), A.field.zero) + x * y
+                            continue
+                        for k, z in enumerate(A.mul(A.basis_vector(prefix[-1]),
+                                                    A.basis_vector(s))):
+                            if z:
+                                key = prefix[:-1] + (k, t)
+                                nxt[key] = nxt.get(key, A.field.zero) + x * y * z
+                legs = nxt
+            img = target.project_items(list(legs.items()))
+            acc = [a + b for a, b in zip(acc, img)]
+        cols.append(acc)
+    return Matrix.from_columns(A.field, cols, nrows=target.dim)
+
+
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "sqrt2", "c2_over_k"])
+def test_forward_maps_equal_the_dense_reference(fixture, request):
+    ext = request.getfixturevalue(fixture)
+    wit = _bgd(ext).witness
+    assert wit.w3 == _dense_forward(wit, 3)
+    assert wit.w4 == _dense_forward(wit, 4)
+
+
 def test_quasibase_free_construction_matches(s3a3, bgd_s3a3):
     free = build_T_quasibase_free(s3a3)
     assert free.Delta == bgd_s3a3.Delta

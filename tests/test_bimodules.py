@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from depthtwo.algebras import (AlgebraError, group_pair, ground_field_extension,
-                               matrix_algebra, trivial_extension)
+from depthtwo.algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
+                               group_pair, ground_field_extension, matrix_algebra,
+                               subgroup_extension, trivial_extension)
 from depthtwo.bialgebroid import t_core
-from depthtwo.bimodules import (BalancedTensor, Bimodule, algebra_bimodule, b_centralized, balanced_tensor,
+from depthtwo.bimodules import (BalancedTensor, Bimodule, _d2_hom_bases, algebra_bimodule,
+                                b_centralized, balanced_tensor,
                                 bimodule_generators, compose_extensions,
                                 coproduct_summand_test, group_quasibase,
                                 h_separability_test, hom_space, intertwiners,
@@ -594,3 +596,79 @@ def test_summand_test_builds_no_vectorized_endomorphism(monkeypatch):
     assert right_d2_quasibase(ext) is not None
     assert left_d2_quasibase(ext) is not None
     assert h_separability_test(ext) is None
+
+
+# -- depth-two hom spaces in the small forms T and End_{B-B}(A) -----------------
+
+
+def _dense_basis(ext, p: Matrix):
+    """The same extension with A on the basis f_i = sum_k p[k][i] e_k."""
+    A = ext.A
+    p_inv = p.inverse()
+    cols = p.columns()
+    structure = [[p_inv.apply(A.mul(cols[i], cols[j])) for j in range(A.dim)]
+                 for i in range(A.dim)]
+    A2 = FiniteAlgebra(A.field, structure, p_inv.apply(A.unit))
+    return Extension(ext.B, A2, AlgebraMorphism(ext.B, A2, p_inv @ ext.iota.matrix))
+
+
+def _dense_s3a3():
+    """s3-a3 with A on a dense unimodular basis."""
+    n = 6
+    upper = [[QQ.of(1 if i == j else (-1) ** (i + j) if j > i else 0) for j in range(n)]
+             for i in range(n)]
+    lower = [[QQ.of(1 if i == j else 1 if j == i - 1 else 0) for j in range(n)]
+             for i in range(n)]
+    return _dense_basis(build_example("s3-a3"), Matrix(QQ, upper) @ Matrix(QQ, lower))
+
+
+C4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+D2_HOM_CASES = {
+    **{name: (lambda name=name: build_example(name)) for name in catalog_names()},
+    "S3>A3 over F_2": lambda: group_pair(GF(2), S3_TABLE, A3_INDICES)[0],
+    "S3>A3 over F_3": lambda: group_pair(GF(3), S3_TABLE, A3_INDICES)[0],
+    "C4>C2 over F_2": lambda: subgroup_extension(GF(2), C4_TABLE, [0, 2])[0],
+    "s3-a3 dense": _dense_s3a3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(D2_HOM_CASES))
+def test_d2_hom_bases_equal_the_hom_space_bases(name):
+    ext = D2_HOM_CASES[name]()
+    ts = tensor_square(ext)
+    for right in (True, False):
+        if right:
+            M, P = restrict(ts, right=ext.iota), algebra_bimodule(ext, "A", "B")
+        else:
+            M, P = restrict(ts, left=ext.iota), algebra_bimodule(ext, "B", "A")
+        into, onto = _d2_hom_bases(ext, right)
+        expected_into, expected_onto = hom_space(P, M), hom_space(M, P)
+        assert len(into) == len(expected_into) and len(onto) == len(expected_onto)
+        assert all(f == g for f, g in zip(into, expected_into)), (name, right)
+        assert all(f == g for f, g in zip(onto, expected_onto)), (name, right)
+
+
+def test_dense_basis_case_is_dense():
+    # a group basis has one nonzero coordinate per product of basis elements
+    nonzeros = sum(1 for plane in _dense_s3a3().A.structure for row in plane for x in row if x)
+    assert nonzeros > 2 * 6 * 6
+
+
+def test_d2_quasibases_solve_no_hom_space(monkeypatch):
+    import depthtwo.bimodules as bimodules_mod
+    calls = []
+    for name in ("hom_space", "coproduct_summand_test"):
+        original = getattr(bimodules_mod, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(bimodules_mod, name, counted)
+    for example in ("s3-a3", "s3-transposition", "c2-over-k-f3"):
+        ext = build_example(example)
+        right_d2_quasibase(ext)
+        left_d2_quasibase(ext)
+    assert calls == []
+    # the generic path still counts through the same names
+    assert h_separability_test(build_example("s3-a3")) is None
+    assert calls == ["coproduct_summand_test", "hom_space", "hom_space"]

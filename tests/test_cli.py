@@ -232,6 +232,22 @@ def test_failed_self_check_exits_inconsistent(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_failed_witness_in_the_audit_exits_inconsistent(monkeypatch, capsys):
+    # once the corollary path says depth two, a failed witness is a bug in the
+    # library, not a negative verdict
+    import depthtwo.galois as galois_mod
+    from depthtwo.bialgebroid import WitnessError
+
+    def broken(ext):
+        raise WitnessError("forward map is not invertible")
+
+    monkeypatch.setattr(galois_mod, "build_T_quasibase_free", broken)
+    code, out = run_cli("audit", json.dumps(example_to_json("s3-a3")), "--json")
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INCONSISTENT and out == ""
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_large_prime_modulus_runs():
     doc = {"field": {"Fp": 10 ** 18 + 3}, "kind": "group",
            "table": [[0, 1], [1, 0]], "subgroup": [0]}

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from depthtwo.bialgebroid import build_T, t_core
+from depthtwo.algebras import SelfCheckError
+from depthtwo.bialgebroid import WitnessError, build_T, t_core
 from depthtwo.bimodules import right_d2_quasibase, tensor_square
 from depthtwo.catalog import catalog_names, build_example
 from depthtwo.fields import QQ
@@ -10,7 +11,7 @@ from depthtwo.galois import (balanced_audit, coaction, coinvariants,
                              comodule_algebra_audit, d2_iff_corollary_audit,
                              galois_data, galois_map, ice_matrix,
                              main_theorem_audit, tensor_with_t)
-from depthtwo.linalg import Matrix, Subspace
+from depthtwo.linalg import LinAlgError, Matrix, Subspace
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +270,33 @@ def test_depth_two_but_not_balanced_stays_consistent():
     assert coinv.contains_b and not coinv.equals_b
     assert coinv.subalgebra.dim == ext.A.dim
     assert d2_iff_corollary_audit(ext).agree
+
+
+# -- verdict provenance: failures after the corollary says depth two --------------
+
+
+def test_main_theorem_audit_lets_a_failed_witness_propagate(monkeypatch):
+    # the quasibase-free branch runs only when the corollary path says depth
+    # two, so a failed witness is a failed self-check, not rhs = False
+    import depthtwo.galois as galois_mod
+
+    def broken(ext):
+        raise WitnessError("forward map is not invertible")
+
+    monkeypatch.setattr(galois_mod, "build_T_quasibase_free", broken)
+    with pytest.raises(WitnessError):
+        main_theorem_audit(build_example("s3-a3"))
+
+
+def test_main_theorem_audit_reports_a_singular_comparison_inverse(monkeypatch):
+    def singular(self):
+        raise LinAlgError("matrix is singular")
+
+    monkeypatch.setattr(Matrix, "inverse", singular)
+    with pytest.raises(SelfCheckError, match="comparison map"):
+        main_theorem_audit(build_example("s3-a3"))
+
+
+def test_main_theorem_audit_negative_verdict_is_not_an_error():
+    report = main_theorem_audit(build_example("s3-transposition"))
+    assert report.rhs is False and report.lhs is False and report.consistent

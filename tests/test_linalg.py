@@ -6,7 +6,7 @@ import pytest
 
 from depthtwo.fields import GF, QQ
 from depthtwo.linalg import (LinAlgError, Matrix, Subspace, insert_row, nullspace,
-                             quotient_structure, rref, solve_in_span)
+                             quotient_structure, reverse_rref, rref, solve_in_span)
 
 from conftest import kron
 
@@ -343,6 +343,40 @@ def relation_cases(rng, field, ncols):
     yield Matrix.identity(field, ncols).data
     for _ in range(12):
         yield sparse_random_rows(rng, field, rng.randint(1, ncols), ncols)
+
+
+def test_reverse_rref_of_a_spanning_set_is_the_nullspace_basis():
+    # any spanning set of a solution space, dense or sparse, in any order and
+    # with dependent members, gives back nullspace's basis entry for entry
+    rng = random.Random(67)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(30):
+            ncols = rng.randint(1, 7)
+            for rows in relation_cases(rng, field, ncols):
+                basis = nullspace(rows, field, ncols)
+                combos = [[field.of(rng.randint(-3, 3)) for _ in basis]
+                          for _ in range(len(basis) + rng.randint(0, 3))]
+                span = [[sum((c * v[k] for c, v in zip(combo, basis)), field.zero)
+                         for k in range(ncols)] for combo in combos]
+                span += [v[:] for v in basis]  # makes the set spanning
+                rng.shuffle(span)
+                mixed = [as_dict(v) if i % 2 else v for i, v in enumerate(span)]
+                assert reverse_rref(mixed, field, ncols) == basis
+                assert reverse_rref(basis, field, ncols) == basis
+
+
+def test_reverse_rref_of_the_zero_and_full_spaces():
+    for field in (QQ, GF(2), GF(5)):
+        eye = Matrix.identity(field, 4).data
+        assert nullspace(eye, field, 4) == [] == reverse_rref([], field, 4)
+        assert reverse_rref([{}, [field.zero] * 4], field, 4) == []
+        full = nullspace([], field, 4)
+        assert full == eye
+        # an invertible mix of the unit vectors, leading columns reversed
+        mix = [[field.of(x) for x in row] for row in
+               ([1, 1, 0, 0], [0, 1, 1, 0], [2, 0, 1, 1], [0, 0, 0, 1])]
+        assert reverse_rref(mix, field, 4) == full
+        assert reverse_rref([], field, 0) == []
 
 
 def test_sparse_quotient_agrees_with_the_dense_reference():
