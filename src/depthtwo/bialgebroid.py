@@ -103,12 +103,13 @@ class TCore:
 
     def lift_T(self, coords: list) -> list:
         """T coordinates -> tensor-square coordinates."""
-        field = self.ext.A.field
-        out = [field.zero] * self.ts.dim
-        for c, x in enumerate(coords):
-            if x:
-                out = [a + x * b for a, b in zip(out, self.t_basis[c])]
-        return out
+        return Matrix.from_columns(self.ext.A.field, self.t_basis,
+                                   nrows=self.ts.dim).apply(coords)
+
+    def quasibase_in_T(self, rqb: QuasibaseSet) -> list[tuple[Matrix, list]]:
+        """The pairs (gamma_i, u_i) of a right quasibase, u_i in T coordinates."""
+        return [(gamma, self.t_coords(u, "quasibase tensor escaped T"))
+                for gamma, u in rqb.pairs]
 
     def t_lift_items(self, c: int) -> list[tuple[tuple[int, int], object]]:
         return self.t_items[c]
@@ -131,22 +132,10 @@ class TCore:
 
     def _tee_product(self, c: int, d: int) -> list:
         """T coordinates of t_c * t_d = u^1 t^1 (x) t^2 u^2."""
-        A = self.ext.A
-        n = A.dim
-        amb: dict = {}
-        for (s, t), c1 in self.t_items[c]:
-            for (p, q), c2 in self.t_items[d]:
-                coeff = c1 * c2
-                v2 = [(j, b) for j, b in enumerate(A.table[t][q]) if b]
-                for i, a in enumerate(A.table[p][s]):
-                    if not a:
-                        continue
-                    off = i * n
-                    ca = coeff * a
-                    for j, b in v2:
-                        x = amb.get(off + j)
-                        amb[off + j] = ca * b if x is None else x + ca * b
-        return self.t_coords(self.ts.quot.project(amb),
+        table = self.ext.A.table
+        terms = [(c1 * c2, table[p][s], table[t][q])
+                 for (s, t), c1 in self.t_items[c] for (p, q), c2 in self.t_items[d]]
+        return self.t_coords(self.ts.class_of_sum(terms),
                              "product of B-central elements escaped T")
 
     def t_mul(self, x: list, y: list) -> list:
@@ -192,47 +181,32 @@ class TripleTensorWitness:
                 items = [((s, a, t), c1) for (s, t), c1 in core.t_lift_items(c)]
                 cols.append(q3.project_items(items))
             self._sandwich3.append(Matrix.from_columns(field, cols, nrows=q3.dim))
-        self._sandwich4_unit = []
+        # column c: image of t_c^1 (x) 1 (x) 1 (x) t_c^2 in Q4 coordinates
         unit_nz = [(i, c) for i, c in enumerate(A.unit) if c]
+        cols = []
         for c in range(m):
             items = []
             for (s, t), c1 in core.t_lift_items(c):
                 for u1, cu1 in unit_nz:
                     for u2, cu2 in unit_nz:
                         items.append(((s, u1, u2, t), c1 * cu1 * cu2))
-            self._sandwich4_unit.append(q4.project_items(items))
+            cols.append(q4.project_items(items))
+        self._sandwich4_unit = Matrix.from_columns(field, cols, nrows=q4.dim)
 
         # forward map on T (x)_R T, one column per class of t_c (x) t_d
-        self.w3 = self._forward(core.tt, q3.dim, self.forward3)
+        self.w3 = core.tt.matrix_of(q3.dim, self.forward3)
         on_b3 = self._on_central(self.w3, self.q3b, "triple")
         self.w3_inv = self._invert(on_b3, self.q3b, rqb, self._inv3_column)
         self._check_round_trip(on_b3, self.w3_inv)
 
         # the quadruple stage: (T (x)_R T) (x)_R T
         self.ttt = balanced_tensor(core.tt, core.r_bimodule())
-        self.w4 = self._forward(self.ttt, q4.dim, self._forward4)
+        self.w4 = self.ttt.matrix_of(q4.dim, self._forward4)
         on_b4 = self._on_central(self.w4, self.q4b, "quadruple")
         self.w4_inv = self._invert(on_b4, self.q4b, rqb, self._inv4_column)
         self._check_round_trip(on_b4, self.w4_inv)
 
     # -- forward maps ----------------------------------------------------
-
-    def _forward(self, source, target_dim: int, pure) -> Matrix:
-        """Columns: images of the basis classes of source, summed over their lifts.
-
-        ``pure`` gives dense or {index: value} coordinates; only their
-        nonzeros are added into the matrix.
-        """
-        field = self.core.ext.A.field
-        out = Matrix.zeros(field, target_dim, source.dim)
-        data = out.data
-        for col in range(source.dim):
-            for idx, coeff in source.lift_items({col: field.one}):
-                img = pure(*idx)
-                for r, y in (img.items() if isinstance(img, dict) else enumerate(img)):
-                    if y:
-                        data[r][col] = data[r][col] + coeff * y
-        return out
 
     def forward3(self, c: int, d: int) -> list:
         """Q3 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2, cached."""
@@ -288,7 +262,8 @@ class TripleTensorWitness:
 
     def _invert(self, on_b: Matrix, target: Subspace, rqb, column_fn) -> Matrix:
         if rqb is not None:
-            cols = [column_fn(v, rqb) for v in target.basis]
+            pairs = self.core.quasibase_in_T(rqb)
+            cols = [column_fn(v, pairs) for v in target.basis]
             return Matrix.from_columns(self.core.ext.A.field, cols, nrows=on_b.ncols)
         # without a quasibase the inverse is forced linearly
         try:
@@ -296,14 +271,13 @@ class TripleTensorWitness:
         except LinAlgError as exc:
             raise WitnessError("forward map is not invertible") from exc
 
-    def _inv3_column(self, v: list, rqb: QuasibaseSet) -> list:
+    def _inv3_column(self, v: list, pairs: list) -> list:
         """v -> sum_i (v^1 (x) v^2 gamma_i(v^3)) (x)_R u_i, in T(x)_R T coordinates."""
         core = self.core
         A = core.ext.A
         items3 = self.q3.lift_items(v)
-        acc = [A.field.zero] * core.tt.dim
-        for gamma, u in rqb.pairs:
-            u_t = core.t_coords(u, "quasibase tensor escaped T")
+        terms = []
+        for gamma, u_t in pairs:
             pair_items = []
             for (i, j, k), c in items3:
                 for l, a in enumerate(A.mul(A.basis_vector(j), gamma.column(k))):
@@ -311,25 +285,23 @@ class TripleTensorWitness:
                         pair_items.append(((i, l), c * a))
             w = core.t_coords(core.ts.project_items(pair_items),
                               "witness inverse left T")
-            acc = [x + y for x, y in zip(acc, core.tt.class_of(w, u_t))]
-        return acc
+            terms.append((A.field.one, w, u_t))
+        return core.tt.class_of_sum(terms)
 
-    def _inv4_column(self, v: list, rqb: QuasibaseSet) -> list:
+    def _inv4_column(self, v: list, pairs: list) -> list:
         """Fold the rightmost leg with the quasibase, then reuse the triple inverse."""
-        core = self.core
-        A = core.ext.A
+        A = self.core.ext.A
         items4 = self.q4.lift_items(v)
-        acc = [A.field.zero] * self.ttt.dim
-        for gamma, u in rqb.pairs:
-            u_t = core.t_coords(u, "quasibase tensor escaped T")
+        terms = []
+        for gamma, u_t in pairs:
             items3 = []
             for (i, j, k, l), c in items4:
                 for s, a in enumerate(A.mul(A.basis_vector(k), gamma.column(l))):
                     if a:
                         items3.append(((i, j, s), c * a))
             w = self.w3_inv.apply(self.to_q3b(self.q3.project_items(items3)))
-            acc = [x + y for x, y in zip(acc, self.ttt.class_of(w, u_t))]
-        return acc
+            terms.append((A.field.one, w, u_t))
+        return self.ttt.class_of_sum(terms)
 
     def _check_round_trip(self, on_b: Matrix, inv: Matrix):
         field = self.core.ext.A.field
@@ -342,22 +314,11 @@ class TripleTensorWitness:
 
     def sandwich3(self, tcoords: list, mid: list) -> list:
         """Q3 coordinates of t^1 (x) mid (x) t^2 for t given in T coordinates."""
-        field = self.core.ext.A.field
-        acc = [field.zero] * self.q3.dim
-        for c, x in enumerate(tcoords):
-            if x:
-                img = self._sandwich3[c].apply(mid)
-                acc = [a + x * b for a, b in zip(acc, img)]
-        return acc
+        return combine(self._sandwich3, tcoords).apply(mid)
 
     def sandwich4_unit(self, tcoords: list) -> list:
         """Q4 coordinates of t^1 (x) 1 (x) 1 (x) t^2."""
-        field = self.core.ext.A.field
-        acc = [field.zero] * self.q4.dim
-        for c, x in enumerate(tcoords):
-            if x:
-                acc = [a + x * b for a, b in zip(acc, self._sandwich4_unit[c])]
-        return acc
+        return self._sandwich4_unit.apply(tcoords)
 
     def to_q3b(self, q3_coords: list) -> list:
         coords = self.q3b.coords(q3_coords)
@@ -402,11 +363,11 @@ def _delta_from_witness(core: TCore, witness: TripleTensorWitness) -> Matrix:
 def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
     """Delta(t) = sum_i (t^1 (x) gamma_i(t^2)) (x)_R u_i, the quasibase formula."""
     field = core.ext.A.field
+    pairs = core.quasibase_in_T(rqb)
     cols = []
     for c in range(core.dim):
-        acc = [field.zero] * core.tt.dim
-        for gamma, u in rqb.pairs:
-            u_t = core.t_coords(u, "quasibase tensor escaped T")
+        terms = []
+        for gamma, u_t in pairs:
             items = []
             for (s, t), c1 in core.t_lift_items(c):
                 for l, a in enumerate(gamma.column(t)):
@@ -414,8 +375,8 @@ def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
                         items.append(((s, l), c1 * a))
             w = core.t_coords(core.ts.project_items(items),
                               "coproduct first leg escaped T")
-            acc = [x + y for x, y in zip(acc, core.tt.class_of(w, u_t))]
-        cols.append(acc)
+            terms.append((field.one, w, u_t))
+        cols.append(core.tt.class_of_sum(terms))
     return Matrix.from_columns(field, cols, nrows=core.tt.dim)
 
 
@@ -547,20 +508,11 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
                  [(Delta.apply(core.unit_T) == tt.class_of(core.unit_T, core.unit_T),
                    "Delta(1_T) != 1_T (x) 1_T")])
 
-    # counit laws through the R-actions
-    e1_cols, e2_cols = [], []
-    for e in Matrix.identity(field, tt.dim).data:
-        acc1 = [field.zero] * m
-        acc2 = [field.zero] * m
-        for (c, d), coeff in tt.lift_items(e):
-            t1 = combine(core.lam_R, core.eps.column(c)).apply(tvec(d))
-            t2 = combine(core.rho_R, core.eps.column(d)).apply(tvec(c))
-            acc1 = [x + coeff * y for x, y in zip(acc1, t1)]
-            acc2 = [x + coeff * y for x, y in zip(acc2, t2)]
-        e1_cols.append(acc1)
-        e2_cols.append(acc2)
-    e1 = Matrix.from_columns(field, e1_cols, nrows=m)
-    e2 = Matrix.from_columns(field, e2_cols, nrows=m)
+    # counit laws through the R-actions: t_c (x) t_d -> eps(t_c) t_d and t_c eps(t_d)
+    eps_left = [combine(core.lam_R, core.eps.column(c)) for c in range(m)]
+    eps_right = [combine(core.rho_R, core.eps.column(c)) for c in range(m)]
+    e1 = tt.matrix_of(m, lambda c, d: eps_left[c].column(d))
+    e2 = tt.matrix_of(m, lambda c, d: eps_right[d].column(c))
     report.check("counit_law_left", [(e1 @ Delta == eye_m, "(eps (x) id) o Delta != id")])
     report.check("counit_law_right", [(e2 @ Delta == eye_m, "(id (x) eps) o Delta != id")])
 
@@ -597,12 +549,8 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
                 dd = tt.lift_items(Delta.apply(tvec(d)))
                 prod = core.t_mul(tvec(c), tvec(d))
                 lhs = Delta.apply(prod)
-                rhs = [field.zero] * tt.dim
-                for (a, b), c1 in dc:
-                    for (e, f), c2 in dd:
-                        term = tt.class_of(T.table[a][e], T.table[b][f])
-                        cc = c1 * c2
-                        rhs = [x + cc * y for x, y in zip(rhs, term)]
+                rhs = tt.class_of_sum([(c1 * c2, T.table[a][e], T.table[b][f])
+                                       for (a, b), c1 in dc for (e, f), c2 in dd])
                 yield lhs == rhs, f"multiplicativity fails at (t_{c}, t_{d})"
                 yield (wit.w3.apply(lhs) == wit.sandwich3(prod, A.unit),
                        f"triple-power image mismatch at (t_{c}, t_{d})")
@@ -610,15 +558,12 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
     # coassociativity via the quadruple power
     def coassociativity():
         for c in range(m):
-            lhs = [field.zero] * wit.ttt.dim
-            rhs = [field.zero] * wit.ttt.dim
-            for (a, b), coeff in tt.lift_items(Delta.apply(tvec(c))):
-                term = wit.ttt.class_of(Delta.apply(tvec(a)), tvec(b))
-                lhs = [x + coeff * y for x, y in zip(lhs, term)]
-                for (e, f), coeff2 in tt.lift_items(Delta.apply(tvec(b))):
-                    term2 = wit.ttt.class_of(tt.class_of(tvec(a), tvec(e)), tvec(f))
-                    cc = coeff * coeff2
-                    rhs = [x + cc * y for x, y in zip(rhs, term2)]
+            items = tt.lift_items(Delta.apply(tvec(c)))
+            lhs = wit.ttt.class_of_sum([(coeff, Delta.apply(tvec(a)), tvec(b))
+                                        for (a, b), coeff in items])
+            rhs = wit.ttt.class_of_sum([(coeff * coeff2, tt.class_of(tvec(a), tvec(e)), tvec(f))
+                                        for (a, b), coeff in items
+                                        for (e, f), coeff2 in tt.lift_items(Delta.apply(tvec(b)))])
             yield lhs == rhs, f"coassociativity fails at t_{c}"
             yield (wit.w4.apply(lhs) == wit.sandwich4_unit(tvec(c)),
                    f"quadruple-power image mismatch at t_{c}")
@@ -747,18 +692,9 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
 
     def componentwise(c, d):
         # T coordinates of t_c^1 t_d^1 (x) t_c^2 t_d^2
-        amb = [field.zero] * (n * n)
-        for (s, t), c1 in core.t_lift_items(c):
-            for (p, q), c2 in core.t_lift_items(d):
-                coeff = c1 * c2
-                for i, a in enumerate(A.table[s][p]):
-                    if not a:
-                        continue
-                    ca = coeff * a
-                    for j, b in enumerate(A.table[t][q]):
-                        if b:
-                            amb[i * n + j] = amb[i * n + j] + ca * b
-        return core.t_coords(ts.quot.project(amb), "componentwise product escaped T")
+        terms = [(c1 * c2, A.table[s][p], A.table[t][q])
+                 for (s, t), c1 in core.t_lift_items(c) for (p, q), c2 in core.t_lift_items(d)]
+        return core.t_coords(ts.class_of_sum(terms), "componentwise product escaped T")
 
     def pure(i, j):
         return core.t_coords(ts.class_of(A.basis_vector(i), A.basis_vector(j)),

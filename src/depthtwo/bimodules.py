@@ -4,7 +4,10 @@ Every tensor product over an algebra is one construction:
 ``balanced_tensor(M, N)`` realizes M (x)_C N as a sparse quotient of
 M (x)_k N (reduced relation rows and free columns, no dense matrices).
 Outer actions, classes of pure tensors and every map acting on one leg
-are computed the same way: lift sparsely, act on one leg, project.  The
+are computed the same way: lift sparsely, act on one leg, project.  A sum
+of pure tensors is added in one ambient vector and projected once
+(``class_of_sum``), and a map out of a quotient given on pure tensors of
+basis vectors is summed over the sparse lifts (``matrix_of``).  The
 tensor square A (x)_B A is the first instance; higher powers nest it on
 the left, (A (x)_B A) (x)_B A and so on, so ambient dimensions stay
 manageable and every quotient basis vector lifts to a single pure tensor.
@@ -215,11 +218,46 @@ class BalancedTensor(Bimodule):
             cols.append(self.quot.project(amb))
         return Matrix.from_columns(self.quot.field, cols, nrows=self.dim)
 
+    def class_of_sum(self, terms) -> list:
+        """Quotient coordinates of sum c * x (x) y over the (c, x, y) terms.
+
+        x and y are dense or {index: value} coordinates in M and N; the
+        terms are added in one sparse ambient vector that is projected once.
+        """
+        dn = self.N.dim
+        amb: dict = {}
+        for c, x, y in terms:
+            if not c:
+                continue
+            ys = _entries(y)
+            for i, a in _entries(x):
+                ca = c * a
+                off = i * dn
+                for j, b in ys:
+                    z = amb.get(off + j)
+                    amb[off + j] = ca * b if z is None else z + ca * b
+        return self.quot.project(amb)
+
     def class_of(self, x: list, y: list) -> list:
         """Quotient coordinates of x (x) y for x in M and y in N coordinates."""
-        dn = self.N.dim
-        ys = _entries(y)
-        return self.quot.project({i * dn + j: a * b for i, a in _entries(x) for j, b in ys})
+        return self.class_of_sum([(self.quot.field.one, x, y)])
+
+    def matrix_of(self, target_dim: int, pure) -> Matrix:
+        """The linear map out of this quotient that sends the class of a pure
+        tensor of plain basis vectors e_i (x) e_j (x) ... to ``pure(i, j, ...)``.
+
+        Column q sums ``pure`` over the sparse lift of basis vector q; images
+        are dense or {index: value} coordinates, and only their nonzeros are
+        added into the matrix.
+        """
+        field = self.quot.field
+        out = Matrix.zeros(field, target_dim, self.dim)
+        data = out.data
+        for q in range(self.dim):
+            for idx, coeff in self.lift_items({q: field.one}):
+                for r, y in _entries(pure(*idx)):
+                    data[r][q] = data[r][q] + coeff * y
+        return out
 
     def lift_items(self, coords) -> list[tuple[tuple, object]]:
         """Sparse lift of dense or {index: value} coordinates to the full

@@ -30,8 +30,11 @@ def _load_extension(source: str):
     """Accept a path to a JSON document or the document itself inline."""
     text = source
     if not source.lstrip().startswith("{"):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
     return extension_from_json(json.loads(text))
 
 

@@ -32,15 +32,8 @@ def tensor_with_t(ext: Extension) -> BalancedTensor:
 
 def ice_matrix(core: TCore, at: BalancedTensor) -> Matrix:
     """The comparison map A (x)_R T -> A (x)_B A, a (x) t -> a t^1 (x) t^2."""
-    field = core.ext.A.field
-    cols = []
-    for e in Matrix.identity(field, at.dim).data:
-        acc = [field.zero] * core.ts.dim
-        for (k, c), coeff in at.lift_items(e):
-            term = core.ts.left_action[k].apply(core.t_basis[c])
-            acc = [x + coeff * y for x, y in zip(acc, term)]
-        cols.append(acc)
-    return Matrix.from_columns(field, cols, nrows=core.ts.dim)
+    return at.matrix_of(core.ts.dim,
+                        lambda k, c: core.ts.left_action[k].apply(core.t_basis[c]))
 
 
 def coaction(ext: Extension, rqb: QuasibaseSet) -> Matrix:
@@ -49,14 +42,9 @@ def coaction(ext: Extension, rqb: QuasibaseSet) -> Matrix:
     at = tensor_with_t(ext)
     A = ext.A
     field = A.field
-    cols = []
-    for j in range(A.dim):
-        acc = [field.zero] * at.dim
-        for gamma, u in rqb.pairs:
-            u_t = core.t_coords(u, "quasibase tensor escaped T")
-            term = at.class_of(gamma.column(j), u_t)
-            acc = [x + y for x, y in zip(acc, term)]
-        cols.append(acc)
+    pairs = core.quasibase_in_T(rqb)
+    cols = [at.class_of_sum([(field.one, gamma.column(j), u_t) for gamma, u_t in pairs])
+            for j in range(A.dim)]
     delta = Matrix.from_columns(field, cols, nrows=at.dim)
     if delta.apply(A.unit) != at.class_of(A.unit, core.unit_T):
         raise AlgebraError("coaction does not send 1 to 1 (x) 1_T")
@@ -85,17 +73,13 @@ def galois_map(ext: Extension, rqb: QuasibaseSet) -> GaloisMap:
     ts = core.ts
     A = ext.A
     field = A.field
-    u_ts = [core.t_coords(u, "quasibase tensor escaped T") for _, u in rqb.pairs]
-    cols = []
-    for e in Matrix.identity(field, ts.dim).data:
-        acc = [field.zero] * at.dim
-        for (s, t), coeff in ts.lift_items(e):
-            for (gamma, _), u_t in zip(rqb.pairs, u_ts):
-                xv = A.mul(A.basis_vector(s), gamma.column(t))
-                term = at.class_of(xv, u_t)
-                acc = [x + coeff * y for x, y in zip(acc, term)]
-        cols.append(acc)
-    beta = Matrix.from_columns(field, cols, nrows=at.dim)
+    pairs = core.quasibase_in_T(rqb)
+
+    def pure(s, t):
+        return at.class_of_sum([(field.one, A.mul(A.basis_vector(s), gamma.column(t)), u_t)
+                                for gamma, u_t in pairs])
+
+    beta = ts.matrix_of(at.dim, pure)
     ice = ice_matrix(core, at)
     bij = (at.dim == ts.dim
            and beta.rank() == ts.dim
@@ -245,12 +229,11 @@ def comodule_algebra_audit(ext: Extension, delta: Matrix,
             lhs = delta @ combine(A.right_mults, core.incl_R.column(r))
             yield lhs == at.right_action[r] @ delta, f"coaction not right R-linear at r_{r}"
         eps_in_A = core.incl_R @ core.eps
+        # a (x) t -> a eps(t)
+        counit = at.matrix_of(n, lambda k, c: A.mul(A.basis_vector(k), eps_in_A.column(c)))
         for a in range(n):
-            acc = [field.zero] * n
-            for (k, c), coeff in at.lift_items(delta.column(a)):
-                term = A.mul(A.basis_vector(k), eps_in_A.column(c))
-                acc = [x + coeff * y for x, y in zip(acc, term)]
-            yield acc == A.basis_vector(a), f"counit condition fails at e_{a}"
+            yield (counit.apply(delta.column(a)) == A.basis_vector(a),
+                   f"counit condition fails at e_{a}")
         unit_nz = [(i, c) for i, c in enumerate(A.unit) if c]
         for a in range(n):
             lhs3 = [field.zero] * wit.q3.dim
@@ -289,12 +272,8 @@ def comodule_algebra_audit(ext: Extension, delta: Matrix,
             items_x = at.lift_items(delta.column(x))
             for y in range(n):
                 items_y = at.lift_items(delta.column(y))
-                rhs = [field.zero] * at.dim
-                for (k, c), c1 in items_x:
-                    for (l, d), c2 in items_y:
-                        term = at.class_of(A.table[k][l], core.T_alg.table[c][d])
-                        cc = c1 * c2
-                        rhs = [u + cc * v for u, v in zip(rhs, term)]
+                rhs = at.class_of_sum([(c1 * c2, A.table[k][l], core.T_alg.table[c][d])
+                                       for (k, c), c1 in items_x for (l, d), c2 in items_y])
                 yield delta.apply(A.table[x][y]) == rhs, f"multiplicativity fails at (e_{x}, e_{y})"
                 yield (ice.apply(rhs) == core.ts.class_of(A.unit, A.table[x][y]),
                        f"tensor-square image mismatch at (e_{x}, e_{y})")

@@ -101,8 +101,11 @@ def extension_from_json(obj: dict) -> Extension:
             subgroup = obj["subgroup"]
         except KeyError as exc:
             raise ParseError(f"group document missing {exc}") from exc
+        normal = obj.get("normal", False)
+        if not isinstance(normal, bool):
+            raise ParseError(f"group document: 'normal' must be true or false, not {normal!r}")
         try:
-            if obj.get("normal", False):
+            if normal:
                 ext, _ = group_pair(field, table, subgroup)
             else:
                 ext, _ = subgroup_extension(field, table, subgroup)

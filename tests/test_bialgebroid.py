@@ -9,7 +9,8 @@ from depthtwo.bialgebroid import (axiom_audit, build_T, build_T_quasibase_free,
                                   triple_tensor_witness)
 from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase
 from depthtwo.fields import GF, QQ
-from depthtwo.linalg import Matrix
+from depthtwo.galois import galois_map, ice_matrix, tensor_with_t
+from depthtwo.linalg import Matrix, combine
 
 
 def _bgd(ext):
@@ -160,6 +161,71 @@ def test_forward_maps_equal_the_dense_reference(fixture, request):
     wit = _bgd(ext).witness
     assert wit.w3 == _dense_forward(wit, 3)
     assert wit.w4 == _dense_forward(wit, 4)
+
+
+def _old_ice(core, at):
+    # the comparison map as an identity-column loop with dense accumulation
+    field = core.ext.A.field
+    cols = []
+    for e in Matrix.identity(field, at.dim).data:
+        acc = [field.zero] * core.ts.dim
+        for (k, c), coeff in at.lift_items(e):
+            term = core.ts.left_action[k].apply(core.t_basis[c])
+            acc = [x + coeff * y for x, y in zip(acc, term)]
+        cols.append(acc)
+    return Matrix.from_columns(field, cols, nrows=core.ts.dim)
+
+
+def _old_beta(ext, core, at, rqb):
+    # beta(x (x) y) = sum_i x gamma_i(y) (x)_R u_i, one class_of per term
+    A = ext.A
+    field = A.field
+    u_ts = [core.t_coords(u, "u escaped T") for _, u in rqb.pairs]
+    cols = []
+    for e in Matrix.identity(field, core.ts.dim).data:
+        acc = [field.zero] * at.dim
+        for (s, t), coeff in core.ts.lift_items(e):
+            for (gamma, _), u_t in zip(rqb.pairs, u_ts):
+                term = at.class_of(A.mul(A.basis_vector(s), gamma.column(t)), u_t)
+                acc = [x + coeff * y for x, y in zip(acc, term)]
+        cols.append(acc)
+    return Matrix.from_columns(field, cols, nrows=at.dim)
+
+
+def _old_counit_maps(core):
+    # t_c (x) t_d -> eps(t_c) t_d and t_c eps(t_d), summed over identity columns
+    field = core.ext.A.field
+    m, tt, tvec = core.dim, core.tt, core.T_alg.basis_vector
+    e1_cols, e2_cols = [], []
+    for e in Matrix.identity(field, tt.dim).data:
+        acc1 = [field.zero] * m
+        acc2 = [field.zero] * m
+        for (c, d), coeff in tt.lift_items(e):
+            t1 = combine(core.lam_R, core.eps.column(c)).apply(tvec(d))
+            t2 = combine(core.rho_R, core.eps.column(d)).apply(tvec(c))
+            acc1 = [x + coeff * y for x, y in zip(acc1, t1)]
+            acc2 = [x + coeff * y for x, y in zip(acc2, t2)]
+        e1_cols.append(acc1)
+        e2_cols.append(acc2)
+    return (Matrix.from_columns(field, e1_cols, nrows=m),
+            Matrix.from_columns(field, e2_cols, nrows=m))
+
+
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "sqrt2", "c2_over_k"])
+def test_matrix_of_maps_equal_the_identity_column_loop(fixture, request):
+    ext = request.getfixturevalue(fixture)
+    bgd = _bgd(ext)
+    core = bgd.core
+    at = tensor_with_t(ext)
+    assert ice_matrix(core, at) == _old_ice(core, at)
+    assert galois_map(ext, bgd.rqb).beta == _old_beta(ext, core, at, bgd.rqb)
+    eps_left = [combine(core.lam_R, core.eps.column(c)) for c in range(core.dim)]
+    eps_right = [combine(core.rho_R, core.eps.column(c)) for c in range(core.dim)]
+    e1 = core.tt.matrix_of(core.dim, lambda c, d: eps_left[c].column(d))
+    e2 = core.tt.matrix_of(core.dim, lambda c, d: eps_right[d].column(c))
+    assert (e1, e2) == _old_counit_maps(core)
+    eye = Matrix.identity(ext.A.field, core.dim)
+    assert e1 @ bgd.Delta == eye and e2 @ bgd.Delta == eye
 
 
 def test_quasibase_free_construction_matches(s3a3, bgd_s3a3):

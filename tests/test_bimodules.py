@@ -114,6 +114,43 @@ def test_balanced_tensor_relations_and_items(fixture, name, request):
         X.check()
 
 
+@pytest.mark.parametrize("name", ["ts", "tt", "at", "ttt"])
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5"])
+def test_class_of_sum_equals_the_summed_classes(fixture, name, request):
+    ext = request.getfixturevalue(fixture)
+    X = _balanced_quotient(ext, name)
+    field = ext.A.field
+    rng = random.Random(f"{fixture}/{name}")
+    zero = [field.zero] * X.dim
+
+    def leg(dim):
+        dense = [field.of(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(dim)]
+        # half the legs as {index: value} dicts, zeros left out
+        return dense if rng.random() < 0.5 else {i: x for i, x in enumerate(dense) if x}
+
+    def dense(v, dim):
+        return [v.get(i, field.zero) for i in range(dim)] if isinstance(v, dict) else v
+
+    for _ in range(4):
+        terms = [(field.of(rng.choice((0, 1, -1, 3))), leg(X.M.dim), leg(X.N.dim))
+                 for _ in range(rng.randint(1, 5))]
+        # a term and its negative cancel
+        c, x, y = terms[0]
+        terms += [(field.of(2), x, y), (-field.of(2), x, y)]
+        expected = zero
+        for c, x, y in terms:
+            cls = X.class_of(x, y)
+            # one term: the projection of the dense ambient vector x_i y_j at i * N.dim + j
+            assert cls == X.quot.project([a * b for a in dense(x, X.M.dim)
+                                          for b in dense(y, X.N.dim)])
+            expected = [u + c * v for u, v in zip(expected, cls)]
+        assert X.class_of_sum(terms) == expected
+    cancelling = [(field.one, x, y), (-field.one, x, y)]
+    assert X.class_of_sum(cancelling) == zero
+    assert X.class_of_sum([(field.zero, x, y)]) == zero
+    assert X.class_of_sum([]) == zero
+
+
 def test_d2_path_induces_only_the_tensor_square_actions(monkeypatch):
     # B-actions are combined from A-actions through iota, and the actions of
     # T (x)_R T and A (x)_R T are induced only when an audit needs them

@@ -211,6 +211,9 @@ MALFORMED = {
     "ragged-iota": {**_one_line_extension("Q", 1), "iota": [[1, 2], [1]]},
     "modulus-too-large": {"field": {"Fp": 2 ** 89 - 1}, "kind": "group",
                           "table": [[0, 1], [1, 0]], "subgroup": [0]},
+    # a non-normal pair (S3 > {0, 3}) whose flag is a string, not a boolean
+    "normal-flag-not-a-boolean": {**example_to_json("s3-a3"), "subgroup": [0, 3],
+                                  "normal": "false"},
 }
 
 
@@ -220,6 +223,23 @@ def test_malformed_input_is_one_error_line(doc, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_INPUT
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_group_doc_normal_flag_must_be_boolean(flag):
+    from depthtwo.jsonio import ParseError
+    doc = {**example_to_json("s3-a3"), "subgroup": [0, 3], "normal": flag}
+    with pytest.raises(ParseError, match="'normal' must be true or false"):
+        extension_from_json(doc)
+
+
+def test_non_utf8_file_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe{")
+    code, out = run_cli("audit", str(path))
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INPUT and out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and "UTF-8" in err[0]
 
 
 def test_failed_self_check_exits_inconsistent(monkeypatch, capsys):
