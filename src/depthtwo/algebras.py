@@ -9,7 +9,7 @@ rather than by b itself.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Subspace, combine, nullspace
+from .linalg import Matrix, Subspace, combine, insert_row, nullspace
 # re-exported: callers and profiling tools look solve_in_span up in this module
 from .linalg import solve_in_span  # noqa: F401
 
@@ -41,6 +41,18 @@ class FiniteAlgebra:
             self._validate()
 
     def _validate(self):
+        """Check the shapes, the unit law and associativity.
+
+        Associativity is checked as (e_i g) e_k = e_i (g e_k) for the
+        generators g of ``generating_indices`` and all i, k, which is exact.
+        Call y good if (xy)z = x(yz) for all x, z.  The good elements form a
+        subspace containing 1, and it is closed under products: for good
+        y1, y2, (x(y1 y2))z = ((x y1) y2)z = (x y1)(y2 z) = x(y1(y2 z))
+        = x((y1 y2)z).  The generators are chosen so that 1 and their right
+        words span the algebra, which needs no associativity, so every
+        element is good.  Only when a generator fails are all basis triples
+        scanned, to name the first failing one in (i, j, k) order.
+        """
         n = self.dim
         if n == 0:
             raise AlgebraError("algebra must have positive dimension")
@@ -59,14 +71,16 @@ class FiniteAlgebra:
                 raise AlgebraError(f"unit law fails: 1*e_{i} != e_{i}")
             if self.mul(e_i, self.unit) != e_i:
                 raise AlgebraError(f"unit law fails: e_{i}*1 != e_{i}")
-        # associativity on all basis triples, through the nonzeros (m, c) of e_i e_j
-        nz = [[[(m, c) for m, c in enumerate(tij) if c] for tij in ti] for ti in self.table]
+        # associativity through the nonzeros (m, c) of e_i e_j
+        nz = _nonzeros(self.table)
+        self._generators = _greedy_generators(nz, self.unit, self.field.one)
+        if all(_associates(nz, i, g, k)
+               for g in self._generators for i in range(n) for k in range(n)):
+            return
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    left = _sum_nonzeros((c, nz[m][k]) for m, c in nz[i][j])
-                    right = _sum_nonzeros((c, nz[i][m]) for m, c in nz[j][k])
-                    if left != right:
+                    if not _associates(nz, i, j, k):
                         raise AlgebraError(
                             f"associativity fails: (e_{i}e_{j})e_{k} != e_{i}(e_{j}e_{k})")
 
@@ -139,28 +153,55 @@ class FiniteAlgebra:
         Intertwining constraints written over this set extend to the whole
         algebra by multiplicativity and linearity.
         """
-        if self._generators is not None:
-            return self._generators
-        gens: list[int] = []
-        span = Subspace.span(self.field, self.dim, [self.unit])
-        for i in range(self.dim):
-            if span.contains(self.basis_vector(i)):
-                continue
-            gens.append(i)
-            span = self._unital_closure(span.basis + [self.basis_vector(i)])
-            if span.dim == self.dim:
-                break
-        self._generators = gens
-        return gens
+        if self._generators is None:
+            self._generators = _greedy_generators(_nonzeros(self.table), self.unit,
+                                                  self.field.one)
+        return self._generators
 
-    def _unital_closure(self, vectors: list[list]) -> Subspace:
-        span = Subspace.span(self.field, self.dim, [self.unit] + list(vectors))
-        while True:
-            products = [self.mul(u, v) for u in span.basis for v in span.basis]
-            bigger = Subspace.span(self.field, self.dim, span.basis + products)
-            if bigger.dim == span.dim:
-                return bigger
-            span = bigger
+
+def _nonzeros(table: list[list[list]]) -> list[list[list]]:
+    """nz[i][j] = the nonzeros (m, c) of e_i e_j."""
+    return [[[(m, c) for m, c in enumerate(tij) if c] for tij in ti] for ti in table]
+
+
+def _associates(nz, i: int, j: int, k: int) -> bool:
+    """(e_i e_j) e_k == e_i (e_j e_k)."""
+    return (_sum_nonzeros((c, nz[m][k]) for m, c in nz[i][j])
+            == _sum_nonzeros((c, nz[i][m]) for m, c in nz[j][k]))
+
+
+def _greedy_generators(nz, unit: list, one) -> list[int]:
+    """Basis indices, taken greedily in basis order, whose right words span the algebra.
+
+    The span of 1 and of the right words g_1 g_2 ... g_r, multiplied left to
+    right, is grown as one reduced basis: a word that enlarges it is
+    multiplied on the right by every generator in turn.  An e_i outside the
+    span becomes the next generator.  For an associative algebra the span
+    is the subalgebra the generators generate.
+    """
+    n = len(nz)
+    span: dict[int, dict] = {}
+    words = [{m: c for m, c in enumerate(unit) if c}]
+    insert_row(span, dict(words[0]), one)
+    gens: list[int] = []
+    for i in range(n):
+        if len(span) == n:
+            break
+        if not insert_row(span, {i: one}, one):
+            continue
+        gens.append(i)
+        # the span is closed under the earlier generators: close it under e_i too
+        todo = [(w, (i,)) for w in words]
+        words.append({i: one})
+        todo.append((words[-1], tuple(gens)))
+        while todo and len(span) < n:
+            w, by = todo.pop()
+            for g in by:
+                v = _sum_nonzeros((c, nz[m][g]) for m, c in w.items())
+                if insert_row(span, dict(v), one):
+                    words.append(v)
+                    todo.append((v, tuple(gens)))
+    return gens
 
 
 def _sum_nonzeros(terms) -> dict:

@@ -21,7 +21,8 @@ from .algebras import AlgebraError, Extension, SelfCheckError, centralizer, make
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
-from .linalg import LinAlgError, Matrix, Subspace, combine, solve_in_span
+from .linalg import (LinAlgError, Matrix, Subspace, action_images, combine, combine_images,
+                     solve_in_span)
 
 
 class TCore:
@@ -593,13 +594,15 @@ class ModuleDualBasis:
 
 def _check_reconstruction(core: TCore, actions: list[Matrix], db: ModuleDualBasis,
                           err: str):
-    """x = sum_i act(phi_i(x)) m_i on every basis vector of T."""
-    for x in Matrix.identity(core.ext.A.field, core.dim).data:
-        acc = [core.ext.A.field.zero] * core.dim
-        for m_i, phi in zip(db.elements, db.functionals):
-            term = combine(actions, phi.apply(x)).apply(m_i)
-            acc = [a + b for a, b in zip(acc, term)]
-        if acc != x:
+    """x = sum_i act(phi_i(x)) m_i on every basis vector x = e_c of T.
+
+    act(r) m_i is sum_a r_a actions[a] m_i, so each actions[a] m_i is
+    computed once and weighted by the column c of phi_i.
+    """
+    field = core.ext.A.field
+    images = action_images(actions, db.elements)
+    for c, x in enumerate(Matrix.identity(field, core.dim).data):
+        if combine_images(field, core.dim, images, [phi.column(c) for phi in db.functionals]) != x:
             raise SelfCheckError(err)
 
 

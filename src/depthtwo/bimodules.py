@@ -33,8 +33,8 @@ import copy
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, field_as_algebra, group_inverses)
-from .linalg import (Matrix, Subspace, combine, insert_row, nullspace, quotient_structure,
-                     reverse_rref, solve_in_span)
+from .linalg import (Matrix, Subspace, action_images, combine, combine_images, insert_row,
+                     nullspace, quotient_structure, reverse_rref, solve_in_span)
 
 
 class Bimodule:
@@ -544,21 +544,6 @@ def _is_bb_endomorphism(ext: Extension, endo: Matrix) -> bool:
     return True
 
 
-def _acted(actions: list[Matrix], vectors: list[list]) -> list[list[list]]:
-    """images[i][a] = actions[a] applied to vectors[i], each computed once."""
-    return [[act.apply(v) for act in actions] for v in vectors]
-
-
-def _summed(field, dim: int, images: list[list[list]], coeffs: list[list]) -> list:
-    """sum_i sum_a coeffs[i][a] * images[i][a]."""
-    out = [field.zero] * dim
-    for imgs, coeff in zip(images, coeffs):
-        for a, c in enumerate(coeff):
-            if c:
-                out = [x + c * y for x, y in zip(out, imgs[a])]
-    return out
-
-
 def _central_pairs(ext: Extension, qb: QuasibaseSet) -> bool:
     """Every endomorphism of the pairs is B-B-linear and every tensor B-central."""
     central = t_space(ext)
@@ -572,12 +557,13 @@ def verify_right_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     A = ext.A
     if not _central_pairs(ext, qb):
         return False
-    images = _acted(ts.left_action, [u for _, u in qb.pairs])
+    images = action_images(ts.left_action, [u for _, u in qb.pairs])
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
             coeffs = [A.mul(ex, gamma.column(y)) for gamma, _ in qb.pairs]
-            if ts.class_of(ex, A.basis_vector(y)) != _summed(A.field, ts.dim, images, coeffs):
+            expected = combine_images(A.field, ts.dim, images, coeffs)
+            if ts.class_of(ex, A.basis_vector(y)) != expected:
                 return False
     return True
 
@@ -589,17 +575,17 @@ def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     A = ext.A
     if not _central_pairs(ext, qb):
         return False
-    images = _acted(ts.right_action, [t for _, t in qb.pairs])
+    images = action_images(ts.right_action, [t for _, t in qb.pairs])
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
             ey = A.basis_vector(y)
             coeffs = [A.mul(beta.column(x), ey) for beta, _ in qb.pairs]
-            if ts.class_of(ex, ey) != _summed(A.field, ts.dim, images, coeffs):
+            if ts.class_of(ex, ey) != combine_images(A.field, ts.dim, images, coeffs):
                 return False
         # compact form with y = 1
         coeffs = [beta.column(x) for beta, _ in qb.pairs]
-        if ts.class_of(ex, A.unit) != _summed(A.field, ts.dim, images, coeffs):
+        if ts.class_of(ex, A.unit) != combine_images(A.field, ts.dim, images, coeffs):
             return False
     return True
 

@@ -2,7 +2,9 @@
 
 Elimination works on sparse {column: value} rows, so its cost follows the
 nonzeros of the system rather than rows x columns; it accepts dense lists
-or dicts and returns dense rows.  A quotient keeps only its reduced
+or dicts and returns dense rows.  All rows are checked first and then
+inserted latest leading column first, so a new pivot seldom has to be
+cleared from the rows already stored.  A quotient keeps only its reduced
 relation rows and free columns: projecting reads the free coordinates and
 rewrites the pivot ones along their rows, lifting places coordinates at
 the free columns.  Every reduced echelon form, nullspace basis and
@@ -182,6 +184,24 @@ def combine(mats: list[Matrix], coeffs: list) -> Matrix:
     return out
 
 
+def action_images(actions: list[Matrix], vectors: list[list]) -> list[list[list]]:
+    """images[i][a] = the nonzeros (k, value) of actions[a] applied to vectors[i],
+    each computed once."""
+    return [[[(k, y) for k, y in enumerate(act.apply(v)) if y] for act in actions]
+            for v in vectors]
+
+
+def combine_images(field, dim: int, images: list[list[list]], coeffs: list[list]) -> list:
+    """sum_i sum_a coeffs[i][a] * images[i][a] for ``action_images``, adding only the nonzeros."""
+    out = [field.zero] * dim
+    for imgs, coeff in zip(images, coeffs):
+        for a, c in enumerate(coeff):
+            if c:
+                for k, y in imgs[a]:
+                    out[k] = out[k] + c * y
+    return out
+
+
 def _sparse_row(vec, ncols: int, what: str) -> dict:
     """The nonzero entries {column: value} of a dense list or a dict of length ncols."""
     if isinstance(vec, dict):
@@ -233,17 +253,30 @@ def insert_row(basis: dict[int, dict], row: dict, one) -> bool:
     return True
 
 
+def _echelon(rows: list[dict], one) -> dict[int, dict]:
+    """The reduced echelon basis {pivot: row} of the span of {column: value} rows.
+
+    The rows are inserted latest leading column first.  A new row then
+    usually leads left of every stored pivot, and a stored row is zero left
+    of its own pivot, so no stored row needs that column cleared.  The
+    reduced echelon basis of a span is unique, so the order changes the
+    work and not the result.  The rows are consumed.
+    """
+    basis: dict[int, dict] = {}
+    for row in sorted((r for r in rows if r), key=min, reverse=True):
+        insert_row(basis, row, one)
+    return basis
+
+
 def rref(rows: list, field, ncols: int) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of dense or {column: value} rows.
 
-    Returns (nonzero rows, pivot cols) with dense rows.  Rows are inserted one
-    at a time into a reduced basis keyed by pivot column, so the work follows
-    the nonzeros; the RREF is unique, so the order of insertion does not matter.
+    Returns (nonzero rows, pivot cols) with dense rows.  Every row is checked
+    against ncols before any is inserted; ``_echelon`` then inserts them into
+    a reduced basis keyed by pivot column, latest leading column first, so
+    the work follows the nonzeros.
     """
-    basis: dict[int, dict] = {}
-    one = field.one
-    for vec in rows:
-        insert_row(basis, _sparse_row(vec, ncols, "rref"), one)
+    basis = _echelon([_sparse_row(vec, ncols, "rref") for vec in rows], field.one)
     pivots = sorted(basis)
     zero = field.zero
     out = []
@@ -316,11 +349,8 @@ def reverse_rref(vectors: list, field, ncols: int) -> list[list]:
     set with the columns reversed reproduces them entry for entry.
     """
     last = ncols - 1
-    basis: dict[int, dict] = {}
-    one = field.one
-    for vec in vectors:
-        row = _sparse_row(vec, ncols, "reverse_rref")
-        insert_row(basis, {last - c: x for c, x in row.items()}, one)
+    basis = _echelon([{last - c: x for c, x in _sparse_row(vec, ncols, "reverse_rref").items()}
+                      for vec in vectors], field.one)
     zero = field.zero
     out = []
     for p in sorted(basis, reverse=True):
@@ -487,9 +517,10 @@ class Quotient:
 
 
 def quotient_structure(field, ambient_dim: int, relations: list) -> Quotient:
-    """The quotient of the coordinate space by the span of dense or {column: value} rows."""
-    rows: dict[int, dict] = {}
-    one = field.one
-    for r in relations:
-        insert_row(rows, _sparse_row(r, ambient_dim, "quotient"), one)
+    """The quotient of the coordinate space by the span of dense or {column: value} rows.
+
+    The relations are checked, then reduced by ``_echelon``, latest leading
+    column first.
+    """
+    rows = _echelon([_sparse_row(r, ambient_dim, "quotient") for r in relations], field.one)
     return Quotient(field, ambient_dim, rows)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from depthtwo.algebras import AlgebraMorphism, Extension, FiniteAlgebra
 from depthtwo.catalog import build_example
+from depthtwo.fields import QQ
 from depthtwo.linalg import Matrix
 
 
@@ -14,6 +16,27 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """
     return Matrix(a.field, [[x * y for x in arow for y in brow]
                             for arow in a.data for brow in b.data])
+
+
+def dense_basis(ext, p: Matrix):
+    """The same extension with A on the basis f_i = sum_k p[k][i] e_k."""
+    A = ext.A
+    p_inv = p.inverse()
+    cols = p.columns()
+    structure = [[p_inv.apply(A.mul(cols[i], cols[j])) for j in range(A.dim)]
+                 for i in range(A.dim)]
+    A2 = FiniteAlgebra(A.field, structure, p_inv.apply(A.unit))
+    return Extension(ext.B, A2, AlgebraMorphism(ext.B, A2, p_inv @ ext.iota.matrix))
+
+
+def dense_s3a3():
+    """s3-a3 with A on a dense unimodular basis."""
+    n = 6
+    upper = [[QQ.of(1 if i == j else (-1) ** (i + j) if j > i else 0) for j in range(n)]
+             for i in range(n)]
+    lower = [[QQ.of(1 if i == j else 1 if j == i - 1 else 0) for j in range(n)]
+             for i in range(n)]
+    return dense_basis(build_example("s3-a3"), Matrix(QQ, upper) @ Matrix(QQ, lower))
 
 
 @pytest.fixture(scope="session")

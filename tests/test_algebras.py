@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import random
 import re
 
 import pytest
@@ -12,8 +14,11 @@ from depthtwo.algebras import (AlgebraError, FiniteAlgebra, centralizer,
                                trivial_extension)
 from depthtwo.catalog import (A3_INDICES, C2_TABLE, S3_TABLE, TRANSPOSITION_INDICES,
                               build_example, catalog_names)
+from depthtwo.bialgebroid import t_core
 from depthtwo.fields import GF, QQ
 from depthtwo.linalg import Subspace
+
+from conftest import dense_s3a3
 
 
 # -- make_algebra -----------------------------------------------------------
@@ -301,3 +306,109 @@ def test_every_catalog_algebra_passes_validation(name):
     for alg in (ext.A, ext.B):
         assert _first_associativity_failure(alg.field, alg.structure, alg.unit) is None
         assert make_algebra(alg.field, alg.structure, alg.unit).dim == alg.dim
+
+
+def _alternating_group_table() -> list[list[int]]:
+    """Cayley table of A_4: the even permutations of 4 points in lexicographic order."""
+    def even(p):
+        return sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4)) % 2 == 0
+    elems = [p for p in itertools.permutations(range(4)) if even(p)]
+    index = {p: i for i, p in enumerate(elems)}
+    return [[index[tuple(g[h[x]] for x in range(4))] for h in elems] for g in elems]
+
+
+GROUP_TABLES = {"S3": S3_TABLE, "A4": _alternating_group_table()}
+
+
+def _fails_at_a_generator(field, cube, unit) -> bool:
+    alg = FiniteAlgebra(field, cube, unit, validate=False)
+    n = alg.dim
+    return any(alg.mul(alg.table[i][g], alg.basis_vector(k))
+               != alg.mul(alg.basis_vector(i), alg.table[g][k])
+               for g in alg.generating_indices() for i in range(n) for k in range(n))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+@pytest.mark.parametrize("group", sorted(GROUP_TABLES))
+def test_generator_check_rejects_exactly_the_dense_loop_failures(field, group):
+    # one structure constant moved off the identity row and column, so the
+    # unit law holds and only associativity can fail
+    alg = group_algebra(field, GROUP_TABLES[group])
+    n = alg.dim
+    rng = random.Random(f"{group}/{field!r}")
+    others = [x for x in range(n) if not alg.unit[x]]
+    failures = 0
+    for _ in range(16):
+        i, j, m = rng.choice(others), rng.choice(others), rng.randrange(n)
+        cube = [[list(v) for v in row] for row in alg.structure]
+        cube[i][j][m] = cube[i][j][m] + field.of(rng.choice((1, -1, 2, 3)))
+        triple = _first_associativity_failure(field, cube, alg.unit)
+        if triple is None:
+            assert make_algebra(field, cube, alg.unit).dim == n
+            continue
+        failures += 1
+        _assert_rejected_at(field, cube, alg.unit, triple)
+        # Light's test: a non-associative cube fails at a generator too
+        assert _fails_at_a_generator(field, cube, alg.unit)
+    assert failures
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+def test_first_failure_is_named_when_its_middle_index_is_no_generator(field):
+    # e_5 e_1 moved: the first failing triple (1, 4, 1) has the middle index 4,
+    # which is no generator of the moved cube, yet the generators still fail
+    alg = group_algebra(field, S3_TABLE)
+    cube = [[list(v) for v in row] for row in alg.structure]
+    cube[5][1][0] = cube[5][1][0] + field.one
+    moved = FiniteAlgebra(field, cube, alg.unit, validate=False)
+    assert 4 not in moved.generating_indices()
+    assert _fails_at_a_generator(field, cube, alg.unit)
+    _assert_rejected_at(field, cube, alg.unit, (1, 4, 1))
+
+
+def _pair_closure_generators(alg) -> list[int]:
+    """The greedy basis-order choice with the closure under all pairwise products."""
+    def closure(vectors):
+        span = Subspace.span(alg.field, alg.dim, [alg.unit] + vectors)
+        while True:
+            products = [alg.mul(u, v) for u in span.basis for v in span.basis]
+            bigger = Subspace.span(alg.field, alg.dim, span.basis + products)
+            if bigger.dim == span.dim:
+                return bigger
+            span = bigger
+
+    gens: list[int] = []
+    span = Subspace.span(alg.field, alg.dim, [alg.unit])
+    for i in range(alg.dim):
+        if span.contains(alg.basis_vector(i)):
+            continue
+        gens.append(i)
+        span = closure(span.basis + [alg.basis_vector(i)])
+        if span.dim == alg.dim:
+            break
+    return gens
+
+
+def _a4_over_v4(field):
+    table = GROUP_TABLES["A4"]
+    v4 = [g for g in range(12) if table[g][g] == table[0][0]]  # 1 and the involutions
+    return group_pair(field, table, v4)[0]
+
+
+GENERATOR_CASES = {**{name: (lambda name=name: build_example(name)) for name in catalog_names()},
+                   "s3-a3 dense": dense_s3a3,
+                   # A4 is no product <a><b>, so right words need every generator
+                   "A4>V4 over F_3": lambda: _a4_over_v4(GF(3))}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_right_word_generators_equal_the_pair_closure_generators(name):
+    ext = GENERATOR_CASES[name]()
+    core = t_core(ext)
+    for alg in (ext.A, ext.B, core.R_alg, core.T_alg):
+        expected = _pair_closure_generators(alg)
+        assert alg.generating_indices() == expected
+        # the same indices whether chosen inside validation or afterwards
+        assert make_algebra(alg.field, alg.structure, alg.unit).generating_indices() == expected
+        assert FiniteAlgebra(alg.field, alg.structure, alg.unit,
+                             validate=False).generating_indices() == expected

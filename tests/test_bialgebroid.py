@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from depthtwo.algebras import AlgebraError
-from depthtwo.bialgebroid import (axiom_audit, build_T, build_T_quasibase_free,
+from depthtwo.algebras import AlgebraError, SelfCheckError
+from depthtwo.bialgebroid import (ModuleDualBasis, _check_reconstruction, axiom_audit,
+                                  build_T, build_T_quasibase_free,
                                   commutative_flip_check, left_r_projectivity,
                                   r_module_dual_bases, t_core,
                                   triple_tensor_witness)
@@ -275,6 +276,50 @@ def test_dual_bases_free_over_ground_field(c2_over_k):
         for j, elem in enumerate(left_db.elements):
             expected = core.R_alg.unit if i == j else [QQ.zero] * core.R_alg.dim
             assert phi.apply(elem) == expected
+
+
+def _reconstructs(core, actions, db) -> bool:
+    """The identity-column loop: x = sum_i combine(actions, phi_i(x)) m_i for every e_c."""
+    field = core.ext.A.field
+    for x in Matrix.identity(field, core.dim).data:
+        acc = [field.zero] * core.dim
+        for m_i, phi in zip(db.elements, db.functionals):
+            term = combine(actions, phi.apply(x)).apply(m_i)
+            acc = [a + b for a, b in zip(acc, term)]
+        if acc != x:
+            return False
+    return True
+
+
+def _variants(db):
+    """The dual basis and three perturbations of it."""
+    elems, funcs = db.elements, db.functionals
+    yield db
+    yield ModuleDualBasis(elems[:-1], funcs[:-1])
+    yield ModuleDualBasis(elems, [funcs[0].scaled(funcs[0].field.of(2))] + funcs[1:])
+    yield ModuleDualBasis(elems[::-1], funcs)
+
+
+@pytest.mark.parametrize("fixture", ["s3a3", "trivial_m2", "c2_over_k", "sqrt2", "sqrt2_f5"])
+def test_reconstruction_check_agrees_with_the_identity_column_loop(fixture, request):
+    ext = request.getfixturevalue(fixture)
+    right_db, left_db = r_module_dual_bases(ext, left_d2_quasibase(ext), right_d2_quasibase(ext))
+    core = t_core(ext)
+    cases = [(core.rho_R, right_db), (core.lam_R, left_db)]
+    projective = left_r_projectivity(core)
+    if projective is not None:
+        cases.append((core.lam_R, projective))
+    rejected = 0
+    for actions, db in cases:
+        for k, variant in enumerate(_variants(db)):
+            if _reconstructs(core, actions, variant):
+                _check_reconstruction(core, actions, variant, "reconstruction failed")
+                continue
+            assert k, "the computed dual basis must reconstruct"
+            rejected += 1
+            with pytest.raises(SelfCheckError, match="^reconstruction failed$"):
+                _check_reconstruction(core, actions, variant, "reconstruction failed")
+    assert rejected
 
 
 # -- commutative specialization ----------------------------------------------------

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from depthtwo.algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
-                               group_pair, ground_field_extension, matrix_algebra,
-                               subgroup_extension, trivial_extension)
+from depthtwo.algebras import (AlgebraError, group_pair, ground_field_extension,
+                               matrix_algebra, subgroup_extension, trivial_extension)
 from depthtwo.bialgebroid import t_core
-from depthtwo.bimodules import (BalancedTensor, Bimodule, _d2_hom_bases, algebra_bimodule,
-                                b_centralized, balanced_tensor,
+from depthtwo.bimodules import (BalancedTensor, Bimodule, QuasibaseSet, _d2_hom_bases,
+                                algebra_bimodule, b_centralized, balanced_tensor,
                                 bimodule_generators, compose_extensions,
                                 coproduct_summand_test, group_quasibase,
                                 h_separability_test, hom_space, intertwiners,
@@ -23,7 +22,7 @@ from depthtwo.fields import GF, QQ
 from depthtwo.galois import d2_iff_corollary_audit, tensor_with_t
 from depthtwo.linalg import Matrix, Subspace, combine, nullspace, solve_in_span
 
-from conftest import kron
+from conftest import dense_s3a3, kron
 
 
 # -- tensor square -----------------------------------------------------------
@@ -388,6 +387,19 @@ def test_left_quasibase_s3_a3(s3a3):
     assert verify_left_quasibase(s3a3, gq)
 
 
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "c2_over_k", "trivial_m2", "dense"])
+def test_quasibase_verifiers_reject_doubled_tensors(fixture, request):
+    # every tensor doubled: the sums become 2 (x (x) y), the pairs stay central
+    ext = dense_s3a3() if fixture == "dense" else request.getfixturevalue(fixture)
+    two = ext.A.field.of(2)
+    for qb, verify in ((right_d2_quasibase(ext), verify_right_quasibase),
+                       (left_d2_quasibase(ext), verify_left_quasibase)):
+        assert verify(ext, qb)
+        doubled = QuasibaseSet(qb.side, [(endo, [two * x for x in t]) for endo, t in qb.pairs],
+                               qb.ts)
+        assert not verify(ext, doubled)
+
+
 def test_ground_field_extension_always_d2(c2_over_k, sqrt2):
     for ext in (c2_over_k, sqrt2):
         assert right_d2_quasibase(ext) is not None
@@ -638,34 +650,13 @@ def test_summand_test_builds_no_vectorized_endomorphism(monkeypatch):
 # -- depth-two hom spaces in the small forms T and End_{B-B}(A) -----------------
 
 
-def _dense_basis(ext, p: Matrix):
-    """The same extension with A on the basis f_i = sum_k p[k][i] e_k."""
-    A = ext.A
-    p_inv = p.inverse()
-    cols = p.columns()
-    structure = [[p_inv.apply(A.mul(cols[i], cols[j])) for j in range(A.dim)]
-                 for i in range(A.dim)]
-    A2 = FiniteAlgebra(A.field, structure, p_inv.apply(A.unit))
-    return Extension(ext.B, A2, AlgebraMorphism(ext.B, A2, p_inv @ ext.iota.matrix))
-
-
-def _dense_s3a3():
-    """s3-a3 with A on a dense unimodular basis."""
-    n = 6
-    upper = [[QQ.of(1 if i == j else (-1) ** (i + j) if j > i else 0) for j in range(n)]
-             for i in range(n)]
-    lower = [[QQ.of(1 if i == j else 1 if j == i - 1 else 0) for j in range(n)]
-             for i in range(n)]
-    return _dense_basis(build_example("s3-a3"), Matrix(QQ, upper) @ Matrix(QQ, lower))
-
-
 C4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
 D2_HOM_CASES = {
     **{name: (lambda name=name: build_example(name)) for name in catalog_names()},
     "S3>A3 over F_2": lambda: group_pair(GF(2), S3_TABLE, A3_INDICES)[0],
     "S3>A3 over F_3": lambda: group_pair(GF(3), S3_TABLE, A3_INDICES)[0],
     "C4>C2 over F_2": lambda: subgroup_extension(GF(2), C4_TABLE, [0, 2])[0],
-    "s3-a3 dense": _dense_s3a3,
+    "s3-a3 dense": dense_s3a3,
 }
 
 
@@ -687,7 +678,7 @@ def test_d2_hom_bases_equal_the_hom_space_bases(name):
 
 def test_dense_basis_case_is_dense():
     # a group basis has one nonzero coordinate per product of basis elements
-    nonzeros = sum(1 for plane in _dense_s3a3().A.structure for row in plane for x in row if x)
+    nonzeros = sum(1 for plane in dense_s3a3().A.structure for row in plane for x in row if x)
     assert nonzeros > 2 * 6 * 6
 
 

@@ -431,3 +431,73 @@ def test_quotient_induced_equals_projection_map_section():
     q = quotient_structure(QQ, 2, [])
     with pytest.raises(LinAlgError):
         q.induced(Matrix.identity(QQ, 3))
+
+
+def shuffled_cases(rng, field):
+    """Row sets with zero rows, duplicate rows and full rank, each with a shuffled copy."""
+    for _ in range(25):
+        ncols = rng.randint(1, 7)
+        cases = [sparse_random_rows(rng, field, rng.randint(1, 9), ncols),
+                 Matrix.identity(field, ncols).data + [[field.zero] * ncols]]
+        # full rank with every row leading at column 0
+        full = [[field.of(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(ncols)]
+        if len(reference_rref(full, field, ncols)[1]) == ncols and all(row[0] for row in full):
+            cases.append(full)
+        for rows in cases:
+            rows = rows + [rows[rng.randrange(len(rows))][:]]  # a duplicate row
+            mixed = [as_dict(r) if rng.random() < 0.5 else r[:] for r in rows]
+            rng.shuffle(mixed)
+            yield ncols, rows, mixed
+
+
+def reference_solve(target, generators, field):
+    """The particular solution read off the reference RREF of [generators | target]."""
+    ng = len(generators)
+    system = [[g[r] for g in generators] + [target[r]] for r in range(len(target))]
+    red, pivots = reference_rref(system, field, ng + 1)
+    if pivots and pivots[-1] == ng:
+        return None
+    coeffs = [field.zero] * ng
+    for row, p in zip(red, pivots):
+        coeffs[p] = row[ng]
+    return coeffs
+
+
+def test_shuffled_rows_give_the_reference_results():
+    rng = random.Random(71)
+    for field in (QQ, GF(2), GF(5)):
+        for ncols, rows, mixed in shuffled_cases(rng, field):
+            red, pivots = reference_rref(rows, field, ncols)
+            assert rref(mixed, field, ncols) == (red, pivots)
+            basis = nullspace(mixed, field, ncols)
+            assert basis == nullspace(rows, field, ncols)
+            assert len(basis) == ncols - len(pivots)
+            for v in basis:
+                assert all(not x for x in dense_apply(field, rows, v))
+            q = quotient_structure(field, ncols, mixed)
+            assert q.free == [c for c in range(ncols) if c not in pivots]
+            assert q.rows == {p: as_dict(row) for p, row in zip(pivots, red)}
+            # the rows as generators, with their coordinates (the equations) shuffled
+            perm = list(range(ncols))
+            rng.shuffle(perm)
+            inside = dense_apply(field, list(zip(*rows)), [field.of(rng.randint(-2, 2))
+                                                           for _ in rows])
+            for target in (inside, [field.of(rng.randint(-2, 2)) for _ in range(ncols)]):
+                expected = reference_solve(target, rows, field)
+                gens = [[g[p] for p in perm] for g in rows]
+                gens = [as_dict(g) if k % 2 else g for k, g in enumerate(gens)]
+                assert solve_in_span([target[p] for p in perm], gens, field) == expected
+            assert reference_solve(inside, rows, field) is not None
+
+
+def test_bad_rows_are_rejected_wherever_they_stand():
+    one = QQ.one
+    good = [vec(QQ, 0, 0, 1), vec(QQ, 1, 0, 0)]
+    for bad in ({3: one}, {-1: one}, {"0": one}, vec(QQ, 1, 2), vec(QQ, 1, 2, 3, 4)):
+        for at in range(len(good) + 1):
+            rows = good[:at] + [bad] + good[at:]
+            for call in (lambda: rref(rows, QQ, 3), lambda: nullspace(rows, QQ, 3),
+                         lambda: quotient_structure(QQ, 3, rows),
+                         lambda: reverse_rref(rows, QQ, 3)):
+                with pytest.raises(LinAlgError):
+                    call()
