@@ -123,7 +123,9 @@ class TCore:
         for (s, t), x in self.t_lift_items(c):
             u = A.basis_vector(s) if left is None else left.column(s)
             v = A.basis_vector(t) if right is None else right.column(t)
-            acc = [a + x * b for a, b in zip(acc, A.mul(u, v))]
+            for i, y in enumerate(A.mul(u, v)):
+                if y:
+                    acc[i] = acc[i] + x * y
         return acc
 
     def _restricted_action(self, ambient: Matrix) -> Matrix:
@@ -155,12 +157,17 @@ class WitnessError(SelfCheckError):
 
 class TripleTensorWitness:
     """Realized isomorphisms T(x)_R T ~ (A(x)_B A(x)_B A)^B and the
-    fourfold analogue, with verified mutually-inverse matrices."""
+    fourfold analogue, with verified mutually-inverse matrices.
+
+    No quasibase enters: each forward map, in coordinates of the B-central
+    power, is inverted linearly.  An inverse is unique, so this is the
+    matrix the paper's quasibase formula gives whenever a quasibase exists.
+    """
 
     __slots__ = ("core", "q3", "q3b", "w3", "w3_inv", "q4", "q4b", "ttt",
                  "w4", "w4_inv", "_sandwich3", "_sandwich4_unit", "_fwd3_cache")
 
-    def __init__(self, core: TCore, rqb: QuasibaseSet | None):
+    def __init__(self, core: TCore):
         self.core = core
         self._fwd3_cache: dict[tuple[int, int], list] = {}
         ext = core.ext
@@ -197,14 +204,14 @@ class TripleTensorWitness:
         # forward map on T (x)_R T, one column per class of t_c (x) t_d
         self.w3 = core.tt.matrix_of(q3.dim, self.forward3)
         on_b3 = self._on_central(self.w3, self.q3b, "triple")
-        self.w3_inv = self._invert(on_b3, self.q3b, rqb, self._inv3_column)
+        self.w3_inv = self._invert(on_b3)
         self._check_round_trip(on_b3, self.w3_inv)
 
         # the quadruple stage: (T (x)_R T) (x)_R T
         self.ttt = balanced_tensor(core.tt, core.r_bimodule())
         self.w4 = self.ttt.matrix_of(q4.dim, self._forward4)
         on_b4 = self._on_central(self.w4, self.q4b, "quadruple")
-        self.w4_inv = self._invert(on_b4, self.q4b, rqb, self._inv4_column)
+        self.w4_inv = self._invert(on_b4)
         self._check_round_trip(on_b4, self.w4_inv)
 
     # -- forward maps ----------------------------------------------------
@@ -261,48 +268,11 @@ class TripleTensorWitness:
             raise WitnessError(f"dim of the T power != dim of B-central {power} power")
         return Matrix.from_columns(field, cols, nrows=target.dim)
 
-    def _invert(self, on_b: Matrix, target: Subspace, rqb, column_fn) -> Matrix:
-        if rqb is not None:
-            pairs = self.core.quasibase_in_T(rqb)
-            cols = [column_fn(v, pairs) for v in target.basis]
-            return Matrix.from_columns(self.core.ext.A.field, cols, nrows=on_b.ncols)
-        # without a quasibase the inverse is forced linearly
+    def _invert(self, on_b: Matrix) -> Matrix:
         try:
             return on_b.inverse()
         except LinAlgError as exc:
             raise WitnessError("forward map is not invertible") from exc
-
-    def _inv3_column(self, v: list, pairs: list) -> list:
-        """v -> sum_i (v^1 (x) v^2 gamma_i(v^3)) (x)_R u_i, in T(x)_R T coordinates."""
-        core = self.core
-        A = core.ext.A
-        items3 = self.q3.lift_items(v)
-        terms = []
-        for gamma, u_t in pairs:
-            pair_items = []
-            for (i, j, k), c in items3:
-                for l, a in enumerate(A.mul(A.basis_vector(j), gamma.column(k))):
-                    if a:
-                        pair_items.append(((i, l), c * a))
-            w = core.t_coords(core.ts.project_items(pair_items),
-                              "witness inverse left T")
-            terms.append((A.field.one, w, u_t))
-        return core.tt.class_of_sum(terms)
-
-    def _inv4_column(self, v: list, pairs: list) -> list:
-        """Fold the rightmost leg with the quasibase, then reuse the triple inverse."""
-        A = self.core.ext.A
-        items4 = self.q4.lift_items(v)
-        terms = []
-        for gamma, u_t in pairs:
-            items3 = []
-            for (i, j, k, l), c in items4:
-                for s, a in enumerate(A.mul(A.basis_vector(k), gamma.column(l))):
-                    if a:
-                        items3.append(((i, j, s), c * a))
-            w = self.w3_inv.apply(self.to_q3b(self.q3.project_items(items3)))
-            terms.append((A.field.one, w, u_t))
-        return self.ttt.class_of_sum(terms)
 
     def _check_round_trip(self, on_b: Matrix, inv: Matrix):
         field = self.core.ext.A.field
@@ -382,38 +352,39 @@ def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
 
 
 def build_T(ext: Extension, rqb: QuasibaseSet) -> RightBialgebroid:
-    """Assemble the bialgebroid from a verified right quasibase.
+    """The cached quasibase-free bialgebroid with a verified right quasibase attached.
 
-    The coproduct computed through the witness isomorphism must agree with
-    the direct quasibase sum; a mismatch means the quasibase is corrupt.
+    The coproduct forced by the witness must agree with the direct
+    quasibase sum; a mismatch means the quasibase is corrupt.
     """
     from .bimodules import verify_right_quasibase
     if rqb is None or rqb.side != "right":
         raise AlgebraError("build_T needs a right quasibase")
     if not verify_right_quasibase(ext, rqb):
         raise AlgebraError("quasibase failed verification")
-    core = t_core(ext)
-    witness = TripleTensorWitness(core, rqb)
-    delta = _delta_from_witness(core, witness)
-    if delta != _delta_direct(core, rqb):
+    free = build_T_quasibase_free(ext)
+    if free.Delta != _delta_direct(free.core, rqb):
         raise SelfCheckError("witness coproduct disagrees with the quasibase formula")
-    return RightBialgebroid(core, witness, delta, rqb)
+    return RightBialgebroid(free.core, free.witness, free.Delta, rqb)
 
 
 def build_T_quasibase_free(ext: Extension) -> RightBialgebroid:
-    """Assemble T with the coproduct forced by linear inversion of the witness.
+    """T with the coproduct forced by linear inversion of the witness, cached.
 
-    Used by the quasibase-independent audits; raises WitnessError when the
-    forward map is not an isomorphism onto the B-central triple power.
+    Reads no quasibase, so the quasibase-independent audits may use it;
+    raises WitnessError when the forward map is not an isomorphism onto the
+    B-central triple power.
     """
-    core = t_core(ext)
-    witness = TripleTensorWitness(core, None)
-    delta = _delta_from_witness(core, witness)
-    return RightBialgebroid(core, witness, delta, None)
+    if "bgd" not in ext._cache:
+        core = t_core(ext)
+        witness = TripleTensorWitness(core)
+        ext._cache["bgd"] = RightBialgebroid(core, witness,
+                                             _delta_from_witness(core, witness), None)
+    return ext._cache["bgd"]
 
 
-def triple_tensor_witness(ext: Extension, rqb: QuasibaseSet) -> TripleTensorWitness:
-    return TripleTensorWitness(t_core(ext), rqb)
+def triple_tensor_witness(ext: Extension) -> TripleTensorWitness:
+    return build_T_quasibase_free(ext).witness
 
 
 # -- the axiom audit -----------------------------------------------------

@@ -9,8 +9,9 @@ from depthtwo.bialgebroid import (ModuleDualBasis, _check_reconstruction, axiom_
                                   r_module_dual_bases, t_core,
                                   triple_tensor_witness)
 from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase
+from depthtwo.catalog import build_example, catalog_names
 from depthtwo.fields import GF, QQ
-from depthtwo.galois import galois_map, ice_matrix, tensor_with_t
+from depthtwo.galois import galois_map, ice_matrix, main_theorem_audit, tensor_with_t
 from depthtwo.linalg import Matrix, combine
 
 
@@ -98,7 +99,7 @@ def test_corrupted_coproduct_fails_with_witness(bgd_s3a3):
 # -- witness isomorphisms ------------------------------------------------------
 
 def test_witness_round_trips(s3a3, bgd_s3a3):
-    wit = triple_tensor_witness(s3a3, bgd_s3a3.rqb)
+    wit = triple_tensor_witness(s3a3)
     core = bgd_s3a3.core
     assert wit.q3b.dim == core.tt.dim
     assert wit.q4b.dim == wit.ttt.dim
@@ -231,10 +232,93 @@ def test_matrix_of_maps_equal_the_identity_column_loop(fixture, request):
 
 def test_quasibase_free_construction_matches(s3a3, bgd_s3a3):
     free = build_T_quasibase_free(s3a3)
+    assert free.witness is bgd_s3a3.witness
+    assert free.rqb is None and bgd_s3a3.rqb is not None
     assert free.Delta == bgd_s3a3.Delta
     assert free.core.eps == bgd_s3a3.core.eps
     assert free.core.s_R == bgd_s3a3.core.s_R
     assert free.core.t_R == bgd_s3a3.core.t_R
+
+
+# -- one witness per extension -----------------------------------------------------
+
+def test_witness_reads_no_quasibase(monkeypatch):
+    import depthtwo.bimodules as bimodules_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the witness read a quasibase")
+
+    for name in ("right_d2_quasibase", "left_d2_quasibase", "verify_right_quasibase"):
+        monkeypatch.setattr(bimodules_mod, name, forbidden)
+    ext = build_example("s3-a3")
+    free = build_T_quasibase_free(ext)
+    assert triple_tensor_witness(ext) is free.witness
+    assert free.rqb is None
+
+
+def test_build_T_and_main_theorem_audit_build_one_witness(monkeypatch):
+    import depthtwo.bialgebroid as bialgebroid_mod
+    built = []
+
+    class CountingWitness(bialgebroid_mod.TripleTensorWitness):
+        __slots__ = ()
+
+        def __init__(self, core):
+            built.append(core)
+            super().__init__(core)
+
+    monkeypatch.setattr(bialgebroid_mod, "TripleTensorWitness", CountingWitness)
+    ext = build_example("s3-a3")
+    build_T(ext, right_d2_quasibase(ext))
+    assert main_theorem_audit(ext).consistent
+    assert len(built) == 1
+
+
+def _quasibase_inverses(wit, rqb) -> tuple[Matrix, Matrix]:
+    """The paper's inverses of the comparison maps, written with a right
+    quasibase (gamma_i, u_i):
+      triple:    v -> sum_i (v^1 (x) v^2 gamma_i(v^3)) (x)_R u_i,
+      quadruple: fold the last leg the same way, then apply the triple inverse;
+    one column per basis vector of the B-central power."""
+    core = wit.core
+    A = core.ext.A
+    one = A.field.one
+    pairs = core.quasibase_in_T(rqb)
+
+    def fold(items):
+        # v^1 (x) ... (x) v^(last-1) gamma(v^last) for each quasibase pair
+        for gamma, u_t in pairs:
+            folded = [(idx[:-2] + (l,), c * a) for idx, c in items
+                      for l, a in enumerate(A.mul(A.basis_vector(idx[-2]),
+                                                  gamma.column(idx[-1]))) if a]
+            yield folded, u_t
+
+    inv3 = [core.tt.class_of_sum([(one, core.t_coords(core.ts.project_items(f), "left T"), u)
+                                  for f, u in fold(wit.q3.lift_items(v))])
+            for v in wit.q3b.basis]
+    w3_inv = Matrix.from_columns(A.field, inv3, nrows=core.tt.dim)
+    inv4 = [wit.ttt.class_of_sum([(one, w3_inv.apply(wit.to_q3b(wit.q3.project_items(f))), u)
+                                  for f, u in fold(wit.q4.lift_items(v))])
+            for v in wit.q4b.basis]
+    return w3_inv, Matrix.from_columns(A.field, inv4, nrows=wit.ttt.dim)
+
+
+def test_linear_inverses_are_the_quasibase_inverses():
+    # the library inverts the witness linearly; an inverse is unique, so it
+    # must reproduce the paper's quasibase formula on every positive example
+    positive = []
+    for name in catalog_names():
+        ext = build_example(name)
+        rqb = right_d2_quasibase(ext)
+        if rqb is None:
+            continue
+        positive.append(name)
+        wit = build_T(ext, rqb).witness
+        ref3, ref4 = _quasibase_inverses(wit, rqb)
+        for j in range(wit.q3b.dim):
+            assert wit.w3_inv.column(j) == ref3.column(j), (name, j)
+        assert wit.w4_inv == ref4, name
+    assert len(positive) >= 7, positive
 
 
 # -- projectivity and dual bases ------------------------------------------------

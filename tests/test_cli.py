@@ -268,6 +268,17 @@ def test_failed_witness_in_the_audit_exits_inconsistent(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_rho_b_outside_its_double_commutant_exits_inconsistent(monkeypatch, capsys):
+    # rho(B) commutes with End(A_B) by construction, so escaping the double
+    # commutant is a library bug, not bad input
+    import depthtwo.galois as galois_mod
+    monkeypatch.setattr(galois_mod, "intertwiners", lambda field, dm, dn, pairs: [])
+    code, out = run_cli("galois", json.dumps(example_to_json("s3-a3")), "--json")
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INCONSISTENT and out == ""
+    assert len(err) == 1 and "double commutant" in err[0]
+
+
 def test_large_prime_modulus_runs():
     doc = {"field": {"Fp": 10 ** 18 + 3}, "kind": "group",
            "table": [[0, 1], [1, 0]], "subgroup": [0]}

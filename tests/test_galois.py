@@ -178,6 +178,17 @@ def test_comodule_condition_names(sqrt2_galois):
         "coaction_unital", "base_twist_compatibility", "coaction_multiplicative"]
 
 
+def test_corrupted_coproduct_fails_comodule_coassociativity(s3_galois):
+    ext, rqb, bgd, delta = s3_galois
+    bad = bgd.Delta.copy()
+    for row in bad.data:
+        row[0], row[1] = row[1], row[0]   # swap two columns of Delta
+    report = comodule_algebra_audit(ext, delta, bgd.replaced(Delta=bad))
+    assert report.failing() == ["comodule_counit_and_coassociativity"]
+    assert report.results["comodule_counit_and_coassociativity"][1].startswith(
+        "coassociativity fails at e_")
+
+
 def test_corrupted_coaction_fails_multiplicativity(sqrt2_galois):
     ext, rqb, bgd, delta = sqrt2_galois
     bad = delta.copy()
