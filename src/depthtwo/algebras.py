@@ -9,6 +9,8 @@ rather than by b itself.
 
 from __future__ import annotations
 
+import functools
+
 from .linalg import Matrix, Subspace, combine, insert_row, nullspace
 # re-exported: callers and profiling tools look solve_in_span up in this module
 from .linalg import solve_in_span  # noqa: F401
@@ -395,7 +397,7 @@ class Extension:
         self.B = B
         self.A = A
         self.iota = iota
-        self._cache: dict = {}
+        self._cache: dict = {}  # written only by per_extension
 
     def iota_col(self, j: int) -> list:
         return self.iota.matrix.column(j)
@@ -408,6 +410,18 @@ class Extension:
 
     def right_mult_iota(self, j: int) -> Matrix:
         return combine(self.A.right_mults, self.iota_col(j))
+
+
+def per_extension(f):
+    """Run f(ext, *args) once per extension and arguments: the result, None
+    included, is kept in ``ext._cache`` under (f, *args) and returned as is."""
+    @functools.wraps(f)
+    def memo(ext: Extension, *args):
+        key = (f, *args)
+        if key not in ext._cache:
+            ext._cache[key] = f(ext, *args)
+        return ext._cache[key]
+    return memo
 
 
 def trivial_extension(A: FiniteAlgebra) -> Extension:

@@ -17,7 +17,8 @@ power and compares coordinates exactly.
 
 from __future__ import annotations
 
-from .algebras import AlgebraError, Extension, SelfCheckError, centralizer, make_algebra
+from .algebras import (AlgebraError, Extension, SelfCheckError, centralizer, make_algebra,
+                       per_extension)
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
@@ -145,10 +146,9 @@ class TCore:
         return self.T_alg.mul(x, y)
 
 
+@per_extension
 def t_core(ext: Extension) -> TCore:
-    if "tcore" not in ext._cache:
-        ext._cache["tcore"] = TCore(ext)
-    return ext._cache["tcore"]
+    return TCore(ext)
 
 
 class WitnessError(SelfCheckError):
@@ -165,41 +165,18 @@ class TripleTensorWitness:
     """
 
     __slots__ = ("core", "q3", "q3b", "w3", "w3_inv", "q4", "q4b", "ttt",
-                 "w4", "w4_inv", "_sandwich3", "_sandwich4_unit", "_fwd3_cache")
+                 "w4", "w4_inv", "_fwd3_cache")
 
     def __init__(self, core: TCore):
         self.core = core
         self._fwd3_cache: dict[tuple[int, int], list] = {}
         ext = core.ext
-        A = ext.A
-        field = A.field
-        m = core.dim
         q3 = tensor_power(ext, 3)
         q4 = tensor_power(ext, 4)
         self.q3 = q3
         self.q4 = q4
         self.q3b = b_centralized(ext, q3)
         self.q4b = b_centralized(ext, q4)
-
-        # sandwich3[c] : a -> image of t_c^1 (x) a (x) t_c^2 in Q3 coordinates
-        self._sandwich3 = []
-        for c in range(m):
-            cols = []
-            for a in range(A.dim):
-                items = [((s, a, t), c1) for (s, t), c1 in core.t_lift_items(c)]
-                cols.append(q3.project_items(items))
-            self._sandwich3.append(Matrix.from_columns(field, cols, nrows=q3.dim))
-        # column c: image of t_c^1 (x) 1 (x) 1 (x) t_c^2 in Q4 coordinates
-        unit_nz = [(i, c) for i, c in enumerate(A.unit) if c]
-        cols = []
-        for c in range(m):
-            items = []
-            for (s, t), c1 in core.t_lift_items(c):
-                for u1, cu1 in unit_nz:
-                    for u2, cu2 in unit_nz:
-                        items.append(((s, u1, u2, t), c1 * cu1 * cu2))
-            cols.append(q4.project_items(items))
-        self._sandwich4_unit = Matrix.from_columns(field, cols, nrows=q4.dim)
 
         # forward map on T (x)_R T, one column per class of t_c (x) t_d
         self.w3 = core.tt.matrix_of(q3.dim, self.forward3)
@@ -283,13 +260,23 @@ class TripleTensorWitness:
 
     # -- distinguished images --------------------------------------------
 
+    def _t_items(self, tcoords: list):
+        """Items ((s, t), coefficient) of the sparse lift of t given in T coordinates."""
+        return [(st, x * c1) for c, x in enumerate(tcoords) if x
+                for st, c1 in self.core.t_lift_items(c)]
+
     def sandwich3(self, tcoords: list, mid: list) -> list:
         """Q3 coordinates of t^1 (x) mid (x) t^2 for t given in T coordinates."""
-        return combine(self._sandwich3, tcoords).apply(mid)
+        mid_nz = [(a, y) for a, y in enumerate(mid) if y]
+        return self.q3.project_items([((s, a, t), c * y) for (s, t), c in self._t_items(tcoords)
+                                      for a, y in mid_nz])
 
     def sandwich4_unit(self, tcoords: list) -> list:
         """Q4 coordinates of t^1 (x) 1 (x) 1 (x) t^2."""
-        return self._sandwich4_unit.apply(tcoords)
+        unit_nz = [(i, u) for i, u in enumerate(self.core.ext.A.unit) if u]
+        return self.q4.project_items([((s, u1, u2, t), c * x1 * x2)
+                                      for (s, t), c in self._t_items(tcoords)
+                                      for u1, x1 in unit_nz for u2, x2 in unit_nz])
 
     def to_q3b(self, q3_coords: list) -> list:
         coords = self.q3b.coords(q3_coords)
@@ -368,6 +355,7 @@ def build_T(ext: Extension, rqb: QuasibaseSet) -> RightBialgebroid:
     return RightBialgebroid(free.core, free.witness, free.Delta, rqb)
 
 
+@per_extension
 def build_T_quasibase_free(ext: Extension) -> RightBialgebroid:
     """T with the coproduct forced by linear inversion of the witness, cached.
 
@@ -375,12 +363,9 @@ def build_T_quasibase_free(ext: Extension) -> RightBialgebroid:
     raises WitnessError when the forward map is not an isomorphism onto the
     B-central triple power.
     """
-    if "bgd" not in ext._cache:
-        core = t_core(ext)
-        witness = TripleTensorWitness(core)
-        ext._cache["bgd"] = RightBialgebroid(core, witness,
-                                             _delta_from_witness(core, witness), None)
-    return ext._cache["bgd"]
+    core = t_core(ext)
+    witness = TripleTensorWitness(core)
+    return RightBialgebroid(core, witness, _delta_from_witness(core, witness), None)
 
 
 def triple_tensor_witness(ext: Extension) -> TripleTensorWitness:
@@ -490,13 +475,13 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
 
     # Delta is right R-linear: Delta(t r) = t_(1) (x) t_(2) r
     def coproduct_right_linear():
+        q3_right = [combine(wit.q3.right_action, core.incl_R.column(r)) for r in range(rdim)]
         for c in range(m):
             for r in range(rdim):
                 lhs = Delta.apply(core.rho_R[r].apply(tvec(c)))
                 rhs = tt.right_action[r].apply(Delta.apply(tvec(c)))
                 yield lhs == rhs, f"right R-linearity fails at (t_{c}, r_{r})"
-                expected = combine(wit.q3.right_action, core.incl_R.column(r)).apply(
-                    wit.sandwich3(tvec(c), A.unit))
+                expected = q3_right[r].apply(wit.sandwich3(tvec(c), A.unit))
                 yield (wit.w3.apply(lhs) == expected and wit.w3.apply(rhs) == expected,
                        f"triple-power image mismatch at (t_{c}, r_{r})")
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import copy
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
-                       SelfCheckError, field_as_algebra, group_inverses)
+                       SelfCheckError, field_as_algebra, group_inverses, per_extension)
 from .linalg import (Matrix, Subspace, action_images, combine, combine_images, insert_row,
                      nullspace, quotient_structure, reverse_rref, solve_in_span)
 
@@ -305,25 +305,21 @@ def balanced_tensor(M: Bimodule, N: Bimodule) -> BalancedTensor:
     return BalancedTensor(M, N, quotient_structure(field, dm * dn, relations))
 
 
+@per_extension
 def tensor_square(ext: Extension) -> BalancedTensor:
-    """A (x)_B A as an A-A-bimodule, cached on the extension."""
-    if "ts" not in ext._cache:
-        ext._cache["ts"] = balanced_tensor(algebra_bimodule(ext, "A", "B"),
-                                           algebra_bimodule(ext, "B", "A"))
-    return ext._cache["ts"]
+    """A (x)_B A as an A-A-bimodule."""
+    return balanced_tensor(algebra_bimodule(ext, "A", "B"), algebra_bimodule(ext, "B", "A"))
 
 
+@per_extension
 def tensor_power(ext: Extension, k: int) -> BalancedTensor:
-    """The k-fold tensor power of A over B (k >= 2), cached on the extension."""
+    """The k-fold tensor power of A over B (k >= 2)."""
     if k < 2:
         raise ValueError("tensor_power needs k >= 2")
     if k == 2:
         return tensor_square(ext)
-    key = ("power", k)
-    if key not in ext._cache:
-        prev = restrict(tensor_power(ext, k - 1), right=ext.iota)
-        ext._cache[key] = balanced_tensor(prev, algebra_bimodule(ext, "B", "A"))
-    return ext._cache[key]
+    prev = restrict(tensor_power(ext, k - 1), right=ext.iota)
+    return balanced_tensor(prev, algebra_bimodule(ext, "B", "A"))
 
 
 def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
@@ -355,11 +351,10 @@ def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
     return Subspace.span(field, M.dim, nullspace(rows, field, M.dim))
 
 
+@per_extension
 def t_space(ext: Extension) -> Subspace:
-    """T = (A (x)_B A)^B, the B-central tensor square, cached on the extension."""
-    if "T" not in ext._cache:
-        ext._cache["T"] = b_centralized(ext, tensor_square(ext))
-    return ext._cache["T"]
+    """T = (A (x)_B A)^B, the B-central tensor square."""
+    return b_centralized(ext, tensor_square(ext))
 
 
 def unit_tensor(ext: Extension, unit_first: bool) -> Matrix:
@@ -403,16 +398,15 @@ def hom_space(M: Bimodule, N: Bimodule) -> list[Matrix]:
     return intertwiners(M.left_algebra.field, M.dim, N.dim, pairs)
 
 
+@per_extension
 def bb_endomorphisms(ext: Extension) -> list[Matrix]:
     """S = End_{B-B}(A): maps commuting with left and right multiplication by
-    the generators of B, cached on the extension."""
-    if "S" not in ext._cache:
-        pairs = []
-        for j in ext.B.generating_indices():
-            lb, rb = ext.left_mult_iota(j), ext.right_mult_iota(j)
-            pairs += [(lb, lb), (rb, rb)]
-        ext._cache["S"] = intertwiners(ext.A.field, ext.A.dim, ext.A.dim, pairs)
-    return ext._cache["S"]
+    the generators of B."""
+    pairs = []
+    for j in ext.B.generating_indices():
+        lb, rb = ext.left_mult_iota(j), ext.right_mult_iota(j)
+        pairs += [(lb, lb), (rb, rb)]
+    return intertwiners(ext.A.field, ext.A.dim, ext.A.dim, pairs)
 
 
 class SummandFactorization:
@@ -601,10 +595,8 @@ def left_d2_quasibase(ext: Extension) -> QuasibaseSet | None:
     return _d2_quasibase(ext, "left")
 
 
+@per_extension
 def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
-    key = side[0] + "qb"
-    if key in ext._cache:
-        return ext._cache[key]
     right = side == "right"
     ts = tensor_square(ext)
     M = restrict(ts, right=ext.iota) if right else restrict(ts, left=ext.iota)
@@ -618,7 +610,6 @@ def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
         verify = verify_right_quasibase if right else verify_left_quasibase
         if not verify(ext, result):
             raise SelfCheckError(f"derived {side} quasibase failed verification")
-    ext._cache[key] = result
     return result
 
 

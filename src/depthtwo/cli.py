@@ -35,7 +35,11 @@ def _load_extension(source: str):
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{source} is not UTF-8 text: {exc}") from exc
-    return extension_from_json(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ParseError("document is nested too deeply") from exc
+    return extension_from_json(doc)
 
 
 def _emit(report: dict, as_json: bool, out) -> None:

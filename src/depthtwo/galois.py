@@ -1,39 +1,47 @@
 """Coaction, Galois map, coinvariants, balance, and the theorem audits.
 
 The canonical comparison map A (x)_R T -> A (x)_B A, a (x) t -> a t^1 (x) t^2
-is defined for every extension with no quasibase at all; together with an
-independent projectivity test for T over R it decides the depth-two
-condition a second way, which is the oracle the quasibase solver is
-checked against.  The coaction sends a to the class of 1 (x) a through
-the inverse comparison map, and the full audit confirms that the two
-characterizations (quasibase + balance versus Galois data) always agree.
+is defined for every extension with no quasibase at all and is built once
+per extension (``comparison_map``).  With an independent projectivity test
+for T over R it decides the depth-two condition a second way
+(``d2_iff_corollary_audit``), the oracle the quasibase solver is checked
+against.  The main-theorem audit reads its Galois side off that audit: the
+coaction sends a to the class of 1 (x) a through the inverse comparison
+map, and the two characterizations (quasibase + balance versus Galois
+data) must agree.
 """
 
 from __future__ import annotations
 
-from .algebras import AlgebraError, AlgebraMorphism, Extension, SelfCheckError, SubalgebraData
+from .algebras import (AlgebraError, AlgebraMorphism, Extension, SelfCheckError,
+                       SubalgebraData, per_extension)
 from .bialgebroid import (AuditReport, RightBialgebroid, TCore, build_T_quasibase_free,
                           left_r_projectivity, t_core)
 from .bimodules import (BalancedTensor, QuasibaseSet, algebra_bimodule, balanced_tensor,
-                        intertwiners, restrict, right_d2_quasibase, tensor_square,
-                        unit_tensor)
+                        intertwiners, left_d2_quasibase, restrict, right_d2_quasibase,
+                        tensor_square, unit_tensor)
 from .linalg import LinAlgError, Matrix, Subspace, combine, nullspace
 
 
+@per_extension
 def tensor_with_t(ext: Extension) -> BalancedTensor:
-    """A (x)_R T as an A-R-bimodule, cached on the extension."""
-    if "at" not in ext._cache:
-        core = t_core(ext)
-        incl = AlgebraMorphism(core.R_alg, ext.A, core.incl_R, validate=False)
-        A_R = restrict(algebra_bimodule(ext, "A", "A"), right=incl)
-        ext._cache["at"] = balanced_tensor(A_R, core.r_bimodule())
-    return ext._cache["at"]
+    """A (x)_R T as an A-R-bimodule."""
+    core = t_core(ext)
+    incl = AlgebraMorphism(core.R_alg, ext.A, core.incl_R, validate=False)
+    A_R = restrict(algebra_bimodule(ext, "A", "A"), right=incl)
+    return balanced_tensor(A_R, core.r_bimodule())
 
 
 def ice_matrix(core: TCore, at: BalancedTensor) -> Matrix:
     """The comparison map A (x)_R T -> A (x)_B A, a (x) t -> a t^1 (x) t^2."""
     return at.matrix_of(core.ts.dim,
                         lambda k, c: core.ts.left_action[k].apply(core.t_basis[c]))
+
+
+@per_extension
+def comparison_map(ext: Extension) -> Matrix:
+    """``ice_matrix`` of the extension's own T and A (x)_R T."""
+    return ice_matrix(t_core(ext), tensor_with_t(ext))
 
 
 def coaction(ext: Extension, rqb: QuasibaseSet) -> Matrix:
@@ -80,7 +88,7 @@ def galois_map(ext: Extension, rqb: QuasibaseSet) -> GaloisMap:
                                 for gamma, u_t in pairs])
 
     beta = ts.matrix_of(at.dim, pure)
-    ice = ice_matrix(core, at)
+    ice = comparison_map(ext)
     bij = (at.dim == ts.dim
            and beta.rank() == ts.dim
            and ice @ beta == Matrix.identity(field, ts.dim)
@@ -174,6 +182,7 @@ class BalancedReport:
                 "double_commutant_dim": self.double_commutant_dim}
 
 
+@per_extension
 def balanced_audit(ext: Extension) -> BalancedReport:
     """Compute E = End(A_B), its commutant, and test it against rho(iota(B))."""
     A = ext.A
@@ -213,7 +222,7 @@ def comodule_algebra_audit(ext: Extension, delta: Matrix,
     n = A.dim
     R = core.R_alg
     report = AuditReport()
-    ice = ice_matrix(core, at)
+    ice = comparison_map(ext)
 
     # (1) R -> A is an algebra map (the centralizer inclusion)
     def base_map_is_algebra_map():
@@ -311,15 +320,14 @@ class CorollaryReport:
                 "agree": self.agree}
 
 
+@per_extension
 def d2_iff_corollary_audit(ext: Extension) -> CorollaryReport:
     """Decide right depth two twice: quasibase solver vs. the comparison map
     a (x) t -> a t^1 (x) t^2 being bijective with T left R-projective."""
     quasibase_verdict = right_d2_quasibase(ext) is not None
-    core = t_core(ext)
-    at = tensor_with_t(ext)
-    ice = ice_matrix(core, at)
-    bij = at.dim == core.ts.dim and ice.rank() == core.ts.dim
-    proj = left_r_projectivity(core) is not None
+    ts = tensor_square(ext)
+    bij = tensor_with_t(ext).dim == ts.dim and comparison_map(ext).rank() == ts.dim
+    proj = left_r_projectivity(t_core(ext)) is not None
     return CorollaryReport(quasibase_verdict, bij, proj)
 
 
@@ -349,29 +357,24 @@ class MainTheoremReport:
 
 
 def main_theorem_audit(ext: Extension) -> MainTheoremReport:
-    """Right D2 + balanced on one side; Galois data for the canonical T on the
-    other.  The two verdicts are computed along disjoint pathways and must
-    agree; disagreement is the strongest possible failure signal.
+    """Right D2 + balanced on one side; on the other, Galois data for the
+    canonical T, read with no quasibase off ``d2_iff_corollary_audit``.  The
+    two verdicts must agree; disagreement is the strongest failure signal.
     """
-    from .bimodules import left_d2_quasibase
     rqb = right_d2_quasibase(ext)
     lqb = left_d2_quasibase(ext)
     bal = balanced_audit(ext)
     lhs = (rqb is not None) and bal.balanced
 
-    core = t_core(ext)
-    at = tensor_with_t(ext)
-    ice = ice_matrix(core, at)
-    proj = left_r_projectivity(core)
-    galois_bij = at.dim == core.ts.dim and ice.rank() == core.ts.dim
+    corollary = d2_iff_corollary_audit(ext)
     coinv_eq = None
     comodule = None
     rhs = False
-    if galois_bij and proj is not None:
+    if corollary.corollary_right_d2:
         # the corollary path already says depth two here, so a failure below is
         # a failed self-check (WitnessError propagates), not a negative verdict
         try:
-            ice_inv = ice.inverse()
+            ice_inv = comparison_map(ext).inverse()
         except LinAlgError as exc:
             raise SelfCheckError("comparison map of full rank is not invertible") from exc
         delta = ice_inv @ unit_tensor(ext, unit_first=True)
@@ -384,8 +387,8 @@ def main_theorem_audit(ext: Extension) -> MainTheoremReport:
                              left_d2=(lqb is not None),
                              balanced=bal.balanced,
                              lhs=lhs,
-                             rt_projective=(proj is not None),
-                             galois_bijective=galois_bij,
+                             rt_projective=corollary.rt_projective,
+                             galois_bijective=corollary.comparison_bijective,
                              coinvariants_equal_b=coinv_eq,
                              comodule=comodule,
                              rhs=rhs,

@@ -10,7 +10,7 @@ from depthtwo.algebras import (AlgebraError, FiniteAlgebra, centralizer,
                                field_as_algebra, group_algebra, group_pair,
                                ground_field_extension, ideal_closure,
                                is_two_sided_ideal, make_algebra, matrix_algebra,
-                               normality_audit, subgroup_extension,
+                               normality_audit, per_extension, subgroup_extension,
                                trivial_extension)
 from depthtwo.catalog import (A3_INDICES, C2_TABLE, S3_TABLE, TRANSPOSITION_INDICES,
                               build_example, catalog_names)
@@ -412,3 +412,48 @@ def test_right_word_generators_equal_the_pair_closure_generators(name):
         assert make_algebra(alg.field, alg.structure, alg.unit).generating_indices() == expected
         assert FiniteAlgebra(alg.field, alg.structure, alg.unit,
                              validate=False).generating_indices() == expected
+
+
+# -- per_extension ------------------------------------------------------------
+
+def test_per_extension_returns_the_cached_object_until_the_extension_changes():
+    calls = []
+
+    @per_extension
+    def probe(ext):
+        calls.append(ext)
+        return object()
+
+    ext, fresh = build_example("c2-over-k"), build_example("c2-over-k")
+    first = probe(ext)
+    assert probe(ext) is first and calls == [ext]
+    assert probe(fresh) is not first and calls == [ext, fresh]
+    assert t_core(ext) is t_core(ext) and t_core(fresh) is not t_core(ext)
+
+
+def test_per_extension_keeps_arguments_apart():
+    from depthtwo.bimodules import (left_d2_quasibase, right_d2_quasibase,
+                                    tensor_power)
+    ext = build_example("s3-a3")
+    q3, q4 = tensor_power(ext, 3), tensor_power(ext, 4)
+    assert q3 is not q4 and q3.dim != q4.dim
+    assert tensor_power(ext, 3) is q3 and tensor_power(ext, 4) is q4
+    rqb, lqb = right_d2_quasibase(ext), left_d2_quasibase(ext)
+    assert (rqb.side, lqb.side) == ("right", "left")
+    assert right_d2_quasibase(ext) is rqb and left_d2_quasibase(ext) is lqb
+
+
+def test_per_extension_caches_none(monkeypatch):
+    import depthtwo.bimodules as bimodules_mod
+    solves = []
+    original = bimodules_mod.summand_factorization
+
+    def counted(*args):
+        solves.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bimodules_mod, "summand_factorization", counted)
+    ext = build_example("s3-transposition")
+    assert bimodules_mod.right_d2_quasibase(ext) is None
+    assert bimodules_mod.right_d2_quasibase(ext) is None
+    assert len(solves) == 1

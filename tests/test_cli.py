@@ -285,3 +285,21 @@ def test_large_prime_modulus_runs():
     code, out = run_cli("d2", json.dumps(doc), "--json")
     assert code == EXIT_OK
     assert json.loads(out)["right_d2"] is True
+
+
+# nested far past the JSON parser's recursion limit on every supported Python
+DEEP_DOCUMENT = '{"A": ' + "[" * 100000 + "]" * 100000 + "}"
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_deeply_nested_document_is_one_error_line(inline, tmp_path, capsys):
+    source = DEEP_DOCUMENT
+    if not inline:
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_DOCUMENT)
+        source = str(path)
+    code, out = run_cli("audit", source)
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err

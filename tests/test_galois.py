@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from depthtwo.algebras import SelfCheckError
-from depthtwo.bialgebroid import WitnessError, build_T, t_core
-from depthtwo.bimodules import right_d2_quasibase, tensor_square
+from depthtwo.bialgebroid import WitnessError, axiom_audit, build_T, t_core
+from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square
 from depthtwo.catalog import catalog_names, build_example
 from depthtwo.fields import QQ
 from depthtwo.galois import (balanced_audit, coaction, coinvariants,
@@ -311,3 +311,48 @@ def test_main_theorem_audit_reports_a_singular_comparison_inverse(monkeypatch):
 def test_main_theorem_audit_negative_verdict_is_not_an_error():
     report = main_theorem_audit(build_example("s3-transposition"))
     assert report.rhs is False and report.lhs is False and report.consistent
+
+
+# -- one memo per extension: each derived object is built once ---------------------
+
+def _perfbench_order(ext):
+    """The stages of one benchmark operation: the corollary audit, then the main one."""
+    rqb = right_d2_quasibase(ext)
+    left_d2_quasibase(ext)
+    t_core(ext)
+    balanced_audit(ext)
+    if rqb is not None:
+        bgd = build_T(ext, rqb)
+        axiom_audit(bgd)
+        data = galois_data(ext, rqb)
+        comodule_algebra_audit(ext, data.delta, bgd)
+    d2_iff_corollary_audit(ext)
+    main_theorem_audit(ext)
+
+
+def _cli_audit_order(ext):
+    """``depthtwo audit``: the main audit, then the corollary audit."""
+    main_theorem_audit(ext)
+    d2_iff_corollary_audit(ext)
+
+
+@pytest.mark.parametrize("order", [_perfbench_order, _cli_audit_order])
+@pytest.mark.parametrize("make", [lambda: build_example("s3-a3"), _upper_triangular_extension],
+                         ids=["s3-a3", "upper-triangular"])
+def test_audits_share_one_comparison_map_and_one_balance(monkeypatch, order, make):
+    import depthtwo.galois as galois_mod
+    calls = {"left_r_projectivity": 0, "ice_matrix": 0, "intertwiners": 0}
+
+    def counted(name):
+        original = getattr(galois_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(galois_mod, name, counted(name))
+    order(make())
+    # balanced_audit solves for E = End(A_B) and then for its commutant
+    assert calls == {"left_r_projectivity": 1, "ice_matrix": 1, "intertwiners": 2}
