@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import Matrix, Subspace, combine, insert_row, nullspace
+from .linalg import Matrix, Subspace, combine, insert_row, nullspace, sum_nonzeros
 # re-exported: callers and profiling tools look solve_in_span up in this module
 from .linalg import solve_in_span  # noqa: F401
 
@@ -27,8 +27,8 @@ class SelfCheckError(AlgebraError):
 class FiniteAlgebra:
     """A finite-dimensional unital associative algebra over an exact field."""
 
-    __slots__ = ("field", "dim", "structure", "unit", "_table", "_left", "_right",
-                 "_generators")
+    __slots__ = ("field", "dim", "structure", "unit", "_table", "_nonzeros", "_left",
+                 "_right", "_generators")
 
     def __init__(self, field, structure: list[list[list]], unit: list, validate: bool = True):
         self.field = field
@@ -36,6 +36,7 @@ class FiniteAlgebra:
         self.structure = structure
         self.unit = unit
         self._table: list[list[list]] | None = None
+        self._nonzeros: list[list[dict]] | None = None
         self._left: list[Matrix] | None = None
         self._right: list[Matrix] | None = None
         self._generators: list[int] | None = None
@@ -73,8 +74,7 @@ class FiniteAlgebra:
                 raise AlgebraError(f"unit law fails: 1*e_{i} != e_{i}")
             if self.mul(e_i, self.unit) != e_i:
                 raise AlgebraError(f"unit law fails: e_{i}*1 != e_{i}")
-        # associativity through the nonzeros (m, c) of e_i e_j
-        nz = _nonzeros(self.table)
+        nz = self.nonzeros
         self._generators = _greedy_generators(nz, self.unit, self.field.one)
         if all(_associates(nz, i, g, k)
                for g in self._generators for i in range(n) for k in range(n)):
@@ -95,6 +95,14 @@ class FiniteAlgebra:
             self._table = [[list(self.structure[i][j]) for j in range(self.dim)]
                            for i in range(self.dim)]
         return self._table
+
+    @property
+    def nonzeros(self) -> list[list[dict]]:
+        """nonzeros[i][j] = the nonzero coordinates {k: value} of e_i * e_j."""
+        if self._nonzeros is None:
+            self._nonzeros = [[{k: c for k, c in enumerate(tij) if c} for tij in ti]
+                              for ti in self.table]
+        return self._nonzeros
 
     def basis_vector(self, i: int) -> list:
         v = [self.field.zero] * self.dim
@@ -156,20 +164,14 @@ class FiniteAlgebra:
         algebra by multiplicativity and linearity.
         """
         if self._generators is None:
-            self._generators = _greedy_generators(_nonzeros(self.table), self.unit,
-                                                  self.field.one)
+            self._generators = _greedy_generators(self.nonzeros, self.unit, self.field.one)
         return self._generators
-
-
-def _nonzeros(table: list[list[list]]) -> list[list[list]]:
-    """nz[i][j] = the nonzeros (m, c) of e_i e_j."""
-    return [[[(m, c) for m, c in enumerate(tij) if c] for tij in ti] for ti in table]
 
 
 def _associates(nz, i: int, j: int, k: int) -> bool:
     """(e_i e_j) e_k == e_i (e_j e_k)."""
-    return (_sum_nonzeros((c, nz[m][k]) for m, c in nz[i][j])
-            == _sum_nonzeros((c, nz[i][m]) for m, c in nz[j][k]))
+    return (sum_nonzeros((c, nz[m][k].items()) for m, c in nz[i][j].items())
+            == sum_nonzeros((c, nz[i][m].items()) for m, c in nz[j][k].items()))
 
 
 def _greedy_generators(nz, unit: list, one) -> list[int]:
@@ -199,21 +201,11 @@ def _greedy_generators(nz, unit: list, one) -> list[int]:
         while todo and len(span) < n:
             w, by = todo.pop()
             for g in by:
-                v = _sum_nonzeros((c, nz[m][g]) for m, c in w.items())
+                v = sum_nonzeros((c, nz[m][g].items()) for m, c in w.items())
                 if insert_row(span, dict(v), one):
                     words.append(v)
                     todo.append((v, tuple(gens)))
     return gens
-
-
-def _sum_nonzeros(terms) -> dict:
-    """{index: value} of sum c * v over (c, nonzeros of v), zeros dropped."""
-    acc: dict = {}
-    for c, v in terms:
-        for l, x in v:
-            y = acc.get(l)
-            acc[l] = c * x if y is None else y + c * x
-    return {l: x for l, x in acc.items() if x}
 
 
 def make_algebra(field, structure, unit) -> FiniteAlgebra:

@@ -23,7 +23,7 @@ from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
 from .linalg import (LinAlgError, Matrix, Subspace, action_images, combine, combine_images,
-                     solve_in_span)
+                     nonzero_columns, solve_in_span, sum_nonzeros)
 
 
 class TCore:
@@ -130,14 +130,22 @@ class TCore:
         return acc
 
     def _restricted_action(self, ambient: Matrix) -> Matrix:
-        cols = [self.t_coords(ambient.apply(t), "R-action left the B-central subspace")
-                for t in self.t_basis]
-        return Matrix.from_columns(self.ext.A.field, cols, nrows=self.dim)
+        """An action on the tensor square restricted to T, applied through its
+        nonzero columns."""
+        field = self.ext.A.field
+        amb_cols = nonzero_columns(ambient)
+        cols = []
+        for t in self.t_basis:
+            img = [field.zero] * self.ts.dim
+            for i, x in sum_nonzeros((y, amb_cols[k]) for k, y in enumerate(t) if y).items():
+                img[i] = x
+            cols.append(self.t_coords(img, "R-action left the B-central subspace"))
+        return Matrix.from_columns(field, cols, nrows=self.dim)
 
     def _tee_product(self, c: int, d: int) -> list:
         """T coordinates of t_c * t_d = u^1 t^1 (x) t^2 u^2."""
-        table = self.ext.A.table
-        terms = [(c1 * c2, table[p][s], table[t][q])
+        nz = self.ext.A.nonzeros
+        terms = [(c1 * c2, nz[p][s], nz[t][q])
                  for (s, t), c1 in self.t_items[c] for (p, q), c2 in self.t_items[d]]
         return self.t_coords(self.ts.class_of_sum(terms),
                              "product of B-central elements escaped T")
@@ -198,36 +206,32 @@ class TripleTensorWitness:
         cached = self._fwd3_cache.get((c, d))
         if cached is not None:
             return cached
-        A = self.core.ext.A
+        nz = self.core.ext.A.nonzeros
         items = []
         for (s, t), c1 in self.core.t_lift_items(c):
             for (p, q), c2 in self.core.t_lift_items(d):
                 coeff = c1 * c2
-                for i, a in enumerate(A.table[t][p]):
-                    if a:
-                        items.append(((s, i, q), coeff * a))
+                for i, a in nz[t][p].items():
+                    items.append(((s, i, q), coeff * a))
         out = self.q3.project_items(items)
         self._fwd3_cache[(c, d)] = out
         return out
 
     def _forward4(self, c: int, d: int, e: int) -> dict:
         """Nonzero Q4 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2 t_e^1 (x) t_e^2."""
-        A = self.core.ext.A
+        nz = self.core.ext.A.nonzeros
         items = []
         for (s, t), c1 in self.core.t_lift_items(c):
             for (p, q), c2 in self.core.t_lift_items(d):
                 c12 = c1 * c2
-                mid1 = A.table[t][p]
+                mid1 = nz[t][p].items()
                 for (v, w), c3 in self.core.t_lift_items(e):
                     c123 = c12 * c3
-                    mid2 = A.table[q][v]
-                    for i1, a1 in enumerate(mid1):
-                        if not a1:
-                            continue
+                    mid2 = nz[q][v].items()
+                    for i1, a1 in mid1:
                         ca = c123 * a1
-                        for i2, a2 in enumerate(mid2):
-                            if a2:
-                                items.append(((s, i1, i2, w), ca * a2))
+                        for i2, a2 in mid2:
+                            items.append(((s, i1, i2, w), ca * a2))
         return self.q4.reduce_items(items)
 
     # -- inverses ----------------------------------------------------------
@@ -506,7 +510,7 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
                 dd = tt.lift_items(Delta.apply(tvec(d)))
                 prod = core.t_mul(tvec(c), tvec(d))
                 lhs = Delta.apply(prod)
-                rhs = tt.class_of_sum([(c1 * c2, T.table[a][e], T.table[b][f])
+                rhs = tt.class_of_sum([(c1 * c2, T.nonzeros[a][e], T.nonzeros[b][f])
                                        for (a, b), c1 in dc for (e, f), c2 in dd])
                 yield lhs == rhs, f"multiplicativity fails at (t_{c}, t_{d})"
                 yield (wit.w3.apply(lhs) == wit.sandwich3(prod, A.unit),

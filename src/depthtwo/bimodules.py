@@ -34,7 +34,8 @@ import copy
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, field_as_algebra, group_inverses, per_extension)
 from .linalg import (Matrix, Subspace, action_images, combine, combine_images, insert_row,
-                     nullspace, quotient_structure, reverse_rref, solve_in_span)
+                     nonzero_columns, nullspace, quotient_structure, reverse_rref,
+                     solve_in_span, sum_nonzeros)
 
 
 class Bimodule:
@@ -154,10 +155,6 @@ def left_module_bimodule(P: FiniteAlgebra, dim: int, action: list[Matrix]) -> Bi
 # -- balanced tensor products ----------------------------------------------
 
 
-def _nonzeros(vectors: list[list]) -> list[list[tuple[int, object]]]:
-    return [[(k, x) for k, x in enumerate(v) if x] for v in vectors]
-
-
 def _sylvester_rows(n1: int, n2: int, p_cols: list, q_rows: list) -> list[dict]:
     """Sparse rows of X -> X @ P - Q @ X on n1 x n2 matrices X, unknown X[a][b] at a*n2 + b.
 
@@ -207,7 +204,7 @@ class BalancedTensor(Bimodule):
         mat with an identity is formed.
         """
         dn = self.N.dim
-        mat_cols = _nonzeros(mat.columns())
+        mat_cols = nonzero_columns(mat)
         cols = []
         for f in self.quot.free:
             i, j = divmod(f, dn)
@@ -300,8 +297,8 @@ def balanced_tensor(M: Bimodule, N: Bimodule) -> BalancedTensor:
     for c in C.generating_indices():
         # row (i, j) is minus the relation for e_i (x) e_j: lambda(c)[l][j] at (i, l)
         # minus rho(c)[k][i] at (k, j), i.e. X -> X @ lambda(c) - rho(c)^T @ X
-        relations += _sylvester_rows(dm, dn, _nonzeros(N.left_action[c].columns()),
-                                     _nonzeros(M.right_action[c].columns()))
+        relations += _sylvester_rows(dm, dn, nonzero_columns(N.left_action[c]),
+                                     nonzero_columns(M.right_action[c]))
     return BalancedTensor(M, N, quotient_structure(field, dm * dn, relations))
 
 
@@ -335,8 +332,8 @@ def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
     legs = []
     for j in ext.B.generating_indices():
         b = ext.iota.matrix.column(j)
-        legs.append((_nonzeros(combine(A.left_mults, b).columns()),
-                     _nonzeros(combine(A.right_mults, b).columns())))
+        legs.append((nonzero_columns(combine(A.left_mults, b)),
+                     nonzero_columns(combine(A.right_mults, b))))
     if not legs:
         return Subspace.full(field, M.dim)
     rows: list[dict] = [{} for _ in range(len(legs) * M.dim)]
@@ -374,7 +371,8 @@ def intertwiners(field, dm: int, dn: int, pairs: list[tuple[Matrix, Matrix]]) ->
     nunk = dn * dm
     rows: list[dict] = []
     for act_M, act_N in pairs:
-        rows += _sylvester_rows(dn, dm, _nonzeros(act_M.columns()), _nonzeros(act_N.data))
+        q_rows = [[(k, x) for k, x in enumerate(row) if x] for row in act_N.data]
+        rows += _sylvester_rows(dn, dm, nonzero_columns(act_M), q_rows)
     if not rows:
         sols = Matrix.identity(field, nunk).data
     else:
@@ -429,33 +427,27 @@ def bimodule_generators(M: Bimodule) -> list[int]:
     generated so far.  That sub-bimodule is closed under the actions of the
     generating indices of both acting algebras, which extends to the full
     algebras by multiplicativity.  One reduced span {pivot: row} grows
-    vector by vector through ``insert_row``.
+    vector by vector through ``insert_row``; vectors are sparse, and each
+    action is applied through its nonzero columns.
     """
-    field = M.left_algebra.field
-    one = field.one
-    acts = [M.left_action[i] for i in M.left_algebra.generating_indices()]
-    acts += [M.right_action[j] for j in M.right_algebra.generating_indices()]
+    one = M.left_algebra.field.one
+    acts = [nonzero_columns(M.left_action[i]) for i in M.left_algebra.generating_indices()]
+    acts += [nonzero_columns(M.right_action[j]) for j in M.right_algebra.generating_indices()]
     span: dict[int, dict] = {}
-
-    def grow(v: list) -> bool:
-        """Add v to the span; False when it lies there already."""
-        return insert_row(span, {j: x for j, x in enumerate(v) if x}, one)
-
     gens: list[int] = []
     for i in range(M.dim):
         if len(span) == M.dim:
             break
-        e = [field.zero] * M.dim
-        e[i] = one
-        if not grow(e):
+        if not insert_row(span, {i: one}, one):
             continue
         gens.append(i)
-        frontier = [e]
+        frontier = [{i: one}]
         while frontier:
             w = frontier.pop()
-            for act in acts:
-                img = act.apply(w)
-                if grow(img):
+            for cols in acts:
+                img = sum_nonzeros((x, cols[k]) for k, x in w.items())
+                # insert_row consumes its row, and img may still go on the frontier
+                if insert_row(span, dict(img), one):
                     frontier.append(img)
     return gens
 
@@ -475,6 +467,8 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
     map is fixed by its values on generators of M, so each product is
     written as its values on ``bimodule_generators(M)``: the system has the
     solutions, and the RREF the pivots, of the one over all of End_k(M).
+    The products are built sparse by ``_summand_system``, and the returned
+    pairs are checked to sum to id_M on all of M, adding only nonzeros.
     Pairs are grouped by the Hom(M, P) basis element.
     """
     field = M.left_algebra.field
@@ -482,12 +476,7 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
         if M.dim == 0:
             return SummandFactorization([])
         return None
-    gens = bimodule_generators(M)
-    g_on_gens = [[g.column(i) for i in gens] for g in homs_mp]
-    products = [[x for col in cols for x in f.apply(col)]
-                for f in homs_pm for cols in g_on_gens]
-    eye = Matrix.identity(field, M.dim).data
-    target = [x for i in gens for x in eye[i]]
+    products, target = _summand_system(M, homs_pm, homs_mp)
     coeffs = solve_in_span(target, products, field)
     if coeffs is None:
         return None
@@ -497,12 +486,44 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
         column = [coeffs[a * nmp + b] for a in range(len(homs_pm))]
         if any(column):
             pairs.append((combine(homs_pm, column), g))
-    total = Matrix.zeros(field, M.dim, M.dim)
+    total = Matrix.zeros(field, M.dim, M.dim).data
     for f, g in pairs:
-        total = total + f @ g
-    if total != Matrix.identity(field, M.dim):
+        f_cols = nonzero_columns(f)
+        for c, g_col in enumerate(nonzero_columns(g)):
+            for r, x in sum_nonzeros((y, f_cols[k]) for k, y in g_col).items():
+                total[r][c] = total[r][c] + x
+    if total != Matrix.identity(field, M.dim).data:
         raise SelfCheckError("summand factorization failed its own reconstruction")
     return SummandFactorization(pairs)
+
+
+def _summand_system(M: Bimodule, homs_pm: list[Matrix],
+                    homs_mp: list[Matrix]) -> tuple[list[dict], list]:
+    """The products f o g, f-major, and id_M, written on ``bimodule_generators(M)``.
+
+    The value on the generator at position p is placed at p * M.dim + row.
+    Each product is a sparse {index: value} vector: f o g (e_i) is
+    sum_k g[k][i] f(e_k), read off f's nonzero columns at g's nonzero
+    entries.  The target id_M is a dense list, as ``solve_in_span`` takes it.
+    """
+    field = M.left_algebra.field
+    dim = M.dim
+    gens = bimodule_generators(M)
+    g_on_gens = [[(p * dim, [(k, y) for k, y in enumerate(g.column(i)) if y])
+                  for p, i in enumerate(gens)] for g in homs_mp]
+    products = []
+    for f in homs_pm:
+        f_cols = nonzero_columns(f)
+        for on_gens in g_on_gens:
+            prod = {}
+            for off, g_col in on_gens:
+                for r, x in sum_nonzeros((y, f_cols[k]) for k, y in g_col).items():
+                    prod[off + r] = x
+            products.append(prod)
+    target = [field.zero] * (len(gens) * dim)
+    for p, i in enumerate(gens):
+        target[p * dim + i] = field.one
+    return products, target
 
 
 # -- quasibases ----------------------------------------------------------
@@ -623,32 +644,36 @@ def _d2_hom_bases(ext: Extension, right: bool) -> tuple[list[Matrix], list[Matri
     read on the pure tensor e_i (x) e_j each quotient basis vector lifts to.
     Both spans go through ``reverse_rref``, which returns the nullspace
     basis ``hom_space`` would solve for, with its unknowns in the same order.
+    The rows are written from nonzeros only: the tensor-square actions act
+    through their nonzero columns, and A's multiplication through its
+    nonzero structure constants.
     """
     A = ext.A
     field, n = A.field, A.dim
     ts = tensor_square(ext)
     d = ts.dim
-    acts = ts.left_action if right else ts.right_action
+    acts = [nonzero_columns(act) for act in (ts.left_action if right else ts.right_action)]
     into = []
     for t in t_space(ext).basis:
+        t_nz = [(k, x) for k, x in enumerate(t) if x]
         # column j of f_t is e_j acting on t; unknown (a, j) of the d x n map sits at a*n + j
         row = {}
-        for j, act in enumerate(acts):
-            for a, x in enumerate(act.apply(t)):
-                if x:
-                    row[a * n + j] = x
+        for j, cols in enumerate(acts):
+            for a, x in sum_nonzeros((y, cols[k]) for k, y in t_nz).items():
+                row[a * n + j] = x
         into.append(row)
     pure = [divmod(f, n) for f in ts.quot.free]
-    mults = A.left_mults if right else A.right_mults
+    nz = A.nonzeros
     onto = []
     for s in bb_endomorphisms(ext):
-        cols = s.columns()
+        cols = nonzero_columns(s)
         row = {}
         for q, (i, j) in enumerate(pure):
-            img = mults[i].apply(cols[j]) if right else mults[j].apply(cols[i])
-            for a, x in enumerate(img):
-                if x:
-                    row[a * d + q] = x
+            # e_i s(e_j) on the right side, s(e_i) e_j on the left
+            img = (sum_nonzeros((x, nz[i][k].items()) for k, x in cols[j]) if right
+                   else sum_nonzeros((x, nz[k][j].items()) for k, x in cols[i]))
+            for a, x in img.items():
+                row[a * d + q] = x
         onto.append(row)
     return ([Matrix.unvec(field, v, d, n) for v in reverse_rref(into, field, d * n)],
             [Matrix.unvec(field, v, n, d) for v in reverse_rref(onto, field, n * d)])

@@ -141,12 +141,29 @@ class CoinvariantsReport:
                 "symmetric_tensor_ok": self.symmetric_tensor_ok}
 
 
+def _snapshot(mat: Matrix) -> tuple:
+    """mat's entries as nested tuples: an immutable memo key, equal for equal matrices."""
+    return tuple(map(tuple, mat.data))
+
+
+def _thawed(ext: Extension, snapshot: tuple) -> Matrix:
+    return Matrix(ext.A.field, [list(row) for row in snapshot])
+
+
 def coinvariants(ext: Extension, delta: Matrix) -> CoinvariantsReport:
     """Kernel of delta - (- (x) 1_T), compared with the image of iota.
 
     Each coinvariant x also gets the symmetry check 1 (x) x = x (x) 1 in
-    the tensor square.
+    the tensor square.  The report is kept per extension and coaction
+    entries, so the coaction of ``galois_data`` and the equal one of
+    ``main_theorem_audit``, built on independent paths, share it.
     """
+    return _coinvariants(ext, _snapshot(delta))
+
+
+@per_extension
+def _coinvariants(ext: Extension, delta_entries: tuple) -> CoinvariantsReport:
+    delta = _thawed(ext, delta_entries)
     core = t_core(ext)
     at = tensor_with_t(ext)
     A = ext.A
@@ -212,8 +229,25 @@ def comodule_algebra_audit(ext: Extension, delta: Matrix,
     """Check the five conditions making A a right T-comodule algebra.
 
     Coassociativity of the coaction is compared inside the realized triple
-    tensor power, where both composites must land on 1 (x) 1 (x) a.
+    tensor power, where both composites must land on 1 (x) 1 (x) a.  On the
+    extension's own bialgebroid (the core, witness and Delta that
+    ``build_T`` and ``build_T_quasibase_free`` return) the report is kept
+    per coaction entries, like ``coinvariants``; any other bialgebroid,
+    such as a ``replaced`` one, is audited afresh.
     """
+    if bgd.core is t_core(ext):
+        own = build_T_quasibase_free(ext)
+        if bgd.witness is own.witness and bgd.Delta is own.Delta:
+            return _own_comodule_audit(ext, _snapshot(delta))
+    return _comodule_audit(ext, delta, bgd)
+
+
+@per_extension
+def _own_comodule_audit(ext: Extension, delta_entries: tuple) -> AuditReport:
+    return _comodule_audit(ext, _thawed(ext, delta_entries), build_T_quasibase_free(ext))
+
+
+def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> AuditReport:
     core = bgd.core
     wit = bgd.witness
     at = tensor_with_t(ext)
@@ -283,7 +317,7 @@ def comodule_algebra_audit(ext: Extension, delta: Matrix,
             items_x = at.lift_items(delta.column(x))
             for y in range(n):
                 items_y = at.lift_items(delta.column(y))
-                rhs = at.class_of_sum([(c1 * c2, A.table[k][l], core.T_alg.table[c][d])
+                rhs = at.class_of_sum([(c1 * c2, A.nonzeros[k][l], core.T_alg.nonzeros[c][d])
                                        for (k, c), c1 in items_x for (l, d), c2 in items_y])
                 yield delta.apply(A.table[x][y]) == rhs, f"multiplicativity fails at (e_{x}, e_{y})"
                 yield (ice.apply(rhs) == core.ts.class_of(A.unit, A.table[x][y]),

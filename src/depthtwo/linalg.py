@@ -184,6 +184,30 @@ def combine(mats: list[Matrix], coeffs: list) -> Matrix:
     return out
 
 
+def nonzero_columns(mat: Matrix) -> list[list[tuple[int, object]]]:
+    """cols[j] = the nonzeros (i, value) of column j of mat.
+
+    mat applied to x is ``sum_nonzeros((x_j, cols[j]) for the nonzeros x_j)``,
+    which reads only the nonzeros of both.
+    """
+    cols: list[list] = [[] for _ in range(mat.ncols)]
+    for i, row in enumerate(mat.data):
+        for j, x in enumerate(row):
+            if x:
+                cols[j].append((i, x))
+    return cols
+
+
+def sum_nonzeros(terms) -> dict:
+    """{index: value} of sum c * v over (c, nonzeros (index, value) of v), zeros dropped."""
+    acc: dict = {}
+    for c, v in terms:
+        for l, x in v:
+            y = acc.get(l)
+            acc[l] = c * x if y is None else y + c * x
+    return {l: x for l, x in acc.items() if x}
+
+
 def action_images(actions: list[Matrix], vectors: list[list]) -> list[list[list]]:
     """images[i][a] = the nonzeros (k, value) of actions[a] applied to vectors[i],
     each computed once."""

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from depthtwo.algebras import AlgebraMorphism, Extension, FiniteAlgebra
-from depthtwo.catalog import build_example
-from depthtwo.fields import QQ
+from depthtwo.algebras import (AlgebraMorphism, Extension, FiniteAlgebra, group_pair,
+                               subgroup_extension)
+from depthtwo.catalog import build_example, catalog_names
+from depthtwo.fields import GF, QQ
 from depthtwo.linalg import Matrix
 
 
@@ -16,6 +19,38 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """
     return Matrix(a.field, [[x * y for x in arow for y in brow]
                             for arow in a.data for brow in b.data])
+
+
+def _even_permutations() -> list[tuple]:
+    """The even permutations of 4 points in lexicographic order."""
+    def even(p):
+        return sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4)) % 2 == 0
+    return [p for p in itertools.permutations(range(4)) if even(p)]
+
+
+def alternating_group_table() -> list[list[int]]:
+    """Cayley table of A_4, indexed as ``_even_permutations``."""
+    elems = _even_permutations()
+    index = {p: i for i, p in enumerate(elems)}
+    return [[index[tuple(g[h[x]] for x in range(4))] for h in elems] for g in elems]
+
+
+def a4_extensions(field) -> dict:
+    """A4 > V4 (normal) and A4 > C3 (not normal) over a field."""
+    elems = _even_permutations()
+    table = alternating_group_table()
+    v4 = [elems.index(p) for p in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))]
+    c3 = [elems.index(p) for p in ((0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 1, 3))]
+    return {"A4>V4": group_pair(field, table, v4)[0],
+            "A4>C3": subgroup_extension(field, table, c3)[0]}
+
+
+# the 8 catalog entries and the two A4 pairs of the d2-large benchmark over F_2
+CATALOG_AND_A4 = {
+    **{name: (lambda name=name: build_example(name)) for name in catalog_names()},
+    **{f"{pair} over F_2": (lambda pair=pair: a4_extensions(GF(2))[pair])
+       for pair in ("A4>V4", "A4>C3")},
+}
 
 
 def dense_basis(ext, p: Matrix):

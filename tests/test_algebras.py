@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import random
 import re
 
@@ -18,7 +17,7 @@ from depthtwo.bialgebroid import t_core
 from depthtwo.fields import GF, QQ
 from depthtwo.linalg import Subspace
 
-from conftest import dense_s3a3
+from conftest import alternating_group_table, dense_s3a3
 
 
 # -- make_algebra -----------------------------------------------------------
@@ -308,16 +307,7 @@ def test_every_catalog_algebra_passes_validation(name):
         assert make_algebra(alg.field, alg.structure, alg.unit).dim == alg.dim
 
 
-def _alternating_group_table() -> list[list[int]]:
-    """Cayley table of A_4: the even permutations of 4 points in lexicographic order."""
-    def even(p):
-        return sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4)) % 2 == 0
-    elems = [p for p in itertools.permutations(range(4)) if even(p)]
-    index = {p: i for i, p in enumerate(elems)}
-    return [[index[tuple(g[h[x]] for x in range(4))] for h in elems] for g in elems]
-
-
-GROUP_TABLES = {"S3": S3_TABLE, "A4": _alternating_group_table()}
+GROUP_TABLES = {"S3": S3_TABLE, "A4": alternating_group_table()}
 
 
 def _fails_at_a_generator(field, cube, unit) -> bool:

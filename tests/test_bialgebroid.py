@@ -14,6 +14,8 @@ from depthtwo.fields import GF, QQ
 from depthtwo.galois import galois_map, ice_matrix, main_theorem_audit, tensor_with_t
 from depthtwo.linalg import Matrix, combine
 
+from conftest import CATALOG_AND_A4
+
 
 def _bgd(ext):
     rqb = right_d2_quasibase(ext)
@@ -97,6 +99,34 @@ def test_corrupted_coproduct_fails_with_witness(bgd_s3a3):
 
 
 # -- witness isomorphisms ------------------------------------------------------
+
+def _dense_tee_product(core, c: int, d: int) -> list:
+    """T coordinates of t_c * t_d, with A's products read off dense ``table`` rows."""
+    table = core.ext.A.table
+    terms = [(c1 * c2, table[p][s], table[t][q])
+             for (s, t), c1 in core.t_items[c] for (p, q), c2 in core.t_items[d]]
+    return core.t_coords(core.ts.class_of_sum(terms), "product escaped T")
+
+
+def _dense_restricted_action(core, ambient: Matrix) -> Matrix:
+    cols = [core.t_coords(ambient.apply(t), "R-action escaped T") for t in core.t_basis]
+    return Matrix.from_columns(core.ext.A.field, cols, nrows=core.dim)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_AND_A4))
+def test_t_core_equals_the_dense_construction(name):
+    core = t_core(CATALOG_AND_A4[name]())
+    for c in range(core.dim):
+        for d in range(core.dim):
+            expected = _dense_tee_product(core, c, d)
+            assert core._tee_product(c, d) == expected == core.T_alg.structure[c][d], name
+    for r in range(core.R_alg.dim):
+        r_vec = core.incl_R.column(r)
+        assert core.lam_R[r] == _dense_restricted_action(
+            core, combine(core.ts.left_action, r_vec)), name
+        assert core.rho_R[r] == _dense_restricted_action(
+            core, combine(core.ts.right_action, r_vec)), name
+
 
 def test_witness_round_trips(s3a3, bgd_s3a3):
     wit = triple_tensor_witness(s3a3)

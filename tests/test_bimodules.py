@@ -8,21 +8,22 @@ from depthtwo.algebras import (AlgebraError, group_pair, ground_field_extension,
                                matrix_algebra, subgroup_extension, trivial_extension)
 from depthtwo.bialgebroid import t_core
 from depthtwo.bimodules import (BalancedTensor, Bimodule, QuasibaseSet, _d2_hom_bases,
-                                algebra_bimodule, b_centralized, balanced_tensor,
+                                _summand_system, algebra_bimodule, bb_endomorphisms, b_centralized, balanced_tensor,
                                 bimodule_generators, compose_extensions,
                                 coproduct_summand_test, group_quasibase,
                                 h_separability_test, hom_space, intertwiners,
                                 left_d2_quasibase, left_module_bimodule, restrict,
                                 right_d2_quasibase, split_projectivity_audit,
-                                tensor_power, tensor_square, verify_left_quasibase,
-                                verify_right_quasibase)
+                                t_space, tensor_power, tensor_square,
+                                verify_left_quasibase, verify_right_quasibase)
 from depthtwo.catalog import (A3_INDICES, S3_TABLE, build_example, catalog_names,
                               m2_over_ground_field)
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import d2_iff_corollary_audit, tensor_with_t
-from depthtwo.linalg import Matrix, Subspace, combine, nullspace, solve_in_span
+from depthtwo.linalg import (Matrix, Subspace, combine, insert_row, nullspace, reverse_rref,
+                             solve_in_span)
 
-from conftest import dense_s3a3, kron
+from conftest import CATALOG_AND_A4, dense_s3a3, kron
 
 
 # -- tensor square -----------------------------------------------------------
@@ -700,3 +701,108 @@ def test_d2_quasibases_solve_no_hom_space(monkeypatch):
     # the generic path still counts through the same names
     assert h_separability_test(build_example("s3-a3")) is None
     assert calls == ["coproduct_summand_test", "hom_space", "hom_space"]
+
+
+# -- the sparse d2 kernels against the dense construction they replaced ---------
+
+
+def _dense_bimodule_generators(M: Bimodule) -> list[int]:
+    """The generator closure with every action applied by ``Matrix.apply``."""
+    field = M.left_algebra.field
+    acts = [M.left_action[i] for i in M.left_algebra.generating_indices()]
+    acts += [M.right_action[j] for j in M.right_algebra.generating_indices()]
+    span: dict = {}
+
+    def grow(v: list) -> bool:
+        return insert_row(span, {j: x for j, x in enumerate(v) if x}, field.one)
+
+    gens = []
+    for i, e in enumerate(Matrix.identity(field, M.dim).data):
+        if len(span) == M.dim:
+            break
+        if not grow(e):
+            continue
+        gens.append(i)
+        frontier = [e]
+        while frontier:
+            w = frontier.pop()
+            for act in acts:
+                img = act.apply(w)
+                if grow(img):
+                    frontier.append(img)
+    return gens
+
+
+def _dense_summand_system(M: Bimodule, homs_pm, homs_mp):
+    """Every product f o g on the generators as one dense ``f.apply`` per generator."""
+    gens = _dense_bimodule_generators(M)
+    g_on_gens = [[g.column(i) for i in gens] for g in homs_mp]
+    products = [[x for col in cols for x in f.apply(col)]
+                for f in homs_pm for cols in g_on_gens]
+    eye = Matrix.identity(M.left_algebra.field, M.dim).data
+    return products, [x for i in gens for x in eye[i]]
+
+
+def _dense_d2_hom_bases(ext, right: bool):
+    """``_d2_hom_bases`` with the tensor-square actions and A's multiplication
+    matrices applied by ``Matrix.apply``."""
+    A = ext.A
+    field, n = A.field, A.dim
+    ts = tensor_square(ext)
+    d = ts.dim
+    acts = ts.left_action if right else ts.right_action
+    into = []
+    for t in t_space(ext).basis:
+        row = {}
+        for j, act in enumerate(acts):
+            for a, x in enumerate(act.apply(t)):
+                if x:
+                    row[a * n + j] = x
+        into.append(row)
+    mults = A.left_mults if right else A.right_mults
+    onto = []
+    for s in bb_endomorphisms(ext):
+        cols = s.columns()
+        row = {}
+        for q, f in enumerate(ts.quot.free):
+            i, j = divmod(f, n)
+            img = mults[i].apply(cols[j]) if right else mults[j].apply(cols[i])
+            for a, x in enumerate(img):
+                if x:
+                    row[a * d + q] = x
+        onto.append(row)
+    return ([Matrix.unvec(field, v, d, n) for v in reverse_rref(into, field, d * n)],
+            [Matrix.unvec(field, v, n, d) for v in reverse_rref(onto, field, n * d)])
+
+
+def _summand_cases(ext):
+    """(M, Hom(P, M), Hom(M, P)) for both depth-two sides and for T over R."""
+    ts = tensor_square(ext)
+    core = t_core(ext)
+    M_R = left_module_bimodule(core.R_alg, core.dim, core.lam_R)
+    R_R = left_module_bimodule(core.R_alg, core.R_alg.dim, core.R_alg.left_mults)
+    return {"right": (restrict(ts, right=ext.iota), *_d2_hom_bases(ext, True)),
+            "left": (restrict(ts, left=ext.iota), *_d2_hom_bases(ext, False)),
+            "T over R": (M_R, hom_space(R_R, M_R), hom_space(M_R, R_R))}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_AND_A4))
+def test_sparse_d2_kernels_equal_the_dense_construction(name):
+    ext = CATALOG_AND_A4[name]()
+    field = ext.A.field
+    for right in (True, False):
+        into, onto = _d2_hom_bases(ext, right)
+        expected_into, expected_onto = _dense_d2_hom_bases(ext, right)
+        assert into == expected_into and onto == expected_onto, (name, right)
+    for kind, M in _catalog_bimodules(ext).items():
+        assert bimodule_generators(M) == _dense_bimodule_generators(M), (name, kind)
+    for kind, (M, homs_pm, homs_mp) in _summand_cases(ext).items():
+        if not homs_pm or not homs_mp:
+            continue
+        products, target = _summand_system(M, homs_pm, homs_mp)
+        expected_products, expected_target = _dense_summand_system(M, homs_pm, homs_mp)
+        assert target == expected_target, (name, kind)
+        assert len(products) == len(expected_products), (name, kind)
+        for sparse, dense in zip(products, expected_products):
+            assert all(x for x in sparse.values()), (name, kind)
+            assert [sparse.get(i, field.zero) for i in range(len(dense))] == dense, (name, kind)

@@ -340,19 +340,51 @@ def _cli_audit_order(ext):
 @pytest.mark.parametrize("make", [lambda: build_example("s3-a3"), _upper_triangular_extension],
                          ids=["s3-a3", "upper-triangular"])
 def test_audits_share_one_comparison_map_and_one_balance(monkeypatch, order, make):
+    calls = _count_calls(monkeypatch, ("left_r_projectivity", "ice_matrix", "intertwiners"))
+    order(make())
+    # balanced_audit solves for E = End(A_B) and then for its commutant
+    assert calls == {"left_r_projectivity": 1, "ice_matrix": 1, "intertwiners": 2}
+
+
+def _count_calls(monkeypatch, names) -> dict:
+    """Count the calls of each name as ``depthtwo.galois`` looks it up."""
     import depthtwo.galois as galois_mod
-    calls = {"left_r_projectivity": 0, "ice_matrix": 0, "intertwiners": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(galois_mod, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(galois_mod, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("order", [_perfbench_order, _cli_audit_order])
+@pytest.mark.parametrize("make", [lambda: build_example("s3-a3"),
+                                  lambda: build_example("s3-a3-f5"),
+                                  _upper_triangular_extension],
+                         ids=["s3-a3", "s3-a3-f5", "upper-triangular"])
+def test_main_audit_reuses_the_coinvariants_and_comodule_reports(monkeypatch, order, make):
+    # in galois.py, coinvariants alone builds a SubalgebraData and the
+    # comodule audit alone an AuditReport: the main audit's coaction equals
+    # the one galois_data audited, so neither runs again
+    calls = _count_calls(monkeypatch, ("SubalgebraData", "AuditReport"))
     order(make())
-    # balanced_audit solves for E = End(A_B) and then for its commutant
-    assert calls == {"left_r_projectivity": 1, "ice_matrix": 1, "intertwiners": 2}
+    assert calls == {"SubalgebraData": 1, "AuditReport": 1}
+
+
+def test_a_replaced_bialgebroid_is_audited_afresh(s3_galois, monkeypatch):
+    ext, rqb, bgd, delta = s3_galois
+    assert comodule_algebra_audit(ext, delta, bgd).all_pass
+    calls = _count_calls(monkeypatch, ("AuditReport",))
+    assert comodule_algebra_audit(ext, delta, bgd).all_pass
+    assert calls["AuditReport"] == 0
+    # equal entries in new objects still count as another bialgebroid
+    for replaced in (bgd.replaced(Delta=bgd.Delta.copy()), bgd.replaced(eps=bgd.core.eps)):
+        assert comodule_algebra_audit(ext, delta, replaced).all_pass
+    assert calls["AuditReport"] == 2

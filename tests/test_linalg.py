@@ -5,8 +5,9 @@ import random
 import pytest
 
 from depthtwo.fields import GF, QQ
-from depthtwo.linalg import (LinAlgError, Matrix, Subspace, insert_row, nullspace,
-                             quotient_structure, reverse_rref, rref, solve_in_span)
+from depthtwo.linalg import (LinAlgError, Matrix, Subspace, insert_row, nonzero_columns,
+                             nullspace, quotient_structure, reverse_rref, rref, solve_in_span,
+                             sum_nonzeros)
 
 from conftest import kron
 
@@ -97,6 +98,40 @@ def test_matmul_against_apply():
     ab = a @ b
     for j in range(2):
         assert ab.column(j) == a.apply(b.column(j))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["Q", "F2", "F5"])
+def test_nonzero_columns_apply_like_matrix_apply(field):
+    rng = random.Random(11)
+    shapes = [(3, 4), (5, 2), (1, 1), (4, 6)]
+    mats = [Matrix(field, random_matrix(rng, field, r, c, span=1)) for r, c in shapes]
+    with_zero_columns = random_matrix(rng, field, 4, 5)
+    for row in with_zero_columns:
+        row[1] = row[3] = field.zero
+    mats.append(Matrix(field, with_zero_columns))
+    # a Matrix keeps no rows for 0 x n, so it has no columns either
+    mats += [Matrix.zeros(field, 0, 3), Matrix.zeros(field, 3, 0), Matrix.zeros(field, 2, 2)]
+    for m in mats:
+        cols = nonzero_columns(m)
+        assert len(cols) == m.ncols
+        for j, col in enumerate(cols):
+            assert col == [(i, x) for i, x in enumerate(m.column(j)) if x]
+        vectors = [random_matrix(rng, field, 1, m.ncols)[0] for _ in range(4)]
+        vectors.append([field.zero] * m.ncols)
+        for v in vectors:
+            dense = [field.zero] * m.nrows
+            for i, x in sum_nonzeros((x, cols[j]) for j, x in enumerate(v) if x).items():
+                dense[i] = x
+            assert dense == m.apply(v)
+    assert nonzero_columns(Matrix.zeros(field, 0, 3)) == []
+    assert nonzero_columns(Matrix.zeros(field, 3, 0)) == []
+    assert nonzero_columns(Matrix.zeros(field, 2, 2)) == [[], []]
+
+
+def test_sum_nonzeros_drops_cancelled_entries():
+    terms = [(QQ.of(1), [(0, QQ.of(2)), (1, QQ.of(1))]), (QQ.of(-1), [(1, QQ.of(1))])]
+    assert sum_nonzeros(terms) == {0: QQ.of(2)}
+    assert sum_nonzeros([]) == {}
 
 
 def test_kron_index_convention():
