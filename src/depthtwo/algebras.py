@@ -441,8 +441,9 @@ class SubalgebraData:
         if check:
             if not space.contains(ambient.unit):
                 raise AlgebraError("subalgebra does not contain the unit")
-            for u in space.basis:
-                for v in space.basis:
+            basis = space.basis
+            for u in basis:
+                for v in basis:
                     if not space.contains(ambient.mul(u, v)):
                         raise AlgebraError("subspace not closed under multiplication")
 

@@ -8,8 +8,9 @@ counit the multiplication back to A.
 
 The coproduct is pinned by the isomorphism
 T (x)_R T  ~  (A (x)_B A (x)_B A)^B,  t (x) u  ->  t^1 (x) t^2 u^1 (x) u^2:
-its inverse applied to t^1 (x) 1 (x) t^2 defines Delta, and the quasibase
-sum formula is recomputed independently as a cross-check.  Every
+the forward map is certified an isomorphism by one subspace equality, the
+preimage of t^1 (x) 1 (x) t^2 defines Delta, and the quasibase sum formula
+is recomputed independently as a cross-check.  Every
 bialgebroid identity is then machine-verified by an audit that maps both
 sides of each equation into the realized triple (or quadruple) tensor
 power and compares coordinates exactly.
@@ -22,8 +23,8 @@ from .algebras import (AlgebraError, Extension, SelfCheckError, centralizer, mak
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
-from .linalg import (LinAlgError, Matrix, Subspace, action_images, combine, combine_images,
-                     nonzero_columns, solve_in_span, sum_nonzeros)
+from .linalg import (Matrix, Subspace, action_images, combine, combine_images, nonzero_columns,
+                     solve_in_span, sum_nonzeros)
 
 
 class TCore:
@@ -163,17 +164,31 @@ class WitnessError(SelfCheckError):
     """The tensor-power comparison isomorphism failed to materialize."""
 
 
+def _certify(fwd: Matrix, target: Subspace, power: str) -> None:
+    """Raise WitnessError unless fwd maps isomorphically onto target.
+
+    That holds exactly when the columns are independent and span target.
+    Both spans are kept as canonical reduced bases, so the equality is exact.
+    """
+    image = Subspace.span(fwd.field, fwd.nrows, [dict(col) for col in nonzero_columns(fwd)])
+    if image.dim != fwd.ncols:
+        raise WitnessError(f"forward map into the {power} power is not injective")
+    if image != target:
+        raise WitnessError(f"forward image is not the B-central {power} power")
+
+
 class TripleTensorWitness:
     """Realized isomorphisms T(x)_R T ~ (A(x)_B A(x)_B A)^B and the
-    fourfold analogue, with verified mutually-inverse matrices.
+    fourfold analogue.
 
-    No quasibase enters: each forward map, in coordinates of the B-central
-    power, is inverted linearly.  An inverse is unique, so this is the
-    matrix the paper's quasibase formula gives whenever a quasibase exists.
+    No quasibase enters, and no inverse is formed: ``_certify`` shows each
+    forward map to be an isomorphism onto the B-central power, and Delta
+    reads preimages under the triple one.  A preimage is unique, so Delta
+    is the matrix the paper's quasibase formula gives whenever a quasibase
+    exists.
     """
 
-    __slots__ = ("core", "q3", "q3b", "w3", "w3_inv", "q4", "q4b", "ttt",
-                 "w4", "w4_inv", "_fwd3_cache")
+    __slots__ = ("core", "q3", "q3b", "w3", "q4", "q4b", "ttt", "w4", "_fwd3_cache")
 
     def __init__(self, core: TCore):
         self.core = core
@@ -188,16 +203,12 @@ class TripleTensorWitness:
 
         # forward map on T (x)_R T, one column per class of t_c (x) t_d
         self.w3 = core.tt.matrix_of(q3.dim, self.forward3)
-        on_b3 = self._on_central(self.w3, self.q3b, "triple")
-        self.w3_inv = self._invert(on_b3)
-        self._check_round_trip(on_b3, self.w3_inv)
+        _certify(self.w3, self.q3b, "triple")
 
         # the quadruple stage: (T (x)_R T) (x)_R T
         self.ttt = balanced_tensor(core.tt, core.r_bimodule())
         self.w4 = self.ttt.matrix_of(q4.dim, self._forward4)
-        on_b4 = self._on_central(self.w4, self.q4b, "quadruple")
-        self.w4_inv = self._invert(on_b4)
-        self._check_round_trip(on_b4, self.w4_inv)
+        _certify(self.w4, self.q4b, "quadruple")
 
     # -- forward maps ----------------------------------------------------
 
@@ -234,34 +245,6 @@ class TripleTensorWitness:
                             items.append(((s, i1, i2, w), ca * a2))
         return self.q4.reduce_items(items)
 
-    # -- inverses ----------------------------------------------------------
-
-    def _on_central(self, fwd: Matrix, target: Subspace, power: str) -> Matrix:
-        """The forward map in coordinates of the B-central subspace it must land in."""
-        field = self.core.ext.A.field
-        cols = []
-        for j in range(fwd.ncols):
-            coords = solve_in_span(fwd.column(j), target.basis, field)
-            if coords is None:
-                raise WitnessError(f"forward image is not B-central in the {power} power")
-            cols.append(coords)
-        if target.dim != fwd.ncols:
-            raise WitnessError(f"dim of the T power != dim of B-central {power} power")
-        return Matrix.from_columns(field, cols, nrows=target.dim)
-
-    def _invert(self, on_b: Matrix) -> Matrix:
-        try:
-            return on_b.inverse()
-        except LinAlgError as exc:
-            raise WitnessError("forward map is not invertible") from exc
-
-    def _check_round_trip(self, on_b: Matrix, inv: Matrix):
-        field = self.core.ext.A.field
-        if inv @ on_b != Matrix.identity(field, on_b.ncols):
-            raise WitnessError("inverse o forward is not the identity")
-        if on_b @ inv != Matrix.identity(field, on_b.nrows):
-            raise WitnessError("forward o inverse is not the identity")
-
     # -- distinguished images --------------------------------------------
 
     def _t_items(self, tcoords: list):
@@ -281,12 +264,6 @@ class TripleTensorWitness:
         return self.q4.project_items([((s, u1, u2, t), c * x1 * x2)
                                       for (s, t), c in self._t_items(tcoords)
                                       for u1, x1 in unit_nz for u2, x2 in unit_nz])
-
-    def to_q3b(self, q3_coords: list) -> list:
-        coords = self.q3b.coords(q3_coords)
-        if coords is None:
-            raise WitnessError("element is not B-central in the triple power")
-        return coords
 
 
 class RightBialgebroid:
@@ -315,11 +292,26 @@ class RightBialgebroid:
 
 
 def _delta_from_witness(core: TCore, witness: TripleTensorWitness) -> Matrix:
+    """Delta(t_c) = the preimage of t_c^1 (x) 1 (x) t_c^2 under W3.
+
+    ``_certify`` has shown W3 injective, so each preimage is unique; W3 Delta
+    is then compared with the images exactly.
+    """
+    field = core.ext.A.field
+    w3 = witness.w3
+    columns = [dict(col) for col in nonzero_columns(w3)]
+    images = [witness.sandwich3(core.T_alg.basis_vector(c), core.ext.A.unit)
+              for c in range(core.dim)]
     cols = []
-    for c in range(core.dim):
-        img = witness.sandwich3(core.T_alg.basis_vector(c), core.ext.A.unit)
-        cols.append(witness.w3_inv.apply(witness.to_q3b(img)))
-    return Matrix.from_columns(core.ext.A.field, cols, nrows=core.tt.dim)
+    for img in images:
+        coeffs = solve_in_span(img, columns, field)
+        if coeffs is None:
+            raise WitnessError("t^1 (x) 1 (x) t^2 has no preimage in T (x)_R T")
+        cols.append(coeffs)
+    delta = Matrix.from_columns(field, cols, nrows=core.tt.dim)
+    if w3 @ delta != Matrix.from_columns(field, images, nrows=w3.nrows):
+        raise WitnessError("W3 o Delta is not t -> t^1 (x) 1 (x) t^2")
+    return delta
 
 
 def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
@@ -361,11 +353,11 @@ def build_T(ext: Extension, rqb: QuasibaseSet) -> RightBialgebroid:
 
 @per_extension
 def build_T_quasibase_free(ext: Extension) -> RightBialgebroid:
-    """T with the coproduct forced by linear inversion of the witness, cached.
+    """T with the coproduct read as preimages under the witness, cached.
 
     Reads no quasibase, so the quasibase-independent audits may use it;
-    raises WitnessError when the forward map is not an isomorphism onto the
-    B-central triple power.
+    raises WitnessError when a forward map is not an isomorphism onto its
+    B-central power.
     """
     core = t_core(ext)
     witness = TripleTensorWitness(core)

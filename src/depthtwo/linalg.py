@@ -4,13 +4,16 @@ Elimination works on sparse {column: value} rows, so its cost follows the
 nonzeros of the system rather than rows x columns; it accepts dense lists
 or dicts and returns dense rows.  All rows are checked first and then
 inserted latest leading column first, so a new pivot seldom has to be
-cleared from the rows already stored.  A quotient keeps only its reduced
-relation rows and free columns: projecting reads the free coordinates and
-rewrites the pivot ones along their rows, lifting places coordinates at
-the free columns.  Every reduced echelon form, nullspace basis and
-quotient coordinate system produced here is the unique canonical one;
-identical inputs give bit-identical outputs.  ``reverse_rref`` brings any
-spanning set of a solution space into the basis ``nullspace`` returns.
+cleared from the rows already stored.  A subspace keeps its reduced
+basis as sparse rows, and a quotient only its reduced relation rows and
+free columns.  One ``residue`` reduction along such rows serves row
+insertion, membership and coordinates in a subspace, and projection onto
+a quotient, which rewrites the pivot coordinates along their rows; lifting
+places coordinates at the free columns.  Every reduced echelon form,
+nullspace basis and quotient coordinate system produced here is the
+unique canonical one; identical inputs give bit-identical outputs.
+``reverse_rref`` brings any spanning set of a solution space into the
+basis ``nullspace`` returns.
 """
 
 from __future__ import annotations
@@ -252,6 +255,17 @@ def _subtract(row: dict, f, other: dict) -> None:
                 del row[c]
 
 
+def residue(basis: dict[int, dict], row: dict) -> dict:
+    """The {column: value} row minus its components along a reduced basis
+    {pivot: row}: zero at every pivot, and empty exactly when the row lies
+    in the span.  The row is consumed and returned.
+    """
+    # a stored row is zero at every other pivot, so one pass reduces fully
+    for p in [c for c in row if c in basis]:
+        _subtract(row, row[p], basis[p])
+    return row
+
+
 def insert_row(basis: dict[int, dict], row: dict, one) -> bool:
     """Insert a {column: value} row into a reduced basis {pivot: row}.
 
@@ -260,9 +274,7 @@ def insert_row(basis: dict[int, dict], row: dict, one) -> bool:
     stays reduced.  Returns False, leaving the basis as it was, when the
     row lies in its span.  The row is consumed.
     """
-    # a stored row is zero at every other pivot, so one pass reduces fully
-    for p in [c for c in row if c in basis]:
-        _subtract(row, row[p], basis[p])
+    row = residue(basis, row)
     if not row:
         return False
     lead = min(row)
@@ -301,15 +313,19 @@ def rref(rows: list, field, ncols: int) -> tuple[list[list], list[int]]:
     the work follows the nonzeros.
     """
     basis = _echelon([_sparse_row(vec, ncols, "rref") for vec in rows], field.one)
-    pivots = sorted(basis)
+    return _dense_rows(basis, field, ncols), sorted(basis)
+
+
+def _dense_rows(basis: dict[int, dict], field, ncols: int) -> list[list]:
+    """The rows of a reduced basis {pivot: row} as dense lists, ordered by pivot."""
     zero = field.zero
     out = []
-    for p in pivots:
+    for p in sorted(basis):
         dense = [zero] * ncols
         for c, x in basis[p].items():
             dense[c] = x
         out.append(dense)
-    return out, pivots
+    return out
 
 
 def solve_in_span(target, generators: list, field) -> list | None:
@@ -386,54 +402,48 @@ def reverse_rref(vectors: list, field, ncols: int) -> list[list]:
 
 
 class Subspace:
-    """A subspace of a coordinate space, stored as the unique RREF basis of itself."""
+    """A subspace of a coordinate space, stored as its unique reduced echelon
+    basis {pivot: {column: value}}; ``basis`` and ``pivots`` are dense views."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "rows")
 
-    def __init__(self, field, ambient_dim: int, basis: list[list], pivots: list[int]):
+    def __init__(self, field, ambient_dim: int, rows: dict[int, dict]):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
+        self.rows = rows
 
     @classmethod
     def span(cls, field, ambient_dim: int, vectors: list) -> "Subspace":
-        """The span of dense or {index: value} vectors; rref checks their dimension."""
-        basis, pivots = rref(vectors, field, ambient_dim)
-        return cls(field, ambient_dim, basis, pivots)
+        """The span of dense or {index: value} vectors, each checked against ambient_dim."""
+        return cls(field, ambient_dim,
+                   _echelon([_sparse_row(v, ambient_dim, "span") for v in vectors], field.one))
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, [], [])
+        return cls(field, ambient_dim, {})
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient_dim)
-        return cls(field, ambient_dim, eye.data, list(range(ambient_dim)))
+        return cls(field, ambient_dim, {i: {i: field.one} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
-    def reduce(self, vec: list) -> list:
-        """Subtract the projection onto this subspace along its pivot columns."""
-        if len(vec) != self.ambient_dim:
-            raise LinAlgError("reduce: ambient dimension mismatch")
-        v = vec[:]
-        for row, p in zip(self.basis, self.pivots):
-            f = v[p]
-            if f:
-                for j in range(p, self.ambient_dim):
-                    rj = row[j]
-                    if rj:
-                        v[j] = v[j] - f * rj
-        return v
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self.rows)
 
-    def contains(self, vec: list) -> bool:
-        return all(not x for x in self.reduce(vec))
+    @property
+    def basis(self) -> list[list]:
+        """The reduced echelon basis as dense rows, ordered by pivot."""
+        return _dense_rows(self.rows, self.field, self.ambient_dim)
+
+    def contains(self, vec) -> bool:
+        return not residue(self.rows, _sparse_row(vec, self.ambient_dim, "subspace"))
 
     def coords(self, vec: list) -> list | None:
-        """Coordinates of vec in the RREF basis, or None when vec is not in the span.
+        """Coordinates of vec in the reduced basis, or None when vec is not in the span.
 
         A basis row is 1 at its own pivot and 0 at the others, so the
         coordinates are the entries of vec at the pivots.
@@ -443,32 +453,30 @@ class Subspace:
         return [vec[p] for p in self.pivots]
 
     def is_contained_in(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.basis)
+        return all(other.contains(row) for row in self.rows.values())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.field == other.field and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, tuple(tuple(r) for r in self.basis)))
+                and self.field == other.field and self.rows == other.rows)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise LinAlgError("sum: ambient dimension mismatch")
-        return Subspace.span(self.field, self.ambient_dim, self.basis + other.basis)
+        return Subspace.span(self.field, self.ambient_dim,
+                             list(self.rows.values()) + list(other.rows.values()))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: rref of [[U,U],[V,0]] leaves the intersection in the
-        # right half of the rows whose left half vanished.
+        # Zassenhaus: the reduced basis of the rows (u, u) and (v, 0) leaves
+        # the intersection in the right half of the rows that lead there
         if self.ambient_dim != other.ambient_dim:
             raise LinAlgError("intersect: ambient dimension mismatch")
         n = self.ambient_dim
-        zero = self.field.zero
-        rows = [u[:] + u[:] for u in self.basis]
-        rows += [v[:] + [zero] * n for v in other.basis]
-        red, _ = rref(rows, self.field, 2 * n)
-        inter = [row[n:] for row in red if all(not x for x in row[:n])]
-        return Subspace.span(self.field, n, inter)
+        rows = [{**u, **{n + c: x for c, x in u.items()}} for u in self.rows.values()]
+        rows += [dict(v) for v in other.rows.values()]
+        red = _echelon(rows, self.field.one)
+        # a reduced row leads at its pivot, so these rows are the reduced basis there
+        return Subspace(self.field, n, {p - n: {c - n: x for c, x in row.items()}
+                                        for p, row in red.items() if p >= n})
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -498,23 +506,11 @@ class Quotient:
         return len(self.free)
 
     def reduce(self, vec) -> dict:
-        """Nonzero quotient coordinates {index: value} of a dense or {index: value} vector."""
-        index, rows = self._index, self.rows
-        out: dict = {}
-        for c, x in _sparse_row(vec, self.ambient_dim, "project").items():
-            row = rows.get(c)
-            if row is None:
-                i = index[c]
-                y = out.get(i)
-                out[i] = x if y is None else y + x
-                continue
-            # modulo the relations, e_c = -sum of row[f] e_f over the row's free columns f
-            for f, y in row.items():
-                if f != c:
-                    i = index[f]
-                    z = out.get(i)
-                    out[i] = -(x * y) if z is None else z - x * y
-        return {i: x for i, x in out.items() if x}
+        """Nonzero quotient coordinates {index: value} of a dense or {index: value}
+        vector: its residue along the relation rows lives on the free columns."""
+        index = self._index
+        return {index[c]: x for c, x in
+                residue(self.rows, _sparse_row(vec, self.ambient_dim, "project")).items()}
 
     def project(self, vec) -> list:
         """Quotient coordinates of a dense or {index: value} ambient vector."""

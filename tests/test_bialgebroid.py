@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from depthtwo.algebras import AlgebraError, SelfCheckError
-from depthtwo.bialgebroid import (ModuleDualBasis, _check_reconstruction, axiom_audit,
+from depthtwo.bialgebroid import (ModuleDualBasis, WitnessError, _certify,
+                                  _check_reconstruction, _delta_from_witness, axiom_audit,
                                   build_T, build_T_quasibase_free,
                                   commutative_flip_check, left_r_projectivity,
                                   r_module_dual_bases, t_core,
@@ -327,15 +328,23 @@ def _quasibase_inverses(wit, rqb) -> tuple[Matrix, Matrix]:
                                   for f, u in fold(wit.q3.lift_items(v))])
             for v in wit.q3b.basis]
     w3_inv = Matrix.from_columns(A.field, inv3, nrows=core.tt.dim)
-    inv4 = [wit.ttt.class_of_sum([(one, w3_inv.apply(wit.to_q3b(wit.q3.project_items(f))), u)
+    inv4 = [wit.ttt.class_of_sum([(one, w3_inv.apply(wit.q3b.coords(wit.q3.project_items(f))),
+                                   u)
                                   for f, u in fold(wit.q4.lift_items(v))])
             for v in wit.q4b.basis]
     return w3_inv, Matrix.from_columns(A.field, inv4, nrows=wit.ttt.dim)
 
 
-def test_linear_inverses_are_the_quasibase_inverses():
-    # the library inverts the witness linearly; an inverse is unique, so it
-    # must reproduce the paper's quasibase formula on every positive example
+def _on_central(fwd: Matrix, target) -> Matrix:
+    """A forward map in coordinates of the B-central power it lands in."""
+    return Matrix.from_columns(fwd.field, [target.coords(col) for col in fwd.columns()],
+                               nrows=target.dim)
+
+
+def test_quasibase_inverses_invert_the_witness():
+    # the library forms no inverse; the paper's quasibase formulas must
+    # invert both comparison maps on every positive example, and the triple
+    # one must send t^1 (x) 1 (x) t^2 to Delta(t)
     positive = []
     for name in catalog_names():
         ext = build_example(name)
@@ -343,12 +352,70 @@ def test_linear_inverses_are_the_quasibase_inverses():
         if rqb is None:
             continue
         positive.append(name)
-        wit = build_T(ext, rqb).witness
-        ref3, ref4 = _quasibase_inverses(wit, rqb)
-        for j in range(wit.q3b.dim):
-            assert wit.w3_inv.column(j) == ref3.column(j), (name, j)
-        assert wit.w4_inv == ref4, name
+        bgd = build_T(ext, rqb)
+        wit, core, field = bgd.witness, bgd.core, ext.A.field
+        inv3, inv4 = _quasibase_inverses(wit, rqb)
+        for fwd, target, inv in ((wit.w3, wit.q3b, inv3), (wit.w4, wit.q4b, inv4)):
+            on_b = _on_central(fwd, target)
+            assert inv @ on_b == Matrix.identity(field, fwd.ncols), name
+            assert on_b @ inv == Matrix.identity(field, target.dim), name
+        for c in range(core.dim):
+            image = wit.sandwich3(core.T_alg.basis_vector(c), ext.A.unit)
+            assert inv3.apply(wit.q3b.coords(image)) == bgd.Delta.column(c), (name, c)
     assert len(positive) >= 7, positive
+
+
+def _outside(space) -> list:
+    """The first standard basis vector outside a proper subspace."""
+    field = space.field
+    return next(e for e in Matrix.identity(field, space.ambient_dim).data
+                if not space.contains(e))
+
+
+@pytest.mark.parametrize("mutate", ["column_outside", "dependent_columns", "larger_target"])
+def test_certify_rejects_a_forward_map_that_is_not_an_isomorphism(mutate, s3a3):
+    wit = triple_tensor_witness(s3a3)
+    cols = wit.w3.columns()
+    _certify(wit.w3, wit.q3b, "triple")
+    if mutate == "column_outside":
+        cols[0] = _outside(wit.q3b)
+    elif mutate == "dependent_columns":
+        cols.append(cols[0])  # the span is still the target
+    else:
+        cols = cols[1:]
+    with pytest.raises(WitnessError):
+        _certify(Matrix.from_columns(wit.w3.field, cols, nrows=wit.w3.nrows), wit.q3b,
+                 "triple")
+
+
+def test_delta_rejects_a_corrupted_sandwich_image(monkeypatch, s3a3):
+    import depthtwo.bialgebroid as bialgebroid_mod
+    wit = triple_tensor_witness(s3a3)
+    core = wit.core
+    sandwich3 = bialgebroid_mod.TripleTensorWitness.sandwich3
+    stray = _outside(wit.q3b)
+
+    def corrupted(self, tcoords, mid):
+        image = sandwich3(self, tcoords, mid)
+        return [x + y for x, y in zip(image, stray)] if tcoords[-1] else image
+
+    monkeypatch.setattr(bialgebroid_mod.TripleTensorWitness, "sandwich3", corrupted)
+    with pytest.raises(WitnessError, match="no preimage"):
+        _delta_from_witness(core, wit)
+
+
+def test_delta_check_catches_a_wrong_preimage(monkeypatch, s3a3):
+    import depthtwo.bialgebroid as bialgebroid_mod
+    wit = triple_tensor_witness(s3a3)
+    solve = bialgebroid_mod.solve_in_span
+
+    def off_by_one(target, generators, field):
+        coeffs = solve(target, generators, field)
+        return [coeffs[0] + field.one] + coeffs[1:]
+
+    monkeypatch.setattr(bialgebroid_mod, "solve_in_span", off_by_one)
+    with pytest.raises(WitnessError, match="W3 o Delta"):
+        _delta_from_witness(wit.core, wit)
 
 
 # -- projectivity and dual bases ------------------------------------------------

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from depthtwo.algebras import SelfCheckError
+from depthtwo.algebras import SelfCheckError, group_pair
 from depthtwo.bialgebroid import WitnessError, axiom_audit, build_T, t_core
 from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square
 from depthtwo.catalog import catalog_names, build_example
-from depthtwo.fields import QQ
+from depthtwo.fields import GF, QQ
 from depthtwo.galois import (balanced_audit, coaction, coinvariants,
                              comodule_algebra_audit, d2_iff_corollary_audit,
                              galois_data, galois_map, ice_matrix,
                              main_theorem_audit, tensor_with_t)
 from depthtwo.linalg import LinAlgError, Matrix, Subspace
+
+from conftest import _even_permutations
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +219,20 @@ def test_main_theorem_negative_case(s3_transposition):
     assert not report.right_d2
     assert not report.lhs
     assert not report.rhs
+    assert report.consistent
+
+
+def test_main_theorem_on_s4_over_a4_mod_5():
+    # literature oracles: a normal subgroup gives depth two in any
+    # characteristic, and kG is free over kN, so A_B is balanced
+    elems = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(elems)}
+    table = [[index[tuple(g[h[x]] for x in range(4))] for h in elems] for g in elems]
+    ext, _ = group_pair(GF(5), table, [index[p] for p in _even_permutations()])
+    assert ext.A.dim == 24
+    report = main_theorem_audit(ext)
+    assert report.right_d2 and report.left_d2 and report.balanced
+    assert report.lhs is True and report.rhs is True
     assert report.consistent
 
 

@@ -175,6 +175,8 @@ def test_intersection_and_sum_dims():
         inter = u.intersect(v)
         total = u.sum_with(v)
         assert inter.dim + total.dim == u.dim + v.dim
+        assert inter == Subspace.span(QQ, 5, inter.basis)  # kept in canonical form
+        assert inter.is_contained_in(u) and u.is_contained_in(total)
         for w in inter.basis:
             assert u.contains(w) and v.contains(w)
 
