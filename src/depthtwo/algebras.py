@@ -381,7 +381,7 @@ class AlgebraMorphism:
 class Extension:
     """An algebra extension A|B: the morphism iota: B -> A with both algebras."""
 
-    __slots__ = ("B", "A", "iota", "_cache")
+    __slots__ = ("B", "A", "iota", "_cache", "__weakref__")
 
     def __init__(self, B: FiniteAlgebra, A: FiniteAlgebra, iota: AlgebraMorphism):
         if iota.source is not B or iota.target is not A:

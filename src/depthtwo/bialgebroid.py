@@ -31,12 +31,12 @@ class TCore:
     """Quasibase-free part of the bialgebroid: algebra T, base R, s_R, t_R,
     counit, the R-actions on T and the realized quotient T (x)_R T."""
 
-    __slots__ = ("ext", "ts", "R", "R_alg", "incl_R", "t_space", "t_basis", "t_items",
+    __slots__ = ("A", "ts", "R", "R_alg", "incl_R", "t_space", "t_basis", "t_items",
                  "T_alg", "unit_T", "s_R", "t_R", "eps", "lam_R", "rho_R", "tt")
 
     def __init__(self, ext: Extension):
-        self.ext = ext
-        A = ext.A
+        # the algebra, not the extension: the extension caches this core
+        A = self.A = ext.A
         field = A.field
         ts = tensor_square(ext)
         self.ts = ts
@@ -68,10 +68,9 @@ class TCore:
             for r in range(rdim)])
         self.eps = Matrix.from_columns(field, [
             self._into_R(self.contract(c), "counit value escaped R") for c in range(m)])
-        self.lam_R = [self._restricted_action(combine(ts.left_action, self.incl_R.column(r)))
-                      for r in range(rdim)]
-        self.rho_R = [self._restricted_action(combine(ts.right_action, self.incl_R.column(r)))
-                      for r in range(rdim)]
+        incl = [self.incl_R.column(r) for r in range(rdim)]
+        self.lam_R = self._r_actions(ts.left_action, incl)
+        self.rho_R = self._r_actions(ts.right_action, incl)
         T = self.r_bimodule()
         self.tt = balanced_tensor(T, T)
 
@@ -106,7 +105,7 @@ class TCore:
 
     def lift_T(self, coords: list) -> list:
         """T coordinates -> tensor-square coordinates."""
-        return Matrix.from_columns(self.ext.A.field, self.t_basis,
+        return Matrix.from_columns(self.A.field, self.t_basis,
                                    nrows=self.ts.dim).apply(coords)
 
     def quasibase_in_T(self, rqb: QuasibaseSet) -> list[tuple[Matrix, list]]:
@@ -120,7 +119,7 @@ class TCore:
     def contract(self, c: int, left: Matrix | None = None,
                  right: Matrix | None = None) -> list:
         """A coordinates of left(t_c^1) right(t_c^2); identity maps by default."""
-        A = self.ext.A
+        A = self.A
         acc = [A.field.zero] * A.dim
         for (s, t), x in self.t_lift_items(c):
             u = A.basis_vector(s) if left is None else left.column(s)
@@ -130,22 +129,27 @@ class TCore:
                     acc[i] = acc[i] + x * y
         return acc
 
-    def _restricted_action(self, ambient: Matrix) -> Matrix:
-        """An action on the tensor square restricted to T, applied through its
-        nonzero columns."""
-        field = self.ext.A.field
-        amb_cols = nonzero_columns(ambient)
-        cols = []
+    def _r_actions(self, actions: list[Matrix], incl: list[list]) -> list[Matrix]:
+        """The actions on T of R's basis vectors, given in A coordinates by incl.
+
+        Each action of A on the tensor square is applied to T's basis once,
+        through its nonzero columns; the action of r weights those images by
+        r's coordinates.
+        """
+        field, dim = self.A.field, self.ts.dim
+        cols = [nonzero_columns(act) for act in actions]
+        images = []
         for t in self.t_basis:
-            img = [field.zero] * self.ts.dim
-            for i, x in sum_nonzeros((y, amb_cols[k]) for k, y in enumerate(t) if y).items():
-                img[i] = x
-            cols.append(self.t_coords(img, "R-action left the B-central subspace"))
-        return Matrix.from_columns(field, cols, nrows=self.dim)
+            t_nz = [(k, y) for k, y in enumerate(t) if y]
+            images.append([sum_nonzeros((y, c[k]) for k, y in t_nz).items() for c in cols])
+        return [Matrix.from_columns(field, [
+            self.t_coords(combine_images(field, dim, [imgs], [r]),
+                          "R-action left the B-central subspace")
+            for imgs in images], nrows=self.dim) for r in incl]
 
     def _tee_product(self, c: int, d: int) -> list:
         """T coordinates of t_c * t_d = u^1 t^1 (x) t^2 u^2."""
-        nz = self.ext.A.nonzeros
+        nz = self.A.nonzeros
         terms = [(c1 * c2, nz[p][s], nz[t][q])
                  for (s, t), c1 in self.t_items[c] for (p, q), c2 in self.t_items[d]]
         return self.t_coords(self.ts.class_of_sum(terms),
@@ -185,15 +189,15 @@ class TripleTensorWitness:
     forward map to be an isomorphism onto the B-central power, and Delta
     reads preimages under the triple one.  A preimage is unique, so Delta
     is the matrix the paper's quasibase formula gives whenever a quasibase
-    exists.
+    exists.  It is built from the extension and keeps the extension's core,
+    not the extension, which caches it.
     """
 
     __slots__ = ("core", "q3", "q3b", "w3", "q4", "q4b", "ttt", "w4", "_fwd3_cache")
 
-    def __init__(self, core: TCore):
-        self.core = core
+    def __init__(self, ext: Extension):
+        core = self.core = t_core(ext)
         self._fwd3_cache: dict[tuple[int, int], list] = {}
-        ext = core.ext
         q3 = tensor_power(ext, 3)
         q4 = tensor_power(ext, 4)
         self.q3 = q3
@@ -217,7 +221,7 @@ class TripleTensorWitness:
         cached = self._fwd3_cache.get((c, d))
         if cached is not None:
             return cached
-        nz = self.core.ext.A.nonzeros
+        nz = self.core.A.nonzeros
         items = []
         for (s, t), c1 in self.core.t_lift_items(c):
             for (p, q), c2 in self.core.t_lift_items(d):
@@ -230,7 +234,7 @@ class TripleTensorWitness:
 
     def _forward4(self, c: int, d: int, e: int) -> dict:
         """Nonzero Q4 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2 t_e^1 (x) t_e^2."""
-        nz = self.core.ext.A.nonzeros
+        nz = self.core.A.nonzeros
         items = []
         for (s, t), c1 in self.core.t_lift_items(c):
             for (p, q), c2 in self.core.t_lift_items(d):
@@ -260,7 +264,7 @@ class TripleTensorWitness:
 
     def sandwich4_unit(self, tcoords: list) -> list:
         """Q4 coordinates of t^1 (x) 1 (x) 1 (x) t^2."""
-        unit_nz = [(i, u) for i, u in enumerate(self.core.ext.A.unit) if u]
+        unit_nz = [(i, u) for i, u in enumerate(self.core.A.unit) if u]
         return self.q4.project_items([((s, u1, u2, t), c * x1 * x2)
                                       for (s, t), c in self._t_items(tcoords)
                                       for u1, x1 in unit_nz for u2, x2 in unit_nz])
@@ -278,10 +282,6 @@ class RightBialgebroid:
         self.Delta = Delta
         self.rqb = rqb
 
-    @property
-    def ext(self):
-        return self.core.ext
-
     def replaced(self, **kwargs) -> "RightBialgebroid":
         """Copy with structure maps swapped out (exists for mutation tests)."""
         core = kwargs.pop("core", self.core)
@@ -297,10 +297,10 @@ def _delta_from_witness(core: TCore, witness: TripleTensorWitness) -> Matrix:
     ``_certify`` has shown W3 injective, so each preimage is unique; W3 Delta
     is then compared with the images exactly.
     """
-    field = core.ext.A.field
+    field = core.A.field
     w3 = witness.w3
     columns = [dict(col) for col in nonzero_columns(w3)]
-    images = [witness.sandwich3(core.T_alg.basis_vector(c), core.ext.A.unit)
+    images = [witness.sandwich3(core.T_alg.basis_vector(c), core.A.unit)
               for c in range(core.dim)]
     cols = []
     for img in images:
@@ -316,7 +316,7 @@ def _delta_from_witness(core: TCore, witness: TripleTensorWitness) -> Matrix:
 
 def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
     """Delta(t) = sum_i (t^1 (x) gamma_i(t^2)) (x)_R u_i, the quasibase formula."""
-    field = core.ext.A.field
+    field = core.A.field
     pairs = core.quasibase_in_T(rqb)
     cols = []
     for c in range(core.dim):
@@ -359,8 +359,8 @@ def build_T_quasibase_free(ext: Extension) -> RightBialgebroid:
     raises WitnessError when a forward map is not an isomorphism onto its
     B-central power.
     """
-    core = t_core(ext)
-    witness = TripleTensorWitness(core)
+    witness = TripleTensorWitness(ext)
+    core = witness.core
     return RightBialgebroid(core, witness, _delta_from_witness(core, witness), None)
 
 
@@ -416,7 +416,7 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
     """
     core = bgd.core
     wit = bgd.witness
-    A = core.ext.A
+    A = core.A
     field = A.field
     R, T, tt, Delta = core.R_alg, core.T_alg, core.tt, bgd.Delta
     m = core.dim
@@ -551,7 +551,7 @@ def _check_reconstruction(core: TCore, actions: list[Matrix], db: ModuleDualBasi
     act(r) m_i is sum_a r_a actions[a] m_i, so each actions[a] m_i is
     computed once and weighted by the column c of phi_i.
     """
-    field = core.ext.A.field
+    field = core.A.field
     images = action_images(actions, db.elements)
     for c, x in enumerate(Matrix.identity(field, core.dim).data):
         if combine_images(field, core.dim, images, [phi.column(c) for phi in db.functionals]) != x:

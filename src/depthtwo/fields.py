@@ -4,7 +4,14 @@ Every computation in this package runs over one of these two kinds of
 field; there is no floating point anywhere.  Rational values are plain
 ``fractions.Fraction`` objects, prime-field values are ``FpElement``
 wrappers that stay reduced mod p, so generic linear algebra can use the
-ordinary arithmetic operators on either.
+ordinary arithmetic operators on either.  An ``FpElement`` combines with
+an element of the same modulus or with an int; any other modulus raises
+``FieldError``, and a ``Fraction`` or float raises ``TypeError``.  An
+operator reduces its result once and takes it from ``fp_element``: for p
+below ``_TABLE_LIMIT`` that is the shared element of a per-prime table
+built on first use, and a new object only for larger p.
+The exact elimination in ``linalg`` does not use these objects at all; it
+converts rows to plain integers once and back when they leave.
 """
 
 from __future__ import annotations
@@ -48,8 +55,28 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# prime fields below this bound share one element object per residue
+_TABLE_LIMIT = 1 << 12
+_TABLES: dict[int, list] = {}
+
+
+def fp_element(v: int, p: int) -> "FpElement":
+    """The element with residue v in range(p): the shared one when p is small."""
+    table = _TABLES.get(p)
+    if table is None:
+        if p >= _TABLE_LIMIT:
+            return FpElement(v, p)
+        table = _TABLES[p] = [FpElement(r, p) for r in range(p)]
+    return table[v]
+
+
 class FpElement:
-    """A residue mod the prime p.  Arithmetic only combines equal moduli."""
+    """A residue mod the prime p.  Arithmetic only combines equal moduli.
+
+    Each operator handles an element of the same modulus first and an int
+    next, and builds its result with ``fp_element``, which for small p returns
+    the shared element from a table built on first use.
+    """
 
     __slots__ = ("v", "p")
 
@@ -57,53 +84,66 @@ class FpElement:
         self.v = v % p
         self.p = p
 
-    def _coerce(self, other):
+    def _other(self, other):
+        """The residue of an FpElement of the same modulus or of an int, else None."""
         if isinstance(other, FpElement):
             if other.p != self.p:
                 raise FieldError(f"mixed moduli {self.p} and {other.p}")
-            return other
+            return other.v
         if isinstance(other, int):
-            return FpElement(other, self.p)
+            return other % self.p
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        p = self.p
+        if type(other) is FpElement and other.p == p:
+            return fp_element((self.v + other.v) % p, p)
+        o = self._other(other)
         if o is None:
             return NotImplemented
-        return FpElement(self.v + o.v, self.p)
+        return fp_element((self.v + o) % p, p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        p = self.p
+        if type(other) is FpElement and other.p == p:
+            return fp_element((self.v - other.v) % p, p)
+        o = self._other(other)
         if o is None:
             return NotImplemented
-        return FpElement(self.v - o.v, self.p)
+        return fp_element((self.v - o) % p, p)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._other(other)
         if o is None:
             return NotImplemented
-        return FpElement(o.v - self.v, self.p)
+        p = self.p
+        return fp_element((o - self.v) % p, p)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        p = self.p
+        if type(other) is FpElement and other.p == p:
+            return fp_element(self.v * other.v % p, p)
+        o = self._other(other)
         if o is None:
             return NotImplemented
-        return FpElement(self.v * o.v, self.p)
+        return fp_element(self.v * o % p, p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._other(other)
         if o is None:
             return NotImplemented
-        if o.v == 0:
+        if o == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpElement(self.v * pow(o.v, self.p - 2, self.p), self.p)
+        p = self.p
+        return fp_element(self.v * pow(o, p - 2, p) % p, p)
 
     def __neg__(self):
-        return FpElement(-self.v, self.p)
+        p = self.p
+        return fp_element(-self.v % p, p)
 
     def __bool__(self):
         return self.v != 0
@@ -179,24 +219,26 @@ class PrimeField:
 
     @property
     def zero(self):
-        return FpElement(0, self.p)
+        return fp_element(0, self.p)
 
     @property
     def one(self):
-        return FpElement(1, self.p)
+        return fp_element(1, self.p)
 
     def of(self, n) -> FpElement:
         if isinstance(n, FpElement):
             if n.p != self.p:
                 raise FieldError(f"mixed moduli {self.p} and {n.p}")
             return n
+        if isinstance(n, int):
+            return fp_element(n % self.p, self.p)
         return FpElement(n, self.p)
 
     def parse(self, obj) -> FpElement:
         if isinstance(obj, bool):
             raise FieldError(f"not an F_{self.p} literal: {obj!r}")
         if isinstance(obj, int):
-            return FpElement(obj, self.p)
+            return fp_element(obj % self.p, self.p)
         if isinstance(obj, str):
             # accept "a/b" so rational catalogs port to F_p unchanged
             try:

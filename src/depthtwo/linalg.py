@@ -2,21 +2,41 @@
 
 Elimination works on sparse {column: value} rows, so its cost follows the
 nonzeros of the system rather than rows x columns; it accepts dense lists
-or dicts and returns dense rows.  All rows are checked first and then
-inserted latest leading column first, so a new pivot seldom has to be
-cleared from the rows already stored.  A subspace keeps its reduced
-basis as sparse rows, and a quotient only its reduced relation rows and
-free columns.  One ``residue`` reduction along such rows serves row
-insertion, membership and coordinates in a subspace, and projection onto
-a quotient, which rewrites the pivot coordinates along their rows; lifting
-places coordinates at the free columns.  Every reduced echelon form,
-nullspace basis and quotient coordinate system produced here is the
+or dicts and returns dense rows.  Inside, rows are native: machine
+integers rather than field elements.
+
+- Over F_p a native row holds residues in range(p); a stored row is 1 at
+  its pivot.
+- Over Q a stored row is a primitive integer row whose pivot entry is
+  positive, and its value is the row divided by that entry; a working row
+  carries one integer denominator.
+
+Both are unique for a reduced row, so equal spans store equal rows.
+Field values are converted once where they enter (``_sparse_row`` and the
+kernel's ``native``) and rebuilt only where they leave: ``rref``'s dense
+rows, ``reverse_rref``, ``Subspace.basis`` and ``Quotient.reduce``.
+
+All rows are checked first and then inserted latest leading column first.
+A stored row is zero left of its own pivot, so when a new row leads left
+of every stored pivot, no stored row has an entry in its column and the
+clearing scan is skipped; that is the usual case in this order.  A
+subspace keeps its reduced basis as native rows, and a quotient only its
+reduced relation rows and free columns.  One ``residue`` reduction along
+such rows serves row insertion, membership in a subspace, and projection
+onto a quotient, which rewrites the pivot coordinates along their rows;
+lifting places coordinates at the free columns.  Every reduced echelon
+form, nullspace basis and quotient coordinate system produced here is the
 unique canonical one; identical inputs give bit-identical outputs.
 ``reverse_rref`` brings any spanning set of a solution space into the
 basis ``nullspace`` returns.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+from .fields import QQ, FpElement, GF, fp_element
 
 
 class LinAlgError(ValueError):
@@ -241,66 +261,187 @@ def _sparse_row(vec, ncols: int, what: str) -> dict:
     return {c: x for c, x in enumerate(vec) if x}
 
 
-def _subtract(row: dict, f, other: dict) -> None:
-    """row -= f * other on sparse rows, dropping the entries that cancel."""
-    for c, y in other.items():
-        x = row.get(c)
-        if x is None:
-            row[c] = -(f * y)
-        else:
-            x = x - f * y
+class _PrimeRows:
+    """Native rows over F_p: {column: residue in range(p)}, each stored row 1
+    at its pivot.  A working row carries the denominator 1."""
+
+    __slots__ = ("field", "p")
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p
+
+    def native(self, row: dict) -> tuple[dict, int]:
+        """The native row and denominator of a {column: field value} row."""
+        p, of = self.p, self.field.of
+        out = {}
+        for c, x in row.items():
+            if type(x) is not FpElement or x.p != p:
+                x = of(x)  # an int, or FieldError for another modulus
+            if x.v:
+                out[c] = x.v
+        return out, 1
+
+    def values(self, row: dict, den: int) -> dict:
+        """{column: field value} of a native row over its denominator."""
+        p = self.p
+        return {c: fp_element(x, p) for c, x in row.items()}
+
+    def _subtract(self, row: dict, f: int, other: dict) -> None:
+        """row -= f * other, dropping the entries that cancel."""
+        p = self.p
+        get = row.get
+        for c, y in other.items():
+            x = (get(c, 0) - f * y) % p
             if x:
                 row[c] = x
             else:
                 del row[c]
 
+    def residue(self, basis: dict[int, dict], row: dict, den: int) -> tuple[dict, int]:
+        # a stored row is zero at every other pivot, so one pass reduces fully
+        for piv in [c for c in row if c in basis]:
+            self._subtract(row, row[piv], basis[piv])
+        return row, den
 
-def residue(basis: dict[int, dict], row: dict) -> dict:
-    """The {column: value} row minus its components along a reduced basis
-    {pivot: row}: zero at every pivot, and empty exactly when the row lies
-    in the span.  The row is consumed and returned.
+    def normalized(self, row: dict, lead: int) -> dict:
+        p, pv = self.p, row[lead]
+        if pv == 1:
+            return row
+        inv = pow(pv, p - 2, p)
+        return {c: x * inv % p for c, x in row.items()}
+
+    def clear(self, other: dict, row: dict, lead: int) -> None:
+        """Clear the column lead, row's pivot, from a stored row."""
+        self._subtract(other, other[lead], row)
+
+
+class _RationalRows:
+    """Native rows over Q: integer rows {column: int}.  A stored row is
+    primitive with a positive pivot entry and stands for itself divided by
+    that entry; a working row stands for itself divided by its denominator."""
+
+    __slots__ = ()
+
+    def native(self, row: dict) -> tuple[dict, int]:
+        """The native row and denominator of a {column: Fraction or int} row."""
+        den = 1
+        for x in row.values():
+            d = x.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        if den == 1:
+            return {c: x.numerator for c, x in row.items()}, 1
+        return {c: x.numerator * (den // x.denominator) for c, x in row.items()}, den
+
+    def values(self, row: dict, den: int) -> dict:
+        return {c: Fraction(x, den) for c, x in row.items()}
+
+    @staticmethod
+    def _eliminate(row: dict, other: dict, col: int) -> int:
+        """row <- a row - b other, with a > 0 and b the least that make it zero
+        at col; drops the entries that cancel and returns a."""
+        g = gcd(other[col], row[col])
+        a, b = other[col] // g, row[col] // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
+        get = row.get
+        for c, y in other.items():
+            x = get(c, 0) - b * y
+            if x:
+                row[c] = x
+            else:
+                del row[c]
+        return a
+
+    def residue(self, basis: dict[int, dict], row: dict, den: int) -> tuple[dict, int]:
+        # row/den - (row[piv]/den) (s/s[piv]) = (a row - b s) / (a den)
+        for piv in [c for c in row if c in basis]:
+            den *= self._eliminate(row, basis[piv], piv)
+        return row, den
+
+    def normalized(self, row: dict, lead: int) -> dict:
+        g = gcd(*row.values())
+        if row[lead] < 0:
+            g = -g
+        return row if g == 1 else {c: x // g for c, x in row.items()}
+
+    def clear(self, other: dict, row: dict, lead: int) -> None:
+        # row is zero at other's pivot, so a > 0 keeps that entry positive
+        self._eliminate(other, row, lead)
+        g = gcd(*other.values())
+        if g != 1:
+            for c in other:
+                other[c] //= g
+
+
+_KERNELS: dict = {}
+
+
+def _kernel(field):
+    """The native row arithmetic of Q or of F_p."""
+    k = _KERNELS.get(field)
+    if k is None:
+        k = _KERNELS[field] = _RationalRows() if field.char == 0 else _PrimeRows(field)
+    return k
+
+
+def _native(vec, ncols: int, what: str, k) -> tuple[dict, int]:
+    """A checked dense or {column: value} row as a native row and its denominator."""
+    return k.native(_sparse_row(vec, ncols, what))
+
+
+def _insert(basis: dict[int, dict], row: dict, low: int | None, k) -> int | None:
+    """Insert a native row into a reduced basis {pivot: native row}; returns
+    the new pivot, or None when the row lies in the span.  The row is consumed.
+
+    ``low`` is the least stored pivot (None: not known).  A stored row is zero
+    left of its own pivot, so a new pivot left of ``low`` is already zero in
+    every stored row and the clearing scan is skipped.
     """
-    # a stored row is zero at every other pivot, so one pass reduces fully
-    for p in [c for c in row if c in basis]:
-        _subtract(row, row[p], basis[p])
-    return row
+    row = k.residue(basis, row, 1)[0]
+    if not row:
+        return None
+    lead = min(row)
+    row = k.normalized(row, lead)
+    if low is None:
+        low = min(basis, default=lead)
+    if lead > low:
+        for other in basis.values():
+            if lead in other:
+                k.clear(other, row, lead)
+    basis[lead] = row
+    return lead
 
 
 def insert_row(basis: dict[int, dict], row: dict, one) -> bool:
-    """Insert a {column: value} row into a reduced basis {pivot: row}.
+    """Insert a {column: field value} row into a reduced basis {pivot: native row}.
 
-    The row is reduced by the stored pivots, scaled to 1 at its leading
-    column, and that column is cleared from the stored rows, so the basis
-    stays reduced.  Returns False, leaving the basis as it was, when the
-    row lies in its span.  The row is consumed.
+    ``one`` is the field's unit.  The row is reduced by the stored pivots,
+    normalized at its leading column, and that column is cleared from the
+    stored rows, so the basis stays reduced.  Returns False, leaving the
+    basis as it was, when the row lies in its span.
     """
-    row = residue(basis, row)
-    if not row:
-        return False
-    lead = min(row)
-    pv = row[lead]
-    if pv != one:
-        row = {c: x / pv for c, x in row.items()}
-    for other in basis.values():
-        f = other.get(lead)
-        if f:
-            _subtract(other, f, row)
-    basis[lead] = row
-    return True
+    k = _kernel(GF(one.p) if isinstance(one, FpElement) else QQ)
+    return _insert(basis, k.native(row)[0], None, k) is not None
 
 
-def _echelon(rows: list[dict], one) -> dict[int, dict]:
-    """The reduced echelon basis {pivot: row} of the span of {column: value} rows.
+def _echelon(rows: list[dict], k) -> dict[int, dict]:
+    """The reduced echelon basis {pivot: row} of the span of native rows.
 
     The rows are inserted latest leading column first.  A new row then
     usually leads left of every stored pivot, and a stored row is zero left
-    of its own pivot, so no stored row needs that column cleared.  The
-    reduced echelon basis of a span is unique, so the order changes the
-    work and not the result.  The rows are consumed.
+    of its own pivot, so no stored row has an entry to clear and the scan is
+    skipped.  The reduced echelon basis of a span is unique, so the order
+    changes the work and not the result.  The rows are consumed.
     """
     basis: dict[int, dict] = {}
+    low = None
     for row in sorted((r for r in rows if r), key=min, reverse=True):
-        insert_row(basis, row, one)
+        lead = _insert(basis, row, low, k)
+        if lead is not None and (low is None or lead < low):
+            low = lead
     return basis
 
 
@@ -308,21 +449,24 @@ def rref(rows: list, field, ncols: int) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of dense or {column: value} rows.
 
     Returns (nonzero rows, pivot cols) with dense rows.  Every row is checked
-    against ncols before any is inserted; ``_echelon`` then inserts them into
-    a reduced basis keyed by pivot column, latest leading column first, so
-    the work follows the nonzeros.
+    against ncols and converted to a native row before any is inserted;
+    ``_echelon`` then inserts them into a reduced basis keyed by pivot
+    column, latest leading column first, so the work follows the nonzeros.
     """
-    basis = _echelon([_sparse_row(vec, ncols, "rref") for vec in rows], field.one)
+    k = _kernel(field)
+    basis = _echelon([_native(vec, ncols, "rref", k)[0] for vec in rows], k)
     return _dense_rows(basis, field, ncols), sorted(basis)
 
 
 def _dense_rows(basis: dict[int, dict], field, ncols: int) -> list[list]:
-    """The rows of a reduced basis {pivot: row} as dense lists, ordered by pivot."""
+    """The rows of a native reduced basis {pivot: row} as dense field rows, ordered by pivot."""
+    k = _kernel(field)
     zero = field.zero
     out = []
     for p in sorted(basis):
+        row = basis[p]
         dense = [zero] * ncols
-        for c, x in basis[p].items():
+        for c, x in k.values(row, row[p]).items():
             dense[c] = x
         out.append(dense)
     return out
@@ -389,13 +533,15 @@ def reverse_rref(vectors: list, field, ncols: int) -> list[list]:
     set with the columns reversed reproduces them entry for entry.
     """
     last = ncols - 1
-    basis = _echelon([{last - c: x for c, x in _sparse_row(vec, ncols, "reverse_rref").items()}
-                      for vec in vectors], field.one)
+    k = _kernel(field)
+    basis = _echelon([{last - c: x for c, x in _native(vec, ncols, "reverse_rref", k)[0].items()}
+                      for vec in vectors], k)
     zero = field.zero
     out = []
     for p in sorted(basis, reverse=True):
+        row = basis[p]
         dense = [zero] * ncols
-        for c, x in basis[p].items():
+        for c, x in k.values(row, row[p]).items():
             dense[last - c] = x
         out.append(dense)
     return out
@@ -403,20 +549,22 @@ def reverse_rref(vectors: list, field, ncols: int) -> list[list]:
 
 class Subspace:
     """A subspace of a coordinate space, stored as its unique reduced echelon
-    basis {pivot: {column: value}}; ``basis`` and ``pivots`` are dense views."""
+    basis {pivot: native row}; ``basis`` and ``pivots`` are dense views."""
 
-    __slots__ = ("field", "ambient_dim", "rows")
+    __slots__ = ("field", "ambient_dim", "rows", "_k")
 
     def __init__(self, field, ambient_dim: int, rows: dict[int, dict]):
         self.field = field
         self.ambient_dim = ambient_dim
         self.rows = rows
+        self._k = _kernel(field)
 
     @classmethod
     def span(cls, field, ambient_dim: int, vectors: list) -> "Subspace":
         """The span of dense or {index: value} vectors, each checked against ambient_dim."""
+        k = _kernel(field)
         return cls(field, ambient_dim,
-                   _echelon([_sparse_row(v, ambient_dim, "span") for v in vectors], field.one))
+                   _echelon([_native(v, ambient_dim, "span", k)[0] for v in vectors], k))
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
@@ -424,7 +572,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, {i: {i: field.one} for i in range(ambient_dim)})
+        return cls(field, ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
@@ -440,7 +588,8 @@ class Subspace:
         return _dense_rows(self.rows, self.field, self.ambient_dim)
 
     def contains(self, vec) -> bool:
-        return not residue(self.rows, _sparse_row(vec, self.ambient_dim, "subspace"))
+        k = self._k
+        return not k.residue(self.rows, *_native(vec, self.ambient_dim, "subspace", k))[0]
 
     def coords(self, vec: list) -> list | None:
         """Coordinates of vec in the reduced basis, or None when vec is not in the span.
@@ -453,7 +602,7 @@ class Subspace:
         return [vec[p] for p in self.pivots]
 
     def is_contained_in(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.rows.values())
+        return all(not self._k.residue(other.rows, dict(row), 1)[0] for row in self.rows.values())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -462,8 +611,8 @@ class Subspace:
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise LinAlgError("sum: ambient dimension mismatch")
-        return Subspace.span(self.field, self.ambient_dim,
-                             list(self.rows.values()) + list(other.rows.values()))
+        rows = [dict(r) for r in self.rows.values()] + [dict(r) for r in other.rows.values()]
+        return Subspace(self.field, self.ambient_dim, _echelon(rows, self._k))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         # Zassenhaus: the reduced basis of the rows (u, u) and (v, 0) leaves
@@ -473,7 +622,7 @@ class Subspace:
         n = self.ambient_dim
         rows = [{**u, **{n + c: x for c, x in u.items()}} for u in self.rows.values()]
         rows += [dict(v) for v in other.rows.values()]
-        red = _echelon(rows, self.field.one)
+        red = _echelon(rows, self._k)
         # a reduced row leads at its pivot, so these rows are the reduced basis there
         return Subspace(self.field, n, {p - n: {c - n: x for c, x in row.items()}
                                         for p, row in red.items() if p >= n})
@@ -485,19 +634,20 @@ class Subspace:
 class Quotient:
     """A coordinate realization of ambient/relations, kept sparse.
 
-    ``rows`` is the reduced echelon basis of the relations, {pivot: {column:
-    value}}, each row 1 at its own pivot and 0 at the others.  Quotient
-    coordinates are indexed by the non-pivot columns ``free`` in ascending
-    order: a free column lifts to its own ambient basis vector, and a pivot
-    column is rewritten along its row.
+    ``rows`` is the reduced echelon basis of the relations, {pivot: native
+    row}, each row zero at the other pivots.  Quotient coordinates are
+    indexed by the non-pivot columns ``free`` in ascending order: a free
+    column lifts to its own ambient basis vector, and a pivot column is
+    rewritten along its row.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "free", "_index")
+    __slots__ = ("field", "ambient_dim", "rows", "free", "_index", "_k")
 
     def __init__(self, field, ambient_dim: int, rows: dict[int, dict]):
         self.field = field
         self.ambient_dim = ambient_dim
         self.rows = rows
+        self._k = _kernel(field)
         self.free = [c for c in range(ambient_dim) if c not in rows]
         self._index = {f: i for i, f in enumerate(self.free)}
 
@@ -508,9 +658,9 @@ class Quotient:
     def reduce(self, vec) -> dict:
         """Nonzero quotient coordinates {index: value} of a dense or {index: value}
         vector: its residue along the relation rows lives on the free columns."""
-        index = self._index
-        return {index[c]: x for c, x in
-                residue(self.rows, _sparse_row(vec, self.ambient_dim, "project")).items()}
+        index, k = self._index, self._k
+        row, den = k.residue(self.rows, *_native(vec, self.ambient_dim, "project", k))
+        return {index[c]: x for c, x in k.values(row, den).items()}
 
     def project(self, vec) -> list:
         """Quotient coordinates of a dense or {index: value} ambient vector."""
@@ -542,5 +692,6 @@ def quotient_structure(field, ambient_dim: int, relations: list) -> Quotient:
     The relations are checked, then reduced by ``_echelon``, latest leading
     column first.
     """
-    rows = _echelon([_sparse_row(r, ambient_dim, "quotient") for r in relations], field.one)
+    k = _kernel(field)
+    rows = _echelon([_native(r, ambient_dim, "quotient", k)[0] for r in relations], k)
     return Quotient(field, ambient_dim, rows)

@@ -103,7 +103,7 @@ def test_corrupted_coproduct_fails_with_witness(bgd_s3a3):
 
 def _dense_tee_product(core, c: int, d: int) -> list:
     """T coordinates of t_c * t_d, with A's products read off dense ``table`` rows."""
-    table = core.ext.A.table
+    table = core.A.table
     terms = [(c1 * c2, table[p][s], table[t][q])
              for (s, t), c1 in core.t_items[c] for (p, q), c2 in core.t_items[d]]
     return core.t_coords(core.ts.class_of_sum(terms), "product escaped T")
@@ -111,7 +111,7 @@ def _dense_tee_product(core, c: int, d: int) -> list:
 
 def _dense_restricted_action(core, ambient: Matrix) -> Matrix:
     cols = [core.t_coords(ambient.apply(t), "R-action escaped T") for t in core.t_basis]
-    return Matrix.from_columns(core.ext.A.field, cols, nrows=core.dim)
+    return Matrix.from_columns(core.A.field, cols, nrows=core.dim)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_AND_A4))
@@ -161,7 +161,7 @@ def _dense_forward(wit, power: int) -> Matrix:
     """The forward map written densely: column (c, d[, e]) is the class of
     t_c^1 (x) t_c^2 t_d^1 (x) ... (x) t_last^2, summed over the lift of the source class."""
     core = wit.core
-    A = core.ext.A
+    A = core.A
     source, target = (core.tt, wit.q3) if power == 3 else (wit.ttt, wit.q4)
     cols = []
     for e in Matrix.identity(A.field, source.dim).data:
@@ -198,7 +198,7 @@ def test_forward_maps_equal_the_dense_reference(fixture, request):
 
 def _old_ice(core, at):
     # the comparison map as an identity-column loop with dense accumulation
-    field = core.ext.A.field
+    field = core.A.field
     cols = []
     for e in Matrix.identity(field, at.dim).data:
         acc = [field.zero] * core.ts.dim
@@ -227,7 +227,7 @@ def _old_beta(ext, core, at, rqb):
 
 def _old_counit_maps(core):
     # t_c (x) t_d -> eps(t_c) t_d and t_c eps(t_d), summed over identity columns
-    field = core.ext.A.field
+    field = core.A.field
     m, tt, tvec = core.dim, core.tt, core.T_alg.basis_vector
     e1_cols, e2_cols = [], []
     for e in Matrix.identity(field, tt.dim).data:
@@ -312,7 +312,7 @@ def _quasibase_inverses(wit, rqb) -> tuple[Matrix, Matrix]:
       quadruple: fold the last leg the same way, then apply the triple inverse;
     one column per basis vector of the B-central power."""
     core = wit.core
-    A = core.ext.A
+    A = core.A
     one = A.field.one
     pairs = core.quasibase_in_T(rqb)
 
@@ -461,7 +461,7 @@ def test_dual_bases_free_over_ground_field(c2_over_k):
 
 def _reconstructs(core, actions, db) -> bool:
     """The identity-column loop: x = sum_i combine(actions, phi_i(x)) m_i for every e_c."""
-    field = core.ext.A.field
+    field = core.A.field
     for x in Matrix.identity(field, core.dim).data:
         acc = [field.zero] * core.dim
         for m_i, phi in zip(db.elements, db.functionals):

@@ -76,3 +76,68 @@ def test_field_json_tags():
     assert field_from_json({"Fp": 7}) == GF(7)
     with pytest.raises(FieldError):
         field_from_json({"Fq": 7})
+
+
+# -- FpElement semantics, for tabled small primes and an untabled large one ----
+
+BIG_P = 2 ** 61 - 1
+OPERATORS = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b]
+
+
+@pytest.mark.parametrize("p, q", [(5, 7), (BIG_P, 5)])
+def test_mixed_moduli_raise_in_every_operator_and_order(p, q):
+    a, b = GF(p).of(3), GF(q).of(2)
+    for op in OPERATORS:
+        with pytest.raises(FieldError):
+            op(a, b)
+        with pytest.raises(FieldError):
+            op(b, a)
+
+
+@pytest.mark.parametrize("p", [5, BIG_P])
+def test_ints_coerce_on_either_side(p):
+    f = GF(p)
+    a = f.of(3)
+    assert a + 4 == 4 + a == f.of(7)
+    assert a - 4 == f.of(-1) and 4 - a == f.of(1)
+    assert a * 4 == 4 * a == f.of(12)
+    assert a / 3 == f.one
+    assert a == 3 and 3 == a and a == 3 + p and a != 4
+    assert -a == f.of(p - 3) and -a + a == 0
+
+
+@pytest.mark.parametrize("p", [5, BIG_P])
+def test_fractions_and_floats_do_not_mix_with_fp(p):
+    a = GF(p).of(3)
+    for other in (Fraction(1, 2), Fraction(3), 0.5, 3.0):
+        for op in OPERATORS:
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
+
+
+@pytest.mark.parametrize("p", [5, BIG_P])
+def test_equal_values_are_equal_and_hash_equal(p):
+    f = GF(p)
+    for v in (0, 1, 3, -1):
+        built = FpElement(v, p)  # the constructor makes a fresh element
+        for same in (f.of(v), f.parse(v), f.of(v + 1) - f.one, f.of(v) * f.one, -(-f.of(v))):
+            assert same == built and built == same
+            assert hash(same) == hash(built)
+    assert len({FpElement(2, p), f.of(2), f.of(1) + f.of(1)}) == 1
+    assert FpElement(2, 5) != FpElement(2, 7)
+
+
+def test_fp_repr_is_unchanged():
+    assert repr(FpElement(3, 5)) == "3(mod 5)"
+    assert repr(GF(5).of(8)) == "3(mod 5)"
+    assert repr(GF(BIG_P).of(-1)) == f"{BIG_P - 1}(mod {BIG_P})"
+
+
+@pytest.mark.parametrize("p", [2, 5, BIG_P])
+def test_fp_division_by_zero_raises_in_every_form(p):
+    f = GF(p)
+    for zero in (f.zero, FpElement(p, p), 0, p):
+        with pytest.raises(ZeroDivisionError):
+            f.one / zero

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -406,3 +408,31 @@ def test_a_replaced_bialgebroid_is_audited_afresh(s3_galois, monkeypatch):
     for replaced in (bgd.replaced(Delta=bgd.Delta.copy()), bgd.replaced(eps=bgd.core.eps)):
         assert comodule_algebra_audit(ext, delta, replaced).all_pass
     assert calls["AuditReport"] == 2
+
+
+# -- memory ---------------------------------------------------------------------
+
+def test_a_finished_extension_is_freed_without_the_cyclic_collector():
+    # everything the stages cache lives in the extension's memo; none of it may
+    # point back at the extension, or only the cyclic collector could free it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ext = build_example("s3-a3")
+        tensor_square(ext)
+        rqb = right_d2_quasibase(ext)
+        left_d2_quasibase(ext)
+        t_core(ext)
+        assert balanced_audit(ext).balanced
+        bgd = build_T(ext, rqb)
+        assert axiom_audit(bgd).all_pass
+        data = galois_data(ext, rqb)
+        assert comodule_algebra_audit(ext, data.delta, bgd).all_pass
+        assert d2_iff_corollary_audit(ext).agree
+        assert main_theorem_audit(ext).consistent
+        ref = weakref.ref(ext)
+        del ext, rqb, bgd, data
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from depthtwo.fields import GF, QQ
+from depthtwo.fields import GF, QQ, FpElement
 from depthtwo.linalg import (LinAlgError, Matrix, Subspace, insert_row, nonzero_columns,
                              nullspace, quotient_structure, reverse_rref, rref, solve_in_span,
                              sum_nonzeros)
@@ -277,7 +278,7 @@ def test_insert_row_keeps_the_rref_of_every_prefix():
                 assert grew or len(basis) == rank
                 red, pivots = reference_rref(rows[:k + 1], field, ncols)
                 assert sorted(basis) == pivots
-                assert [basis[p] for p in pivots] == [as_dict(r) for r in red]
+                assert Subspace(field, ncols, basis).basis == red
 
 def test_rref_edge_cases():
     for field in (QQ, GF(2)):
@@ -513,7 +514,7 @@ def test_shuffled_rows_give_the_reference_results():
                 assert all(not x for x in dense_apply(field, rows, v))
             q = quotient_structure(field, ncols, mixed)
             assert q.free == [c for c in range(ncols) if c not in pivots]
-            assert q.rows == {p: as_dict(row) for p, row in zip(pivots, red)}
+            assert Subspace(field, ncols, q.rows).basis == red
             # the rows as generators, with their coordinates (the equations) shuffled
             perm = list(range(ncols))
             rng.shuffle(perm)
@@ -538,3 +539,157 @@ def test_bad_rows_are_rejected_wherever_they_stand():
                          lambda: reverse_rref(rows, QQ, 3)):
                 with pytest.raises(LinAlgError):
                     call()
+
+
+# -- the native-row kernel against the reference, value by value -----------------
+
+KERNEL_FIELDS = [QQ, GF(2), GF(5), GF(2 ** 61 - 1)]  # the last is above the element tables
+
+
+def kernel_entry(rng, field):
+    """Mostly zero; over Q also fractions, negatives and entries above 2^64."""
+    if rng.random() < 0.45:
+        return field.zero
+    if field.char:
+        return field.of(rng.randrange(-field.char, field.char))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return field.of(rng.randint(-3, 3))
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+    if kind == 2:
+        return Fraction(rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 2 ** 66))
+    return field.of(-rng.randint(2 ** 64, 2 ** 66))
+
+
+def kernel_rows(rng, field, nrows, ncols):
+    rows = [[kernel_entry(rng, field) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.5:
+        k = rng.randrange(len(rows))
+        rows.append([kernel_entry(rng, field) * x for x in rows[k]])  # a dependent row
+    return rows
+
+
+def assert_field_values(field, values):
+    """Every scalar in nested lists and dict values is a field element, not an int."""
+    if isinstance(values, dict):
+        values = list(values.values())
+    for x in values:
+        if isinstance(x, (list, dict)):
+            assert_field_values(field, x)
+        elif field.char:
+            assert type(x) is FpElement and x.p == field.char, repr(x)
+        else:
+            assert type(x) is Fraction, repr(x)
+
+
+def reference_nullspace(rows, field, ncols):
+    red, pivots = reference_rref(rows, field, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def reference_intersection(u, v, field, n):
+    """Zassenhaus on the reference RREF: rows (x, x) for x in u and (y, 0) for y in v."""
+    rows = [x + x for x in u] + [y + [field.zero] * n for y in v]
+    red, pivots = reference_rref(rows, field, 2 * n)
+    return [row[n:] for row, p in zip(red, pivots) if p >= n]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["Q", "F2", "F5", "F2^61-1"])
+def test_kernel_results_equal_the_reference(field):
+    rng = random.Random(f"kernel/{field!r}")
+    for _ in range(30):
+        ncols = rng.randint(1, 7)
+        rows = kernel_rows(rng, field, rng.randint(0, 7), ncols)
+        mixed = [as_dict(r) if rng.random() < 0.5 else r for r in rows]
+        red, pivots = reference_rref(rows, field, ncols)
+        out = rref(mixed, field, ncols)
+        assert out == (red, pivots)
+        assert_field_values(field, out[0])
+
+        basis = nullspace(mixed, field, ncols)
+        assert basis == reference_nullspace(rows, field, ncols)
+        assert_field_values(field, basis)
+        combos = [[kernel_entry(rng, field) for _ in basis] for _ in range(rng.randint(0, 3))]
+        spanning = [[sum((c * v[k] for c, v in zip(combo, basis)), field.zero)
+                     for k in range(ncols)] for combo in combos] + basis
+        rng.shuffle(spanning)
+        rev = reverse_rref([as_dict(v) if rng.random() < 0.5 else v for v in spanning],
+                           field, ncols)
+        assert rev == basis
+        assert_field_values(field, rev)
+
+        combo = [kernel_entry(rng, field) for _ in rows]
+        inside = [sum((c * r[k] for c, r in zip(combo, rows)), field.zero) for k in range(ncols)]
+        anywhere = [kernel_entry(rng, field) for _ in range(ncols)]
+        for target in (inside, anywhere):
+            coeffs = solve_in_span(target, [as_dict(r) for r in rows], field)
+            assert coeffs == reference_solve(target, rows, field)
+            if coeffs is not None:
+                assert_field_values(field, coeffs)
+
+        space = Subspace.span(field, ncols, mixed)
+        assert space.basis == red and space.pivots == pivots
+        assert_field_values(field, space.basis)
+        assert space == Subspace.span(field, ncols, list(reversed(rows)))
+        for vec in (inside, anywhere):
+            member = len(reference_rref(rows + [vec], field, ncols)[1]) == len(pivots)
+            assert space.contains(vec) == space.contains(as_dict(vec)) == member
+            coords = space.coords(vec)
+            assert coords == reference_solve(vec, red, field)
+            if coords is not None:
+                assert_field_values(field, coords)
+
+        other_rows = kernel_rows(rng, field, rng.randint(0, 4), ncols)
+        other = Subspace.span(field, ncols, other_rows)
+        total = space.sum_with(other)
+        assert total.basis == reference_rref(rows + other_rows, field, ncols)[0]
+        inter = space.intersect(other)
+        assert inter.basis == reference_intersection(red, other.basis, field, ncols)
+        assert_field_values(field, total.basis + inter.basis)
+        assert inter.dim + total.dim == space.dim + other.dim
+
+        q = quotient_structure(field, ncols, mixed)
+        proj, sect = reference_quotient(rows, field, ncols)
+        for vec in (inside, anywhere):
+            expected = dense_apply(field, proj, vec)
+            assert q.project(vec) == q.project(as_dict(vec)) == expected
+            assert q.reduce(vec) == as_dict(expected)
+            assert_field_values(field, [q.project(vec), q.reduce(vec)])
+        coords = [kernel_entry(rng, field) for _ in range(q.dim)]
+        assert q.lift(coords) == as_dict(dense_apply(field, sect, coords))
+        assert_field_values(field, q.lift(coords))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["Q", "F2", "F5", "F2^61-1"])
+def test_insert_row_in_random_order_keeps_the_reference_rref(field):
+    # a row leading left of every stored pivot skips the clearing scan; any
+    # other row clears its pivot column from the stored rows
+    rng = random.Random(f"insert/{field!r}")
+    skipped = scanned = 0
+    for _ in range(40):
+        ncols = rng.randint(1, 7)
+        rows = kernel_rows(rng, field, rng.randint(1, 8), ncols)
+        rng.shuffle(rows)
+        basis: dict = {}
+        for k, row in enumerate(rows):
+            before = set(basis)
+            grew = insert_row(basis, as_dict(row), field.one)
+            assert grew == (len(basis) == len(before) + 1)
+            if grew and before:
+                (lead,) = set(basis) - before
+                if lead < min(before):
+                    skipped += 1
+                else:
+                    scanned += 1
+            view = Subspace(field, ncols, basis).basis
+            assert view == reference_rref(rows[:k + 1], field, ncols)[0]
+            assert_field_values(field, view)
+    assert skipped and scanned
