@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import Matrix, Subspace, combine, insert_row, nullspace, sum_nonzeros
+from .linalg import Matrix, Subspace, combine, entries, insert_row, nullspace, sum_nonzeros
 # re-exported: callers and profiling tools look solve_in_span up in this module
 from .linalg import solve_in_span  # noqa: F401
 
@@ -109,21 +109,15 @@ class FiniteAlgebra:
         v[i] = self.field.one
         return v
 
-    def mul(self, x: list, y: list) -> list:
-        zero = self.field.zero
-        out = [zero] * self.dim
-        t = self.table
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ti = t[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, tk in enumerate(ti[j]):
-                    if tk:
-                        out[k] = out[k] + c * tk
+    def mul(self, x, y) -> list:
+        """Coordinates of x * y for dense or {index: value} x and y, summed
+        over the nonzero structure constants."""
+        nz = self.nonzeros
+        ys = entries(y)
+        out = [self.field.zero] * self.dim
+        for k, v in sum_nonzeros((xi * yj, nz[i][j].items())
+                                 for i, xi in entries(x) for j, yj in ys).items():
+            out[k] = v
         return out
 
     @property

@@ -23,8 +23,7 @@ from .algebras import (AlgebraError, Extension, SelfCheckError, centralizer, mak
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
-from .linalg import (Matrix, Subspace, action_images, combine, combine_images, nonzero_columns,
-                     solve_in_span, sum_nonzeros)
+from .linalg import Matrix, Subspace, combine, combine_images, entries, solve_in_span
 
 
 class TCore:
@@ -133,15 +132,14 @@ class TCore:
         """The actions on T of R's basis vectors, given in A coordinates by incl.
 
         Each action of A on the tensor square is applied to T's basis once,
-        through its nonzero columns; the action of r weights those images by
-        r's coordinates.
+        through its column view; the action of r weights those images by r's
+        coordinates.
         """
         field, dim = self.A.field, self.ts.dim
-        cols = [nonzero_columns(act) for act in actions]
         images = []
         for t in self.t_basis:
-            t_nz = [(k, y) for k, y in enumerate(t) if y]
-            images.append([sum_nonzeros((y, c[k]) for k, y in t_nz).items() for c in cols])
+            t = dict(entries(t))
+            images.append([act.image(t) for act in actions])
         return [Matrix.from_columns(field, [
             self.t_coords(combine_images(field, dim, [imgs], [r]),
                           "R-action left the B-central subspace")
@@ -174,7 +172,7 @@ def _certify(fwd: Matrix, target: Subspace, power: str) -> None:
     That holds exactly when the columns are independent and span target.
     Both spans are kept as canonical reduced bases, so the equality is exact.
     """
-    image = Subspace.span(fwd.field, fwd.nrows, [dict(col) for col in nonzero_columns(fwd)])
+    image = Subspace.span(fwd.field, fwd.nrows, fwd.cols)
     if image.dim != fwd.ncols:
         raise WitnessError(f"forward map into the {power} power is not injective")
     if image != target:
@@ -299,12 +297,11 @@ def _delta_from_witness(core: TCore, witness: TripleTensorWitness) -> Matrix:
     """
     field = core.A.field
     w3 = witness.w3
-    columns = [dict(col) for col in nonzero_columns(w3)]
     images = [witness.sandwich3(core.T_alg.basis_vector(c), core.A.unit)
               for c in range(core.dim)]
     cols = []
     for img in images:
-        coeffs = solve_in_span(img, columns, field)
+        coeffs = solve_in_span(img, w3.cols, field)
         if coeffs is None:
             raise WitnessError("t^1 (x) 1 (x) t^2 has no preimage in T (x)_R T")
         cols.append(coeffs)
@@ -552,7 +549,7 @@ def _check_reconstruction(core: TCore, actions: list[Matrix], db: ModuleDualBasi
     computed once and weighted by the column c of phi_i.
     """
     field = core.A.field
-    images = action_images(actions, db.elements)
+    images = [[act.image(m) for act in actions] for m in db.elements]
     for c, x in enumerate(Matrix.identity(field, core.dim).data):
         if combine_images(field, core.dim, images, [phi.column(c) for phi in db.functionals]) != x:
             raise SelfCheckError(err)

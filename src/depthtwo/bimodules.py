@@ -33,9 +33,8 @@ import copy
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, field_as_algebra, group_inverses, per_extension)
-from .linalg import (Matrix, Subspace, action_images, combine, combine_images, insert_row,
-                     nonzero_columns, nullspace, quotient_structure, reverse_rref,
-                     solve_in_span, sum_nonzeros)
+from .linalg import (Matrix, Subspace, combine, combine_images, entries, insert_row, nullspace,
+                     quotient_structure, reverse_rref, solve_in_span, sum_nonzeros)
 
 
 class Bimodule:
@@ -95,7 +94,7 @@ class Bimodule:
 
     def lift_items(self, coords) -> list[tuple[tuple, object]]:
         """Items of dense or {index: value} coordinates."""
-        return [((i,), c) for i, c in _entries(coords)]
+        return [((i,), c) for i, c in entries(coords)]
 
     def reduce_items(self, items: list[tuple[tuple, object]]) -> dict:
         """Nonzero coordinates {index: value} of a sum of items."""
@@ -110,12 +109,6 @@ class Bimodule:
         for i, c in self.reduce_items(items).items():
             coords[i] = c
         return coords
-
-
-def _entries(coords):
-    """The nonzero (index, value) pairs of a dense list or an {index: value} dict."""
-    pairs = coords.items() if isinstance(coords, dict) else enumerate(coords)
-    return [(i, c) for i, c in pairs if c]
 
 
 def restrict(M: Bimodule, left: AlgebraMorphism | None = None,
@@ -158,15 +151,15 @@ def left_module_bimodule(P: FiniteAlgebra, dim: int, action: list[Matrix]) -> Bi
 def _sylvester_rows(n1: int, n2: int, p_cols: list, q_rows: list) -> list[dict]:
     """Sparse rows of X -> X @ P - Q @ X on n1 x n2 matrices X, unknown X[a][b] at a*n2 + b.
 
-    ``p_cols[b]`` and ``q_rows[a]`` list the nonzeros (k, x) of column b of P
+    ``p_cols[b]`` and ``q_rows[a]`` are the nonzeros {k: x} of column b of P
     and of row a of Q; row (a, b) has P[k][b] at (a, k) and -Q[a][k] at (k, b).
     """
     rows = []
     for a in range(n1):
         base = a * n2
         for b in range(n2):
-            row = {base + k: x for k, x in p_cols[b]}
-            for k, x in q_rows[a]:
+            row = {base + k: x for k, x in p_cols[b].items()}
+            for k, x in q_rows[a].items():
                 f = k * n2 + b
                 y = row.get(f)
                 row[f] = -x if y is None else y - x
@@ -200,19 +193,19 @@ class BalancedTensor(Bimodule):
         """The map induced by mat acting on the M leg (first) or the N leg.
 
         Each quotient basis vector is lifted, mat acts on one leg of its
-        pure tensor, and the result is projected; no Kronecker product of
-        mat with an identity is formed.
+        pure tensor, and the result is reduced; no Kronecker product of
+        mat with an identity is formed.  The reductions are the result's view.
         """
         dn = self.N.dim
-        mat_cols = nonzero_columns(mat)
+        mat_cols = mat.cols
         cols = []
         for f in self.quot.free:
             i, j = divmod(f, dn)
             if first:
-                amb = {k * dn + j: x for k, x in mat_cols[i]}
+                amb = {k * dn + j: x for k, x in mat_cols[i].items()}
             else:
-                amb = {i * dn + k: x for k, x in mat_cols[j]}
-            cols.append(self.quot.project(amb))
+                amb = {i * dn + k: x for k, x in mat_cols[j].items()}
+            cols.append(self.quot.reduce(amb))
         return Matrix.from_columns(self.quot.field, cols, nrows=self.dim)
 
     def class_of_sum(self, terms) -> list:
@@ -226,8 +219,8 @@ class BalancedTensor(Bimodule):
         for c, x, y in terms:
             if not c:
                 continue
-            ys = _entries(y)
-            for i, a in _entries(x):
+            ys = entries(y)
+            for i, a in entries(x):
                 ca = c * a
                 off = i * dn
                 for j, b in ys:
@@ -245,16 +238,14 @@ class BalancedTensor(Bimodule):
 
         Column q sums ``pure`` over the sparse lift of basis vector q; images
         are dense or {index: value} coordinates, and only their nonzeros are
-        added into the matrix.
+        added, into one sparse column that becomes the result's view.
         """
         field = self.quot.field
-        out = Matrix.zeros(field, target_dim, self.dim)
-        data = out.data
-        for q in range(self.dim):
-            for idx, coeff in self.lift_items({q: field.one}):
-                for r, y in _entries(pure(*idx)):
-                    data[r][q] = data[r][q] + coeff * y
-        return out
+        one = field.one
+        cols = [sum_nonzeros((coeff, entries(pure(*idx)))
+                             for idx, coeff in self.lift_items({q: one}))
+                for q in range(self.dim)]
+        return Matrix.from_columns(field, cols, nrows=target_dim)
 
     def lift_items(self, coords) -> list[tuple[tuple, object]]:
         """Sparse lift of dense or {index: value} coordinates to the full
@@ -297,8 +288,7 @@ def balanced_tensor(M: Bimodule, N: Bimodule) -> BalancedTensor:
     for c in C.generating_indices():
         # row (i, j) is minus the relation for e_i (x) e_j: lambda(c)[l][j] at (i, l)
         # minus rho(c)[k][i] at (k, j), i.e. X -> X @ lambda(c) - rho(c)^T @ X
-        relations += _sylvester_rows(dm, dn, nonzero_columns(N.left_action[c]),
-                                     nonzero_columns(M.right_action[c]))
+        relations += _sylvester_rows(dm, dn, N.left_action[c].cols, M.right_action[c].cols)
     return BalancedTensor(M, N, quotient_structure(field, dm * dn, relations))
 
 
@@ -332,16 +322,16 @@ def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
     legs = []
     for j in ext.B.generating_indices():
         b = ext.iota.matrix.column(j)
-        legs.append((nonzero_columns(combine(A.left_mults, b)),
-                     nonzero_columns(combine(A.right_mults, b))))
+        legs.append((combine(A.left_mults, b).cols, combine(A.right_mults, b).cols))
     if not legs:
         return Subspace.full(field, M.dim)
     rows: list[dict] = [{} for _ in range(len(legs) * M.dim)]
     for q in range(M.dim):
         items = M.lift_items({q: field.one})
         for g, (left, right) in enumerate(legs):
-            moved = [((k,) + idx[1:], c * x) for idx, c in items for k, x in left[idx[0]]]
-            moved += [(idx[:-1] + (k,), -(c * x)) for idx, c in items for k, x in right[idx[-1]]]
+            moved = [((k,) + idx[1:], c * x) for idx, c in items for k, x in left[idx[0]].items()]
+            moved += [(idx[:-1] + (k,), -(c * x))
+                      for idx, c in items for k, x in right[idx[-1]].items()]
             base = g * M.dim
             for r, x in M.reduce_items(moved).items():
                 rows[base + r][q] = x
@@ -371,8 +361,7 @@ def intertwiners(field, dm: int, dn: int, pairs: list[tuple[Matrix, Matrix]]) ->
     nunk = dn * dm
     rows: list[dict] = []
     for act_M, act_N in pairs:
-        q_rows = [[(k, x) for k, x in enumerate(row) if x] for row in act_N.data]
-        rows += _sylvester_rows(dn, dm, nonzero_columns(act_M), q_rows)
+        rows += _sylvester_rows(dn, dm, act_M.cols, act_N.transpose().cols)
     if not rows:
         sols = Matrix.identity(field, nunk).data
     else:
@@ -428,11 +417,11 @@ def bimodule_generators(M: Bimodule) -> list[int]:
     generating indices of both acting algebras, which extends to the full
     algebras by multiplicativity.  One reduced span {pivot: row} grows
     vector by vector through ``insert_row``; vectors are sparse, and each
-    action is applied through its nonzero columns.
+    action is applied through its column view (``Matrix.image``).
     """
     one = M.left_algebra.field.one
-    acts = [nonzero_columns(M.left_action[i]) for i in M.left_algebra.generating_indices()]
-    acts += [nonzero_columns(M.right_action[j]) for j in M.right_algebra.generating_indices()]
+    acts = [M.left_action[i] for i in M.left_algebra.generating_indices()]
+    acts += [M.right_action[j] for j in M.right_algebra.generating_indices()]
     span: dict[int, dict] = {}
     gens: list[int] = []
     for i in range(M.dim):
@@ -444,8 +433,8 @@ def bimodule_generators(M: Bimodule) -> list[int]:
         frontier = [{i: one}]
         while frontier:
             w = frontier.pop()
-            for cols in acts:
-                img = sum_nonzeros((x, cols[k]) for k, x in w.items())
+            for act in acts:
+                img = act.image(w)
                 # insert_row consumes its row, and img may still go on the frontier
                 if insert_row(span, dict(img), one):
                     frontier.append(img)
@@ -486,13 +475,9 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
         column = [coeffs[a * nmp + b] for a in range(len(homs_pm))]
         if any(column):
             pairs.append((combine(homs_pm, column), g))
-    total = Matrix.zeros(field, M.dim, M.dim).data
-    for f, g in pairs:
-        f_cols = nonzero_columns(f)
-        for c, g_col in enumerate(nonzero_columns(g)):
-            for r, x in sum_nonzeros((y, f_cols[k]) for k, y in g_col).items():
-                total[r][c] = total[r][c] + x
-    if total != Matrix.identity(field, M.dim).data:
+    one = field.one
+    if any(sum_nonzeros((one, f.image(g.cols[c]).items()) for f, g in pairs) != {c: one}
+           for c in range(M.dim)):
         raise SelfCheckError("summand factorization failed its own reconstruction")
     return SummandFactorization(pairs)
 
@@ -502,22 +487,20 @@ def _summand_system(M: Bimodule, homs_pm: list[Matrix],
     """The products f o g, f-major, and id_M, written on ``bimodule_generators(M)``.
 
     The value on the generator at position p is placed at p * M.dim + row.
-    Each product is a sparse {index: value} vector: f o g (e_i) is
-    sum_k g[k][i] f(e_k), read off f's nonzero columns at g's nonzero
-    entries.  The target id_M is a dense list, as ``solve_in_span`` takes it.
+    Each product is a sparse {index: value} vector: f o g (e_i) is f applied
+    to column i of g, read through both column views.  The target id_M is a
+    dense list, as ``solve_in_span`` takes it.
     """
     field = M.left_algebra.field
     dim = M.dim
     gens = bimodule_generators(M)
-    g_on_gens = [[(p * dim, [(k, y) for k, y in enumerate(g.column(i)) if y])
-                  for p, i in enumerate(gens)] for g in homs_mp]
+    g_on_gens = [[(p * dim, g.cols[i]) for p, i in enumerate(gens)] for g in homs_mp]
     products = []
     for f in homs_pm:
-        f_cols = nonzero_columns(f)
         for on_gens in g_on_gens:
             prod = {}
             for off, g_col in on_gens:
-                for r, x in sum_nonzeros((y, f_cols[k]) for k, y in g_col).items():
+                for r, x in f.image(g_col).items():
                     prod[off + r] = x
             products.append(prod)
     target = [field.zero] * (len(gens) * dim)
@@ -572,7 +555,7 @@ def verify_right_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     A = ext.A
     if not _central_pairs(ext, qb):
         return False
-    images = action_images(ts.left_action, [u for _, u in qb.pairs])
+    images = [[act.image(u) for act in ts.left_action] for _, u in qb.pairs]
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
@@ -590,7 +573,7 @@ def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     A = ext.A
     if not _central_pairs(ext, qb):
         return False
-    images = action_images(ts.right_action, [t for _, t in qb.pairs])
+    images = [[act.image(t) for act in ts.right_action] for _, t in qb.pairs]
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
@@ -645,33 +628,33 @@ def _d2_hom_bases(ext: Extension, right: bool) -> tuple[list[Matrix], list[Matri
     Both spans go through ``reverse_rref``, which returns the nullspace
     basis ``hom_space`` would solve for, with its unknowns in the same order.
     The rows are written from nonzeros only: the tensor-square actions act
-    through their nonzero columns, and A's multiplication through its
-    nonzero structure constants.
+    through their column views, and A's multiplication through its nonzero
+    structure constants.
     """
     A = ext.A
     field, n = A.field, A.dim
     ts = tensor_square(ext)
     d = ts.dim
-    acts = [nonzero_columns(act) for act in (ts.left_action if right else ts.right_action)]
+    acts = ts.left_action if right else ts.right_action
     into = []
     for t in t_space(ext).basis:
-        t_nz = [(k, x) for k, x in enumerate(t) if x]
+        t = dict(entries(t))
         # column j of f_t is e_j acting on t; unknown (a, j) of the d x n map sits at a*n + j
         row = {}
-        for j, cols in enumerate(acts):
-            for a, x in sum_nonzeros((y, cols[k]) for k, y in t_nz).items():
+        for j, act in enumerate(acts):
+            for a, x in act.image(t).items():
                 row[a * n + j] = x
         into.append(row)
     pure = [divmod(f, n) for f in ts.quot.free]
     nz = A.nonzeros
     onto = []
     for s in bb_endomorphisms(ext):
-        cols = nonzero_columns(s)
+        cols = s.cols
         row = {}
         for q, (i, j) in enumerate(pure):
             # e_i s(e_j) on the right side, s(e_i) e_j on the left
-            img = (sum_nonzeros((x, nz[i][k].items()) for k, x in cols[j]) if right
-                   else sum_nonzeros((x, nz[k][j].items()) for k, x in cols[i]))
+            img = (sum_nonzeros((x, nz[i][k].items()) for k, x in cols[j].items()) if right
+                   else sum_nonzeros((x, nz[k][j].items()) for k, x in cols[i].items()))
             for a, x in img.items():
                 row[a * d + q] = x
         onto.append(row)
@@ -769,10 +752,8 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
             pairs.append((functional, A.basis_vector(t)))
     for y in range(n):
         ey = A.basis_vector(y)
-        acc = [field.zero] * n
-        for functional, elem in pairs:
-            piece = A.mul(ext.iota.apply(functional.apply(ey)), elem)
-            acc = [a + b for a, b in zip(acc, piece)]
-        if acc != ey:
+        acc = sum_nonzeros((field.one, entries(A.mul(ext.iota.apply(f.apply(ey)), m)))
+                           for f, m in pairs)
+        if acc != {y: field.one}:
             raise SelfCheckError("dual basis reconstruction failed")
     return DualBasis(pairs)

@@ -272,6 +272,9 @@ _gf_cache: dict[int, PrimeField] = {}
 
 
 def GF(p: int) -> PrimeField:
+    """F_p; a modulus that is not an int (a bool, a float, a list) is a FieldError."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise FieldError(f"modulus {p!r} is not an integer")
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]

@@ -30,6 +30,13 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
     }
 
 
+def _array(obj, name: str) -> list:
+    """obj itself when it is a JSON array; a string or an object is not read as one."""
+    if not isinstance(obj, list):
+        raise ParseError(f"'{name}' must be a JSON array, not {type(obj).__name__}")
+    return obj
+
+
 def algebra_from_json(obj: dict, field=None) -> FiniteAlgebra:
     if not isinstance(obj, dict):
         raise ParseError("algebra document must be an object")
@@ -39,9 +46,12 @@ def algebra_from_json(obj: dict, field=None) -> FiniteAlgebra:
         elif "field" in obj and field_from_json(obj["field"]) != field:
             raise ParseError("nested field tag disagrees with the top-level one")
         dim = obj["dim"]
-        structure = [[[field.parse(x) for x in row] for row in plane]
-                     for plane in obj["structure"]]
-        unit = [field.parse(x) for x in obj["unit"]]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ParseError(f"'dim' must be an integer, not {dim!r}")
+        structure = [[[field.parse(x) for x in _array(row, "structure")]
+                      for row in _array(plane, "structure")]
+                     for plane in _array(obj["structure"], "structure")]
+        unit = [field.parse(x) for x in _array(obj["unit"], "unit")]
     except (KeyError, TypeError, FieldError) as exc:
         raise ParseError(f"bad algebra document: {exc}") from exc
     alg = FiniteAlgebra(field, structure, unit, validate=True)
@@ -55,8 +65,10 @@ def matrix_to_json(field, m: Matrix) -> list[list]:
 
 
 def matrix_from_json(field, obj, nrows: int, ncols: int) -> Matrix:
+    """The matrix of iota, an array of row arrays."""
     try:
-        m = Matrix(field, [[field.parse(x) for x in row] for row in obj])
+        m = Matrix(field, [[field.parse(x) for x in _array(row, "iota")]
+                           for row in _array(obj, "iota")])
     except (TypeError, FieldError, LinAlgError) as exc:
         raise ParseError(f"bad matrix: {exc}") from exc
     if (m.nrows, m.ncols) != (nrows, ncols):

@@ -1,4 +1,9 @@
-"""Exact linear algebra: dense matrices, sparse-row RREF, subspaces, sparse quotients.
+"""Exact linear algebra: matrices, sparse-row RREF, subspaces, sparse quotients.
+
+A ``Matrix`` keeps dense rows and one sparse column view ``cols``, read
+once or handed over by ``from_columns``; every product with a vector
+(``image``, ``apply``) reads only nonzeros through it.  The view is a
+cache, so a matrix is not edited once it is read (``Matrix`` states the rule).
 
 Elimination works on sparse {column: value} rows, so its cost follows the
 nonzeros of the system rather than rows x columns; it accepts dense lists
@@ -44,15 +49,22 @@ class LinAlgError(ValueError):
 
 
 class Matrix:
-    """A dense field-valued matrix stored row-major."""
+    """A field-valued matrix stored row-major, with a sparse column view.
 
-    __slots__ = ("field", "nrows", "ncols", "data")
+    ``cols[j]`` is the {row: value} dict of the nonzeros of column j.  The
+    view is a cache on a mutable object: a matrix is not edited after its
+    view is read, ``copy()`` returns a fresh matrix with no view, and no
+    consumer mutates a view.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "data", "_cols")
 
     def __init__(self, field, data: list[list]):
         self.field = field
         self.data = data
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
+        self._cols: list[dict] | None = None
         for row in data:
             if len(row) != self.ncols:
                 raise LinAlgError("ragged rows")
@@ -73,16 +85,18 @@ class Matrix:
         return m
 
     @classmethod
-    def from_columns(cls, field, columns: list[list], nrows: int | None = None) -> "Matrix":
+    def from_columns(cls, field, columns: list, nrows: int | None = None) -> "Matrix":
+        """The matrix with dense or {row: value} columns (these need ``nrows``);
+        their nonzeros become the view, so a caller holding sparse columns needs no rescan."""
         if not columns:
             return cls.zeros(field, nrows or 0, 0)
-        n = len(columns[0])
+        n = len(columns[0]) if nrows is None else nrows
+        view = [_sparse_row(col, n, "from_columns") for col in columns]
         m = cls.zeros(field, n, len(columns))
-        for j, col in enumerate(columns):
-            if len(col) != n:
-                raise LinAlgError("ragged columns")
-            for i, x in enumerate(col):
+        for j, col in enumerate(view):
+            for i, x in col.items():
                 m.data[i][j] = x
+        m._cols = view if m.ncols else None  # a matrix with no rows keeps no columns
         return m
 
     # -- access ------------------------------------------------------
@@ -96,21 +110,28 @@ class Matrix:
     def copy(self) -> "Matrix":
         return Matrix(self.field, [row[:] for row in self.data])
 
+    @property
+    def cols(self) -> list[dict]:
+        """cols[j] = the nonzeros {row: value} of column j, read from the rows once."""
+        if self._cols is None:
+            self._cols = [{i: row[j] for i, row in enumerate(self.data) if row[j]}
+                          for j in range(self.ncols)]
+        return self._cols
+
     # -- arithmetic --------------------------------------------------
 
-    def apply(self, vec: list) -> list:
-        if len(vec) != self.ncols:
+    def image(self, vec) -> dict:
+        """The nonzeros {row: value} of the matrix applied to a dense or
+        {index: value} vector, read through ``cols`` at the vector's nonzeros."""
+        if not isinstance(vec, dict) and len(vec) != self.ncols:
             raise LinAlgError(f"apply: {self.ncols} columns vs vector of length {len(vec)}")
-        zero = self.field.zero
-        hot = [(k, x) for k, x in enumerate(vec) if x]
-        out = []
-        for row in self.data:
-            s = zero
-            for k, x in hot:
-                rk = row[k]
-                if rk:
-                    s = s + rk * x
-            out.append(s)
+        cols = self.cols
+        return sum_nonzeros((x, cols[k].items()) for k, x in entries(vec))
+
+    def apply(self, vec) -> list:
+        out = [self.field.zero] * self.nrows
+        for i, x in self.image(vec).items():
+            out[i] = x
         return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -207,18 +228,10 @@ def combine(mats: list[Matrix], coeffs: list) -> Matrix:
     return out
 
 
-def nonzero_columns(mat: Matrix) -> list[list[tuple[int, object]]]:
-    """cols[j] = the nonzeros (i, value) of column j of mat.
-
-    mat applied to x is ``sum_nonzeros((x_j, cols[j]) for the nonzeros x_j)``,
-    which reads only the nonzeros of both.
-    """
-    cols: list[list] = [[] for _ in range(mat.ncols)]
-    for i, row in enumerate(mat.data):
-        for j, x in enumerate(row):
-            if x:
-                cols[j].append((i, x))
-    return cols
+def entries(vec) -> list[tuple[int, object]]:
+    """The nonzero (index, value) pairs of a dense list or an {index: value} dict."""
+    pairs = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return [(i, x) for i, x in pairs if x]
 
 
 def sum_nonzeros(terms) -> dict:
@@ -231,20 +244,14 @@ def sum_nonzeros(terms) -> dict:
     return {l: x for l, x in acc.items() if x}
 
 
-def action_images(actions: list[Matrix], vectors: list[list]) -> list[list[list]]:
-    """images[i][a] = the nonzeros (k, value) of actions[a] applied to vectors[i],
-    each computed once."""
-    return [[[(k, y) for k, y in enumerate(act.apply(v)) if y] for act in actions]
-            for v in vectors]
-
-
-def combine_images(field, dim: int, images: list[list[list]], coeffs: list[list]) -> list:
-    """sum_i sum_a coeffs[i][a] * images[i][a] for ``action_images``, adding only the nonzeros."""
+def combine_images(field, dim: int, images: list[list[dict]], coeffs: list[list]) -> list:
+    """sum_i sum_a coeffs[i][a] * images[i][a] as a dense list, for {index: value}
+    images (``Matrix.image``), adding only the nonzeros."""
     out = [field.zero] * dim
     for imgs, coeff in zip(images, coeffs):
         for a, c in enumerate(coeff):
             if c:
-                for k, y in imgs[a]:
+                for k, y in imgs[a].items():
                     out[k] = out[k] + c * y
     return out
 
@@ -677,13 +684,14 @@ class Quotient:
     def induced(self, ambient_map: Matrix) -> Matrix:
         """Induced map on the quotient; valid when ambient_map preserves the relations.
 
-        Column i is the projection of the ambient map's column at ``free[i]``.
+        Column i is the reduction of the ambient map's column at ``free[i]``;
+        the reductions are kept as the result's view.
         """
         if (ambient_map.nrows, ambient_map.ncols) != (self.ambient_dim, self.ambient_dim):
             raise LinAlgError("induced: map does not act on the ambient space")
-        cols = [self.project({r: row[f] for r, row in enumerate(ambient_map.data) if row[f]})
-                for f in self.free]
-        return Matrix.from_columns(self.field, cols, nrows=self.dim)
+        cols = ambient_map.cols
+        return Matrix.from_columns(self.field, [self.reduce(cols[f]) for f in self.free],
+                                   nrows=self.dim)
 
 
 def quotient_structure(field, ambient_dim: int, relations: list) -> Quotient:

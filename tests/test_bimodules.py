@@ -806,3 +806,24 @@ def test_sparse_d2_kernels_equal_the_dense_construction(name):
         for sparse, dense in zip(products, expected_products):
             assert all(x for x in sparse.values()), (name, kind)
             assert [sparse.get(i, field.zero) for i in range(len(dense))] == dense, (name, kind)
+
+
+@pytest.mark.parametrize("name", ["s3-a3", "s3-a3-f5", "field-sqrt2"])
+def test_sparse_constructions_hand_over_their_column_view(name):
+    """leg_map, Quotient.induced and matrix_of return matrices that already
+    carry their column view, equal to the one read back from their rows."""
+    ext = build_example(name)
+    A = ext.A
+    ts = tensor_square(ext)
+    g = A.generating_indices()[-1]
+    first_leg = kron(A.left_mults[g], Matrix.identity(A.field, A.dim))
+    built = [ts.leg_map(A.left_mults[g], first=True),
+             ts.leg_map(A.right_mults[g], first=False),
+             ts.quot.induced(first_leg),
+             ts.matrix_of(A.dim, lambda i, j: A.nonzeros[i][j]),
+             ts.matrix_of(A.dim, lambda i, j: A.table[i][j])]
+    for m in built:
+        assert m._cols is not None
+        assert m.cols == Matrix(m.field, [row[:] for row in m.data]).cols
+    assert built[2] == built[0]
+    assert built[3] == built[4]

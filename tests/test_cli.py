@@ -214,7 +214,43 @@ MALFORMED = {
     # a non-normal pair (S3 > {0, 3}) whose flag is a string, not a boolean
     "normal-flag-not-a-boolean": {**example_to_json("s3-a3"), "subgroup": [0, 3],
                                   "normal": "false"},
+    "modulus-a-list": {"field": {"Fp": [5]}, "table": [[0]], "subgroup": [0]},
+    # 5.0 == 5 and GF(5) is cached once the catalog is imported
+    "modulus-a-cached-float": {"field": {"Fp": 5.0}, "table": [[0]], "subgroup": [0]},
+    "modulus-a-float": {"field": {"Fp": 7.0}, "table": [[0]], "subgroup": [0]},
+    "modulus-a-bool": {"field": {"Fp": True}, "table": [[0]], "subgroup": [0]},
 }
+
+
+def _c2_over_k(**changes):
+    """c2-over-k as an explicit extension document, with A's fields replaced."""
+    doc = example_to_json("c2-over-k")
+    doc["A"] = {**doc["A"], **changes.pop("A", {})}
+    return {**doc, **changes}
+
+
+# each of these parsed digit by digit, or as a dimension, before they were rejected
+NOT_ARRAYS = {
+    "unit-a-string": (_c2_over_k(A={"unit": "10"}), "unit"),
+    "structure-rows-strings": (_c2_over_k(A={"structure": [["10", "01"], ["01", "10"]]}),
+                               "structure"),
+    "structure-an-object": (_c2_over_k(A={"structure": {"0": [[1, 0], [0, 1]]}}), "structure"),
+    "iota-rows-strings": (_c2_over_k(iota=["1", "0"]), "iota"),
+    "iota-a-string": (_c2_over_k(iota="10"), "iota"),
+    "dim-true": (_c2_over_k(A={"dim": True}), "dim"),
+    "dim-a-float": (_c2_over_k(A={"dim": 2.0}), "dim"),
+}
+
+
+@pytest.mark.parametrize("doc, name", list(NOT_ARRAYS.values()), ids=list(NOT_ARRAYS))
+def test_strings_objects_and_non_integer_dims_are_rejected(doc, name, capsys):
+    from depthtwo.jsonio import ParseError
+    with pytest.raises(ParseError, match=f"'{name}' must be"):
+        extension_from_json(doc)
+    code, _ = run_cli("analyze", json.dumps(doc))
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INPUT
+    assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
 
 
 @pytest.mark.parametrize("doc", list(MALFORMED.values()), ids=list(MALFORMED))

@@ -78,6 +78,16 @@ def test_field_json_tags():
         field_from_json({"Fq": 7})
 
 
+@pytest.mark.parametrize("modulus", [[5], 5.0, 7.0, True, "5", None, {"p": 5}],
+                         ids=["list", "cached-float", "float", "bool", "string", "null", "object"])
+def test_a_modulus_that_is_not_an_int_is_rejected(modulus):
+    GF(5)  # cached: 5.0 == 5 must not reach the cache
+    with pytest.raises(FieldError, match="not an integer"):
+        GF(modulus)
+    with pytest.raises(FieldError, match="not an integer"):
+        field_from_json({"Fp": modulus})
+
+
 # -- FpElement semantics, for tabled small primes and an untabled large one ----
 
 BIG_P = 2 ** 61 - 1

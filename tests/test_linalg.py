@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from depthtwo.fields import GF, QQ, FpElement
-from depthtwo.linalg import (LinAlgError, Matrix, Subspace, insert_row, nonzero_columns,
-                             nullspace, quotient_structure, reverse_rref, rref, solve_in_span,
-                             sum_nonzeros)
+from depthtwo.linalg import (LinAlgError, Matrix, Subspace, insert_row, nullspace,
+                             quotient_structure, reverse_rref, rref, solve_in_span, sum_nonzeros)
 
 from conftest import kron
 
@@ -101,8 +100,19 @@ def test_matmul_against_apply():
         assert ab.column(j) == a.apply(b.column(j))
 
 
+def _row_dot(m: Matrix, v: list) -> list:
+    """Dense reference for m applied to v: one dot product per row."""
+    out = []
+    for row in m.data:
+        s = m.field.zero
+        for a, x in zip(row, v):
+            s = s + a * x
+        out.append(s)
+    return out
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["Q", "F2", "F5"])
-def test_nonzero_columns_apply_like_matrix_apply(field):
+def test_column_view_image_and_apply_match_a_dense_reference(field):
     rng = random.Random(11)
     shapes = [(3, 4), (5, 2), (1, 1), (4, 6)]
     mats = [Matrix(field, random_matrix(rng, field, r, c, span=1)) for r, c in shapes]
@@ -113,20 +123,49 @@ def test_nonzero_columns_apply_like_matrix_apply(field):
     # a Matrix keeps no rows for 0 x n, so it has no columns either
     mats += [Matrix.zeros(field, 0, 3), Matrix.zeros(field, 3, 0), Matrix.zeros(field, 2, 2)]
     for m in mats:
-        cols = nonzero_columns(m)
-        assert len(cols) == m.ncols
-        for j, col in enumerate(cols):
-            assert col == [(i, x) for i, x in enumerate(m.column(j)) if x]
+        assert len(m.cols) == m.ncols
+        for j, col in enumerate(m.cols):
+            assert col == {i: x for i, x in enumerate(m.column(j)) if x}
         vectors = [random_matrix(rng, field, 1, m.ncols)[0] for _ in range(4)]
         vectors.append([field.zero] * m.ncols)
         for v in vectors:
-            dense = [field.zero] * m.nrows
-            for i, x in sum_nonzeros((x, cols[j]) for j, x in enumerate(v) if x).items():
-                dense[i] = x
-            assert dense == m.apply(v)
-    assert nonzero_columns(Matrix.zeros(field, 0, 3)) == []
-    assert nonzero_columns(Matrix.zeros(field, 3, 0)) == []
-    assert nonzero_columns(Matrix.zeros(field, 2, 2)) == [[], []]
+            expected = _row_dot(m, v)
+            assert m.apply(v) == expected
+            assert m.image(v) == {i: x for i, x in enumerate(expected) if x}
+            assert m.image({j: x for j, x in enumerate(v) if x}) == m.image(v)
+        with pytest.raises(LinAlgError):
+            m.apply([field.zero] * (m.ncols + 1))
+    assert Matrix.zeros(field, 0, 3).cols == []
+    assert Matrix.zeros(field, 3, 0).cols == []
+    assert Matrix.zeros(field, 2, 2).cols == [{}, {}]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["Q", "F2", "F5"])
+def test_from_columns_keeps_dict_columns_as_the_view(field):
+    rng = random.Random(5)
+    dense = random_matrix(rng, field, 4, 3)
+    dense[2] = [field.zero] * 3
+    columns = [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(3)]
+    columns.append({})
+    m = Matrix.from_columns(field, columns, nrows=4)
+    assert (m.nrows, m.ncols) == (4, 4)
+    assert m.cols == columns
+    assert m.data == [row + [field.zero] for row in dense]
+    assert Matrix(field, [row[:] for row in m.data]).cols == columns
+    # dense columns give the same matrix and view
+    assert Matrix.from_columns(field, [m.column(j) for j in range(4)]).cols == columns
+    with pytest.raises(LinAlgError):
+        Matrix.from_columns(field, [{4: field.one}], nrows=4)
+
+
+def test_copy_then_edit_gives_a_fresh_view():
+    m = Matrix.identity(QQ, 3)
+    assert m.cols == [{0: QQ.one}, {1: QQ.one}, {2: QQ.one}]
+    edited = m.copy()
+    edited.data[0][2] = QQ.of(7)
+    assert edited.cols[2] == {0: QQ.of(7), 2: QQ.one}
+    assert edited.apply([QQ.zero, QQ.zero, QQ.one]) == [QQ.of(7), QQ.zero, QQ.one]
+    assert m.cols[2] == {2: QQ.one}
 
 
 def test_sum_nonzeros_drops_cancelled_entries():
