@@ -65,7 +65,7 @@ class MeasuredEndos:
         self.action = action
         # in the canonical basis from hom_space each map is 1 at its last
         # nonzero entry (row-major) and every other basis map is 0 there
-        self._free = [max((r, c) for r, row in enumerate(f.data) for c, x in enumerate(row) if x)
+        self._free = [max((r, c) for c, col in enumerate(f.cols) for r in col)
                       for f in endo_basis]
 
     @property
@@ -75,7 +75,8 @@ class MeasuredEndos:
     def endo_coords(self, endo: Matrix, err: str = "endomorphism is not B-linear") -> list:
         """Coordinates in ``endo_basis``: the entries of endo at the basis
         maps' free positions, checked by an exact reconstruction."""
-        coords = [endo.data[r][c] for r, c in self._free]
+        zero = endo.field.zero
+        coords = [endo.cols[c].get(r, zero) for r, c in self._free]
         recon = combine(self.endo_basis, coords) if self.endo_basis else \
             Matrix.zeros(endo.field, endo.nrows, endo.ncols)
         if recon != endo:
@@ -157,9 +158,8 @@ def action_invariants(me: MeasuredEndos, M: LeftModule) -> Subspace:
         tvec = core.T_alg.basis_vector(c)
         twisted = core.s_R.apply(core.eps.apply(tvec))
         diff = combine(me.action, tvec) - combine(me.action, twisted)
-        rows.extend(diff.data)
-    coords_basis = nullspace(rows, field, me.dim) if rows else \
-        Matrix.identity(field, me.dim).data
+        rows.extend(diff.transpose().cols)
+    coords_basis = nullspace(rows, field, me.dim)
     amb = M.dim * M.dim
     vectors = [combine(me.endo_basis, coords).vec() for coords in coords_basis]
     invariants = Subspace.span(field, amb, vectors)

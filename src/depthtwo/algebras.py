@@ -124,20 +124,17 @@ class FiniteAlgebra:
     def left_mults(self) -> list[Matrix]:
         """Matrices of x -> e_i * x, one per basis element."""
         if self._left is None:
-            self._left = [
-                Matrix(self.field, [[self.structure[a][j][k] for j in range(self.dim)]
-                                    for k in range(self.dim)])
-                for a in range(self.dim)]
+            n, nz = self.dim, self.nonzeros
+            self._left = [Matrix.from_columns(self.field, nz[a], nrows=n) for a in range(n)]
         return self._left
 
     @property
     def right_mults(self) -> list[Matrix]:
         """Matrices of x -> x * e_j, one per basis element."""
         if self._right is None:
-            self._right = [
-                Matrix(self.field, [[self.structure[i][b][k] for i in range(self.dim)]
-                                    for k in range(self.dim)])
-                for b in range(self.dim)]
+            n, nz = self.dim, self.nonzeros
+            self._right = [Matrix.from_columns(self.field, [nz[i][b] for i in range(n)], nrows=n)
+                           for b in range(n)]
         return self._right
 
     def left_mult(self, i: int) -> Matrix:
@@ -307,9 +304,7 @@ def subgroup_extension(field, table: list[list[int]], subgroup: list[int]):
     subtable = [[pos[table[a][b]] for b in sub] for a in sub]
     B = group_algebra(field, subtable)
     A = group_algebra(field, table)
-    iota = Matrix.zeros(field, len(table), len(sub))
-    for i, g in enumerate(sub):
-        iota.data[g][i] = field.one
+    iota = Matrix.from_columns(field, [{g: field.one} for g in sub], nrows=len(table))
     ext = Extension(B, A, AlgebraMorphism(B, A, iota))
     return ext, sub
 
@@ -359,7 +354,7 @@ class AlgebraMorphism:
             raise AlgebraError("morphism matrix has wrong shape")
         if self.matrix.apply(self.source.unit) != self.target.unit:
             raise AlgebraError("morphism does not preserve the unit")
-        cols = self.matrix.columns()
+        cols = self.matrix.cols
         for i in range(self.source.dim):
             for j in range(self.source.dim):
                 lhs = self.target.mul(cols[i], cols[j])
@@ -389,7 +384,7 @@ class Extension:
         return self.iota.matrix.column(j)
 
     def b_image_subspace(self) -> Subspace:
-        return Subspace.span(self.A.field, self.A.dim, self.iota.matrix.columns())
+        return Subspace.span(self.A.field, self.A.dim, self.iota.matrix.cols)
 
     def left_mult_iota(self, j: int) -> Matrix:
         return combine(self.A.left_mults, self.iota_col(j))
@@ -473,14 +468,11 @@ class SubalgebraData:
 def centralizer(ext: Extension) -> SubalgebraData:
     """R = C_A(B): all a in A with a*iota(b) = iota(b)*a for every b."""
     A = ext.A
-    rows: list[list] = []
+    rows: list[dict] = []
     for j in ext.B.generating_indices():
         diff = ext.left_mult_iota(j) - ext.right_mult_iota(j)
-        rows.extend(diff.data)
-    if not rows:
-        space = Subspace.full(A.field, A.dim)
-    else:
-        space = Subspace.span(A.field, A.dim, nullspace(rows, A.field, A.dim))
+        rows.extend(diff.transpose().cols)
+    space = Subspace.span(A.field, A.dim, nullspace(rows, A.field, A.dim))
     return SubalgebraData(A, space, check=True)
 
 

@@ -550,8 +550,9 @@ def _check_reconstruction(core: TCore, actions: list[Matrix], db: ModuleDualBasi
     """
     field = core.A.field
     images = [[act.image(m) for act in actions] for m in db.elements]
-    for c, x in enumerate(Matrix.identity(field, core.dim).data):
-        if combine_images(field, core.dim, images, [phi.column(c) for phi in db.functionals]) != x:
+    for c in range(core.dim):
+        coeffs = [phi.column(c) for phi in db.functionals]
+        if combine_images(field, core.dim, images, coeffs) != core.T_alg.basis_vector(c):
             raise SelfCheckError(err)
 
 
@@ -662,9 +663,7 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
     eps_in_A = core.incl_R @ core.eps
 
     # the flip x (x) y -> y (x) x descends and is an involutive anti-automorphism
-    swap = Matrix.zeros(field, n * n, n * n)
-    for i, j in pairs:
-        swap.data[j * n + i][i * n + j] = field.one
+    swap = Matrix.from_columns(field, [{j * n + i: field.one} for i, j in pairs], nrows=n * n)
     tau_q2 = ts.quot.induced(swap)
     tau_cols = [core.t_coords(tau_q2.apply(t), "flip left T") for t in core.t_basis]
     tau = Matrix.from_columns(field, tau_cols, nrows=m)

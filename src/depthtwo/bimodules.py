@@ -118,9 +118,9 @@ def restrict(M: Bimodule, left: AlgebraMorphism | None = None,
     A balanced tensor product stays one, with the same quotient coordinates."""
     out = copy.copy(M)
     out._left = lambda: M.left_action if left is None else \
-        [combine(M.left_action, col) for col in left.matrix.columns()]
+        [combine(M.left_action, col) for col in left.matrix.cols]
     out._right = lambda: M.right_action if right is None else \
-        [combine(M.right_action, col) for col in right.matrix.columns()]
+        [combine(M.right_action, col) for col in right.matrix.cols]
     if left is not None:
         out.left_algebra = left.source
     if right is not None:
@@ -362,11 +362,7 @@ def intertwiners(field, dm: int, dn: int, pairs: list[tuple[Matrix, Matrix]]) ->
     rows: list[dict] = []
     for act_M, act_N in pairs:
         rows += _sylvester_rows(dn, dm, act_M.cols, act_N.transpose().cols)
-    if not rows:
-        sols = Matrix.identity(field, nunk).data
-    else:
-        sols = nullspace(rows, field, nunk)
-    return [Matrix.unvec(field, v, dn, dm) for v in sols]
+    return [Matrix.unvec(field, v, dn, dm) for v in nullspace(rows, field, nunk)]
 
 
 def hom_space(M: Bimodule, N: Bimodule) -> list[Matrix]:
@@ -677,9 +673,8 @@ def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],
     pairs = []
     for g in transversal:
         coset = {table[m][g] for m in sub}
-        proj = Matrix.zeros(field, A.dim, A.dim)
-        for h in coset:
-            proj.data[h][h] = field.one
+        proj = Matrix.from_columns(field, [{h: field.one} if h in coset else {}
+                                           for h in range(A.dim)], nrows=A.dim)
         if side == "right":
             tensor = ts.class_of(A.basis_vector(inv[g]), A.basis_vector(g))
         else:

@@ -140,29 +140,16 @@ class CoinvariantsReport:
                 "symmetric_tensor_ok": self.symmetric_tensor_ok}
 
 
-def _snapshot(mat: Matrix) -> tuple:
-    """mat's entries as nested tuples: an immutable memo key, equal for equal matrices."""
-    return tuple(map(tuple, mat.data))
-
-
-def _thawed(ext: Extension, snapshot: tuple) -> Matrix:
-    return Matrix(ext.A.field, [list(row) for row in snapshot])
-
-
+@per_extension
 def coinvariants(ext: Extension, delta: Matrix) -> CoinvariantsReport:
     """Kernel of delta - (- (x) 1_T), compared with the image of iota.
 
     Each coinvariant x also gets the symmetry check 1 (x) x = x (x) 1 in
-    the tensor square.  The report is kept per extension and coaction
-    entries, so the coaction of ``galois_data`` and the equal one of
-    ``main_theorem_audit``, built on independent paths, share it.
+    the tensor square.  The report is kept per extension and coaction (a
+    matrix hashes by its entries), so the coaction of ``galois_data`` and
+    the equal one of ``main_theorem_audit``, built on independent paths,
+    share it.
     """
-    return _coinvariants(ext, _snapshot(delta))
-
-
-@per_extension
-def _coinvariants(ext: Extension, delta_entries: tuple) -> CoinvariantsReport:
-    delta = _thawed(ext, delta_entries)
     core = t_core(ext)
     at = tensor_with_t(ext)
     A = ext.A
@@ -171,7 +158,7 @@ def _coinvariants(ext: Extension, delta_entries: tuple) -> CoinvariantsReport:
         field, [at.class_of(A.basis_vector(j), core.unit_T) for j in range(A.dim)],
         nrows=at.dim)
     diff = delta - one_map
-    space = Subspace.span(field, A.dim, nullspace(diff.data, field, A.dim))
+    space = Subspace.span(field, A.dim, nullspace(diff.transpose().cols, field, A.dim))
     sub = SubalgebraData(A, space, check=True)
     b_image = ext.b_image_subspace()
     contains = b_image.is_contained_in(space)
@@ -231,19 +218,19 @@ def comodule_algebra_audit(ext: Extension, delta: Matrix,
     tensor power, where both composites must land on 1 (x) 1 (x) a.  On the
     extension's own bialgebroid (the core, witness and Delta that
     ``build_T`` and ``build_T_quasibase_free`` return) the report is kept
-    per coaction entries, like ``coinvariants``; any other bialgebroid,
+    per coaction, like ``coinvariants``; any other bialgebroid,
     such as a ``replaced`` one, is audited afresh.
     """
     if bgd.core is t_core(ext):
         own = build_T_quasibase_free(ext)
         if bgd.witness is own.witness and bgd.Delta is own.Delta:
-            return _own_comodule_audit(ext, _snapshot(delta))
+            return _own_comodule_audit(ext, delta)
     return _comodule_audit(ext, delta, bgd)
 
 
 @per_extension
-def _own_comodule_audit(ext: Extension, delta_entries: tuple) -> AuditReport:
-    return _comodule_audit(ext, _thawed(ext, delta_entries), build_T_quasibase_free(ext))
+def _own_comodule_audit(ext: Extension, delta: Matrix) -> AuditReport:
+    return _comodule_audit(ext, delta, build_T_quasibase_free(ext))
 
 
 def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> AuditReport:

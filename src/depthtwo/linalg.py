@@ -1,9 +1,9 @@
 """Exact linear algebra: matrices, sparse-row RREF, subspaces, sparse quotients.
 
-A ``Matrix`` keeps dense rows and one sparse column view ``cols``, read
-once or handed over by ``from_columns``; every product with a vector
-(``image``, ``apply``) reads only nonzeros through it.  The view is a
-cache, so a matrix is not edited once it is read (``Matrix`` states the rule).
+A ``Matrix`` is stored as its nonzero columns ``cols`` and its shape, and
+never edited in place.  Products, sums, transposes, inverses and linear
+combinations read and build columns, so their cost follows the nonzeros;
+``data`` rebuilds read-only dense rows on each read, for output.
 
 Elimination works on sparse {column: value} rows, so its cost follows the
 nonzeros of the system rather than rows x columns; it accepts dense lists
@@ -49,74 +49,97 @@ class LinAlgError(ValueError):
 
 
 class Matrix:
-    """A field-valued matrix stored row-major, with a sparse column view.
+    """A field-valued matrix stored as its nonzero columns.
 
-    ``cols[j]`` is the {row: value} dict of the nonzeros of column j.  The
-    view is a cache on a mutable object: a matrix is not edited after its
-    view is read, ``copy()`` returns a fresh matrix with no view, and no
-    consumer mutates a view.
+    ``cols[j]`` is the {row: value} dict of the nonzeros of column j; it
+    never holds a zero, so equal matrices have equal columns, and ``nrows``
+    and ``ncols`` are kept beside them, so empty shapes keep their size.
+    Every operation reads and builds columns.  ``data`` is a read-only view:
+    dense tuple rows rebuilt on each read and not kept.  A matrix is never
+    edited in place, and no consumer mutates a column.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_cols")
+    __slots__ = ("field", "nrows", "ncols", "cols")
 
-    def __init__(self, field, data: list[list]):
-        self.field = field
-        self.data = data
-        self.nrows = len(data)
-        self.ncols = len(data[0]) if data else 0
-        self._cols: list[dict] | None = None
-        for row in data:
-            if len(row) != self.ncols:
+    def __init__(self, field, rows: list):
+        """The matrix with the given dense rows, read into columns once."""
+        ncols = len(rows[0]) if rows else 0
+        cols: list[dict] = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            if len(row) != ncols:
                 raise LinAlgError("ragged rows")
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][i] = x
+        self.field = field
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self.cols = cols
 
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _of(cls, field, nrows: int, ncols: int, cols: list[dict]) -> "Matrix":
+        """The matrix with these zero-free {row: value} columns, taken as they are."""
+        m = cls.__new__(cls)
+        m.field, m.nrows, m.ncols, m.cols = field, nrows, ncols, cols
+        return m
+
+    @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls._of(field, nrows, ncols, [{} for _ in range(ncols)])
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
         one = field.one
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls._of(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
     def from_columns(cls, field, columns: list, nrows: int | None = None) -> "Matrix":
-        """The matrix with dense or {row: value} columns (these need ``nrows``);
-        their nonzeros become the view, so a caller holding sparse columns needs no rescan."""
-        if not columns:
-            return cls.zeros(field, nrows or 0, 0)
-        n = len(columns[0]) if nrows is None else nrows
-        view = [_sparse_row(col, n, "from_columns") for col in columns]
-        m = cls.zeros(field, n, len(columns))
-        for j, col in enumerate(view):
-            for i, x in col.items():
-                m.data[i][j] = x
-        m._cols = view if m.ncols else None  # a matrix with no rows keeps no columns
-        return m
+        """The matrix with dense or {row: value} columns (these need ``nrows``),
+        each checked and kept as its nonzeros."""
+        n = (len(columns[0]) if columns else 0) if nrows is None else nrows
+        return cls._of(field, n, len(columns),
+                       [_sparse_row(col, n, "from_columns") for col in columns])
+
+    @classmethod
+    def unvec(cls, field, flat: list, nrows: int, ncols: int) -> "Matrix":
+        """The inverse of ``vec``: a dense row-major list read into columns."""
+        if len(flat) != nrows * ncols:
+            raise LinAlgError("unvec: wrong length")
+        cols: list[dict] = [{} for _ in range(ncols)]
+        for k, x in enumerate(flat):
+            if x:
+                cols[k % ncols][k // ncols] = x
+        return cls._of(field, nrows, ncols, cols)
 
     # -- access ------------------------------------------------------
 
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.data]
-
-    def columns(self) -> list[list]:
-        return [self.column(j) for j in range(self.ncols)]
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [row[:] for row in self.data])
-
     @property
-    def cols(self) -> list[dict]:
-        """cols[j] = the nonzeros {row: value} of column j, read from the rows once."""
-        if self._cols is None:
-            self._cols = [{i: row[j] for i, row in enumerate(self.data) if row[j]}
-                          for j in range(self.ncols)]
-        return self._cols
+    def data(self) -> list[tuple]:
+        """The dense rows as tuples, rebuilt from the columns on each read."""
+        zero = self.field.zero
+        rows = [[zero] * self.ncols for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return [tuple(row) for row in rows]
+
+    def column(self, j: int) -> list:
+        """Column j as a dense list."""
+        out = [self.field.zero] * self.nrows
+        for i, x in self.cols[j].items():
+            out[i] = x
+        return out
+
+    def vec(self) -> list:
+        """Row-major flattening, the canonical vectorization used for hom spaces."""
+        n = self.ncols
+        out = [self.field.zero] * (self.nrows * n)
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                out[i * n + j] = x
+        return out
 
     # -- arithmetic --------------------------------------------------
 
@@ -137,95 +160,81 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise LinAlgError(f"matmul: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        zero = self.field.zero
-        out = [[zero] * other.ncols for _ in range(self.nrows)]
-        odata = other.data
-        for i, arow in enumerate(self.data):
-            crow = out[i]
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = odata[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        crow[j] = crow[j] + a * b
-        return Matrix(self.field, out)
+        cols = self.cols
+        return Matrix._of(self.field, self.nrows, other.ncols,
+                          [sum_nonzeros((x, cols[k].items()) for k, x in col.items())
+                           for col in other.cols])
+
+    def _plus(self, other: "Matrix", c, op: str) -> "Matrix":
+        """self + c * other, column by column."""
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise LinAlgError(f"shape mismatch in {op}")
+        one = self.field.one
+        return Matrix._of(self.field, self.nrows, self.ncols,
+                          [sum_nonzeros(((one, a.items()), (c, b.items())))
+                           for a, b in zip(self.cols, other.cols)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise LinAlgError("shape mismatch in +")
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)])
+        return self._plus(other, self.field.one, "+")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise LinAlgError("shape mismatch in -")
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)])
+        return self._plus(other, -self.field.one, "-")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in row] for row in self.data])
+        return self.scaled(-self.field.one)
 
     def scaled(self, c) -> "Matrix":
-        return Matrix(self.field, [[c * a for a in row] for row in self.data])
+        return Matrix._of(self.field, self.nrows, self.ncols,
+                          [sum_nonzeros(((c, col.items()),)) for col in self.cols])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.data == other.data)
+                and self.ncols == other.ncols and self.cols == other.cols)
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.data)))
+        return hash((self.nrows, self.ncols, tuple(frozenset(col.items()) for col in self.cols)))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.data)]) if self.data \
-            else Matrix.zeros(self.field, self.ncols, 0)
-
-    def vec(self) -> list:
-        """Row-major flattening, the canonical vectorization used for hom spaces."""
-        out = []
-        for row in self.data:
-            out.extend(row)
-        return out
-
-    @classmethod
-    def unvec(cls, field, flat: list, nrows: int, ncols: int) -> "Matrix":
-        if len(flat) != nrows * ncols:
-            raise LinAlgError("unvec: wrong length")
-        return cls(field, [list(flat[i * ncols:(i + 1) * ncols]) for i in range(nrows)])
+        rows: list[dict] = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return Matrix._of(self.field, self.ncols, self.nrows, rows)
 
     def rank(self) -> int:
-        _, pivots = rref([row[:] for row in self.data], self.field, self.ncols)
-        return len(pivots)
+        k = _kernel(self.field)
+        return len(_echelon([k.native(col)[0] for col in self.cols], k))
 
     def inverse(self) -> "Matrix":
+        """Column i of the inverse is row i of the inverse transpose, read off
+        the reduced rows (column j of self, e_j)."""
         if self.nrows != self.ncols:
             raise LinAlgError("inverse of non-square matrix")
         n = self.nrows
-        aug = [row[:] + irow[:] for row, irow in
-               zip(self.data, Matrix.identity(self.field, n).data)]
-        rows, pivots = rref(aug, self.field, 2 * n)
-        if pivots[:n] != list(range(n)):
+        k, one = _kernel(self.field), self.field.one
+        basis = _echelon([k.native({**col, n + j: one})[0] for j, col in enumerate(self.cols)], k)
+        if sorted(basis)[:n] != list(range(n)):
             raise LinAlgError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in rows[:n]])
+        cols = []
+        for i in range(n):
+            row = basis[i]
+            cols.append({c - n: x for c, x in k.values(row, row[i]).items() if c >= n})
+        return Matrix._of(self.field, n, n, cols)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
-def combine(mats: list[Matrix], coeffs: list) -> Matrix:
-    """sum_i coeffs[i] * mats[i] for a non-empty list of equally shaped matrices."""
-    if not mats or len(mats) != len(coeffs):
+def combine(mats: list[Matrix], coeffs) -> Matrix:
+    """sum_i coeffs[i] * mats[i] for a non-empty list of equally shaped matrices
+    and a dense or {index: value} list of coefficients."""
+    if not mats or (not isinstance(coeffs, dict) and len(mats) != len(coeffs)):
         raise LinAlgError("combine: need one coefficient per matrix")
     first = mats[0]
-    out = Matrix.zeros(first.field, first.nrows, first.ncols)
-    for m, c in zip(mats, coeffs):
-        if not c:
-            continue
-        for orow, row in zip(out.data, m.data):
-            for j, x in enumerate(row):
-                if x:
-                    orow[j] = orow[j] + c * x
-    return out
+    terms = entries(coeffs)
+    return Matrix._of(first.field, first.nrows, first.ncols,
+                      [sum_nonzeros((c, mats[i].cols[j].items()) for i, c in terms)
+                       for j in range(first.ncols)])
 
 
 def entries(vec) -> list[tuple[int, object]]:

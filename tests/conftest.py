@@ -21,6 +21,11 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                             for arow in a.data for brow in b.data])
 
 
+def unit_vectors(field, n: int) -> list[list]:
+    """The standard basis of field^n as dense lists."""
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+
+
 def _even_permutations() -> list[tuple]:
     """The even permutations of 4 points in lexicographic order."""
     def even(p):
@@ -57,7 +62,7 @@ def dense_basis(ext, p: Matrix):
     """The same extension with A on the basis f_i = sum_k p[k][i] e_k."""
     A = ext.A
     p_inv = p.inverse()
-    cols = p.columns()
+    cols = p.cols
     structure = [[p_inv.apply(A.mul(cols[i], cols[j])) for j in range(A.dim)]
                  for i in range(A.dim)]
     A2 = FiniteAlgebra(A.field, structure, p_inv.apply(A.unit))

@@ -163,9 +163,7 @@ def test_criterion_07_necessary_conditions(catalog_exts):
                 ideal = ideal_closure(A, [A.basis_vector(i)])
                 assert normality_audit(ext, ideal).equal, (name, i)
         ext = catalog_exts["s3-a3"]
-        p = Matrix.zeros(QQ, 3, 6)
-        for j in range(3):
-            p.data[j][j] = QQ.one
+        p = Matrix.from_columns(QQ, [{j: QQ.one} for j in range(3)] + [{}] * 3, nrows=3)
         dual = split_projectivity_audit(ext, p)
         A = ext.A
         for y in range(A.dim):
@@ -203,11 +201,9 @@ def test_criterion_09_quasibase_independence():
 
 
 def _swapped_columns(matrix: Matrix) -> Matrix:
-    out = matrix.copy()
-    assert out.column(0) != out.column(1), "columns must differ for the mutation"
-    for row in out.data:
-        row[0], row[1] = row[1], row[0]
-    return out
+    cols = matrix.cols
+    assert cols[0] != cols[1], "columns must differ for the mutation"
+    return Matrix.from_columns(matrix.field, [cols[1], cols[0], *cols[2:]], nrows=matrix.nrows)
 
 
 def test_criterion_10_mutation_sensitivity(catalog_exts):

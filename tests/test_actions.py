@@ -162,9 +162,8 @@ def test_endo_coords_read_off_the_free_positions(s3_setup):
 def test_endo_coords_reject_a_map_that_is_not_b_linear(s3_setup):
     ext, _, _, M, me = s3_setup
     # swapping two elements of different B-cosets is k-linear but not B-linear
-    swap = Matrix.identity(QQ, M.dim)
-    swap.data[0][0] = swap.data[3][3] = QQ.zero
-    swap.data[0][3] = swap.data[3][0] = QQ.one
+    perm = [3, 1, 2, 0, *range(4, M.dim)]
+    swap = Matrix.from_columns(QQ, [{perm[j]: QQ.one} for j in range(M.dim)], nrows=M.dim)
     assert solve_in_span(swap.vec(), [f.vec() for f in me.endo_basis], QQ) is None
     with pytest.raises(AlgebraError, match="not B-linear"):
         me.endo_coords(swap)

@@ -15,7 +15,7 @@ from depthtwo.fields import GF, QQ
 from depthtwo.galois import galois_map, ice_matrix, main_theorem_audit, tensor_with_t
 from depthtwo.linalg import Matrix, combine
 
-from conftest import CATALOG_AND_A4
+from conftest import CATALOG_AND_A4, unit_vectors
 
 
 def _bgd(ext):
@@ -89,9 +89,9 @@ def test_axiom_names_are_stable(bgd_sqrt2):
 
 
 def test_corrupted_coproduct_fails_with_witness(bgd_s3a3):
-    delta = bgd_s3a3.Delta.copy()
-    for row in delta.data:
-        row[0], row[1] = row[1], row[0]   # swap two columns of Delta
+    cols = bgd_s3a3.Delta.cols
+    delta = Matrix.from_columns(bgd_s3a3.Delta.field, [cols[1], cols[0], *cols[2:]],
+                                nrows=bgd_s3a3.Delta.nrows)   # swap two columns of Delta
     report = axiom_audit(bgd_s3a3.replaced(Delta=delta))
     assert not report.all_pass
     failing = report.failing()
@@ -164,7 +164,7 @@ def _dense_forward(wit, power: int) -> Matrix:
     A = core.A
     source, target = (core.tt, wit.q3) if power == 3 else (wit.ttt, wit.q4)
     cols = []
-    for e in Matrix.identity(A.field, source.dim).data:
+    for e in unit_vectors(A.field, source.dim):
         acc = [A.field.zero] * target.dim
         for idx, coeff in source.lift_items(e):
             # one pure tensor in A^(x)(power), as {legs: coefficient}
@@ -200,7 +200,7 @@ def _old_ice(core, at):
     # the comparison map as an identity-column loop with dense accumulation
     field = core.A.field
     cols = []
-    for e in Matrix.identity(field, at.dim).data:
+    for e in unit_vectors(field, at.dim):
         acc = [field.zero] * core.ts.dim
         for (k, c), coeff in at.lift_items(e):
             term = core.ts.left_action[k].apply(core.t_basis[c])
@@ -215,7 +215,7 @@ def _old_beta(ext, core, at, rqb):
     field = A.field
     u_ts = [core.t_coords(u, "u escaped T") for _, u in rqb.pairs]
     cols = []
-    for e in Matrix.identity(field, core.ts.dim).data:
+    for e in unit_vectors(field, core.ts.dim):
         acc = [field.zero] * at.dim
         for (s, t), coeff in core.ts.lift_items(e):
             for (gamma, _), u_t in zip(rqb.pairs, u_ts):
@@ -230,7 +230,7 @@ def _old_counit_maps(core):
     field = core.A.field
     m, tt, tvec = core.dim, core.tt, core.T_alg.basis_vector
     e1_cols, e2_cols = [], []
-    for e in Matrix.identity(field, tt.dim).data:
+    for e in unit_vectors(field, tt.dim):
         acc1 = [field.zero] * m
         acc2 = [field.zero] * m
         for (c, d), coeff in tt.lift_items(e):
@@ -337,7 +337,7 @@ def _quasibase_inverses(wit, rqb) -> tuple[Matrix, Matrix]:
 
 def _on_central(fwd: Matrix, target) -> Matrix:
     """A forward map in coordinates of the B-central power it lands in."""
-    return Matrix.from_columns(fwd.field, [target.coords(col) for col in fwd.columns()],
+    return Matrix.from_columns(fwd.field, [target.coords(fwd.column(j)) for j in range(fwd.ncols)],
                                nrows=target.dim)
 
 
@@ -368,14 +368,14 @@ def test_quasibase_inverses_invert_the_witness():
 def _outside(space) -> list:
     """The first standard basis vector outside a proper subspace."""
     field = space.field
-    return next(e for e in Matrix.identity(field, space.ambient_dim).data
+    return next(e for e in unit_vectors(field, space.ambient_dim)
                 if not space.contains(e))
 
 
 @pytest.mark.parametrize("mutate", ["column_outside", "dependent_columns", "larger_target"])
 def test_certify_rejects_a_forward_map_that_is_not_an_isomorphism(mutate, s3a3):
     wit = triple_tensor_witness(s3a3)
-    cols = wit.w3.columns()
+    cols = [wit.w3.column(j) for j in range(wit.w3.ncols)]
     _certify(wit.w3, wit.q3b, "triple")
     if mutate == "column_outside":
         cols[0] = _outside(wit.q3b)
@@ -462,7 +462,7 @@ def test_dual_bases_free_over_ground_field(c2_over_k):
 def _reconstructs(core, actions, db) -> bool:
     """The identity-column loop: x = sum_i combine(actions, phi_i(x)) m_i for every e_c."""
     field = core.A.field
-    for x in Matrix.identity(field, core.dim).data:
+    for x in unit_vectors(field, core.dim):
         acc = [field.zero] * core.dim
         for m_i, phi in zip(db.elements, db.functionals):
             term = combine(actions, phi.apply(x)).apply(m_i)

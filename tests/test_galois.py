@@ -186,9 +186,9 @@ def test_comodule_condition_names(sqrt2_galois):
 
 def test_corrupted_coproduct_fails_comodule_coassociativity(s3_galois):
     ext, rqb, bgd, delta = s3_galois
-    bad = bgd.Delta.copy()
-    for row in bad.data:
-        row[0], row[1] = row[1], row[0]   # swap two columns of Delta
+    cols = bgd.Delta.cols
+    bad = Matrix.from_columns(bgd.Delta.field, [cols[1], cols[0], *cols[2:]],
+                              nrows=bgd.Delta.nrows)   # swap two columns of Delta
     report = comodule_algebra_audit(ext, delta, bgd.replaced(Delta=bad))
     assert report.failing() == ["comodule_counit_and_coassociativity"]
     assert report.results["comodule_counit_and_coassociativity"][1].startswith(
@@ -197,10 +197,9 @@ def test_corrupted_coproduct_fails_comodule_coassociativity(s3_galois):
 
 def test_corrupted_coaction_fails_multiplicativity(sqrt2_galois):
     ext, rqb, bgd, delta = sqrt2_galois
-    bad = delta.copy()
     # swap the images of the two basis vectors of A
-    for row in bad.data:
-        row[0], row[1] = row[1], row[0]
+    cols = delta.cols
+    bad = Matrix.from_columns(delta.field, [cols[1], cols[0], *cols[2:]], nrows=delta.nrows)
     report = comodule_algebra_audit(ext, bad, bgd)
     assert not report.all_pass
     assert "coaction_multiplicative" in report.failing()
@@ -398,6 +397,22 @@ def test_main_audit_reuses_the_coinvariants_and_comodule_reports(monkeypatch, or
     assert calls == {"SubalgebraData": 1, "AuditReport": 1}
 
 
+@pytest.mark.parametrize("name", ["s3-a3", "s3-a3-f5"])
+def test_equal_coactions_hash_equal_and_hit_one_memo_entry(name, monkeypatch):
+    ext = build_example(name)
+    delta = coaction(ext, right_d2_quasibase(ext))
+    from_rows = Matrix(delta.field, delta.data)
+    from_cols = Matrix.from_columns(delta.field, [dict(col) for col in delta.cols],
+                                    nrows=delta.nrows)
+    assert from_rows is not from_cols and from_rows == from_cols == delta
+    assert hash(from_rows) == hash(from_cols) == hash(delta)
+    calls = _count_calls(monkeypatch, ("SubalgebraData",))
+    report = coinvariants(ext, from_rows)
+    assert coinvariants(ext, from_cols) is report
+    assert calls == {"SubalgebraData": 1}
+    assert [key[1] for key in ext._cache if key[0] is coinvariants.__wrapped__] == [from_rows]
+
+
 def test_a_replaced_bialgebroid_is_audited_afresh(s3_galois, monkeypatch):
     ext, rqb, bgd, delta = s3_galois
     assert comodule_algebra_audit(ext, delta, bgd).all_pass
@@ -405,7 +420,8 @@ def test_a_replaced_bialgebroid_is_audited_afresh(s3_galois, monkeypatch):
     assert comodule_algebra_audit(ext, delta, bgd).all_pass
     assert calls["AuditReport"] == 0
     # equal entries in new objects still count as another bialgebroid
-    for replaced in (bgd.replaced(Delta=bgd.Delta.copy()), bgd.replaced(eps=bgd.core.eps)):
+    rebuilt = Matrix(bgd.Delta.field, bgd.Delta.data)
+    for replaced in (bgd.replaced(Delta=rebuilt), bgd.replaced(eps=bgd.core.eps)):
         assert comodule_algebra_audit(ext, delta, replaced).all_pass
     assert calls["AuditReport"] == 2
 

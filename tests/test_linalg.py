@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from depthtwo.fields import GF, QQ, FpElement
-from depthtwo.linalg import (LinAlgError, Matrix, Subspace, insert_row, nullspace,
+from depthtwo.linalg import (LinAlgError, Matrix, Subspace, combine, insert_row, nullspace,
                              quotient_structure, reverse_rref, rref, solve_in_span, sum_nonzeros)
 
-from conftest import kron
+from conftest import kron, unit_vectors
 
 
 def vec(field, *entries):
@@ -120,7 +120,6 @@ def test_column_view_image_and_apply_match_a_dense_reference(field):
     for row in with_zero_columns:
         row[1] = row[3] = field.zero
     mats.append(Matrix(field, with_zero_columns))
-    # a Matrix keeps no rows for 0 x n, so it has no columns either
     mats += [Matrix.zeros(field, 0, 3), Matrix.zeros(field, 3, 0), Matrix.zeros(field, 2, 2)]
     for m in mats:
         assert len(m.cols) == m.ncols
@@ -135,7 +134,7 @@ def test_column_view_image_and_apply_match_a_dense_reference(field):
             assert m.image({j: x for j, x in enumerate(v) if x}) == m.image(v)
         with pytest.raises(LinAlgError):
             m.apply([field.zero] * (m.ncols + 1))
-    assert Matrix.zeros(field, 0, 3).cols == []
+    assert Matrix.zeros(field, 0, 3).cols == [{}, {}, {}]
     assert Matrix.zeros(field, 3, 0).cols == []
     assert Matrix.zeros(field, 2, 2).cols == [{}, {}]
 
@@ -150,22 +149,116 @@ def test_from_columns_keeps_dict_columns_as_the_view(field):
     m = Matrix.from_columns(field, columns, nrows=4)
     assert (m.nrows, m.ncols) == (4, 4)
     assert m.cols == columns
-    assert m.data == [row + [field.zero] for row in dense]
-    assert Matrix(field, [row[:] for row in m.data]).cols == columns
+    assert m.data == [tuple(row + [field.zero]) for row in dense]
+    assert Matrix(field, m.data).cols == columns
     # dense columns give the same matrix and view
     assert Matrix.from_columns(field, [m.column(j) for j in range(4)]).cols == columns
     with pytest.raises(LinAlgError):
         Matrix.from_columns(field, [{4: field.one}], nrows=4)
 
 
-def test_copy_then_edit_gives_a_fresh_view():
+def test_writing_into_data_raises_and_leaves_the_matrix_unchanged():
     m = Matrix.identity(QQ, 3)
+    with pytest.raises(TypeError):
+        m.data[0][2] = QQ.of(7)
     assert m.cols == [{0: QQ.one}, {1: QQ.one}, {2: QQ.one}]
-    edited = m.copy()
-    edited.data[0][2] = QQ.of(7)
-    assert edited.cols[2] == {0: QQ.of(7), 2: QQ.one}
-    assert edited.apply([QQ.zero, QQ.zero, QQ.one]) == [QQ.of(7), QQ.zero, QQ.one]
-    assert m.cols[2] == {2: QQ.one}
+    assert m == Matrix.identity(QQ, 3)
+
+
+@pytest.mark.parametrize("build, shape", [
+    (lambda: Matrix.zeros(QQ, 0, 3), (0, 3)),
+    (lambda: Matrix.zeros(QQ, 3, 0).transpose(), (0, 3)),
+    (lambda: Matrix.from_columns(QQ, [{}, {}], nrows=0), (0, 2)),
+    (lambda: Matrix.zeros(QQ, 2, 0) @ Matrix.zeros(QQ, 0, 3), (2, 3)),
+], ids=["zeros", "transpose", "from_columns", "matmul"])
+def test_empty_shapes_keep_their_size(build, shape):
+    m = build()
+    nrows, ncols = shape
+    assert (m.nrows, m.ncols) == shape
+    assert m.cols == [{}] * ncols
+    assert m.data == [(QQ.zero,) * ncols] * nrows
+    assert (m.transpose().nrows, m.transpose().ncols) == (ncols, nrows)
+    assert m == Matrix.zeros(QQ, nrows, ncols) != Matrix.zeros(QQ, 0, 0)
+
+
+def _dense_gauss_jordan(field, rows: list[list], ncols: int) -> tuple[list[list], int]:
+    """Plain Gauss-Jordan elimination on nested lists: (reduced rows, rank)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.one / rows[rank][c]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rows, rank
+
+
+def test_column_arithmetic_matches_nested_list_arithmetic():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        field = data.draw(st.sampled_from([QQ, GF(2), GF(5)]), label="field")
+        zero = field.zero
+
+        # over Q the entries have denominators, which the native rows clear
+        dens = st.integers(1, 3) if field.char == 0 else st.just(1)
+
+        def rows(r, c):
+            return [[field.of(data.draw(st.integers(-2, 2))) / field.of(data.draw(dens))
+                     for _ in range(c)] for _ in range(r)]
+
+        def dense(m: Matrix) -> tuple:
+            return m.nrows, m.ncols, [list(row) for row in m.data]
+
+        r, k, c = (data.draw(st.integers(0, 4), label=x) for x in "rkc")
+        a, a2, b = rows(r, k), rows(r, k), rows(k, c)
+        ma, ma2, mb = Matrix(field, a), Matrix(field, a2), Matrix(field, b)
+        # Matrix(field, []) cannot know its width, so empty inputs come from zeros
+        if not r:
+            ma = ma2 = Matrix.zeros(field, 0, k)
+        if not k:
+            mb = Matrix.zeros(field, 0, c)
+        s = field.of(data.draw(st.integers(-2, 2), label="scalar"))
+
+        assert dense(ma @ mb) == (r, c, [[sum((a[i][t] * b[t][j] for t in range(k)), zero)
+                                          for j in range(c)] for i in range(r)])
+        assert dense(ma + ma2) == (r, k, [[x + y for x, y in zip(u, v)] for u, v in zip(a, a2)])
+        assert dense(ma - ma2) == (r, k, [[x - y for x, y in zip(u, v)] for u, v in zip(a, a2)])
+        assert dense(ma.scaled(s)) == (r, k, [[s * x for x in u] for u in a])
+        assert dense(-ma) == (r, k, [[-x for x in u] for u in a])
+        assert dense(ma.transpose()) == (k, r, [[a[i][j] for i in range(r)] for j in range(k)])
+        assert ma.rank() == _dense_gauss_jordan(field, a, k)[1]
+        flat = [x for u in a for x in u]
+        assert ma.vec() == flat
+        assert Matrix.unvec(field, flat, r, k) == ma
+        coeffs = [s, field.of(data.draw(st.integers(-2, 2), label="coeff"))]
+        assert dense(combine([ma, ma2], coeffs)) == (
+            r, k, [[coeffs[0] * x + coeffs[1] * y for x, y in zip(u, v)] for u, v in zip(a, a2)])
+        assert combine([ma, ma2], {i: x for i, x in enumerate(coeffs) if x}) == \
+            combine([ma, ma2], coeffs)
+
+        n = data.draw(st.integers(0, 4), label="n")
+        sq = rows(n, n)
+        msq = Matrix(field, sq) if n else Matrix.zeros(field, 0, 0)
+        if _dense_gauss_jordan(field, sq, n)[1] < n:
+            with pytest.raises(LinAlgError):
+                msq.inverse()
+        else:
+            eye = unit_vectors(field, n)
+            red, _ = _dense_gauss_jordan(field, [u + e for u, e in zip(sq, eye)], 2 * n)
+            assert dense(msq.inverse()) == (n, n, [row[n:] for row in red])
+
+    check()
 
 
 def test_sum_nonzeros_drops_cancelled_entries():
@@ -226,7 +319,7 @@ def test_intersection_and_sum_dims():
 def test_quotient_by_zero_is_identity():
     q = quotient_structure(QQ, 3, [])
     assert q.dim == 3
-    for e in Matrix.identity(QQ, 3).data:
+    for e in unit_vectors(QQ, 3):
         assert q.project(e) == e
         assert q.lift(e) == as_dict(e)
 
@@ -249,7 +342,7 @@ def test_quotient_invariants_random():
             rel = Subspace.span(field, 6, random_matrix(rng, field, 2, 6))
             q = quotient_structure(field, 6, rel.basis)
             # project o lift is the identity on quotient coordinates
-            for e in Matrix.identity(field, q.dim).data:
+            for e in unit_vectors(field, q.dim):
                 assert q.project(q.lift(e)) == e
             for r in rel.basis:
                 assert all(not x for x in q.project(r))
@@ -417,7 +510,7 @@ def dense_apply(field, rows, v):
 def relation_cases(rng, field, ncols):
     """Zero, full and random sparse relation sets."""
     yield []
-    yield Matrix.identity(field, ncols).data
+    yield unit_vectors(field, ncols)
     for _ in range(12):
         yield sparse_random_rows(rng, field, rng.randint(1, ncols), ncols)
 
@@ -444,7 +537,7 @@ def test_reverse_rref_of_a_spanning_set_is_the_nullspace_basis():
 
 def test_reverse_rref_of_the_zero_and_full_spaces():
     for field in (QQ, GF(2), GF(5)):
-        eye = Matrix.identity(field, 4).data
+        eye = unit_vectors(field, 4)
         assert nullspace(eye, field, 4) == [] == reverse_rref([], field, 4)
         assert reverse_rref([{}, [field.zero] * 4], field, 4) == []
         full = nullspace([], field, 4)
@@ -465,12 +558,12 @@ def test_sparse_quotient_agrees_with_the_dense_reference():
             proj, sect = reference_quotient(rows, field, n)
             assert q.dim == len(proj)
             assert q.free == [j for j in range(n) if any(sect[j])]
-            for v in random_matrix(rng, field, 4, n) + Matrix.identity(field, n).data:
+            for v in random_matrix(rng, field, 4, n) + unit_vectors(field, n):
                 expected = dense_apply(field, proj, v)
                 assert q.project(v) == expected
                 assert q.project(as_dict(v)) == expected
                 assert q.reduce(v) == as_dict(expected)
-            for c in random_matrix(rng, field, 3, q.dim) + Matrix.identity(field, q.dim).data:
+            for c in random_matrix(rng, field, 3, q.dim) + unit_vectors(field, q.dim):
                 expected = as_dict(dense_apply(field, sect, c))
                 assert q.lift(c) == expected
                 assert q.lift(as_dict(c)) == expected
@@ -515,7 +608,7 @@ def shuffled_cases(rng, field):
     for _ in range(25):
         ncols = rng.randint(1, 7)
         cases = [sparse_random_rows(rng, field, rng.randint(1, 9), ncols),
-                 Matrix.identity(field, ncols).data + [[field.zero] * ncols]]
+                 unit_vectors(field, ncols) + [[field.zero] * ncols]]
         # full rank with every row leading at column 0
         full = [[field.of(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(ncols)]
         if len(reference_rref(full, field, ncols)[1]) == ncols and all(row[0] for row in full):
