@@ -13,7 +13,7 @@ from __future__ import annotations
 from .algebras import AlgebraError, Extension, FiniteAlgebra
 from .bialgebroid import RightBialgebroid, build_T
 from .bimodules import QuasibaseSet, hom_space, left_module_bimodule
-from .linalg import Matrix, Subspace, combine, nullspace
+from .linalg import Matrix, Subspace, combine, nullspace, sum_nonzeros
 # re-exported: callers and profiling tools look solve_in_span up in this module
 from .linalg import solve_in_span  # noqa: F401
 
@@ -37,7 +37,7 @@ class LeftModule:
             raise AlgebraError("module action is not unital")
         for i in range(A.dim):
             for j in range(A.dim):
-                if self.action[i] @ self.action[j] != combine(self.action, A.table[i][j]):
+                if self.action[i] @ self.action[j] != combine(self.action, A.nonzeros[i][j]):
                     raise AlgebraError(f"module action fails on (e_{i}, e_{j})")
 
     @classmethod
@@ -47,7 +47,7 @@ class LeftModule:
 
 def b_endomorphisms(ext: Extension, M: LeftModule) -> list[Matrix]:
     """Basis of endomorphisms of M as a module over B (restricted via iota)."""
-    action = [combine(M.action, ext.iota_col(j)) for j in range(ext.B.dim)]
+    action = [combine(M.action, col) for col in ext.iota.matrix.cols]
     bm = left_module_bimodule(ext.B, M.dim, action)
     return hom_space(bm, bm)
 
@@ -72,11 +72,11 @@ class MeasuredEndos:
     def dim(self) -> int:
         return len(self.endo_basis)
 
-    def endo_coords(self, endo: Matrix, err: str = "endomorphism is not B-linear") -> list:
-        """Coordinates in ``endo_basis``: the entries of endo at the basis
-        maps' free positions, checked by an exact reconstruction."""
-        zero = endo.field.zero
-        coords = [endo.cols[c].get(r, zero) for r, c in self._free]
+    def endo_coords(self, endo: Matrix, err: str = "endomorphism is not B-linear") -> dict:
+        """Coordinates {i: value} in ``endo_basis``: the entries of endo at the
+        basis maps' free positions, checked by an exact reconstruction."""
+        cols = endo.cols
+        coords = {i: cols[c][r] for i, (r, c) in enumerate(self._free) if r in cols[c]}
         recon = combine(self.endo_basis, coords) if self.endo_basis else \
             Matrix.zeros(endo.field, endo.nrows, endo.ncols)
         if recon != endo:
@@ -105,7 +105,7 @@ def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
     def acted(f: Matrix, c: int) -> Matrix:
         # f . t_c = t_c^1 f(t_c^2 -), summed over the lift of t_c
         out = Matrix.zeros(field, M.dim, M.dim)
-        for (s, t), coeff in core.t_lift_items(c):
+        for (s, t), coeff in core.t_items[c]:
             out = out + (M.action[s] @ f @ M.action[t]).scaled(coeff)
         return out
 
@@ -122,12 +122,12 @@ def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
     # module law: (f . t) . u = f . (t u)
     for c in range(m):
         for d in range(m):
-            prod = core.T_alg.table[c][d]
+            prod = core.T_alg.nonzeros[c][d]
             if action[d] @ action[c] != combine(action, prod):
                 raise AlgebraError(f"T-action fails the module law on (t_{c}, t_{d})")
     # measuring: (f . t_(1)) o (g . t_(2)) = (f o g) . t
     for c in range(m):
-        lift = core.tt.lift_items(bgd.Delta.column(c))
+        lift = core.tt.lift_items(bgd.Delta.cols[c])
         for a in range(ne):
             for b in range(ne):
                 rhs_m = Matrix.zeros(field, M.dim, M.dim)
@@ -141,8 +141,8 @@ def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
     id_coords = me.endo_coords(Matrix.identity(field, M.dim))
     for c in range(m):
         tvec = core.T_alg.basis_vector(c)
-        twisted = core.s_R.apply(core.eps.apply(tvec))
-        if combine(action, tvec).apply(id_coords) != combine(action, twisted).apply(id_coords):
+        twisted = core.s_R.image(core.eps.cols[c])
+        if combine(action, tvec).image(id_coords) != combine(action, twisted).image(id_coords):
             raise AlgebraError(f"identity is not invariant at t_{c}")
     return me
 
@@ -156,7 +156,7 @@ def action_invariants(me: MeasuredEndos, M: LeftModule) -> Subspace:
     rows = []
     for c in range(m):
         tvec = core.T_alg.basis_vector(c)
-        twisted = core.s_R.apply(core.eps.apply(tvec))
+        twisted = core.s_R.image(core.eps.cols[c])
         diff = combine(me.action, tvec) - combine(me.action, twisted)
         rows.extend(diff.transpose().cols)
     coords_basis = nullspace(rows, field, me.dim)
@@ -194,12 +194,12 @@ def anchor(ext: Extension, rqb: QuasibaseSet,
     m = core.dim
     rdim = core.R_alg.dim
     # r . t_c = t_c^1 r t_c^2
-    right_by_r = [combine(A.right_mults, core.incl_R.column(r)) for r in range(rdim)]
+    right_by_r = [combine(A.right_mults, col) for col in core.incl_R.cols]
     action = []
     for c in range(m):
         cols = []
         for r in range(rdim):
-            coords = core.R.coords_of(core.contract(c, left=right_by_r[r]))
+            coords = core.R.space.coords(core.contract(c, left=right_by_r[r]))
             if coords is None:
                 raise AlgebraError("anchor value escaped the centralizer")
             cols.append(coords)
@@ -209,25 +209,22 @@ def anchor(ext: Extension, rqb: QuasibaseSet,
     if combine(action, core.unit_T) != Matrix.identity(field, rdim):
         raise AlgebraError("anchor: r . 1_T != r")
     for c in range(m):
-        if action[c].apply(core.R_alg.unit) != core.eps.column(c):
+        if action[c].image(core.R_alg.unit) != core.eps.cols[c]:
             raise AlgebraError(f"anchor: 1_R . t_{c} != eps(t_{c})")
     # module law over products of T
     for c in range(m):
         for d in range(m):
-            if combine(action, core.T_alg.table[c][d]) != action[d] @ action[c]:
+            if combine(action, core.T_alg.nonzeros[c][d]) != action[d] @ action[c]:
                 raise AlgebraError("anchor fails the module law")
     # measuring: (r s) . t = (r . t_(1)) (s . t_(2))
     for c in range(m):
-        lift = core.tt.lift_items(bgd.Delta.column(c))
+        lift = core.tt.lift_items(bgd.Delta.cols[c])
+        R = core.R_alg
         for r in range(rdim):
             for s in range(rdim):
-                lhs = action[c].apply(core.R_alg.table[r][s])
-                rhs = [field.zero] * rdim
-                for (e, f), coeff in lift:
-                    term = core.R_alg.mul(
-                        action[e].apply(core.R_alg.basis_vector(r)),
-                        action[f].apply(core.R_alg.basis_vector(s)))
-                    rhs = [x + coeff * y for x, y in zip(rhs, term)]
+                lhs = action[c].image(R.nonzeros[r][s])
+                rhs = sum_nonzeros((coeff, R.mul(action[e].cols[r], action[f].cols[s]).items())
+                                   for (e, f), coeff in lift)
                 if lhs != rhs:
                     raise AlgebraError(
                         f"anchor measuring fails at (r_{r}, r_{s}, t_{c})")

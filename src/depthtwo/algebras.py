@@ -1,17 +1,19 @@
 """Structure-constant algebras, morphisms, extensions and group algebras.
 
-An algebra lives entirely in coordinates: a cube c[i][j][k] with
-e_i e_j = sum_k c[i][j][k] e_k plus the coordinates of the unit.
-Extensions are unit-preserving morphisms iota: B -> A; they are never
-assumed injective, and all downstream code multiplies by iota(b)
-rather than by b itself.
+An algebra lives entirely in coordinates: the nonzero structure constants
+``nonzeros[i][j]`` = {k: c} with e_i e_j = sum_k c e_k, and the unit as an
+{index: value} vector, the vector format of ``linalg``.  A dense cube
+c[i][j][k] is read once where it enters (``make_algebra``), and
+``structure`` rebuilds it on each read, for output.  Extensions are
+unit-preserving morphisms iota: B -> A; they are never assumed injective,
+and all downstream code multiplies by iota(b) rather than by b itself.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .linalg import Matrix, Subspace, combine, entries, insert_row, nullspace, sum_nonzeros
+from .linalg import Matrix, Subspace, combine, insert_row, nullspace, sum_nonzeros
 # re-exported: callers and profiling tools look solve_in_span up in this module
 from .linalg import solve_in_span  # noqa: F401
 
@@ -25,18 +27,20 @@ class SelfCheckError(AlgebraError):
 
 
 class FiniteAlgebra:
-    """A finite-dimensional unital associative algebra over an exact field."""
+    """A finite-dimensional unital associative algebra over an exact field.
 
-    __slots__ = ("field", "dim", "structure", "unit", "_table", "_nonzeros", "_left",
-                 "_right", "_generators")
+    ``nonzeros[i][j]`` is the {k: value} dict of the nonzero coordinates of
+    e_i * e_j, and ``unit`` the {index: value} coordinates of 1; neither
+    holds a zero.
+    """
 
-    def __init__(self, field, structure: list[list[list]], unit: list, validate: bool = True):
+    __slots__ = ("field", "dim", "nonzeros", "unit", "_left", "_right", "_generators")
+
+    def __init__(self, field, nonzeros: list[list[dict]], unit: dict, validate: bool = True):
         self.field = field
-        self.dim = len(structure)
-        self.structure = structure
+        self.dim = len(nonzeros)
+        self.nonzeros = nonzeros
         self.unit = unit
-        self._table: list[list[list]] | None = None
-        self._nonzeros: list[list[dict]] | None = None
         self._left: list[Matrix] | None = None
         self._right: list[Matrix] | None = None
         self._generators: list[int] | None = None
@@ -59,13 +63,11 @@ class FiniteAlgebra:
         n = self.dim
         if n == 0:
             raise AlgebraError("algebra must have positive dimension")
+        nz = self.nonzeros
         for i in range(n):
-            if len(self.structure[i]) != n:
+            if len(nz[i]) != n or not all(_is_index_list(list(c), n) for c in nz[i]):
                 raise AlgebraError("structure cube is not dim x dim x dim")
-            for j in range(n):
-                if len(self.structure[i][j]) != n:
-                    raise AlgebraError("structure cube is not dim x dim x dim")
-        if len(self.unit) != n:
+        if not _is_index_list(list(self.unit), n):
             raise AlgebraError("unit vector has wrong length")
         # unit law on both sides
         for i in range(n):
@@ -74,7 +76,6 @@ class FiniteAlgebra:
                 raise AlgebraError(f"unit law fails: 1*e_{i} != e_{i}")
             if self.mul(e_i, self.unit) != e_i:
                 raise AlgebraError(f"unit law fails: e_{i}*1 != e_{i}")
-        nz = self.nonzeros
         self._generators = _greedy_generators(nz, self.unit, self.field.one)
         if all(_associates(nz, i, g, k)
                for g in self._generators for i in range(n) for k in range(n)):
@@ -89,36 +90,20 @@ class FiniteAlgebra:
     # -- basic structure ----------------------------------------------
 
     @property
-    def table(self) -> list[list[list]]:
-        """table[i][j] = coordinates of e_i * e_j."""
-        if self._table is None:
-            self._table = [[list(self.structure[i][j]) for j in range(self.dim)]
-                           for i in range(self.dim)]
-        return self._table
+    def structure(self) -> list[list[list]]:
+        """The dense cube c[i][j][k], rebuilt from the nonzeros on each read."""
+        zero, n = self.field.zero, self.dim
+        return [[[nij.get(k, zero) for k in range(n)] for nij in ni] for ni in self.nonzeros]
 
-    @property
-    def nonzeros(self) -> list[list[dict]]:
-        """nonzeros[i][j] = the nonzero coordinates {k: value} of e_i * e_j."""
-        if self._nonzeros is None:
-            self._nonzeros = [[{k: c for k, c in enumerate(tij) if c} for tij in ti]
-                              for ti in self.table]
-        return self._nonzeros
+    def basis_vector(self, i: int) -> dict:
+        return {i: self.field.one}
 
-    def basis_vector(self, i: int) -> list:
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
-
-    def mul(self, x, y) -> list:
-        """Coordinates of x * y for dense or {index: value} x and y, summed
+    def mul(self, x: dict, y: dict) -> dict:
+        """Coordinates {k: value} of x * y for {index: value} x and y, summed
         over the nonzero structure constants."""
         nz = self.nonzeros
-        ys = entries(y)
-        out = [self.field.zero] * self.dim
-        for k, v in sum_nonzeros((xi * yj, nz[i][j].items())
-                                 for i, xi in entries(x) for j, yj in ys).items():
-            out[k] = v
-        return out
+        ys = list(y.items())
+        return sum_nonzeros((xi * yj, nz[i][j].items()) for i, xi in x.items() for j, yj in ys)
 
     @property
     def left_mults(self) -> list[Matrix]:
@@ -144,8 +129,8 @@ class FiniteAlgebra:
         return self.right_mults[j]
 
     def is_commutative(self) -> bool:
-        t = self.table
-        return all(t[i][j] == t[j][i] for i in range(self.dim) for j in range(self.dim))
+        nz = self.nonzeros
+        return all(nz[i][j] == nz[j][i] for i in range(self.dim) for j in range(self.dim))
 
     def generating_indices(self) -> list[int]:
         """A small set of basis indices generating the whole unital algebra.
@@ -165,7 +150,7 @@ def _associates(nz, i: int, j: int, k: int) -> bool:
             == sum_nonzeros((c, nz[i][m].items()) for m, c in nz[j][k].items()))
 
 
-def _greedy_generators(nz, unit: list, one) -> list[int]:
+def _greedy_generators(nz, unit: dict, one) -> list[int]:
     """Basis indices, taken greedily in basis order, whose right words span the algebra.
 
     The span of 1 and of the right words g_1 g_2 ... g_r, multiplied left to
@@ -176,7 +161,7 @@ def _greedy_generators(nz, unit: list, one) -> list[int]:
     """
     n = len(nz)
     span: dict[int, dict] = {}
-    words = [{m: c for m, c in enumerate(unit) if c}]
+    words = [dict(unit)]
     insert_row(span, dict(words[0]), one)
     gens: list[int] = []
     for i in range(n):
@@ -199,30 +184,31 @@ def _greedy_generators(nz, unit: list, one) -> list[int]:
     return gens
 
 
-def make_algebra(field, structure, unit) -> FiniteAlgebra:
-    """Validate and build an algebra; raises AlgebraError naming the first violation."""
-    return FiniteAlgebra(field, structure, unit, validate=True)
+def make_algebra(field, structure: list[list[list]], unit: list) -> FiniteAlgebra:
+    """Read a dense cube c[i][j][k] and dense unit once into nonzeros, then
+    validate and build the algebra; raises AlgebraError naming the first
+    violation.  Only the lengths, which the nonzeros no longer show, are
+    checked here, each where ``_validate`` would name it."""
+    n = len(structure)
+    if n and any(len(plane) != n or any(len(row) != n for row in plane) for plane in structure):
+        raise AlgebraError("structure cube is not dim x dim x dim")
+    if n and len(unit) != n:
+        raise AlgebraError("unit vector has wrong length")
+    nonzeros = [[{k: c for k, c in enumerate(row) if c} for row in plane] for plane in structure]
+    return FiniteAlgebra(field, nonzeros, {k: c for k, c in enumerate(unit) if c})
 
 
 def field_as_algebra(field) -> FiniteAlgebra:
-    return FiniteAlgebra(field, [[[field.one]]], [field.one], validate=False)
+    one = field.one
+    return FiniteAlgebra(field, [[{0: one}]], {0: one}, validate=False)
 
 
 def matrix_algebra(field, n: int) -> FiniteAlgebra:
     """M_n via matrix units, basis e_{uv} at index u*n + v."""
-    dim = n * n
-    zero, one = field.zero, field.one
-    structure = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                for x in range(n):
-                    if v == w:
-                        structure[u * n + v][w * n + x][u * n + x] = one
-    unit = [zero] * dim
-    for u in range(n):
-        unit[u * n + u] = one
-    return FiniteAlgebra(field, structure, unit, validate=False)
+    one = field.one
+    nonzeros = [[{u * n + x: one} if v == w else {} for w in range(n) for x in range(n)]
+                for u in range(n) for v in range(n)]
+    return FiniteAlgebra(field, nonzeros, {u * n + u: one for u in range(n)}, validate=False)
 
 
 # -- groups ------------------------------------------------------------
@@ -272,15 +258,9 @@ def group_inverses(table: list[list[int]]) -> list[int]:
 def group_algebra(field, table: list[list[int]]) -> FiniteAlgebra:
     """k[G] from a validated Cayley table; basis indexed by group elements."""
     identity = _check_group_table(table)
-    n = len(table)
-    zero, one = field.zero, field.one
-    structure = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            structure[i][j][table[i][j]] = one
-    unit = [zero] * n
-    unit[identity] = one
-    return FiniteAlgebra(field, structure, unit, validate=False)
+    one = field.one
+    return FiniteAlgebra(field, [[{k: one} for k in row] for row in table], {identity: one},
+                         validate=False)
 
 
 def subgroup_extension(field, table: list[list[int]], subgroup: list[int]):
@@ -352,19 +332,16 @@ class AlgebraMorphism:
     def _validate(self):
         if (self.matrix.nrows, self.matrix.ncols) != (self.target.dim, self.source.dim):
             raise AlgebraError("morphism matrix has wrong shape")
-        if self.matrix.apply(self.source.unit) != self.target.unit:
+        if self.matrix.image(self.source.unit) != self.target.unit:
             raise AlgebraError("morphism does not preserve the unit")
         cols = self.matrix.cols
         for i in range(self.source.dim):
             for j in range(self.source.dim):
                 lhs = self.target.mul(cols[i], cols[j])
-                rhs = self.matrix.apply(self.source.table[i][j])
+                rhs = self.matrix.image(self.source.nonzeros[i][j])
                 if lhs != rhs:
                     raise AlgebraError(
                         f"morphism not multiplicative on (e_{i}, e_{j})")
-
-    def apply(self, vec: list) -> list:
-        return self.matrix.apply(vec)
 
 
 class Extension:
@@ -380,17 +357,14 @@ class Extension:
         self.iota = iota
         self._cache: dict = {}  # written only by per_extension
 
-    def iota_col(self, j: int) -> list:
-        return self.iota.matrix.column(j)
-
     def b_image_subspace(self) -> Subspace:
         return Subspace.span(self.A.field, self.A.dim, self.iota.matrix.cols)
 
     def left_mult_iota(self, j: int) -> Matrix:
-        return combine(self.A.left_mults, self.iota_col(j))
+        return combine(self.A.left_mults, self.iota.matrix.cols[j])
 
     def right_mult_iota(self, j: int) -> Matrix:
-        return combine(self.A.right_mults, self.iota_col(j))
+        return combine(self.A.right_mults, self.iota.matrix.cols[j])
 
 
 def per_extension(f):
@@ -412,7 +386,7 @@ def trivial_extension(A: FiniteAlgebra) -> Extension:
 
 def ground_field_extension(A: FiniteAlgebra) -> Extension:
     B = field_as_algebra(A.field)
-    iota = Matrix.from_columns(A.field, [A.unit])
+    iota = Matrix.from_columns(A.field, [A.unit], nrows=A.dim)
     return Extension(B, A, AlgebraMorphism(B, A, iota, validate=False))
 
 
@@ -444,8 +418,7 @@ class SubalgebraData:
         """The subalgebra as an abstract algebra plus its inclusion matrix."""
         amb = self.ambient
         basis = self.space.basis
-        m = len(basis)
-        structure = []
+        nonzeros = []
         for u in basis:
             row = []
             for v in basis:
@@ -453,16 +426,13 @@ class SubalgebraData:
                 if coords is None:
                     raise AlgebraError("subspace not closed under multiplication")
                 row.append(coords)
-            structure.append(row)
+            nonzeros.append(row)
         unit = self.space.coords(amb.unit)
         if unit is None:
             raise AlgebraError("subalgebra does not contain the unit")
-        alg = FiniteAlgebra(amb.field, structure, unit, validate=False)
-        incl = Matrix.from_columns(amb.field, basis)
+        alg = FiniteAlgebra(amb.field, nonzeros, unit, validate=False)
+        incl = Matrix.from_columns(amb.field, basis, nrows=amb.dim)
         return alg, incl
-
-    def coords_of(self, vec: list) -> list | None:
-        return self.space.coords(vec)
 
 
 def centralizer(ext: Extension) -> SubalgebraData:
@@ -476,9 +446,9 @@ def centralizer(ext: Extension) -> SubalgebraData:
     return SubalgebraData(A, space, check=True)
 
 
-def ideal_closure(A: FiniteAlgebra, generators: list[list]) -> Subspace:
-    """Smallest two-sided ideal containing the generators (fixpoint iteration)."""
-    span = Subspace.span(A.field, A.dim, [list(g) for g in generators])
+def ideal_closure(A: FiniteAlgebra, generators: list[dict]) -> Subspace:
+    """Smallest two-sided ideal containing the {index: value} generators (fixpoint iteration)."""
+    span = Subspace.span(A.field, A.dim, generators)
     for _ in range(A.dim + 1):
         extra = []
         for v in span.basis:

@@ -18,12 +18,12 @@ power and compares coordinates exactly.
 
 from __future__ import annotations
 
-from .algebras import (AlgebraError, Extension, SelfCheckError, centralizer, make_algebra,
+from .algebras import (AlgebraError, Extension, FiniteAlgebra, SelfCheckError, centralizer,
                        per_extension)
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
-from .linalg import Matrix, Subspace, combine, combine_images, entries, solve_in_span
+from .linalg import Matrix, Subspace, combine, solve_in_span, sum_nonzeros
 
 
 class TCore:
@@ -52,22 +52,20 @@ class TCore:
         tmul = [[self._tee_product(c, d) for d in range(m)] for c in range(m)]
         unit_T = self.t_coords(ts.class_of(A.unit, A.unit),
                                "class of 1(x)1 escaped the B-central subspace")
-        # make_algebra re-validates associativity and the unit laws of T
-        self.T_alg = make_algebra(field, tmul, unit_T)
+        # validation re-checks associativity and the unit laws of T
+        self.T_alg = FiniteAlgebra(field, tmul, unit_T)
         self.unit_T = unit_T
 
-        rdim = self.R_alg.dim
+        incl = self.incl_R.cols
         self.s_R = Matrix.from_columns(field, [
-            self.t_coords(ts.class_of(A.unit, self.incl_R.column(r)),
-                          "source map image escaped T")
-            for r in range(rdim)])
+            self.t_coords(ts.class_of(A.unit, r), "source map image escaped T")
+            for r in incl], nrows=m)
         self.t_R = Matrix.from_columns(field, [
-            self.t_coords(ts.class_of(self.incl_R.column(r), A.unit),
-                          "target map image escaped T")
-            for r in range(rdim)])
+            self.t_coords(ts.class_of(r, A.unit), "target map image escaped T")
+            for r in incl], nrows=m)
         self.eps = Matrix.from_columns(field, [
-            self._into_R(self.contract(c), "counit value escaped R") for c in range(m)])
-        incl = [self.incl_R.column(r) for r in range(rdim)]
+            self._into_R(self.contract(c), "counit value escaped R") for c in range(m)],
+            nrows=self.R_alg.dim)
         self.lam_R = self._r_actions(ts.left_action, incl)
         self.rho_R = self._r_actions(ts.right_action, incl)
         T = self.r_bimodule()
@@ -90,62 +88,50 @@ class TCore:
         """T as an R-R-bimodule through lam_R and rho_R."""
         return Bimodule(self.R_alg, self.R_alg, self.dim, self.lam_R, self.rho_R)
 
-    def t_coords(self, ts_vec: list, err: str) -> list:
+    def t_coords(self, ts_vec: dict, err: str) -> dict:
         coords = self.t_space.coords(ts_vec)
         if coords is None:
             raise AlgebraError(err)
         return coords
 
-    def _into_R(self, a_vec: list, err: str) -> list:
-        coords = self.R.coords_of(a_vec)
+    def _into_R(self, a_vec: dict, err: str) -> dict:
+        coords = self.R.space.coords(a_vec)
         if coords is None:
             raise AlgebraError(err)
         return coords
 
-    def lift_T(self, coords: list) -> list:
+    def lift_T(self, coords: dict) -> dict:
         """T coordinates -> tensor-square coordinates."""
-        return Matrix.from_columns(self.A.field, self.t_basis,
-                                   nrows=self.ts.dim).apply(coords)
+        return sum_nonzeros((x, self.t_basis[c].items()) for c, x in coords.items())
 
-    def quasibase_in_T(self, rqb: QuasibaseSet) -> list[tuple[Matrix, list]]:
+    def quasibase_in_T(self, rqb: QuasibaseSet) -> list[tuple[Matrix, dict]]:
         """The pairs (gamma_i, u_i) of a right quasibase, u_i in T coordinates."""
         return [(gamma, self.t_coords(u, "quasibase tensor escaped T"))
                 for gamma, u in rqb.pairs]
 
-    def t_lift_items(self, c: int) -> list[tuple[tuple[int, int], object]]:
-        return self.t_items[c]
-
     def contract(self, c: int, left: Matrix | None = None,
-                 right: Matrix | None = None) -> list:
+                 right: Matrix | None = None) -> dict:
         """A coordinates of left(t_c^1) right(t_c^2); identity maps by default."""
         A = self.A
-        acc = [A.field.zero] * A.dim
-        for (s, t), x in self.t_lift_items(c):
-            u = A.basis_vector(s) if left is None else left.column(s)
-            v = A.basis_vector(t) if right is None else right.column(t)
-            for i, y in enumerate(A.mul(u, v)):
-                if y:
-                    acc[i] = acc[i] + x * y
-        return acc
+        return sum_nonzeros(
+            (x, A.mul(A.basis_vector(s) if left is None else left.cols[s],
+                      A.basis_vector(t) if right is None else right.cols[t]).items())
+            for (s, t), x in self.t_items[c])
 
-    def _r_actions(self, actions: list[Matrix], incl: list[list]) -> list[Matrix]:
+    def _r_actions(self, actions: list[Matrix], incl: list[dict]) -> list[Matrix]:
         """The actions on T of R's basis vectors, given in A coordinates by incl.
 
         Each action of A on the tensor square is applied to T's basis once,
         through its column view; the action of r weights those images by r's
         coordinates.
         """
-        field, dim = self.A.field, self.ts.dim
-        images = []
-        for t in self.t_basis:
-            t = dict(entries(t))
-            images.append([act.image(t) for act in actions])
-        return [Matrix.from_columns(field, [
-            self.t_coords(combine_images(field, dim, [imgs], [r]),
+        images = [[act.image(t) for act in actions] for t in self.t_basis]
+        return [Matrix.from_columns(self.A.field, [
+            self.t_coords(sum_nonzeros((x, imgs[a].items()) for a, x in r.items()),
                           "R-action left the B-central subspace")
             for imgs in images], nrows=self.dim) for r in incl]
 
-    def _tee_product(self, c: int, d: int) -> list:
+    def _tee_product(self, c: int, d: int) -> dict:
         """T coordinates of t_c * t_d = u^1 t^1 (x) t^2 u^2."""
         nz = self.A.nonzeros
         terms = [(c1 * c2, nz[p][s], nz[t][q])
@@ -153,7 +139,7 @@ class TCore:
         return self.t_coords(self.ts.class_of_sum(terms),
                              "product of B-central elements escaped T")
 
-    def t_mul(self, x: list, y: list) -> list:
+    def t_mul(self, x: dict, y: dict) -> dict:
         return self.T_alg.mul(x, y)
 
 
@@ -195,7 +181,7 @@ class TripleTensorWitness:
 
     def __init__(self, ext: Extension):
         core = self.core = t_core(ext)
-        self._fwd3_cache: dict[tuple[int, int], list] = {}
+        self._fwd3_cache: dict[tuple[int, int], dict] = {}
         q3 = tensor_power(ext, 3)
         q4 = tensor_power(ext, 4)
         self.q3 = q3
@@ -214,31 +200,33 @@ class TripleTensorWitness:
 
     # -- forward maps ----------------------------------------------------
 
-    def forward3(self, c: int, d: int) -> list:
+    def forward3(self, c: int, d: int) -> dict:
         """Q3 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2, cached."""
         cached = self._fwd3_cache.get((c, d))
         if cached is not None:
             return cached
         nz = self.core.A.nonzeros
         items = []
-        for (s, t), c1 in self.core.t_lift_items(c):
-            for (p, q), c2 in self.core.t_lift_items(d):
+        t_items = self.core.t_items
+        for (s, t), c1 in t_items[c]:
+            for (p, q), c2 in t_items[d]:
                 coeff = c1 * c2
                 for i, a in nz[t][p].items():
                     items.append(((s, i, q), coeff * a))
-        out = self.q3.project_items(items)
+        out = self.q3.reduce_items(items)
         self._fwd3_cache[(c, d)] = out
         return out
 
     def _forward4(self, c: int, d: int, e: int) -> dict:
         """Nonzero Q4 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2 t_e^1 (x) t_e^2."""
         nz = self.core.A.nonzeros
+        t_items = self.core.t_items
         items = []
-        for (s, t), c1 in self.core.t_lift_items(c):
-            for (p, q), c2 in self.core.t_lift_items(d):
+        for (s, t), c1 in t_items[c]:
+            for (p, q), c2 in t_items[d]:
                 c12 = c1 * c2
                 mid1 = nz[t][p].items()
-                for (v, w), c3 in self.core.t_lift_items(e):
+                for (v, w), c3 in t_items[e]:
                     c123 = c12 * c3
                     mid2 = nz[q][v].items()
                     for i1, a1 in mid1:
@@ -249,23 +237,22 @@ class TripleTensorWitness:
 
     # -- distinguished images --------------------------------------------
 
-    def _t_items(self, tcoords: list):
+    def _t_items(self, tcoords: dict):
         """Items ((s, t), coefficient) of the sparse lift of t given in T coordinates."""
-        return [(st, x * c1) for c, x in enumerate(tcoords) if x
-                for st, c1 in self.core.t_lift_items(c)]
+        t_items = self.core.t_items
+        return [(st, x * c1) for c, x in tcoords.items() for st, c1 in t_items[c]]
 
-    def sandwich3(self, tcoords: list, mid: list) -> list:
+    def sandwich3(self, tcoords: dict, mid: dict) -> dict:
         """Q3 coordinates of t^1 (x) mid (x) t^2 for t given in T coordinates."""
-        mid_nz = [(a, y) for a, y in enumerate(mid) if y]
-        return self.q3.project_items([((s, a, t), c * y) for (s, t), c in self._t_items(tcoords)
-                                      for a, y in mid_nz])
+        return self.q3.reduce_items([((s, a, t), c * y) for (s, t), c in self._t_items(tcoords)
+                                     for a, y in mid.items()])
 
-    def sandwich4_unit(self, tcoords: list) -> list:
+    def sandwich4_unit(self, tcoords: dict) -> dict:
         """Q4 coordinates of t^1 (x) 1 (x) 1 (x) t^2."""
-        unit_nz = [(i, u) for i, u in enumerate(self.core.A.unit) if u]
-        return self.q4.project_items([((s, u1, u2, t), c * x1 * x2)
-                                      for (s, t), c in self._t_items(tcoords)
-                                      for u1, x1 in unit_nz for u2, x2 in unit_nz])
+        unit = self.core.A.unit.items()
+        return self.q4.reduce_items([((s, u1, u2, t), c * x1 * x2)
+                                     for (s, t), c in self._t_items(tcoords)
+                                     for u1, x1 in unit for u2, x2 in unit])
 
 
 class RightBialgebroid:
@@ -319,13 +306,9 @@ def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
     for c in range(core.dim):
         terms = []
         for gamma, u_t in pairs:
-            items = []
-            for (s, t), c1 in core.t_lift_items(c):
-                for l, a in enumerate(gamma.column(t)):
-                    if a:
-                        items.append(((s, l), c1 * a))
-            w = core.t_coords(core.ts.project_items(items),
-                              "coproduct first leg escaped T")
+            items = [((s, l), c1 * a) for (s, t), c1 in core.t_items[c]
+                     for l, a in gamma.cols[t].items()]
+            w = core.t_coords(core.ts.reduce_items(items), "coproduct first leg escaped T")
             terms.append((field.one, w, u_t))
         cols.append(core.tt.class_of_sum(terms))
     return Matrix.from_columns(field, cols, nrows=core.tt.dim)
@@ -423,18 +406,18 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
     eye_m = Matrix.identity(field, m)
 
     def structure_map(name, f, anti):
-        yield f.apply(R.unit) == core.unit_T, f"{name}(1_R) != 1_T"
+        yield f.image(R.unit) == core.unit_T, f"{name}(1_R) != 1_T"
         for i in range(rdim):
             for j in range(rdim):
                 a, b = (j, i) if anti else (i, j)
-                yield (f.apply(R.table[i][j]) == core.t_mul(f.column(a), f.column(b)),
+                yield (f.image(R.nonzeros[i][j]) == core.t_mul(f.cols[a], f.cols[b]),
                        f"{name} not {'anti-' if anti else ''}multiplicative on (r_{i}, r_{j})")
 
     def source_target_commute():
         for i in range(rdim):
             for j in range(rdim):
-                lhs = core.t_mul(core.s_R.column(i), core.t_R.column(j))
-                rhs = core.t_mul(core.t_R.column(j), core.s_R.column(i))
+                lhs = core.t_mul(core.s_R.cols[i], core.t_R.cols[j])
+                rhs = core.t_mul(core.t_R.cols[j], core.s_R.cols[i])
                 yield lhs == rhs, f"images do not commute on (r_{i}, r_{j})"
 
     # the R-R-bimodule of T is multiplication by t_R and s_R:
@@ -443,79 +426,78 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
         for c in range(m):
             for r in range(rdim):
                 for s in range(rdim):
-                    via_mul = core.t_mul(core.t_mul(tvec(c), core.t_R.column(r)),
-                                         core.s_R.column(s))
-                    via_action = core.rho_R[s].apply(core.lam_R[r].apply(tvec(c)))
+                    via_mul = core.t_mul(core.t_mul(tvec(c), core.t_R.cols[r]), core.s_R.cols[s])
+                    via_action = core.rho_R[s].image(core.lam_R[r].cols[c])
                     yield via_mul == via_action, f"bimodule mismatch at (t_{c}, r_{r}, r_{s})"
 
     report.check("source_homomorphism", structure_map("s_R", core.s_R, False))
     report.check("target_antihomomorphism", structure_map("t_R", core.t_R, True))
     report.check("source_target_commute", source_target_commute())
     report.check("base_bimodule_compatibility", base_bimodule_compatibility())
-    report.check("counit_unital", [(core.eps.apply(core.unit_T) == R.unit,
+    report.check("counit_unital", [(core.eps.image(core.unit_T) == R.unit,
                                     "eps(1_T) != 1_R")])
     report.check("coproduct_unital",
-                 [(Delta.apply(core.unit_T) == tt.class_of(core.unit_T, core.unit_T),
+                 [(Delta.image(core.unit_T) == tt.class_of(core.unit_T, core.unit_T),
                    "Delta(1_T) != 1_T (x) 1_T")])
 
     # counit laws through the R-actions: t_c (x) t_d -> eps(t_c) t_d and t_c eps(t_d)
-    eps_left = [combine(core.lam_R, core.eps.column(c)) for c in range(m)]
-    eps_right = [combine(core.rho_R, core.eps.column(c)) for c in range(m)]
-    e1 = tt.matrix_of(m, lambda c, d: eps_left[c].column(d))
-    e2 = tt.matrix_of(m, lambda c, d: eps_right[d].column(c))
+    eps_left = [combine(core.lam_R, col) for col in core.eps.cols]
+    eps_right = [combine(core.rho_R, col) for col in core.eps.cols]
+    e1 = tt.matrix_of(m, lambda c, d: eps_left[c].cols[d])
+    e2 = tt.matrix_of(m, lambda c, d: eps_right[d].cols[c])
     report.check("counit_law_left", [(e1 @ Delta == eye_m, "(eps (x) id) o Delta != id")])
     report.check("counit_law_right", [(e2 @ Delta == eye_m, "(id (x) eps) o Delta != id")])
 
     # Delta is right R-linear: Delta(t r) = t_(1) (x) t_(2) r
     def coproduct_right_linear():
-        q3_right = [combine(wit.q3.right_action, core.incl_R.column(r)) for r in range(rdim)]
+        q3_right = [combine(wit.q3.right_action, col) for col in core.incl_R.cols]
         for c in range(m):
             for r in range(rdim):
-                lhs = Delta.apply(core.rho_R[r].apply(tvec(c)))
-                rhs = tt.right_action[r].apply(Delta.apply(tvec(c)))
+                lhs = Delta.image(core.rho_R[r].cols[c])
+                rhs = tt.right_action[r].image(Delta.cols[c])
                 yield lhs == rhs, f"right R-linearity fails at (t_{c}, r_{r})"
-                expected = q3_right[r].apply(wit.sandwich3(tvec(c), A.unit))
-                yield (wit.w3.apply(lhs) == expected and wit.w3.apply(rhs) == expected,
+                expected = q3_right[r].image(wit.sandwich3(tvec(c), A.unit))
+                yield (wit.w3.image(lhs) == expected and wit.w3.image(rhs) == expected,
                        f"triple-power image mismatch at (t_{c}, r_{r})")
 
     # s_R(r) t_(1) (x) t_(2) = t_(1) (x) t_R(r) t_(2)
     def base_balance():
         for r in range(rdim):
-            lmul_s = combine(T.left_mults, core.s_R.column(r))
-            lmul_t = combine(T.left_mults, core.t_R.column(r))
+            lmul_s = combine(T.left_mults, core.s_R.cols[r])
+            lmul_t = combine(T.left_mults, core.t_R.cols[r])
             left_map = tt.leg_map(lmul_s, first=True)
             right_map = tt.leg_map(lmul_t, first=False)
             for c in range(m):
-                dcol = Delta.apply(tvec(c))
-                lhs = left_map.apply(dcol)
-                yield lhs == right_map.apply(dcol), f"base balance fails at (t_{c}, r_{r})"
-                yield (wit.w3.apply(lhs) == wit.sandwich3(tvec(c), core.incl_R.column(r)),
+                dcol = Delta.cols[c]
+                lhs = left_map.image(dcol)
+                yield lhs == right_map.image(dcol), f"base balance fails at (t_{c}, r_{r})"
+                yield (wit.w3.image(lhs) == wit.sandwich3(tvec(c), core.incl_R.cols[r]),
                        f"triple-power image mismatch at (t_{c}, r_{r})")
 
     def multiplicativity():
         for c in range(m):
-            dc = tt.lift_items(Delta.apply(tvec(c)))
+            dc = tt.lift_items(Delta.cols[c])
             for d in range(m):
-                dd = tt.lift_items(Delta.apply(tvec(d)))
+                dd = tt.lift_items(Delta.cols[d])
                 prod = core.t_mul(tvec(c), tvec(d))
-                lhs = Delta.apply(prod)
+                lhs = Delta.image(prod)
                 rhs = tt.class_of_sum([(c1 * c2, T.nonzeros[a][e], T.nonzeros[b][f])
                                        for (a, b), c1 in dc for (e, f), c2 in dd])
                 yield lhs == rhs, f"multiplicativity fails at (t_{c}, t_{d})"
-                yield (wit.w3.apply(lhs) == wit.sandwich3(prod, A.unit),
+                yield (wit.w3.image(lhs) == wit.sandwich3(prod, A.unit),
                        f"triple-power image mismatch at (t_{c}, t_{d})")
 
     # coassociativity via the quadruple power
     def coassociativity():
         for c in range(m):
-            items = tt.lift_items(Delta.apply(tvec(c)))
-            lhs = wit.ttt.class_of_sum([(coeff, Delta.apply(tvec(a)), tvec(b))
+            items = tt.lift_items(Delta.cols[c])
+            lhs = wit.ttt.class_of_sum([(coeff, Delta.cols[a], tvec(b))
                                         for (a, b), coeff in items])
             rhs = wit.ttt.class_of_sum([(coeff * coeff2, tt.class_of(tvec(a), tvec(e)), tvec(f))
                                         for (a, b), coeff in items
-                                        for (e, f), coeff2 in tt.lift_items(Delta.apply(tvec(b)))])
+                                        for (e, f), coeff2 in tt.lift_items(Delta.cols[b])])
             yield lhs == rhs, f"coassociativity fails at t_{c}"
-            yield (wit.w4.apply(lhs) == wit.sandwich4_unit(tvec(c)),
+            yield (wit.w4.image(lhs) == wit.sandwich4_unit(tvec(c)),
                    f"quadruple-power image mismatch at t_{c}")
 
     report.check("coproduct_right_linear", coproduct_right_linear())
@@ -533,7 +515,7 @@ class ModuleDualBasis:
 
     __slots__ = ("elements", "functionals")
 
-    def __init__(self, elements: list[list], functionals: list[Matrix]):
+    def __init__(self, elements: list[dict], functionals: list[Matrix]):
         self.elements = elements
         self.functionals = functionals
 
@@ -548,11 +530,12 @@ def _check_reconstruction(core: TCore, actions: list[Matrix], db: ModuleDualBasi
     act(r) m_i is sum_a r_a actions[a] m_i, so each actions[a] m_i is
     computed once and weighted by the column c of phi_i.
     """
-    field = core.A.field
     images = [[act.image(m) for act in actions] for m in db.elements]
     for c in range(core.dim):
-        coeffs = [phi.column(c) for phi in db.functionals]
-        if combine_images(field, core.dim, images, coeffs) != core.T_alg.basis_vector(c):
+        got = sum_nonzeros((x, imgs[a].items())
+                           for imgs, phi in zip(images, db.functionals)
+                           for a, x in phi.cols[c].items())
+        if got != core.T_alg.basis_vector(c):
             raise SelfCheckError(err)
 
 
@@ -565,7 +548,7 @@ def left_r_projectivity(core: TCore) -> ModuleDualBasis | None:
     fact = coproduct_summand_test(M, P)
     if fact is None:
         return None
-    db = ModuleDualBasis([f.apply(R.unit) for f, _ in fact.pairs],
+    db = ModuleDualBasis([f.image(R.unit) for f, _ in fact.pairs],
                          [g for _, g in fact.pairs])
     _check_reconstruction(core, core.lam_R, db,
                           "projectivity dual basis failed reconstruction")
@@ -645,8 +628,8 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
 
     def componentwise(c, d):
         # T coordinates of t_c^1 t_d^1 (x) t_c^2 t_d^2
-        terms = [(c1 * c2, A.table[s][p], A.table[t][q])
-                 for (s, t), c1 in core.t_lift_items(c) for (p, q), c2 in core.t_lift_items(d)]
+        terms = [(c1 * c2, A.nonzeros[s][p], A.nonzeros[t][q])
+                 for (s, t), c1 in core.t_items[c] for (p, q), c2 in core.t_items[d]]
         return core.t_coords(ts.class_of_sum(terms), "componentwise product escaped T")
 
     def pure(i, j):
@@ -655,26 +638,26 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
 
     def sweedler(i, j):
         # W3(Delta(class(x (x) y))) = x (x) 1 (x) y
-        expected = wit.q3.project_items([((i, u, j), cu) for u, cu in enumerate(A.unit) if cu])
-        return wit.w3.apply(bgd.Delta.apply(pure(i, j))) == expected
+        expected = wit.q3.reduce_items([((i, u, j), cu) for u, cu in A.unit.items()])
+        return wit.w3.image(bgd.Delta.image(pure(i, j))) == expected
 
-    tensor_alg = m == ts.dim and all(componentwise(c, d) == core.T_alg.table[c][d]
+    tensor_alg = m == ts.dim and all(componentwise(c, d) == core.T_alg.nonzeros[c][d]
                                      for c in range(m) for d in range(m))
     eps_in_A = core.incl_R @ core.eps
 
     # the flip x (x) y -> y (x) x descends and is an involutive anti-automorphism
     swap = Matrix.from_columns(field, [{j * n + i: field.one} for i, j in pairs], nrows=n * n)
     tau_q2 = ts.quot.induced(swap)
-    tau_cols = [core.t_coords(tau_q2.apply(t), "flip left T") for t in core.t_basis]
+    tau_cols = [core.t_coords(tau_q2.image(t), "flip left T") for t in core.t_basis]
     tau = Matrix.from_columns(field, tau_cols, nrows=m)
 
     return FlipReport(
         base_is_whole_algebra=core.R_alg.dim == n,
         tensor_algebra_product=tensor_alg,
         sweedler_coproduct=all(sweedler(i, j) for i, j in pairs),
-        counit_is_multiplication=all(eps_in_A.apply(pure(i, j)) == A.table[i][j]
+        counit_is_multiplication=all(eps_in_A.image(pure(i, j)) == A.nonzeros[i][j]
                                      for i, j in pairs),
         flip_involutive=tau @ tau == Matrix.identity(field, m),
         flip_antimultiplicative=all(
-            tau.apply(core.T_alg.table[c][d]) == core.t_mul(tau.column(d), tau.column(c))
+            tau.image(core.T_alg.nonzeros[c][d]) == core.t_mul(tau.cols[d], tau.cols[c])
             for c in range(m) for d in range(m)))

@@ -1,13 +1,16 @@
 """Bimodules, balanced tensor products, hom spaces and depth-two quasibases.
 
-Every tensor product over an algebra is one construction:
+Elements are {index: value} vectors and maps are column-stored matrices,
+as in ``linalg``; a class, a quasibase tensor and a hom-space basis map
+are built from nonzeros and never pass through a dense list.  Every
+tensor product over an algebra is one construction:
 ``balanced_tensor(M, N)`` realizes M (x)_C N as a sparse quotient of
-M (x)_k N (reduced relation rows and free columns, no dense matrices).
-Outer actions, classes of pure tensors and every map acting on one leg
-are computed the same way: lift sparsely, act on one leg, project.  A sum
-of pure tensors is added in one ambient vector and projected once
-(``class_of_sum``), and a map out of a quotient given on pure tensors of
-basis vectors is summed over the sparse lifts (``matrix_of``).  The
+M (x)_k N (reduced relation rows and free columns).  Outer actions,
+classes of pure tensors and every map acting on one leg are computed the
+same way: lift sparsely, act on one leg, reduce.  A sum of pure tensors is
+added in one ambient vector and reduced once (``class_of_sum``), and a map
+out of a quotient given on pure tensors of basis vectors is summed over
+the sparse lifts (``matrix_of``).  The
 tensor square A (x)_B A is the first instance; higher powers nest it on
 the left, (A (x)_B A) (x)_B A and so on, so ambient dimensions stay
 manageable and every quotient basis vector lifts to a single pure tensor.
@@ -33,8 +36,8 @@ import copy
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, field_as_algebra, group_inverses, per_extension)
-from .linalg import (Matrix, Subspace, combine, combine_images, entries, insert_row, nullspace,
-                     quotient_structure, reverse_rref, solve_in_span, sum_nonzeros)
+from .linalg import (Matrix, Subspace, combine, insert_row, nullspace, quotient_structure,
+                     reverse_rref, solve_in_span, sum_nonzeros)
 
 
 class Bimodule:
@@ -79,11 +82,11 @@ class Bimodule:
             raise AlgebraError("right action is not unital")
         for i in range(P.dim):
             for j in range(P.dim):
-                if lam[i] @ lam[j] != combine(lam, P.table[i][j]):
+                if lam[i] @ lam[j] != combine(lam, P.nonzeros[i][j]):
                     raise AlgebraError(f"left action not multiplicative on (e_{i}, e_{j})")
         for i in range(Q.dim):
             for j in range(Q.dim):
-                if rho[j] @ rho[i] != combine(rho, Q.table[i][j]):
+                if rho[j] @ rho[i] != combine(rho, Q.nonzeros[i][j]):
                     raise AlgebraError(f"right action not anti-multiplicative on (e_{i}, e_{j})")
         for i in range(P.dim):
             for j in range(Q.dim):
@@ -92,9 +95,9 @@ class Bimodule:
 
     # A plain bimodule is a single tensor leg: its items are ((index,), coefficient).
 
-    def lift_items(self, coords) -> list[tuple[tuple, object]]:
-        """Items of dense or {index: value} coordinates."""
-        return [((i,), c) for i, c in entries(coords)]
+    def lift_items(self, coords: dict) -> list[tuple[tuple, object]]:
+        """Items of {index: value} coordinates."""
+        return [((i,), c) for i, c in coords.items()]
 
     def reduce_items(self, items: list[tuple[tuple, object]]) -> dict:
         """Nonzero coordinates {index: value} of a sum of items."""
@@ -103,12 +106,6 @@ class Bimodule:
             x = out.get(i)
             out[i] = c if x is None else x + c
         return {i: x for i, x in out.items() if x}
-
-    def project_items(self, items: list[tuple[tuple, object]]) -> list:
-        coords = [self.left_algebra.field.zero] * self.dim
-        for i, c in self.reduce_items(items).items():
-            coords[i] = c
-        return coords
 
 
 def restrict(M: Bimodule, left: AlgebraMorphism | None = None,
@@ -208,27 +205,27 @@ class BalancedTensor(Bimodule):
             cols.append(self.quot.reduce(amb))
         return Matrix.from_columns(self.quot.field, cols, nrows=self.dim)
 
-    def class_of_sum(self, terms) -> list:
+    def class_of_sum(self, terms) -> dict:
         """Quotient coordinates of sum c * x (x) y over the (c, x, y) terms.
 
-        x and y are dense or {index: value} coordinates in M and N; the
-        terms are added in one sparse ambient vector that is projected once.
+        x and y are {index: value} coordinates in M and N; the terms are
+        added in one sparse ambient vector that is reduced once.
         """
         dn = self.N.dim
         amb: dict = {}
         for c, x, y in terms:
             if not c:
                 continue
-            ys = entries(y)
-            for i, a in entries(x):
+            ys = list(y.items())
+            for i, a in x.items():
                 ca = c * a
                 off = i * dn
                 for j, b in ys:
                     z = amb.get(off + j)
                     amb[off + j] = ca * b if z is None else z + ca * b
-        return self.quot.project(amb)
+        return self.quot.reduce(amb)
 
-    def class_of(self, x: list, y: list) -> list:
+    def class_of(self, x: dict, y: dict) -> dict:
         """Quotient coordinates of x (x) y for x in M and y in N coordinates."""
         return self.class_of_sum([(self.quot.field.one, x, y)])
 
@@ -237,19 +234,18 @@ class BalancedTensor(Bimodule):
         tensor of plain basis vectors e_i (x) e_j (x) ... to ``pure(i, j, ...)``.
 
         Column q sums ``pure`` over the sparse lift of basis vector q; images
-        are dense or {index: value} coordinates, and only their nonzeros are
-        added, into one sparse column that becomes the result's view.
+        are {index: value} coordinates, added into one sparse column.
         """
         field = self.quot.field
         one = field.one
-        cols = [sum_nonzeros((coeff, entries(pure(*idx)))
+        cols = [sum_nonzeros((coeff, pure(*idx).items())
                              for idx, coeff in self.lift_items({q: one}))
                 for q in range(self.dim)]
         return Matrix.from_columns(field, cols, nrows=target_dim)
 
-    def lift_items(self, coords) -> list[tuple[tuple, object]]:
-        """Sparse lift of dense or {index: value} coordinates to the full
-        tensor product of the plain factors."""
+    def lift_items(self, coords: dict) -> list[tuple[tuple, object]]:
+        """Sparse lift of {index: value} coordinates to the full tensor
+        product of the plain factors."""
         dn = self.N.dim
         out = []
         for f, c in self.quot.lift(coords).items():
@@ -315,13 +311,13 @@ def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
     The first plain factor of M carries the left and the last the right
     regular action of A.  For each generator b of B, b.m - m.b is written
     on every basis vector by acting on those legs of its sparse lift and
-    projecting the items; the columns become sparse rows of one system.
+    reducing the items; the columns become sparse rows of one system.
     """
     A = ext.A
     field = A.field
     legs = []
     for j in ext.B.generating_indices():
-        b = ext.iota.matrix.column(j)
+        b = ext.iota.matrix.cols[j]
         legs.append((combine(A.left_mults, b).cols, combine(A.right_mults, b).cols))
     if not legs:
         return Subspace.full(field, M.dim)
@@ -465,12 +461,11 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
     coeffs = solve_in_span(target, products, field)
     if coeffs is None:
         return None
-    pairs = []
-    nmp = len(homs_mp)
-    for b, g in enumerate(homs_mp):
-        column = [coeffs[a * nmp + b] for a in range(len(homs_pm))]
-        if any(column):
-            pairs.append((combine(homs_pm, column), g))
+    by_g: dict[int, dict] = {}
+    for k, x in coeffs.items():
+        a, b = divmod(k, len(homs_mp))
+        by_g.setdefault(b, {})[a] = x
+    pairs = [(combine(homs_pm, by_g[b]), g) for b, g in enumerate(homs_mp) if b in by_g]
     one = field.one
     if any(sum_nonzeros((one, f.image(g.cols[c]).items()) for f, g in pairs) != {c: one}
            for c in range(M.dim)):
@@ -479,15 +474,13 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
 
 
 def _summand_system(M: Bimodule, homs_pm: list[Matrix],
-                    homs_mp: list[Matrix]) -> tuple[list[dict], list]:
+                    homs_mp: list[Matrix]) -> tuple[list[dict], dict]:
     """The products f o g, f-major, and id_M, written on ``bimodule_generators(M)``.
 
     The value on the generator at position p is placed at p * M.dim + row.
-    Each product is a sparse {index: value} vector: f o g (e_i) is f applied
-    to column i of g, read through both column views.  The target id_M is a
-    dense list, as ``solve_in_span`` takes it.
+    Each product is an {index: value} vector: f o g (e_i) is f applied to
+    column i of g, read through both column views.
     """
-    field = M.left_algebra.field
     dim = M.dim
     gens = bimodule_generators(M)
     g_on_gens = [[(p * dim, g.cols[i]) for p, i in enumerate(gens)] for g in homs_mp]
@@ -499,10 +492,8 @@ def _summand_system(M: Bimodule, homs_pm: list[Matrix],
                 for r, x in f.image(g_col).items():
                     prod[off + r] = x
             products.append(prod)
-    target = [field.zero] * (len(gens) * dim)
-    for p, i in enumerate(gens):
-        target[p * dim + i] = field.one
-    return products, target
+    one = M.left_algebra.field.one
+    return products, {p * dim + i: one for p, i in enumerate(gens)}
 
 
 # -- quasibases ----------------------------------------------------------
@@ -518,7 +509,7 @@ class QuasibaseSet:
 
     __slots__ = ("side", "pairs", "ts")
 
-    def __init__(self, side: str, pairs: list[tuple[Matrix, list]], ts: BalancedTensor):
+    def __init__(self, side: str, pairs: list[tuple[Matrix, dict]], ts: BalancedTensor):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.side = side
@@ -551,12 +542,12 @@ def verify_right_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     A = ext.A
     if not _central_pairs(ext, qb):
         return False
-    images = [[act.image(u) for act in ts.left_action] for _, u in qb.pairs]
+    images = [(gamma, [act.image(u) for act in ts.left_action]) for gamma, u in qb.pairs]
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
-            coeffs = [A.mul(ex, gamma.column(y)) for gamma, _ in qb.pairs]
-            expected = combine_images(A.field, ts.dim, images, coeffs)
+            expected = sum_nonzeros((c, imgs[a].items()) for gamma, imgs in images
+                                    for a, c in A.mul(ex, gamma.cols[y]).items())
             if ts.class_of(ex, A.basis_vector(y)) != expected:
                 return False
     return True
@@ -569,17 +560,19 @@ def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     A = ext.A
     if not _central_pairs(ext, qb):
         return False
-    images = [[act.image(t) for act in ts.right_action] for _, t in qb.pairs]
+    images = [(beta, [act.image(t) for act in ts.right_action]) for beta, t in qb.pairs]
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
             ey = A.basis_vector(y)
-            coeffs = [A.mul(beta.column(x), ey) for beta, _ in qb.pairs]
-            if ts.class_of(ex, ey) != combine_images(A.field, ts.dim, images, coeffs):
+            expected = sum_nonzeros((c, imgs[a].items()) for beta, imgs in images
+                                    for a, c in A.mul(beta.cols[x], ey).items())
+            if ts.class_of(ex, ey) != expected:
                 return False
         # compact form with y = 1
-        coeffs = [beta.column(x) for beta, _ in qb.pairs]
-        if ts.class_of(ex, A.unit) != combine_images(A.field, ts.dim, images, coeffs):
+        expected = sum_nonzeros((c, imgs[a].items()) for beta, imgs in images
+                                for a, c in beta.cols[x].items())
+        if ts.class_of(ex, A.unit) != expected:
             return False
     return True
 
@@ -605,7 +598,7 @@ def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
     if fact is not None:
         # gamma_i = g_i(1 (x) -) on the right side, beta_i = g_i(- (x) 1) on the left
         unit_map = unit_tensor(ext, unit_first=right)
-        pairs = [(g @ unit_map, f.apply(ext.A.unit)) for f, g in fact.pairs]
+        pairs = [(g @ unit_map, f.image(ext.A.unit)) for f, g in fact.pairs]
         result = QuasibaseSet(side, pairs, ts)
         verify = verify_right_quasibase if right else verify_left_quasibase
         if not verify(ext, result):
@@ -634,7 +627,6 @@ def _d2_hom_bases(ext: Extension, right: bool) -> tuple[list[Matrix], list[Matri
     acts = ts.left_action if right else ts.right_action
     into = []
     for t in t_space(ext).basis:
-        t = dict(entries(t))
         # column j of f_t is e_j acting on t; unknown (a, j) of the d x n map sits at a*n + j
         row = {}
         for j, act in enumerate(acts):
@@ -698,7 +690,7 @@ def h_separability_test(ext: Extension) -> SummandFactorization | None:
 
 def compose_extensions(inner: Extension, outer: Extension) -> Extension:
     """The composite A|C of inner B|C and outer A|B."""
-    if inner.A is not outer.B and inner.A.structure != outer.B.structure:
+    if inner.A is not outer.B and inner.A.nonzeros != outer.B.nonzeros:
         raise AlgebraError("compose: inner target must equal outer source")
     iota = AlgebraMorphism(inner.B, outer.A, outer.iota.matrix @ inner.iota.matrix,
                            validate=False)
@@ -710,7 +702,7 @@ class DualBasis:
 
     __slots__ = ("pairs",)
 
-    def __init__(self, pairs: list[tuple[Matrix, list]]):
+    def __init__(self, pairs: list[tuple[Matrix, dict]]):
         self.pairs = pairs
 
     def __len__(self):
@@ -739,7 +731,7 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
         raise AlgebraError("extension is not right depth two")
     ts = rqb.ts
     n = A.dim
-    pairs: list[tuple[Matrix, list]] = []
+    pairs: list[tuple[Matrix, dict]] = []
     for gamma, u in rqb.pairs:
         for (s, t), c in ts.lift_items(u):
             # functional y -> p(gamma(y) * (c * e_s)), element e_t
@@ -747,7 +739,7 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
             pairs.append((functional, A.basis_vector(t)))
     for y in range(n):
         ey = A.basis_vector(y)
-        acc = sum_nonzeros((field.one, entries(A.mul(ext.iota.apply(f.apply(ey)), m)))
+        acc = sum_nonzeros((field.one, A.mul(ext.iota.matrix.image(f.image(ey)), m).items())
                            for f, m in pairs)
         if acc != {y: field.one}:
             raise SelfCheckError("dual basis reconstruction failed")

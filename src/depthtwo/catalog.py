@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .algebras import (Extension, FiniteAlgebra, group_algebra, group_pair,
-                       ground_field_extension, matrix_algebra, subgroup_extension,
-                       trivial_extension)
+                       ground_field_extension, make_algebra, matrix_algebra,
+                       subgroup_extension, trivial_extension)
 from .fields import GF, QQ
 
 
@@ -34,7 +34,7 @@ def quadratic_field_algebra(field, radicand: int = 2) -> FiniteAlgebra:
     d = field.of(radicand)
     structure = [[[one, zero], [zero, one]],
                  [[zero, one], [d, zero]]]
-    return FiniteAlgebra(field, structure, [one, zero], validate=False)
+    return make_algebra(field, structure, [one, zero])
 
 
 class CatalogEntry:

@@ -27,9 +27,10 @@ EXIT_INCONSISTENT = 2
 
 
 def _load_extension(source: str):
-    """Accept a path to a JSON document or the document itself inline."""
+    """Accept a path to a JSON document or the document itself inline (an
+    object or an array, so that an array is reported as the wrong document)."""
     text = source
-    if not source.lstrip().startswith("{"):
+    if not source.lstrip().startswith(("{", "[")):
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()

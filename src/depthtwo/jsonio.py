@@ -10,7 +10,7 @@ with the matrix of iota under a single top-level field tag.
 from __future__ import annotations
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
-                       group_pair, subgroup_extension)
+                       group_pair, make_algebra, subgroup_extension)
 from .fields import FieldError, field_from_json
 from .linalg import LinAlgError, Matrix
 
@@ -26,7 +26,7 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
         "dim": alg.dim,
         "structure": [[[f.render(x) for x in row] for row in plane]
                       for plane in alg.structure],
-        "unit": [f.render(x) for x in alg.unit],
+        "unit": [f.render(alg.unit.get(k, f.zero)) for k in range(alg.dim)],
     }
 
 
@@ -54,7 +54,7 @@ def algebra_from_json(obj: dict, field=None) -> FiniteAlgebra:
         unit = [field.parse(x) for x in _array(obj["unit"], "unit")]
     except (KeyError, TypeError, FieldError) as exc:
         raise ParseError(f"bad algebra document: {exc}") from exc
-    alg = FiniteAlgebra(field, structure, unit, validate=True)
+    alg = make_algebra(field, structure, unit)
     if alg.dim != dim:
         raise ParseError("declared dim disagrees with the structure cube")
     return alg

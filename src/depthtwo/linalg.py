@@ -1,14 +1,19 @@
 """Exact linear algebra: matrices, sparse-row RREF, subspaces, sparse quotients.
 
-A ``Matrix`` is stored as its nonzero columns ``cols`` and its shape, and
-never edited in place.  Products, sums, transposes, inverses and linear
-combinations read and build columns, so their cost follows the nonzeros;
-``data`` rebuilds read-only dense rows on each read, for output.
+A vector is the dict {index: value} of its nonzero entries, with no zeros
+stored, so equal vectors are equal dicts; its length is known from the
+map, subspace or quotient it belongs to.  A ``Matrix`` is stored the same
+way, as its nonzero columns ``cols`` and its shape, and never edited in
+place.  Products, images, sums, transposes, inverses and linear
+combinations read and build columns, so their cost follows the nonzeros.
+Dense data appears only where it enters or leaves: ``Matrix(field, rows)``
+reads dense rows once, and ``data`` rebuilds read-only dense rows on each
+read, for output.
 
 Elimination works on sparse {column: value} rows, so its cost follows the
-nonzeros of the system rather than rows x columns; it accepts dense lists
-or dicts and returns dense rows.  Inside, rows are native: machine
-integers rather than field elements.
+nonzeros of the system rather than rows x columns; it takes and returns
+dict rows.  Inside, rows are native: machine integers rather than field
+elements.
 
 - Over F_p a native row holds residues in range(p); a stored row is 1 at
   its pivot.
@@ -18,8 +23,8 @@ integers rather than field elements.
 
 Both are unique for a reduced row, so equal spans store equal rows.
 Field values are converted once where they enter (``_sparse_row`` and the
-kernel's ``native``) and rebuilt only where they leave: ``rref``'s dense
-rows, ``reverse_rref``, ``Subspace.basis`` and ``Quotient.reduce``.
+kernel's ``native``) and rebuilt only where they leave: ``rref``'s rows,
+``reverse_rref``, ``Subspace.basis`` and ``Quotient.reduce``.
 
 All rows are checked first and then inserted latest leading column first.
 A stored row is zero left of its own pivot, so when a new row leads left
@@ -95,22 +100,18 @@ class Matrix:
         return cls._of(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
-    def from_columns(cls, field, columns: list, nrows: int | None = None) -> "Matrix":
-        """The matrix with dense or {row: value} columns (these need ``nrows``),
-        each checked and kept as its nonzeros."""
-        n = (len(columns[0]) if columns else 0) if nrows is None else nrows
-        return cls._of(field, n, len(columns),
-                       [_sparse_row(col, n, "from_columns") for col in columns])
+    def from_columns(cls, field, columns: list[dict], nrows: int) -> "Matrix":
+        """The matrix with these {row: value} columns, each checked and kept
+        as its nonzeros."""
+        return cls._of(field, nrows, len(columns),
+                       [_sparse_row(col, nrows, "from_columns") for col in columns])
 
     @classmethod
-    def unvec(cls, field, flat: list, nrows: int, ncols: int) -> "Matrix":
-        """The inverse of ``vec``: a dense row-major list read into columns."""
-        if len(flat) != nrows * ncols:
-            raise LinAlgError("unvec: wrong length")
+    def unvec(cls, field, flat: dict, nrows: int, ncols: int) -> "Matrix":
+        """The inverse of ``vec``: a row-major {index: value} vector read into columns."""
         cols: list[dict] = [{} for _ in range(ncols)]
-        for k, x in enumerate(flat):
-            if x:
-                cols[k % ncols][k // ncols] = x
+        for k, x in _sparse_row(flat, nrows * ncols, "unvec").items():
+            cols[k % ncols][k // ncols] = x
         return cls._of(field, nrows, ncols, cols)
 
     # -- access ------------------------------------------------------
@@ -125,37 +126,20 @@ class Matrix:
                 rows[i][j] = x
         return [tuple(row) for row in rows]
 
-    def column(self, j: int) -> list:
-        """Column j as a dense list."""
-        out = [self.field.zero] * self.nrows
-        for i, x in self.cols[j].items():
-            out[i] = x
-        return out
-
-    def vec(self) -> list:
-        """Row-major flattening, the canonical vectorization used for hom spaces."""
+    def vec(self) -> dict:
+        """Row-major flattening {i * ncols + j: value}, the canonical
+        vectorization used for hom spaces."""
         n = self.ncols
-        out = [self.field.zero] * (self.nrows * n)
-        for j, col in enumerate(self.cols):
-            for i, x in col.items():
-                out[i * n + j] = x
-        return out
+        return {i * n + j: x for j, col in enumerate(self.cols) for i, x in col.items()}
 
     # -- arithmetic --------------------------------------------------
 
-    def image(self, vec) -> dict:
-        """The nonzeros {row: value} of the matrix applied to a dense or
-        {index: value} vector, read through ``cols`` at the vector's nonzeros."""
-        if not isinstance(vec, dict) and len(vec) != self.ncols:
-            raise LinAlgError(f"apply: {self.ncols} columns vs vector of length {len(vec)}")
+    def image(self, vec: dict) -> dict:
+        """The matrix applied to an {index: value} vector, read through
+        ``cols`` at the vector's nonzeros."""
+        _check_indices(vec, self.ncols, "image")
         cols = self.cols
-        return sum_nonzeros((x, cols[k].items()) for k, x in entries(vec))
-
-    def apply(self, vec) -> list:
-        out = [self.field.zero] * self.nrows
-        for i, x in self.image(vec).items():
-            out[i] = x
-        return out
+        return sum_nonzeros((x, cols[k].items()) for k, x in vec.items())
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -225,22 +209,23 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
-def combine(mats: list[Matrix], coeffs) -> Matrix:
+def combine(mats: list[Matrix], coeffs: dict) -> Matrix:
     """sum_i coeffs[i] * mats[i] for a non-empty list of equally shaped matrices
-    and a dense or {index: value} list of coefficients."""
-    if not mats or (not isinstance(coeffs, dict) and len(mats) != len(coeffs)):
-        raise LinAlgError("combine: need one coefficient per matrix")
+    and {index: value} coefficients."""
+    if not mats:
+        raise LinAlgError("combine: need at least one matrix")
+    _check_indices(coeffs, len(mats), "combine")
     first = mats[0]
-    terms = entries(coeffs)
+    terms = list(coeffs.items())
     return Matrix._of(first.field, first.nrows, first.ncols,
                       [sum_nonzeros((c, mats[i].cols[j].items()) for i, c in terms)
                        for j in range(first.ncols)])
 
 
-def entries(vec) -> list[tuple[int, object]]:
-    """The nonzero (index, value) pairs of a dense list or an {index: value} dict."""
-    pairs = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return [(i, x) for i, x in pairs if x]
+def _check_indices(vec: dict, n: int, what: str) -> None:
+    """Raise LinAlgError unless every index of vec lies in range(n)."""
+    if vec and (min(vec) < 0 or max(vec) >= n):
+        raise LinAlgError(f"{what}: indices {min(vec)}..{max(vec)} outside range({n})")
 
 
 def sum_nonzeros(terms) -> dict:
@@ -253,28 +238,12 @@ def sum_nonzeros(terms) -> dict:
     return {l: x for l, x in acc.items() if x}
 
 
-def combine_images(field, dim: int, images: list[list[dict]], coeffs: list[list]) -> list:
-    """sum_i sum_a coeffs[i][a] * images[i][a] as a dense list, for {index: value}
-    images (``Matrix.image``), adding only the nonzeros."""
-    out = [field.zero] * dim
-    for imgs, coeff in zip(images, coeffs):
-        for a, c in enumerate(coeff):
-            if c:
-                for k, y in imgs[a].items():
-                    out[k] = out[k] + c * y
-    return out
-
-
-def _sparse_row(vec, ncols: int, what: str) -> dict:
-    """The nonzero entries {column: value} of a dense list or a dict of length ncols."""
-    if isinstance(vec, dict):
-        for c in vec:
-            if not (isinstance(c, int) and 0 <= c < ncols):
-                raise LinAlgError(f"{what}: column {c!r} outside range({ncols})")
-        return {c: x for c, x in vec.items() if x}
-    if len(vec) != ncols:
-        raise LinAlgError(f"{what}: row of length {len(vec)} in {ncols} columns")
-    return {c: x for c, x in enumerate(vec) if x}
+def _sparse_row(vec: dict, ncols: int, what: str) -> dict:
+    """The nonzero entries {column: value} of a dict whose columns lie in range(ncols)."""
+    for c in vec:
+        if not (isinstance(c, int) and 0 <= c < ncols):
+            raise LinAlgError(f"{what}: column {c!r} outside range({ncols})")
+    return {c: x for c, x in vec.items() if x}
 
 
 class _PrimeRows:
@@ -403,8 +372,8 @@ def _kernel(field):
     return k
 
 
-def _native(vec, ncols: int, what: str, k) -> tuple[dict, int]:
-    """A checked dense or {column: value} row as a native row and its denominator."""
+def _native(vec: dict, ncols: int, what: str, k) -> tuple[dict, int]:
+    """A checked {column: value} row as a native row and its denominator."""
     return k.native(_sparse_row(vec, ncols, what))
 
 
@@ -461,83 +430,60 @@ def _echelon(rows: list[dict], k) -> dict[int, dict]:
     return basis
 
 
-def rref(rows: list, field, ncols: int) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of dense or {column: value} rows.
+def rref(rows: list[dict], field, ncols: int) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of {column: value} rows.
 
-    Returns (nonzero rows, pivot cols) with dense rows.  Every row is checked
-    against ncols and converted to a native row before any is inserted;
-    ``_echelon`` then inserts them into a reduced basis keyed by pivot
-    column, latest leading column first, so the work follows the nonzeros.
+    Returns (nonzero rows, pivot cols), the rows ordered by pivot.  Every
+    row is checked against ncols and converted to a native row before any
+    is inserted; ``_echelon`` then inserts them into a reduced basis keyed
+    by pivot column, latest leading column first, so the work follows the
+    nonzeros.
     """
     k = _kernel(field)
     basis = _echelon([_native(vec, ncols, "rref", k)[0] for vec in rows], k)
-    return _dense_rows(basis, field, ncols), sorted(basis)
+    pivots = sorted(basis)
+    return [k.values(basis[p], basis[p][p]) for p in pivots], pivots
 
 
-def _dense_rows(basis: dict[int, dict], field, ncols: int) -> list[list]:
-    """The rows of a native reduced basis {pivot: row} as dense field rows, ordered by pivot."""
-    k = _kernel(field)
-    zero = field.zero
-    out = []
-    for p in sorted(basis):
-        row = basis[p]
-        dense = [zero] * ncols
-        for c, x in k.values(row, row[p]).items():
-            dense[c] = x
-        out.append(dense)
-    return out
-
-
-def solve_in_span(target, generators: list, field) -> list | None:
-    """Coefficients c with sum_i c_i * generators[i] = target, or None.
+def solve_in_span(target: dict, generators: list[dict], field) -> dict | None:
+    """Coefficients {i: c_i} with sum_i c_i * generators[i] = target, or None.
 
     The returned solution is the RREF particular solution: free variables
-    are pinned to zero, so it is unique and reproducible.  The target is a
-    dense list; the generators may be dense lists or {index: value} dicts.
+    are pinned to zero, so it is unique and reproducible.  The target and
+    the generators are {index: value} vectors of one coordinate space.
     """
-    if isinstance(target, dict):
-        raise LinAlgError("solve_in_span: the target must be a dense list")
-    n = len(target)
     ng = len(generators)
-    rows: list[dict] = [{} for _ in range(n)]
+    rows: dict[int, dict] = {}
     for i, g in enumerate(generators):
-        for r, x in _sparse_row(g, n, "solve_in_span").items():
-            rows[r][i] = x
-    for r, x in _sparse_row(target, n, "solve_in_span").items():
-        rows[r][ng] = x
-    red, pivots = rref(rows, field, ng + 1)
+        for r, x in g.items():
+            rows.setdefault(r, {})[i] = x
+    for r, x in target.items():
+        rows.setdefault(r, {})[ng] = x
+    red, pivots = rref(list(rows.values()), field, ng + 1)
     if pivots and pivots[-1] == ng:
         return None
-    zero = field.zero
-    coeffs = [zero] * ng
-    for i, c in enumerate(pivots):
-        coeffs[c] = red[i][ng]
-    return coeffs
+    return {c: red[i][ng] for i, c in enumerate(pivots) if ng in red[i]}
 
 
-def nullspace(rows: list, field, ncols: int) -> list[list]:
-    """Canonical basis of {x : rows @ x = 0}, ordered by ascending free column."""
+def nullspace(rows: list[dict], field, ncols: int) -> list[dict]:
+    """Canonical basis of {x : rows @ x = 0} as {column: value} vectors,
+    ordered by ascending free column."""
     red, pivots = rref(rows, field, ncols)
-    pivot_set = set(pivots)
-    zero, one = field.zero, field.one
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for i, p in enumerate(pivots):
-            x = red[i][f]
-            if x:
-                v[p] = -x
-        basis.append(v)
-    return basis
+    one = field.one
+    basis = {f: {f: one} for f in range(ncols)}
+    for p in pivots:
+        del basis[p]
+    for row, p in zip(red, pivots):
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    return list(basis.values())
 
 
-def reverse_rref(vectors: list, field, ncols: int) -> list[list]:
-    """The reduced echelon basis of the span of dense or {column: value}
-    vectors with the column order reversed, as dense rows ordered by
-    ascending leading column (a row leads at its last nonzero entry).
+def reverse_rref(vectors: list[dict], field, ncols: int) -> list[dict]:
+    """The reduced echelon basis of the span of {column: value} vectors with
+    the column order reversed, ordered by ascending leading column (a row
+    leads at its last nonzero entry).
 
     This is the basis ``nullspace`` returns for any system whose solution
     space is that span.  nullspace's vector for the free column f is 1 at
@@ -552,20 +498,13 @@ def reverse_rref(vectors: list, field, ncols: int) -> list[list]:
     k = _kernel(field)
     basis = _echelon([{last - c: x for c, x in _native(vec, ncols, "reverse_rref", k)[0].items()}
                       for vec in vectors], k)
-    zero = field.zero
-    out = []
-    for p in sorted(basis, reverse=True):
-        row = basis[p]
-        dense = [zero] * ncols
-        for c, x in k.values(row, row[p]).items():
-            dense[last - c] = x
-        out.append(dense)
-    return out
+    return [{last - c: x for c, x in k.values(basis[p], basis[p][p]).items()}
+            for p in sorted(basis, reverse=True)]
 
 
 class Subspace:
     """A subspace of a coordinate space, stored as its unique reduced echelon
-    basis {pivot: native row}; ``basis`` and ``pivots`` are dense views."""
+    basis {pivot: native row}; ``basis`` and ``pivots`` are views."""
 
     __slots__ = ("field", "ambient_dim", "rows", "_k")
 
@@ -576,8 +515,8 @@ class Subspace:
         self._k = _kernel(field)
 
     @classmethod
-    def span(cls, field, ambient_dim: int, vectors: list) -> "Subspace":
-        """The span of dense or {index: value} vectors, each checked against ambient_dim."""
+    def span(cls, field, ambient_dim: int, vectors: list[dict]) -> "Subspace":
+        """The span of {index: value} vectors, each checked against ambient_dim."""
         k = _kernel(field)
         return cls(field, ambient_dim,
                    _echelon([_native(v, ambient_dim, "span", k)[0] for v in vectors], k))
@@ -599,23 +538,26 @@ class Subspace:
         return sorted(self.rows)
 
     @property
-    def basis(self) -> list[list]:
-        """The reduced echelon basis as dense rows, ordered by pivot."""
-        return _dense_rows(self.rows, self.field, self.ambient_dim)
+    def basis(self) -> list[dict]:
+        """The reduced echelon basis as {index: value} vectors, ordered by pivot."""
+        k, rows = self._k, self.rows
+        return [k.values(rows[p], rows[p][p]) for p in sorted(rows)]
 
-    def contains(self, vec) -> bool:
+    def contains(self, vec: dict) -> bool:
         k = self._k
         return not k.residue(self.rows, *_native(vec, self.ambient_dim, "subspace", k))[0]
 
-    def coords(self, vec: list) -> list | None:
-        """Coordinates of vec in the reduced basis, or None when vec is not in the span.
+    def coords(self, vec: dict) -> dict | None:
+        """Coordinates {i: value} of vec in the reduced basis, or None when vec
+        is not in the span.
 
         A basis row is 1 at its own pivot and 0 at the others, so the
-        coordinates are the entries of vec at the pivots.
+        coordinates are the entries of vec at the pivots, and a pivot where
+        vec is zero gives a zero coordinate, left out.
         """
         if not self.contains(vec):
             return None
-        return [vec[p] for p in self.pivots]
+        return {i: vec[p] for i, p in enumerate(self.pivots) if vec.get(p)}
 
     def is_contained_in(self, other: "Subspace") -> bool:
         return all(not self._k.residue(other.rows, dict(row), 1)[0] for row in self.rows.values())
@@ -671,21 +613,14 @@ class Quotient:
     def dim(self) -> int:
         return len(self.free)
 
-    def reduce(self, vec) -> dict:
-        """Nonzero quotient coordinates {index: value} of a dense or {index: value}
+    def reduce(self, vec: dict) -> dict:
+        """Quotient coordinates {index: value} of an {index: value} ambient
         vector: its residue along the relation rows lives on the free columns."""
         index, k = self._index, self._k
-        row, den = k.residue(self.rows, *_native(vec, self.ambient_dim, "project", k))
+        row, den = k.residue(self.rows, *_native(vec, self.ambient_dim, "reduce", k))
         return {index[c]: x for c, x in k.values(row, den).items()}
 
-    def project(self, vec) -> list:
-        """Quotient coordinates of a dense or {index: value} ambient vector."""
-        out = [self.field.zero] * self.dim
-        for i, x in self.reduce(vec).items():
-            out[i] = x
-        return out
-
-    def lift(self, coords) -> dict:
+    def lift(self, coords: dict) -> dict:
         """The ambient vector {column: value} with the coordinates placed at ``free``."""
         free = self.free
         return {free[i]: x for i, x in _sparse_row(coords, self.dim, "lift").items()}
@@ -703,8 +638,8 @@ class Quotient:
                                    nrows=self.dim)
 
 
-def quotient_structure(field, ambient_dim: int, relations: list) -> Quotient:
-    """The quotient of the coordinate space by the span of dense or {column: value} rows.
+def quotient_structure(field, ambient_dim: int, relations: list[dict]) -> Quotient:
+    """The quotient of the coordinate space by the span of {column: value} rows.
 
     The relations are checked, then reduced by ``_echelon``, latest leading
     column first.

@@ -21,8 +21,28 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                             for arow in a.data for brow in b.data])
 
 
-def unit_vectors(field, n: int) -> list[list]:
-    """The standard basis of field^n as dense lists."""
+def unit_vectors(field, n: int) -> list[dict]:
+    """The standard basis of field^n as {index: value} vectors."""
+    return [{i: field.one} for i in range(n)]
+
+
+def sparse(vec: list) -> dict:
+    """The {index: value} vector of a dense list."""
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def dense(field, vec: dict, n: int) -> list:
+    """The dense list of length n of an {index: value} vector."""
+    return [vec.get(i, field.zero) for i in range(n)]
+
+
+def dense_apply(m: Matrix, v: list) -> list:
+    """Dense reference for m applied to a dense list: one dot product per row."""
+    return [sum((a * x for a, x in zip(row, v)), m.field.zero) for row in m.data]
+
+
+def dense_eye(field, n: int) -> list[list]:
+    """The rows of the n x n identity as dense lists."""
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
@@ -63,9 +83,9 @@ def dense_basis(ext, p: Matrix):
     A = ext.A
     p_inv = p.inverse()
     cols = p.cols
-    structure = [[p_inv.apply(A.mul(cols[i], cols[j])) for j in range(A.dim)]
-                 for i in range(A.dim)]
-    A2 = FiniteAlgebra(A.field, structure, p_inv.apply(A.unit))
+    nonzeros = [[p_inv.image(A.mul(cols[i], cols[j])) for j in range(A.dim)]
+                for i in range(A.dim)]
+    A2 = FiniteAlgebra(A.field, nonzeros, p_inv.image(A.unit))
     return Extension(ext.B, A2, AlgebraMorphism(ext.B, A2, p_inv @ ext.iota.matrix))
 
 

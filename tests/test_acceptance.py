@@ -22,7 +22,7 @@ from depthtwo.catalog import (A3_INDICES, S3_TABLE, build_example, catalog_names
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import (coaction, comodule_algebra_audit,
                              d2_iff_corollary_audit, main_theorem_audit)
-from depthtwo.linalg import Matrix, Subspace
+from depthtwo.linalg import Matrix, Subspace, sum_nonzeros
 
 
 @contextmanager
@@ -92,12 +92,11 @@ def test_criterion_03_commutative_specialization(catalog_exts):
                 cls = core.t_coords(core.ts.class_of(A.basis_vector(i),
                                                      A.basis_vector(j)), "escape")
                 # Sweedler form through the witness isomorphism
-                img = wit.w3.apply(bgd.Delta.apply(cls))
-                expected = wit.q3.project_items(
-                    [((i, u, j), cu) for u, cu in enumerate(A.unit) if cu])
+                img = wit.w3.image(bgd.Delta.image(cls))
+                expected = wit.q3.reduce_items([((i, u, j), cu) for u, cu in A.unit.items()])
                 assert img == expected
                 # counit is multiplication
-                assert eps_in_a.apply(cls) == A.table[i][j]
+                assert eps_in_a.image(cls) == A.nonzeros[i][j]
         flip = commutative_flip_check(ext)
         assert flip.flip_involutive and flip.flip_antimultiplicative
         assert flip.all_pass
@@ -168,10 +167,9 @@ def test_criterion_07_necessary_conditions(catalog_exts):
         A = ext.A
         for y in range(A.dim):
             ey = A.basis_vector(y)
-            acc = [QQ.zero] * A.dim
-            for functional, elem in dual.pairs:
-                piece = A.mul(ext.iota.apply(functional.apply(ey)), elem)
-                acc = [a + b for a, b in zip(acc, piece)]
+            acc = sum_nonzeros(
+                (QQ.one, A.mul(ext.iota.matrix.image(functional.image(ey)), elem).items())
+                for functional, elem in dual.pairs)
             assert acc == ey
 
 

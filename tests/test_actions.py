@@ -9,9 +9,9 @@ from depthtwo.bialgebroid import build_T
 from depthtwo.bimodules import (hom_space, left_module_bimodule,
                                 right_d2_quasibase)
 from depthtwo.fields import QQ
-from depthtwo.linalg import Matrix, Subspace, combine, solve_in_span
+from depthtwo.linalg import Matrix, Subspace, combine, solve_in_span, sum_nonzeros
 
-from conftest import kron
+from conftest import kron, sparse
 
 
 @pytest.fixture(scope="module")
@@ -62,13 +62,13 @@ def test_left_multiplication_by_centralizer_is_t_stable(s3_setup):
     core = bgd.core
     anc = anchor(ext, rqb, bgd=bgd)
     for c in range(core.dim):
-        tvec = [QQ.one if i == c else QQ.zero for i in range(core.dim)]
+        tvec = {c: QQ.one}
         for r in range(core.R_alg.dim):
-            lam_r = combine(ext.A.left_mults, core.incl_R.column(r))
+            lam_r = combine(ext.A.left_mults, core.incl_R.cols[r])
             lhs = combine(me.endo_basis,
-                          combine(me.action, tvec).apply(me.endo_coords(lam_r)))
-            moved = combine(anc.action, tvec).apply(core.R_alg.basis_vector(r))
-            rhs = combine(ext.A.left_mults, core.incl_R.apply(moved))
+                          combine(me.action, tvec).image(me.endo_coords(lam_r)))
+            moved = combine(anc.action, tvec).image(core.R_alg.basis_vector(r))
+            rhs = combine(ext.A.left_mults, core.incl_R.image(moved))
             assert lhs == rhs
 
 
@@ -108,8 +108,8 @@ def test_anchor_unit_laws(s3_setup):
     anc = anchor(ext, rqb, bgd=bgd)
     assert combine(anc.action, core.unit_T) == Matrix.identity(QQ, core.R_alg.dim)
     for c in range(core.dim):
-        tvec = [QQ.one if i == c else QQ.zero for i in range(core.dim)]
-        assert combine(anc.action, tvec).apply(core.R_alg.unit) == core.eps.column(c)
+        tvec = {c: QQ.one}
+        assert combine(anc.action, tvec).image(core.R_alg.unit) == core.eps.cols[c]
 
 
 def test_action_identified_with_composition(s3_setup):
@@ -123,17 +123,13 @@ def test_action_identified_with_composition(s3_setup):
     def hat(f: Matrix) -> Matrix:
         cols = []
         for w in range(ts.dim):
-            acc = [QQ.zero] * A.dim
-            for (s, t), c in ts.lift_items(
-                    [QQ.one if i == w else QQ.zero for i in range(ts.dim)]):
-                term = A.mul(A.basis_vector(s), f.column(t))
-                acc = [x + c * y for x, y in zip(acc, term)]
-            cols.append(acc)
+            cols.append(sum_nonzeros((c, A.mul(A.basis_vector(s), f.cols[t]).items())
+                                     for (s, t), c in ts.lift_items({w: QQ.one})))
         return Matrix.from_columns(QQ, cols, nrows=A.dim)
 
     def f_t(c: int) -> Matrix:
         out = Matrix.zeros(QQ, ts.dim, ts.dim)
-        for (s, t), coeff in core.t_lift_items(c):
+        for (s, t), coeff in core.t_items[c]:
             amb = kron(A.right_mult(s), A.left_mult(t))
             out = out + ts.quot.induced(amb).scaled(coeff)
         return out
@@ -141,9 +137,9 @@ def test_action_identified_with_composition(s3_setup):
     for a in range(me.dim):
         f = me.endo_basis[a]
         for c in range(core.dim):
-            tvec = [QQ.one if i == c else QQ.zero for i in range(core.dim)]
+            tvec = {c: QQ.one}
             acted = combine(me.endo_basis,
-                            combine(me.action, tvec).apply(me.endo_coords(f)))
+                            combine(me.action, tvec).image(me.endo_coords(f)))
             assert hat(acted) == hat(f) @ f_t(c)
 
 
@@ -153,10 +149,10 @@ def test_endo_coords_read_off_the_free_positions(s3_setup):
     ext, _, _, M, me = s3_setup
     vecs = [f.vec() for f in me.endo_basis]
     for k in range(me.dim):
-        coeffs = [QQ.of((3 * a + k) % 5 - 2) for a in range(me.dim)]
+        coeffs = sparse([QQ.of((3 * a + k) % 5 - 2) for a in range(me.dim)])
         endo = combine(me.endo_basis, coeffs)
         assert me.endo_coords(endo) == coeffs == solve_in_span(endo.vec(), vecs, QQ)
-    assert me.endo_coords(Matrix.zeros(QQ, M.dim, M.dim)) == [QQ.zero] * me.dim
+    assert me.endo_coords(Matrix.zeros(QQ, M.dim, M.dim)) == {}
 
 
 def test_endo_coords_reject_a_map_that_is_not_b_linear(s3_setup):
@@ -185,6 +181,6 @@ def test_endo_coords_on_a_dense_basis(s3a3):
     me = MeasuredEndos(None, M, endos, [])
     vecs = [f.vec() for f in endos]
     for k in range(len(endos)):
-        coeffs = [QQ.of((2 * a + k) % 7 - 3) for a in range(len(endos))]
+        coeffs = sparse([QQ.of((2 * a + k) % 7 - 3) for a in range(len(endos))])
         endo = combine(endos, coeffs)
         assert me.endo_coords(endo) == coeffs == solve_in_span(endo.vec(), vecs, QQ)

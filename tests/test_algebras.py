@@ -17,7 +17,17 @@ from depthtwo.bialgebroid import t_core
 from depthtwo.fields import GF, QQ
 from depthtwo.linalg import Subspace
 
-from conftest import alternating_group_table, dense_s3a3
+from conftest import alternating_group_table, dense, dense_s3a3, sparse
+
+
+def _unvalidated(field, cube, unit) -> FiniteAlgebra:
+    """The algebra of a dense cube and dense unit, read into nonzeros and not validated."""
+    return FiniteAlgebra(field, [[sparse(row) for row in plane] for plane in cube],
+                         sparse(unit), validate=False)
+
+
+def _dense_unit(alg) -> list:
+    return dense(alg.field, alg.unit, alg.dim)
 
 
 # -- make_algebra -----------------------------------------------------------
@@ -25,12 +35,13 @@ from conftest import alternating_group_table, dense_s3a3
 def test_one_dimensional_field_algebra():
     alg = make_algebra(QQ, [[[QQ.one]]], [QQ.one])
     assert alg.dim == 1
-    assert alg.mul([QQ.of(3)], [QQ.of(4)]) == [QQ.of(12)]
+    assert alg.mul({0: QQ.of(3)}, {0: QQ.of(4)}) == {0: QQ.of(12)}
+    assert alg.structure == [[[QQ.one]]] and alg.unit == {0: QQ.one}
 
 
 def test_matrix_units_give_m2():
     m2 = matrix_algebra(QQ, 2)
-    FiniteAlgebra(QQ, m2.structure, m2.unit, validate=True)
+    FiniteAlgebra(QQ, m2.nonzeros, m2.unit, validate=True)
     assert m2.dim == 4
     # e01 * e10 = e00, e10 * e01 = e11
     assert m2.mul(m2.basis_vector(1), m2.basis_vector(2)) == m2.basis_vector(0)
@@ -55,11 +66,33 @@ def test_non_associative_rejected():
         make_algebra(QQ, structure, [o, z, z])
 
 
+@pytest.mark.parametrize("structure, unit, message", [
+    ([], [], "positive dimension"),
+    ([], [QQ.one], "positive dimension"),
+    ([[[QQ.one]], [[QQ.one]]], [QQ.one, QQ.zero], "not dim x dim x dim"),
+    ([[[QQ.one, QQ.zero]]], [QQ.one], "not dim x dim x dim"),
+    ([[[QQ.one]]], [QQ.one, QQ.zero], "unit vector has wrong length"),
+])
+def test_make_algebra_names_the_first_shape_violation(structure, unit, message):
+    with pytest.raises(AlgebraError, match=message):
+        make_algebra(QQ, structure, unit)
+
+
+def test_nonzeros_outside_the_dimension_are_shape_violations():
+    one = QQ.one
+    with pytest.raises(AlgebraError, match="not dim x dim x dim"):
+        FiniteAlgebra(QQ, [[{1: one}]], {0: one})
+    with pytest.raises(AlgebraError, match="not dim x dim x dim"):
+        FiniteAlgebra(QQ, [[{0: one}, {0: one}]], {0: one})
+    with pytest.raises(AlgebraError, match="unit vector has wrong length"):
+        FiniteAlgebra(QQ, [[{0: one}]], {1: one})
+
+
 # -- group algebras ---------------------------------------------------------
 
 def test_trivial_group_is_the_field():
     alg = group_algebra(QQ, [[0]])
-    assert alg.dim == 1 and alg.unit == [QQ.one]
+    assert alg.dim == 1 and alg.unit == {0: QQ.one}
 
 
 def test_c2_squares_to_identity():
@@ -72,7 +105,7 @@ def test_c2_squares_to_identity():
 def test_s3_passes_full_associativity_sweep():
     alg = group_algebra(QQ, S3_TABLE)
     # independent re-validation through the generic identity sweep
-    FiniteAlgebra(QQ, alg.structure, alg.unit, validate=True)
+    FiniteAlgebra(QQ, alg.nonzeros, alg.unit, validate=True)
     assert alg.dim == 6
 
 
@@ -145,10 +178,7 @@ def _conjugation_orbit_sums(field, table, subgroup):
             for m in subgroup:
                 stack.append(table[table[m][x]][inv[m]])
         seen |= orbit
-        v = [field.zero] * n
-        for x in orbit:
-            v[x] = field.one
-        sums.append(v)
+        sums.append({x: field.one for x in orbit})
     return sums
 
 
@@ -163,7 +193,7 @@ def test_centralizer_s3_a3_matches_orbit_sum_oracle(s3a3):
 
 def test_ideal_closure_of_zero():
     A = group_algebra(QQ, C2_TABLE)
-    assert ideal_closure(A, [[QQ.zero, QQ.zero]]).dim == 0
+    assert ideal_closure(A, [{}]).dim == 0
 
 
 def test_ideal_closure_of_unit_is_everything():
@@ -173,7 +203,7 @@ def test_ideal_closure_of_unit_is_everything():
 
 def test_augmentation_complement_ideal_in_c2():
     A = group_algebra(QQ, C2_TABLE)
-    gen = [QQ.one, -QQ.one]  # e - g
+    gen = {0: QQ.one, 1: -QQ.one}  # e - g
     ideal = ideal_closure(A, [gen])
     assert ideal.dim == 1
     assert is_two_sided_ideal(A, ideal)
@@ -211,7 +241,7 @@ def test_extension_of_prime_field_variants():
 
 def test_field_as_algebra_unit():
     k = field_as_algebra(QQ)
-    assert k.dim == 1 and k.unit == [QQ.one]
+    assert k.dim == 1 and k.unit == {0: QQ.one}
 
 
 def test_non_injective_extension_accepted():
@@ -250,13 +280,13 @@ def _unit_plus_products(field, n: int, products: dict) -> list:
 
 def _first_associativity_failure(field, cube, unit):
     """The dense basis-triple loop, in i, j, k order."""
-    alg = FiniteAlgebra(field, cube, unit, validate=False)
+    alg = _unvalidated(field, cube, unit)
     n = alg.dim
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                left = alg.mul(alg.table[i][j], alg.basis_vector(k))
-                right = alg.mul(alg.basis_vector(i), alg.table[j][k])
+                left = alg.mul(alg.nonzeros[i][j], alg.basis_vector(k))
+                right = alg.mul(alg.basis_vector(i), alg.nonzeros[j][k])
                 if left != right:
                     return i, j, k
     return None
@@ -279,10 +309,10 @@ def _assert_rejected_at(field, cube, unit, triple):
 def test_associativity_rejects_a_single_failing_triple(field, products, triple):
     cube = _unit_plus_products(field, 5, products)
     unit = [field.one] + [field.zero] * 4
-    alg = FiniteAlgebra(field, cube, unit, validate=False)
+    alg = _unvalidated(field, cube, unit)
     failing = [(i, j, k) for i in range(5) for j in range(5) for k in range(5)
-               if alg.mul(alg.table[i][j], alg.basis_vector(k))
-               != alg.mul(alg.basis_vector(i), alg.table[j][k])]
+               if alg.mul(alg.nonzeros[i][j], alg.basis_vector(k))
+               != alg.mul(alg.basis_vector(i), alg.nonzeros[j][k])]
     assert failing == [triple]
     _assert_rejected_at(field, cube, unit, triple)
 
@@ -292,29 +322,30 @@ def test_associativity_rejects_a_single_failing_triple(field, products, triple):
 def test_associativity_names_the_first_failure_of_the_dense_loop(field, i, j, bump):
     # S3 with one structure constant off the identity row and column moved
     alg = group_algebra(field, S3_TABLE)
-    cube = [[list(v) for v in row] for row in alg.structure]
+    cube = alg.structure
     cube[i][j][bump] = cube[i][j][bump] + field.one
-    triple = _first_associativity_failure(field, cube, alg.unit)
+    unit = _dense_unit(alg)
+    triple = _first_associativity_failure(field, cube, unit)
     assert triple is not None
-    _assert_rejected_at(field, cube, alg.unit, triple)
+    _assert_rejected_at(field, cube, unit, triple)
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_every_catalog_algebra_passes_validation(name):
     ext = build_example(name)
     for alg in (ext.A, ext.B):
-        assert _first_associativity_failure(alg.field, alg.structure, alg.unit) is None
-        assert make_algebra(alg.field, alg.structure, alg.unit).dim == alg.dim
+        assert _first_associativity_failure(alg.field, alg.structure, _dense_unit(alg)) is None
+        assert make_algebra(alg.field, alg.structure, _dense_unit(alg)).dim == alg.dim
 
 
 GROUP_TABLES = {"S3": S3_TABLE, "A4": alternating_group_table()}
 
 
 def _fails_at_a_generator(field, cube, unit) -> bool:
-    alg = FiniteAlgebra(field, cube, unit, validate=False)
+    alg = _unvalidated(field, cube, unit)
     n = alg.dim
-    return any(alg.mul(alg.table[i][g], alg.basis_vector(k))
-               != alg.mul(alg.basis_vector(i), alg.table[g][k])
+    return any(alg.mul(alg.nonzeros[i][g], alg.basis_vector(k))
+               != alg.mul(alg.basis_vector(i), alg.nonzeros[g][k])
                for g in alg.generating_indices() for i in range(n) for k in range(n))
 
 
@@ -326,20 +357,21 @@ def test_generator_check_rejects_exactly_the_dense_loop_failures(field, group):
     alg = group_algebra(field, GROUP_TABLES[group])
     n = alg.dim
     rng = random.Random(f"{group}/{field!r}")
-    others = [x for x in range(n) if not alg.unit[x]]
+    others = [x for x in range(n) if x not in alg.unit]
+    unit = _dense_unit(alg)
     failures = 0
     for _ in range(16):
         i, j, m = rng.choice(others), rng.choice(others), rng.randrange(n)
-        cube = [[list(v) for v in row] for row in alg.structure]
+        cube = alg.structure
         cube[i][j][m] = cube[i][j][m] + field.of(rng.choice((1, -1, 2, 3)))
-        triple = _first_associativity_failure(field, cube, alg.unit)
+        triple = _first_associativity_failure(field, cube, unit)
         if triple is None:
-            assert make_algebra(field, cube, alg.unit).dim == n
+            assert make_algebra(field, cube, unit).dim == n
             continue
         failures += 1
-        _assert_rejected_at(field, cube, alg.unit, triple)
+        _assert_rejected_at(field, cube, unit, triple)
         # Light's test: a non-associative cube fails at a generator too
-        assert _fails_at_a_generator(field, cube, alg.unit)
+        assert _fails_at_a_generator(field, cube, unit)
     assert failures
 
 
@@ -348,12 +380,13 @@ def test_first_failure_is_named_when_its_middle_index_is_no_generator(field):
     # e_5 e_1 moved: the first failing triple (1, 4, 1) has the middle index 4,
     # which is no generator of the moved cube, yet the generators still fail
     alg = group_algebra(field, S3_TABLE)
-    cube = [[list(v) for v in row] for row in alg.structure]
+    cube = alg.structure
     cube[5][1][0] = cube[5][1][0] + field.one
-    moved = FiniteAlgebra(field, cube, alg.unit, validate=False)
+    unit = _dense_unit(alg)
+    moved = _unvalidated(field, cube, unit)
     assert 4 not in moved.generating_indices()
-    assert _fails_at_a_generator(field, cube, alg.unit)
-    _assert_rejected_at(field, cube, alg.unit, (1, 4, 1))
+    assert _fails_at_a_generator(field, cube, unit)
+    _assert_rejected_at(field, cube, unit, (1, 4, 1))
 
 
 def _pair_closure_generators(alg) -> list[int]:
@@ -399,8 +432,9 @@ def test_right_word_generators_equal_the_pair_closure_generators(name):
         expected = _pair_closure_generators(alg)
         assert alg.generating_indices() == expected
         # the same indices whether chosen inside validation or afterwards
-        assert make_algebra(alg.field, alg.structure, alg.unit).generating_indices() == expected
-        assert FiniteAlgebra(alg.field, alg.structure, alg.unit,
+        assert make_algebra(alg.field, alg.structure,
+                            _dense_unit(alg)).generating_indices() == expected
+        assert FiniteAlgebra(alg.field, alg.nonzeros, alg.unit,
                              validate=False).generating_indices() == expected
 
 

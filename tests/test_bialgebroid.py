@@ -13,9 +13,9 @@ from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase
 from depthtwo.catalog import build_example, catalog_names
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import galois_map, ice_matrix, main_theorem_audit, tensor_with_t
-from depthtwo.linalg import Matrix, combine
+from depthtwo.linalg import Matrix, combine, sum_nonzeros
 
-from conftest import CATALOG_AND_A4, unit_vectors
+from conftest import CATALOG_AND_A4, sparse, unit_vectors
 
 
 def _bgd(ext):
@@ -45,8 +45,8 @@ def test_trivial_extension_gives_center(bgd_trivial):
     core = bgd_trivial.core
     assert core.dim == 1               # T = Z(M2) = scalars
     assert core.R_alg.dim == 1
-    assert core.eps.apply(core.unit_T) == core.R_alg.unit
-    assert bgd_trivial.Delta.apply(core.unit_T) == \
+    assert core.eps.image(core.unit_T) == core.R_alg.unit
+    assert bgd_trivial.Delta.image(core.unit_T) == \
         core.tt.class_of(core.unit_T, core.unit_T)
 
 
@@ -101,16 +101,16 @@ def test_corrupted_coproduct_fails_with_witness(bgd_s3a3):
 
 # -- witness isomorphisms ------------------------------------------------------
 
-def _dense_tee_product(core, c: int, d: int) -> list:
-    """T coordinates of t_c * t_d, with A's products read off dense ``table`` rows."""
-    table = core.A.table
-    terms = [(c1 * c2, table[p][s], table[t][q])
+def _dense_tee_product(core, c: int, d: int) -> dict:
+    """T coordinates of t_c * t_d, with A's products read off the dense structure cube."""
+    cube = core.A.structure
+    terms = [(c1 * c2, sparse(cube[p][s]), sparse(cube[t][q]))
              for (s, t), c1 in core.t_items[c] for (p, q), c2 in core.t_items[d]]
     return core.t_coords(core.ts.class_of_sum(terms), "product escaped T")
 
 
 def _dense_restricted_action(core, ambient: Matrix) -> Matrix:
-    cols = [core.t_coords(ambient.apply(t), "R-action escaped T") for t in core.t_basis]
+    cols = [core.t_coords(ambient.image(t), "R-action escaped T") for t in core.t_basis]
     return Matrix.from_columns(core.A.field, cols, nrows=core.dim)
 
 
@@ -120,9 +120,10 @@ def test_t_core_equals_the_dense_construction(name):
     for c in range(core.dim):
         for d in range(core.dim):
             expected = _dense_tee_product(core, c, d)
-            assert core._tee_product(c, d) == expected == core.T_alg.structure[c][d], name
+            assert core._tee_product(c, d) == expected == core.T_alg.nonzeros[c][d], name
+            assert sparse(core.T_alg.structure[c][d]) == expected, name
     for r in range(core.R_alg.dim):
-        r_vec = core.incl_R.column(r)
+        r_vec = core.incl_R.cols[r]
         assert core.lam_R[r] == _dense_restricted_action(
             core, combine(core.ts.left_action, r_vec)), name
         assert core.rho_R[r] == _dense_restricted_action(
@@ -141,20 +142,19 @@ def test_forward_of_coproduct_is_middle_unit(bgd_s3a3, s3a3):
     core = bgd_s3a3.core
     wit = bgd_s3a3.witness
     for c in range(core.dim):
-        tvec = [QQ.one if i == c else QQ.zero for i in range(core.dim)]
-        assert wit.w3.apply(bgd_s3a3.Delta.apply(tvec)) == \
+        tvec = {c: QQ.one}
+        assert wit.w3.image(bgd_s3a3.Delta.image(tvec)) == \
             wit.sandwich3(tvec, s3a3.A.unit)
 
 
 def test_image_of_unit_tensor_unit(bgd_sqrt2, sqrt2):
     core = bgd_sqrt2.core
     wit = bgd_sqrt2.witness
-    img = wit.w3.apply(core.tt.class_of(core.unit_T, core.unit_T))
+    img = wit.w3.image(core.tt.class_of(core.unit_T, core.unit_T))
+    unit = sqrt2.A.unit.items()
     unit_items = [((i, j, k), ci * cj * ck)
-                  for i, ci in enumerate(sqrt2.A.unit) if ci
-                  for j, cj in enumerate(sqrt2.A.unit) if cj
-                  for k, ck in enumerate(sqrt2.A.unit) if ck]
-    assert img == wit.q3.project_items(unit_items)
+                  for i, ci in unit for j, cj in unit for k, ck in unit]
+    assert img == wit.q3.reduce_items(unit_items)
 
 
 def _dense_forward(wit, power: int) -> Matrix:
@@ -165,26 +165,23 @@ def _dense_forward(wit, power: int) -> Matrix:
     source, target = (core.tt, wit.q3) if power == 3 else (wit.ttt, wit.q4)
     cols = []
     for e in unit_vectors(A.field, source.dim):
-        acc = [A.field.zero] * target.dim
+        images = []
         for idx, coeff in source.lift_items(e):
             # one pure tensor in A^(x)(power), as {legs: coefficient}
             legs = {(): coeff}
             for c in idx:
                 nxt: dict = {}
                 for prefix, x in legs.items():
-                    for (s, t), y in core.t_lift_items(c):
+                    for (s, t), y in core.t_items[c]:
                         if not prefix:
                             nxt[(s, t)] = nxt.get((s, t), A.field.zero) + x * y
                             continue
-                        for k, z in enumerate(A.mul(A.basis_vector(prefix[-1]),
-                                                    A.basis_vector(s))):
-                            if z:
-                                key = prefix[:-1] + (k, t)
-                                nxt[key] = nxt.get(key, A.field.zero) + x * y * z
+                        for k, z in A.mul(A.basis_vector(prefix[-1]), A.basis_vector(s)).items():
+                            key = prefix[:-1] + (k, t)
+                            nxt[key] = nxt.get(key, A.field.zero) + x * y * z
                 legs = nxt
-            img = target.project_items(list(legs.items()))
-            acc = [a + b for a, b in zip(acc, img)]
-        cols.append(acc)
+            images.append((A.field.one, target.reduce_items(list(legs.items())).items()))
+        cols.append(sum_nonzeros(images))
     return Matrix.from_columns(A.field, cols, nrows=target.dim)
 
 
@@ -201,11 +198,8 @@ def _old_ice(core, at):
     field = core.A.field
     cols = []
     for e in unit_vectors(field, at.dim):
-        acc = [field.zero] * core.ts.dim
-        for (k, c), coeff in at.lift_items(e):
-            term = core.ts.left_action[k].apply(core.t_basis[c])
-            acc = [x + coeff * y for x, y in zip(acc, term)]
-        cols.append(acc)
+        cols.append(sum_nonzeros((coeff, core.ts.left_action[k].image(core.t_basis[c]).items())
+                                 for (k, c), coeff in at.lift_items(e)))
     return Matrix.from_columns(field, cols, nrows=core.ts.dim)
 
 
@@ -216,12 +210,10 @@ def _old_beta(ext, core, at, rqb):
     u_ts = [core.t_coords(u, "u escaped T") for _, u in rqb.pairs]
     cols = []
     for e in unit_vectors(field, core.ts.dim):
-        acc = [field.zero] * at.dim
-        for (s, t), coeff in core.ts.lift_items(e):
-            for (gamma, _), u_t in zip(rqb.pairs, u_ts):
-                term = at.class_of(A.mul(A.basis_vector(s), gamma.column(t)), u_t)
-                acc = [x + coeff * y for x, y in zip(acc, term)]
-        cols.append(acc)
+        cols.append(sum_nonzeros(
+            (coeff, at.class_of(A.mul(A.basis_vector(s), gamma.cols[t]), u_t).items())
+            for (s, t), coeff in core.ts.lift_items(e)
+            for (gamma, _), u_t in zip(rqb.pairs, u_ts)))
     return Matrix.from_columns(field, cols, nrows=at.dim)
 
 
@@ -231,15 +223,13 @@ def _old_counit_maps(core):
     m, tt, tvec = core.dim, core.tt, core.T_alg.basis_vector
     e1_cols, e2_cols = [], []
     for e in unit_vectors(field, tt.dim):
-        acc1 = [field.zero] * m
-        acc2 = [field.zero] * m
-        for (c, d), coeff in tt.lift_items(e):
-            t1 = combine(core.lam_R, core.eps.column(c)).apply(tvec(d))
-            t2 = combine(core.rho_R, core.eps.column(d)).apply(tvec(c))
-            acc1 = [x + coeff * y for x, y in zip(acc1, t1)]
-            acc2 = [x + coeff * y for x, y in zip(acc2, t2)]
-        e1_cols.append(acc1)
-        e2_cols.append(acc2)
+        items = tt.lift_items(e)
+        e1_cols.append(sum_nonzeros(
+            (coeff, combine(core.lam_R, core.eps.cols[c]).image(tvec(d)).items())
+            for (c, d), coeff in items))
+        e2_cols.append(sum_nonzeros(
+            (coeff, combine(core.rho_R, core.eps.cols[d]).image(tvec(c)).items())
+            for (c, d), coeff in items))
     return (Matrix.from_columns(field, e1_cols, nrows=m),
             Matrix.from_columns(field, e2_cols, nrows=m))
 
@@ -252,10 +242,10 @@ def test_matrix_of_maps_equal_the_identity_column_loop(fixture, request):
     at = tensor_with_t(ext)
     assert ice_matrix(core, at) == _old_ice(core, at)
     assert galois_map(ext, bgd.rqb).beta == _old_beta(ext, core, at, bgd.rqb)
-    eps_left = [combine(core.lam_R, core.eps.column(c)) for c in range(core.dim)]
-    eps_right = [combine(core.rho_R, core.eps.column(c)) for c in range(core.dim)]
-    e1 = core.tt.matrix_of(core.dim, lambda c, d: eps_left[c].column(d))
-    e2 = core.tt.matrix_of(core.dim, lambda c, d: eps_right[d].column(c))
+    eps_left = [combine(core.lam_R, col) for col in core.eps.cols]
+    eps_right = [combine(core.rho_R, col) for col in core.eps.cols]
+    e1 = core.tt.matrix_of(core.dim, lambda c, d: eps_left[c].cols[d])
+    e2 = core.tt.matrix_of(core.dim, lambda c, d: eps_right[d].cols[c])
     assert (e1, e2) == _old_counit_maps(core)
     eye = Matrix.identity(ext.A.field, core.dim)
     assert e1 @ bgd.Delta == eye and e2 @ bgd.Delta == eye
@@ -320,15 +310,14 @@ def _quasibase_inverses(wit, rqb) -> tuple[Matrix, Matrix]:
         # v^1 (x) ... (x) v^(last-1) gamma(v^last) for each quasibase pair
         for gamma, u_t in pairs:
             folded = [(idx[:-2] + (l,), c * a) for idx, c in items
-                      for l, a in enumerate(A.mul(A.basis_vector(idx[-2]),
-                                                  gamma.column(idx[-1]))) if a]
+                      for l, a in A.mul(A.basis_vector(idx[-2]), gamma.cols[idx[-1]]).items()]
             yield folded, u_t
 
-    inv3 = [core.tt.class_of_sum([(one, core.t_coords(core.ts.project_items(f), "left T"), u)
+    inv3 = [core.tt.class_of_sum([(one, core.t_coords(core.ts.reduce_items(f), "left T"), u)
                                   for f, u in fold(wit.q3.lift_items(v))])
             for v in wit.q3b.basis]
     w3_inv = Matrix.from_columns(A.field, inv3, nrows=core.tt.dim)
-    inv4 = [wit.ttt.class_of_sum([(one, w3_inv.apply(wit.q3b.coords(wit.q3.project_items(f))),
+    inv4 = [wit.ttt.class_of_sum([(one, w3_inv.image(wit.q3b.coords(wit.q3.reduce_items(f))),
                                    u)
                                   for f, u in fold(wit.q4.lift_items(v))])
             for v in wit.q4b.basis]
@@ -337,7 +326,7 @@ def _quasibase_inverses(wit, rqb) -> tuple[Matrix, Matrix]:
 
 def _on_central(fwd: Matrix, target) -> Matrix:
     """A forward map in coordinates of the B-central power it lands in."""
-    return Matrix.from_columns(fwd.field, [target.coords(fwd.column(j)) for j in range(fwd.ncols)],
+    return Matrix.from_columns(fwd.field, [target.coords(col) for col in fwd.cols],
                                nrows=target.dim)
 
 
@@ -361,11 +350,11 @@ def test_quasibase_inverses_invert_the_witness():
             assert on_b @ inv == Matrix.identity(field, target.dim), name
         for c in range(core.dim):
             image = wit.sandwich3(core.T_alg.basis_vector(c), ext.A.unit)
-            assert inv3.apply(wit.q3b.coords(image)) == bgd.Delta.column(c), (name, c)
+            assert inv3.image(wit.q3b.coords(image)) == bgd.Delta.cols[c], (name, c)
     assert len(positive) >= 7, positive
 
 
-def _outside(space) -> list:
+def _outside(space) -> dict:
     """The first standard basis vector outside a proper subspace."""
     field = space.field
     return next(e for e in unit_vectors(field, space.ambient_dim)
@@ -375,7 +364,7 @@ def _outside(space) -> list:
 @pytest.mark.parametrize("mutate", ["column_outside", "dependent_columns", "larger_target"])
 def test_certify_rejects_a_forward_map_that_is_not_an_isomorphism(mutate, s3a3):
     wit = triple_tensor_witness(s3a3)
-    cols = [wit.w3.column(j) for j in range(wit.w3.ncols)]
+    cols = list(wit.w3.cols)
     _certify(wit.w3, wit.q3b, "triple")
     if mutate == "column_outside":
         cols[0] = _outside(wit.q3b)
@@ -397,7 +386,9 @@ def test_delta_rejects_a_corrupted_sandwich_image(monkeypatch, s3a3):
 
     def corrupted(self, tcoords, mid):
         image = sandwich3(self, tcoords, mid)
-        return [x + y for x, y in zip(image, stray)] if tcoords[-1] else image
+        if core.dim - 1 not in tcoords:
+            return image
+        return sum_nonzeros(((QQ.one, image.items()), (QQ.one, stray.items())))
 
     monkeypatch.setattr(bialgebroid_mod.TripleTensorWitness, "sandwich3", corrupted)
     with pytest.raises(WitnessError, match="no preimage"):
@@ -411,7 +402,7 @@ def test_delta_check_catches_a_wrong_preimage(monkeypatch, s3a3):
 
     def off_by_one(target, generators, field):
         coeffs = solve(target, generators, field)
-        return [coeffs[0] + field.one] + coeffs[1:]
+        return {**coeffs, 0: coeffs.get(0, field.zero) + field.one}
 
     monkeypatch.setattr(bialgebroid_mod, "solve_in_span", off_by_one)
     with pytest.raises(WitnessError, match="W3 o Delta"):
@@ -455,18 +446,16 @@ def test_dual_bases_free_over_ground_field(c2_over_k):
     assert elems.rank() == n
     for i, phi in enumerate(left_db.functionals):
         for j, elem in enumerate(left_db.elements):
-            expected = core.R_alg.unit if i == j else [QQ.zero] * core.R_alg.dim
-            assert phi.apply(elem) == expected
+            expected = core.R_alg.unit if i == j else {}
+            assert phi.image(elem) == expected
 
 
 def _reconstructs(core, actions, db) -> bool:
     """The identity-column loop: x = sum_i combine(actions, phi_i(x)) m_i for every e_c."""
     field = core.A.field
     for x in unit_vectors(field, core.dim):
-        acc = [field.zero] * core.dim
-        for m_i, phi in zip(db.elements, db.functionals):
-            term = combine(actions, phi.apply(x)).apply(m_i)
-            acc = [a + b for a, b in zip(acc, term)]
+        acc = sum_nonzeros((field.one, combine(actions, phi.image(x)).image(m_i).items())
+                           for m_i, phi in zip(db.elements, db.functionals))
         if acc != x:
             return False
     return True

@@ -21,9 +21,10 @@ from depthtwo.catalog import (A3_INDICES, S3_TABLE, build_example, catalog_names
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import d2_iff_corollary_audit, tensor_with_t
 from depthtwo.linalg import (Matrix, Subspace, combine, insert_row, nullspace, reverse_rref,
-                             solve_in_span)
+                             solve_in_span, sum_nonzeros)
 
-from conftest import CATALOG_AND_A4, dense_s3a3, kron, unit_vectors
+from conftest import (CATALOG_AND_A4, dense, dense_apply, dense_eye, dense_s3a3, kron, sparse,
+                      unit_vectors)
 
 
 # -- tensor square -----------------------------------------------------------
@@ -63,10 +64,9 @@ def test_mu_factors_through_quotient(s3a3):
     for i in range(A.dim):
         for j in range(A.dim):
             cls = ts.class_of(A.basis_vector(i), A.basis_vector(j))
-            product = [QQ.zero] * A.dim
-            for (s, t), c in ts.lift_items(cls):
-                product = [x + c * y for x, y in zip(product, A.table[s][t])]
-            assert product == A.table[i][j]
+            product = sum_nonzeros((c, A.nonzeros[s][t].items())
+                                   for (s, t), c in ts.lift_items(cls))
+            assert product == A.nonzeros[i][j]
 
 
 def test_tensor_power_dims_chain(s3a3):
@@ -104,12 +104,12 @@ def test_balanced_tensor_relations_and_items(fixture, name, request):
     # m.c (x) n and m (x) c.n have the same class for every generator c
     for c in M.right_algebra.generating_indices():
         for m in eye_m:
-            mc = M.right_action[c].apply(m)
+            mc = M.right_action[c].image(m)
             for n in eye_n:
-                assert X.class_of(mc, n) == X.class_of(m, N.left_action[c].apply(n))
-    # the sparse lift is a section of the stagewise projection
+                assert X.class_of(mc, n) == X.class_of(m, N.left_action[c].image(n))
+    # the sparse lift is a section of the stagewise reduction
     for x in unit_vectors(field, X.dim):
-        assert X.project_items(X.lift_items(x)) == x
+        assert X.reduce_items(X.lift_items(x)) == x
     if name in ("ts", "q3"):
         X.check()
 
@@ -121,15 +121,9 @@ def test_class_of_sum_equals_the_summed_classes(fixture, name, request):
     X = _balanced_quotient(ext, name)
     field = ext.A.field
     rng = random.Random(f"{fixture}/{name}")
-    zero = [field.zero] * X.dim
 
     def leg(dim):
-        dense = [field.of(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(dim)]
-        # half the legs as {index: value} dicts, zeros left out
-        return dense if rng.random() < 0.5 else {i: x for i, x in enumerate(dense) if x}
-
-    def dense(v, dim):
-        return [v.get(i, field.zero) for i in range(dim)] if isinstance(v, dict) else v
+        return sparse([field.of(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(dim)])
 
     for _ in range(4):
         terms = [(field.of(rng.choice((0, 1, -1, 3))), leg(X.M.dim), leg(X.N.dim))
@@ -137,18 +131,18 @@ def test_class_of_sum_equals_the_summed_classes(fixture, name, request):
         # a term and its negative cancel
         c, x, y = terms[0]
         terms += [(field.of(2), x, y), (-field.of(2), x, y)]
-        expected = zero
+        classes = []
         for c, x, y in terms:
             cls = X.class_of(x, y)
-            # one term: the projection of the dense ambient vector x_i y_j at i * N.dim + j
-            assert cls == X.quot.project([a * b for a in dense(x, X.M.dim)
-                                          for b in dense(y, X.N.dim)])
-            expected = [u + c * v for u, v in zip(expected, cls)]
-        assert X.class_of_sum(terms) == expected
+            # one term: the reduction of the ambient vector x_i y_j at i * N.dim + j
+            assert cls == X.quot.reduce(sparse([a * b for a in dense(field, x, X.M.dim)
+                                                for b in dense(field, y, X.N.dim)]))
+            classes.append((c, cls.items()))
+        assert X.class_of_sum(terms) == sum_nonzeros(classes)
     cancelling = [(field.one, x, y), (-field.one, x, y)]
-    assert X.class_of_sum(cancelling) == zero
-    assert X.class_of_sum([(field.zero, x, y)]) == zero
-    assert X.class_of_sum([]) == zero
+    assert X.class_of_sum(cancelling) == {}
+    assert X.class_of_sum([(field.zero, x, y)]) == {}
+    assert X.class_of_sum([]) == {}
 
 
 def test_d2_path_induces_only_the_tensor_square_actions(monkeypatch):
@@ -186,7 +180,7 @@ def test_balanced_tensor_relations_match_the_kron_difference(fixture, name, requ
         rows.extend(diff.transpose().data)
     # the quotient kills exactly the span of the kron-difference rows
     for r in rows:
-        assert all(not x for x in X.quot.project(r))
+        assert X.quot.reduce(sparse(r)) == {}
     assert X.dim == M.dim * N.dim - Matrix(field, rows).rank()
 
 
@@ -271,7 +265,7 @@ def test_hom_from_a_is_b_central_tensor_square(s3a3):
     homs = hom_space(algebra_bimodule(s3a3, "A", "B"), restrict(ts, right=s3a3.iota))
     central = b_centralized(s3a3, ts)
     assert len(homs) == central.dim
-    images = [f.apply(s3a3.A.unit) for f in homs]
+    images = [f.image(s3a3.A.unit) for f in homs]
     assert Subspace.span(QQ, ts.dim, images).dim == len(homs)
     for img in images:
         assert central.contains(img)
@@ -306,7 +300,7 @@ def test_b_central_trivial_extension_matches_center(trivial_m2):
     rows = []
     for i in range(A.dim):
         diff = A.left_mult(i) - A.right_mult(i)
-        rows.extend(diff.data)
+        rows.extend(sparse(r) for r in diff.data)
     center = Subspace.span(QQ, A.dim, nullspace(rows, QQ, A.dim))
     assert central.dim == center.dim == 1
 
@@ -391,8 +385,8 @@ def test_quasibase_verifiers_reject_doubled_tensors(fixture, request):
     for qb, verify in ((right_d2_quasibase(ext), verify_right_quasibase),
                        (left_d2_quasibase(ext), verify_left_quasibase)):
         assert verify(ext, qb)
-        doubled = QuasibaseSet(qb.side, [(endo, [two * x for x in t]) for endo, t in qb.pairs],
-                               qb.ts)
+        doubled = QuasibaseSet(qb.side, [(endo, {i: two * x for i, x in t.items()})
+                                         for endo, t in qb.pairs], qb.ts)
         assert not verify(ext, doubled)
 
 
@@ -434,10 +428,8 @@ def test_endo_ring_splitting_from_quasibase(s3a3):
     for alpha in endos:
         total = Matrix.zeros(QQ, A.dim, A.dim)
         for gamma, u in rqb.pairs:
-            w = [QQ.zero] * A.dim
-            for (s, t), c in ts.lift_items(u):
-                term = A.mul(A.basis_vector(s), alpha.column(t))
-                w = [x + c * y for x, y in zip(w, term)]
+            w = sum_nonzeros((c, A.mul(A.basis_vector(s), alpha.cols[t]).items())
+                             for (s, t), c in ts.lift_items(u))
             total = total + combine(A.right_mults, w) @ gamma
         assert total == alpha
 
@@ -453,7 +445,7 @@ def test_m2_over_q_is_h_separable_with_azumaya_oracle():
     for i in range(A.dim):
         for j in range(A.dim):
             cols.append((A.left_mult(i) @ A.right_mult(j)).vec())
-    env = Matrix.from_columns(QQ, cols)
+    env = Matrix.from_columns(QQ, cols, nrows=A.dim ** 2)
     assert env.rank() == A.dim ** 2
 
 
@@ -468,7 +460,7 @@ def test_c2_over_q_not_h_separable(c2_over_k):
     A = c2_over_k.A
     cols = [(A.left_mult(i) @ A.right_mult(j)).vec()
             for i in range(A.dim) for j in range(A.dim)]
-    assert Matrix.from_columns(QQ, cols).rank() == 2
+    assert Matrix.from_columns(QQ, cols, nrows=A.dim ** 2).rank() == 2
 
 
 def test_compose_with_identity_extensions(sqrt2):
@@ -541,7 +533,7 @@ def _sub_bimodule(M: Bimodule, indices: list[int]) -> Subspace:
     """Span of a.e_i.b over all basis elements a, b of both acting algebras."""
     field = M.left_algebra.field
     eye = unit_vectors(field, M.dim)
-    vectors = [rho.apply(lam.apply(eye[i]))
+    vectors = [rho.image(lam.image(eye[i]))
                for i in indices for lam in M.left_action for rho in M.right_action]
     return Subspace.span(field, M.dim, vectors)
 
@@ -591,8 +583,9 @@ def _summand_pairs_on_all_of_end(M: Bimodule, P: Bimodule):
         return None
     pairs = []
     for b, g in enumerate(homs_mp):
-        column = [coeffs[a * len(homs_mp) + b] for a in range(len(homs_pm))]
-        if any(column):
+        column = {a: coeffs[a * len(homs_mp) + b] for a in range(len(homs_pm))
+                  if a * len(homs_mp) + b in coeffs}
+        if column:
             pairs.append((combine(homs_pm, column), g))
     return pairs
 
@@ -700,7 +693,7 @@ def test_d2_quasibases_solve_no_hom_space(monkeypatch):
 
 
 def _dense_bimodule_generators(M: Bimodule) -> list[int]:
-    """The generator closure with every action applied by ``Matrix.apply``."""
+    """The generator closure with every action applied densely, row by row."""
     field = M.left_algebra.field
     acts = [M.left_action[i] for i in M.left_algebra.generating_indices()]
     acts += [M.right_action[j] for j in M.right_algebra.generating_indices()]
@@ -710,7 +703,7 @@ def _dense_bimodule_generators(M: Bimodule) -> list[int]:
         return insert_row(span, {j: x for j, x in enumerate(v) if x}, field.one)
 
     gens = []
-    for i, e in enumerate(unit_vectors(field, M.dim)):
+    for i, e in enumerate(dense_eye(field, M.dim)):
         if len(span) == M.dim:
             break
         if not grow(e):
@@ -720,25 +713,25 @@ def _dense_bimodule_generators(M: Bimodule) -> list[int]:
         while frontier:
             w = frontier.pop()
             for act in acts:
-                img = act.apply(w)
+                img = dense_apply(act, w)
                 if grow(img):
                     frontier.append(img)
     return gens
 
 
 def _dense_summand_system(M: Bimodule, homs_pm, homs_mp):
-    """Every product f o g on the generators as one dense ``f.apply`` per generator."""
+    """Every product f o g on the generators as one dense application of f per generator."""
     gens = _dense_bimodule_generators(M)
-    g_on_gens = [[g.column(i) for i in gens] for g in homs_mp]
-    products = [[x for col in cols for x in f.apply(col)]
+    g_on_gens = [[[row[i] for row in g.data] for i in gens] for g in homs_mp]
+    products = [[x for col in cols for x in dense_apply(f, col)]
                 for f in homs_pm for cols in g_on_gens]
-    eye = unit_vectors(M.left_algebra.field, M.dim)
+    eye = dense_eye(M.left_algebra.field, M.dim)
     return products, [x for i in gens for x in eye[i]]
 
 
 def _dense_d2_hom_bases(ext, right: bool):
     """``_d2_hom_bases`` with the tensor-square actions and A's multiplication
-    matrices applied by ``Matrix.apply``."""
+    matrices applied densely, row by row."""
     A = ext.A
     field, n = A.field, A.dim
     ts = tensor_square(ext)
@@ -748,18 +741,18 @@ def _dense_d2_hom_bases(ext, right: bool):
     for t in t_space(ext).basis:
         row = {}
         for j, act in enumerate(acts):
-            for a, x in enumerate(act.apply(t)):
+            for a, x in enumerate(dense_apply(act, dense(field, t, d))):
                 if x:
                     row[a * n + j] = x
         into.append(row)
     mults = A.left_mults if right else A.right_mults
     onto = []
     for s in bb_endomorphisms(ext):
-        cols = [s.column(j) for j in range(s.ncols)]
+        cols = [[r[j] for r in s.data] for j in range(s.ncols)]
         row = {}
         for q, f in enumerate(ts.quot.free):
             i, j = divmod(f, n)
-            img = mults[i].apply(cols[j]) if right else mults[j].apply(cols[i])
+            img = dense_apply(mults[i], cols[j]) if right else dense_apply(mults[j], cols[i])
             for a, x in enumerate(img):
                 if x:
                     row[a * d + q] = x
@@ -794,11 +787,11 @@ def test_sparse_d2_kernels_equal_the_dense_construction(name):
             continue
         products, target = _summand_system(M, homs_pm, homs_mp)
         expected_products, expected_target = _dense_summand_system(M, homs_pm, homs_mp)
-        assert target == expected_target, (name, kind)
+        assert target == sparse(expected_target), (name, kind)
         assert len(products) == len(expected_products), (name, kind)
-        for sparse, dense in zip(products, expected_products):
-            assert all(x for x in sparse.values()), (name, kind)
-            assert [sparse.get(i, field.zero) for i in range(len(dense))] == dense, (name, kind)
+        for got, want in zip(products, expected_products):
+            assert all(x for x in got.values()), (name, kind)
+            assert [got.get(i, field.zero) for i in range(len(want))] == want, (name, kind)
 
 
 @pytest.mark.parametrize("name", ["s3-a3", "s3-a3-f5", "field-sqrt2"])
@@ -809,12 +802,13 @@ def test_sparse_constructions_hand_over_their_column_view(name):
     A = ext.A
     ts = tensor_square(ext)
     g = A.generating_indices()[-1]
+    cube = A.structure
     first_leg = kron(A.left_mults[g], Matrix.identity(A.field, A.dim))
     built = [ts.leg_map(A.left_mults[g], first=True),
              ts.leg_map(A.right_mults[g], first=False),
              ts.quot.induced(first_leg),
              ts.matrix_of(A.dim, lambda i, j: A.nonzeros[i][j]),
-             ts.matrix_of(A.dim, lambda i, j: A.table[i][j])]
+             ts.matrix_of(A.dim, lambda i, j: sparse(cube[i][j]))]
     for m in built:
         assert m.cols == Matrix(m.field, m.data).cols
     assert built[2] == built[0]

@@ -219,6 +219,7 @@ MALFORMED = {
     "modulus-a-cached-float": {"field": {"Fp": 5.0}, "table": [[0]], "subgroup": [0]},
     "modulus-a-float": {"field": {"Fp": 7.0}, "table": [[0]], "subgroup": [0]},
     "modulus-a-bool": {"field": {"Fp": True}, "table": [[0]], "subgroup": [0]},
+    "document-an-array": [],
 }
 
 
@@ -259,6 +260,14 @@ def test_malformed_input_is_one_error_line(doc, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_INPUT
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["[]", " [1, 2]"])
+def test_an_inline_array_is_read_as_a_document(text, capsys):
+    # not taken for a file name: the error names the wrong document, not a missing file
+    code, _ = run_cli("analyze", text)
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: input must be a JSON object\n"
 
 
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])

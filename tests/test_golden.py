@@ -47,14 +47,22 @@ def _plain(x):
     return str(x)
 
 
+def _pairs(qb) -> list | None:
+    """A quasibase's (map, tensor) pairs, each tensor as its dense coordinate list."""
+    if qb is None:
+        return None
+    zero = qb.ts.quot.field.zero
+    return [(m, [u.get(i, zero) for i in range(qb.ts.dim)]) for m, u in qb.pairs]
+
+
 def _artifacts(doc: dict) -> dict:
     ext = extension_from_json(doc)
     rqb = right_d2_quasibase(ext)
     lqb = left_d2_quasibase(ext)
     core = t_core(ext)
     out = {
-        "right_quasibase": None if rqb is None else rqb.pairs,
-        "left_quasibase": None if lqb is None else lqb.pairs,
+        "right_quasibase": _pairs(rqb),
+        "left_quasibase": _pairs(lqb),
         "T_alg.structure": core.T_alg.structure,
         "free.ts": tensor_square(ext).quot.free,
         "free.tt": core.tt.quot.free,

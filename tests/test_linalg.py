@@ -5,15 +5,29 @@ from fractions import Fraction
 
 import pytest
 
+from depthtwo.algebras import matrix_algebra
 from depthtwo.fields import GF, QQ, FpElement
 from depthtwo.linalg import (LinAlgError, Matrix, Subspace, combine, insert_row, nullspace,
                              quotient_structure, reverse_rref, rref, solve_in_span, sum_nonzeros)
 
-from conftest import kron, unit_vectors
+from conftest import dense_eye, kron, sparse as as_dict, unit_vectors
 
 
 def vec(field, *entries):
     return [field.of(e) for e in entries]
+
+
+def sv(field, *entries):
+    """The {index: value} vector with these dense entries."""
+    return as_dict(vec(field, *entries))
+
+
+def dicts(rows):
+    return [as_dict(r) for r in rows]
+
+
+def combination(field, coeffs: dict, vectors: list[dict]) -> dict:
+    return sum_nonzeros((c, vectors[i].items()) for i, c in coeffs.items())
 
 
 def random_matrix(rng, field, nrows, ncols, span=5):
@@ -24,42 +38,34 @@ def random_matrix(rng, field, nrows, ncols, span=5):
 # -- solve_in_span --------------------------------------------------------
 
 def test_solve_zero_vector_in_any_span():
-    assert solve_in_span(vec(QQ, 0, 0), [vec(QQ, 1, 2)], QQ) == vec(QQ, 0)
+    assert solve_in_span({}, [sv(QQ, 1, 2)], QQ) == {}
 
 
 def test_solve_identity_case():
-    assert solve_in_span(vec(QQ, 1, 2), [vec(QQ, 1, 2)], QQ) == vec(QQ, 1)
+    assert solve_in_span(sv(QQ, 1, 2), [sv(QQ, 1, 2)], QQ) == sv(QQ, 1)
 
 
 def test_solve_diagonal_case():
-    coeffs = solve_in_span(vec(QQ, 1, 1), [vec(QQ, 1, 0), vec(QQ, 0, 2)], QQ)
-    assert coeffs == [QQ.of(1), QQ.parse("1/2")]
+    coeffs = solve_in_span(sv(QQ, 1, 1), [sv(QQ, 1, 0), sv(QQ, 0, 2)], QQ)
+    assert coeffs == {0: QQ.of(1), 1: QQ.parse("1/2")}
 
 
 def test_solve_absent_when_outside_span():
-    assert solve_in_span(vec(QQ, 0, 1), [vec(QQ, 1, 0)], QQ) is None
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(LinAlgError):
-        solve_in_span(vec(QQ, 1), [vec(QQ, 1, 0)], QQ)
+    assert solve_in_span(sv(QQ, 0, 1), [sv(QQ, 1, 0)], QQ) is None
 
 
 def test_solve_succeeds_iff_rank_unchanged():
     rng = random.Random(7)
     for field in (QQ, GF(5)):
         for _ in range(40):
-            gens = random_matrix(rng, field, rng.randint(0, 4), 5)
-            target = [field.of(rng.randint(-5, 5)) for _ in range(5)]
+            gens = dicts(random_matrix(rng, field, rng.randint(0, 4), 5))
+            target = as_dict([field.of(rng.randint(-5, 5)) for _ in range(5)])
             _, p1 = rref(gens, field, 5)
             _, p2 = rref(gens + [target], field, 5)
             coeffs = solve_in_span(target, gens, field)
             if len(p1) == len(p2):
                 assert coeffs is not None
-                combo = [field.zero] * 5
-                for c, g in zip(coeffs, gens):
-                    combo = [a + c * b for a, b in zip(combo, g)]
-                assert combo == target
+                assert combination(field, coeffs, gens) == target
             else:
                 assert coeffs is None
 
@@ -70,7 +76,7 @@ def test_rref_is_idempotent():
     rng = random.Random(11)
     for field in (QQ, GF(3)):
         for _ in range(30):
-            rows = random_matrix(rng, field, 4, 6)
+            rows = dicts(random_matrix(rng, field, 4, 6))
             red, piv = rref(rows, field, 6)
             red2, piv2 = rref(red, field, 6)
             assert red == red2 and piv == piv2
@@ -81,12 +87,12 @@ def test_nullspace_vectors_annihilate():
     for field in (QQ, GF(5)):
         for _ in range(30):
             rows = random_matrix(rng, field, 3, 5)
-            m = Matrix(field, [r[:] for r in rows])
-            basis = nullspace(rows, field, 5)
-            _, piv = rref(rows, field, 5)
+            m = Matrix(field, rows)
+            basis = nullspace(dicts(rows), field, 5)
+            _, piv = rref(dicts(rows), field, 5)
             assert len(basis) == 5 - len(piv)
             for v in basis:
-                assert all(not x for x in m.apply(v))
+                assert m.image(v) == {}
 
 
 # -- matrix ops ------------------------------------------------------------
@@ -97,7 +103,7 @@ def test_matmul_against_apply():
     b = Matrix(QQ, random_matrix(rng, QQ, 4, 2))
     ab = a @ b
     for j in range(2):
-        assert ab.column(j) == a.apply(b.column(j))
+        assert ab.cols[j] == a.image(b.cols[j])
 
 
 def _row_dot(m: Matrix, v: list) -> list:
@@ -124,16 +130,15 @@ def test_column_view_image_and_apply_match_a_dense_reference(field):
     for m in mats:
         assert len(m.cols) == m.ncols
         for j, col in enumerate(m.cols):
-            assert col == {i: x for i, x in enumerate(m.column(j)) if x}
+            assert col == as_dict([row[j] for row in m.data])
         vectors = [random_matrix(rng, field, 1, m.ncols)[0] for _ in range(4)]
         vectors.append([field.zero] * m.ncols)
         for v in vectors:
-            expected = _row_dot(m, v)
-            assert m.apply(v) == expected
-            assert m.image(v) == {i: x for i, x in enumerate(expected) if x}
-            assert m.image({j: x for j, x in enumerate(v) if x}) == m.image(v)
-        with pytest.raises(LinAlgError):
-            m.apply([field.zero] * (m.ncols + 1))
+            assert m.image(as_dict(v)) == as_dict(_row_dot(m, v))
+        # an index outside the columns is an error, never another column
+        for bad in ({m.ncols: field.one}, {-1: field.one}):
+            with pytest.raises(LinAlgError):
+                m.image(bad)
     assert Matrix.zeros(field, 0, 3).cols == [{}, {}, {}]
     assert Matrix.zeros(field, 3, 0).cols == []
     assert Matrix.zeros(field, 2, 2).cols == [{}, {}]
@@ -151,8 +156,6 @@ def test_from_columns_keeps_dict_columns_as_the_view(field):
     assert m.cols == columns
     assert m.data == [tuple(row + [field.zero]) for row in dense]
     assert Matrix(field, m.data).cols == columns
-    # dense columns give the same matrix and view
-    assert Matrix.from_columns(field, [m.column(j) for j in range(4)]).cols == columns
     with pytest.raises(LinAlgError):
         Matrix.from_columns(field, [{4: field.one}], nrows=4)
 
@@ -238,14 +241,57 @@ def test_column_arithmetic_matches_nested_list_arithmetic():
         assert dense(-ma) == (r, k, [[-x for x in u] for u in a])
         assert dense(ma.transpose()) == (k, r, [[a[i][j] for i in range(r)] for j in range(k)])
         assert ma.rank() == _dense_gauss_jordan(field, a, k)[1]
-        flat = [x for u in a for x in u]
+        flat = as_dict([x for u in a for x in u])
         assert ma.vec() == flat
         assert Matrix.unvec(field, flat, r, k) == ma
+        with pytest.raises(LinAlgError):
+            Matrix.unvec(field, {r * k: field.one}, r, k)
         coeffs = [s, field.of(data.draw(st.integers(-2, 2), label="coeff"))]
-        assert dense(combine([ma, ma2], coeffs)) == (
+        assert dense(combine([ma, ma2], as_dict(coeffs))) == (
             r, k, [[coeffs[0] * x + coeffs[1] * y for x, y in zip(u, v)] for u, v in zip(a, a2)])
-        assert combine([ma, ma2], {i: x for i, x in enumerate(coeffs) if x}) == \
-            combine([ma, ma2], coeffs)
+        for bad in ({2: s}, {-1: s}):
+            with pytest.raises(LinAlgError):
+                combine([ma, ma2], bad)
+
+        # the {index: value} vector API, including the empty vector and 0-dimensional spaces
+        v = rows(1, k)[0]
+        assert ma.image(as_dict(v)) == as_dict(
+            [sum((a[i][t] * v[t] for t in range(k)), zero) for i in range(r)])
+        assert ma.image({}) == {}
+        for bad in ({k: field.one}, {-1: field.one}):
+            with pytest.raises(LinAlgError):
+                ma.image(bad)
+        red, rank = _dense_gauss_jordan(field, a, k)
+        red = dicts(red[:rank])
+        space = Subspace.span(field, k, dicts(a))
+        assert space.basis == red and space.dim == rank
+        weights = as_dict([field.of(data.draw(st.integers(-2, 2))) for _ in red])
+        member = combination(field, weights, red)
+        assert space.contains(member) and space.coords(member) == weights
+        assert space.coords({}) == {}
+        in_span = _dense_gauss_jordan(field, a + [v], k)[1] == rank
+        assert space.contains(as_dict(v)) == in_span
+        assert (space.coords(as_dict(v)) is None) != in_span
+        solution = solve_in_span(as_dict(v), dicts(a), field)
+        assert (solution is None) != in_span
+        if solution is not None:
+            assert combination(field, solution, dicts(a)) == as_dict(v)
+        null = nullspace(dicts(a), field, k)
+        assert len(null) == k - rank and all(ma.image(x) == {} for x in null)
+        assert reverse_rref(null, field, k) == null
+        q = quotient_structure(field, k, dicts(a))
+        assert q.dim == k - rank and all(q.reduce(u) == {} for u in dicts(a))
+        coords = as_dict([field.of(data.draw(st.integers(-2, 2))) for _ in range(q.dim)])
+        assert q.reduce(q.lift(coords)) == coords
+        assert q.reduce({}) == {} == q.lift({})
+
+        # FiniteAlgebra.mul on M_m against the product of the matrices
+        m = data.draw(st.integers(1, 2), label="m")
+        x, y = rows(m, m), rows(m, m)
+        flat_xy = [sum((x[i][t] * y[t][j] for t in range(m)), zero)
+                   for i in range(m) for j in range(m)]
+        assert matrix_algebra(field, m).mul(as_dict([e for u in x for e in u]),
+                                            as_dict([e for u in y for e in u])) == as_dict(flat_xy)
 
         n = data.draw(st.integers(0, 4), label="n")
         sq = rows(n, n)
@@ -254,11 +300,20 @@ def test_column_arithmetic_matches_nested_list_arithmetic():
             with pytest.raises(LinAlgError):
                 msq.inverse()
         else:
-            eye = unit_vectors(field, n)
+            eye = dense_eye(field, n)
             red, _ = _dense_gauss_jordan(field, [u + e for u, e in zip(sq, eye)], 2 * n)
             assert dense(msq.inverse()) == (n, n, [row[n:] for row in red])
 
     check()
+
+
+def test_image_and_combine_reject_indices_outside_the_range():
+    m = Matrix(QQ, [vec(QQ, 1, 2), vec(QQ, 3, 4)])
+    with pytest.raises(LinAlgError):
+        m.image({-1: QQ.one})
+    with pytest.raises(LinAlgError):
+        combine([m, m], {5: QQ.one})
+    assert combine([m, m], {1: QQ.one}) == m
 
 
 def test_sum_nonzeros_drops_cancelled_entries():
@@ -293,18 +348,18 @@ def test_inverse_singular_raises():
 # -- subspaces ---------------------------------------------------------------
 
 def test_subspace_membership_and_equality():
-    s = Subspace.span(QQ, 3, [vec(QQ, 1, 0, 1), vec(QQ, 0, 1, 1)])
-    assert s.contains(vec(QQ, 1, 1, 2))
-    assert not s.contains(vec(QQ, 1, 1, 1))
-    s2 = Subspace.span(QQ, 3, [vec(QQ, 1, 1, 2), vec(QQ, 1, 0, 1)])
+    s = Subspace.span(QQ, 3, [sv(QQ, 1, 0, 1), sv(QQ, 0, 1, 1)])
+    assert s.contains(sv(QQ, 1, 1, 2))
+    assert not s.contains(sv(QQ, 1, 1, 1))
+    s2 = Subspace.span(QQ, 3, [sv(QQ, 1, 1, 2), sv(QQ, 1, 0, 1)])
     assert s == s2
 
 
 def test_intersection_and_sum_dims():
     rng = random.Random(23)
     for _ in range(25):
-        u = Subspace.span(QQ, 5, random_matrix(rng, QQ, 2, 5))
-        v = Subspace.span(QQ, 5, random_matrix(rng, QQ, 3, 5))
+        u = Subspace.span(QQ, 5, dicts(random_matrix(rng, QQ, 2, 5)))
+        v = Subspace.span(QQ, 5, dicts(random_matrix(rng, QQ, 3, 5)))
         inter = u.intersect(v)
         total = u.sum_with(v)
         assert inter.dim + total.dim == u.dim + v.dim
@@ -320,8 +375,8 @@ def test_quotient_by_zero_is_identity():
     q = quotient_structure(QQ, 3, [])
     assert q.dim == 3
     for e in unit_vectors(QQ, 3):
-        assert q.project(e) == e
-        assert q.lift(e) == as_dict(e)
+        assert q.reduce(e) == e
+        assert q.lift(e) == e
 
 
 def test_quotient_by_full_space_is_zero():
@@ -330,22 +385,22 @@ def test_quotient_by_full_space_is_zero():
 
 
 def test_quotient_identifies_one_relation():
-    q = quotient_structure(QQ, 2, [vec(QQ, 1, -1)])
+    q = quotient_structure(QQ, 2, [sv(QQ, 1, -1)])
     assert q.dim == 1
-    assert q.project(vec(QQ, 1, 0)) == q.project(vec(QQ, 0, 1))
+    assert q.reduce(sv(QQ, 1, 0)) == q.reduce(sv(QQ, 0, 1))
 
 
 def test_quotient_invariants_random():
     rng = random.Random(29)
     for field in (QQ, GF(5)):
         for _ in range(25):
-            rel = Subspace.span(field, 6, random_matrix(rng, field, 2, 6))
+            rel = Subspace.span(field, 6, dicts(random_matrix(rng, field, 2, 6)))
             q = quotient_structure(field, 6, rel.basis)
-            # project o lift is the identity on quotient coordinates
+            # reduce o lift is the identity on quotient coordinates
             for e in unit_vectors(field, q.dim):
-                assert q.project(q.lift(e)) == e
+                assert q.reduce(q.lift(e)) == e
             for r in rel.basis:
-                assert all(not x for x in q.project(r))
+                assert q.reduce(r) == {}
             assert q.dim == 6 - rel.dim
 
 
@@ -369,10 +424,6 @@ def reference_rref(rows, field, ncols):
     return rows[:r], pivots
 
 
-def as_dict(row):
-    return {c: x for c, x in enumerate(row) if x}
-
-
 def sparse_random_rows(rng, field, nrows, ncols):
     rows = [[field.of(rng.choice((0, 0, 0, 1, -1, 2, 3))) for _ in range(ncols)]
             for _ in range(nrows)]
@@ -389,11 +440,8 @@ def test_rref_of_dict_rows_equals_dense_and_reference():
         for _ in range(60):
             ncols = rng.randint(0, 7)
             rows = sparse_random_rows(rng, field, rng.randint(0, 10), ncols)
-            dense = rref(rows, field, ncols)
-            assert rref([as_dict(r) for r in rows], field, ncols) == dense
-            assert dense == reference_rref(rows, field, ncols)
-            mixed = [as_dict(r) if i % 2 else r for i, r in enumerate(rows)]
-            assert rref(mixed, field, ncols) == dense
+            red, pivots = reference_rref(rows, field, ncols)
+            assert rref(dicts(rows), field, ncols) == (dicts(red), pivots)
 
 
 def test_insert_row_keeps_the_rref_of_every_prefix():
@@ -410,7 +458,7 @@ def test_insert_row_keeps_the_rref_of_every_prefix():
                 assert grew or len(basis) == rank
                 red, pivots = reference_rref(rows[:k + 1], field, ncols)
                 assert sorted(basis) == pivots
-                assert Subspace(field, ncols, basis).basis == red
+                assert Subspace(field, ncols, basis).basis == dicts(red)
 
 def test_rref_edge_cases():
     for field in (QQ, GF(2)):
@@ -418,12 +466,12 @@ def test_rref_edge_cases():
         assert rref([], field, 0) == ([], [])
         assert rref([{}, {}], field, 0) == ([], [])
         assert rref([{}, {}], field, 3) == ([], [])
-        assert rref([[zero] * 3], field, 3) == ([], [])
+        assert rref([{1: zero}], field, 3) == ([], [])
         # more rows than columns, with duplicates
         red, piv = rref([{1: one}, {1: one}, {0: one, 1: one}, {}], field, 2)
-        assert (red, piv) == ([[one, zero], [zero, one]], [0, 1])
+        assert (red, piv) == ([{0: one}, {1: one}], [0, 1])
     # the stored value 0 in a dict is a zero entry
-    assert rref([{0: QQ.zero, 2: QQ.of(2)}], QQ, 3) == ([vec(QQ, 0, 0, 1)], [2])
+    assert rref([{0: QQ.zero, 2: QQ.of(2)}], QQ, 3) == ([{2: QQ.one}], [2])
 
 
 def test_sparse_rows_outside_the_columns_are_rejected():
@@ -433,12 +481,6 @@ def test_sparse_rows_outside_the_columns_are_rejected():
             rref([bad], QQ, 3)
         with pytest.raises(LinAlgError):
             Subspace.span(QQ, 3, [bad])
-        with pytest.raises(LinAlgError):
-            solve_in_span(vec(QQ, 1, 0, 0), [bad], QQ)
-    with pytest.raises(LinAlgError):
-        rref([vec(QQ, 1, 2)], QQ, 3)
-    with pytest.raises(LinAlgError):
-        Subspace.span(QQ, 3, [vec(QQ, 1, 2)])
 
 
 def test_solve_in_span_with_dict_generators():
@@ -447,8 +489,9 @@ def test_solve_in_span_with_dict_generators():
         for _ in range(30):
             gens = sparse_random_rows(rng, field, rng.randint(0, 4), 5)
             target = [field.of(rng.randint(-3, 3)) for _ in range(5)]
-            assert solve_in_span(target, [as_dict(g) for g in gens], field) == \
-                solve_in_span(target, gens, field)
+            expected = reference_solve(target, gens, field)
+            assert solve_in_span(as_dict(target), dicts(gens), field) == \
+                (None if expected is None else as_dict(expected))
 
 
 def test_subspace_span_of_dict_rows():
@@ -456,33 +499,39 @@ def test_subspace_span_of_dict_rows():
     for field in (QQ, GF(3)):
         for _ in range(20):
             rows = sparse_random_rows(rng, field, 4, 6)
-            assert Subspace.span(field, 6, [as_dict(r) for r in rows]) == \
-                Subspace.span(field, 6, rows)
+            space = Subspace.span(field, 6, dicts(rows))
+            assert space.basis == dicts(reference_rref(rows, field, 6)[0])
+            assert space == Subspace.span(field, 6, space.basis)
 
 
 def test_subspace_coords_agree_with_solve_in_span():
     rng = random.Random(53)
     for field in (QQ, GF(2), GF(5)):
         for _ in range(30):
-            space = Subspace.span(field, 6, sparse_random_rows(rng, field, 3, 6))
-            coeffs = [field.of(rng.randint(-3, 3)) for _ in range(space.dim)]
-            member = [field.zero] * 6
-            for c, b in zip(coeffs, space.basis):
-                member = [x + c * y for x, y in zip(member, b)]
+            space = Subspace.span(field, 6, dicts(sparse_random_rows(rng, field, 3, 6)))
+            coeffs = as_dict([field.of(rng.randint(-3, 3)) for _ in range(space.dim)])
+            member = combination(field, coeffs, space.basis)
             assert space.coords(member) == coeffs
             assert space.coords(member) == solve_in_span(member, space.basis, field)
-            other = [field.of(rng.randint(-3, 3)) for _ in range(6)]
+            other = as_dict([field.of(rng.randint(-3, 3)) for _ in range(6)])
             expected = solve_in_span(other, space.basis, field)
             assert space.coords(other) == expected
             assert (expected is None) == (not space.contains(other))
 
 
 def test_subspace_coords_off_the_subspace_is_none():
-    space = Subspace.span(QQ, 3, [vec(QQ, 1, 1, 0)])
-    assert space.coords(vec(QQ, 2, 2, 0)) == vec(QQ, 2)
-    assert space.coords(vec(QQ, 1, 0, 0)) is None
-    assert Subspace.zero(QQ, 3).coords(vec(QQ, 0, 0, 0)) == []
-    assert Subspace.zero(QQ, 3).coords(vec(QQ, 0, 1, 0)) is None
+    space = Subspace.span(QQ, 3, [sv(QQ, 1, 1, 0)])
+    assert space.coords(sv(QQ, 2, 2, 0)) == sv(QQ, 2)
+    assert space.coords(sv(QQ, 1, 0, 0)) is None
+    assert Subspace.zero(QQ, 3).coords({}) == {}
+    assert Subspace.zero(QQ, 3).coords(sv(QQ, 0, 1, 0)) is None
+
+
+def test_subspace_coords_of_a_vector_zero_at_a_pivot():
+    space = Subspace.span(QQ, 3, [sv(QQ, 1, 0, 0), sv(QQ, 0, 1, 0)])
+    assert space.coords({0: QQ.one}) == {0: QQ.one}
+    assert space.coords({1: QQ.of(3)}) == {1: QQ.of(3)}
+    assert space.coords({0: QQ.zero, 1: QQ.one}) == {1: QQ.one}
 
 
 def reference_quotient(rows, field, ncols):
@@ -510,7 +559,7 @@ def dense_apply(field, rows, v):
 def relation_cases(rng, field, ncols):
     """Zero, full and random sparse relation sets."""
     yield []
-    yield unit_vectors(field, ncols)
+    yield dense_eye(field, ncols)
     for _ in range(12):
         yield sparse_random_rows(rng, field, rng.randint(1, ncols), ncols)
 
@@ -523,15 +572,14 @@ def test_reverse_rref_of_a_spanning_set_is_the_nullspace_basis():
         for _ in range(30):
             ncols = rng.randint(1, 7)
             for rows in relation_cases(rng, field, ncols):
-                basis = nullspace(rows, field, ncols)
-                combos = [[field.of(rng.randint(-3, 3)) for _ in basis]
+                basis = nullspace(dicts(rows), field, ncols)
+                assert basis == dicts(reference_nullspace(rows, field, ncols))
+                combos = [as_dict([field.of(rng.randint(-3, 3)) for _ in basis])
                           for _ in range(len(basis) + rng.randint(0, 3))]
-                span = [[sum((c * v[k] for c, v in zip(combo, basis)), field.zero)
-                         for k in range(ncols)] for combo in combos]
-                span += [v[:] for v in basis]  # makes the set spanning
+                span = [combination(field, combo, basis) for combo in combos]
+                span += [dict(v) for v in basis]  # makes the set spanning
                 rng.shuffle(span)
-                mixed = [as_dict(v) if i % 2 else v for i, v in enumerate(span)]
-                assert reverse_rref(mixed, field, ncols) == basis
+                assert reverse_rref(span, field, ncols) == basis
                 assert reverse_rref(basis, field, ncols) == basis
 
 
@@ -539,11 +587,11 @@ def test_reverse_rref_of_the_zero_and_full_spaces():
     for field in (QQ, GF(2), GF(5)):
         eye = unit_vectors(field, 4)
         assert nullspace(eye, field, 4) == [] == reverse_rref([], field, 4)
-        assert reverse_rref([{}, [field.zero] * 4], field, 4) == []
+        assert reverse_rref([{}, {2: field.zero}], field, 4) == []
         full = nullspace([], field, 4)
         assert full == eye
         # an invertible mix of the unit vectors, leading columns reversed
-        mix = [[field.of(x) for x in row] for row in
+        mix = [sv(field, *row) for row in
                ([1, 1, 0, 0], [0, 1, 1, 0], [2, 0, 1, 1], [0, 0, 0, 1])]
         assert reverse_rref(mix, field, 4) == full
         assert reverse_rref([], field, 0) == []
@@ -554,19 +602,14 @@ def test_sparse_quotient_agrees_with_the_dense_reference():
     n = 6
     for field in (QQ, GF(2), GF(5)):
         for rows in relation_cases(rng, field, n):
-            q = quotient_structure(field, n, [as_dict(r) for r in rows])
+            q = quotient_structure(field, n, dicts(rows))
             proj, sect = reference_quotient(rows, field, n)
             assert q.dim == len(proj)
             assert q.free == [j for j in range(n) if any(sect[j])]
-            for v in random_matrix(rng, field, 4, n) + unit_vectors(field, n):
-                expected = dense_apply(field, proj, v)
-                assert q.project(v) == expected
-                assert q.project(as_dict(v)) == expected
-                assert q.reduce(v) == as_dict(expected)
-            for c in random_matrix(rng, field, 3, q.dim) + unit_vectors(field, q.dim):
-                expected = as_dict(dense_apply(field, sect, c))
-                assert q.lift(c) == expected
-                assert q.lift(as_dict(c)) == expected
+            for v in random_matrix(rng, field, 4, n) + [[field.zero] * n]:
+                assert q.reduce(as_dict(v)) == as_dict(dense_apply(field, proj, v))
+            for c in random_matrix(rng, field, 3, q.dim) + [[field.zero] * q.dim]:
+                assert q.lift(as_dict(c)) == as_dict(dense_apply(field, sect, c))
             ambient_map = Matrix(field, random_matrix(rng, field, n, n))
             induced = q.induced(ambient_map)
             assert induced.nrows == q.dim
@@ -575,18 +618,18 @@ def test_sparse_quotient_agrees_with_the_dense_reference():
 
 
 def test_sparse_quotient_rejects_bad_shapes():
-    q = quotient_structure(QQ, 3, [vec(QQ, 1, -1, 0)])
-    for bad in (vec(QQ, 1, 0), vec(QQ, 1, 0, 0, 0), {3: QQ.one}, {-1: QQ.one}):
+    q = quotient_structure(QQ, 3, [sv(QQ, 1, -1, 0)])
+    for bad in ({3: QQ.one}, {-1: QQ.one}, {"0": QQ.one}):
         with pytest.raises(LinAlgError):
-            q.project(bad)
-    for bad in (vec(QQ, 1), vec(QQ, 1, 0, 0), {2: QQ.one}, {"0": QQ.one}):
+            q.reduce(bad)
+    for bad in ({2: QQ.one}, {-1: QQ.one}, {"0": QQ.one}):
         with pytest.raises(LinAlgError):
             q.lift(bad)
     for bad in (Matrix.identity(QQ, 2), Matrix.zeros(QQ, 3, 2)):
         with pytest.raises(LinAlgError):
             q.induced(bad)
     with pytest.raises(LinAlgError):
-        quotient_structure(QQ, 2, [vec(QQ, 1, 0, 0)])
+        quotient_structure(QQ, 2, [{2: QQ.one}])
 
 
 def test_quotient_induced_equals_projection_map_section():
@@ -594,7 +637,7 @@ def test_quotient_induced_equals_projection_map_section():
     for field in (QQ, GF(5)):
         for _ in range(20):
             rows = sparse_random_rows(rng, field, 2, 5)
-            q = quotient_structure(field, 5, rows)
+            q = quotient_structure(field, 5, dicts(rows))
             proj, sect = reference_quotient(rows, field, 5)
             ambient_map = Matrix(field, random_matrix(rng, field, 5, 5))
             assert q.induced(ambient_map) == Matrix(field, proj) @ ambient_map @ Matrix(field, sect)
@@ -608,16 +651,16 @@ def shuffled_cases(rng, field):
     for _ in range(25):
         ncols = rng.randint(1, 7)
         cases = [sparse_random_rows(rng, field, rng.randint(1, 9), ncols),
-                 unit_vectors(field, ncols) + [[field.zero] * ncols]]
+                 dense_eye(field, ncols) + [[field.zero] * ncols]]
         # full rank with every row leading at column 0
         full = [[field.of(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(ncols)]
         if len(reference_rref(full, field, ncols)[1]) == ncols and all(row[0] for row in full):
             cases.append(full)
         for rows in cases:
             rows = rows + [rows[rng.randrange(len(rows))][:]]  # a duplicate row
-            mixed = [as_dict(r) if rng.random() < 0.5 else r[:] for r in rows]
-            rng.shuffle(mixed)
-            yield ncols, rows, mixed
+            shuffled = dicts(rows)
+            rng.shuffle(shuffled)
+            yield ncols, rows, shuffled
 
 
 def reference_solve(target, generators, field):
@@ -636,17 +679,18 @@ def reference_solve(target, generators, field):
 def test_shuffled_rows_give_the_reference_results():
     rng = random.Random(71)
     for field in (QQ, GF(2), GF(5)):
-        for ncols, rows, mixed in shuffled_cases(rng, field):
+        for ncols, rows, shuffled in shuffled_cases(rng, field):
             red, pivots = reference_rref(rows, field, ncols)
-            assert rref(mixed, field, ncols) == (red, pivots)
-            basis = nullspace(mixed, field, ncols)
-            assert basis == nullspace(rows, field, ncols)
+            assert rref(shuffled, field, ncols) == (dicts(red), pivots)
+            basis = nullspace(shuffled, field, ncols)
+            assert basis == dicts(reference_nullspace(rows, field, ncols))
             assert len(basis) == ncols - len(pivots)
+            m = Matrix(field, rows)
             for v in basis:
-                assert all(not x for x in dense_apply(field, rows, v))
-            q = quotient_structure(field, ncols, mixed)
+                assert m.image(v) == {}
+            q = quotient_structure(field, ncols, shuffled)
             assert q.free == [c for c in range(ncols) if c not in pivots]
-            assert Subspace(field, ncols, q.rows).basis == red
+            assert Subspace(field, ncols, q.rows).basis == dicts(red)
             # the rows as generators, with their coordinates (the equations) shuffled
             perm = list(range(ncols))
             rng.shuffle(perm)
@@ -654,16 +698,16 @@ def test_shuffled_rows_give_the_reference_results():
                                                            for _ in rows])
             for target in (inside, [field.of(rng.randint(-2, 2)) for _ in range(ncols)]):
                 expected = reference_solve(target, rows, field)
-                gens = [[g[p] for p in perm] for g in rows]
-                gens = [as_dict(g) if k % 2 else g for k, g in enumerate(gens)]
-                assert solve_in_span([target[p] for p in perm], gens, field) == expected
+                gens = dicts([g[p] for p in perm] for g in rows)
+                assert solve_in_span(as_dict([target[p] for p in perm]), gens, field) == \
+                    (None if expected is None else as_dict(expected))
             assert reference_solve(inside, rows, field) is not None
 
 
 def test_bad_rows_are_rejected_wherever_they_stand():
     one = QQ.one
-    good = [vec(QQ, 0, 0, 1), vec(QQ, 1, 0, 0)]
-    for bad in ({3: one}, {-1: one}, {"0": one}, vec(QQ, 1, 2), vec(QQ, 1, 2, 3, 4)):
+    good = [sv(QQ, 0, 0, 1), sv(QQ, 1, 0, 0)]
+    for bad in ({3: one}, {-1: one}, {"0": one}):
         for at in range(len(good) + 1):
             rows = good[:at] + [bad] + good[at:]
             for call in (lambda: rref(rows, QQ, 3), lambda: nullspace(rows, QQ, 3),
@@ -740,21 +784,19 @@ def test_kernel_results_equal_the_reference(field):
     for _ in range(30):
         ncols = rng.randint(1, 7)
         rows = kernel_rows(rng, field, rng.randint(0, 7), ncols)
-        mixed = [as_dict(r) if rng.random() < 0.5 else r for r in rows]
         red, pivots = reference_rref(rows, field, ncols)
-        out = rref(mixed, field, ncols)
-        assert out == (red, pivots)
+        out = rref(dicts(rows), field, ncols)
+        assert out == (dicts(red), pivots)
         assert_field_values(field, out[0])
 
-        basis = nullspace(mixed, field, ncols)
-        assert basis == reference_nullspace(rows, field, ncols)
+        basis = nullspace(dicts(rows), field, ncols)
+        assert basis == dicts(reference_nullspace(rows, field, ncols))
         assert_field_values(field, basis)
-        combos = [[kernel_entry(rng, field) for _ in basis] for _ in range(rng.randint(0, 3))]
-        spanning = [[sum((c * v[k] for c, v in zip(combo, basis)), field.zero)
-                     for k in range(ncols)] for combo in combos] + basis
+        combos = [as_dict([kernel_entry(rng, field) for _ in basis])
+                  for _ in range(rng.randint(0, 3))]
+        spanning = [combination(field, combo, basis) for combo in combos] + basis
         rng.shuffle(spanning)
-        rev = reverse_rref([as_dict(v) if rng.random() < 0.5 else v for v in spanning],
-                           field, ncols)
+        rev = reverse_rref(spanning, field, ncols)
         assert rev == basis
         assert_field_values(field, rev)
 
@@ -762,42 +804,44 @@ def test_kernel_results_equal_the_reference(field):
         inside = [sum((c * r[k] for c, r in zip(combo, rows)), field.zero) for k in range(ncols)]
         anywhere = [kernel_entry(rng, field) for _ in range(ncols)]
         for target in (inside, anywhere):
-            coeffs = solve_in_span(target, [as_dict(r) for r in rows], field)
-            assert coeffs == reference_solve(target, rows, field)
+            coeffs = solve_in_span(as_dict(target), dicts(rows), field)
+            expected = reference_solve(target, rows, field)
+            assert coeffs == (None if expected is None else as_dict(expected))
             if coeffs is not None:
                 assert_field_values(field, coeffs)
 
-        space = Subspace.span(field, ncols, mixed)
-        assert space.basis == red and space.pivots == pivots
+        space = Subspace.span(field, ncols, dicts(rows))
+        assert space.basis == dicts(red) and space.pivots == pivots
         assert_field_values(field, space.basis)
-        assert space == Subspace.span(field, ncols, list(reversed(rows)))
+        assert space == Subspace.span(field, ncols, dicts(reversed(rows)))
         for vec in (inside, anywhere):
             member = len(reference_rref(rows + [vec], field, ncols)[1]) == len(pivots)
-            assert space.contains(vec) == space.contains(as_dict(vec)) == member
-            coords = space.coords(vec)
-            assert coords == reference_solve(vec, red, field)
+            assert space.contains(as_dict(vec)) == member
+            coords = space.coords(as_dict(vec))
+            expected = reference_solve(vec, red, field)
+            assert coords == (None if expected is None else as_dict(expected))
             if coords is not None:
                 assert_field_values(field, coords)
 
         other_rows = kernel_rows(rng, field, rng.randint(0, 4), ncols)
-        other = Subspace.span(field, ncols, other_rows)
+        other = Subspace.span(field, ncols, dicts(other_rows))
         total = space.sum_with(other)
-        assert total.basis == reference_rref(rows + other_rows, field, ncols)[0]
+        assert total.basis == dicts(reference_rref(rows + other_rows, field, ncols)[0])
         inter = space.intersect(other)
-        assert inter.basis == reference_intersection(red, other.basis, field, ncols)
+        dense_other = [[v.get(c, field.zero) for c in range(ncols)] for v in other.basis]
+        assert inter.basis == dicts(reference_intersection(red, dense_other, field, ncols))
         assert_field_values(field, total.basis + inter.basis)
         assert inter.dim + total.dim == space.dim + other.dim
 
-        q = quotient_structure(field, ncols, mixed)
+        q = quotient_structure(field, ncols, dicts(rows))
         proj, sect = reference_quotient(rows, field, ncols)
         for vec in (inside, anywhere):
-            expected = dense_apply(field, proj, vec)
-            assert q.project(vec) == q.project(as_dict(vec)) == expected
-            assert q.reduce(vec) == as_dict(expected)
-            assert_field_values(field, [q.project(vec), q.reduce(vec)])
+            reduced = q.reduce(as_dict(vec))
+            assert reduced == as_dict(dense_apply(field, proj, vec))
+            assert_field_values(field, reduced)
         coords = [kernel_entry(rng, field) for _ in range(q.dim)]
-        assert q.lift(coords) == as_dict(dense_apply(field, sect, coords))
-        assert_field_values(field, q.lift(coords))
+        assert q.lift(as_dict(coords)) == as_dict(dense_apply(field, sect, coords))
+        assert_field_values(field, q.lift(as_dict(coords)))
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=["Q", "F2", "F5", "F2^61-1"])
@@ -822,6 +866,6 @@ def test_insert_row_in_random_order_keeps_the_reference_rref(field):
                 else:
                     scanned += 1
             view = Subspace(field, ncols, basis).basis
-            assert view == reference_rref(rows[:k + 1], field, ncols)[0]
+            assert view == dicts(reference_rref(rows[:k + 1], field, ncols)[0])
             assert_field_values(field, view)
     assert skipped and scanned
