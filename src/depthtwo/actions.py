@@ -223,8 +223,8 @@ def anchor(ext: Extension, rqb: QuasibaseSet,
         for r in range(rdim):
             for s in range(rdim):
                 lhs = action[c].image(R.nonzeros[r][s])
-                rhs = sum_nonzeros((coeff, R.mul(action[e].cols[r], action[f].cols[s]).items())
-                                   for (e, f), coeff in lift)
+                rhs = sum_nonzeros(((coeff, R.mul(action[e].cols[r], action[f].cols[s]).items())
+                                    for (e, f), coeff in lift), field.char)
                 if lhs != rhs:
                     raise AlgebraError(
                         f"anchor measuring fails at (r_{r}, r_{s}, t_{c})")

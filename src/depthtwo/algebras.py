@@ -2,7 +2,8 @@
 
 An algebra lives entirely in coordinates: the nonzero structure constants
 ``nonzeros[i][j]`` = {k: c} with e_i e_j = sum_k c e_k, and the unit as an
-{index: value} vector, the vector format of ``linalg``.  A dense cube
+{index: value} vector, the vector format of ``linalg``, with native values
+(ints mod p over F_p) taken through ``linalg.entry``.  A dense cube
 c[i][j][k] is read once where it enters (``make_algebra``), and
 ``structure`` rebuilds it on each read, for output.  Extensions are
 unit-preserving morphisms iota: B -> A; they are never assumed injective,
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import Matrix, Subspace, combine, insert_row, nullspace, sum_nonzeros
+from .linalg import (Matrix, Subspace, combine, entry, insert_row, native_one, native_zero,
+                     nullspace, sum_nonzeros)
 # re-exported: callers and profiling tools look solve_in_span up in this module
 from .linalg import solve_in_span  # noqa: F401
 
@@ -31,7 +33,7 @@ class FiniteAlgebra:
 
     ``nonzeros[i][j]`` is the {k: value} dict of the nonzero coordinates of
     e_i * e_j, and ``unit`` the {index: value} coordinates of 1; neither
-    holds a zero.
+    holds a zero, and both are read through the entry conversion.
     """
 
     __slots__ = ("field", "dim", "nonzeros", "unit", "_left", "_right", "_generators")
@@ -39,8 +41,8 @@ class FiniteAlgebra:
     def __init__(self, field, nonzeros: list[list[dict]], unit: dict, validate: bool = True):
         self.field = field
         self.dim = len(nonzeros)
-        self.nonzeros = nonzeros
-        self.unit = unit
+        self.nonzeros = [[entry(field, c) for c in plane] for plane in nonzeros]
+        self.unit = entry(field, unit)
         self._left: list[Matrix] | None = None
         self._right: list[Matrix] | None = None
         self._generators: list[int] | None = None
@@ -76,14 +78,15 @@ class FiniteAlgebra:
                 raise AlgebraError(f"unit law fails: 1*e_{i} != e_{i}")
             if self.mul(e_i, self.unit) != e_i:
                 raise AlgebraError(f"unit law fails: e_{i}*1 != e_{i}")
-        self._generators = _greedy_generators(nz, self.unit, self.field.one)
-        if all(_associates(nz, i, g, k)
+        self._generators = _greedy_generators(self.field, nz, self.unit)
+        mod = self.field.char
+        if all(_associates(nz, i, g, k, mod)
                for g in self._generators for i in range(n) for k in range(n)):
             return
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if not _associates(nz, i, j, k):
+                    if not _associates(nz, i, j, k, mod):
                         raise AlgebraError(
                             f"associativity fails: (e_{i}e_{j})e_{k} != e_{i}(e_{j}e_{k})")
 
@@ -91,19 +94,21 @@ class FiniteAlgebra:
 
     @property
     def structure(self) -> list[list[list]]:
-        """The dense cube c[i][j][k], rebuilt from the nonzeros on each read."""
-        zero, n = self.field.zero, self.dim
+        """The dense cube c[i][j][k] of native values, rebuilt from the
+        nonzeros on each read."""
+        zero, n = native_zero(self.field), self.dim
         return [[[nij.get(k, zero) for k in range(n)] for nij in ni] for ni in self.nonzeros]
 
     def basis_vector(self, i: int) -> dict:
-        return {i: self.field.one}
+        return {i: native_one(self.field)}
 
     def mul(self, x: dict, y: dict) -> dict:
         """Coordinates {k: value} of x * y for {index: value} x and y, summed
         over the nonzero structure constants."""
         nz = self.nonzeros
         ys = list(y.items())
-        return sum_nonzeros((xi * yj, nz[i][j].items()) for i, xi in x.items() for j, yj in ys)
+        return sum_nonzeros(((xi * yj, nz[i][j].items()) for i, xi in x.items() for j, yj in ys),
+                            self.field.char)
 
     @property
     def left_mults(self) -> list[Matrix]:
@@ -140,17 +145,17 @@ class FiniteAlgebra:
         algebra by multiplicativity and linearity.
         """
         if self._generators is None:
-            self._generators = _greedy_generators(self.nonzeros, self.unit, self.field.one)
+            self._generators = _greedy_generators(self.field, self.nonzeros, self.unit)
         return self._generators
 
 
-def _associates(nz, i: int, j: int, k: int) -> bool:
+def _associates(nz, i: int, j: int, k: int, mod: int) -> bool:
     """(e_i e_j) e_k == e_i (e_j e_k)."""
-    return (sum_nonzeros((c, nz[m][k].items()) for m, c in nz[i][j].items())
-            == sum_nonzeros((c, nz[i][m].items()) for m, c in nz[j][k].items()))
+    return (sum_nonzeros(((c, nz[m][k].items()) for m, c in nz[i][j].items()), mod)
+            == sum_nonzeros(((c, nz[i][m].items()) for m, c in nz[j][k].items()), mod))
 
 
-def _greedy_generators(nz, unit: dict, one) -> list[int]:
+def _greedy_generators(field, nz, unit: dict) -> list[int]:
     """Basis indices, taken greedily in basis order, whose right words span the algebra.
 
     The span of 1 and of the right words g_1 g_2 ... g_r, multiplied left to
@@ -159,15 +164,15 @@ def _greedy_generators(nz, unit: dict, one) -> list[int]:
     span becomes the next generator.  For an associative algebra the span
     is the subalgebra the generators generate.
     """
-    n = len(nz)
+    n, one, mod = len(nz), native_one(field), field.char
     span: dict[int, dict] = {}
-    words = [dict(unit)]
-    insert_row(span, dict(words[0]), one)
+    words = [unit]
+    insert_row(span, unit, field)
     gens: list[int] = []
     for i in range(n):
         if len(span) == n:
             break
-        if not insert_row(span, {i: one}, one):
+        if not insert_row(span, {i: one}, field):
             continue
         gens.append(i)
         # the span is closed under the earlier generators: close it under e_i too
@@ -177,8 +182,8 @@ def _greedy_generators(nz, unit: dict, one) -> list[int]:
         while todo and len(span) < n:
             w, by = todo.pop()
             for g in by:
-                v = sum_nonzeros((c, nz[m][g].items()) for m, c in w.items())
-                if insert_row(span, dict(v), one):
+                v = sum_nonzeros(((c, nz[m][g].items()) for m, c in w.items()), mod)
+                if insert_row(span, v, field):
                     words.append(v)
                     todo.append((v, tuple(gens)))
     return gens
@@ -194,18 +199,18 @@ def make_algebra(field, structure: list[list[list]], unit: list) -> FiniteAlgebr
         raise AlgebraError("structure cube is not dim x dim x dim")
     if n and len(unit) != n:
         raise AlgebraError("unit vector has wrong length")
-    nonzeros = [[{k: c for k, c in enumerate(row) if c} for row in plane] for plane in structure]
-    return FiniteAlgebra(field, nonzeros, {k: c for k, c in enumerate(unit) if c})
+    nonzeros = [[dict(enumerate(row)) for row in plane] for plane in structure]
+    return FiniteAlgebra(field, nonzeros, dict(enumerate(unit)))
 
 
 def field_as_algebra(field) -> FiniteAlgebra:
-    one = field.one
+    one = native_one(field)
     return FiniteAlgebra(field, [[{0: one}]], {0: one}, validate=False)
 
 
 def matrix_algebra(field, n: int) -> FiniteAlgebra:
     """M_n via matrix units, basis e_{uv} at index u*n + v."""
-    one = field.one
+    one = native_one(field)
     nonzeros = [[{u * n + x: one} if v == w else {} for w in range(n) for x in range(n)]
                 for u in range(n) for v in range(n)]
     return FiniteAlgebra(field, nonzeros, {u * n + u: one for u in range(n)}, validate=False)
@@ -258,7 +263,7 @@ def group_inverses(table: list[list[int]]) -> list[int]:
 def group_algebra(field, table: list[list[int]]) -> FiniteAlgebra:
     """k[G] from a validated Cayley table; basis indexed by group elements."""
     identity = _check_group_table(table)
-    one = field.one
+    one = native_one(field)
     return FiniteAlgebra(field, [[{k: one} for k in row] for row in table], {identity: one},
                          validate=False)
 
@@ -284,7 +289,8 @@ def subgroup_extension(field, table: list[list[int]], subgroup: list[int]):
     subtable = [[pos[table[a][b]] for b in sub] for a in sub]
     B = group_algebra(field, subtable)
     A = group_algebra(field, table)
-    iota = Matrix.from_columns(field, [{g: field.one} for g in sub], nrows=len(table))
+    one = native_one(field)
+    iota = Matrix.from_columns(field, [{g: one} for g in sub], nrows=len(table))
     ext = Extension(B, A, AlgebraMorphism(B, A, iota))
     return ext, sub
 

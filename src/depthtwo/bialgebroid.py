@@ -23,7 +23,7 @@ from .algebras import (AlgebraError, Extension, FiniteAlgebra, SelfCheckError, c
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
-from .linalg import Matrix, Subspace, combine, solve_in_span, sum_nonzeros
+from .linalg import Matrix, Subspace, combine, native_one, solve_in_span, sum_nonzeros
 
 
 class TCore:
@@ -102,7 +102,8 @@ class TCore:
 
     def lift_T(self, coords: dict) -> dict:
         """T coordinates -> tensor-square coordinates."""
-        return sum_nonzeros((x, self.t_basis[c].items()) for c, x in coords.items())
+        return sum_nonzeros(((x, self.t_basis[c].items()) for c, x in coords.items()),
+                            self.A.field.char)
 
     def quasibase_in_T(self, rqb: QuasibaseSet) -> list[tuple[Matrix, dict]]:
         """The pairs (gamma_i, u_i) of a right quasibase, u_i in T coordinates."""
@@ -114,9 +115,9 @@ class TCore:
         """A coordinates of left(t_c^1) right(t_c^2); identity maps by default."""
         A = self.A
         return sum_nonzeros(
-            (x, A.mul(A.basis_vector(s) if left is None else left.cols[s],
-                      A.basis_vector(t) if right is None else right.cols[t]).items())
-            for (s, t), x in self.t_items[c])
+            ((x, A.mul(A.basis_vector(s) if left is None else left.cols[s],
+                       A.basis_vector(t) if right is None else right.cols[t]).items())
+             for (s, t), x in self.t_items[c]), A.field.char)
 
     def _r_actions(self, actions: list[Matrix], incl: list[dict]) -> list[Matrix]:
         """The actions on T of R's basis vectors, given in A coordinates by incl.
@@ -126,8 +127,9 @@ class TCore:
         coordinates.
         """
         images = [[act.image(t) for act in actions] for t in self.t_basis]
-        return [Matrix.from_columns(self.A.field, [
-            self.t_coords(sum_nonzeros((x, imgs[a].items()) for a, x in r.items()),
+        field = self.A.field
+        return [Matrix.from_columns(field, [
+            self.t_coords(sum_nonzeros(((x, imgs[a].items()) for a, x in r.items()), field.char),
                           "R-action left the B-central subspace")
             for imgs in images], nrows=self.dim) for r in incl]
 
@@ -301,6 +303,7 @@ def _delta_from_witness(core: TCore, witness: TripleTensorWitness) -> Matrix:
 def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
     """Delta(t) = sum_i (t^1 (x) gamma_i(t^2)) (x)_R u_i, the quasibase formula."""
     field = core.A.field
+    one = native_one(field)
     pairs = core.quasibase_in_T(rqb)
     cols = []
     for c in range(core.dim):
@@ -309,7 +312,7 @@ def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
             items = [((s, l), c1 * a) for (s, t), c1 in core.t_items[c]
                      for l, a in gamma.cols[t].items()]
             w = core.t_coords(core.ts.reduce_items(items), "coproduct first leg escaped T")
-            terms.append((field.one, w, u_t))
+            terms.append((one, w, u_t))
         cols.append(core.tt.class_of_sum(terms))
     return Matrix.from_columns(field, cols, nrows=core.tt.dim)
 
@@ -531,10 +534,11 @@ def _check_reconstruction(core: TCore, actions: list[Matrix], db: ModuleDualBasi
     computed once and weighted by the column c of phi_i.
     """
     images = [[act.image(m) for act in actions] for m in db.elements]
+    mod = core.A.field.char
     for c in range(core.dim):
-        got = sum_nonzeros((x, imgs[a].items())
-                           for imgs, phi in zip(images, db.functionals)
-                           for a, x in phi.cols[c].items())
+        got = sum_nonzeros(((x, imgs[a].items())
+                            for imgs, phi in zip(images, db.functionals)
+                            for a, x in phi.cols[c].items()), mod)
         if got != core.T_alg.basis_vector(c):
             raise SelfCheckError(err)
 
@@ -646,7 +650,8 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
     eps_in_A = core.incl_R @ core.eps
 
     # the flip x (x) y -> y (x) x descends and is an involutive anti-automorphism
-    swap = Matrix.from_columns(field, [{j * n + i: field.one} for i, j in pairs], nrows=n * n)
+    one = native_one(field)
+    swap = Matrix.from_columns(field, [{j * n + i: one} for i, j in pairs], nrows=n * n)
     tau_q2 = ts.quot.induced(swap)
     tau_cols = [core.t_coords(tau_q2.image(t), "flip left T") for t in core.t_basis]
     tau = Matrix.from_columns(field, tau_cols, nrows=m)

@@ -36,8 +36,8 @@ import copy
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, field_as_algebra, group_inverses, per_extension)
-from .linalg import (Matrix, Subspace, combine, insert_row, nullspace, quotient_structure,
-                     reverse_rref, solve_in_span, sum_nonzeros)
+from .linalg import (Matrix, Subspace, combine, insert_row, native_one, nullspace,
+                     quotient_structure, reverse_rref, solve_in_span, sum_nonzeros)
 
 
 class Bimodule:
@@ -105,6 +105,9 @@ class Bimodule:
         for (i,), c in items:
             x = out.get(i)
             out[i] = c if x is None else x + c
+        mod = self.left_algebra.field.char
+        if mod:
+            return {i: r for i, x in out.items() if (r := x % mod)}
         return {i: x for i, x in out.items() if x}
 
 
@@ -145,21 +148,28 @@ def left_module_bimodule(P: FiniteAlgebra, dim: int, action: list[Matrix]) -> Bi
 # -- balanced tensor products ----------------------------------------------
 
 
-def _sylvester_rows(n1: int, n2: int, p_cols: list, q_rows: list) -> list[dict]:
+def _sylvester_rows(n1: int, n2: int, p_cols: list, q_rows: list, mod: int) -> list[dict]:
     """Sparse rows of X -> X @ P - Q @ X on n1 x n2 matrices X, unknown X[a][b] at a*n2 + b.
 
     ``p_cols[b]`` and ``q_rows[a]`` are the nonzeros {k: x} of column b of P
     and of row a of Q; row (a, b) has P[k][b] at (a, k) and -Q[a][k] at (k, b).
+    Every entry is reduced mod the characteristic ``mod`` (0 over Q).
     """
     rows = []
     for a in range(n1):
         base = a * n2
+        neg = [(k * n2, mod - x if mod else -x) for k, x in q_rows[a].items()]
         for b in range(n2):
             row = {base + k: x for k, x in p_cols[b].items()}
-            for k, x in q_rows[a].items():
-                f = k * n2 + b
+            for off, x in neg:
+                f = off + b
                 y = row.get(f)
-                row[f] = -x if y is None else y - x
+                if y is None:
+                    row[f] = x
+                elif (y := (y + x) % mod if mod else y + x):
+                    row[f] = y
+                else:
+                    del row[f]
             rows.append(row)
     return rows
 
@@ -227,7 +237,7 @@ class BalancedTensor(Bimodule):
 
     def class_of(self, x: dict, y: dict) -> dict:
         """Quotient coordinates of x (x) y for x in M and y in N coordinates."""
-        return self.class_of_sum([(self.quot.field.one, x, y)])
+        return self.class_of_sum([(native_one(self.quot.field), x, y)])
 
     def matrix_of(self, target_dim: int, pure) -> Matrix:
         """The linear map out of this quotient that sends the class of a pure
@@ -237,9 +247,9 @@ class BalancedTensor(Bimodule):
         are {index: value} coordinates, added into one sparse column.
         """
         field = self.quot.field
-        one = field.one
-        cols = [sum_nonzeros((coeff, pure(*idx).items())
-                             for idx, coeff in self.lift_items({q: one}))
+        one, mod = native_one(field), field.char
+        cols = [sum_nonzeros(((coeff, pure(*idx).items())
+                              for idx, coeff in self.lift_items({q: one})), mod)
                 for q in range(self.dim)]
         return Matrix.from_columns(field, cols, nrows=target_dim)
 
@@ -284,7 +294,8 @@ def balanced_tensor(M: Bimodule, N: Bimodule) -> BalancedTensor:
     for c in C.generating_indices():
         # row (i, j) is minus the relation for e_i (x) e_j: lambda(c)[l][j] at (i, l)
         # minus rho(c)[k][i] at (k, j), i.e. X -> X @ lambda(c) - rho(c)^T @ X
-        relations += _sylvester_rows(dm, dn, N.left_action[c].cols, M.right_action[c].cols)
+        relations += _sylvester_rows(dm, dn, N.left_action[c].cols, M.right_action[c].cols,
+                                     field.char)
     return BalancedTensor(M, N, quotient_structure(field, dm * dn, relations))
 
 
@@ -322,8 +333,9 @@ def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
     if not legs:
         return Subspace.full(field, M.dim)
     rows: list[dict] = [{} for _ in range(len(legs) * M.dim)]
+    one = native_one(field)
     for q in range(M.dim):
-        items = M.lift_items({q: field.one})
+        items = M.lift_items({q: one})
         for g, (left, right) in enumerate(legs):
             moved = [((k,) + idx[1:], c * x) for idx, c in items for k, x in left[idx[0]].items()]
             moved += [(idx[:-1] + (k,), -(c * x))
@@ -357,7 +369,7 @@ def intertwiners(field, dm: int, dn: int, pairs: list[tuple[Matrix, Matrix]]) ->
     nunk = dn * dm
     rows: list[dict] = []
     for act_M, act_N in pairs:
-        rows += _sylvester_rows(dn, dm, act_M.cols, act_N.transpose().cols)
+        rows += _sylvester_rows(dn, dm, act_M.cols, act_N.transpose().cols, field.char)
     return [Matrix.unvec(field, v, dn, dm) for v in nullspace(rows, field, nunk)]
 
 
@@ -411,7 +423,8 @@ def bimodule_generators(M: Bimodule) -> list[int]:
     vector by vector through ``insert_row``; vectors are sparse, and each
     action is applied through its column view (``Matrix.image``).
     """
-    one = M.left_algebra.field.one
+    field = M.left_algebra.field
+    one = native_one(field)
     acts = [M.left_action[i] for i in M.left_algebra.generating_indices()]
     acts += [M.right_action[j] for j in M.right_algebra.generating_indices()]
     span: dict[int, dict] = {}
@@ -419,7 +432,7 @@ def bimodule_generators(M: Bimodule) -> list[int]:
     for i in range(M.dim):
         if len(span) == M.dim:
             break
-        if not insert_row(span, {i: one}, one):
+        if not insert_row(span, {i: one}, field):
             continue
         gens.append(i)
         frontier = [{i: one}]
@@ -427,8 +440,7 @@ def bimodule_generators(M: Bimodule) -> list[int]:
             w = frontier.pop()
             for act in acts:
                 img = act.image(w)
-                # insert_row consumes its row, and img may still go on the frontier
-                if insert_row(span, dict(img), one):
+                if insert_row(span, img, field):
                     frontier.append(img)
     return gens
 
@@ -466,8 +478,8 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
         a, b = divmod(k, len(homs_mp))
         by_g.setdefault(b, {})[a] = x
     pairs = [(combine(homs_pm, by_g[b]), g) for b, g in enumerate(homs_mp) if b in by_g]
-    one = field.one
-    if any(sum_nonzeros((one, f.image(g.cols[c]).items()) for f, g in pairs) != {c: one}
+    one, mod = native_one(field), field.char
+    if any(sum_nonzeros(((one, f.image(g.cols[c]).items()) for f, g in pairs), mod) != {c: one}
            for c in range(M.dim)):
         raise SelfCheckError("summand factorization failed its own reconstruction")
     return SummandFactorization(pairs)
@@ -492,7 +504,7 @@ def _summand_system(M: Bimodule, homs_pm: list[Matrix],
                 for r, x in f.image(g_col).items():
                     prod[off + r] = x
             products.append(prod)
-    one = M.left_algebra.field.one
+    one = native_one(M.left_algebra.field)
     return products, {p * dim + i: one for p, i in enumerate(gens)}
 
 
@@ -542,12 +554,13 @@ def verify_right_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     A = ext.A
     if not _central_pairs(ext, qb):
         return False
+    mod = A.field.char
     images = [(gamma, [act.image(u) for act in ts.left_action]) for gamma, u in qb.pairs]
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
-            expected = sum_nonzeros((c, imgs[a].items()) for gamma, imgs in images
-                                    for a, c in A.mul(ex, gamma.cols[y]).items())
+            expected = sum_nonzeros(((c, imgs[a].items()) for gamma, imgs in images
+                                     for a, c in A.mul(ex, gamma.cols[y]).items()), mod)
             if ts.class_of(ex, A.basis_vector(y)) != expected:
                 return False
     return True
@@ -560,18 +573,19 @@ def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     A = ext.A
     if not _central_pairs(ext, qb):
         return False
+    mod = A.field.char
     images = [(beta, [act.image(t) for act in ts.right_action]) for beta, t in qb.pairs]
     for x in range(A.dim):
         ex = A.basis_vector(x)
         for y in range(A.dim):
             ey = A.basis_vector(y)
-            expected = sum_nonzeros((c, imgs[a].items()) for beta, imgs in images
-                                    for a, c in A.mul(beta.cols[x], ey).items())
+            expected = sum_nonzeros(((c, imgs[a].items()) for beta, imgs in images
+                                     for a, c in A.mul(beta.cols[x], ey).items()), mod)
             if ts.class_of(ex, ey) != expected:
                 return False
         # compact form with y = 1
-        expected = sum_nonzeros((c, imgs[a].items()) for beta, imgs in images
-                                for a, c in beta.cols[x].items())
+        expected = sum_nonzeros(((c, imgs[a].items()) for beta, imgs in images
+                                 for a, c in beta.cols[x].items()), mod)
         if ts.class_of(ex, A.unit) != expected:
             return False
     return True
@@ -634,15 +648,16 @@ def _d2_hom_bases(ext: Extension, right: bool) -> tuple[list[Matrix], list[Matri
                 row[a * n + j] = x
         into.append(row)
     pure = [divmod(f, n) for f in ts.quot.free]
-    nz = A.nonzeros
+    nz, mod = A.nonzeros, field.char
     onto = []
     for s in bb_endomorphisms(ext):
         cols = s.cols
         row = {}
         for q, (i, j) in enumerate(pure):
             # e_i s(e_j) on the right side, s(e_i) e_j on the left
-            img = (sum_nonzeros((x, nz[i][k].items()) for k, x in cols[j].items()) if right
-                   else sum_nonzeros((x, nz[k][j].items()) for k, x in cols[i].items()))
+            img = (sum_nonzeros(((x, nz[i][k].items()) for k, x in cols[j].items()), mod)
+                   if right
+                   else sum_nonzeros(((x, nz[k][j].items()) for k, x in cols[i].items()), mod))
             for a, x in img.items():
                 row[a * d + q] = x
         onto.append(row)
@@ -662,10 +677,11 @@ def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],
     ts = tensor_square(ext)
     inv = group_inverses(table)
     sub = sorted(set(subgroup))
+    one = native_one(field)
     pairs = []
     for g in transversal:
         coset = {table[m][g] for m in sub}
-        proj = Matrix.from_columns(field, [{h: field.one} if h in coset else {}
+        proj = Matrix.from_columns(field, [{h: one} if h in coset else {}
                                            for h in range(A.dim)], nrows=A.dim)
         if side == "right":
             tensor = ts.class_of(A.basis_vector(inv[g]), A.basis_vector(g))
@@ -737,10 +753,11 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
             # functional y -> p(gamma(y) * (c * e_s)), element e_t
             functional = p @ A.right_mult(s).scaled(c) @ gamma
             pairs.append((functional, A.basis_vector(t)))
+    one = native_one(field)
     for y in range(n):
         ey = A.basis_vector(y)
-        acc = sum_nonzeros((field.one, A.mul(ext.iota.matrix.image(f.image(ey)), m).items())
-                           for f, m in pairs)
-        if acc != {y: field.one}:
+        acc = sum_nonzeros(((one, A.mul(ext.iota.matrix.image(f.image(ey)), m).items())
+                            for f, m in pairs), field.char)
+        if acc != {y: one}:
             raise SelfCheckError("dual basis reconstruction failed")
     return DualBasis(pairs)

@@ -2,16 +2,15 @@
 
 Every computation in this package runs over one of these two kinds of
 field; there is no floating point anywhere.  Rational values are plain
-``fractions.Fraction`` objects, prime-field values are ``FpElement``
-wrappers that stay reduced mod p, so generic linear algebra can use the
-ordinary arithmetic operators on either.  An ``FpElement`` combines with
-an element of the same modulus or with an int; any other modulus raises
-``FieldError``, and a ``Fraction`` or float raises ``TypeError``.  An
-operator reduces its result once and takes it from ``fp_element``: for p
-below ``_TABLE_LIMIT`` that is the shared element of a per-prime table
-built on first use, and a new object only for larger p.
-The exact elimination in ``linalg`` does not use these objects at all; it
-converts rows to plain integers once and back when they leave.
+``fractions.Fraction`` objects.  Inside the library a value of F_p is a
+plain ``int`` in range(p): vectors, matrices and algebras store the
+residue itself, and ``linalg`` converts values once where they come in.
+``FpElement`` is the public scalar of F_p, returned by ``GF(p).of``,
+``parse``, ``one`` and ``zero``, with the ordinary arithmetic operators;
+the library builds one only where JSON or the catalog comes in, and
+``render`` takes either form.  An ``FpElement`` combines with an element
+of the same modulus or with an int; any other modulus raises
+``FieldError``, and a ``Fraction`` or float raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -55,27 +54,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# prime fields below this bound share one element object per residue
-_TABLE_LIMIT = 1 << 12
-_TABLES: dict[int, list] = {}
-
-
-def fp_element(v: int, p: int) -> "FpElement":
-    """The element with residue v in range(p): the shared one when p is small."""
-    table = _TABLES.get(p)
-    if table is None:
-        if p >= _TABLE_LIMIT:
-            return FpElement(v, p)
-        table = _TABLES[p] = [FpElement(r, p) for r in range(p)]
-    return table[v]
-
-
 class FpElement:
     """A residue mod the prime p.  Arithmetic only combines equal moduli.
 
-    Each operator handles an element of the same modulus first and an int
-    next, and builds its result with ``fp_element``, which for small p returns
-    the shared element from a table built on first use.
+    Each operator takes an element of the same modulus or an int, and its
+    result is a new element, reduced by the constructor.
     """
 
     __slots__ = ("v", "p")
@@ -95,40 +78,30 @@ class FpElement:
         return None
 
     def __add__(self, other):
-        p = self.p
-        if type(other) is FpElement and other.p == p:
-            return fp_element((self.v + other.v) % p, p)
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return fp_element((self.v + o) % p, p)
+        return FpElement(self.v + o, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self.p
-        if type(other) is FpElement and other.p == p:
-            return fp_element((self.v - other.v) % p, p)
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return fp_element((self.v - o) % p, p)
+        return FpElement(self.v - o, self.p)
 
     def __rsub__(self, other):
         o = self._other(other)
         if o is None:
             return NotImplemented
-        p = self.p
-        return fp_element((o - self.v) % p, p)
+        return FpElement(o - self.v, self.p)
 
     def __mul__(self, other):
-        p = self.p
-        if type(other) is FpElement and other.p == p:
-            return fp_element(self.v * other.v % p, p)
         o = self._other(other)
         if o is None:
             return NotImplemented
-        return fp_element(self.v * o % p, p)
+        return FpElement(self.v * o, self.p)
 
     __rmul__ = __mul__
 
@@ -139,11 +112,10 @@ class FpElement:
         if o == 0:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         p = self.p
-        return fp_element(self.v * pow(o, p - 2, p) % p, p)
+        return FpElement(self.v * pow(o, p - 2, p), p)
 
     def __neg__(self):
-        p = self.p
-        return fp_element(-self.v % p, p)
+        return FpElement(-self.v, self.p)
 
     def __bool__(self):
         return self.v != 0
@@ -219,26 +191,28 @@ class PrimeField:
 
     @property
     def zero(self):
-        return fp_element(0, self.p)
+        return FpElement(0, self.p)
 
     @property
     def one(self):
-        return fp_element(1, self.p)
+        return FpElement(1, self.p)
 
     def of(self, n) -> FpElement:
+        """The element of an int or of an element of this field; a bool, a
+        Fraction, a float or an element of another modulus is a FieldError."""
         if isinstance(n, FpElement):
             if n.p != self.p:
                 raise FieldError(f"mixed moduli {self.p} and {n.p}")
             return n
-        if isinstance(n, int):
-            return fp_element(n % self.p, self.p)
-        return FpElement(n, self.p)
+        if isinstance(n, int) and not isinstance(n, bool):
+            return FpElement(n, self.p)
+        raise FieldError(f"not an F_{self.p} value: {n!r}")
 
     def parse(self, obj) -> FpElement:
         if isinstance(obj, bool):
             raise FieldError(f"not an F_{self.p} literal: {obj!r}")
         if isinstance(obj, int):
-            return fp_element(obj % self.p, self.p)
+            return FpElement(obj, self.p)
         if isinstance(obj, str):
             # accept "a/b" so rational catalogs port to F_p unchanged
             try:
@@ -250,8 +224,9 @@ class PrimeField:
             return FpElement(q.numerator, self.p) / FpElement(q.denominator, self.p)
         raise FieldError(f"not an F_{self.p} literal: {obj!r}")
 
-    def render(self, x: FpElement):
-        return x.v
+    def render(self, x):
+        """The residue of a stored int or of an ``FpElement``, for JSON."""
+        return x.v if isinstance(x, FpElement) else x
 
     def to_json(self):
         return {"Fp": self.p}

@@ -20,7 +20,7 @@ from .bialgebroid import (AuditReport, RightBialgebroid, TCore, build_T_quasibas
 from .bimodules import (BalancedTensor, QuasibaseSet, algebra_bimodule, balanced_tensor,
                         intertwiners, left_d2_quasibase, restrict, right_d2_quasibase,
                         tensor_square, unit_tensor)
-from .linalg import LinAlgError, Matrix, Subspace, combine, nullspace, sum_nonzeros
+from .linalg import LinAlgError, Matrix, Subspace, combine, native_one, nullspace, sum_nonzeros
 
 
 @per_extension
@@ -49,8 +49,9 @@ def coaction(ext: Extension, rqb: QuasibaseSet) -> Matrix:
     at = tensor_with_t(ext)
     A = ext.A
     field = A.field
+    one = native_one(field)
     pairs = core.quasibase_in_T(rqb)
-    cols = [at.class_of_sum([(field.one, gamma.cols[j], u_t) for gamma, u_t in pairs])
+    cols = [at.class_of_sum([(one, gamma.cols[j], u_t) for gamma, u_t in pairs])
             for j in range(A.dim)]
     delta = Matrix.from_columns(field, cols, nrows=at.dim)
     if delta.image(A.unit) != at.class_of(A.unit, core.unit_T):
@@ -80,10 +81,11 @@ def galois_map(ext: Extension, rqb: QuasibaseSet) -> GaloisMap:
     ts = core.ts
     A = ext.A
     field = A.field
+    one = native_one(field)
     pairs = core.quasibase_in_T(rqb)
 
     def pure(s, t):
-        return at.class_of_sum([(field.one, A.mul(A.basis_vector(s), gamma.cols[t]), u_t)
+        return at.class_of_sum([(one, A.mul(A.basis_vector(s), gamma.cols[t]), u_t)
                                 for gamma, u_t in pairs])
 
     beta = ts.matrix_of(at.dim, pure)
@@ -271,10 +273,11 @@ def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> Aud
         id_delta = at.matrix_of(q3.dim, lambda k, c: q3.left_action[k].image(w3_delta.cols[c]))
         for a in range(n):
             # (delta (x) id): expand delta(e_k) in the first leg
-            lhs3 = sum_nonzeros((coeff * coeff2,
-                                 q3.left_action[k2].image(wit.forward3(c2, c)).items())
-                                for (k, c), coeff in at.lift_items(delta.cols[a])
-                                for (k2, c2), coeff2 in at.lift_items(delta.cols[k]))
+            lhs3 = sum_nonzeros(((coeff * coeff2,
+                                  q3.left_action[k2].image(wit.forward3(c2, c)).items())
+                                 for (k, c), coeff in at.lift_items(delta.cols[a])
+                                 for (k2, c2), coeff2 in at.lift_items(delta.cols[k])),
+                                A.field.char)
             rhs3 = id_delta.image(delta.cols[a])
             expected = q3.reduce_items(
                 [((u1, u2, a), c1 * c2) for u1, c1 in unit for u2, c2 in unit])

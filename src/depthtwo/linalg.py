@@ -2,18 +2,28 @@
 
 A vector is the dict {index: value} of its nonzero entries, with no zeros
 stored, so equal vectors are equal dicts; its length is known from the
-map, subspace or quotient it belongs to.  A ``Matrix`` is stored the same
-way, as its nonzero columns ``cols`` and its shape, and never edited in
-place.  Products, images, sums, transposes, inverses and linear
-combinations read and build columns, so their cost follows the nonzeros.
-Dense data appears only where it enters or leaves: ``Matrix(field, rows)``
-reads dense rows once, and ``data`` rebuilds read-only dense rows on each
-read, for output.
+map, subspace or quotient it belongs to.  Stored values are native: over
+F_p a plain ``int`` in range(1, p), over Q a ``Fraction``.
+``native_one`` and ``native_zero`` are the field's 1 and 0 in that form,
+and ``sum_nonzeros`` adds products of native values, as plain ints over
+F_p, and reduces each entry once.  Values from outside come in through
+one conversion, ``entry``: over F_p it takes an int or a public element
+of the same modulus (``GF(p).of``), over Q an int or a ``Fraction``, and
+anything else is a ``FieldError``.  ``Matrix(field, rows)``,
+``from_columns``, ``unvec``, the algebra constructors, ``insert_row`` and
+every elimination entry point (``rref``, ``nullspace``, ``reverse_rref``,
+``solve_in_span``, ``Subspace.span``) read their values through it.
+
+A ``Matrix`` is stored the same way, as its nonzero columns ``cols`` and
+its shape, and never edited in place.  Products, images, sums,
+transposes, inverses and linear combinations read and build columns, so
+their cost follows the nonzeros.  Dense data appears only where it enters
+or leaves: ``Matrix(field, rows)`` reads dense rows once, and ``data``
+rebuilds read-only dense rows on each read, for output.
 
 Elimination works on sparse {column: value} rows, so its cost follows the
 nonzeros of the system rather than rows x columns; it takes and returns
-dict rows.  Inside, rows are native: machine integers rather than field
-elements.
+dict rows.  Inside, rows are machine integers.
 
 - Over F_p a native row holds residues in range(p); a stored row is 1 at
   its pivot.
@@ -22,9 +32,12 @@ elements.
   carries one integer denominator.
 
 Both are unique for a reduced row, so equal spans store equal rows.
-Field values are converted once where they enter (``_sparse_row`` and the
-kernel's ``native``) and rebuilt only where they leave: ``rref``'s rows,
-``reverse_rref``, ``Subspace.basis`` and ``Quotient.reduce``.
+A row enters through the kernel's ``native``, which is the entry
+conversion, and an F_p row leaves as it is stored.  Over Q a row is
+divided out into Fractions where it leaves: ``rref``'s rows,
+``reverse_rref``, ``Subspace.basis`` and ``Quotient.reduce``.  A vector
+one of these returns may share its dict with a stored row, so no consumer
+edits a vector in place.
 
 All rows are checked first and then inserted latest leading column first.
 A stored row is zero left of its own pivot, so when a new row leads left
@@ -46,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import QQ, FpElement, GF, fp_element
+from .fields import FieldError, FpElement
 
 
 class LinAlgError(ValueError):
@@ -67,19 +80,20 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "cols")
 
     def __init__(self, field, rows: list):
-        """The matrix with the given dense rows, read into columns once."""
+        """The matrix with the given dense rows, read into columns once
+        through the entry conversion."""
         ncols = len(rows[0]) if rows else 0
         cols: list[dict] = [{} for _ in range(ncols)]
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise LinAlgError("ragged rows")
             for j, x in enumerate(row):
-                if x:
-                    cols[j][i] = x
+                cols[j][i] = x
+        k = _kernel(field)
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self.cols = cols
+        self.cols = [k.entry(col) for col in cols]
 
     # -- constructors ------------------------------------------------
 
@@ -96,21 +110,22 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        one = field.one
+        one = native_one(field)
         return cls._of(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
     def from_columns(cls, field, columns: list[dict], nrows: int) -> "Matrix":
         """The matrix with these {row: value} columns, each checked and kept
-        as its nonzeros."""
+        as its nonzeros through the entry conversion."""
+        k = _kernel(field)
         return cls._of(field, nrows, len(columns),
-                       [_sparse_row(col, nrows, "from_columns") for col in columns])
+                       [_entry(col, nrows, "from_columns", k) for col in columns])
 
     @classmethod
     def unvec(cls, field, flat: dict, nrows: int, ncols: int) -> "Matrix":
         """The inverse of ``vec``: a row-major {index: value} vector read into columns."""
         cols: list[dict] = [{} for _ in range(ncols)]
-        for k, x in _sparse_row(flat, nrows * ncols, "unvec").items():
+        for k, x in _entry(flat, nrows * ncols, "unvec", _kernel(field)).items():
             cols[k % ncols][k // ncols] = x
         return cls._of(field, nrows, ncols, cols)
 
@@ -118,8 +133,9 @@ class Matrix:
 
     @property
     def data(self) -> list[tuple]:
-        """The dense rows as tuples, rebuilt from the columns on each read."""
-        zero = self.field.zero
+        """The dense rows as tuples of native values, rebuilt from the
+        columns on each read."""
+        zero = native_zero(self.field)
         rows = [[zero] * self.ncols for _ in range(self.nrows)]
         for j, col in enumerate(self.cols):
             for i, x in col.items():
@@ -139,37 +155,39 @@ class Matrix:
         ``cols`` at the vector's nonzeros."""
         _check_indices(vec, self.ncols, "image")
         cols = self.cols
-        return sum_nonzeros((x, cols[k].items()) for k, x in vec.items())
+        return sum_nonzeros(((x, cols[k].items()) for k, x in vec.items()), self.field.char)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise LinAlgError(f"matmul: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        cols = self.cols
+        cols, mod = self.cols, self.field.char
         return Matrix._of(self.field, self.nrows, other.ncols,
-                          [sum_nonzeros((x, cols[k].items()) for k, x in col.items())
+                          [sum_nonzeros(((x, cols[k].items()) for k, x in col.items()), mod)
                            for col in other.cols])
 
     def _plus(self, other: "Matrix", c, op: str) -> "Matrix":
         """self + c * other, column by column."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinAlgError(f"shape mismatch in {op}")
-        one = self.field.one
+        one, mod = native_one(self.field), self.field.char
         return Matrix._of(self.field, self.nrows, self.ncols,
-                          [sum_nonzeros(((one, a.items()), (c, b.items())))
+                          [sum_nonzeros(((one, a.items()), (c, b.items())), mod)
                            for a, b in zip(self.cols, other.cols)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, self.field.one, "+")
+        return self._plus(other, native_one(self.field), "+")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, -self.field.one, "-")
+        return self._plus(other, -native_one(self.field), "-")
 
     def __neg__(self) -> "Matrix":
-        return self.scaled(-self.field.one)
+        return self.scaled(-native_one(self.field))
 
     def scaled(self, c) -> "Matrix":
+        """c times the matrix, for a native scalar c."""
+        mod = self.field.char
         return Matrix._of(self.field, self.nrows, self.ncols,
-                          [sum_nonzeros(((c, col.items()),)) for col in self.cols])
+                          [sum_nonzeros(((c, col.items()),), mod) for col in self.cols])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.nrows == other.nrows
@@ -195,7 +213,7 @@ class Matrix:
         if self.nrows != self.ncols:
             raise LinAlgError("inverse of non-square matrix")
         n = self.nrows
-        k, one = _kernel(self.field), self.field.one
+        k, one = _kernel(self.field), native_one(self.field)
         basis = _echelon([k.native({**col, n + j: one})[0] for j, col in enumerate(self.cols)], k)
         if sorted(basis)[:n] != list(range(n)):
             raise LinAlgError("matrix is singular")
@@ -216,9 +234,9 @@ def combine(mats: list[Matrix], coeffs: dict) -> Matrix:
         raise LinAlgError("combine: need at least one matrix")
     _check_indices(coeffs, len(mats), "combine")
     first = mats[0]
-    terms = list(coeffs.items())
+    terms, mod = list(coeffs.items()), first.field.char
     return Matrix._of(first.field, first.nrows, first.ncols,
-                      [sum_nonzeros((c, mats[i].cols[j].items()) for i, c in terms)
+                      [sum_nonzeros(((c, mats[i].cols[j].items()) for i, c in terms), mod)
                        for j in range(first.ncols)])
 
 
@@ -228,49 +246,92 @@ def _check_indices(vec: dict, n: int, what: str) -> None:
         raise LinAlgError(f"{what}: indices {min(vec)}..{max(vec)} outside range({n})")
 
 
-def sum_nonzeros(terms) -> dict:
-    """{index: value} of sum c * v over (c, nonzeros (index, value) of v), zeros dropped."""
+def native_one(field):
+    """The field's 1 as the library stores it: 1 over F_p, Fraction(1) over Q."""
+    return 1 if field.char else Fraction(1)
+
+
+def native_zero(field):
+    """The field's 0 as the library stores it: 0 over F_p, Fraction(0) over Q."""
+    return 0 if field.char else Fraction(0)
+
+
+def sum_nonzeros(terms, mod: int) -> dict:
+    """{index: value} of sum c * v over (c, nonzeros (index, value) of v),
+    zeros dropped, for native values.
+
+    ``mod`` is the field's characteristic: over F_p (mod = p) the products
+    are added as plain ints, unreduced, and each output entry is reduced
+    once; over Q (mod = 0) they are Fractions.
+    """
     acc: dict = {}
+    get = acc.get
     for c, v in terms:
         for l, x in v:
-            y = acc.get(l)
+            y = get(l)
             acc[l] = c * x if y is None else y + c * x
+    if mod:
+        return {l: r for l, x in acc.items() if (r := x % mod)}
     return {l: x for l, x in acc.items() if x}
 
 
-def _sparse_row(vec: dict, ncols: int, what: str) -> dict:
-    """The nonzero entries {column: value} of a dict whose columns lie in range(ncols)."""
+def _check_columns(vec: dict, ncols: int, what: str) -> None:
+    """Raise LinAlgError unless every column of vec is an int in range(ncols)."""
     for c in vec:
         if not (isinstance(c, int) and 0 <= c < ncols):
             raise LinAlgError(f"{what}: column {c!r} outside range({ncols})")
-    return {c: x for c, x in vec.items() if x}
+
+
+def _entry(vec: dict, ncols: int, what: str, k) -> dict:
+    """A vector from outside, its columns checked, in native values."""
+    _check_columns(vec, ncols, what)
+    return k.entry(vec)
+
+
+def entry(field, vec: dict) -> dict:
+    """The entry conversion: the nonzeros {index: native value} of an
+    {index: value} vector whose values come from outside the library.
+
+    Over F_p a value is an int or a public element of F_p (``GF(p).of``)
+    of the same modulus; over Q an int or a ``Fraction``.  Anything else,
+    a bool or a float included, is a ``FieldError``.
+    """
+    return _kernel(field).entry(vec)
 
 
 class _PrimeRows:
     """Native rows over F_p: {column: residue in range(p)}, each stored row 1
     at its pivot.  A working row carries the denominator 1."""
 
-    __slots__ = ("field", "p")
+    __slots__ = ("p",)
 
     def __init__(self, field):
-        self.field = field
         self.p = field.p
 
-    def native(self, row: dict) -> tuple[dict, int]:
-        """The native row and denominator of a {column: field value} row."""
-        p, of = self.p, self.field.of
+    def entry(self, vec: dict) -> dict:
+        """{column: residue in range(1, p)} of a row of ints and elements of
+        F_p; the one place a value from outside is converted."""
+        p = self.p
         out = {}
-        for c, x in row.items():
-            if type(x) is not FpElement or x.p != p:
-                x = of(x)  # an int, or FieldError for another modulus
-            if x.v:
-                out[c] = x.v
-        return out, 1
+        for c, x in vec.items():
+            if type(x) is not int:
+                if type(x) is not FpElement:  # a bool, a Fraction, a float
+                    raise FieldError(f"not an F_{p} value: {x!r}")
+                if x.p != p:
+                    raise FieldError(f"mixed moduli {p} and {x.p}")
+                x = x.v
+            x %= p
+            if x:
+                out[c] = x
+        return out
+
+    def native(self, row: dict) -> tuple[dict, int]:
+        """The native row and denominator of a {column: value} row."""
+        return self.entry(row), 1
 
     def values(self, row: dict, den: int) -> dict:
-        """{column: field value} of a native row over its denominator."""
-        p = self.p
-        return {c: fp_element(x, p) for c, x in row.items()}
+        """The {column: value} vector of a native row: the row itself."""
+        return row
 
     def _subtract(self, row: dict, f: int, other: dict) -> None:
         """row -= f * other, dropping the entries that cancel."""
@@ -308,6 +369,19 @@ class _RationalRows:
 
     __slots__ = ()
 
+    @staticmethod
+    def entry(vec: dict) -> dict:
+        """{column: nonzero Fraction} of a row of ints and Fractions."""
+        out = {}
+        for c, x in vec.items():
+            if type(x) is not Fraction:
+                if type(x) is not int:  # a bool, a float, an element of F_p
+                    raise FieldError(f"not a rational value: {x!r}")
+                x = Fraction(x)
+            if x:
+                out[c] = x
+        return out
+
     def native(self, row: dict) -> tuple[dict, int]:
         """The native row and denominator of a {column: Fraction or int} row."""
         den = 1
@@ -316,8 +390,8 @@ class _RationalRows:
             if d != 1:
                 den = den * d // gcd(den, d)
         if den == 1:
-            return {c: x.numerator for c, x in row.items()}, 1
-        return {c: x.numerator * (den // x.denominator) for c, x in row.items()}, den
+            return {c: x.numerator for c, x in row.items() if x}, 1
+        return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}, den
 
     def values(self, row: dict, den: int) -> dict:
         return {c: Fraction(x, den) for c, x in row.items()}
@@ -374,7 +448,8 @@ def _kernel(field):
 
 def _native(vec: dict, ncols: int, what: str, k) -> tuple[dict, int]:
     """A checked {column: value} row as a native row and its denominator."""
-    return k.native(_sparse_row(vec, ncols, what))
+    _check_columns(vec, ncols, what)
+    return k.native(vec)
 
 
 def _insert(basis: dict[int, dict], row: dict, low: int | None, k) -> int | None:
@@ -400,15 +475,16 @@ def _insert(basis: dict[int, dict], row: dict, low: int | None, k) -> int | None
     return lead
 
 
-def insert_row(basis: dict[int, dict], row: dict, one) -> bool:
-    """Insert a {column: field value} row into a reduced basis {pivot: native row}.
+def insert_row(basis: dict[int, dict], row: dict, field) -> bool:
+    """Insert a {column: value} row into a reduced basis {pivot: native row}
+    over the field.
 
-    ``one`` is the field's unit.  The row is reduced by the stored pivots,
-    normalized at its leading column, and that column is cleared from the
-    stored rows, so the basis stays reduced.  Returns False, leaving the
-    basis as it was, when the row lies in its span.
+    The row is converted (so the caller's dict is left as it is), reduced
+    by the stored pivots, normalized at its leading column, and that column
+    is cleared from the stored rows, so the basis stays reduced.  Returns
+    False, leaving the basis as it was, when the row lies in its span.
     """
-    k = _kernel(GF(one.p) if isinstance(one, FpElement) else QQ)
+    k = _kernel(field)
     return _insert(basis, k.native(row)[0], None, k) is not None
 
 
@@ -469,14 +545,14 @@ def nullspace(rows: list[dict], field, ncols: int) -> list[dict]:
     """Canonical basis of {x : rows @ x = 0} as {column: value} vectors,
     ordered by ascending free column."""
     red, pivots = rref(rows, field, ncols)
-    one = field.one
+    one, mod = native_one(field), field.char
     basis = {f: {f: one} for f in range(ncols)}
     for p in pivots:
         del basis[p]
     for row, p in zip(red, pivots):
         for f, x in row.items():
             if f != p:
-                basis[f][p] = -x
+                basis[f][p] = mod - x if mod else -x
     return list(basis.values())
 
 
@@ -623,7 +699,8 @@ class Quotient:
     def lift(self, coords: dict) -> dict:
         """The ambient vector {column: value} with the coordinates placed at ``free``."""
         free = self.free
-        return {free[i]: x for i, x in _sparse_row(coords, self.dim, "lift").items()}
+        _check_columns(coords, self.dim, "lift")
+        return {free[i]: x for i, x in coords.items() if x}
 
     def induced(self, ambient_map: Matrix) -> Matrix:
         """Induced map on the quotient; valid when ambient_map preserves the relations.

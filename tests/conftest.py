@@ -7,8 +7,8 @@ import pytest
 from depthtwo.algebras import (AlgebraMorphism, Extension, FiniteAlgebra, group_pair,
                                subgroup_extension)
 from depthtwo.catalog import build_example, catalog_names
-from depthtwo.fields import GF, QQ
-from depthtwo.linalg import Matrix
+from depthtwo.fields import GF, QQ, FpElement
+from depthtwo.linalg import Matrix, native_one
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -23,12 +23,18 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def unit_vectors(field, n: int) -> list[dict]:
     """The standard basis of field^n as {index: value} vectors."""
-    return [{i: field.one} for i in range(n)]
+    return [{i: native_one(field)} for i in range(n)]
+
+
+def native(x):
+    """A test's field value as the library stores it: an element of F_p as
+    its residue, an int or a Fraction as it is."""
+    return x.v if isinstance(x, FpElement) else x
 
 
 def sparse(vec: list) -> dict:
-    """The {index: value} vector of a dense list."""
-    return {i: x for i, x in enumerate(vec) if x}
+    """The {index: native value} vector of a dense list of field values."""
+    return {i: native(x) for i, x in enumerate(vec) if x}
 
 
 def dense(field, vec: dict, n: int) -> list:

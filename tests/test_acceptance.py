@@ -168,8 +168,8 @@ def test_criterion_07_necessary_conditions(catalog_exts):
         for y in range(A.dim):
             ey = A.basis_vector(y)
             acc = sum_nonzeros(
-                (QQ.one, A.mul(ext.iota.matrix.image(functional.image(ey)), elem).items())
-                for functional, elem in dual.pairs)
+                ((QQ.one, A.mul(ext.iota.matrix.image(functional.image(ey)), elem).items())
+                 for functional, elem in dual.pairs), QQ.char)
             assert acc == ey
 
 

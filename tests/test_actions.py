@@ -123,8 +123,8 @@ def test_action_identified_with_composition(s3_setup):
     def hat(f: Matrix) -> Matrix:
         cols = []
         for w in range(ts.dim):
-            cols.append(sum_nonzeros((c, A.mul(A.basis_vector(s), f.cols[t]).items())
-                                     for (s, t), c in ts.lift_items({w: QQ.one})))
+            cols.append(sum_nonzeros(((c, A.mul(A.basis_vector(s), f.cols[t]).items())
+                                      for (s, t), c in ts.lift_items({w: QQ.one})), QQ.char))
         return Matrix.from_columns(QQ, cols, nrows=A.dim)
 
     def f_t(c: int) -> Matrix:

@@ -13,7 +13,7 @@ from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase
 from depthtwo.catalog import build_example, catalog_names
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import galois_map, ice_matrix, main_theorem_audit, tensor_with_t
-from depthtwo.linalg import Matrix, combine, sum_nonzeros
+from depthtwo.linalg import Matrix, combine, native_one, sum_nonzeros
 
 from conftest import CATALOG_AND_A4, sparse, unit_vectors
 
@@ -174,14 +174,14 @@ def _dense_forward(wit, power: int) -> Matrix:
                 for prefix, x in legs.items():
                     for (s, t), y in core.t_items[c]:
                         if not prefix:
-                            nxt[(s, t)] = nxt.get((s, t), A.field.zero) + x * y
+                            nxt[(s, t)] = nxt.get((s, t), 0) + x * y
                             continue
                         for k, z in A.mul(A.basis_vector(prefix[-1]), A.basis_vector(s)).items():
                             key = prefix[:-1] + (k, t)
-                            nxt[key] = nxt.get(key, A.field.zero) + x * y * z
+                            nxt[key] = nxt.get(key, 0) + x * y * z
                 legs = nxt
-            images.append((A.field.one, target.reduce_items(list(legs.items())).items()))
-        cols.append(sum_nonzeros(images))
+            images.append((native_one(A.field), target.reduce_items(list(legs.items())).items()))
+        cols.append(sum_nonzeros(images, A.field.char))
     return Matrix.from_columns(A.field, cols, nrows=target.dim)
 
 
@@ -198,8 +198,8 @@ def _old_ice(core, at):
     field = core.A.field
     cols = []
     for e in unit_vectors(field, at.dim):
-        cols.append(sum_nonzeros((coeff, core.ts.left_action[k].image(core.t_basis[c]).items())
-                                 for (k, c), coeff in at.lift_items(e)))
+        cols.append(sum_nonzeros(((coeff, core.ts.left_action[k].image(core.t_basis[c]).items())
+                                  for (k, c), coeff in at.lift_items(e)), field.char))
     return Matrix.from_columns(field, cols, nrows=core.ts.dim)
 
 
@@ -211,9 +211,9 @@ def _old_beta(ext, core, at, rqb):
     cols = []
     for e in unit_vectors(field, core.ts.dim):
         cols.append(sum_nonzeros(
-            (coeff, at.class_of(A.mul(A.basis_vector(s), gamma.cols[t]), u_t).items())
-            for (s, t), coeff in core.ts.lift_items(e)
-            for (gamma, _), u_t in zip(rqb.pairs, u_ts)))
+            ((coeff, at.class_of(A.mul(A.basis_vector(s), gamma.cols[t]), u_t).items())
+             for (s, t), coeff in core.ts.lift_items(e)
+             for (gamma, _), u_t in zip(rqb.pairs, u_ts)), field.char))
     return Matrix.from_columns(field, cols, nrows=at.dim)
 
 
@@ -225,11 +225,11 @@ def _old_counit_maps(core):
     for e in unit_vectors(field, tt.dim):
         items = tt.lift_items(e)
         e1_cols.append(sum_nonzeros(
-            (coeff, combine(core.lam_R, core.eps.cols[c]).image(tvec(d)).items())
-            for (c, d), coeff in items))
+            ((coeff, combine(core.lam_R, core.eps.cols[c]).image(tvec(d)).items())
+             for (c, d), coeff in items), field.char))
         e2_cols.append(sum_nonzeros(
-            (coeff, combine(core.rho_R, core.eps.cols[d]).image(tvec(c)).items())
-            for (c, d), coeff in items))
+            ((coeff, combine(core.rho_R, core.eps.cols[d]).image(tvec(c)).items())
+             for (c, d), coeff in items), field.char))
     return (Matrix.from_columns(field, e1_cols, nrows=m),
             Matrix.from_columns(field, e2_cols, nrows=m))
 
@@ -388,7 +388,7 @@ def test_delta_rejects_a_corrupted_sandwich_image(monkeypatch, s3a3):
         image = sandwich3(self, tcoords, mid)
         if core.dim - 1 not in tcoords:
             return image
-        return sum_nonzeros(((QQ.one, image.items()), (QQ.one, stray.items())))
+        return sum_nonzeros(((QQ.one, image.items()), (QQ.one, stray.items())), QQ.char)
 
     monkeypatch.setattr(bialgebroid_mod.TripleTensorWitness, "sandwich3", corrupted)
     with pytest.raises(WitnessError, match="no preimage"):
@@ -454,8 +454,8 @@ def _reconstructs(core, actions, db) -> bool:
     """The identity-column loop: x = sum_i combine(actions, phi_i(x)) m_i for every e_c."""
     field = core.A.field
     for x in unit_vectors(field, core.dim):
-        acc = sum_nonzeros((field.one, combine(actions, phi.image(x)).image(m_i).items())
-                           for m_i, phi in zip(db.elements, db.functionals))
+        acc = sum_nonzeros(((native_one(field), combine(actions, phi.image(x)).image(m_i).items())
+                            for m_i, phi in zip(db.elements, db.functionals)), field.char)
         if acc != x:
             return False
     return True
@@ -466,7 +466,7 @@ def _variants(db):
     elems, funcs = db.elements, db.functionals
     yield db
     yield ModuleDualBasis(elems[:-1], funcs[:-1])
-    yield ModuleDualBasis(elems, [funcs[0].scaled(funcs[0].field.of(2))] + funcs[1:])
+    yield ModuleDualBasis(elems, [funcs[0].scaled(2)] + funcs[1:])
     yield ModuleDualBasis(elems[::-1], funcs)
 
 

@@ -59,8 +59,8 @@ def test_coaction_recomputed_from_quasibase(sqrt2_galois):
     at = tensor_with_t(ext)
     for j in range(ext.A.dim):
         acc = sum_nonzeros(
-            (QQ.one, at.class_of(gamma.cols[j], core.t_coords(u, "u escaped T")).items())
-            for gamma, u in rqb.pairs)
+            ((QQ.one, at.class_of(gamma.cols[j], core.t_coords(u, "u escaped T")).items())
+             for gamma, u in rqb.pairs), QQ.char)
         assert delta.cols[j] == acc
 
 

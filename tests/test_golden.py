@@ -36,13 +36,23 @@ def _cli(command: str, doc: dict) -> dict:
     return {"exit": code, "json": out.getvalue()}
 
 
-def _plain(x):
-    """Matrices, nested lists and field elements as JSON-ready values."""
+def _plain(x, of=None):
+    """Matrices, nested lists, indices and field values as JSON-ready values.
+
+    A field value is written as the string of the public element ``of``
+    makes of it ("3(mod 5)" over F_5, "1/2" over Q), so the digest does not
+    depend on how the library stores values; without ``of`` an int (an
+    index) stays an int.
+    """
     if isinstance(x, Matrix):
-        return _plain(x.data)
+        return _plain(x.data, of)
     if isinstance(x, (list, tuple)):
-        return [_plain(y) for y in x]
-    if x is None or isinstance(x, int):
+        return [_plain(y, of) for y in x]
+    if x is None:
+        return x
+    if of is not None:
+        return str(of(x))
+    if isinstance(x, int):
         return x
     return str(x)
 
@@ -51,8 +61,10 @@ def _pairs(qb) -> list | None:
     """A quasibase's (map, tensor) pairs, each tensor as its dense coordinate list."""
     if qb is None:
         return None
-    zero = qb.ts.quot.field.zero
-    return [(m, [u.get(i, zero) for i in range(qb.ts.dim)]) for m, u in qb.pairs]
+    return [(m, [u.get(i, 0) for i in range(qb.ts.dim)]) for m, u in qb.pairs]
+
+
+VALUES = ("right_quasibase", "left_quasibase", "T_alg.structure", "Delta")
 
 
 def _artifacts(doc: dict) -> dict:
@@ -79,12 +91,10 @@ def _artifacts(doc: dict) -> dict:
 
 
 def _digest(doc: dict) -> str:
-    text = json.dumps(_plain_dict(_artifacts(doc)), sort_keys=True)
+    of = extension_from_json(doc).A.field.of
+    text = json.dumps({k: _plain(v, of if k in VALUES else None)
+                       for k, v in _artifacts(doc).items()}, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _plain_dict(d: dict) -> dict:
-    return {k: _plain(v) for k, v in d.items()}
 
 
 def _record(name: str) -> dict:

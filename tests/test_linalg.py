@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from depthtwo.algebras import matrix_algebra
-from depthtwo.fields import GF, QQ, FpElement
+from depthtwo.fields import GF, QQ
 from depthtwo.linalg import (LinAlgError, Matrix, Subspace, combine, insert_row, nullspace,
                              quotient_structure, reverse_rref, rref, solve_in_span, sum_nonzeros)
 
-from conftest import dense_eye, kron, sparse as as_dict, unit_vectors
+from conftest import dense_eye, kron, native, sparse as as_dict, unit_vectors
 
 
 def vec(field, *entries):
@@ -27,7 +27,7 @@ def dicts(rows):
 
 
 def combination(field, coeffs: dict, vectors: list[dict]) -> dict:
-    return sum_nonzeros((c, vectors[i].items()) for i, c in coeffs.items())
+    return sum_nonzeros(((c, vectors[i].items()) for i, c in coeffs.items()), field.char)
 
 
 def random_matrix(rng, field, nrows, ncols, span=5):
@@ -237,7 +237,7 @@ def test_column_arithmetic_matches_nested_list_arithmetic():
                                           for j in range(c)] for i in range(r)])
         assert dense(ma + ma2) == (r, k, [[x + y for x, y in zip(u, v)] for u, v in zip(a, a2)])
         assert dense(ma - ma2) == (r, k, [[x - y for x, y in zip(u, v)] for u, v in zip(a, a2)])
-        assert dense(ma.scaled(s)) == (r, k, [[s * x for x in u] for u in a])
+        assert dense(ma.scaled(native(s))) == (r, k, [[s * x for x in u] for u in a])
         assert dense(-ma) == (r, k, [[-x for x in u] for u in a])
         assert dense(ma.transpose()) == (k, r, [[a[i][j] for i in range(r)] for j in range(k)])
         assert ma.rank() == _dense_gauss_jordan(field, a, k)[1]
@@ -318,8 +318,12 @@ def test_image_and_combine_reject_indices_outside_the_range():
 
 def test_sum_nonzeros_drops_cancelled_entries():
     terms = [(QQ.of(1), [(0, QQ.of(2)), (1, QQ.of(1))]), (QQ.of(-1), [(1, QQ.of(1))])]
-    assert sum_nonzeros(terms) == {0: QQ.of(2)}
-    assert sum_nonzeros([]) == {}
+    assert sum_nonzeros(terms, 0) == {0: QQ.of(2)}
+    assert sum_nonzeros([], 0) == {}
+    # over F_5 the products are added as ints and each entry is reduced once
+    terms = [(3, [(0, 4), (1, 2)]), (1, [(1, 4)]), (4, [(2, 4)])]
+    assert sum_nonzeros(terms, 5) == {0: 2, 2: 1}
+    assert sum_nonzeros([], 5) == {}
 
 
 def test_kron_index_convention():
@@ -453,7 +457,7 @@ def test_insert_row_keeps_the_rref_of_every_prefix():
             basis: dict = {}
             for k, row in enumerate(rows):
                 rank = len(basis)
-                grew = insert_row(basis, as_dict(row), field.one)
+                grew = insert_row(basis, as_dict(row), field)
                 assert grew == (len(basis) == rank + 1)
                 assert grew or len(basis) == rank
                 red, pivots = reference_rref(rows[:k + 1], field, ncols)
@@ -747,14 +751,15 @@ def kernel_rows(rng, field, nrows, ncols):
 
 
 def assert_field_values(field, values):
-    """Every scalar in nested lists and dict values is a field element, not an int."""
+    """Every scalar in nested lists and dict values is native: an int in
+    range(1, p) over F_p (a dict holds no zeros), a Fraction over Q."""
     if isinstance(values, dict):
         values = list(values.values())
     for x in values:
         if isinstance(x, (list, dict)):
             assert_field_values(field, x)
         elif field.char:
-            assert type(x) is FpElement and x.p == field.char, repr(x)
+            assert type(x) is int and 0 < x < field.char, repr(x)
         else:
             assert type(x) is Fraction, repr(x)
 
@@ -828,7 +833,7 @@ def test_kernel_results_equal_the_reference(field):
         total = space.sum_with(other)
         assert total.basis == dicts(reference_rref(rows + other_rows, field, ncols)[0])
         inter = space.intersect(other)
-        dense_other = [[v.get(c, field.zero) for c in range(ncols)] for v in other.basis]
+        dense_other = [[field.of(v.get(c, 0)) for c in range(ncols)] for v in other.basis]
         assert inter.basis == dicts(reference_intersection(red, dense_other, field, ncols))
         assert_field_values(field, total.basis + inter.basis)
         assert inter.dim + total.dim == space.dim + other.dim
@@ -857,7 +862,7 @@ def test_insert_row_in_random_order_keeps_the_reference_rref(field):
         basis: dict = {}
         for k, row in enumerate(rows):
             before = set(basis)
-            grew = insert_row(basis, as_dict(row), field.one)
+            grew = insert_row(basis, as_dict(row), field)
             assert grew == (len(basis) == len(before) + 1)
             if grew and before:
                 (lead,) = set(basis) - before
