@@ -3,7 +3,8 @@
 An algebra lives entirely in coordinates: the nonzero structure constants
 ``nonzeros[i][j]`` = {k: c} with e_i e_j = sum_k c e_k, and the unit as an
 {index: value} vector, the vector format of ``linalg``, with native values
-(ints mod p over F_p) taken through ``linalg.entry``.  A dense cube
+(ints mod p over F_p; over Q ints, and Fractions only off the integers)
+taken through ``linalg.entry``.  A dense cube
 c[i][j][k] is read once where it enters (``make_algebra``), and
 ``structure`` rebuilds it on each read, for output.  Extensions are
 unit-preserving morphisms iota: B -> A; they are never assumed injective,
@@ -14,8 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import (Matrix, Subspace, combine, entry, insert_row, native_one, native_zero,
-                     nullspace, sum_nonzeros)
+from .linalg import Matrix, Subspace, combine, entry, insert_row, nullspace, sum_nonzeros
 # re-exported: callers and profiling tools look solve_in_span up in this module
 from .linalg import solve_in_span  # noqa: F401
 
@@ -96,11 +96,11 @@ class FiniteAlgebra:
     def structure(self) -> list[list[list]]:
         """The dense cube c[i][j][k] of native values, rebuilt from the
         nonzeros on each read."""
-        zero, n = native_zero(self.field), self.dim
-        return [[[nij.get(k, zero) for k in range(n)] for nij in ni] for ni in self.nonzeros]
+        n = self.dim
+        return [[[nij.get(k, 0) for k in range(n)] for nij in ni] for ni in self.nonzeros]
 
     def basis_vector(self, i: int) -> dict:
-        return {i: native_one(self.field)}
+        return {i: 1}
 
     def mul(self, x: dict, y: dict) -> dict:
         """Coordinates {k: value} of x * y for {index: value} x and y, summed
@@ -164,7 +164,7 @@ def _greedy_generators(field, nz, unit: dict) -> list[int]:
     span becomes the next generator.  For an associative algebra the span
     is the subalgebra the generators generate.
     """
-    n, one, mod = len(nz), native_one(field), field.char
+    n, mod = len(nz), field.char
     span: dict[int, dict] = {}
     words = [unit]
     insert_row(span, unit, field)
@@ -172,12 +172,12 @@ def _greedy_generators(field, nz, unit: dict) -> list[int]:
     for i in range(n):
         if len(span) == n:
             break
-        if not insert_row(span, {i: one}, field):
+        if not insert_row(span, {i: 1}, field):
             continue
         gens.append(i)
         # the span is closed under the earlier generators: close it under e_i too
         todo = [(w, (i,)) for w in words]
-        words.append({i: one})
+        words.append({i: 1})
         todo.append((words[-1], tuple(gens)))
         while todo and len(span) < n:
             w, by = todo.pop()
@@ -204,16 +204,14 @@ def make_algebra(field, structure: list[list[list]], unit: list) -> FiniteAlgebr
 
 
 def field_as_algebra(field) -> FiniteAlgebra:
-    one = native_one(field)
-    return FiniteAlgebra(field, [[{0: one}]], {0: one}, validate=False)
+    return FiniteAlgebra(field, [[{0: 1}]], {0: 1}, validate=False)
 
 
 def matrix_algebra(field, n: int) -> FiniteAlgebra:
     """M_n via matrix units, basis e_{uv} at index u*n + v."""
-    one = native_one(field)
-    nonzeros = [[{u * n + x: one} if v == w else {} for w in range(n) for x in range(n)]
+    nonzeros = [[{u * n + x: 1} if v == w else {} for w in range(n) for x in range(n)]
                 for u in range(n) for v in range(n)]
-    return FiniteAlgebra(field, nonzeros, {u * n + u: one for u in range(n)}, validate=False)
+    return FiniteAlgebra(field, nonzeros, {u * n + u: 1 for u in range(n)}, validate=False)
 
 
 # -- groups ------------------------------------------------------------
@@ -263,8 +261,7 @@ def group_inverses(table: list[list[int]]) -> list[int]:
 def group_algebra(field, table: list[list[int]]) -> FiniteAlgebra:
     """k[G] from a validated Cayley table; basis indexed by group elements."""
     identity = _check_group_table(table)
-    one = native_one(field)
-    return FiniteAlgebra(field, [[{k: one} for k in row] for row in table], {identity: one},
+    return FiniteAlgebra(field, [[{k: 1} for k in row] for row in table], {identity: 1},
                          validate=False)
 
 
@@ -289,8 +286,7 @@ def subgroup_extension(field, table: list[list[int]], subgroup: list[int]):
     subtable = [[pos[table[a][b]] for b in sub] for a in sub]
     B = group_algebra(field, subtable)
     A = group_algebra(field, table)
-    one = native_one(field)
-    iota = Matrix.from_columns(field, [{g: one} for g in sub], nrows=len(table))
+    iota = Matrix.from_columns(field, [{g: 1} for g in sub], nrows=len(table))
     ext = Extension(B, A, AlgebraMorphism(B, A, iota))
     return ext, sub
 

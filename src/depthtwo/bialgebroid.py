@@ -23,7 +23,7 @@ from .algebras import (AlgebraError, Extension, FiniteAlgebra, SelfCheckError, c
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
-from .linalg import Matrix, Subspace, combine, native_one, solve_in_span, sum_nonzeros
+from .linalg import Matrix, Subspace, combine, solve_in_span, sum_nonzeros
 
 
 class TCore:
@@ -303,7 +303,6 @@ def _delta_from_witness(core: TCore, witness: TripleTensorWitness) -> Matrix:
 def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
     """Delta(t) = sum_i (t^1 (x) gamma_i(t^2)) (x)_R u_i, the quasibase formula."""
     field = core.A.field
-    one = native_one(field)
     pairs = core.quasibase_in_T(rqb)
     cols = []
     for c in range(core.dim):
@@ -312,7 +311,7 @@ def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
             items = [((s, l), c1 * a) for (s, t), c1 in core.t_items[c]
                      for l, a in gamma.cols[t].items()]
             w = core.t_coords(core.ts.reduce_items(items), "coproduct first leg escaped T")
-            terms.append((one, w, u_t))
+            terms.append((1, w, u_t))
         cols.append(core.tt.class_of_sum(terms))
     return Matrix.from_columns(field, cols, nrows=core.tt.dim)
 
@@ -650,8 +649,7 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
     eps_in_A = core.incl_R @ core.eps
 
     # the flip x (x) y -> y (x) x descends and is an involutive anti-automorphism
-    one = native_one(field)
-    swap = Matrix.from_columns(field, [{j * n + i: one} for i, j in pairs], nrows=n * n)
+    swap = Matrix.from_columns(field, [{j * n + i: 1} for i, j in pairs], nrows=n * n)
     tau_q2 = ts.quot.induced(swap)
     tau_cols = [core.t_coords(tau_q2.image(t), "flip left T") for t in core.t_basis]
     tau = Matrix.from_columns(field, tau_cols, nrows=m)

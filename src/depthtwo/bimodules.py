@@ -36,8 +36,8 @@ import copy
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, field_as_algebra, group_inverses, per_extension)
-from .linalg import (Matrix, Subspace, combine, insert_row, native_one, nullspace,
-                     quotient_structure, reverse_rref, solve_in_span, sum_nonzeros)
+from .linalg import (Matrix, Subspace, combine, insert_row, nullspace, quotient_structure,
+                     reverse_rref, solve_in_span, sum_nonzeros)
 
 
 class Bimodule:
@@ -101,14 +101,7 @@ class Bimodule:
 
     def reduce_items(self, items: list[tuple[tuple, object]]) -> dict:
         """Nonzero coordinates {index: value} of a sum of items."""
-        out: dict = {}
-        for (i,), c in items:
-            x = out.get(i)
-            out[i] = c if x is None else x + c
-        mod = self.left_algebra.field.char
-        if mod:
-            return {i: r for i, x in out.items() if (r := x % mod)}
-        return {i: x for i, x in out.items() if x}
+        return sum_nonzeros(((c, ((i, 1),)) for (i,), c in items), self.left_algebra.field.char)
 
 
 def restrict(M: Bimodule, left: AlgebraMorphism | None = None,
@@ -237,7 +230,7 @@ class BalancedTensor(Bimodule):
 
     def class_of(self, x: dict, y: dict) -> dict:
         """Quotient coordinates of x (x) y for x in M and y in N coordinates."""
-        return self.class_of_sum([(native_one(self.quot.field), x, y)])
+        return self.class_of_sum([(1, x, y)])
 
     def matrix_of(self, target_dim: int, pure) -> Matrix:
         """The linear map out of this quotient that sends the class of a pure
@@ -247,9 +240,8 @@ class BalancedTensor(Bimodule):
         are {index: value} coordinates, added into one sparse column.
         """
         field = self.quot.field
-        one, mod = native_one(field), field.char
         cols = [sum_nonzeros(((coeff, pure(*idx).items())
-                              for idx, coeff in self.lift_items({q: one})), mod)
+                              for idx, coeff in self.lift_items({q: 1})), field.char)
                 for q in range(self.dim)]
         return Matrix.from_columns(field, cols, nrows=target_dim)
 
@@ -333,9 +325,8 @@ def b_centralized(ext: Extension, M: Bimodule) -> Subspace:
     if not legs:
         return Subspace.full(field, M.dim)
     rows: list[dict] = [{} for _ in range(len(legs) * M.dim)]
-    one = native_one(field)
     for q in range(M.dim):
-        items = M.lift_items({q: one})
+        items = M.lift_items({q: 1})
         for g, (left, right) in enumerate(legs):
             moved = [((k,) + idx[1:], c * x) for idx, c in items for k, x in left[idx[0]].items()]
             moved += [(idx[:-1] + (k,), -(c * x))
@@ -424,7 +415,6 @@ def bimodule_generators(M: Bimodule) -> list[int]:
     action is applied through its column view (``Matrix.image``).
     """
     field = M.left_algebra.field
-    one = native_one(field)
     acts = [M.left_action[i] for i in M.left_algebra.generating_indices()]
     acts += [M.right_action[j] for j in M.right_algebra.generating_indices()]
     span: dict[int, dict] = {}
@@ -432,10 +422,10 @@ def bimodule_generators(M: Bimodule) -> list[int]:
     for i in range(M.dim):
         if len(span) == M.dim:
             break
-        if not insert_row(span, {i: one}, field):
+        if not insert_row(span, {i: 1}, field):
             continue
         gens.append(i)
-        frontier = [{i: one}]
+        frontier = [{i: 1}]
         while frontier:
             w = frontier.pop()
             for act in acts:
@@ -478,8 +468,7 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
         a, b = divmod(k, len(homs_mp))
         by_g.setdefault(b, {})[a] = x
     pairs = [(combine(homs_pm, by_g[b]), g) for b, g in enumerate(homs_mp) if b in by_g]
-    one, mod = native_one(field), field.char
-    if any(sum_nonzeros(((one, f.image(g.cols[c]).items()) for f, g in pairs), mod) != {c: one}
+    if any(sum_nonzeros(((1, f.image(g.cols[c]).items()) for f, g in pairs), field.char) != {c: 1}
            for c in range(M.dim)):
         raise SelfCheckError("summand factorization failed its own reconstruction")
     return SummandFactorization(pairs)
@@ -504,8 +493,7 @@ def _summand_system(M: Bimodule, homs_pm: list[Matrix],
                 for r, x in f.image(g_col).items():
                     prod[off + r] = x
             products.append(prod)
-    one = native_one(M.left_algebra.field)
-    return products, {p * dim + i: one for p, i in enumerate(gens)}
+    return products, {p * dim + i: 1 for p, i in enumerate(gens)}
 
 
 # -- quasibases ----------------------------------------------------------
@@ -677,11 +665,10 @@ def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],
     ts = tensor_square(ext)
     inv = group_inverses(table)
     sub = sorted(set(subgroup))
-    one = native_one(field)
     pairs = []
     for g in transversal:
         coset = {table[m][g] for m in sub}
-        proj = Matrix.from_columns(field, [{h: one} if h in coset else {}
+        proj = Matrix.from_columns(field, [{h: 1} if h in coset else {}
                                            for h in range(A.dim)], nrows=A.dim)
         if side == "right":
             tensor = ts.class_of(A.basis_vector(inv[g]), A.basis_vector(g))
@@ -753,11 +740,10 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
             # functional y -> p(gamma(y) * (c * e_s)), element e_t
             functional = p @ A.right_mult(s).scaled(c) @ gamma
             pairs.append((functional, A.basis_vector(t)))
-    one = native_one(field)
     for y in range(n):
         ey = A.basis_vector(y)
-        acc = sum_nonzeros(((one, A.mul(ext.iota.matrix.image(f.image(ey)), m).items())
+        acc = sum_nonzeros(((1, A.mul(ext.iota.matrix.image(f.image(ey)), m).items())
                             for f, m in pairs), field.char)
-        if acc != {y: one}:
+        if acc != {y: 1}:
             raise SelfCheckError("dual basis reconstruction failed")
     return DualBasis(pairs)

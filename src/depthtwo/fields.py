@@ -1,15 +1,15 @@
 """Exact scalars: arbitrary-precision rationals and prime fields F_p.
 
 Every computation in this package runs over one of these two kinds of
-field; there is no floating point anywhere.  Rational values are plain
-``fractions.Fraction`` objects.  Inside the library a value of F_p is a
-plain ``int`` in range(p): vectors, matrices and algebras store the
-residue itself, and ``linalg`` converts values once where they come in.
-``FpElement`` is the public scalar of F_p, returned by ``GF(p).of``,
-``parse``, ``one`` and ``zero``, with the ordinary arithmetic operators;
-the library builds one only where JSON or the catalog comes in, and
-``render`` takes either form.  An ``FpElement`` combines with an element
-of the same modulus or with an int; any other modulus raises
+field; there is no floating point anywhere.  The public scalars are
+``fractions.Fraction`` over Q and ``FpElement`` over F_p, returned by
+``of``, ``parse``, ``one`` and ``zero``; the library builds them only
+where JSON or the catalog comes in.  Inside the library values are plain:
+a value of F_p is an ``int`` in range(p), and a value of Q an ``int`` when
+integral, else a ``Fraction`` with denominator > 1.  Vectors, matrices and
+algebras store that form, ``linalg`` converts values once where they come
+in, and ``render`` takes either form.  An ``FpElement`` combines with an
+element of the same modulus or with an int; any other modulus raises
 ``FieldError``, and a ``Fraction`` or float raises ``TypeError``.
 """
 
@@ -135,7 +135,7 @@ class FpElement:
 
 
 class Rationals:
-    """The field Q, elements represented as ``Fraction``."""
+    """The field Q; its public elements are ``Fraction`` (see the module docstring)."""
 
     char = 0
 
@@ -148,7 +148,11 @@ class Rationals:
         return Fraction(1)
 
     def of(self, n) -> Fraction:
-        return Fraction(n)
+        """The rational of an int or a Fraction; a bool, a float, a string or
+        an element of F_p is a FieldError."""
+        if type(n) is int or type(n) is Fraction:
+            return Fraction(n)
+        raise FieldError(f"not a rational value: {n!r}")
 
     def parse(self, obj) -> Fraction:
         if isinstance(obj, bool):
@@ -162,7 +166,8 @@ class Rationals:
                 raise FieldError(f"bad rational literal {obj!r}") from exc
         raise FieldError(f"not a rational literal: {obj!r}")
 
-    def render(self, x: Fraction):
+    def render(self, x):
+        """A stored int or a Fraction, for JSON: an int when integral, else "num/den"."""
         if x.denominator == 1:
             return int(x)
         return f"{x.numerator}/{x.denominator}"

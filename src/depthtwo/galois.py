@@ -20,7 +20,7 @@ from .bialgebroid import (AuditReport, RightBialgebroid, TCore, build_T_quasibas
 from .bimodules import (BalancedTensor, QuasibaseSet, algebra_bimodule, balanced_tensor,
                         intertwiners, left_d2_quasibase, restrict, right_d2_quasibase,
                         tensor_square, unit_tensor)
-from .linalg import LinAlgError, Matrix, Subspace, combine, native_one, nullspace, sum_nonzeros
+from .linalg import LinAlgError, Matrix, Subspace, combine, nullspace, sum_nonzeros
 
 
 @per_extension
@@ -49,9 +49,8 @@ def coaction(ext: Extension, rqb: QuasibaseSet) -> Matrix:
     at = tensor_with_t(ext)
     A = ext.A
     field = A.field
-    one = native_one(field)
     pairs = core.quasibase_in_T(rqb)
-    cols = [at.class_of_sum([(one, gamma.cols[j], u_t) for gamma, u_t in pairs])
+    cols = [at.class_of_sum([(1, gamma.cols[j], u_t) for gamma, u_t in pairs])
             for j in range(A.dim)]
     delta = Matrix.from_columns(field, cols, nrows=at.dim)
     if delta.image(A.unit) != at.class_of(A.unit, core.unit_T):
@@ -81,11 +80,10 @@ def galois_map(ext: Extension, rqb: QuasibaseSet) -> GaloisMap:
     ts = core.ts
     A = ext.A
     field = A.field
-    one = native_one(field)
     pairs = core.quasibase_in_T(rqb)
 
     def pure(s, t):
-        return at.class_of_sum([(one, A.mul(A.basis_vector(s), gamma.cols[t]), u_t)
+        return at.class_of_sum([(1, A.mul(A.basis_vector(s), gamma.cols[t]), u_t)
                                 for gamma, u_t in pairs])
 
     beta = ts.matrix_of(at.dim, pure)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        group_pair, make_algebra, subgroup_extension)
 from .fields import FieldError, field_from_json
-from .linalg import LinAlgError, Matrix, native_zero
+from .linalg import LinAlgError, Matrix
 
 
 class ParseError(ValueError):
@@ -26,7 +26,7 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
         "dim": alg.dim,
         "structure": [[[f.render(x) for x in row] for row in plane]
                       for plane in alg.structure],
-        "unit": [f.render(alg.unit.get(k, native_zero(f))) for k in range(alg.dim)],
+        "unit": [f.render(alg.unit.get(k, 0)) for k in range(alg.dim)],
     }
 
 

@@ -3,16 +3,18 @@
 A vector is the dict {index: value} of its nonzero entries, with no zeros
 stored, so equal vectors are equal dicts; its length is known from the
 map, subspace or quotient it belongs to.  Stored values are native: over
-F_p a plain ``int`` in range(1, p), over Q a ``Fraction``.
-``native_one`` and ``native_zero`` are the field's 1 and 0 in that form,
-and ``sum_nonzeros`` adds products of native values, as plain ints over
-F_p, and reduces each entry once.  Values from outside come in through
-one conversion, ``entry``: over F_p it takes an int or a public element
-of the same modulus (``GF(p).of``), over Q an int or a ``Fraction``, and
+F_p a plain ``int`` in range(1, p); over Q an ``int`` when integral and
+otherwise a ``Fraction`` with denominator > 1, never ``Fraction(n, 1)``.
+The stored 1 and 0 are the ints 1 and 0 in both fields, and
+``sum_nonzeros`` adds products of native values and brings each entry
+back to that form once.  Values from outside come in through one
+conversion, ``entry``: over F_p it takes an int or a public element of
+the same modulus (``GF(p).of``), over Q an int or a ``Fraction``, and
 anything else is a ``FieldError``.  ``Matrix(field, rows)``,
 ``from_columns``, ``unvec``, the algebra constructors, ``insert_row`` and
 every elimination entry point (``rref``, ``nullspace``, ``reverse_rref``,
-``solve_in_span``, ``Subspace.span``) read their values through it.
+``solve_in_span``, ``Subspace.span``, ``Subspace.coords``,
+``Quotient.reduce``) read their values through it.
 
 A ``Matrix`` is stored the same way, as its nonzero columns ``cols`` and
 its shape, and never edited in place.  Products, images, sums,
@@ -34,8 +36,10 @@ dict rows.  Inside, rows are machine integers.
 Both are unique for a reduced row, so equal spans store equal rows.
 A row enters through the kernel's ``native``, which is the entry
 conversion, and an F_p row leaves as it is stored.  Over Q a row is
-divided out into Fractions where it leaves: ``rref``'s rows,
-``reverse_rref``, ``Subspace.basis`` and ``Quotient.reduce``.  A vector
+divided by its denominator where it leaves (``rref``'s rows,
+``reverse_rref``, ``Subspace.basis`` and ``Quotient.reduce``): each entry
+becomes an int where the denominator divides it and a Fraction where it
+does not, and a row with denominator 1 leaves as it is.  A vector
 one of these returns may share its dict with a stored row, so no consumer
 edits a vector in place.
 
@@ -110,8 +114,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        one = native_one(field)
-        return cls._of(field, n, n, [{i: one} for i in range(n)])
+        return cls._of(field, n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_columns(cls, field, columns: list[dict], nrows: int) -> "Matrix":
@@ -135,8 +138,7 @@ class Matrix:
     def data(self) -> list[tuple]:
         """The dense rows as tuples of native values, rebuilt from the
         columns on each read."""
-        zero = native_zero(self.field)
-        rows = [[zero] * self.ncols for _ in range(self.nrows)]
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
         for j, col in enumerate(self.cols):
             for i, x in col.items():
                 rows[i][j] = x
@@ -169,19 +171,19 @@ class Matrix:
         """self + c * other, column by column."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinAlgError(f"shape mismatch in {op}")
-        one, mod = native_one(self.field), self.field.char
+        mod = self.field.char
         return Matrix._of(self.field, self.nrows, self.ncols,
-                          [sum_nonzeros(((one, a.items()), (c, b.items())), mod)
+                          [sum_nonzeros(((1, a.items()), (c, b.items())), mod)
                            for a, b in zip(self.cols, other.cols)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, native_one(self.field), "+")
+        return self._plus(other, 1, "+")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, -native_one(self.field), "-")
+        return self._plus(other, -1, "-")
 
     def __neg__(self) -> "Matrix":
-        return self.scaled(-native_one(self.field))
+        return self.scaled(-1)
 
     def scaled(self, c) -> "Matrix":
         """c times the matrix, for a native scalar c."""
@@ -213,8 +215,8 @@ class Matrix:
         if self.nrows != self.ncols:
             raise LinAlgError("inverse of non-square matrix")
         n = self.nrows
-        k, one = _kernel(self.field), native_one(self.field)
-        basis = _echelon([k.native({**col, n + j: one})[0] for j, col in enumerate(self.cols)], k)
+        k = _kernel(self.field)
+        basis = _echelon([k.native({**col, n + j: 1})[0] for j, col in enumerate(self.cols)], k)
         if sorted(basis)[:n] != list(range(n)):
             raise LinAlgError("matrix is singular")
         cols = []
@@ -246,23 +248,13 @@ def _check_indices(vec: dict, n: int, what: str) -> None:
         raise LinAlgError(f"{what}: indices {min(vec)}..{max(vec)} outside range({n})")
 
 
-def native_one(field):
-    """The field's 1 as the library stores it: 1 over F_p, Fraction(1) over Q."""
-    return 1 if field.char else Fraction(1)
-
-
-def native_zero(field):
-    """The field's 0 as the library stores it: 0 over F_p, Fraction(0) over Q."""
-    return 0 if field.char else Fraction(0)
-
-
 def sum_nonzeros(terms, mod: int) -> dict:
     """{index: value} of sum c * v over (c, nonzeros (index, value) of v),
     zeros dropped, for native values.
 
     ``mod`` is the field's characteristic: over F_p (mod = p) the products
     are added as plain ints, unreduced, and each output entry is reduced
-    once; over Q (mod = 0) they are Fractions.
+    once; over Q (mod = 0) an integral entry is written as an int.
     """
     acc: dict = {}
     get = acc.get
@@ -272,7 +264,8 @@ def sum_nonzeros(terms, mod: int) -> dict:
             acc[l] = c * x if y is None else y + c * x
     if mod:
         return {l: r for l, x in acc.items() if (r := x % mod)}
-    return {l: x for l, x in acc.items() if x}
+    return {l: x if type(x) is int or x.denominator != 1 else x.numerator
+            for l, x in acc.items() if x}
 
 
 def _check_columns(vec: dict, ncols: int, what: str) -> None:
@@ -293,8 +286,9 @@ def entry(field, vec: dict) -> dict:
     {index: value} vector whose values come from outside the library.
 
     Over F_p a value is an int or a public element of F_p (``GF(p).of``)
-    of the same modulus; over Q an int or a ``Fraction``.  Anything else,
-    a bool or a float included, is a ``FieldError``.
+    of the same modulus; over Q an int or a ``Fraction``, an integral one
+    stored as its numerator.  Anything else, a bool or a float included,
+    is a ``FieldError``.
     """
     return _kernel(field).entry(vec)
 
@@ -371,30 +365,39 @@ class _RationalRows:
 
     @staticmethod
     def entry(vec: dict) -> dict:
-        """{column: nonzero Fraction} of a row of ints and Fractions."""
+        """{column: nonzero value} of a row of ints and Fractions, an
+        integral Fraction written as its numerator."""
         out = {}
         for c, x in vec.items():
-            if type(x) is not Fraction:
-                if type(x) is not int:  # a bool, a float, an element of F_p
+            if type(x) is not int:
+                if type(x) is not Fraction:  # a bool, a float, an element of F_p
                     raise FieldError(f"not a rational value: {x!r}")
-                x = Fraction(x)
+                if x.denominator == 1:
+                    x = x.numerator
             if x:
                 out[c] = x
         return out
 
     def native(self, row: dict) -> tuple[dict, int]:
-        """The native row and denominator of a {column: Fraction or int} row."""
+        """The native row and denominator of a {column: int or Fraction}
+        row: ``entry``, then the least common denominator cleared."""
+        row = self.entry(row)
         den = 1
         for x in row.values():
-            d = x.denominator
-            if d != 1:
+            if type(x) is not int:
+                d = x.denominator
                 den = den * d // gcd(den, d)
         if den == 1:
-            return {c: x.numerator for c, x in row.items() if x}, 1
-        return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}, den
+            return row, 1
+        return {c: x.numerator * (den // x.denominator) for c, x in row.items()}, den
 
-    def values(self, row: dict, den: int) -> dict:
-        return {c: Fraction(x, den) for c, x in row.items()}
+    @staticmethod
+    def values(row: dict, den: int) -> dict:
+        """The {column: value} vector of a native row over den: the row
+        itself when den is 1, else an int where den divides the entry."""
+        if den == 1:
+            return row
+        return {c: x // den if x % den == 0 else Fraction(x, den) for c, x in row.items()}
 
     @staticmethod
     def _eliminate(row: dict, other: dict, col: int) -> int:
@@ -545,8 +548,8 @@ def nullspace(rows: list[dict], field, ncols: int) -> list[dict]:
     """Canonical basis of {x : rows @ x = 0} as {column: value} vectors,
     ordered by ascending free column."""
     red, pivots = rref(rows, field, ncols)
-    one, mod = native_one(field), field.char
-    basis = {f: {f: one} for f in range(ncols)}
+    mod = field.char
+    basis = {f: {f: 1} for f in range(ncols)}
     for p in pivots:
         del basis[p]
     for row, p in zip(red, pivots):
@@ -628,12 +631,16 @@ class Subspace:
         is not in the span.
 
         A basis row is 1 at its own pivot and 0 at the others, so the
-        coordinates are the entries of vec at the pivots, and a pivot where
-        vec is zero gives a zero coordinate, left out.
+        coordinates are the entries of vec at the pivots, read off its native
+        row before the reduction; a pivot where vec is zero gives a zero
+        coordinate, left out.
         """
-        if not self.contains(vec):
+        k = self._k
+        row, den = _native(vec, self.ambient_dim, "subspace", k)
+        at = {i: row[p] for i, p in enumerate(self.pivots) if p in row}
+        if k.residue(self.rows, row, den)[0]:
             return None
-        return {i: vec[p] for i, p in enumerate(self.pivots) if vec.get(p)}
+        return k.values(at, den)
 
     def is_contained_in(self, other: "Subspace") -> bool:
         return all(not self._k.residue(other.rows, dict(row), 1)[0] for row in self.rows.values())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from depthtwo.algebras import (AlgebraMorphism, Extension, FiniteAlgebra, group_
                                subgroup_extension)
 from depthtwo.catalog import build_example, catalog_names
 from depthtwo.fields import GF, QQ, FpElement
-from depthtwo.linalg import Matrix, native_one
+from depthtwo.linalg import Matrix
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -23,13 +24,16 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def unit_vectors(field, n: int) -> list[dict]:
     """The standard basis of field^n as {index: value} vectors."""
-    return [{i: native_one(field)} for i in range(n)]
+    return [{i: 1} for i in range(n)]
 
 
 def native(x):
     """A test's field value as the library stores it: an element of F_p as
-    its residue, an int or a Fraction as it is."""
-    return x.v if isinstance(x, FpElement) else x
+    its residue, an integral Fraction as its numerator, an int or any other
+    Fraction as it is."""
+    if isinstance(x, FpElement):
+        return x.v
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 def sparse(vec: list) -> dict:

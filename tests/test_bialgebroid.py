@@ -13,7 +13,7 @@ from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase
 from depthtwo.catalog import build_example, catalog_names
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import galois_map, ice_matrix, main_theorem_audit, tensor_with_t
-from depthtwo.linalg import Matrix, combine, native_one, sum_nonzeros
+from depthtwo.linalg import Matrix, combine, sum_nonzeros
 
 from conftest import CATALOG_AND_A4, sparse, unit_vectors
 
@@ -180,7 +180,7 @@ def _dense_forward(wit, power: int) -> Matrix:
                             key = prefix[:-1] + (k, t)
                             nxt[key] = nxt.get(key, 0) + x * y * z
                 legs = nxt
-            images.append((native_one(A.field), target.reduce_items(list(legs.items())).items()))
+            images.append((1, target.reduce_items(list(legs.items())).items()))
         cols.append(sum_nonzeros(images, A.field.char))
     return Matrix.from_columns(A.field, cols, nrows=target.dim)
 
@@ -454,7 +454,7 @@ def _reconstructs(core, actions, db) -> bool:
     """The identity-column loop: x = sum_i combine(actions, phi_i(x)) m_i for every e_c."""
     field = core.A.field
     for x in unit_vectors(field, core.dim):
-        acc = sum_nonzeros(((native_one(field), combine(actions, phi.image(x)).image(m_i).items())
+        acc = sum_nonzeros(((1, combine(actions, phi.image(x)).image(m_i).items())
                             for m_i, phi in zip(db.elements, db.functionals)), field.char)
         if acc != x:
             return False

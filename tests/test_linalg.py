@@ -752,7 +752,8 @@ def kernel_rows(rng, field, nrows, ncols):
 
 def assert_field_values(field, values):
     """Every scalar in nested lists and dict values is native: an int in
-    range(1, p) over F_p (a dict holds no zeros), a Fraction over Q."""
+    range(1, p) over F_p (a dict holds no zeros); over Q an int, or a
+    Fraction with denominator > 1, never Fraction(n, 1)."""
     if isinstance(values, dict):
         values = list(values.values())
     for x in values:
@@ -761,7 +762,7 @@ def assert_field_values(field, values):
         elif field.char:
             assert type(x) is int and 0 < x < field.char, repr(x)
         else:
-            assert type(x) is Fraction, repr(x)
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
 
 
 def reference_nullspace(rows, field, ncols):

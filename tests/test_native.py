@@ -1,6 +1,7 @@
 """Native values: inside the library a value of F_p is a plain int in
-range(1, p), a value of Q a Fraction, and values from outside come in
-through one entry conversion that rejects what is not a field value."""
+range(1, p), a value of Q an int when integral and otherwise a Fraction
+with denominator > 1, and values from outside come in through one entry
+conversion that rejects what is not a field value."""
 
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from depthtwo.catalog import A3_INDICES, S3_TABLE
 from depthtwo.fields import GF, QQ, FieldError, FpElement
 from depthtwo.galois import galois_data, main_theorem_audit
 from depthtwo.jsonio import example_to_json, extension_from_json
-from depthtwo.linalg import (Matrix, Subspace, entry, insert_row, nullspace, reverse_rref, rref,
-                             solve_in_span)
+from depthtwo.linalg import (Matrix, Subspace, entry, insert_row, nullspace, quotient_structure,
+                             reverse_rref, rref, solve_in_span, sum_nonzeros)
 
 F5 = GF(5)
 BIG_P = 2 ** 61 - 1
@@ -37,6 +38,19 @@ def test_of_rejects_what_is_not_an_int_or_an_element(bad):
         F5.of(bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, "3", None, F5.of(2)],
+                         ids=["true", "false", "float", "integral-float", "string", "none",
+                              "f_p-element"])
+def test_rational_of_rejects_what_is_not_an_int_or_a_fraction(bad):
+    with pytest.raises(FieldError):
+        QQ.of(bad)
+
+
+def test_rational_of_returns_fractions():
+    assert QQ.of(3) == 3 and type(QQ.of(3)) is Fraction
+    assert QQ.of(Fraction(-1, 2)) == Fraction(-1, 2)
+
+
 def test_of_accepts_ints_and_elements_of_its_own_modulus():
     assert F5.of(7) == FpElement(2, 5) and F5.of(-1) == FpElement(4, 5)
     x = F5.of(3)
@@ -48,20 +62,22 @@ def test_of_accepts_ints_and_elements_of_its_own_modulus():
 # -- the entry conversion ---------------------------------------------------
 
 ENTRY_POINTS = {
-    "Matrix": lambda x: Matrix(F5, [[x, 1]]),
-    "from_columns": lambda x: Matrix.from_columns(F5, [{0: x}], nrows=1),
-    "unvec": lambda x: Matrix.unvec(F5, {0: x}, 1, 1),
-    "make_algebra": lambda x: make_algebra(F5, [[[x]]], [1]),
-    "FiniteAlgebra-nonzeros": lambda x: FiniteAlgebra(F5, [[{0: x}]], {0: 1}),
-    "FiniteAlgebra-unit": lambda x: FiniteAlgebra(F5, [[{0: 1}]], {0: x}),
-    "Subspace.span": lambda x: Subspace.span(F5, 1, [{0: x}]),
-    "rref": lambda x: rref([{0: x}], F5, 1),
-    "nullspace": lambda x: nullspace([{0: x}], F5, 1),
-    "reverse_rref": lambda x: reverse_rref([{0: x}], F5, 1),
-    "solve_in_span-target": lambda x: solve_in_span({0: x}, [{0: 1}], F5),
-    "solve_in_span-generator": lambda x: solve_in_span({0: 1}, [{0: x}], F5),
-    "insert_row": lambda x: insert_row({}, {0: x}, F5),
-    "entry": lambda x: entry(F5, {0: x}),
+    "Matrix": lambda f, x: Matrix(f, [[x, 1]]),
+    "from_columns": lambda f, x: Matrix.from_columns(f, [{0: x}], nrows=1),
+    "unvec": lambda f, x: Matrix.unvec(f, {0: x}, 1, 1),
+    "make_algebra": lambda f, x: make_algebra(f, [[[x]]], [1]),
+    "FiniteAlgebra-nonzeros": lambda f, x: FiniteAlgebra(f, [[{0: x}]], {0: 1}),
+    "FiniteAlgebra-unit": lambda f, x: FiniteAlgebra(f, [[{0: 1}]], {0: x}),
+    "Subspace.span": lambda f, x: Subspace.span(f, 1, [{0: x}]),
+    "Subspace.coords": lambda f, x: Subspace.full(f, 1).coords({0: x}),
+    "Quotient.reduce": lambda f, x: quotient_structure(f, 1, []).reduce({0: x}),
+    "rref": lambda f, x: rref([{0: x}], f, 1),
+    "nullspace": lambda f, x: nullspace([{0: x}], f, 1),
+    "reverse_rref": lambda f, x: reverse_rref([{0: x}], f, 1),
+    "solve_in_span-target": lambda f, x: solve_in_span({0: x}, [{0: 1}], f),
+    "solve_in_span-generator": lambda f, x: solve_in_span({0: 1}, [{0: x}], f),
+    "insert_row": lambda f, x: insert_row({}, {0: x}, f),
+    "entry": lambda f, x: entry(f, {0: x}),
 }
 
 
@@ -70,7 +86,15 @@ ENTRY_POINTS = {
                          ids=["fraction", "float", "bool", "other-modulus"])
 def test_every_f_p_entry_point_rejects_values_outside_the_field(point, bad):
     with pytest.raises(FieldError):
-        ENTRY_POINTS[point](bad)
+        ENTRY_POINTS[point](F5, bad)
+
+
+@pytest.mark.parametrize("point", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, F5.of(1)],
+                         ids=["float", "integral-float", "bool", "f_p-element"])
+def test_every_rational_entry_point_rejects_values_outside_the_field(point, bad):
+    with pytest.raises(FieldError):
+        ENTRY_POINTS[point](QQ, bad)
 
 
 def test_the_reported_inputs_are_field_errors():
@@ -82,6 +106,9 @@ def test_the_reported_inputs_are_field_errors():
         rref([{0: True}], F5, 1)
     with pytest.raises(FieldError, match="mixed moduli"):
         rref([{0: F5.of(1), 1: GF(7).of(1)}], F5, 2)
+    for bad in (0.5, F5.of(1), True):
+        with pytest.raises(FieldError):
+            rref([{0: bad}], QQ, 1)
 
 
 def test_ints_and_elements_enter_as_residues():
@@ -96,10 +123,21 @@ def test_ints_and_elements_enter_as_residues():
     assert alg.structure == [[[1]]]
 
 
-def test_rational_entries_are_fractions():
-    m = Matrix(QQ, [[1, Fraction(1, 2)], [0, -3]])
-    assert m.cols == [{0: 1}, {0: Fraction(1, 2), 1: -3}]
-    assert all(type(x) is Fraction for col in m.cols for x in col.values())
+def is_rational_value(x) -> bool:
+    """The stored form of a nonzero rational: an int, or a Fraction that is not one."""
+    return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
+
+
+def test_rational_entries_are_ints_unless_they_have_a_denominator():
+    m = Matrix(QQ, [[1, Fraction(1, 2)], [Fraction(4, 2), Fraction(-3)]])
+    assert m.cols == [{0: 1, 1: 2}, {0: Fraction(1, 2), 1: -3}]
+    assert [[type(x) for x in col.values()] for col in m.cols] == [[int, int], [Fraction, int]]
+    assert m.data == [(1, Fraction(1, 2)), (2, -3)]
+    assert all(type(x) is int for x in m.data[1])
+    assert entry(QQ, {0: Fraction(6, 3), 1: Fraction(0), 2: -4}) == {0: 2, 2: -4}
+    assert all(type(x) is int for x in entry(QQ, {0: Fraction(6, 3), 2: -4}).values())
+    alg = make_algebra(QQ, [[[QQ.one]]], [QQ.of(1)])
+    assert type(alg.nonzeros[0][0][0]) is int and type(alg.unit[0]) is int
     for bad in (0.5, F5.of(1), True):
         with pytest.raises(FieldError):
             Matrix(QQ, [[bad]])
@@ -140,25 +178,29 @@ def _values(obj):
 
 
 def _artifacts(ext):
-    """Every matrix, vector and algebra the pipeline builds, as ``_values`` reads them."""
+    """Every matrix, vector and algebra the pipeline builds, as ``_values``
+    reads them; T, its witness and the Galois data only for a depth-two
+    extension."""
     ts = tensor_square(ext)
-    rqb, lqb = right_d2_quasibase(ext), left_d2_quasibase(ext)
-    assert rqb is not None and lqb is not None
-    core = t_core(ext)
-    bgd = build_T(ext, rqb)
-    assert axiom_audit(bgd).all_pass
-    data = galois_data(ext, rqb)
     report = main_theorem_audit(ext)
     assert report.consistent
-    wit = bgd.witness
     out = [ext.A, ext.B, ext.iota.matrix, ts.left_action, ts.right_action,
-           list(ts.quot.rows.values()), rqb.pairs, lqb.pairs,
-           core.t_basis, [[c for _, c in items] for items in core.t_items],
-           core.T_alg, core.R_alg, core.unit_T, core.incl_R, core.s_R, core.t_R, core.eps,
-           core.lam_R, core.rho_R, list(core.tt.quot.rows.values()),
-           bgd.Delta, wit.w3, wit.w4, wit.q3b, wit.q4b,
-           data.delta, data.galois.beta, data.galois.beta_inverse,
-           data.coinvariants.subalgebra.space]
+           list(ts.quot.rows.values())]
+    rqb, lqb = right_d2_quasibase(ext), left_d2_quasibase(ext)
+    if rqb is not None:
+        assert lqb is not None
+        core = t_core(ext)
+        bgd = build_T(ext, rqb)
+        assert axiom_audit(bgd).all_pass
+        data = galois_data(ext, rqb)
+        wit = bgd.witness
+        out += [rqb.pairs, lqb.pairs,
+                core.t_basis, [[c for _, c in items] for items in core.t_items],
+                core.T_alg, core.R_alg, core.unit_T, core.incl_R, core.s_R, core.t_R, core.eps,
+                core.lam_R, core.rho_R, list(core.tt.quot.rows.values()),
+                bgd.Delta, wit.w3, wit.w4, wit.q3b, wit.q4b,
+                data.delta, data.galois.beta, data.galois.beta_inverse,
+                data.coinvariants.subalgebra.space]
     # the per-extension memos: hom-space bases, the comparison map and the
     # coaction the main audit reads off it
     for value in ext._cache.values():
@@ -178,11 +220,59 @@ NATIVE_INPUTS = {
 @pytest.mark.parametrize("name", sorted(NATIVE_INPUTS))
 def test_every_stored_f_p_value_is_a_reduced_int(name):
     ext = NATIVE_INPUTS[name]()
+    assert right_d2_quasibase(ext) is not None
     p = ext.A.field.char
     values = list(_values(_artifacts(ext)))
     assert len(values) > 50
     bad = [x for x in values if not (type(x) is int and 0 < x < p)]
     assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("name", ["s3-a3", "s3-transposition", "trivial-M2", "field-sqrt2",
+                                  "c2-over-k"])
+def test_every_stored_rational_value_is_an_int_or_a_proper_fraction(name):
+    ext = extension_from_json(example_to_json(name))
+    assert ext.A.field == QQ
+    values = list(_values(_artifacts(ext)))
+    assert len(values) > 10
+    bad = [x for x in values if not is_rational_value(x)]
+    assert not bad, bad[:5]
+
+
+def test_rational_arithmetic_never_stores_an_integral_fraction():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # denominator 1 comes up often, so integral Fractions enter and arise
+    values = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3),
+                                            st.sampled_from([1, 1, 2, 3]))
+
+    def canonical(vectors) -> bool:
+        return all(is_rational_value(x) for v in vectors for x in v.values())
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 4), label="n")
+        rows = [[data.draw(values) for _ in range(n)] for _ in range(n)]
+        a, b = Matrix(QQ, rows), Matrix(QQ, rows[::-1])
+        half = a.scaled(Fraction(1, 2))
+        assert half.scaled(2) == a
+        for m in (a, b, half, half.scaled(2), a + b, a - b, a @ b, -a):
+            assert canonical(m.cols)
+        if a.rank() == n:
+            assert canonical(a.inverse().cols) and a @ a.inverse() == Matrix.identity(QQ, n)
+        coeffs = data.draw(st.lists(values, min_size=n, max_size=n), label="coeffs")
+        assert canonical([sum_nonzeros(zip(coeffs, (col.items() for col in a.cols)), 0)])
+        # the entry points see the columns written as Fractions, Fraction(n, 1) included
+        written = [{i: Fraction(x) for i, x in col.items()} for col in a.cols]
+        assert canonical(rref(written, QQ, n)[0])
+        space = Subspace.span(QQ, n, written)
+        assert canonical(space.basis)
+        for vec in written:
+            coords = space.coords(vec)
+            assert coords is not None and canonical([coords])
+
+    check()
 
 
 # -- import cost ------------------------------------------------------------
