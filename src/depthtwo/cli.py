@@ -2,8 +2,9 @@
 
 Exit codes: 0 for a completed analysis (negative mathematical verdicts
 included), 1 for input errors, 2 for an internal consistency failure:
-the two independent decision procedures disagreed, or a computed result
-failed its own verification.
+the two independent decision procedures disagreed, a computed result
+failed its own verification, or a bialgebroid axiom or comodule-algebra
+condition the paper guarantees for a right depth-two extension failed.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ def _cmd_galois(args, out) -> int:
         "comodule_conditions": comodule.to_json_list(),
     }
     _emit(report, args.json, out)
-    return EXIT_OK
+    # a right depth-two extension always makes A a T-comodule algebra
+    return EXIT_OK if comodule.all_pass else EXIT_INCONSISTENT
 
 
 def _cmd_audit(args, out) -> int:
@@ -176,6 +178,9 @@ def _cmd_audit(args, out) -> int:
     report["corollary"] = corollary.to_json()
     _emit(report, args.json, out)
     if not main.consistent or not corollary.agree:
+        return EXIT_INCONSISTENT
+    # the comodule conditions hold on every right depth-two extension
+    if main.comodule is not None and not main.comodule.all_pass:
         return EXIT_INCONSISTENT
     return EXIT_OK
 

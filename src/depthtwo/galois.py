@@ -13,8 +13,10 @@ data) must agree.
 
 from __future__ import annotations
 
-from .algebras import (AlgebraError, AlgebraMorphism, Extension, SelfCheckError,
-                       SubalgebraData, per_extension)
+import itertools
+
+from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
+                       SelfCheckError, SubalgebraData, per_extension)
 from .bialgebroid import (AuditReport, RightBialgebroid, TCore, build_T_quasibase_free,
                           left_r_projectivity, t_core)
 from .bimodules import (BalancedTensor, QuasibaseSet, algebra_bimodule, balanced_tensor,
@@ -185,16 +187,36 @@ class BalancedReport:
                 "double_commutant_dim": self.double_commutant_dim}
 
 
+def double_commutant(A: FiniteAlgebra, e_mats: list[Matrix]) -> list[dict]:
+    """Basis of the a in A with e(a) = e(1) a for every e in e_mats: the
+    common kernel of the maps e - lambda_{e(1)}."""
+    rows: list[dict] = []
+    for e in e_mats:
+        rows += (e - combine(A.left_mults, e.image(A.unit))).transpose().cols
+    return nullspace(rows, A.field, A.dim)
+
+
 @per_extension
 def balanced_audit(ext: Extension) -> BalancedReport:
-    """Compute E = End(A_B), its commutant, and test it against rho(iota(B))."""
+    """Compute E = End(A_B), its commutant, and test it against rho(iota(B)).
+
+    Left multiplications are right B-linear, so lambda(A) lies in E and the
+    double commutant End_E(A) lies in End_{lambda(A)}(A) = rho(A): a map f
+    commuting with every lambda_x is rho_{f(1)}.  And rho_a commutes with E
+    exactly when e(a) = e(1) a for every basis element e of E: that is the
+    commutation at 1, and applied to e o lambda_x in E it gives e(xa) =
+    e(x) a.  So the double commutant is rho of the common kernel of the maps
+    e - lambda_{e(1)}, solved in dim A unknowns (``double_commutant``).  Its
+    span of vec(rho_a) is the subspace the commutant solve in (dim A)^2
+    unknowns returns, so the canonical witness is the same.
+    """
     A = ext.A
     field = A.field
     n = A.dim
     rho = [ext.right_mult_iota(j) for j in ext.B.generating_indices()]
     e_mats = intertwiners(field, n, n, [(rb, rb) for rb in rho])
-    double_commutant = intertwiners(field, n, n, [(em, em) for em in e_mats])
-    dc_space = Subspace.span(field, n * n, [f.vec() for f in double_commutant])
+    dc_space = Subspace.span(field, n * n, [combine(A.right_mults, a).vec()
+                                            for a in double_commutant(A, e_mats)])
     rho_b = Subspace.span(field, n * n,
                           [ext.right_mult_iota(j).vec() for j in range(ext.B.dim)])
     if not rho_b.is_contained_in(dc_space):
@@ -234,28 +256,59 @@ def _own_comodule_audit(ext: Extension, delta: Matrix) -> AuditReport:
 
 
 def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> AuditReport:
+    """The five comodule-algebra conditions, reduced to generators as in ``axiom_audit``.
+
+    Each condition is linear in every variable; a variable in which it is
+    multiplicative or module-linear runs over generators only, and the
+    failure path of ``AuditReport.check`` rescans every basis tuple.  A, R
+    and T are associative, and the actions of A and R on A (x)_R T and of R
+    on T are the tensor square's, restricted: unital representations and
+    anti-representations.  With that and the checks before each one:
+
+    - ``base_map_is_algebra_map``: r_i in gens(R), all r_j, by the argument
+      of ``source_homomorphism``.
+    - the right R-linearity of ``comodule_counit_and_coassociativity``: r in
+      gens(R).  The inclusion is a unital algebra map, so the r with
+      delta(a r) = delta(a) r for every a form a subalgebra.
+    - ``base_twist_compatibility``: r in {1_R} and gens(R), after t_R(r) =
+      r.1_T on every basis element r.  That makes t_R the target map
+      r -> r (x) 1: a unital anti-homomorphism, with t t_R(r) = r.t.  So r
+      acting on the A leg is multiplicative in r, multiplication by t_R(r)
+      on the T leg anti-multiplicative, and the two commute: the r with the
+      twist on all of delta(A) form a subalgebra holding 1_R.  At 1_R the
+      tensor-square half reads ice(delta(a)) = 1 (x) a; ice is left
+      A-linear, so it follows at every r.
+    - ``coaction_multiplicative``: x in gens(A), all y.  By base twist
+      delta(A) lies in the subspace of A (x)_R T where the componentwise
+      product of lifts is well defined (as t t_R(r) = r.t) and associative,
+      and delta(1) = 1 (x) 1_T is its unit there.  So {x : delta(xy) =
+      delta(x)delta(y) for all y} holds 1 and is closed under products: a
+      subalgebra holding gens(A).  The tensor-square half is ice(delta(xy))
+      = 1 (x) xy, checked above.
+    """
     core = bgd.core
     wit = bgd.witness
     at = tensor_with_t(ext)
     A = ext.A
     n = A.dim
     R = core.R_alg
+    r_gens = R.generating_indices()
     report = AuditReport()
     ice = comparison_map(ext)
 
     # (1) R -> A is an algebra map (the centralizer inclusion)
-    def base_map_is_algebra_map():
+    def base_map_is_algebra_map(rows):
         incl = core.incl_R.cols
         yield core.incl_R.image(R.unit) == A.unit, "inclusion does not preserve the unit"
-        for i in range(R.dim):
+        for i in rows:
             for j in range(R.dim):
                 lhs = A.mul(incl[i], incl[j])
                 rhs = core.incl_R.image(R.nonzeros[i][j])
                 yield lhs == rhs, f"inclusion not multiplicative at (r_{i}, r_{j})"
 
     # (2) comodule structure: right R-linearity, counit, coassociativity
-    def comodule_counit_and_coassociativity():
-        for r in range(R.dim):
+    def comodule_counit_and_coassociativity(rs):
+        for r in rs:
             lhs = delta @ combine(A.right_mults, core.incl_R.cols[r])
             yield lhs == at.right_action[r] @ delta, f"coaction not right R-linear at r_{r}"
         eps_in_A = core.incl_R @ core.eps
@@ -281,12 +334,14 @@ def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> Aud
                 [((u1, u2, a), c1 * c2) for u1, c1 in unit for u2, c2 in unit])
             yield lhs3 == rhs3 and lhs3 == expected, f"coassociativity fails at e_{a}"
 
-    # (4) r a_(0) (x) a_(1) = a_(0) (x) t_R(r) a_(1)
-    def base_twist_compatibility():
-        for r in range(R.dim):
-            rvec = core.incl_R.cols[r]
-            lmap = combine(at.left_action, rvec)
-            lmul_t = combine(core.T_alg.left_mults, core.t_R.cols[r])
+    # (4) r a_(0) (x) a_(1) = a_(0) (x) t_R(r) a_(1); index R.dim stands for 1_R
+    def base_twist_compatibility(rs):
+        incl = [*core.incl_R.cols, core.incl_R.image(R.unit)]
+        t_R = [*core.t_R.cols, core.t_R.image(R.unit)]
+        for r in rs:
+            rvec = incl[r]
+            lmap = at.leg_map(combine(A.left_mults, rvec), first=True)
+            lmul_t = combine(core.T_alg.left_mults, t_R[r])
             rmap = at.leg_map(lmul_t, first=False)
             for a in range(n):
                 lhs = lmap.image(delta.cols[a])
@@ -295,25 +350,35 @@ def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> Aud
                        f"tensor-square image mismatch at (r_{r}, e_{a})")
 
     # (5) delta(xy) = x_(0) y_(0) (x) x_(1) y_(1)
-    def coaction_multiplicative():
-        for x in range(n):
-            items_x = at.lift_items(delta.cols[x])
+    def coaction_multiplicative(xs):
+        lifts = [at.lift_items(col) for col in delta.cols]
+        for x in xs:
+            items_x = lifts[x]
             for y in range(n):
-                items_y = at.lift_items(delta.cols[y])
                 rhs = at.class_of_sum([(c1 * c2, A.nonzeros[k][l], core.T_alg.nonzeros[c][d])
-                                       for (k, c), c1 in items_x for (l, d), c2 in items_y])
+                                       for (k, c), c1 in items_x for (l, d), c2 in lifts[y]])
                 xy = A.nonzeros[x][y]
                 yield delta.image(xy) == rhs, f"multiplicativity fails at (e_{x}, e_{y})"
                 yield (ice.image(rhs) == core.ts.class_of(A.unit, xy),
                        f"tensor-square image mismatch at (e_{x}, e_{y})")
 
-    report.check("base_map_is_algebra_map", base_map_is_algebra_map())
-    report.check("comodule_counit_and_coassociativity", comodule_counit_and_coassociativity())
+    report.check("base_map_is_algebra_map", base_map_is_algebra_map(r_gens),
+                 base_map_is_algebra_map(range(R.dim)))
+    report.check("comodule_counit_and_coassociativity",
+                 comodule_counit_and_coassociativity(r_gens),
+                 comodule_counit_and_coassociativity(range(R.dim)))
     # (3) delta(1) = 1 (x) 1_T
     report.check("coaction_unital", [(delta.image(A.unit) == at.class_of(A.unit, core.unit_T),
                                       "delta(1) != 1 (x) 1_T")])
-    report.check("base_twist_compatibility", base_twist_compatibility())
-    report.check("coaction_multiplicative", coaction_multiplicative())
+    # t_R(r) = r.1_T: the reductions of base twist and multiplicativity need
+    # t_R to be the target map r -> r (x) 1
+    target_map = ((core.t_R.cols[r] == core.lam_R[r].image(core.unit_T),
+                   f"t_R(r_{r}) != r_{r}.1_T") for r in range(R.dim))
+    report.check("base_twist_compatibility",
+                 itertools.chain(target_map, base_twist_compatibility([R.dim, *r_gens])),
+                 base_twist_compatibility(range(R.dim)))
+    report.check("coaction_multiplicative", coaction_multiplicative(A.generating_indices()),
+                 coaction_multiplicative(range(n)))
     return report
 
 

@@ -313,11 +313,46 @@ def test_failed_witness_in_the_audit_exits_inconsistent(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def _failing_comodule_audit(ext, delta, bgd):
+    from depthtwo.bialgebroid import AuditReport
+    report = AuditReport()
+    report.check("coaction_multiplicative", [(False, "multiplicativity fails at (e_0, e_0)")])
+    return report
+
+
+def test_failed_comodule_condition_in_galois_exits_inconsistent(monkeypatch):
+    # a right depth-two extension always makes A a T-comodule algebra, so a
+    # failed condition is a failed self-check, not a verdict
+    import depthtwo.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "comodule_algebra_audit", _failing_comodule_audit)
+    code, out = run_cli("galois", json.dumps(example_to_json("s3-a3")), "--json")
+    assert code == EXIT_INCONSISTENT
+    assert json.loads(out)["comodule_conditions"] == [
+        {"name": "coaction_multiplicative", "pass": False,
+         "witness": "multiplicativity fails at (e_0, e_0)"}]
+
+
+def test_failed_comodule_condition_in_audit_exits_inconsistent(monkeypatch):
+    # depth two but not balanced: lhs and rhs are both false, so the main
+    # theorem stays consistent and only the comodule report shows the failure
+    import depthtwo.galois as galois_mod
+    from test_galois import _upper_triangular_extension
+    doc = json.dumps(extension_to_json(_upper_triangular_extension()))
+    code, out = run_cli("audit", doc, "--json")
+    report = json.loads(out)
+    assert code == EXIT_OK and report["right_d2"] and not report["balanced"]
+    monkeypatch.setattr(galois_mod, "comodule_algebra_audit", _failing_comodule_audit)
+    code, out = run_cli("audit", doc, "--json")
+    report = json.loads(out)
+    assert code == EXIT_INCONSISTENT and report["main_theorem_consistent"] is True
+    assert [c["pass"] for c in report["comodule_conditions"]] == [False]
+
+
 def test_rho_b_outside_its_double_commutant_exits_inconsistent(monkeypatch, capsys):
     # rho(B) commutes with End(A_B) by construction, so escaping the double
     # commutant is a library bug, not bad input
     import depthtwo.galois as galois_mod
-    monkeypatch.setattr(galois_mod, "intertwiners", lambda field, dm, dn, pairs: [])
+    monkeypatch.setattr(galois_mod, "double_commutant", lambda A, e_mats: [])
     code, out = run_cli("galois", json.dumps(example_to_json("s3-a3")), "--json")
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_INCONSISTENT and out == ""

@@ -359,8 +359,8 @@ def _cli_audit_order(ext):
 def test_audits_share_one_comparison_map_and_one_balance(monkeypatch, order, make):
     calls = _count_calls(monkeypatch, ("left_r_projectivity", "ice_matrix", "intertwiners"))
     order(make())
-    # balanced_audit solves for E = End(A_B) and then for its commutant
-    assert calls == {"left_r_projectivity": 1, "ice_matrix": 1, "intertwiners": 2}
+    # balanced_audit solves for E = End(A_B); its commutant is solved inside A
+    assert calls == {"left_r_projectivity": 1, "ice_matrix": 1, "intertwiners": 1}
 
 
 def _count_calls(monkeypatch, names) -> dict:
