@@ -1,0 +1,90 @@
+"""Frontier guard: audit one group extension and check its verdict and peak memory.
+
+    python3 .github/frontier_guard.py S5 S4 --field Fp:7 --timeout 900 \
+        --max-rss-mib 350 --right-d2 false
+
+Builds the group document for the subgroup of the group over the field
+("Q" or "Fp:<prime>"; a normal subgroup is flagged normal), runs
+``depthtwo audit --json`` on it with a time limit and passes when the
+command exits 0, the main theorem audit is consistent, ``right_d2`` has the
+expected value and, with ``--max-rss-mib``, the peak resident set size of
+the command stays within the bound.  ``depthtwo`` is looked up on PATH.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+
+# groups as lists of permutations, composed as (g h)(x) = g(h(x)); D4 is the
+# rotations and then the reflections of a square with corners 0..3
+SQUARE = ([tuple((k + i) % 4 for i in range(4)) for k in range(4)]
+          + [tuple((k - i) % 4 for i in range(4)) for k in range(4)])
+GROUPS = {"S4": list(itertools.permutations(range(4))),
+          "S5": list(itertools.permutations(range(5))),
+          "D4": SQUARE}
+
+
+def _even(p: tuple) -> bool:
+    return sum(p[a] > p[b] for a in range(len(p)) for b in range(a + 1, len(p))) % 2 == 0
+
+
+# each subgroup as a test on the elements of its group; Z is the centre of D4
+SUBGROUPS = {"V4": lambda p: p in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+             "Z": lambda p: p in ((0, 1, 2, 3), (2, 3, 0, 1)),
+             "A5": _even,
+             "S4": lambda p: p[-1] == len(p) - 1}
+
+
+def group_document(group: str, subgroup: str, field: str) -> dict:
+    elements = GROUPS[group]
+    index = {g: i for i, g in enumerate(elements)}
+    table = [[index[tuple(g[h[x]] for x in range(len(g)))] for h in elements]
+             for g in elements]
+    sub = [index[p] for p in elements if SUBGROUPS[subgroup](p)]
+    inverse = [row.index(index[tuple(range(len(elements[0])))]) for row in table]
+    doc = {"field": "Q" if field == "Q" else {"Fp": int(field.split(":", 1)[1])},
+           "kind": "group", "table": table, "subgroup": sub}
+    if all(table[table[g][h]][inverse[g]] in sub for g in range(len(table)) for h in sub):
+        doc["normal"] = True
+    return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("group", choices=sorted(GROUPS))
+    parser.add_argument("subgroup", choices=sorted(SUBGROUPS))
+    parser.add_argument("--field", required=True, help="Q or Fp:<prime>")
+    parser.add_argument("--timeout", type=float, required=True, help="seconds")
+    parser.add_argument("--max-rss-mib", type=float, default=None)
+    parser.add_argument("--right-d2", choices=("true", "false"), required=True)
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(group_document(args.group, args.subgroup, args.field), fh)
+        try:
+            done = subprocess.run(["depthtwo", "audit", path, "--json"], stdout=subprocess.PIPE,
+                                  timeout=args.timeout)
+        except subprocess.TimeoutExpired:
+            print(f"timed out after {args.timeout:.0f} s")
+            return 1
+    peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    bound = "none" if args.max_rss_mib is None else f"{args.max_rss_mib:.0f}"
+    print(f"exit {done.returncode}, peak RSS {peak_mib:.0f} MiB (bound {bound})")
+    report = json.loads(done.stdout) if done.returncode == 0 else {}
+    ok = (report.get("main_theorem_consistent") is True
+          and report.get("right_d2") is (args.right_d2 == "true")
+          and (args.max_rss_mib is None or peak_mib <= args.max_rss_mib))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,9 @@ End(A).
 
 from __future__ import annotations
 
-from .algebras import AlgebraError, Extension, FiniteAlgebra
+import itertools
+
+from .algebras import AlgebraError, Extension, FiniteAlgebra, action_cases, require
 from .bialgebroid import RightBialgebroid, build_T
 from .bimodules import QuasibaseSet, hom_space, left_module_bimodule
 from .linalg import Matrix, Subspace, combine, nullspace, sum_nonzeros
@@ -32,13 +34,9 @@ class LeftModule:
             self._validate()
 
     def _validate(self):
-        A = self.algebra
-        if combine(self.action, A.unit) != Matrix.identity(A.field, self.dim):
-            raise AlgebraError("module action is not unital")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if self.action[i] @ self.action[j] != combine(self.action, A.nonzeros[i][j]):
-                    raise AlgebraError(f"module action fails on (e_{i}, e_{j})")
+        require(lambda rows: action_cases(self.algebra, self.action, rows,
+                                          "module action is not unital",
+                                          "module action fails on (e_{i}, e_{j})"), self.algebra)
 
     @classmethod
     def regular(cls, A: FiniteAlgebra) -> "LeftModule":
@@ -116,15 +114,10 @@ def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
                 for a in range(ne)]
         action.append(Matrix.from_columns(field, cols, nrows=ne))
 
-    # unitality: f . 1_T = f
-    if combine(action, core.unit_T) != Matrix.identity(field, ne):
-        raise AlgebraError("T-action is not unital")
-    # module law: (f . t) . u = f . (t u)
-    for c in range(m):
-        for d in range(m):
-            prod = core.T_alg.nonzeros[c][d]
-            if action[d] @ action[c] != combine(action, prod):
-                raise AlgebraError(f"T-action fails the module law on (t_{c}, t_{d})")
+    # f . 1_T = f, and the module law (f . t) . u = f . (t u), anti on gens(T)
+    require(lambda rows: action_cases(
+        core.T_alg, action, rows, "T-action is not unital",
+        "T-action fails the module law on (t_{i}, t_{j})", anti=True), core.T_alg)
     # measuring: (f . t_(1)) o (g . t_(2)) = (f o g) . t
     for c in range(m):
         lift = core.tt.lift_items(bgd.Delta.cols[c])
@@ -206,16 +199,14 @@ def anchor(ext: Extension, rqb: QuasibaseSet,
         action.append(Matrix.from_columns(field, cols, nrows=rdim))
     out = AnchorAction(bgd, action)
 
-    if combine(action, core.unit_T) != Matrix.identity(field, rdim):
-        raise AlgebraError("anchor: r . 1_T != r")
-    for c in range(m):
-        if action[c].image(core.R_alg.unit) != core.eps.cols[c]:
-            raise AlgebraError(f"anchor: 1_R . t_{c} != eps(t_{c})")
-    # module law over products of T
-    for c in range(m):
-        for d in range(m):
-            if combine(action, core.T_alg.nonzeros[c][d]) != action[d] @ action[c]:
-                raise AlgebraError("anchor fails the module law")
+    # r . 1_T = r, then 1_R . t = eps(t), then the module law, anti on gens(T)
+    def laws(rows):
+        module_law = action_cases(core.T_alg, action, rows, "anchor: r . 1_T != r",
+                                  "anchor fails the module law", anti=True)
+        counit = ((action[c].image(core.R_alg.unit) == core.eps.cols[c],
+                   f"anchor: 1_R . t_{c} != eps(t_{c})") for c in range(m))
+        return itertools.chain(itertools.islice(module_law, 1), counit, module_law)
+    require(laws, core.T_alg)
     # measuring: (r s) . t = (r . t_(1)) (s . t_(2))
     for c in range(m):
         lift = core.tt.lift_items(bgd.Delta.cols[c])

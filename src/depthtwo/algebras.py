@@ -14,6 +14,7 @@ and all downstream code multiplies by iota(b) rather than by b itself.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .linalg import Matrix, Subspace, combine, entry, insert_row, nullspace, sum_nonzeros
 # re-exported: callers and profiling tools look solve_in_span up in this module
@@ -59,8 +60,7 @@ class FiniteAlgebra:
         y1, y2, (x(y1 y2))z = ((x y1) y2)z = (x y1)(y2 z) = x(y1(y2 z))
         = x((y1 y2)z).  The generators are chosen so that 1 and their right
         words span the algebra, which needs no associativity, so every
-        element is good.  Only when a generator fails are all basis triples
-        scanned, to name the first failing one in (i, j, k) order.
+        element is good.
         """
         n = self.dim
         if n == 0:
@@ -78,17 +78,16 @@ class FiniteAlgebra:
                 raise AlgebraError(f"unit law fails: 1*e_{i} != e_{i}")
             if self.mul(e_i, self.unit) != e_i:
                 raise AlgebraError(f"unit law fails: e_{i}*1 != e_{i}")
-        self._generators = _greedy_generators(self.field, nz, self.unit)
         mod = self.field.char
-        if all(_associates(nz, i, g, k, mod)
-               for g in self._generators for i in range(n) for k in range(n)):
-            return
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if not _associates(nz, i, j, k, mod):
-                        raise AlgebraError(
-                            f"associativity fails: (e_{i}e_{j})e_{k} != e_{i}(e_{j}e_{k})")
+
+        def associativity(middles):
+            for i in range(n):
+                for j in middles:
+                    for k in range(n):
+                        ok = _associates(nz, i, j, k, mod)
+                        yield ok, None if ok else \
+                            f"associativity fails: (e_{i}e_{j})e_{k} != e_{i}(e_{j}e_{k})"
+        require(associativity, self)
 
     # -- basic structure ----------------------------------------------
 
@@ -147,6 +146,56 @@ class FiniteAlgebra:
         if self._generators is None:
             self._generators = _greedy_generators(self.field, self.nonzeros, self.unit)
         return self._generators
+
+
+# -- laws checked on generators ----------------------------------------
+
+
+def first_failure(cases):
+    """Witness of the first failing (ok, witness) case, or None when all pass;
+    cases after it are not computed."""
+    for ok, witness in cases:
+        if not ok:
+            return witness
+    return None
+
+
+def require(cases, *algebras) -> None:
+    """The raising twin of ``AuditReport.check``: cases(*rows) yields the
+    (ok, witness) cases with one set of rows per algebra.  Passing cases on
+    the generators of each algebra decide a pass; when one fails,
+    AlgebraError names the first failing case on every index."""
+    if first_failure(cases(*(alg.generating_indices() for alg in algebras))) is not None:
+        raise AlgebraError(first_failure(cases(*(range(alg.dim) for alg in algebras))))
+
+
+def homomorphism_cases(alg: FiniteAlgebra, f, mul, one, rows, unit_failure: str,
+                       pair_failure: str, anti: bool = False):
+    """(ok, witness) cases of f(1) = one, then f(e_i e_j) = f(e_i)f(e_j), or
+    f(e_j)f(e_i) with ``anti``, for i in ``rows`` and every j.
+
+    f is linear and mul associative; ``pair_failure`` is formatted with i
+    and j.  On rows = alg.generating_indices() the cases decide the law:
+    once f(1) = one, the x with f(xy) = f(x)f(y) for every y form a subspace
+    holding 1 and closed under products, as f(x1 x2 y) = f(x1)f(x2 y) =
+    f(x1)f(x2)f(y) = f(x1 x2)f(y); a subalgebra holding the generators, so
+    all of alg.  Likewise the x with f(xy) = f(y)f(x).
+    """
+    yield f(alg.unit) == one, unit_failure
+    images = [f({j: 1}) for j in range(alg.dim)]
+    for i in rows:
+        for j in range(alg.dim):
+            a, b = (j, i) if anti else (i, j)
+            ok = f(alg.nonzeros[i][j]) == mul(images[a], images[b])
+            yield ok, None if ok else pair_failure.format(i=i, j=j)
+
+
+def action_cases(alg: FiniteAlgebra, action: list[Matrix], rows, unit_failure: str,
+                 pair_failure: str, anti: bool = False):
+    """``homomorphism_cases`` of x -> combine(action, x), into matrices under @."""
+    return homomorphism_cases(alg, functools.partial(combine, action), operator.matmul,
+                              Matrix.identity(alg.field, action[0].nrows), rows,
+                              unit_failure, pair_failure, anti)
 
 
 def _associates(nz, i: int, j: int, k: int, mod: int) -> bool:
@@ -334,16 +383,10 @@ class AlgebraMorphism:
     def _validate(self):
         if (self.matrix.nrows, self.matrix.ncols) != (self.target.dim, self.source.dim):
             raise AlgebraError("morphism matrix has wrong shape")
-        if self.matrix.image(self.source.unit) != self.target.unit:
-            raise AlgebraError("morphism does not preserve the unit")
-        cols = self.matrix.cols
-        for i in range(self.source.dim):
-            for j in range(self.source.dim):
-                lhs = self.target.mul(cols[i], cols[j])
-                rhs = self.matrix.image(self.source.nonzeros[i][j])
-                if lhs != rhs:
-                    raise AlgebraError(
-                        f"morphism not multiplicative on (e_{i}, e_{j})")
+        S, T = self.source, self.target
+        require(lambda rows: homomorphism_cases(
+            S, self.matrix.image, T.mul, T.unit, rows, "morphism does not preserve the unit",
+            "morphism not multiplicative on (e_{i}, e_{j})"), S)
 
 
 class Extension:
@@ -400,41 +443,29 @@ class SubalgebraData:
 
     __slots__ = ("ambient", "space")
 
-    def __init__(self, ambient: FiniteAlgebra, space: Subspace, check: bool = True):
+    def __init__(self, ambient: FiniteAlgebra, space: Subspace):
         self.ambient = ambient
         self.space = space
-        if check:
-            if not space.contains(ambient.unit):
-                raise AlgebraError("subalgebra does not contain the unit")
-            basis = space.basis
-            for u in basis:
-                for v in basis:
-                    if not space.contains(ambient.mul(u, v)):
-                        raise AlgebraError("subspace not closed under multiplication")
+        if not space.contains(ambient.unit):
+            raise AlgebraError("subalgebra does not contain the unit")
+        basis = space.basis
+        for u in basis:
+            for v in basis:
+                if not space.contains(ambient.mul(u, v)):
+                    raise AlgebraError("subspace not closed under multiplication")
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def as_algebra(self) -> tuple[FiniteAlgebra, Matrix]:
-        """The subalgebra as an abstract algebra plus its inclusion matrix."""
-        amb = self.ambient
-        basis = self.space.basis
-        nonzeros = []
-        for u in basis:
-            row = []
-            for v in basis:
-                coords = self.space.coords(amb.mul(u, v))
-                if coords is None:
-                    raise AlgebraError("subspace not closed under multiplication")
-                row.append(coords)
-            nonzeros.append(row)
-        unit = self.space.coords(amb.unit)
-        if unit is None:
-            raise AlgebraError("subalgebra does not contain the unit")
-        alg = FiniteAlgebra(amb.field, nonzeros, unit, validate=False)
-        incl = Matrix.from_columns(amb.field, basis, nrows=amb.dim)
-        return alg, incl
+        """The subalgebra as an abstract algebra plus its inclusion matrix; the
+        coordinates exist, as the constructor checked the unit and closure."""
+        amb, space = self.ambient, self.space
+        basis = space.basis
+        nonzeros = [[space.coords(amb.mul(u, v)) for v in basis] for u in basis]
+        alg = FiniteAlgebra(amb.field, nonzeros, space.coords(amb.unit), validate=False)
+        return alg, Matrix.from_columns(amb.field, basis, nrows=amb.dim)
 
 
 def centralizer(ext: Extension) -> SubalgebraData:
@@ -445,7 +476,7 @@ def centralizer(ext: Extension) -> SubalgebraData:
         diff = ext.left_mult_iota(j) - ext.right_mult_iota(j)
         rows.extend(diff.transpose().cols)
     space = Subspace.span(A.field, A.dim, nullspace(rows, A.field, A.dim))
-    return SubalgebraData(A, space, check=True)
+    return SubalgebraData(A, space)
 
 
 def ideal_closure(A: FiniteAlgebra, generators: list[dict]) -> Subspace:

@@ -20,7 +20,7 @@ identity is multiplicative or module-linear on algebra generators only.
 from __future__ import annotations
 
 from .algebras import (AlgebraError, Extension, FiniteAlgebra, SelfCheckError, centralizer,
-                       per_extension)
+                       first_failure, homomorphism_cases, per_extension)
 from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
@@ -100,11 +100,6 @@ class TCore:
         if coords is None:
             raise AlgebraError(err)
         return coords
-
-    def lift_T(self, coords: dict) -> dict:
-        """T coordinates -> tensor-square coordinates."""
-        return sum_nonzeros(((x, self.t_basis[c].items()) for c, x in coords.items()),
-                            self.A.field.char)
 
     def quasibase_in_T(self, rqb: QuasibaseSet) -> list[tuple[Matrix, dict]]:
         """The pairs (gamma_i, u_i) of a right quasibase, u_i in T coordinates."""
@@ -354,17 +349,6 @@ def triple_tensor_witness(ext: Extension) -> TripleTensorWitness:
 # -- the axiom audit -----------------------------------------------------
 
 
-def first_failure(cases) -> str | None:
-    """Witness of the first failing (ok, witness) case, or None when all pass.
-
-    Cases are consumed lazily, so nothing after the first failure is computed.
-    """
-    for ok, witness in cases:
-        if not ok:
-            return witness
-    return None
-
-
 class AuditReport:
     """Ordered named checks; a failing check keeps its first counterexample."""
 
@@ -423,10 +407,7 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
     and unital anti-representations.  With that and the checks before it:
 
     - ``source_homomorphism``, ``target_antihomomorphism``: r_i in gens(R),
-      all r_j.  {x : s(xy) = s(x)s(y) for all y} is a subspace holding 1
-      once s(1_R) = 1_T, and closed under products: s(x1 x2 y) =
-      s(x1)s(x2 y) = s(x1)s(x2)s(y).  So it is a subalgebra holding gens(R),
-      hence all of R; likewise {x : t(xy) = t(y)t(x) for all y}.
+      all r_j (``homomorphism_cases``).
     - ``source_target_commute``: r_i, r_j in gens(R).  The x with s(x)
       commuting with t(gens(R)) form a subalgebra (s is a unital
       homomorphism), so all of R; for each x, the y with t(y) commuting with
@@ -474,12 +455,9 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
     rho_R = [*core.rho_R, combine(core.rho_R, R.unit)]
 
     def structure_map(name, f, anti, rows):
-        yield f.image(R.unit) == core.unit_T, f"{name}(1_R) != 1_T"
-        for i in rows:
-            for j in range(rdim):
-                a, b = (j, i) if anti else (i, j)
-                yield (f.image(R.nonzeros[i][j]) == core.t_mul(f.cols[a], f.cols[b]),
-                       f"{name} not {'anti-' if anti else ''}multiplicative on (r_{i}, r_{j})")
+        return homomorphism_cases(
+            R, f.image, core.t_mul, core.unit_T, rows, f"{name}(1_R) != 1_T",
+            f"{name} not {'anti-' if anti else ''}multiplicative on (r_{{i}}, r_{{j}})", anti)
 
     def source_target_commute(rs):
         for i in rs:
@@ -737,6 +715,7 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
         counit_is_multiplication=all(eps_in_A.image(pure(i, j)) == A.nonzeros[i][j]
                                      for i, j in pairs),
         flip_involutive=tau @ tau == Matrix.identity(field, m),
-        flip_antimultiplicative=all(
-            tau.image(core.T_alg.nonzeros[c][d]) == core.t_mul(tau.cols[d], tau.cols[c])
-            for c in range(m) for d in range(m)))
+        flip_antimultiplicative=first_failure(homomorphism_cases(
+            core.T_alg, tau.image, core.t_mul, core.unit_T, core.T_alg.generating_indices(),
+            "flip does not fix 1_T", "flip not anti-multiplicative on (t_{i}, t_{j})",
+            anti=True)) is None)

@@ -35,9 +35,11 @@ serves H-separability and projectivity over R.
 from __future__ import annotations
 
 import copy
+import itertools
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
-                       SelfCheckError, field_as_algebra, group_inverses, per_extension)
+                       SelfCheckError, action_cases, field_as_algebra, group_inverses,
+                       per_extension, require)
 from .linalg import (Matrix, Subspace, combine, insert_row, nullspace, quotient_structure,
                      reverse_rref, solve_in_span, sum_nonzeros)
 
@@ -74,26 +76,25 @@ class Bimodule:
         return self._right
 
     def check(self):
-        """Full validation sweep; raises AlgebraError on the first violation."""
-        P, Q, n = self.left_algebra, self.right_algebra, self.dim
-        eye = Matrix.identity(P.field, n)
+        """Raise AlgebraError naming the first violation: both unit laws, the
+        left law, the right anti-law, then commutation, each decided on
+        generators (commutation by the argument of ``source_target_commute``)."""
+        P, Q = self.left_algebra, self.right_algebra
         lam, rho = self.left_action, self.right_action
-        if combine(lam, P.unit) != eye:
-            raise AlgebraError("left action is not unital")
-        if combine(rho, Q.unit) != eye:
-            raise AlgebraError("right action is not unital")
-        for i in range(P.dim):
-            for j in range(P.dim):
-                if lam[i] @ lam[j] != combine(lam, P.nonzeros[i][j]):
-                    raise AlgebraError(f"left action not multiplicative on (e_{i}, e_{j})")
-        for i in range(Q.dim):
-            for j in range(Q.dim):
-                if rho[j] @ rho[i] != combine(rho, Q.nonzeros[i][j]):
-                    raise AlgebraError(f"right action not anti-multiplicative on (e_{i}, e_{j})")
-        for i in range(P.dim):
-            for j in range(Q.dim):
-                if lam[i] @ rho[j] != rho[j] @ lam[i]:
-                    raise AlgebraError(f"actions do not commute at (e_{i}, e_{j})")
+
+        def laws(p_rows, q_rows):
+            left = action_cases(P, lam, p_rows, "left action is not unital",
+                                "left action not multiplicative on (e_{i}, e_{j})")
+            right = action_cases(Q, rho, q_rows, "right action is not unital",
+                                 "right action not anti-multiplicative on (e_{i}, e_{j})",
+                                 anti=True)
+            commute = ((lam[i] @ rho[j] == rho[j] @ lam[i],
+                        f"actions do not commute at (e_{i}, e_{j})")
+                       for i in p_rows for j in q_rows)
+            # each unit case is the first of its law
+            return itertools.chain(itertools.islice(left, 1), itertools.islice(right, 1),
+                                   left, right, commute)
+        require(laws, P, Q)
 
     # A plain bimodule is a single tensor leg: its items are ((index,), coefficient).
 

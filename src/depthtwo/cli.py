@@ -5,6 +5,8 @@ included), 1 for input errors, 2 for an internal consistency failure:
 the two independent decision procedures disagreed, a computed result
 failed its own verification, or a bialgebroid axiom or comodule-algebra
 condition the paper guarantees for a right depth-two extension failed.
+An error raised while the document is read is bad input; an AlgebraError
+or LinAlgError raised after that is a failed self-check.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .algebras import AlgebraError, SelfCheckError
+from .algebras import AlgebraError
 from .bialgebroid import axiom_audit, build_T, t_core
 from .bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square
 from .catalog import catalog_names
@@ -21,6 +23,7 @@ from .fields import FieldError, field_from_json
 from .galois import (balanced_audit, comodule_algebra_audit,
                      d2_iff_corollary_audit, galois_data, main_theorem_audit)
 from .jsonio import ParseError, example_to_json, extension_from_json
+from .linalg import LinAlgError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -228,13 +231,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
             return EXIT_INPUT
     try:
         return args.func(args, out)
-    except SelfCheckError as exc:
-        sys.stderr.write(f"error: internal self-check failed: {exc}\n")
-        return EXIT_INCONSISTENT
-    except (ParseError, AlgebraError, FieldError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (ParseError, FieldError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except (AlgebraError, LinAlgError) as exc:
+        sys.stderr.write(f"error: internal self-check failed: {exc}\n")
+        return EXIT_INCONSISTENT
 
 
 def entry() -> None:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
-                       SelfCheckError, SubalgebraData, per_extension)
+                       SelfCheckError, SubalgebraData, first_failure, homomorphism_cases,
+                       per_extension)
 from .bialgebroid import (AuditReport, RightBialgebroid, TCore, build_T_quasibase_free,
                           left_r_projectivity, t_core)
 from .bimodules import (BalancedTensor, QuasibaseSet, algebra_bimodule, balanced_tensor,
@@ -161,7 +162,7 @@ def coinvariants(ext: Extension, delta: Matrix) -> CoinvariantsReport:
         nrows=at.dim)
     diff = delta - one_map
     space = Subspace.span(field, A.dim, nullspace(diff.transpose().cols, field, A.dim))
-    sub = SubalgebraData(A, space, check=True)
+    sub = SubalgebraData(A, space)
     b_image = ext.b_image_subspace()
     contains = b_image.is_contained_in(space)
     equals = contains and space.dim == b_image.dim
@@ -222,14 +223,9 @@ def balanced_audit(ext: Extension) -> BalancedReport:
     if not rho_b.is_contained_in(dc_space):
         # rho(B) commutes with End(A_B) by construction, so this is a library bug
         raise SelfCheckError("rho(B) escaped its own double commutant")
-    witness = None
-    balanced = True
-    for v in dc_space.basis:
-        if not rho_b.contains(v):
-            balanced = False
-            witness = Matrix.unvec(field, v, n, n)
-            break
-    return BalancedReport(balanced, len(e_mats), dc_space.dim, witness)
+    outside = first_failure((rho_b.contains(v), v) for v in dc_space.basis)
+    witness = None if outside is None else Matrix.unvec(field, outside, n, n)
+    return BalancedReport(outside is None, len(e_mats), dc_space.dim, witness)
 
 
 def comodule_algebra_audit(ext: Extension, delta: Matrix,
@@ -265,8 +261,7 @@ def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> Aud
     on T are the tensor square's, restricted: unital representations and
     anti-representations.  With that and the checks before each one:
 
-    - ``base_map_is_algebra_map``: r_i in gens(R), all r_j, by the argument
-      of ``source_homomorphism``.
+    - ``base_map_is_algebra_map``: r_i in gens(R), all r_j (``homomorphism_cases``).
     - the right R-linearity of ``comodule_counit_and_coassociativity``: r in
       gens(R).  The inclusion is a unital algebra map, so the r with
       delta(a r) = delta(a) r for every a form a subalgebra.
@@ -298,13 +293,9 @@ def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> Aud
 
     # (1) R -> A is an algebra map (the centralizer inclusion)
     def base_map_is_algebra_map(rows):
-        incl = core.incl_R.cols
-        yield core.incl_R.image(R.unit) == A.unit, "inclusion does not preserve the unit"
-        for i in rows:
-            for j in range(R.dim):
-                lhs = A.mul(incl[i], incl[j])
-                rhs = core.incl_R.image(R.nonzeros[i][j])
-                yield lhs == rhs, f"inclusion not multiplicative at (r_{i}, r_{j})"
+        return homomorphism_cases(R, core.incl_R.image, A.mul, A.unit, rows,
+                                  "inclusion does not preserve the unit",
+                                  "inclusion not multiplicative at (r_{i}, r_{j})")
 
     # (2) comodule structure: right R-linearity, counit, coassociativity
     def comodule_counit_and_coassociativity(rs):

@@ -54,7 +54,10 @@ def algebra_from_json(obj: dict, field=None) -> FiniteAlgebra:
         unit = [field.parse(x) for x in _array(obj["unit"], "unit")]
     except (KeyError, TypeError, FieldError) as exc:
         raise ParseError(f"bad algebra document: {exc}") from exc
-    alg = make_algebra(field, structure, unit)
+    try:
+        alg = make_algebra(field, structure, unit)
+    except AlgebraError as exc:  # the algebra is part of the input
+        raise ParseError(str(exc)) from exc
     if alg.dim != dim:
         raise ParseError("declared dim disagrees with the structure cube")
     return alg

@@ -67,7 +67,9 @@ def test_s3_a3_dims(bgd_s3a3):
 def test_unit_of_t_is_class_of_one_tensor_one(bgd_s3a3, s3a3):
     core = bgd_s3a3.core
     A = s3a3.A
-    assert core.lift_T(core.unit_T) == core.ts.class_of(A.unit, A.unit)
+    lifted = sum_nonzeros(((x, core.t_basis[c].items()) for c, x in core.unit_T.items()),
+                          A.field.char)
+    assert lifted == core.ts.class_of(A.unit, A.unit)
 
 
 # -- axiom audit -------------------------------------------------------------

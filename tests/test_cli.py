@@ -359,6 +359,44 @@ def test_rho_b_outside_its_double_commutant_exits_inconsistent(monkeypatch, caps
     assert len(err) == 1 and "double commutant" in err[0]
 
 
+def test_a_failed_coaction_check_exits_inconsistent(monkeypatch, capsys):
+    # an AlgebraError raised after the document was read is a library bug
+    import depthtwo.galois as galois_mod
+    from depthtwo.linalg import Matrix
+    coaction = galois_mod.coaction
+
+    def swapped(ext, rqb):
+        delta = coaction(ext, rqb)
+        cols = list(delta.cols)
+        cols[1], cols[2] = cols[2], cols[1]
+        return Matrix.from_columns(delta.field, cols, nrows=delta.nrows)
+
+    monkeypatch.setattr(galois_mod, "coaction", swapped)
+    code, out = run_cli("galois", json.dumps(example_to_json("s3-a3")), "--json")
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INCONSISTENT and out == ""
+    assert err == ["error: internal self-check failed: "
+                   "coaction disagrees with the canonical map at 1 (x) a"]
+
+
+def test_a_failed_unit_law_of_t_exits_inconsistent(monkeypatch, capsys):
+    # T's own validation runs after parsing: its unit law failing is a bug
+    from depthtwo.bialgebroid import TCore
+    product = TCore._tee_product
+
+    def bumped(core, c, d):
+        out = dict(product(core, c, d))
+        if c == d == 1:
+            out[0] = out.get(0, 0) + 1
+        return {k: x for k, x in out.items() if x}
+
+    monkeypatch.setattr(TCore, "_tee_product", bumped)
+    code, out = run_cli("d2", json.dumps(example_to_json("s3-a3")), "--json")
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INCONSISTENT and out == ""
+    assert err == ["error: internal self-check failed: unit law fails: 1*e_1 != e_1"]
+
+
 def test_large_prime_modulus_runs():
     doc = {"field": {"Fp": 10 ** 18 + 3}, "kind": "group",
            "table": [[0, 1], [1, 0]], "subgroup": [0]}

@@ -7,17 +7,22 @@ and rescan every basis tuple only to name a first failure.  Patching
 calls only, turns each generator pass into the full scan, so both runs must
 give the same report.  The balance audit and the quasibase verifiers are
 compared with the (dim A)^2 computations they replace, written out here.
+The validators of morphisms, bimodules, modules, the T-action and the
+anchor raise the first failure of the pairwise scan written out here, also
+when the generators are every index in reverse order.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from depthtwo.algebras import FiniteAlgebra
+from depthtwo.actions import LeftModule, anchor, t_action
+from depthtwo.algebras import AlgebraError, AlgebraMorphism, FiniteAlgebra, group_inverses
 from depthtwo.bialgebroid import axiom_audit, build_T
-from depthtwo.bimodules import (QuasibaseSet, intertwiners, left_d2_quasibase,
-                                right_d2_quasibase, t_space, verify_left_quasibase,
-                                verify_right_quasibase)
+from depthtwo.bimodules import (Bimodule, QuasibaseSet, algebra_bimodule, intertwiners,
+                                left_d2_quasibase, right_d2_quasibase, t_space, tensor_square,
+                                verify_left_quasibase, verify_right_quasibase)
+from depthtwo.catalog import S3_TABLE, build_example, catalog_names
 from depthtwo.galois import (_comodule_audit, balanced_audit, coaction, comparison_map,
                              tensor_with_t)
 from depthtwo.linalg import Matrix, Subspace, combine, sum_nonzeros
@@ -198,3 +203,174 @@ def test_quasibase_verifiers_equal_the_pairwise_identity(name):
         assert verify(ext, qb) and _holds_on_every_pair(ext, qb)
         for label, bad in _corrupted(qb).items():
             assert verify(ext, bad) == _holds_on_every_pair(ext, bad), (name, qb.side, label)
+
+
+# -- validators: the first failure of the pairwise scan ---------------------------
+
+
+def _raised(build) -> str | None:
+    try:
+        build()
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def _action_law_failure(alg, action, unit_failure, pair_failure, anti=False):
+    """First failure of: the action of 1 is the identity, then act(e_i e_j) =
+    act(e_i) act(e_j), or act(e_j) act(e_i) with anti, over every pair."""
+    if combine(action, alg.unit) != Matrix.identity(alg.field, action[0].nrows):
+        return unit_failure
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            prod = action[j] @ action[i] if anti else action[i] @ action[j]
+            if prod != combine(action, alg.nonzeros[i][j]):
+                return pair_failure.format(i=i, j=j)
+    return None
+
+
+def _commutation_failure(left, right):
+    for i, lam in enumerate(left):
+        for j, rho in enumerate(right):
+            if lam @ rho != rho @ lam:
+                return f"actions do not commute at (e_{i}, e_{j})"
+    return None
+
+
+def _swapped_list(xs, a, b):
+    out = list(xs)
+    out[a], out[b] = out[b], out[a]
+    return out
+
+
+def _in_both_generator_orders(monkeypatch, build) -> list:
+    """The message build() raises, then the one it raises when the generators
+    are every index in reverse order.
+
+    With f(1) = one, the first failing row of the full scan of a law is a
+    generator of the greedy choice: the earlier generators generate every
+    earlier index.  So only a generating set in another order tells the
+    first failure of a generator pass from the full scan's."""
+    first = _raised(build)
+    with monkeypatch.context() as mp:
+        mp.setattr(FiniteAlgebra, "generating_indices",
+                   lambda self: list(reversed(range(self.dim))))
+        return [first, _raised(build)]
+
+
+@pytest.fixture(scope="module")
+def s3a3_corrupted():
+    """s3-a3 and two indices of its algebra that are neither generators nor in
+    the support of the unit."""
+    ext = build_example("s3-a3")
+    A = ext.A
+    a, b = [i for i in range(A.dim) if i not in A.generating_indices() and i not in A.unit][-2:]
+    return ext, a, b
+
+
+def test_a_morphism_names_the_first_failing_pair(s3a3_corrupted, monkeypatch):
+    ext, a, b = s3a3_corrupted
+    A = ext.A
+    bad = Matrix.from_columns(A.field, _swapped_list(Matrix.identity(A.field, A.dim).cols, a, b),
+                              nrows=A.dim)
+    cases = [(bad.image(A.unit) == A.unit, "morphism does not preserve the unit")]
+    cases += [(A.mul(bad.cols[i], bad.cols[j]) == bad.image(A.nonzeros[i][j]),
+               f"morphism not multiplicative on (e_{i}, e_{j})")
+              for i in range(A.dim) for j in range(A.dim)]
+    expected = next(witness for ok, witness in cases if not ok)
+    assert _in_both_generator_orders(
+        monkeypatch, lambda: AlgebraMorphism(A, A, bad)) == [expected] * 2
+
+
+def test_a_left_module_names_the_first_failing_pair(s3a3_corrupted, monkeypatch):
+    ext, a, b = s3a3_corrupted
+    A = ext.A
+    bad = _swapped_list(A.left_mults, a, b)
+    expected = _action_law_failure(A, bad, "module action is not unital",
+                                   "module action fails on (e_{i}, e_{j})")
+    assert expected is not None
+    assert _in_both_generator_orders(
+        monkeypatch, lambda: LeftModule(A, A.dim, bad)) == [expected] * 2
+
+
+def test_each_bimodule_law_names_its_first_failing_pair(s3a3_corrupted, monkeypatch):
+    ext, a, b = s3a3_corrupted
+    A = ext.A
+    lam, rho = A.left_mults, A.right_mults
+    bad_lam, bad_rho = _swapped_list(lam, a, b), _swapped_list(rho, a, b)
+    # y -> lambda(y^-1) is an anti-representation, commuting with lambda only on the centre
+    inv = group_inverses(S3_TABLE)
+    twisted = [lam[inv[j]] for j in range(A.dim)]
+    for left, right, expected in (
+            (bad_lam, rho, _action_law_failure(
+                A, bad_lam, "left action is not unital",
+                "left action not multiplicative on (e_{i}, e_{j})")),
+            (lam, bad_rho, _action_law_failure(
+                A, bad_rho, "right action is not unital",
+                "right action not anti-multiplicative on (e_{i}, e_{j})", anti=True)),
+            (lam, twisted, _commutation_failure(lam, twisted))):
+        assert expected is not None
+        assert _in_both_generator_orders(
+            monkeypatch, lambda: Bimodule(A, A, A.dim, left, right).check()) == [expected] * 2
+    # both unit laws come before the left law
+    half = [x.scaled(2) for x in rho]
+    assert _raised(lambda: Bimodule(A, A, A.dim, bad_lam, half).check()) == \
+        "right action is not unital"
+
+
+@pytest.fixture(scope="module")
+def s3a3_t_corrupted():
+    """s3-a3 with its bialgebroid, and the same bialgebroid with the lifts of two
+    basis elements of T swapped: neither a generator nor in the support of 1_T."""
+    ext = build_example("s3-a3")
+    rqb = right_d2_quasibase(ext)
+    bgd = build_T(ext, rqb)
+    core = bgd.core
+    T = core.T_alg
+    a, b = [c for c in range(T.dim) if c not in T.generating_indices()
+            and c not in core.unit_T][-2:]
+    bad = bgd.replaced(t_items=_swapped_list(core.t_items, a, b))
+    return ext, rqb, bgd, bad, a, b
+
+
+def test_the_t_action_names_the_first_failing_pair(s3a3_t_corrupted, monkeypatch):
+    ext, rqb, bgd, bad, a, b = s3a3_t_corrupted
+    M = LeftModule.regular(ext.A)
+    # the action of t_c is built from the lift of t_c alone
+    action = _swapped_list(t_action(ext, rqb, M, bgd).action, a, b)
+    expected = _action_law_failure(bgd.core.T_alg, action, "T-action is not unital",
+                                   "T-action fails the module law on (t_{i}, t_{j})", anti=True)
+    assert expected is not None
+    assert _in_both_generator_orders(
+        monkeypatch, lambda: t_action(ext, rqb, M, bad)) == [expected] * 2
+
+
+def test_the_anchor_names_the_first_failure_in_its_order(s3a3_t_corrupted, monkeypatch):
+    ext, rqb, bgd, bad, a, b = s3a3_t_corrupted
+    core = bgd.core
+    # 1_R . t = eps(t) comes before the module law
+    assert _raised(lambda: anchor(ext, rqb, bad)) == f"anchor: 1_R . t_{a} != eps(t_{a})"
+    eps = Matrix.from_columns(core.eps.field, _swapped_list(core.eps.cols, a, b),
+                              nrows=core.eps.nrows)
+    bad = bad.replaced(eps=eps)
+    action = _swapped_list(anchor(ext, rqb, bgd).action, a, b)
+    expected = _action_law_failure(core.T_alg, action, "anchor: r . 1_T != r",
+                                   "anchor fails the module law", anti=True)
+    assert expected == "anchor fails the module law"
+    assert _in_both_generator_orders(
+        monkeypatch, lambda: anchor(ext, rqb, bad)) == [expected] * 2
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_the_validators_pass_on_the_catalog(name):
+    ext = build_example(name)
+    A, B = ext.A, ext.B
+    AlgebraMorphism(B, A, ext.iota.matrix)
+    LeftModule(A, A.dim, A.left_mults)
+    for left, right in (("A", "A"), ("B", "A"), ("A", "B")):
+        algebra_bimodule(ext, left, right).check()
+    tensor_square(ext).check()
+    rqb = right_d2_quasibase(ext)
+    if rqb is not None:
+        t_action(ext, rqb, LeftModule.regular(A))
+        anchor(ext, rqb)
