@@ -272,7 +272,9 @@ def _is_index_list(xs, n: int) -> bool:
 
 
 def _check_group_table(table: list[list[int]]) -> int:
-    """Validate a Cayley table (indices); returns the identity index."""
+    """Check what the algebra check of k[G] cannot see: an n x n table of
+    indices with an identity, whose rows and columns are permutations.
+    Returns the identity index; associativity is left to ``group_algebra``."""
     if not isinstance(table, list) or not table:
         raise AlgebraError("group table must be a non-empty list of rows")
     n = len(table)
@@ -289,37 +291,30 @@ def _check_group_table(table: list[list[int]]) -> int:
     for i in range(n):
         if sorted(table[i]) != list(range(n)) or sorted(r[i] for r in table) != list(range(n)):
             raise AlgebraError("group table rows/columns are not permutations")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise AlgebraError(
-                        f"group table not associative at ({i},{j},{k})")
     return identity
 
 
 def group_inverses(table: list[list[int]]) -> list[int]:
-    n = len(table)
     identity = _check_group_table(table)
-    inv = [0] * n
-    for i in range(n):
-        inv[i] = table[i].index(identity)
-    return inv
+    return [row.index(identity) for row in table]
 
 
 def group_algebra(field, table: list[list[int]]) -> FiniteAlgebra:
-    """k[G] from a validated Cayley table; basis indexed by group elements."""
+    """k[G] from a Cayley table; basis indexed by group elements.  The
+    algebra's own check decides associativity, on generators."""
     identity = _check_group_table(table)
-    return FiniteAlgebra(field, [[{k: 1} for k in row] for row in table], {identity: 1},
-                         validate=False)
+    return FiniteAlgebra(field, [[{k: 1} for k in row] for row in table], {identity: 1})
 
 
 def subgroup_extension(field, table: list[list[int]], subgroup: list[int]):
     """Extension k[N] -> k[G] for a (not necessarily normal) subgroup N.
 
-    Returns (Extension, sorted subgroup indices).
+    Returns (Extension, sorted subgroup indices).  Only the table of G is
+    checked: a closed subset of a finite group holding the identity is a
+    group, so the table of N needs no check of its own.
     """
-    identity = _check_group_table(table)
+    A = group_algebra(field, table)
+    (identity,) = A.unit
     if not _is_index_list(subgroup, len(table)):
         raise AlgebraError("subgroup must be a list of indices into the group table")
     sub = sorted(set(subgroup))
@@ -332,9 +327,8 @@ def subgroup_extension(field, table: list[list[int]], subgroup: list[int]):
                 raise AlgebraError(f"subgroup not closed: {a}*{b} escapes")
     if identity not in pos:
         raise AlgebraError("subgroup does not contain the identity")
-    subtable = [[pos[table[a][b]] for b in sub] for a in sub]
-    B = group_algebra(field, subtable)
-    A = group_algebra(field, table)
+    B = FiniteAlgebra(field, [[{pos[table[a][b]]: 1} for b in sub] for a in sub],
+                      {pos[identity]: 1}, validate=False)
     iota = Matrix.from_columns(field, [{g: 1} for g in sub], nrows=len(table))
     ext = Extension(B, A, AlgebraMorphism(B, A, iota))
     return ext, sub
@@ -346,9 +340,11 @@ def group_pair(field, table: list[list[int]], subgroup: list[int]):
     The transversal lists the lexicographically least representative of
     each right coset Ng, in ascending order.  Raises if N is not normal;
     non-normal subgroups are still accepted by ``subgroup_extension``.
+    The inverses are read off the table ``subgroup_extension`` checked.
     """
     ext, sub = subgroup_extension(field, table, subgroup)
-    inv = group_inverses(table)
+    (identity,) = ext.A.unit
+    inv = [row.index(identity) for row in table]
     subset = set(sub)
     for g in range(len(table)):
         for m in sub:

@@ -523,66 +523,49 @@ class QuasibaseSet:
         return len(self.pairs)
 
 
-def _is_bb_endomorphism(ext: Extension, endo: Matrix) -> bool:
-    """Whether endo commutes with left and right multiplication by every
-    iota(b), checked for b in gens(B): the b for which it does form a
-    subalgebra of B, as iota is a unital algebra map."""
-    for j in ext.B.generating_indices():
-        lb = ext.left_mult_iota(j)
-        rb = ext.right_mult_iota(j)
-        if endo @ lb != lb @ endo or endo @ rb != rb @ endo:
+def _verify_quasibase(ext: Extension, qb: QuasibaseSet, side: str) -> bool:
+    """Check the quasibase identity of one side on every pair of elements,
+    plus that each endomorphism of the pairs is B-B-linear and each tensor
+    B-central.
+
+    The right identity x (x) y = sum_i x gamma_i(y) u_i is left A-linear in
+    x (A acts on the tensor square by a representation), the left identity
+    x (x) y = sum_i t_i beta_i(x) y right A-linear in y (by an
+    anti-representation).  So the free variable is set to 1 and the identity
+    checked on every basis element e_a: 1 (x) e_a = sum_i gamma_i(e_a) u_i,
+    or e_a (x) 1 = sum_i t_i beta_i(e_a).  B-B-linearity is checked for b in
+    gens(B): the b whose iota(b) commutes with an endomorphism on both sides
+    form a subalgebra of B, as iota is a unital algebra map.
+    """
+    right = side == "right"
+    ts = qb.ts
+    A = ext.A
+    mults = [m for j in ext.B.generating_indices()
+             for m in (ext.left_mult_iota(j), ext.right_mult_iota(j))]
+    central = t_space(ext)
+    if not all(all(endo @ m == m @ endo for m in mults) and central.contains(t)
+               for endo, t in qb.pairs):
+        return False
+    mod = A.field.char
+    actions = ts.left_action if right else ts.right_action
+    images = [(endo, [act.image(t) for act in actions]) for endo, t in qb.pairs]
+    for a in range(A.dim):
+        expected = sum_nonzeros(((c, imgs[k].items()) for endo, imgs in images
+                                 for k, c in endo.cols[a].items()), mod)
+        e_a = A.basis_vector(a)
+        if (ts.class_of(A.unit, e_a) if right else ts.class_of(e_a, A.unit)) != expected:
             return False
     return True
-
-
-def _central_pairs(ext: Extension, qb: QuasibaseSet) -> bool:
-    """Every endomorphism of the pairs is B-B-linear and every tensor B-central."""
-    central = t_space(ext)
-    return all(_is_bb_endomorphism(ext, endo) and central.contains(t) for endo, t in qb.pairs)
 
 
 def verify_right_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
-    """Check x (x) y = sum_i x gamma_i(y) u_i on every pair of elements, plus
-    that each gamma_i is a B-B-endomorphism and each u_i is B-central.
-
-    Both sides are left A-linear in x (A acts on the tensor square by a
-    representation), so the identity is checked at x = 1 only, as
-    1 (x) y = sum_i gamma_i(y) u_i on every basis element y.
-    """
-    ts = qb.ts
-    A = ext.A
-    if not _central_pairs(ext, qb):
-        return False
-    mod = A.field.char
-    images = [(gamma, [act.image(u) for act in ts.left_action]) for gamma, u in qb.pairs]
-    for y in range(A.dim):
-        expected = sum_nonzeros(((c, imgs[a].items()) for gamma, imgs in images
-                                 for a, c in gamma.cols[y].items()), mod)
-        if ts.class_of(A.unit, A.basis_vector(y)) != expected:
-            return False
-    return True
+    """``_verify_quasibase`` for (gamma_i, u_i): x (x) y = sum_i x gamma_i(y) u_i."""
+    return _verify_quasibase(ext, qb, "right")
 
 
 def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
-    """Check x (x) y = sum_i t_i . (beta_i(x) y) on every pair of elements,
-    plus that each beta_i is a B-B-endomorphism and each t_i is B-central.
-
-    Both sides are right A-linear in y (A acts on the tensor square by an
-    anti-representation), so the identity is checked at y = 1 only: the
-    compact form x (x) 1 = sum_i t_i beta_i(x) on every basis element x.
-    """
-    ts = qb.ts
-    A = ext.A
-    if not _central_pairs(ext, qb):
-        return False
-    mod = A.field.char
-    images = [(beta, [act.image(t) for act in ts.right_action]) for beta, t in qb.pairs]
-    for x in range(A.dim):
-        expected = sum_nonzeros(((c, imgs[a].items()) for beta, imgs in images
-                                 for a, c in beta.cols[x].items()), mod)
-        if ts.class_of(A.basis_vector(x), A.unit) != expected:
-            return False
-    return True
+    """``_verify_quasibase`` for (beta_i, t_i): x (x) y = sum_i t_i beta_i(x) y."""
+    return _verify_quasibase(ext, qb, "left")
 
 
 def right_d2_quasibase(ext: Extension) -> QuasibaseSet | None:
@@ -608,8 +591,7 @@ def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
         unit_map = unit_tensor(ext, unit_first=right)
         pairs = [(g @ unit_map, f.image(ext.A.unit)) for f, g in fact.pairs]
         result = QuasibaseSet(side, pairs, ts)
-        verify = verify_right_quasibase if right else verify_left_quasibase
-        if not verify(ext, result):
+        if not _verify_quasibase(ext, result, side):
             raise SelfCheckError(f"derived {side} quasibase failed verification")
     return result
 
@@ -682,9 +664,7 @@ def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],
             tensor = ts.class_of(A.basis_vector(g), A.basis_vector(inv[g]))
         pairs.append((proj, tensor))
     qb = QuasibaseSet(side, pairs, ts)
-    ok = verify_right_quasibase(ext, qb) if side == "right" else \
-        verify_left_quasibase(ext, qb)
-    if not ok:
+    if not _verify_quasibase(ext, qb, side):
         raise AlgebraError("transversal quasibase failed verification")
     return qb
 

@@ -5,8 +5,9 @@ included), 1 for input errors, 2 for an internal consistency failure:
 the two independent decision procedures disagreed, a computed result
 failed its own verification, or a bialgebroid axiom or comodule-algebra
 condition the paper guarantees for a right depth-two extension failed.
-An error raised while the document is read is bad input; an AlgebraError
-or LinAlgError raised after that is a failed self-check.
+``main`` reads the document before the command runs: an error raised
+while it is read is bad input, and any exception raised after that is the
+library's own failure, reported on one ``error:`` line with exit 2.
 """
 
 from __future__ import annotations
@@ -92,8 +93,7 @@ def _parse_field_flag(flag: str):
     raise ParseError(f"bad field flag {flag!r}; use Q or Fp:<prime>")
 
 
-def _cmd_analyze(args, out) -> int:
-    ext = _load_extension(args.input)
+def _cmd_analyze(ext, args, out) -> int:
     ts = tensor_square(ext)
     core = t_core(ext)
     report = {
@@ -109,8 +109,7 @@ def _cmd_analyze(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_d2(args, out) -> int:
-    ext = _load_extension(args.input)
+def _cmd_d2(ext, args, out) -> int:
     rqb = right_d2_quasibase(ext)
     lqb = left_d2_quasibase(ext)
     corollary = d2_iff_corollary_audit(ext)
@@ -125,8 +124,7 @@ def _cmd_d2(args, out) -> int:
     return EXIT_OK if corollary.agree else EXIT_INCONSISTENT
 
 
-def _cmd_bialgebroid(args, out) -> int:
-    ext = _load_extension(args.input)
+def _cmd_bialgebroid(ext, args, out) -> int:
     rqb = right_d2_quasibase(ext)
     if rqb is None:
         report = {"right_d2": False,
@@ -147,8 +145,7 @@ def _cmd_bialgebroid(args, out) -> int:
     return EXIT_OK if audit.all_pass else EXIT_INCONSISTENT
 
 
-def _cmd_galois(args, out) -> int:
-    ext = _load_extension(args.input)
+def _cmd_galois(ext, args, out) -> int:
     rqb = right_d2_quasibase(ext)
     bal = balanced_audit(ext)
     if rqb is None:
@@ -172,8 +169,7 @@ def _cmd_galois(args, out) -> int:
     return EXIT_OK if comodule.all_pass else EXIT_INCONSISTENT
 
 
-def _cmd_audit(args, out) -> int:
-    ext = _load_extension(args.input)
+def _cmd_audit(ext, args, out) -> int:
     main = main_theorem_audit(ext)
     corollary = d2_iff_corollary_audit(ext)
     report = main.to_json()
@@ -230,13 +226,19 @@ def main(argv: list[str] | None = None, out=None) -> int:
             sys.stderr.write("error: no input document given\n")
             return EXIT_INPUT
     try:
-        return args.func(args, out)
+        if not hasattr(args, "input"):
+            return args.func(args, out)
+        ext = _load_extension(args.input)
     except (ParseError, FieldError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    try:
+        return args.func(ext, args, out)
     except (AlgebraError, LinAlgError) as exc:
         sys.stderr.write(f"error: internal self-check failed: {exc}\n")
-        return EXIT_INCONSISTENT
+    except Exception as exc:  # past parsing, any failure is the library's
+        sys.stderr.write(f"error: internal failure: {type(exc).__name__}: {exc}\n")
+    return EXIT_INCONSISTENT
 
 
 def entry() -> None:

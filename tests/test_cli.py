@@ -7,7 +7,8 @@ import pytest
 
 from depthtwo.catalog import catalog_names
 from depthtwo.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
-from depthtwo.jsonio import (example_to_json, extension_from_json,
+from depthtwo.fields import FieldError
+from depthtwo.jsonio import (ParseError, example_to_json, extension_from_json,
                              extension_to_json)
 
 
@@ -159,6 +160,25 @@ def test_group_doc_with_wrong_normal_flag(tmp_path):
     assert code == EXIT_INPUT
 
 
+# a Latin square with identity 0 that is not associative: (e_1 e_1) e_2 = e_2, e_1 (e_1 e_2) = e_4
+T5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+
+
+@pytest.mark.parametrize("normal", [True, False])
+def test_non_associative_group_table_names_its_first_triple(normal):
+    doc = {"field": "Q", "kind": "group", "table": T5, "subgroup": [0], "normal": normal}
+    with pytest.raises(ParseError, match=r"^associativity fails: \(e_1e_1\)e_2 != e_1\(e_1e_2\)$"):
+        extension_from_json(doc)
+
+
+def test_non_associative_group_table_is_one_error_line(capsys):
+    doc = {"field": "Q", "kind": "group", "table": T5, "subgroup": [0], "normal": True}
+    code, out = run_cli("analyze", json.dumps(doc))
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INPUT and out == ""
+    assert err == ["error: associativity fails: (e_1e_1)e_2 != e_1(e_1e_2)"]
+
+
 def test_text_output_mode(tmp_path):
     path = write_example(tmp_path, "field-sqrt2")
     code, out = run_cli("analyze", str(path))
@@ -290,7 +310,7 @@ def test_non_utf8_file_is_one_error_line(tmp_path, capsys):
 def test_failed_self_check_exits_inconsistent(monkeypatch, capsys):
     # a quasibase that fails its own verification is a bug, not bad input
     import depthtwo.bimodules as bimodules_mod
-    monkeypatch.setattr(bimodules_mod, "verify_right_quasibase", lambda ext, qb: False)
+    monkeypatch.setattr(bimodules_mod, "_verify_quasibase", lambda ext, qb, side: False)
     code, _ = run_cli("d2", json.dumps(example_to_json("s3-a3")))
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_INCONSISTENT
@@ -311,6 +331,23 @@ def test_failed_witness_in_the_audit_exits_inconsistent(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_INCONSISTENT and out == ""
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("error", [KeyError("missing"), FieldError("bad value"),
+                                   OSError("unreadable"), IndexError("out of range")])
+def test_an_error_after_parsing_exits_inconsistent(error, monkeypatch, capsys):
+    # the document parsed, so whatever the command raises is the library's
+    # failure, whatever its type: exit 2, one error line, no traceback
+    import depthtwo.cli as cli_mod
+
+    def broken(ext):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "tensor_square", broken)
+    code, out = run_cli("analyze", json.dumps(example_to_json("s3-a3")))
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INCONSISTENT and out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and type(error).__name__ in err[0]
 
 
 def _failing_comodule_audit(ext, delta, bgd):

@@ -7,6 +7,8 @@ and rescan every basis tuple only to name a first failure.  Patching
 calls only, turns each generator pass into the full scan, so both runs must
 give the same report.  The balance audit and the quasibase verifiers are
 compared with the (dim A)^2 computations they replace, written out here.
+W3 Delta and ice delta, which the audits pin on a basis, are checked at
+every product.
 The validators of morphisms, bimodules, modules, the T-action and the
 anchor raise the first failure of the pairwise scan written out here, also
 when the generators are every index in reverse order.
@@ -115,6 +117,37 @@ def test_mutations_outside_the_generators_are_caught(galois_inputs):
             if not axioms.all_pass or not comodule.all_pass:
                 caught.add(label)
     assert caught == {"Delta", "eps", "s_R", "t_R", "delta"}
+
+
+# -- identities the audits pin on a basis, checked at every product --------------
+
+
+@pytest.mark.parametrize("name", D2_NAMES)
+def test_w3_delta_of_every_product_is_its_sandwich(name, galois_inputs):
+    # axiom_audit pins W3 Delta(t) = t^1 (x) 1 (x) t^2 on the basis of T only,
+    # in coproduct_right_linear at 1_R; linearity carries it to t_c t_d
+    ext, bgd, _ = galois_inputs[name]
+    core, wit = bgd.core, bgd.witness
+    w3_delta = wit.w3 @ bgd.Delta
+    for c in range(core.dim):
+        for d in range(core.dim):
+            prod = core.t_mul({c: 1}, {d: 1})
+            assert w3_delta.image(prod) == wit.sandwich3(prod, ext.A.unit), (c, d)
+
+
+@pytest.mark.parametrize("name", D2_NAMES)
+def test_ice_of_every_coaction_product_is_one_tensor_the_product(name, galois_inputs):
+    # the comodule audit pins ice(delta(a)) = 1 (x) a on the basis of A only,
+    # in base_twist_compatibility at 1_R; here at delta(x)delta(y), for all x, y
+    ext, bgd, delta = galois_inputs[name]
+    A, T, ts = ext.A, bgd.core.T_alg, bgd.core.ts
+    at, ice = tensor_with_t(ext), comparison_map(ext)
+    lifts = [at.lift_items(col) for col in delta.cols]
+    for x in range(A.dim):
+        for y in range(A.dim):
+            product = at.class_of_sum([(c1 * c2, A.nonzeros[k][l], T.nonzeros[c][d])
+                                       for (k, c), c1 in lifts[x] for (l, d), c2 in lifts[y]])
+            assert ice.image(product) == ts.class_of(A.unit, A.nonzeros[x][y]), (x, y)
 
 
 # -- balance: the double commutant in dim A unknowns ------------------------------
