@@ -24,7 +24,7 @@ from .bialgebroid import (RightBialgebroid, TripleTensorWitness, axiom_audit,
                           build_T, commutative_flip_check, left_r_projectivity,
                           r_module_dual_bases, t_core, triple_tensor_witness)
 from .actions import LeftModule, MeasuredEndos, action_invariants, anchor, t_action
-from .galois import (GaloisData, balanced_audit, coaction, coinvariants,
+from .galois import (GaloisData, balanced_audit, canonical_coaction, coaction, coinvariants,
                      comodule_algebra_audit, d2_iff_corollary_audit, galois_data,
                      galois_map, main_theorem_audit)
 from .catalog import CATALOG, build_example, catalog_names, m2_over_ground_field

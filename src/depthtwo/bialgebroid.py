@@ -24,7 +24,7 @@ import math
 
 from .algebras import (AlgebraError, Extension, FiniteAlgebra, SelfCheckError, centralizer,
                        first_failure, homomorphism_cases, per_extension)
-from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
+from .bimodules import (Bimodule, DualBasis, QuasibaseSet, b_centralized, balanced_tensor,
                         coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
                         tensor_square)
 from .linalg import Matrix, Subspace, combine, solve_in_span, sum_nonzeros
@@ -246,14 +246,12 @@ class TripleTensorWitness:
 class RightBialgebroid:
     """The assembled right bialgebroid: core data plus coproduct and witness."""
 
-    __slots__ = ("core", "witness", "Delta", "rqb")
+    __slots__ = ("core", "witness", "Delta")
 
-    def __init__(self, core: TCore, witness: TripleTensorWitness, Delta: Matrix,
-                 rqb: QuasibaseSet | None):
+    def __init__(self, core: TCore, witness: TripleTensorWitness, Delta: Matrix):
         self.core = core
         self.witness = witness
         self.Delta = Delta
-        self.rqb = rqb
 
     def replaced(self, **kwargs) -> "RightBialgebroid":
         """Copy with structure maps swapped out (exists for mutation tests)."""
@@ -261,7 +259,7 @@ class RightBialgebroid:
         delta = kwargs.pop("Delta", self.Delta)
         if kwargs:
             core = core.replaced(**kwargs)
-        return RightBialgebroid(core, self.witness, delta, self.rqb)
+        return RightBialgebroid(core, self.witness, delta)
 
 
 def _delta_from_witness(core: TCore, witness: TripleTensorWitness) -> Matrix:
@@ -303,7 +301,7 @@ def _delta_direct(core: TCore, rqb: QuasibaseSet) -> Matrix:
 
 
 def build_T(ext: Extension, rqb: QuasibaseSet) -> RightBialgebroid:
-    """The cached quasibase-free bialgebroid with a verified right quasibase attached.
+    """The extension's one bialgebroid ``build_T_quasibase_free(ext)``, rqb verified.
 
     The coproduct forced by the witness must agree with the direct
     quasibase sum; a mismatch means the quasibase is corrupt.
@@ -316,7 +314,7 @@ def build_T(ext: Extension, rqb: QuasibaseSet) -> RightBialgebroid:
     free = build_T_quasibase_free(ext)
     if free.Delta != _delta_direct(free.core, rqb):
         raise SelfCheckError("witness coproduct disagrees with the quasibase formula")
-    return RightBialgebroid(free.core, free.witness, free.Delta, rqb)
+    return free
 
 
 @per_extension
@@ -329,7 +327,7 @@ def build_T_quasibase_free(ext: Extension) -> RightBialgebroid:
     """
     witness = TripleTensorWitness(ext)
     core = witness.core
-    return RightBialgebroid(core, witness, _delta_from_witness(core, witness), None)
+    return RightBialgebroid(core, witness, _delta_from_witness(core, witness))
 
 
 def triple_tensor_witness(ext: Extension) -> TripleTensorWitness:
@@ -554,49 +552,17 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
 # -- projectivity of T over R --------------------------------------------
 
 
-class ModuleDualBasis:
-    """Dual bases (elements in T coordinates, functionals T -> R)."""
-
-    __slots__ = ("elements", "functionals")
-
-    def __init__(self, elements: list[dict], functionals: list[Matrix]):
-        self.elements = elements
-        self.functionals = functionals
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def _check_reconstruction(core: TCore, actions: list[Matrix], db: ModuleDualBasis,
-                          err: str):
-    """x = sum_i act(phi_i(x)) m_i on every basis vector x = e_c of T.
-
-    act(r) m_i is sum_a r_a actions[a] m_i, so each actions[a] m_i is
-    computed once and weighted by the column c of phi_i.
-    """
-    images = [[act.image(m) for act in actions] for m in db.elements]
-    mod = core.A.field.char
-    for c in range(core.dim):
-        got = sum_nonzeros(((x, imgs[a].items())
-                            for imgs, phi in zip(images, db.functionals)
-                            for a, x in phi.cols[c].items()), mod)
-        if got != core.T_alg.basis_vector(c):
-            raise SelfCheckError(err)
-
-
-def left_r_projectivity(core: TCore) -> ModuleDualBasis | None:
+def left_r_projectivity(core: TCore) -> DualBasis | None:
     """Dual bases witnessing that T is projective as a left R-module,
     decided by the summand criterion; no quasibase involved."""
     R = core.R_alg
     M = left_module_bimodule(R, core.dim, core.lam_R)
     P = left_module_bimodule(R, R.dim, R.left_mults)
-    fact = coproduct_summand_test(M, P)
-    if fact is None:
+    pairs = coproduct_summand_test(M, P)
+    if pairs is None:
         return None
-    db = ModuleDualBasis([f.image(R.unit) for f, _ in fact.pairs],
-                         [g for _, g in fact.pairs])
-    _check_reconstruction(core, core.lam_R, db,
-                          "projectivity dual basis failed reconstruction")
+    db = DualBasis([f.image(R.unit) for f, _ in pairs], [g for _, g in pairs])
+    db.check(core.lam_R, "projectivity dual basis failed reconstruction")
     return db
 
 
@@ -614,16 +580,14 @@ def r_module_dual_bases(ext: Extension, lqb: QuasibaseSet, rqb: QuasibaseSet):
                              "dual-basis functional escaped R") for c in range(core.dim)]
         return Matrix.from_columns(field, cols, nrows=core.R_alg.dim)
 
-    right_db = ModuleDualBasis(
+    right_db = DualBasis(
         [core.t_coords(t, "left-quasibase tensor escaped T") for _, t in lqb.pairs],
         [functional(left=beta) for beta, _ in lqb.pairs])
-    left_db = ModuleDualBasis(
+    left_db = DualBasis(
         [core.t_coords(u, "right-quasibase tensor escaped T") for _, u in rqb.pairs],
         [functional(right=gamma) for gamma, _ in rqb.pairs])
-    _check_reconstruction(core, core.rho_R, right_db,
-                          "right R-module dual basis failed reconstruction")
-    _check_reconstruction(core, core.lam_R, left_db,
-                          "left R-module dual basis failed reconstruction")
+    right_db.check(core.rho_R, "right R-module dual basis failed reconstruction")
+    left_db.check(core.lam_R, "left R-module dual basis failed reconstruction")
     return right_db, left_db
 
 

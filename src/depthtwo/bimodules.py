@@ -394,19 +394,6 @@ def bb_endomorphisms(ext: Extension) -> list[Matrix]:
     return intertwiners(ext.A.field, ext.A.dim, ext.A.dim, pairs)
 
 
-class SummandFactorization:
-    """Maps witnessing M + complement = P^(I): pairs (f_i: P->M, g_i: M->P)
-    with sum f_i o g_i = id_M."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: list[tuple[Matrix, Matrix]]):
-        self.pairs = pairs
-
-    def __len__(self):
-        return len(self.pairs)
-
-
 def bimodule_generators(M: Bimodule) -> list[int]:
     """Indices of basis vectors generating M as a bimodule, greedy in basis order.
 
@@ -438,13 +425,13 @@ def bimodule_generators(M: Bimodule) -> list[int]:
     return gens
 
 
-def coproduct_summand_test(M: Bimodule, P: Bimodule) -> SummandFactorization | None:
-    """Decide M + * = P^(I) as bimodules; return a finite factorization or None."""
+def coproduct_summand_test(M: Bimodule, P: Bimodule) -> list[tuple[Matrix, Matrix]] | None:
+    """Decide M + * = P^(I) as bimodules: pairs (f_i, g_i) with sum f_i g_i = id_M, or None."""
     return summand_factorization(M, hom_space(P, M), hom_space(M, P))
 
 
 def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
-                          homs_mp: list[Matrix]) -> SummandFactorization | None:
+                          homs_mp: list[Matrix]) -> list[tuple[Matrix, Matrix]] | None:
     """Solve sum f_i o g_i = id_M over bases of Hom(P, M) and Hom(M, P).
 
     The span of the composition pairing equals the image of
@@ -460,7 +447,7 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
     field = M.left_algebra.field
     if not homs_pm or not homs_mp:
         if M.dim == 0:
-            return SummandFactorization([])
+            return []
         return None
     products, target = _summand_system(M, homs_pm, homs_mp)
     coeffs = solve_in_span(target, products, field)
@@ -474,7 +461,7 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
     if any(sum_nonzeros(((1, f.image(g.cols[c]).items()) for f, g in pairs), field.char) != {c: 1}
            for c in range(M.dim)):
         raise SelfCheckError("summand factorization failed its own reconstruction")
-    return SummandFactorization(pairs)
+    return pairs
 
 
 def _summand_system(M: Bimodule, homs_pm: list[Matrix],
@@ -589,7 +576,7 @@ def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
     if fact is not None:
         # gamma_i = g_i(1 (x) -) on the right side, beta_i = g_i(- (x) 1) on the left
         unit_map = unit_tensor(ext, unit_first=right)
-        pairs = [(g @ unit_map, f.image(ext.A.unit)) for f, g in fact.pairs]
+        pairs = [(g @ unit_map, f.image(ext.A.unit)) for f, g in fact]
         result = QuasibaseSet(side, pairs, ts)
         if not _verify_quasibase(ext, result, side):
             raise SelfCheckError(f"derived {side} quasibase failed verification")
@@ -672,7 +659,7 @@ def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],
 # -- H-separability, composites, split projectivity ----------------------
 
 
-def h_separability_test(ext: Extension) -> SummandFactorization | None:
+def h_separability_test(ext: Extension) -> list[tuple[Matrix, Matrix]] | None:
     """Is the tensor square a summand of a free power of A as an A-A-bimodule?"""
     return coproduct_summand_test(tensor_square(ext), algebra_bimodule(ext, "A", "A"))
 
@@ -687,22 +674,37 @@ def compose_extensions(inner: Extension, outer: Extension) -> Extension:
 
 
 class DualBasis:
-    """Dual bases: pairs (functional, element) with x = sum_i iota(f_i(x)) . m_i."""
+    """Dual bases of a module M over an algebra S: elements m_i of M and
+    functionals phi_i: M -> S with x = sum_i phi_i(x) . m_i for every x."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("elements", "functionals")
 
-    def __init__(self, pairs: list[tuple[Matrix, dict]]):
-        self.pairs = pairs
+    def __init__(self, elements: list[dict], functionals: list[Matrix]):
+        self.elements = elements
+        self.functionals = functionals
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.elements)
+
+    def check(self, actions: list[Matrix], err: str) -> None:
+        """Raise SelfCheckError(err) unless x = sum_i phi_i(x) . m_i on every basis
+        vector x = e_c of M, s . m being sum_a s_a actions[a] m: each actions[a] m_i
+        is computed once and weighted by the column c of phi_i."""
+        images = [[act.image(m) for act in actions] for m in self.elements]
+        mod = actions[0].field.char
+        for c in range(actions[0].nrows):
+            got = sum_nonzeros(((x, imgs[a].items())
+                                for imgs, phi in zip(images, self.functionals)
+                                for a, x in phi.cols[c].items()), mod)
+            if got != {c: 1}:
+                raise SelfCheckError(err)
 
 
 def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
     """Dual bases for A as a left B-module from a bimodule splitting p of iota.
 
     p must be a B-B-bimodule projection A -> B with p o iota = id_B; the
-    returned pairs reconstruct y = sum iota(f(y)) * m on every basis y.
+    returned dual basis reconstructs y = sum iota(f(y)) * m on every basis y.
     """
     A, B = ext.A, ext.B
     field = A.field
@@ -710,26 +712,20 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
         raise AlgebraError("p has wrong shape")
     if p @ ext.iota.matrix != Matrix.identity(field, B.dim):
         raise AlgebraError("p does not split iota")
+    lb = [ext.left_mult_iota(j) for j in range(B.dim)]
     for j in range(B.dim):
-        if p @ ext.left_mult_iota(j) != B.left_mult(j) @ p:
+        if p @ lb[j] != B.left_mult(j) @ p:
             raise AlgebraError("p is not left B-linear")
         if p @ ext.right_mult_iota(j) != B.right_mult(j) @ p:
             raise AlgebraError("p is not right B-linear")
     rqb = right_d2_quasibase(ext)
     if rqb is None:
         raise AlgebraError("extension is not right depth two")
-    ts = rqb.ts
-    n = A.dim
-    pairs: list[tuple[Matrix, dict]] = []
+    db = DualBasis([], [])
     for gamma, u in rqb.pairs:
-        for (s, t), c in ts.lift_items(u):
+        for (s, t), c in rqb.ts.lift_items(u):
             # functional y -> p(gamma(y) * (c * e_s)), element e_t
-            functional = p @ A.right_mult(s).scaled(c) @ gamma
-            pairs.append((functional, A.basis_vector(t)))
-    for y in range(n):
-        ey = A.basis_vector(y)
-        acc = sum_nonzeros(((1, A.mul(ext.iota.matrix.image(f.image(ey)), m).items())
-                            for f, m in pairs), field.char)
-        if acc != {y: 1}:
-            raise SelfCheckError("dual basis reconstruction failed")
-    return DualBasis(pairs)
+            db.functionals.append(p @ A.right_mult(s).scaled(c) @ gamma)
+            db.elements.append(A.basis_vector(t))
+    db.check(lb, "dual basis reconstruction failed")
+    return db

@@ -1,13 +1,15 @@
 """Coaction, Galois map, coinvariants, balance, and the theorem audits.
 
 The canonical comparison map A (x)_R T -> A (x)_B A, a (x) t -> a t^1 (x) t^2
-is defined for every extension with no quasibase at all and is built once
-per extension (``comparison_map``).  With an independent projectivity test
-for T over R it decides the depth-two condition a second way
-(``d2_iff_corollary_audit``), the oracle the quasibase solver is checked
-against.  The main-theorem audit reads its Galois side off that audit: the
-coaction sends a to the class of 1 (x) a through the inverse comparison
-map, and the two characterizations (quasibase + balance versus Galois
+is defined for every extension with no quasibase at all.  Each extension
+builds it once (``comparison_map``) and inverts it once, to the coaction
+delta(a) = ice^-1(1 (x) a) (``canonical_coaction``, None when ice is not
+bijective).  With an independent projectivity test for T over R that
+decides the depth-two condition a second way (``d2_iff_corollary_audit``),
+the oracle the quasibase solver is checked against.  The main-theorem
+audit reads its Galois side off the same coaction, which ``galois_data``
+checks the quasibase coaction equals; the reports on it are kept per
+extension.  The two characterizations (quasibase + balance versus Galois
 data) must agree.
 """
 
@@ -44,6 +46,17 @@ def ice_matrix(core: TCore, at: BalancedTensor) -> Matrix:
 def comparison_map(ext: Extension) -> Matrix:
     """``ice_matrix`` of the extension's own T and A (x)_R T."""
     return ice_matrix(t_core(ext), tensor_with_t(ext))
+
+
+@per_extension
+def canonical_coaction(ext: Extension) -> Matrix | None:
+    """delta(a) = ice^-1(1 (x) a) as a matrix A -> A (x)_R T, or None when the
+    comparison map is not bijective (not square, or singular)."""
+    try:
+        inverse = comparison_map(ext).inverse()
+    except LinAlgError:
+        return None
+    return inverse @ unit_tensor(ext, unit_first=True)
 
 
 def coaction(ext: Extension, rqb: QuasibaseSet) -> Matrix:
@@ -112,7 +125,9 @@ class GaloisData:
 
 
 def galois_data(ext: Extension, rqb: QuasibaseSet) -> GaloisData:
-    """Build the full Galois package and enforce delta(a) = beta(1 (x) a)."""
+    """Build the full Galois package; enforce delta(a) = beta(1 (x) a) = ice^-1(1 (x) a),
+    true by the quasibase identity ice(sum_i gamma_i(a) (x) u_i) = 1 (x) a, so the
+    reports on delta are shared with the main audit."""
     delta = coaction(ext, rqb)
     gmap = galois_map(ext, rqb)
     ts = tensor_square(ext)
@@ -121,6 +136,8 @@ def galois_data(ext: Extension, rqb: QuasibaseSet) -> GaloisData:
         cls = ts.class_of(A.unit, A.basis_vector(j))
         if delta.cols[j] != gmap.beta.image(cls):
             raise AlgebraError("coaction disagrees with the canonical map at 1 (x) a")
+    if delta != canonical_coaction(ext):
+        raise SelfCheckError("quasibase coaction is not ice^-1(1 (x) a)")
     report = coinvariants(ext, delta)
     return GaloisData(delta, gmap, report, tensor_with_t(ext))
 
@@ -142,16 +159,26 @@ class CoinvariantsReport:
                 "symmetric_tensor_ok": self.symmetric_tensor_ok}
 
 
-@per_extension
 def coinvariants(ext: Extension, delta: Matrix) -> CoinvariantsReport:
     """Kernel of delta - (- (x) 1_T), compared with the image of iota.
 
     Each coinvariant x also gets the symmetry check 1 (x) x = x (x) 1 in
-    the tensor square.  The report is kept per extension and coaction (a
-    matrix hashes by its entries), so the coaction of ``galois_data`` and
-    the equal one of ``main_theorem_audit``, built on independent paths,
-    share it.
+    the tensor square.  The report of ``canonical_coaction`` is kept per
+    extension, so the equal coactions of ``galois_data`` and
+    ``main_theorem_audit``, built on independent paths, share it; any other
+    coaction is computed afresh.
     """
+    if delta == canonical_coaction(ext):
+        return _canonical_coinvariants(ext)
+    return _coinvariants(ext, delta)
+
+
+@per_extension
+def _canonical_coinvariants(ext: Extension) -> CoinvariantsReport:
+    return _coinvariants(ext, canonical_coaction(ext))
+
+
+def _coinvariants(ext: Extension, delta: Matrix) -> CoinvariantsReport:
     core = t_core(ext)
     at = tensor_with_t(ext)
     A = ext.A
@@ -232,22 +259,21 @@ def comodule_algebra_audit(ext: Extension, delta: Matrix,
     """Check the five conditions making A a right T-comodule algebra.
 
     Coassociativity of the coaction is compared inside the realized triple
-    tensor power, where both composites must land on 1 (x) 1 (x) a.  On the
-    extension's own bialgebroid (the core, witness and Delta that
-    ``build_T`` and ``build_T_quasibase_free`` return) the report is kept
-    per coaction, like ``coinvariants``; any other bialgebroid,
-    such as a ``replaced`` one, is audited afresh.
+    tensor power, where both composites must land on 1 (x) 1 (x) a.  The
+    report of ``canonical_coaction`` on the extension's one bialgebroid
+    (the object ``build_T`` and ``build_T_quasibase_free`` return) is kept
+    per extension, like ``coinvariants``; any other pair, such as one with
+    a ``replaced`` bialgebroid, is audited afresh.
     """
-    if bgd.core is t_core(ext):
-        own = build_T_quasibase_free(ext)
-        if bgd.witness is own.witness and bgd.Delta is own.Delta:
-            return _own_comodule_audit(ext, delta)
+    if (bgd.core is t_core(ext) and bgd is build_T_quasibase_free(ext)
+            and delta == canonical_coaction(ext)):
+        return _canonical_comodule_audit(ext)
     return _comodule_audit(ext, delta, bgd)
 
 
 @per_extension
-def _own_comodule_audit(ext: Extension, delta: Matrix) -> AuditReport:
-    return _comodule_audit(ext, delta, build_T_quasibase_free(ext))
+def _canonical_comodule_audit(ext: Extension) -> AuditReport:
+    return _comodule_audit(ext, canonical_coaction(ext), build_T_quasibase_free(ext))
 
 
 def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> AuditReport:
@@ -396,8 +422,7 @@ def d2_iff_corollary_audit(ext: Extension) -> CorollaryReport:
     """Decide right depth two twice: quasibase solver vs. the comparison map
     a (x) t -> a t^1 (x) t^2 being bijective with T left R-projective."""
     quasibase_verdict = right_d2_quasibase(ext) is not None
-    ts = tensor_square(ext)
-    bij = tensor_with_t(ext).dim == ts.dim and comparison_map(ext).rank() == ts.dim
+    bij = canonical_coaction(ext) is not None
     proj = left_r_projectivity(t_core(ext)) is not None
     return CorollaryReport(quasibase_verdict, bij, proj)
 
@@ -429,8 +454,8 @@ class MainTheoremReport:
 
 def main_theorem_audit(ext: Extension) -> MainTheoremReport:
     """Right D2 + balanced on one side; on the other, Galois data for the
-    canonical T, read with no quasibase off ``d2_iff_corollary_audit``.  The
-    two verdicts must agree; disagreement is the strongest failure signal.
+    canonical T, read with no quasibase off ``canonical_coaction``.  The two
+    verdicts must agree; disagreement is the strongest failure signal.
     """
     rqb = right_d2_quasibase(ext)
     lqb = left_d2_quasibase(ext)
@@ -444,11 +469,7 @@ def main_theorem_audit(ext: Extension) -> MainTheoremReport:
     if corollary.corollary_right_d2:
         # the corollary path already says depth two here, so a failure below is
         # a failed self-check (WitnessError propagates), not a negative verdict
-        try:
-            ice_inv = comparison_map(ext).inverse()
-        except LinAlgError as exc:
-            raise SelfCheckError("comparison map of full rank is not invertible") from exc
-        delta = ice_inv @ unit_tensor(ext, unit_first=True)
+        delta = canonical_coaction(ext)
         bgd = build_T_quasibase_free(ext)
         coinv = coinvariants(ext, delta)
         comodule = comodule_algebra_audit(ext, delta, bgd)

@@ -195,9 +195,6 @@ class Matrix:
         return (isinstance(other, Matrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.cols == other.cols)
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(frozenset(col.items()) for col in self.cols)))
-
     def transpose(self) -> "Matrix":
         rows: list[dict] = [{} for _ in range(self.nrows)]
         for j, col in enumerate(self.cols):

@@ -169,7 +169,7 @@ def test_criterion_07_necessary_conditions(catalog_exts):
             ey = A.basis_vector(y)
             acc = sum_nonzeros(
                 ((QQ.one, A.mul(ext.iota.matrix.image(functional.image(ey)), elem).items())
-                 for functional, elem in dual.pairs), QQ.char)
+                 for functional, elem in zip(dual.functionals, dual.elements)), QQ.char)
             assert acc == ey
 
 

@@ -3,13 +3,13 @@ from __future__ import annotations
 import pytest
 
 from depthtwo.algebras import AlgebraError, SelfCheckError
-from depthtwo.bialgebroid import (ModuleDualBasis, WitnessError, _certify,
-                                  _check_reconstruction, _delta_from_witness, axiom_audit,
+from depthtwo.bialgebroid import (WitnessError, _certify, _delta_from_witness, axiom_audit,
                                   build_T, build_T_quasibase_free,
                                   commutative_flip_check, left_r_projectivity,
                                   r_module_dual_bases, t_core,
                                   triple_tensor_witness)
-from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase
+from depthtwo.bimodules import (DualBasis, left_d2_quasibase, right_d2_quasibase,
+                                split_projectivity_audit)
 from depthtwo.catalog import build_example, catalog_names
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import galois_map, ice_matrix, main_theorem_audit, tensor_with_t
@@ -243,7 +243,8 @@ def test_matrix_of_maps_equal_the_identity_column_loop(fixture, request):
     core = bgd.core
     at = tensor_with_t(ext)
     assert ice_matrix(core, at) == _old_ice(core, at)
-    assert galois_map(ext, bgd.rqb).beta == _old_beta(ext, core, at, bgd.rqb)
+    rqb = right_d2_quasibase(ext)
+    assert galois_map(ext, rqb).beta == _old_beta(ext, core, at, rqb)
     eps_left = [combine(core.lam_R, col) for col in core.eps.cols]
     eps_right = [combine(core.rho_R, col) for col in core.eps.cols]
     e1 = core.tt.matrix_of(core.dim, lambda c, d: eps_left[c].cols[d])
@@ -254,13 +255,10 @@ def test_matrix_of_maps_equal_the_identity_column_loop(fixture, request):
 
 
 def test_quasibase_free_construction_matches(s3a3, bgd_s3a3):
+    # build_T verifies the quasibase and returns the extension's one bialgebroid
     free = build_T_quasibase_free(s3a3)
-    assert free.witness is bgd_s3a3.witness
-    assert free.rqb is None and bgd_s3a3.rqb is not None
-    assert free.Delta == bgd_s3a3.Delta
-    assert free.core.eps == bgd_s3a3.core.eps
-    assert free.core.s_R == bgd_s3a3.core.s_R
-    assert free.core.t_R == bgd_s3a3.core.t_R
+    assert bgd_s3a3 is free
+    assert build_T(s3a3, right_d2_quasibase(s3a3)) is free
 
 
 # -- one witness per extension -----------------------------------------------------
@@ -276,7 +274,6 @@ def test_witness_reads_no_quasibase(monkeypatch):
     ext = build_example("s3-a3")
     free = build_T_quasibase_free(ext)
     assert triple_tensor_witness(ext) is free.witness
-    assert free.rqb is None
 
 
 def test_build_T_and_main_theorem_audit_build_one_witness(monkeypatch):
@@ -452,10 +449,10 @@ def test_dual_bases_free_over_ground_field(c2_over_k):
             assert phi.image(elem) == expected
 
 
-def _reconstructs(core, actions, db) -> bool:
+def _reconstructs(actions, db) -> bool:
     """The identity-column loop: x = sum_i combine(actions, phi_i(x)) m_i for every e_c."""
-    field = core.A.field
-    for x in unit_vectors(field, core.dim):
+    field = actions[0].field
+    for x in unit_vectors(field, actions[0].nrows):
         acc = sum_nonzeros(((1, combine(actions, phi.image(x)).image(m_i).items())
                             for m_i, phi in zip(db.elements, db.functionals)), field.char)
         if acc != x:
@@ -467,9 +464,16 @@ def _variants(db):
     """The dual basis and three perturbations of it."""
     elems, funcs = db.elements, db.functionals
     yield db
-    yield ModuleDualBasis(elems[:-1], funcs[:-1])
-    yield ModuleDualBasis(elems, [funcs[0].scaled(2)] + funcs[1:])
-    yield ModuleDualBasis(elems[::-1], funcs)
+    yield DualBasis(elems[:-1], funcs[:-1])
+    yield DualBasis(elems, [funcs[0].scaled(2)] + funcs[1:])
+    yield DualBasis(elems[::-1], funcs)
+
+
+# B-B-bimodule projections A -> B splitting iota, for split_projectivity_audit
+SPLITTINGS = {
+    "s3a3": lambda ext: Matrix.from_columns(QQ, [{j: 1} for j in range(3)] + [{}] * 3, nrows=3),
+    "trivial_m2": lambda ext: Matrix.identity(QQ, ext.A.dim),
+}
 
 
 @pytest.mark.parametrize("fixture", ["s3a3", "trivial_m2", "c2_over_k", "sqrt2", "sqrt2_f5"])
@@ -481,17 +485,21 @@ def test_reconstruction_check_agrees_with_the_identity_column_loop(fixture, requ
     projective = left_r_projectivity(core)
     if projective is not None:
         cases.append((core.lam_R, projective))
-    rejected = 0
+    if fixture in SPLITTINGS:
+        # A over B: the action of e_j is left multiplication by iota(e_j)
+        split = split_projectivity_audit(ext, SPLITTINGS[fixture](ext))
+        cases.append(([ext.left_mult_iota(j) for j in range(ext.B.dim)], split))
     for actions, db in cases:
+        rejected = 0
         for k, variant in enumerate(_variants(db)):
-            if _reconstructs(core, actions, variant):
-                _check_reconstruction(core, actions, variant, "reconstruction failed")
+            if _reconstructs(actions, variant):
+                variant.check(actions, "reconstruction failed")
                 continue
             assert k, "the computed dual basis must reconstruct"
             rejected += 1
             with pytest.raises(SelfCheckError, match="^reconstruction failed$"):
-                _check_reconstruction(core, actions, variant, "reconstruction failed")
-    assert rejected
+                variant.check(actions, "reconstruction failed")
+        assert rejected, "every dual basis has a perturbation that fails"
 
 
 # -- commutative specialization ----------------------------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import io
 import itertools
+import json
 import weakref
 
 import pytest
@@ -10,14 +12,16 @@ from depthtwo.algebras import SelfCheckError, group_pair
 from depthtwo.bialgebroid import WitnessError, axiom_audit, build_T, t_core
 from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square
 from depthtwo.catalog import catalog_names, build_example
+from depthtwo.cli import EXIT_INCONSISTENT, main
 from depthtwo.fields import GF, QQ
-from depthtwo.galois import (balanced_audit, coaction, coinvariants,
+from depthtwo.galois import (balanced_audit, canonical_coaction, coaction, coinvariants,
                              comodule_algebra_audit, d2_iff_corollary_audit,
                              galois_data, galois_map, ice_matrix,
                              main_theorem_audit, tensor_with_t)
+from depthtwo.jsonio import example_to_json
 from depthtwo.linalg import LinAlgError, Matrix, Subspace, sum_nonzeros
 
-from conftest import _even_permutations
+from conftest import CATALOG_AND_A4, _even_permutations, dense_s3a3
 
 
 @pytest.fixture(scope="module")
@@ -317,12 +321,18 @@ def test_main_theorem_audit_lets_a_failed_witness_propagate(monkeypatch):
 
 
 def test_main_theorem_audit_reports_a_singular_comparison_inverse(monkeypatch):
+    # a comparison map that fails to invert on a depth-two input makes the
+    # corollary disagree with the quasibase solver: never a clean verdict
     def singular(self):
         raise LinAlgError("matrix is singular")
 
     monkeypatch.setattr(Matrix, "inverse", singular)
-    with pytest.raises(SelfCheckError, match="comparison map"):
-        main_theorem_audit(build_example("s3-a3"))
+    ext = build_example("s3-a3")
+    assert d2_iff_corollary_audit(ext).agree is False
+    assert main_theorem_audit(ext).consistent is False
+    doc = json.dumps(example_to_json("s3-a3"))
+    for command in ("d2", "audit"):
+        assert main([command, doc, "--json"], out=io.StringIO()) == EXIT_INCONSISTENT
 
 
 def test_main_theorem_audit_negative_verdict_is_not_an_error():
@@ -358,9 +368,18 @@ def _cli_audit_order(ext):
                          ids=["s3-a3", "upper-triangular"])
 def test_audits_share_one_comparison_map_and_one_balance(monkeypatch, order, make):
     calls = _count_calls(monkeypatch, ("left_r_projectivity", "ice_matrix", "intertwiners"))
+    for method in ("inverse", "rank"):
+        calls[method] = 0
+
+        def counted(self, original=getattr(Matrix, method), method=method):
+            calls[method] += 1
+            return original(self)
+        monkeypatch.setattr(Matrix, method, counted)
     order(make())
-    # balanced_audit solves for E = End(A_B); its commutant is solved inside A
-    assert calls == {"left_r_projectivity": 1, "ice_matrix": 1, "intertwiners": 1}
+    # balanced_audit solves for E = End(A_B); its commutant is solved inside A;
+    # the comparison map is inverted once, by canonical_coaction, and never ranked
+    assert calls == {"left_r_projectivity": 1, "ice_matrix": 1, "intertwiners": 1,
+                     "inverse": 1, "rank": 0}
 
 
 def _count_calls(monkeypatch, names) -> dict:
@@ -396,19 +415,49 @@ def test_main_audit_reuses_the_coinvariants_and_comodule_reports(monkeypatch, or
 
 
 @pytest.mark.parametrize("name", ["s3-a3", "s3-a3-f5"])
-def test_equal_coactions_hash_equal_and_hit_one_memo_entry(name, monkeypatch):
+def test_equal_coactions_hit_one_memoized_report(name, monkeypatch):
+    # the memo is kept per extension for the canonical coaction, so any equal
+    # matrix finds it; no matrix is hashed
     ext = build_example(name)
     delta = coaction(ext, right_d2_quasibase(ext))
     from_rows = Matrix(delta.field, delta.data)
     from_cols = Matrix.from_columns(delta.field, [dict(col) for col in delta.cols],
                                     nrows=delta.nrows)
     assert from_rows is not from_cols and from_rows == from_cols == delta
-    assert hash(from_rows) == hash(from_cols) == hash(delta)
+    with pytest.raises(TypeError):
+        hash(delta)
     calls = _count_calls(monkeypatch, ("SubalgebraData",))
     report = coinvariants(ext, from_rows)
     assert coinvariants(ext, from_cols) is report
+    assert coinvariants(ext, canonical_coaction(ext)) is report
     assert calls == {"SubalgebraData": 1}
-    assert [key[1] for key in ext._cache if key[0] is coinvariants.__wrapped__] == [from_rows]
+
+
+# the right depth-two extensions of the catalog and the A4 pairs, s3-a3 in a
+# dense basis, and one that is depth two but not balanced
+RIGHT_D2 = {**{name: make for name, make in CATALOG_AND_A4.items()
+               if name not in ("s3-transposition", "A4>C3 over F_2")},
+            "dense s3-a3": dense_s3a3, "upper-triangular": _upper_triangular_extension}
+
+
+@pytest.mark.parametrize("name", list(RIGHT_D2))
+def test_the_quasibase_coaction_is_the_canonical_one(name):
+    # ice(sum_i gamma_i(a) (x) u_i) = sum_i gamma_i(a) u_i = 1 (x) a
+    ext = RIGHT_D2[name]()
+    assert coaction(ext, right_d2_quasibase(ext)) == canonical_coaction(ext)
+
+
+def test_galois_data_rejects_a_coaction_other_than_the_canonical_one(monkeypatch):
+    import depthtwo.galois as galois_mod
+    ext = build_example("s3-a3")
+    delta = canonical_coaction(ext)
+    cols = delta.cols[:]
+    cols[0], cols[1] = cols[1], cols[0]
+    swapped = Matrix.from_columns(delta.field, cols, nrows=delta.nrows)
+    assert swapped != delta
+    monkeypatch.setattr(galois_mod, "canonical_coaction", lambda ext: swapped)
+    with pytest.raises(SelfCheckError, match="quasibase coaction is not"):
+        galois_data(ext, right_d2_quasibase(ext))
 
 
 def test_a_replaced_bialgebroid_is_audited_afresh(s3_galois, monkeypatch):
