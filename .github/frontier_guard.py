@@ -2,10 +2,14 @@
 
     python3 .github/frontier_guard.py S5 S4 --field Fp:7 --timeout 900 \
         --max-rss-mib 350 --right-d2 false
+    python3 .github/frontier_guard.py --dense 'A4>V4@F5' --timeout 60 \
+        --max-rss-mib 120 --right-d2 true
 
 Builds the group document for the subgroup of the group over the field
-("Q" or "Fp:<prime>"; a normal subgroup is flagged normal), runs
-``depthtwo audit --json`` on it with a time limit and passes when the
+("Q" or "Fp:<prime>"; a normal subgroup is flagged normal), or with
+``--dense`` the document of a group pair of ``perfbench/workloads.py`` in
+the benchmark's fixed dense basis (draw 0, signs from a fixed seed).  It
+runs ``depthtwo audit --json`` on it with a time limit and passes when the
 command exits 0, the main theorem audit is consistent, ``right_d2`` has the
 expected value and, with ``--max-rss-mib``, the peak resident set size of
 the command stays within the bound.  ``depthtwo`` is looked up on PATH.
@@ -14,9 +18,11 @@ the command stays within the bound.  ``depthtwo`` is looked up on PATH.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -56,20 +62,45 @@ def group_document(group: str, subgroup: str, field: str) -> dict:
     return doc
 
 
+def dense_document(spec: str) -> dict:
+    """The document of the benchmark member PAIR@FIELD in its fixed dense basis.
+
+    ``perfbench/workloads.py`` is imported from its file, writing no bytecode.
+    """
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    module_spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    sys.dont_write_bytecode = True
+    module_spec.loader.exec_module(workloads)
+    pair, field = spec.split("@")
+    entry = workloads.pair_entry(pair, field)
+    return workloads.member(spec, entry, random.Random("frontier"), dense_draw=0)["doc"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("group", choices=sorted(GROUPS))
-    parser.add_argument("subgroup", choices=sorted(SUBGROUPS))
-    parser.add_argument("--field", required=True, help="Q or Fp:<prime>")
+    parser.add_argument("group", nargs="?", choices=sorted(GROUPS))
+    parser.add_argument("subgroup", nargs="?", choices=sorted(SUBGROUPS))
+    parser.add_argument("--field", help="Q or Fp:<prime>")
+    parser.add_argument("--dense", metavar="PAIR@FIELD",
+                        help="a group pair of perfbench/workloads.py, e.g. A4>V4@F5")
     parser.add_argument("--timeout", type=float, required=True, help="seconds")
     parser.add_argument("--max-rss-mib", type=float, default=None)
     parser.add_argument("--right-d2", choices=("true", "false"), required=True)
     args = parser.parse_args(argv)
+    named = (args.group, args.subgroup, args.field)
+    if None in named if args.dense is None else any(named):
+        parser.error("give either GROUP SUBGROUP --field, or --dense")
+    if args.dense is None:
+        doc = group_document(args.group, args.subgroup, args.field)
+    else:
+        doc = dense_document(args.dense)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w") as fh:
-            json.dump(group_document(args.group, args.subgroup, args.field), fh)
+            json.dump(doc, fh)
         try:
             done = subprocess.run(["depthtwo", "audit", path, "--json"], stdout=subprocess.PIPE,
                                   timeout=args.timeout)

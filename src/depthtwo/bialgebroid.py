@@ -19,9 +19,6 @@ identity is multiplicative or module-linear on algebra generators only.
 
 from __future__ import annotations
 
-import itertools
-import math
-
 from .algebras import (AlgebraError, Extension, FiniteAlgebra, SelfCheckError, centralizer,
                        first_failure, homomorphism_cases, per_extension)
 from .bimodules import (Bimodule, DualBasis, QuasibaseSet, b_centralized, balanced_tensor,
@@ -170,7 +167,11 @@ class TripleTensorWitness:
     """Realized isomorphisms T(x)_R T ~ (A(x)_B A(x)_B A)^B and the
     fourfold analogue.
 
-    No quasibase enters, and no inverse is formed: ``_certify`` shows each
+    Each forward column appends one T factor at a time: W3(t_c (x) t_d) is
+    t_d appended to t_c in A (x)_B A, and W4(t_c (x) t_d (x) t_e) is t_e
+    appended to W3(t_c (x) t_d) in the triple power, each through the right
+    action of A realized on the previous power (``_append``).  No quasibase
+    enters, and no inverse is formed: ``_certify`` shows each
     forward map to be an isomorphism onto the B-central power, and Delta
     reads preimages under the triple one.  A preimage is unique, so Delta
     is the matrix the paper's quasibase formula gives whenever a quasibase
@@ -194,34 +195,33 @@ class TripleTensorWitness:
         self.w3 = core.tt.matrix_of(q3.dim, self.forward3)
         _certify(self.w3, self.q3b, "triple")
 
-        # the quadruple stage: (T (x)_R T) (x)_R T, contracting three lifts
+        # the quadruple stage: (T (x)_R T) (x)_R T, appending t_e to W3(t_c (x) t_d)
         self.ttt = balanced_tensor(core.tt, core.r_bimodule())
-        self.w4 = self.ttt.matrix_of(q4.dim, lambda *cde: self._contract(q4, cde))
+        self.w4 = self.ttt.matrix_of(
+            q4.dim, lambda c, d, e: self._append(q4, q3, self.forward3(c, d), e))
         _certify(self.w4, self.q4b, "quadruple")
 
     # -- forward maps ----------------------------------------------------
 
     def forward3(self, c: int, d: int) -> dict:
-        """Q3 coordinates of t_c^1 (x) t_c^2 t_d^1 (x) t_d^2, cached."""
+        """Q3 coordinates of W3(t_c (x) t_d) = t_c^1 (x) t_c^2 t_d^1 (x) t_d^2, cached."""
         cached = self._fwd3_cache.get((c, d))
         if cached is None:
-            cached = self._fwd3_cache[(c, d)] = self._contract(self.q3, (c, d))
+            cached = self._fwd3_cache[(c, d)] = self._append(self.q3, self.core.ts,
+                                                             self.core.t_basis[c], d)
         return cached
 
-    def _contract(self, power: Bimodule, factors: tuple[int, ...]) -> dict:
-        """Coordinates in ``power`` of the product of the lifts of t_c for c in
-        factors, each pair of touching legs multiplied: t_c^1 (x) t_c^2 t_d^1
-        (x) ... (x) t_e^2, summed over A's nonzero structure constants."""
-        nz = self.core.A.nonzeros
-        items = []
-        for lifts in itertools.product(*(self.core.t_items[c] for c in factors)):
-            coeff = math.prod(x for _, x in lifts)
-            mids = [nz[t][p].items() for ((_, t), _), ((p, _), _) in zip(lifts, lifts[1:])]
-            first, last = lifts[0][0][0], lifts[-1][0][1]
-            for mid in itertools.product(*mids):
-                items.append(((first, *(i for i, _ in mid), last),
-                              coeff * math.prod(a for _, a in mid)))
-        return power.reduce_items(items)
+    def _append(self, power: Bimodule, prev: Bimodule, v: dict, d: int) -> dict:
+        """Coordinates in ``power`` = prev (x)_B A of v t_d^1 (x) t_d^2.
+
+        That is the sum of x (v.e_s) (x) e_t over the lift items ((s, t), x)
+        of t_d, with v.e_s read through prev's realized right action of A.
+        The sum does not depend on the lift: v.(a b) (x) a' = (v.a) (x) b a'
+        for b in B.
+        """
+        right = prev.right_action
+        return power.class_of_sum([(x, right[s].image(v), {t: 1})
+                                   for (s, t), x in self.core.t_items[d]])
 
     # -- distinguished images --------------------------------------------
 

@@ -276,6 +276,26 @@ def _canonical_comodule_audit(ext: Extension) -> AuditReport:
     return _comodule_audit(ext, canonical_coaction(ext), build_T_quasibase_free(ext))
 
 
+def coassociativity_maps(at: BalancedTensor, delta: Matrix,
+                         bgd: RightBialgebroid) -> tuple[Matrix, Matrix]:
+    """(delta (x) id) and (id (x) Delta) on A (x)_R T, each followed by the
+    triple forward map W3.
+
+    The first sends e_k (x) t_c to the sum of x e_k2 . W3(t_c2 (x) t_c) over
+    the lift items ((k2, c2), x) of delta(e_k), the second a (x) t to
+    a . W3(Delta(t)).
+    """
+    wit = bgd.witness
+    q3 = wit.q3
+    lifts = [at.lift_items(col) for col in delta.cols]
+    delta_id = at.matrix_of(q3.dim, lambda k, c: sum_nonzeros(
+        ((x, q3.left_action[k2].image(wit.forward3(c2, c)).items())
+         for (k2, c2), x in lifts[k]), delta.field.char))
+    w3_delta = wit.w3 @ bgd.Delta
+    id_delta = at.matrix_of(q3.dim, lambda k, c: q3.left_action[k].image(w3_delta.cols[c]))
+    return delta_id, id_delta
+
+
 def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> AuditReport:
     """The five comodule-algebra conditions, reduced to generators as in ``axiom_audit``.
 
@@ -305,9 +325,11 @@ def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> Aud
       delta(x)delta(y) for all y} holds 1 and is closed under products: a
       subalgebra holding gens(A).  ice(delta(xy)) = 1 (x) xy is pinned by
       ``base_twist_compatibility``.
+
+    Coassociativity runs over every a: the two composites of
+    ``coassociativity_maps`` are built once and applied to delta(a).
     """
     core = bgd.core
-    wit = bgd.witness
     at = tensor_with_t(ext)
     A = ext.A
     n = A.dim
@@ -334,17 +356,10 @@ def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> Aud
             yield (counit.image(delta.cols[a]) == A.basis_vector(a),
                    f"counit condition fails at e_{a}")
         unit = A.unit.items()
-        q3 = wit.q3
-        w3_delta = wit.w3 @ bgd.Delta
-        # (id (x) Delta) then the triple forward map: a (x) t -> a . W3(Delta(t))
-        id_delta = at.matrix_of(q3.dim, lambda k, c: q3.left_action[k].image(w3_delta.cols[c]))
+        q3 = bgd.witness.q3
+        delta_id, id_delta = coassociativity_maps(at, delta, bgd)
         for a in range(n):
-            # (delta (x) id): expand delta(e_k) in the first leg
-            lhs3 = sum_nonzeros(((coeff * coeff2,
-                                  q3.left_action[k2].image(wit.forward3(c2, c)).items())
-                                 for (k, c), coeff in at.lift_items(delta.cols[a])
-                                 for (k2, c2), coeff2 in at.lift_items(delta.cols[k])),
-                                A.field.char)
+            lhs3 = delta_id.image(delta.cols[a])
             rhs3 = id_delta.image(delta.cols[a])
             expected = q3.reduce_items(
                 [((u1, u2, a), c1 * c2) for u1, c1 in unit for u2, c2 in unit])

@@ -9,13 +9,13 @@ from depthtwo.bialgebroid import (WitnessError, _certify, _delta_from_witness, a
                                   r_module_dual_bases, t_core,
                                   triple_tensor_witness)
 from depthtwo.bimodules import (DualBasis, left_d2_quasibase, right_d2_quasibase,
-                                split_projectivity_audit)
+                                split_projectivity_audit, tensor_power)
 from depthtwo.catalog import build_example, catalog_names
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import galois_map, ice_matrix, main_theorem_audit, tensor_with_t
 from depthtwo.linalg import Matrix, combine, sum_nonzeros
 
-from conftest import CATALOG_AND_A4, sparse, unit_vectors
+from conftest import CATALOG_AND_A4, dense_s3a3, sparse, unit_vectors
 
 
 def _bgd(ext):
@@ -159,40 +159,71 @@ def test_image_of_unit_tensor_unit(bgd_sqrt2, sqrt2):
     assert img == wit.q3.reduce_items(unit_items)
 
 
+def _dense_product(wit, target, idx: tuple) -> dict:
+    """Coordinates in target of t_c^1 (x) t_c^2 t_d^1 (x) ... (x) t_last^2 for
+    the T indices c, d, ... in idx, every lift multiplied out."""
+    core = wit.core
+    A = core.A
+    # one pure tensor in A^(x)(len(idx) + 1), as {legs: coefficient}
+    legs = {(): 1}
+    for c in idx:
+        nxt: dict = {}
+        for prefix, x in legs.items():
+            for (s, t), y in core.t_items[c]:
+                if not prefix:
+                    nxt[(s, t)] = nxt.get((s, t), 0) + x * y
+                    continue
+                for k, z in A.mul(A.basis_vector(prefix[-1]), A.basis_vector(s)).items():
+                    key = prefix[:-1] + (k, t)
+                    nxt[key] = nxt.get(key, 0) + x * y * z
+        legs = nxt
+    return target.reduce_items(list(legs.items()))
+
+
 def _dense_forward(wit, power: int) -> Matrix:
     """The forward map written densely: column (c, d[, e]) is the class of
     t_c^1 (x) t_c^2 t_d^1 (x) ... (x) t_last^2, summed over the lift of the source class."""
-    core = wit.core
-    A = core.A
-    source, target = (core.tt, wit.q3) if power == 3 else (wit.ttt, wit.q4)
-    cols = []
-    for e in unit_vectors(A.field, source.dim):
-        images = []
-        for idx, coeff in source.lift_items(e):
-            # one pure tensor in A^(x)(power), as {legs: coefficient}
-            legs = {(): coeff}
-            for c in idx:
-                nxt: dict = {}
-                for prefix, x in legs.items():
-                    for (s, t), y in core.t_items[c]:
-                        if not prefix:
-                            nxt[(s, t)] = nxt.get((s, t), 0) + x * y
-                            continue
-                        for k, z in A.mul(A.basis_vector(prefix[-1]), A.basis_vector(s)).items():
-                            key = prefix[:-1] + (k, t)
-                            nxt[key] = nxt.get(key, 0) + x * y * z
-                legs = nxt
-            images.append((1, target.reduce_items(list(legs.items())).items()))
-        cols.append(sum_nonzeros(images, A.field.char))
-    return Matrix.from_columns(A.field, cols, nrows=target.dim)
+    field = wit.core.A.field
+    source, target = (wit.core.tt, wit.q3) if power == 3 else (wit.ttt, wit.q4)
+    cols = [sum_nonzeros(((coeff, _dense_product(wit, target, idx).items())
+                          for idx, coeff in source.lift_items(e)), field.char)
+            for e in unit_vectors(field, source.dim)]
+    return Matrix.from_columns(field, cols, nrows=target.dim)
 
 
-@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "sqrt2", "c2_over_k"])
+def _ext(fixture, request):
+    return dense_s3a3() if fixture == "dense_s3a3" else request.getfixturevalue(fixture)
+
+
+# dense_s3a3 has A on a dense basis, where the lifts of T's basis have many items
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "sqrt2", "c2_over_k", "dense_s3a3"])
 def test_forward_maps_equal_the_dense_reference(fixture, request):
-    ext = request.getfixturevalue(fixture)
-    wit = _bgd(ext).witness
+    wit = _bgd(_ext(fixture, request)).witness
     assert wit.w3 == _dense_forward(wit, 3)
     assert wit.w4 == _dense_forward(wit, 4)
+
+
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "sqrt2", "c2_over_k", "dense_s3a3"])
+def test_forward3_equals_the_dense_reference_on_every_pair(fixture, request):
+    # the comodule audit reads W3(t_c (x) t_d) on pairs outside tt's free columns
+    wit = _bgd(_ext(fixture, request)).witness
+    m = wit.core.dim
+    for c in range(m):
+        for d in range(m):
+            assert wit.forward3(c, d) == _dense_product(wit, wit.q3, (c, d)), (c, d)
+
+
+def test_a_corrupted_triple_right_action_fails_the_quadruple_certificate(monkeypatch):
+    # W4 appends t_e through the triple power's realized right action; with
+    # two of its matrices swapped, _certify must reject the quadruple map
+    ext = build_example("s3-a3")
+    q3 = tensor_power(ext, 3)
+    right = list(q3.right_action)
+    assert right[0] != right[1]
+    right[0], right[1] = right[1], right[0]
+    monkeypatch.setattr(q3, "_right", right)
+    with pytest.raises(WitnessError, match="quadruple"):
+        build_T_quasibase_free(ext)
 
 
 def _old_ice(core, at):

@@ -14,9 +14,9 @@ from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase, tensor_squ
 from depthtwo.catalog import catalog_names, build_example
 from depthtwo.cli import EXIT_INCONSISTENT, main
 from depthtwo.fields import GF, QQ
-from depthtwo.galois import (balanced_audit, canonical_coaction, coaction, coinvariants,
-                             comodule_algebra_audit, d2_iff_corollary_audit,
-                             galois_data, galois_map, ice_matrix,
+from depthtwo.galois import (balanced_audit, canonical_coaction, coaction,
+                             coassociativity_maps, coinvariants, comodule_algebra_audit,
+                             d2_iff_corollary_audit, galois_data, galois_map, ice_matrix,
                              main_theorem_audit, tensor_with_t)
 from depthtwo.jsonio import example_to_json
 from depthtwo.linalg import LinAlgError, Matrix, Subspace, sum_nonzeros
@@ -195,6 +195,27 @@ def test_corrupted_coproduct_fails_comodule_coassociativity(s3_galois):
     assert report.failing() == ["comodule_counit_and_coassociativity"]
     assert report.results["comodule_counit_and_coassociativity"][1].startswith(
         "coassociativity fails at e_")
+
+
+@pytest.mark.parametrize("name", [*(name for name in catalog_names()
+                                     if name != "s3-transposition"), "dense s3-a3"])
+def test_the_coaction_side_of_coassociativity_equals_the_double_sum_over_lifts(name):
+    # the audit builds (delta (x) id) then W3 once, as a map out of A (x)_R T;
+    # applied to delta(a) it must give the double sum over the lifts of
+    # delta(a) and of delta(e_k) for each of its items (k, c)
+    ext = dense_s3a3() if name == "dense s3-a3" else build_example(name)
+    bgd = build_T(ext, right_d2_quasibase(ext))
+    delta = canonical_coaction(ext)
+    at = tensor_with_t(ext)
+    wit = bgd.witness
+    delta_id, _ = coassociativity_maps(at, delta, bgd)
+    for a in range(ext.A.dim):
+        expected = sum_nonzeros(
+            ((x * y, wit.q3.left_action[k2].image(wit.forward3(c2, c)).items())
+             for (k, c), x in at.lift_items(delta.cols[a])
+             for (k2, c2), y in at.lift_items(delta.cols[k])), delta.field.char)
+        assert delta_id.image(delta.cols[a]) == expected, (name, a)
+    assert comodule_algebra_audit(ext, delta, bgd).all_pass, name
 
 
 def test_corrupted_coaction_fails_multiplicativity(sqrt2_galois):
