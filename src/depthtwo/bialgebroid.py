@@ -170,7 +170,7 @@ class TripleTensorWitness:
     Each forward column appends one T factor at a time: W3(t_c (x) t_d) is
     t_d appended to t_c in A (x)_B A, and W4(t_c (x) t_d (x) t_e) is t_e
     appended to W3(t_c (x) t_d) in the triple power, each through the right
-    action of A realized on the previous power (``_append``).  No quasibase
+    action of A realized on the previous power (``append``).  No quasibase
     enters, and no inverse is formed: ``_certify`` shows each
     forward map to be an isomorphism onto the B-central power, and Delta
     reads preimages under the triple one.  A preimage is unique, so Delta
@@ -198,7 +198,7 @@ class TripleTensorWitness:
         # the quadruple stage: (T (x)_R T) (x)_R T, appending t_e to W3(t_c (x) t_d)
         self.ttt = balanced_tensor(core.tt, core.r_bimodule())
         self.w4 = self.ttt.matrix_of(
-            q4.dim, lambda c, d, e: self._append(q4, q3, self.forward3(c, d), e))
+            q4.dim, lambda c, d, e: self.append(q4, q3, self.forward3(c, d), e))
         _certify(self.w4, self.q4b, "quadruple")
 
     # -- forward maps ----------------------------------------------------
@@ -207,11 +207,11 @@ class TripleTensorWitness:
         """Q3 coordinates of W3(t_c (x) t_d) = t_c^1 (x) t_c^2 t_d^1 (x) t_d^2, cached."""
         cached = self._fwd3_cache.get((c, d))
         if cached is None:
-            cached = self._fwd3_cache[(c, d)] = self._append(self.q3, self.core.ts,
-                                                             self.core.t_basis[c], d)
+            cached = self._fwd3_cache[(c, d)] = self.append(self.q3, self.core.ts,
+                                                            self.core.t_basis[c], d)
         return cached
 
-    def _append(self, power: Bimodule, prev: Bimodule, v: dict, d: int) -> dict:
+    def append(self, power: Bimodule, prev: Bimodule, v: dict, d: int) -> dict:
         """Coordinates in ``power`` = prev (x)_B A of v t_d^1 (x) t_d^2.
 
         That is the sum of x (v.e_s) (x) e_t over the lift items ((s, t), x)
@@ -494,12 +494,13 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
         tt_right = [*tt.right_action, combine(tt.right_action, R.unit)]
         q3_right = {r: combine(wit.q3.right_action, incl[r]) for r in rs}
         for c in range(m):
+            sandwich = wit.sandwich3(tvec(c), A.unit)
             for r in rs:
                 lhs = Delta.image(rho_R[r].cols[c])
                 rhs = tt_right[r].image(Delta.cols[c])
                 yield lhs == rhs, f"right R-linearity fails at (t_{c}, r_{r})"
-                expected = q3_right[r].image(wit.sandwich3(tvec(c), A.unit))
-                yield (wit.w3.image(lhs) == expected and wit.w3.image(rhs) == expected,
+                # reached only once lhs equals rhs, so W3(lhs) stands for both
+                yield (wit.w3.image(lhs) == q3_right[r].image(sandwich),
                        f"triple-power image mismatch at (t_{c}, r_{r})")
 
     # s_R(r) t_(1) (x) t_(2) = t_(1) (x) t_R(r) t_(2)

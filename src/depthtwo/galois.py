@@ -7,25 +7,26 @@ delta(a) = ice^-1(1 (x) a) (``canonical_coaction``, None when ice is not
 bijective).  With an independent projectivity test for T over R that
 decides the depth-two condition a second way (``d2_iff_corollary_audit``),
 the oracle the quasibase solver is checked against.  The main-theorem
-audit reads its Galois side off the same coaction, which ``galois_data``
-checks the quasibase coaction equals; the reports on it are kept per
-extension.  The two characterizations (quasibase + balance versus Galois
-data) must agree.
+audit reads its Galois side off the same coaction.  The quasibase sum
+lives only in ``galois_map`` (beta, inverse to ice), and ``galois_data``
+reads delta(a) = beta(1 (x) a) off it and checks it equals the canonical
+coaction; the reports on that are kept per extension.  The comodule audit
+appends t to ice(delta(a)) for (delta (x) id).  The two characterizations
+(quasibase + balance versus Galois data) must agree.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
-                       SelfCheckError, SubalgebraData, first_failure, homomorphism_cases,
-                       per_extension)
+from .algebras import (AlgebraMorphism, Extension, FiniteAlgebra, SelfCheckError,
+                       SubalgebraData, first_failure, homomorphism_cases, per_extension)
 from .bialgebroid import (AuditReport, RightBialgebroid, TCore, build_T_quasibase_free,
                           left_r_projectivity, t_core)
 from .bimodules import (BalancedTensor, QuasibaseSet, algebra_bimodule, balanced_tensor,
                         intertwiners, left_d2_quasibase, restrict, right_d2_quasibase,
                         tensor_square, unit_tensor)
-from .linalg import LinAlgError, Matrix, Subspace, combine, nullspace, sum_nonzeros
+from .linalg import LinAlgError, Matrix, Subspace, combine, nullspace
 
 
 @per_extension
@@ -60,18 +61,8 @@ def canonical_coaction(ext: Extension) -> Matrix | None:
 
 
 def coaction(ext: Extension, rqb: QuasibaseSet) -> Matrix:
-    """delta(a) = sum_i gamma_i(a) (x)_R u_i as a matrix A -> A (x)_R T."""
-    core = t_core(ext)
-    at = tensor_with_t(ext)
-    A = ext.A
-    field = A.field
-    pairs = core.quasibase_in_T(rqb)
-    cols = [at.class_of_sum([(1, gamma.cols[j], u_t) for gamma, u_t in pairs])
-            for j in range(A.dim)]
-    delta = Matrix.from_columns(field, cols, nrows=at.dim)
-    if delta.image(A.unit) != at.class_of(A.unit, core.unit_T):
-        raise AlgebraError("coaction does not send 1 to 1 (x) 1_T")
-    return delta
+    """delta(a) = beta(1 (x) a) = sum_i gamma_i(a) (x)_R u_i as a matrix A -> A (x)_R T."""
+    return galois_map(ext, rqb).beta @ unit_tensor(ext, unit_first=True)
 
 
 class GaloisMap:
@@ -125,17 +116,12 @@ class GaloisData:
 
 
 def galois_data(ext: Extension, rqb: QuasibaseSet) -> GaloisData:
-    """Build the full Galois package; enforce delta(a) = beta(1 (x) a) = ice^-1(1 (x) a),
-    true by the quasibase identity ice(sum_i gamma_i(a) (x) u_i) = 1 (x) a, so the
-    reports on delta are shared with the main audit."""
-    delta = coaction(ext, rqb)
+    """Build the full Galois package, reading delta(a) = beta(1 (x) a) off the one
+    quasibase sum of ``galois_map``; enforce delta = ice^-1(1 (x) a), true by the
+    quasibase identity ice(sum_i gamma_i(a) (x) u_i) = 1 (x) a, so the reports on
+    delta are shared with the main audit."""
     gmap = galois_map(ext, rqb)
-    ts = tensor_square(ext)
-    A = ext.A
-    for j in range(A.dim):
-        cls = ts.class_of(A.unit, A.basis_vector(j))
-        if delta.cols[j] != gmap.beta.image(cls):
-            raise AlgebraError("coaction disagrees with the canonical map at 1 (x) a")
+    delta = gmap.beta @ unit_tensor(ext, unit_first=True)
     if delta != canonical_coaction(ext):
         raise SelfCheckError("quasibase coaction is not ice^-1(1 (x) a)")
     report = coinvariants(ext, delta)
@@ -276,21 +262,22 @@ def _canonical_comodule_audit(ext: Extension) -> AuditReport:
     return _comodule_audit(ext, canonical_coaction(ext), build_T_quasibase_free(ext))
 
 
-def coassociativity_maps(at: BalancedTensor, delta: Matrix,
+def coassociativity_maps(at: BalancedTensor, ice: Matrix, delta: Matrix,
                          bgd: RightBialgebroid) -> tuple[Matrix, Matrix]:
     """(delta (x) id) and (id (x) Delta) on A (x)_R T, each followed by the
     triple forward map W3.
 
-    The first sends e_k (x) t_c to the sum of x e_k2 . W3(t_c2 (x) t_c) over
-    the lift items ((k2, c2), x) of delta(e_k), the second a (x) t to
-    a . W3(Delta(t)).
+    The first sends e_k (x) t_c to the witness's append of t_c to
+    ice(delta(e_k)) in A (x)_B A, with ice the comparison map: the append is
+    linear in what it appends to and commutes with the left action of A, so
+    this is the sum of x e_k2 . W3(t_c2 (x) t_c) over the lift items
+    ((k2, c2), x) of delta(e_k).  The second sends a (x) t to a . W3(Delta(t)).
     """
     wit = bgd.witness
     q3 = wit.q3
-    lifts = [at.lift_items(col) for col in delta.cols]
-    delta_id = at.matrix_of(q3.dim, lambda k, c: sum_nonzeros(
-        ((x, q3.left_action[k2].image(wit.forward3(c2, c)).items())
-         for (k2, c2), x in lifts[k]), delta.field.char))
+    ts = bgd.core.ts
+    ice_delta = ice @ delta
+    delta_id = at.matrix_of(q3.dim, lambda k, c: wit.append(q3, ts, ice_delta.cols[k], c))
     w3_delta = wit.w3 @ bgd.Delta
     id_delta = at.matrix_of(q3.dim, lambda k, c: q3.left_action[k].image(w3_delta.cols[c]))
     return delta_id, id_delta
@@ -357,7 +344,7 @@ def _comodule_audit(ext: Extension, delta: Matrix, bgd: RightBialgebroid) -> Aud
                    f"counit condition fails at e_{a}")
         unit = A.unit.items()
         q3 = bgd.witness.q3
-        delta_id, id_delta = coassociativity_maps(at, delta, bgd)
+        delta_id, id_delta = coassociativity_maps(at, ice, delta, bgd)
         for a in range(n):
             lhs3 = delta_id.image(delta.cols[a])
             rhs3 = id_delta.image(delta.cols[a])

@@ -397,23 +397,24 @@ def test_rho_b_outside_its_double_commutant_exits_inconsistent(monkeypatch, caps
 
 
 def test_a_failed_coaction_check_exits_inconsistent(monkeypatch, capsys):
-    # an AlgebraError raised after the document was read is a library bug
+    # a SelfCheckError raised after the document was read is a library bug
     import depthtwo.galois as galois_mod
     from depthtwo.linalg import Matrix
-    coaction = galois_mod.coaction
+    galois_map = galois_mod.galois_map
 
     def swapped(ext, rqb):
-        delta = coaction(ext, rqb)
-        cols = list(delta.cols)
+        gmap = galois_map(ext, rqb)
+        cols = list(gmap.beta.cols)
         cols[1], cols[2] = cols[2], cols[1]
-        return Matrix.from_columns(delta.field, cols, nrows=delta.nrows)
+        beta = Matrix.from_columns(gmap.beta.field, cols, nrows=gmap.beta.nrows)
+        return galois_mod.GaloisMap(beta, gmap.beta_inverse, gmap.bijective)
 
-    monkeypatch.setattr(galois_mod, "coaction", swapped)
+    monkeypatch.setattr(galois_mod, "galois_map", swapped)
     code, out = run_cli("galois", json.dumps(example_to_json("s3-a3")), "--json")
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_INCONSISTENT and out == ""
     assert err == ["error: internal self-check failed: "
-                   "coaction disagrees with the canonical map at 1 (x) a"]
+                   "quasibase coaction is not ice^-1(1 (x) a)"]
 
 
 def test_a_failed_unit_law_of_t_exits_inconsistent(monkeypatch, capsys):

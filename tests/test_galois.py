@@ -14,7 +14,7 @@ from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase, tensor_squ
 from depthtwo.catalog import catalog_names, build_example
 from depthtwo.cli import EXIT_INCONSISTENT, main
 from depthtwo.fields import GF, QQ
-from depthtwo.galois import (balanced_audit, canonical_coaction, coaction,
+from depthtwo.galois import (balanced_audit, canonical_coaction, coaction, comparison_map,
                              coassociativity_maps, coinvariants, comodule_algebra_audit,
                              d2_iff_corollary_audit, galois_data, galois_map, ice_matrix,
                              main_theorem_audit, tensor_with_t)
@@ -208,7 +208,7 @@ def test_the_coaction_side_of_coassociativity_equals_the_double_sum_over_lifts(n
     delta = canonical_coaction(ext)
     at = tensor_with_t(ext)
     wit = bgd.witness
-    delta_id, _ = coassociativity_maps(at, delta, bgd)
+    delta_id, _ = coassociativity_maps(at, comparison_map(ext), delta, bgd)
     for a in range(ext.A.dim):
         expected = sum_nonzeros(
             ((x * y, wit.q3.left_action[k2].image(wit.forward3(c2, c)).items())

@@ -1,7 +1,10 @@
-"""The package stays dependency-free: importing it loads only the standard library."""
+"""The package stays dependency-free: importing it loads only the standard library,
+and every name a module imports is used in that module."""
 
 from __future__ import annotations
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -26,3 +29,34 @@ def test_importing_the_package_loads_only_the_standard_library():
                      if name != "depthtwo" and not name.startswith("depthtwo.")
                      and name.split(".")[0] not in sys.stdlib_module_names)
     assert foreign == []
+
+
+def _unused_imports(path: str) -> list[str]:
+    """Names bound by an import in ``path`` that no expression in it reads.
+
+    Imports on a line marked ``# noqa: F401`` are re-exports and exempt.
+    """
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    lines = source.splitlines()
+    tree = ast.parse(source, path)
+    imported = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                and "# noqa: F401" not in lines[node.lineno - 1]):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{os.path.basename(path)}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # __init__.py imports names only to re-export them
+    paths = sorted(p for p in glob.glob(os.path.join(SRC, "depthtwo", "*.py"))
+                   if os.path.basename(p) != "__init__.py")
+    assert paths
+    assert [entry for path in paths for entry in _unused_imports(path)] == []
