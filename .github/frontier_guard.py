@@ -1,18 +1,22 @@
-"""Frontier guard: audit one group extension and check its verdict and peak memory.
+"""Frontier guard: run one group extension and check its verdict and peak memory.
 
     python3 .github/frontier_guard.py S5 S4 --field Fp:7 --timeout 900 \
         --max-rss-mib 350 --right-d2 false
     python3 .github/frontier_guard.py --dense 'A4>V4@F5' --timeout 60 \
         --max-rss-mib 120 --right-d2 true
+    python3 .github/frontier_guard.py S4 V4 --field Fp:5 --command d2 \
+        --timeout 60 --max-rss-mib 60 --right-d2 true
 
 Builds the group document for the subgroup of the group over the field
 ("Q" or "Fp:<prime>"; a normal subgroup is flagged normal), or with
 ``--dense`` the document of a group pair of ``perfbench/workloads.py`` in
 the benchmark's fixed dense basis (draw 0, signs from a fixed seed).  It
-runs ``depthtwo audit --json`` on it with a time limit and passes when the
-command exits 0, the main theorem audit is consistent, ``right_d2`` has the
-expected value and, with ``--max-rss-mib``, the peak resident set size of
-the command stays within the bound.  ``depthtwo`` is looked up on PATH.
+runs ``depthtwo audit --json`` (or, with ``--command d2``, ``depthtwo d2
+--json``) on it with a time limit and passes when the command exits 0, the
+main theorem audit is consistent (for ``d2``: the corollary agrees with the
+quasibase solver), ``right_d2`` has the expected value and, with
+``--max-rss-mib``, the peak resident set size of the command stays within
+the bound.  ``depthtwo`` is looked up on PATH.
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ def main(argv=None) -> int:
     parser.add_argument("--field", help="Q or Fp:<prime>")
     parser.add_argument("--dense", metavar="PAIR@FIELD",
                         help="a group pair of perfbench/workloads.py, e.g. A4>V4@F5")
+    parser.add_argument("--command", choices=("audit", "d2"), default="audit")
     parser.add_argument("--timeout", type=float, required=True, help="seconds")
     parser.add_argument("--max-rss-mib", type=float, default=None)
     parser.add_argument("--right-d2", choices=("true", "false"), required=True)
@@ -102,8 +107,8 @@ def main(argv=None) -> int:
         with open(path, "w") as fh:
             json.dump(doc, fh)
         try:
-            done = subprocess.run(["depthtwo", "audit", path, "--json"], stdout=subprocess.PIPE,
-                                  timeout=args.timeout)
+            done = subprocess.run(["depthtwo", args.command, path, "--json"],
+                                  stdout=subprocess.PIPE, timeout=args.timeout)
         except subprocess.TimeoutExpired:
             print(f"timed out after {args.timeout:.0f} s")
             return 1
@@ -111,7 +116,9 @@ def main(argv=None) -> int:
     bound = "none" if args.max_rss_mib is None else f"{args.max_rss_mib:.0f}"
     print(f"exit {done.returncode}, peak RSS {peak_mib:.0f} MiB (bound {bound})")
     report = json.loads(done.stdout) if done.returncode == 0 else {}
-    ok = (report.get("main_theorem_consistent") is True
+    consistent = (report.get("corollary", {}).get("agree") if args.command == "d2"
+                  else report.get("main_theorem_consistent"))
+    ok = (consistent is True
           and report.get("right_d2") is (args.right_d2 == "true")
           and (args.max_rss_mib is None or peak_mib <= args.max_rss_mib))
     return 0 if ok else 1

@@ -4,7 +4,9 @@ T is the subspace of B-central elements of A (x)_B A; its product is
 t*u = u^1 t^1 (x) t^2 u^2 (the endomorphism composition transported
 through t -> (x (x) y -> x t^1 (x) t^2 y)).  The base is the centralizer
 R = C_A(B), with source map r -> 1 (x) r, target map r -> r (x) 1 and
-counit the multiplication back to A.
+counit the multiplication back to A.  The depth-two decisions read T only
+as an R-bimodule, so T's product, unit, s_R, t_R and counit are built and
+validated on first read, by the bialgebroid and Galois side alone.
 
 The coproduct is pinned by the isomorphism
 T (x)_R T  ~  (A (x)_B A (x)_B A)^B,  t (x) u  ->  t^1 (x) t^2 u^1 (x) u^2:
@@ -28,49 +30,70 @@ from .linalg import Matrix, Subspace, combine, solve_in_span, sum_nonzeros
 
 
 class TCore:
-    """Quasibase-free part of the bialgebroid: algebra T, base R, s_R, t_R,
-    counit, the R-actions on T and the realized quotient T (x)_R T."""
+    """Quasibase-free part of the bialgebroid: base R, the R-actions on T and
+    the realized quotient T (x)_R T, built with the core; the algebra T,
+    s_R, t_R and the counit, built and validated together on first read.
+
+    The depth-two decisions read T only as an R-bimodule, so they never
+    build T's product.
+    """
 
     __slots__ = ("A", "ts", "R", "R_alg", "incl_R", "t_space", "t_basis", "t_items",
-                 "T_alg", "unit_T", "s_R", "t_R", "eps", "lam_R", "rho_R", "tt")
+                 "lam_R", "rho_R", "tt", "_algebra")
 
     def __init__(self, ext: Extension):
         # the algebra, not the extension: the extension caches this core
         A = self.A = ext.A
-        field = A.field
         ts = tensor_square(ext)
         self.ts = ts
         self.R = centralizer(ext)
         self.R_alg, self.incl_R = self.R.as_algebra()
         self.t_space = t_space(ext)
         self.t_basis = self.t_space.basis
-        m = len(self.t_basis)
-        if m == 0:
+        if not self.t_basis:
             raise AlgebraError("B-central tensor square is zero")
         # every product, contraction and witness column reads these lifts
         self.t_items = [ts.lift_items(t) for t in self.t_basis]
-
-        tmul = [[self._tee_product(c, d) for d in range(m)] for c in range(m)]
-        unit_T = self.t_coords(ts.class_of(A.unit, A.unit),
-                               "class of 1(x)1 escaped the B-central subspace")
-        # validation re-checks associativity and the unit laws of T
-        self.T_alg = FiniteAlgebra(field, tmul, unit_T)
-        self.unit_T = unit_T
+        self._algebra = None
 
         incl = self.incl_R.cols
-        self.s_R = Matrix.from_columns(field, [
-            self.t_coords(ts.class_of(A.unit, r), "source map image escaped T")
-            for r in incl], nrows=m)
-        self.t_R = Matrix.from_columns(field, [
-            self.t_coords(ts.class_of(r, A.unit), "target map image escaped T")
-            for r in incl], nrows=m)
-        self.eps = Matrix.from_columns(field, [
-            self._into_R(self.contract(c), "counit value escaped R") for c in range(m)],
-            nrows=self.R_alg.dim)
         self.lam_R = self._r_actions(ts.left_action, incl)
         self.rho_R = self._r_actions(ts.right_action, incl)
         T = self.r_bimodule()
         self.tt = balanced_tensor(T, T)
+
+    T_alg = property(lambda self: self._algebra_part()[0])
+    unit_T = property(lambda self: self._algebra_part()[1])
+    s_R = property(lambda self: self._algebra_part()[2])
+    t_R = property(lambda self: self._algebra_part()[3])
+    eps = property(lambda self: self._algebra_part()[4])
+
+    def _algebra_part(self) -> tuple[FiniteAlgebra, dict, Matrix, Matrix, Matrix]:
+        """(T_alg, unit_T, s_R, t_R, eps), built and validated on the first read."""
+        if self._algebra is not None:
+            return self._algebra
+        A = self.A
+        field = A.field
+        ts = self.ts
+        m = self.dim
+        tmul = [[self._tee_product(c, d) for d in range(m)] for c in range(m)]
+        unit_T = self.t_coords(ts.class_of(A.unit, A.unit),
+                               "class of 1(x)1 escaped the B-central subspace")
+        # validation re-checks associativity and the unit laws of T
+        T_alg = FiniteAlgebra(field, tmul, unit_T)
+
+        incl = self.incl_R.cols
+        s_R = Matrix.from_columns(field, [
+            self.t_coords(ts.class_of(A.unit, r), "source map image escaped T")
+            for r in incl], nrows=m)
+        t_R = Matrix.from_columns(field, [
+            self.t_coords(ts.class_of(r, A.unit), "target map image escaped T")
+            for r in incl], nrows=m)
+        eps = Matrix.from_columns(field, [
+            self._into_R(self.contract(c), "counit value escaped R") for c in range(m)],
+            nrows=self.R_alg.dim)
+        self._algebra = (T_alg, unit_T, s_R, t_R, eps)
+        return self._algebra
 
     # -- coordinates ----------------------------------------------------
 
@@ -79,10 +102,16 @@ class TCore:
         return len(self.t_basis)
 
     def replaced(self, **kw) -> "TCore":
-        """Shallow copy with named fields swapped out (for mutation tests)."""
+        """Shallow copy with named fields swapped out (for mutation tests).
+
+        The copy shares this core's algebra part, built here if need be, with
+        any of T_alg, unit_T, s_R, t_R and eps swapped out.
+        """
         clone = TCore.__new__(TCore)
-        for name in TCore.__slots__:
+        for name in TCore.__slots__[:-1]:
             setattr(clone, name, kw.get(name, getattr(self, name)))
+        clone._algebra = tuple(kw.get(name, getattr(self, name))
+                               for name in ("T_alg", "unit_T", "s_R", "t_R", "eps"))
         return clone
 
     def r_bimodule(self) -> Bimodule:
@@ -325,6 +354,8 @@ def build_T_quasibase_free(ext: Extension) -> RightBialgebroid:
     raises WitnessError when a forward map is not an isomorphism onto its
     B-central power.
     """
+    # T's algebra is validated before any witness work
+    t_core(ext).T_alg
     witness = TripleTensorWitness(ext)
     core = witness.core
     return RightBialgebroid(core, witness, _delta_from_witness(core, witness))

@@ -16,9 +16,9 @@ import argparse
 import json
 import sys
 
-from .algebras import AlgebraError
-from .bialgebroid import axiom_audit, build_T, t_core
-from .bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square
+from .algebras import AlgebraError, centralizer
+from .bialgebroid import axiom_audit, build_T
+from .bimodules import left_d2_quasibase, right_d2_quasibase, t_space, tensor_square
 from .catalog import catalog_names
 from .fields import FieldError, field_from_json
 from .galois import (balanced_audit, comodule_algebra_audit,
@@ -95,14 +95,13 @@ def _parse_field_flag(flag: str):
 
 def _cmd_analyze(ext, args, out) -> int:
     ts = tensor_square(ext)
-    core = t_core(ext)
     report = {
         "field": ext.A.field.to_json(),
         "dim_A": ext.A.dim,
         "dim_B": ext.B.dim,
         "dim_tensor_square": ts.dim,
-        "dim_centralizer": core.R_alg.dim,
-        "dim_T": core.dim,
+        "dim_centralizer": centralizer(ext).dim,
+        "dim_T": t_space(ext).dim,
         "iota_injective": ext.iota.matrix.rank() == ext.B.dim,
     }
     _emit(report, args.json, out)

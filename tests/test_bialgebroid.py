@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from depthtwo.algebras import AlgebraError, SelfCheckError
@@ -11,8 +14,11 @@ from depthtwo.bialgebroid import (WitnessError, _certify, _delta_from_witness, a
 from depthtwo.bimodules import (DualBasis, left_d2_quasibase, right_d2_quasibase,
                                 split_projectivity_audit, tensor_power)
 from depthtwo.catalog import build_example, catalog_names
+from depthtwo.cli import main
 from depthtwo.fields import GF, QQ
-from depthtwo.galois import galois_map, ice_matrix, main_theorem_audit, tensor_with_t
+from depthtwo.galois import (comodule_algebra_audit, d2_iff_corollary_audit, galois_data,
+                             galois_map, ice_matrix, main_theorem_audit, tensor_with_t)
+from depthtwo.jsonio import example_to_json
 from depthtwo.linalg import Matrix, combine, sum_nonzeros
 
 from conftest import CATALOG_AND_A4, dense_s3a3, sparse, unit_vectors
@@ -323,6 +329,61 @@ def test_build_T_and_main_theorem_audit_build_one_witness(monkeypatch):
     build_T(ext, right_d2_quasibase(ext))
     assert main_theorem_audit(ext).consistent
     assert len(built) == 1
+
+
+def _count_tee_products(monkeypatch) -> list:
+    """Patch TCore._tee_product to record each call; the list of calls."""
+    from depthtwo.bialgebroid import TCore
+    calls = []
+    product = TCore._tee_product
+
+    def counted(core, c, d):
+        calls.append((c, d))
+        return product(core, c, d)
+
+    monkeypatch.setattr(TCore, "_tee_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_the_depth_two_path_builds_no_product_of_t(name, monkeypatch):
+    # both decisions, the comparison map's domain and the d2 and analyze
+    # commands read T only as an R-bimodule
+    calls = _count_tee_products(monkeypatch)
+    ext = build_example(name)
+    right_d2_quasibase(ext)
+    left_d2_quasibase(ext)
+    assert d2_iff_corollary_audit(ext).agree
+    tensor_with_t(ext)
+    doc = json.dumps(example_to_json(name))
+    for command in ("d2", "analyze"):
+        assert main([command, doc, "--json"], out=io.StringIO()) == 0
+    assert calls == []
+
+
+def test_the_algebra_of_t_is_built_once_per_extension(monkeypatch):
+    calls = _count_tee_products(monkeypatch)
+    ext = build_example("s3-a3")
+    rqb = right_d2_quasibase(ext)
+    bgd = build_T(ext, rqb)
+    assert axiom_audit(bgd).all_pass
+    data = galois_data(ext, rqb)
+    assert comodule_algebra_audit(ext, data.delta, bgd).all_pass
+    assert main_theorem_audit(ext).consistent
+    assert len(calls) == bgd.core.dim ** 2
+
+
+def test_replacing_a_field_before_any_algebra_read_keeps_the_others(monkeypatch):
+    calls = _count_tee_products(monkeypatch)
+    core = t_core(build_example("s3-a3"))
+    assert calls == []
+    bad = Matrix.from_columns(core.A.field, [{} for _ in range(core.dim)],
+                              nrows=core.R_alg.dim)
+    clone = core.replaced(eps=bad)
+    assert clone.eps is bad and core.eps is not bad
+    for name in ("T_alg", "unit_T", "s_R", "t_R"):
+        assert getattr(clone, name) is getattr(core, name), name
+    assert len(calls) == core.dim ** 2
 
 
 def _quasibase_inverses(wit, rqb) -> tuple[Matrix, Matrix]:

@@ -418,8 +418,12 @@ def test_a_failed_coaction_check_exits_inconsistent(monkeypatch, capsys):
 
 
 def test_a_failed_unit_law_of_t_exits_inconsistent(monkeypatch, capsys):
-    # T's own validation runs after parsing: its unit law failing is a bug
+    # T's own validation runs on every command that reads T's product: its
+    # unit law failing is a bug there; d2 and analyze read T only as an
+    # R-bimodule, so they never build the product and are not affected
     from depthtwo.bialgebroid import TCore
+    doc = json.dumps(example_to_json("s3-a3"))
+    unpatched = {command: run_cli(command, doc, "--json") for command in ("d2", "analyze")}
     product = TCore._tee_product
 
     def bumped(core, c, d):
@@ -429,10 +433,16 @@ def test_a_failed_unit_law_of_t_exits_inconsistent(monkeypatch, capsys):
         return {k: x for k, x in out.items() if x}
 
     monkeypatch.setattr(TCore, "_tee_product", bumped)
-    code, out = run_cli("d2", json.dumps(example_to_json("s3-a3")), "--json")
-    err = capsys.readouterr().err.splitlines()
-    assert code == EXIT_INCONSISTENT and out == ""
-    assert err == ["error: internal self-check failed: unit law fails: 1*e_1 != e_1"]
+    capsys.readouterr()
+    for command in ("bialgebroid", "galois", "audit"):
+        code, out = run_cli(command, doc, "--json")
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_INCONSISTENT and out == "", command
+        assert err == ["error: internal self-check failed: unit law fails: 1*e_1 != e_1"]
+    for command, (code, out) in unpatched.items():
+        assert code == EXIT_OK
+        assert run_cli(command, doc, "--json") == (code, out)
+        assert capsys.readouterr().err == ""
 
 
 def test_large_prime_modulus_runs():
