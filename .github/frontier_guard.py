@@ -6,15 +6,18 @@
         --max-rss-mib 120 --right-d2 true
     python3 .github/frontier_guard.py S4 V4 --field Fp:5 --command d2 \
         --timeout 60 --max-rss-mib 60 --right-d2 true
+    python3 .github/frontier_guard.py S4 V4 --field Fp:5 --command bialgebroid \
+        --timeout 300 --max-rss-mib 120 --right-d2 true
 
 Builds the group document for the subgroup of the group over the field
 ("Q" or "Fp:<prime>"; a normal subgroup is flagged normal), or with
 ``--dense`` the document of a group pair of ``perfbench/workloads.py`` in
 the benchmark's fixed dense basis (draw 0, signs from a fixed seed).  It
-runs ``depthtwo audit --json`` (or, with ``--command d2``, ``depthtwo d2
---json``) on it with a time limit and passes when the command exits 0, the
-main theorem audit is consistent (for ``d2``: the corollary agrees with the
-quasibase solver), ``right_d2`` has the expected value and, with
+runs ``depthtwo audit --json`` (or, with ``--command d2`` or ``--command
+bialgebroid``, that command with ``--json``) on it with a time limit and
+passes when the command exits 0, the main theorem audit is consistent (for
+``d2``: the corollary agrees with the quasibase solver; for ``bialgebroid``:
+every bialgebroid axiom passes), ``right_d2`` has the expected value and, with
 ``--max-rss-mib``, the peak resident set size of the command stays within
 the bound.  ``depthtwo`` is looked up on PATH.
 """
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--field", help="Q or Fp:<prime>")
     parser.add_argument("--dense", metavar="PAIR@FIELD",
                         help="a group pair of perfbench/workloads.py, e.g. A4>V4@F5")
-    parser.add_argument("--command", choices=("audit", "d2"), default="audit")
+    parser.add_argument("--command", choices=("audit", "d2", "bialgebroid"), default="audit")
     parser.add_argument("--timeout", type=float, required=True, help="seconds")
     parser.add_argument("--max-rss-mib", type=float, default=None)
     parser.add_argument("--right-d2", choices=("true", "false"), required=True)
@@ -116,8 +119,9 @@ def main(argv=None) -> int:
     bound = "none" if args.max_rss_mib is None else f"{args.max_rss_mib:.0f}"
     print(f"exit {done.returncode}, peak RSS {peak_mib:.0f} MiB (bound {bound})")
     report = json.loads(done.stdout) if done.returncode == 0 else {}
-    consistent = (report.get("corollary", {}).get("agree") if args.command == "d2"
-                  else report.get("main_theorem_consistent"))
+    consistent = {"audit": report.get("main_theorem_consistent"),
+                  "d2": report.get("corollary", {}).get("agree"),
+                  "bialgebroid": report.get("all_axioms_pass")}[args.command]
     ok = (consistent is True
           and report.get("right_d2") is (args.right_d2 == "true")
           and (args.max_rss_mib is None or peak_mib <= args.max_rss_mib))

@@ -18,13 +18,12 @@ from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         bimodule_generators, compose_extensions, coproduct_summand_test,
                         group_quasibase, h_separability_test, hom_space, left_d2_quasibase,
                         restrict, right_d2_quasibase, split_projectivity_audit,
-                        tensor_power, tensor_square, verify_left_quasibase,
-                        verify_right_quasibase)
+                        tensor_power, tensor_square, verify_quasibase)
 from .bialgebroid import (RightBialgebroid, TripleTensorWitness, axiom_audit,
                           build_T, commutative_flip_check, left_r_projectivity,
-                          r_module_dual_bases, t_core, triple_tensor_witness)
+                          r_module_dual_bases, t_core)
 from .actions import LeftModule, MeasuredEndos, action_invariants, anchor, t_action
-from .galois import (GaloisData, balanced_audit, canonical_coaction, coaction, coinvariants,
+from .galois import (GaloisData, balanced_audit, canonical_coaction, coinvariants,
                      comodule_algebra_audit, d2_iff_corollary_audit, galois_data,
                      galois_map, main_theorem_audit)
 from .catalog import CATALOG, build_example, catalog_names, m2_over_ground_field

@@ -14,7 +14,7 @@ import itertools
 
 from .algebras import AlgebraError, Extension, FiniteAlgebra, action_cases, require
 from .bialgebroid import RightBialgebroid, build_T
-from .bimodules import QuasibaseSet, hom_space, left_module_bimodule
+from .bimodules import hom_space, left_module_bimodule, right_d2_quasibase
 from .linalg import Matrix, Subspace, combine, nullspace, sum_nonzeros
 # re-exported: callers and profiling tools look solve_in_span up in this module
 from .linalg import solve_in_span  # noqa: F401
@@ -82,16 +82,17 @@ class MeasuredEndos:
         return coords
 
 
-def t_action(ext: Extension, rqb: QuasibaseSet, M: LeftModule,
+def t_action(ext: Extension, M: LeftModule,
              bgd: RightBialgebroid | None = None) -> MeasuredEndos:
     """The right T-action f . t = t^1 f(t^2 -) on End of M over B.
 
     Construction verifies: unitality, the module law over products,
     the measuring identity through the coproduct on all basis triples,
-    and that id_M . t = id_M . s_R(eps(t)).
+    and that id_M . t = id_M . s_R(eps(t)).  bgd defaults to the
+    extension's bialgebroid, built from its right quasibase.
     """
     if bgd is None:
-        bgd = build_T(ext, rqb)
+        bgd = build_T(ext, right_d2_quasibase(ext))
     core = bgd.core
     A = ext.A
     field = A.field
@@ -165,22 +166,13 @@ def action_invariants(me: MeasuredEndos, M: LeftModule) -> Subspace:
     return invariants
 
 
-class AnchorAction:
-    """The right T-action r . t = t^1 r t^2 on the centralizer."""
-
-    __slots__ = ("bgd", "action")
-
-    def __init__(self, bgd: RightBialgebroid, action: list[Matrix]):
-        self.bgd = bgd
-        self.action = action
-
-
-def anchor(ext: Extension, rqb: QuasibaseSet,
-           bgd: RightBialgebroid | None = None) -> AnchorAction:
-    """Build and verify the anchor: r . 1_T = r, 1_R . t = eps(t), and R is
-    a right T-module algebra under it."""
+def anchor(ext: Extension, bgd: RightBialgebroid | None = None) -> list[Matrix]:
+    """The right T-action r . t = t^1 r t^2 on the centralizer, one matrix on
+    R per basis vector of T, verified: r . 1_T = r, 1_R . t = eps(t), and R
+    is a right T-module algebra under it.  bgd defaults to the extension's
+    bialgebroid, built from its right quasibase."""
     if bgd is None:
-        bgd = build_T(ext, rqb)
+        bgd = build_T(ext, right_d2_quasibase(ext))
     core = bgd.core
     A = ext.A
     field = A.field
@@ -188,16 +180,9 @@ def anchor(ext: Extension, rqb: QuasibaseSet,
     rdim = core.R_alg.dim
     # r . t_c = t_c^1 r t_c^2
     right_by_r = [combine(A.right_mults, col) for col in core.incl_R.cols]
-    action = []
-    for c in range(m):
-        cols = []
-        for r in range(rdim):
-            coords = core.R.space.coords(core.contract(c, left=right_by_r[r]))
-            if coords is None:
-                raise AlgebraError("anchor value escaped the centralizer")
-            cols.append(coords)
-        action.append(Matrix.from_columns(field, cols, nrows=rdim))
-    out = AnchorAction(bgd, action)
+    action = [Matrix.from_columns(field, [
+        core._into_R(core.contract(c, left=right_by_r[r]), "anchor value escaped the centralizer")
+        for r in range(rdim)], nrows=rdim) for c in range(m)]
 
     # r . 1_T = r, then 1_R . t = eps(t), then the module law, anti on gens(T)
     def laws(rows):
@@ -219,4 +204,4 @@ def anchor(ext: Extension, rqb: QuasibaseSet,
                 if lhs != rhs:
                     raise AlgebraError(
                         f"anchor measuring fails at (r_{r}, r_{s}, t_{c})")
-    return out
+    return action

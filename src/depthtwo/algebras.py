@@ -126,12 +126,6 @@ class FiniteAlgebra:
                            for b in range(n)]
         return self._right
 
-    def left_mult(self, i: int) -> Matrix:
-        return self.left_mults[i]
-
-    def right_mult(self, j: int) -> Matrix:
-        return self.right_mults[j]
-
     def is_commutative(self) -> bool:
         nz = self.nonzeros
         return all(nz[i][j] == nz[j][i] for i in range(self.dim) for j in range(self.dim))
@@ -435,33 +429,31 @@ def ground_field_extension(A: FiniteAlgebra) -> Extension:
 
 
 class SubalgebraData:
-    """A unital, multiplicatively closed subspace of an ambient algebra."""
+    """A unital, multiplicatively closed subspace of an ambient algebra; the
+    constructor reads the coordinates of 1 and of every product of basis
+    vectors once, which checks both, into the algebra ``as_algebra`` returns."""
 
-    __slots__ = ("ambient", "space")
+    __slots__ = ("ambient", "space", "_algebra")
 
     def __init__(self, ambient: FiniteAlgebra, space: Subspace):
         self.ambient = ambient
         self.space = space
-        if not space.contains(ambient.unit):
+        unit = space.coords(ambient.unit)
+        if unit is None:
             raise AlgebraError("subalgebra does not contain the unit")
-        basis = space.basis
-        for u in basis:
-            for v in basis:
-                if not space.contains(ambient.mul(u, v)):
-                    raise AlgebraError("subspace not closed under multiplication")
+        products = [[space.coords(ambient.mul(u, v)) for v in space.basis] for u in space.basis]
+        if any(None in row for row in products):
+            raise AlgebraError("subspace not closed under multiplication")
+        self._algebra = FiniteAlgebra(ambient.field, products, unit, validate=False)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def as_algebra(self) -> tuple[FiniteAlgebra, Matrix]:
-        """The subalgebra as an abstract algebra plus its inclusion matrix; the
-        coordinates exist, as the constructor checked the unit and closure."""
-        amb, space = self.ambient, self.space
-        basis = space.basis
-        nonzeros = [[space.coords(amb.mul(u, v)) for v in basis] for u in basis]
-        alg = FiniteAlgebra(amb.field, nonzeros, space.coords(amb.unit), validate=False)
-        return alg, Matrix.from_columns(amb.field, basis, nrows=amb.dim)
+        """The subalgebra as an abstract algebra plus its inclusion matrix."""
+        amb = self.ambient
+        return self._algebra, Matrix.from_columns(amb.field, self.space.basis, nrows=amb.dim)
 
 
 def centralizer(ext: Extension) -> SubalgebraData:

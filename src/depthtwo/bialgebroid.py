@@ -104,14 +104,17 @@ class TCore:
     def replaced(self, **kw) -> "TCore":
         """Shallow copy with named fields swapped out (for mutation tests).
 
-        The copy shares this core's algebra part, built here if need be, with
-        any of T_alg, unit_T, s_R, t_R and eps swapped out.
+        Any field but _algebra may be named, and any of T_alg, unit_T, s_R,
+        t_R and eps; the copy shares the rest, the algebra part built here if
+        need be.  Any other name raises TypeError.
         """
         clone = TCore.__new__(TCore)
         for name in TCore.__slots__[:-1]:
-            setattr(clone, name, kw.get(name, getattr(self, name)))
-        clone._algebra = tuple(kw.get(name, getattr(self, name))
+            setattr(clone, name, kw.pop(name, getattr(self, name)))
+        clone._algebra = tuple(kw.pop(name, getattr(self, name))
                                for name in ("T_alg", "unit_T", "s_R", "t_R", "eps"))
+        if kw:
+            raise TypeError(f"replaced() got an unexpected keyword argument {next(iter(kw))!r}")
         return clone
 
     def r_bimodule(self) -> Bimodule:
@@ -166,8 +169,6 @@ class TCore:
         return self.t_coords(self.ts.class_of_sum(terms),
                              "product of B-central elements escaped T")
 
-    def t_mul(self, x: dict, y: dict) -> dict:
-        return self.T_alg.mul(x, y)
 
 
 @per_extension
@@ -197,10 +198,10 @@ class TripleTensorWitness:
     fourfold analogue.
 
     Each forward column appends one T factor at a time: W3(t_c (x) t_d) is
-    t_d appended to t_c in A (x)_B A, and W4(t_c (x) t_d (x) t_e) is t_e
-    appended to W3(t_c (x) t_d) in the triple power, each through the right
-    action of A realized on the previous power (``append``).  No quasibase
-    enters, and no inverse is formed: ``_certify`` shows each
+    t_d appended to t_c in A (x)_B A, and W4(x (x) t_e) is t_e appended to
+    W3(x), the column of ``w3`` at the class x in T (x)_R T, each through
+    the right action of A realized on the previous power (``append``).  No
+    quasibase enters, and no inverse is formed: ``_certify`` shows each
     forward map to be an isomorphism onto the B-central power, and Delta
     reads preimages under the triple one.  A preimage is unique, so Delta
     is the matrix the paper's quasibase formula gives whenever a quasibase
@@ -208,11 +209,11 @@ class TripleTensorWitness:
     not the extension, which caches it.
     """
 
-    __slots__ = ("core", "q3", "q3b", "w3", "q4", "q4b", "ttt", "w4", "_fwd3_cache")
+    __slots__ = ("core", "q3", "q3b", "w3", "q4", "q4b", "ttt", "w4")
 
     def __init__(self, ext: Extension):
         core = self.core = t_core(ext)
-        self._fwd3_cache: dict[tuple[int, int], dict] = {}
+        field = core.A.field
         q3 = tensor_power(ext, 3)
         q4 = tensor_power(ext, 4)
         self.q3 = q3
@@ -220,25 +221,23 @@ class TripleTensorWitness:
         self.q3b = b_centralized(ext, q3)
         self.q4b = b_centralized(ext, q4)
 
-        # forward map on T (x)_R T, one column per class of t_c (x) t_d
-        self.w3 = core.tt.matrix_of(q3.dim, self.forward3)
+        # W3(t_c (x) t_d) = t_c^1 (x) t_c^2 t_d^1 (x) t_d^2, one column per class
+        self.w3 = core.tt.matrix_of(
+            q3.dim, lambda c, d: self.append(q3, core.ts, core.t_basis[c], d))
         _certify(self.w3, self.q3b, "triple")
 
-        # the quadruple stage: (T (x)_R T) (x)_R T, appending t_e to W3(t_c (x) t_d)
-        self.ttt = balanced_tensor(core.tt, core.r_bimodule())
-        self.w4 = self.ttt.matrix_of(
-            q4.dim, lambda c, d, e: self.append(q4, q3, self.forward3(c, d), e))
+        # the quadruple stage: (T (x)_R T) (x)_R T, one column per class; a
+        # class lifts to pure tensors y_i (x) t_e at ambient index i * dim T + e,
+        # and W4 appends t_e to W3(y_i), the column i of w3
+        ttt = self.ttt = balanced_tensor(core.tt, core.r_bimodule())
+        w3, m = self.w3.cols, core.dim
+        self.w4 = Matrix.from_columns(field, [
+            sum_nonzeros(((x, self.append(q4, q3, w3[f // m], f % m).items())
+                          for f, x in ttt.quot.lift({q: 1}).items()), field.char)
+            for q in range(ttt.dim)], nrows=q4.dim)
         _certify(self.w4, self.q4b, "quadruple")
 
     # -- forward maps ----------------------------------------------------
-
-    def forward3(self, c: int, d: int) -> dict:
-        """Q3 coordinates of W3(t_c (x) t_d) = t_c^1 (x) t_c^2 t_d^1 (x) t_d^2, cached."""
-        cached = self._fwd3_cache.get((c, d))
-        if cached is None:
-            cached = self._fwd3_cache[(c, d)] = self.append(self.q3, self.core.ts,
-                                                            self.core.t_basis[c], d)
-        return cached
 
     def append(self, power: Bimodule, prev: Bimodule, v: dict, d: int) -> dict:
         """Coordinates in ``power`` = prev (x)_B A of v t_d^1 (x) t_d^2.
@@ -283,7 +282,8 @@ class RightBialgebroid:
         self.Delta = Delta
 
     def replaced(self, **kwargs) -> "RightBialgebroid":
-        """Copy with structure maps swapped out (exists for mutation tests)."""
+        """Copy with structure maps swapped out (exists for mutation tests);
+        names other than core and Delta go to ``TCore.replaced``."""
         core = kwargs.pop("core", self.core)
         delta = kwargs.pop("Delta", self.Delta)
         if kwargs:
@@ -335,10 +335,10 @@ def build_T(ext: Extension, rqb: QuasibaseSet) -> RightBialgebroid:
     The coproduct forced by the witness must agree with the direct
     quasibase sum; a mismatch means the quasibase is corrupt.
     """
-    from .bimodules import verify_right_quasibase
+    from .bimodules import verify_quasibase
     if rqb is None or rqb.side != "right":
         raise AlgebraError("build_T needs a right quasibase")
-    if not verify_right_quasibase(ext, rqb):
+    if not verify_quasibase(ext, rqb):
         raise AlgebraError("quasibase failed verification")
     free = build_T_quasibase_free(ext)
     if free.Delta != _delta_direct(free.core, rqb):
@@ -359,10 +359,6 @@ def build_T_quasibase_free(ext: Extension) -> RightBialgebroid:
     witness = TripleTensorWitness(ext)
     core = witness.core
     return RightBialgebroid(core, witness, _delta_from_witness(core, witness))
-
-
-def triple_tensor_witness(ext: Extension) -> TripleTensorWitness:
-    return build_T_quasibase_free(ext).witness
 
 
 # -- the axiom audit -----------------------------------------------------
@@ -475,14 +471,14 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
 
     def structure_map(name, f, anti, rows):
         return homomorphism_cases(
-            R, f.image, core.t_mul, core.unit_T, rows, f"{name}(1_R) != 1_T",
+            R, f.image, T.mul, core.unit_T, rows, f"{name}(1_R) != 1_T",
             f"{name} not {'anti-' if anti else ''}multiplicative on (r_{{i}}, r_{{j}})", anti)
 
     def source_target_commute(rs):
         for i in rs:
             for j in rs:
-                lhs = core.t_mul(s_R[i], t_R[j])
-                rhs = core.t_mul(t_R[j], s_R[i])
+                lhs = T.mul(s_R[i], t_R[j])
+                rhs = T.mul(t_R[j], s_R[i])
                 yield lhs == rhs, f"images do not commute on (r_{i}, r_{j})"
 
     # the R-R-bimodule of T is multiplication by t_R and s_R:
@@ -490,7 +486,7 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
     def base_bimodule_compatibility(pairs):
         for c in range(m):
             for r, s in pairs:
-                via_mul = core.t_mul(core.t_mul(tvec(c), t_R[r]), s_R[s])
+                via_mul = T.mul(T.mul(tvec(c), t_R[r]), s_R[s])
                 via_action = rho_R[s].image(lam_R[r].cols[c])
                 yield via_mul == via_action, f"bimodule mismatch at (t_{c}, r_{r}, r_{s})"
 
@@ -553,7 +549,7 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
         for c in cs:
             dc = lifts[c]
             for d in range(m):
-                prod = core.t_mul(tvec(c), tvec(d))
+                prod = T.mul(tvec(c), tvec(d))
                 lhs = Delta.image(prod)
                 rhs = tt.class_of_sum([(c1 * c2, T.nonzeros[a][e], T.nonzeros[b][f])
                                        for (a, b), c1 in dc for (e, f), c2 in lifts[d]])
@@ -700,6 +696,6 @@ def commutative_flip_check(ext: Extension) -> FlipReport:
                                      for i, j in pairs),
         flip_involutive=tau @ tau == Matrix.identity(field, m),
         flip_antimultiplicative=first_failure(homomorphism_cases(
-            core.T_alg, tau.image, core.t_mul, core.unit_T, core.T_alg.generating_indices(),
+            core.T_alg, tau.image, core.T_alg.mul, core.unit_T, core.T_alg.generating_indices(),
             "flip does not fix 1_T", "flip not anti-multiplicative on (t_{i}, t_{j})",
             anti=True)) is None)

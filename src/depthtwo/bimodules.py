@@ -510,10 +510,10 @@ class QuasibaseSet:
         return len(self.pairs)
 
 
-def _verify_quasibase(ext: Extension, qb: QuasibaseSet, side: str) -> bool:
-    """Check the quasibase identity of one side on every pair of elements,
-    plus that each endomorphism of the pairs is B-B-linear and each tensor
-    B-central.
+def verify_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
+    """Check the quasibase identity of the side ``qb.side`` on every pair of
+    elements, plus that each endomorphism of the pairs is B-B-linear and each
+    tensor B-central.
 
     The right identity x (x) y = sum_i x gamma_i(y) u_i is left A-linear in
     x (A acts on the tensor square by a representation), the left identity
@@ -524,7 +524,7 @@ def _verify_quasibase(ext: Extension, qb: QuasibaseSet, side: str) -> bool:
     gens(B): the b whose iota(b) commutes with an endomorphism on both sides
     form a subalgebra of B, as iota is a unital algebra map.
     """
-    right = side == "right"
+    right = qb.side == "right"
     ts = qb.ts
     A = ext.A
     mults = [m for j in ext.B.generating_indices()
@@ -543,16 +543,6 @@ def _verify_quasibase(ext: Extension, qb: QuasibaseSet, side: str) -> bool:
         if (ts.class_of(A.unit, e_a) if right else ts.class_of(e_a, A.unit)) != expected:
             return False
     return True
-
-
-def verify_right_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
-    """``_verify_quasibase`` for (gamma_i, u_i): x (x) y = sum_i x gamma_i(y) u_i."""
-    return _verify_quasibase(ext, qb, "right")
-
-
-def verify_left_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
-    """``_verify_quasibase`` for (beta_i, t_i): x (x) y = sum_i t_i beta_i(x) y."""
-    return _verify_quasibase(ext, qb, "left")
 
 
 def right_d2_quasibase(ext: Extension) -> QuasibaseSet | None:
@@ -578,7 +568,7 @@ def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
         unit_map = unit_tensor(ext, unit_first=right)
         pairs = [(g @ unit_map, f.image(ext.A.unit)) for f, g in fact]
         result = QuasibaseSet(side, pairs, ts)
-        if not _verify_quasibase(ext, result, side):
+        if not verify_quasibase(ext, result):
             raise SelfCheckError(f"derived {side} quasibase failed verification")
     return result
 
@@ -651,7 +641,7 @@ def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],
             tensor = ts.class_of(A.basis_vector(g), A.basis_vector(inv[g]))
         pairs.append((proj, tensor))
     qb = QuasibaseSet(side, pairs, ts)
-    if not _verify_quasibase(ext, qb, side):
+    if not verify_quasibase(ext, qb):
         raise AlgebraError("transversal quasibase failed verification")
     return qb
 
@@ -714,9 +704,9 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
         raise AlgebraError("p does not split iota")
     lb = [ext.left_mult_iota(j) for j in range(B.dim)]
     for j in range(B.dim):
-        if p @ lb[j] != B.left_mult(j) @ p:
+        if p @ lb[j] != B.left_mults[j] @ p:
             raise AlgebraError("p is not left B-linear")
-        if p @ ext.right_mult_iota(j) != B.right_mult(j) @ p:
+        if p @ ext.right_mult_iota(j) != B.right_mults[j] @ p:
             raise AlgebraError("p is not right B-linear")
     rqb = right_d2_quasibase(ext)
     if rqb is None:
@@ -725,7 +715,7 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
     for gamma, u in rqb.pairs:
         for (s, t), c in rqb.ts.lift_items(u):
             # functional y -> p(gamma(y) * (c * e_s)), element e_t
-            db.functionals.append(p @ A.right_mult(s).scaled(c) @ gamma)
+            db.functionals.append(p @ A.right_mults[s].scaled(c) @ gamma)
             db.elements.append(A.basis_vector(t))
     db.check(lb, "dual basis reconstruction failed")
     return db

@@ -13,10 +13,8 @@ def _perm_mul(p: tuple, q: tuple) -> tuple:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def symmetric_group_table(points: int = 3) -> list[list[int]]:
+def symmetric_group_table() -> list[list[int]]:
     """Cayley table of S_3 in the fixed order e, (123), (132), (12), (13), (23)."""
-    if points != 3:
-        raise ValueError("only the 3-point symmetric group is cataloged")
     elems = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1)]
     index = {e: i for i, e in enumerate(elems)}
     return [[index[_perm_mul(g, h)] for h in elems] for g in elems]
@@ -28,12 +26,11 @@ TRANSPOSITION_INDICES = [0, 3]
 C2_TABLE = [[0, 1], [1, 0]]
 
 
-def quadratic_field_algebra(field, radicand: int = 2) -> FiniteAlgebra:
-    """k[x]/(x^2 - radicand) on the basis {1, x}."""
+def quadratic_field_algebra(field) -> FiniteAlgebra:
+    """k[x]/(x^2 - 2) on the basis {1, x}."""
     zero, one = field.zero, field.one
-    d = field.of(radicand)
     structure = [[[one, zero], [zero, one]],
-                 [[zero, one], [d, zero]]]
+                 [[zero, one], [field.of(2), zero]]]
     return make_algebra(field, structure, [one, zero])
 
 

@@ -8,9 +8,10 @@ bijective).  With an independent projectivity test for T over R that
 decides the depth-two condition a second way (``d2_iff_corollary_audit``),
 the oracle the quasibase solver is checked against.  The main-theorem
 audit reads its Galois side off the same coaction.  The quasibase sum
-lives only in ``galois_map`` (beta, inverse to ice), and ``galois_data``
-reads delta(a) = beta(1 (x) a) off it and checks it equals the canonical
-coaction; the reports on that are kept per extension.  The comodule audit
+lives only in ``galois_map`` (beta, whose inverse is ice), and
+``galois_data`` is the one place that reads the coaction of a quasibase,
+delta(a) = beta(1 (x) a), and checks it equals the canonical coaction; the
+reports on that are kept per extension.  The comodule audit
 appends t to ice(delta(a)) for (delta (x) id).  The two characterizations
 (quasibase + balance versus Galois data) must agree.
 """
@@ -60,27 +61,22 @@ def canonical_coaction(ext: Extension) -> Matrix | None:
     return inverse @ unit_tensor(ext, unit_first=True)
 
 
-def coaction(ext: Extension, rqb: QuasibaseSet) -> Matrix:
-    """delta(a) = beta(1 (x) a) = sum_i gamma_i(a) (x)_R u_i as a matrix A -> A (x)_R T."""
-    return galois_map(ext, rqb).beta @ unit_tensor(ext, unit_first=True)
-
-
 class GaloisMap:
-    """The canonical map beta with its explicit inverse and exact verdict."""
+    """The canonical map beta with its exact bijectivity verdict; its inverse,
+    when it is bijective, is the extension's ``comparison_map``."""
 
-    __slots__ = ("beta", "beta_inverse", "bijective")
+    __slots__ = ("beta", "bijective")
 
-    def __init__(self, beta: Matrix, beta_inverse: Matrix, bijective: bool):
+    def __init__(self, beta: Matrix, bijective: bool):
         self.beta = beta
-        self.beta_inverse = beta_inverse
         self.bijective = bijective
 
 
 def galois_map(ext: Extension, rqb: QuasibaseSet) -> GaloisMap:
     """beta(x (x) y) = sum_i x gamma_i(y) (x)_R u_i with inverse a (x) t -> a t^1 (x) t^2.
 
-    Bijectivity is decided by equal dimensions and both round trips of the
-    explicit inverse, exactly.
+    Bijectivity is decided by equal dimensions and both round trips through
+    ``comparison_map``, exactly.
     """
     core = t_core(ext)
     at = tensor_with_t(ext)
@@ -98,34 +94,33 @@ def galois_map(ext: Extension, rqb: QuasibaseSet) -> GaloisMap:
     bij = (at.dim == ts.dim
            and ice @ beta == Matrix.identity(field, ts.dim)
            and beta @ ice == Matrix.identity(field, at.dim))
-    return GaloisMap(beta, ice, bij)
+    return GaloisMap(beta, bij)
 
 
 class GaloisData:
-    """The assembled Galois package: coaction, canonical map with inverse,
-    coinvariants and the realized A (x)_R T."""
+    """The assembled Galois package: coaction, canonical map and coinvariants;
+    the coaction lands in the extension's ``tensor_with_t``."""
 
-    __slots__ = ("delta", "galois", "coinvariants", "tensor_at")
+    __slots__ = ("delta", "galois", "coinvariants")
 
-    def __init__(self, delta: Matrix, galois: GaloisMap, coinvariants_report,
-                 tensor_at: BalancedTensor):
+    def __init__(self, delta: Matrix, galois: GaloisMap, coinvariants_report):
         self.delta = delta
         self.galois = galois
         self.coinvariants = coinvariants_report
-        self.tensor_at = tensor_at
 
 
 def galois_data(ext: Extension, rqb: QuasibaseSet) -> GaloisData:
-    """Build the full Galois package, reading delta(a) = beta(1 (x) a) off the one
-    quasibase sum of ``galois_map``; enforce delta = ice^-1(1 (x) a), true by the
-    quasibase identity ice(sum_i gamma_i(a) (x) u_i) = 1 (x) a, so the reports on
+    """Build the full Galois package, reading the coaction delta(a) =
+    beta(1 (x) a) = sum_i gamma_i(a) (x)_R u_i off the one quasibase sum of
+    ``galois_map``; enforce delta = ice^-1(1 (x) a), true by the quasibase
+    identity ice(sum_i gamma_i(a) (x) u_i) = 1 (x) a, so the reports on
     delta are shared with the main audit."""
     gmap = galois_map(ext, rqb)
     delta = gmap.beta @ unit_tensor(ext, unit_first=True)
     if delta != canonical_coaction(ext):
         raise SelfCheckError("quasibase coaction is not ice^-1(1 (x) a)")
     report = coinvariants(ext, delta)
-    return GaloisData(delta, gmap, report, tensor_with_t(ext))
+    return GaloisData(delta, gmap, report)
 
 
 class CoinvariantsReport:

@@ -16,12 +16,12 @@ from depthtwo.bimodules import (compose_extensions, group_quasibase,
                                 h_separability_test, hom_space,
                                 left_d2_quasibase, left_module_bimodule,
                                 right_d2_quasibase, split_projectivity_audit,
-                                verify_left_quasibase, verify_right_quasibase)
+                                unit_tensor, verify_quasibase)
 from depthtwo.catalog import (A3_INDICES, S3_TABLE, build_example, catalog_names,
                               m2_over_ground_field)
 from depthtwo.fields import GF, QQ
-from depthtwo.galois import (coaction, comodule_algebra_audit,
-                             d2_iff_corollary_audit, main_theorem_audit)
+from depthtwo.galois import (comodule_algebra_audit, d2_iff_corollary_audit, galois_map,
+                             main_theorem_audit)
 from depthtwo.linalg import Matrix, Subspace, sum_nonzeros
 
 
@@ -56,14 +56,14 @@ def test_criterion_01_quasibase_soundness(s3_pairs):
             rqb = right_d2_quasibase(ext)
             lqb = left_d2_quasibase(ext)
             assert rqb is not None and lqb is not None
-            assert verify_right_quasibase(ext, rqb)
-            assert verify_left_quasibase(ext, lqb)
+            assert verify_quasibase(ext, rqb)
+            assert verify_quasibase(ext, lqb)
             gq_right = group_quasibase(ext, S3_TABLE, A3_INDICES, transversal,
                                        "right")
             gq_left = group_quasibase(ext, S3_TABLE, A3_INDICES, transversal,
                                       "left")
-            assert verify_right_quasibase(ext, gq_right)
-            assert verify_left_quasibase(ext, gq_left)
+            assert verify_quasibase(ext, gq_right)
+            assert verify_quasibase(ext, gq_left)
 
 
 def test_criterion_02_bialgebroid_axiom_suite(catalog_exts):
@@ -127,7 +127,7 @@ def test_criterion_06_invariants_theorem(catalog_exts):
         rqb = right_d2_quasibase(ext)
         bgd = build_T(ext, rqb)
         M = LeftModule.regular(ext.A)
-        me = t_action(ext, rqb, M, bgd=bgd)   # measuring checked on all triples
+        me = t_action(ext, M, bgd=bgd)   # measuring checked on all triples
         inv = action_invariants(me, M)
         a_bm = left_module_bimodule(ext.A, M.dim, M.action)
         expected = Subspace.span(QQ, M.dim ** 2,
@@ -142,7 +142,7 @@ def test_criterion_06_invariants_theorem(catalog_exts):
         twisted = LeftModule(ext2.A, 2, [
             Matrix.identity(field, 2),
             Matrix(field, [[field.zero, -two], [-field.one, field.zero]])])
-        me2 = t_action(ext2, rqb2, twisted, bgd=bgd2)
+        me2 = t_action(ext2, twisted, bgd=bgd2)
         inv2 = action_invariants(me2, twisted)
         a_bm2 = left_module_bimodule(ext2.A, 2, twisted.action)
         expected2 = Subspace.span(field, 4,
@@ -210,7 +210,7 @@ def test_criterion_10_mutation_sensitivity(catalog_exts):
         ext = catalog_exts["field-sqrt2"]
         rqb = right_d2_quasibase(ext)
         bgd = build_T(ext, rqb)
-        delta_coaction = coaction(ext, rqb)
+        delta_coaction = galois_map(ext, rqb).beta @ unit_tensor(ext, unit_first=True)
 
         for field_name in ("Delta", "eps", "s_R", "t_R"):
             source = bgd.Delta if field_name == "Delta" else \

@@ -19,7 +19,7 @@ def s3_setup(s3a3):
     rqb = right_d2_quasibase(s3a3)
     bgd = build_T(s3a3, rqb)
     M = LeftModule.regular(s3a3.A)
-    me = t_action(s3a3, rqb, M, bgd=bgd)
+    me = t_action(s3a3, M, bgd=bgd)
     return s3a3, rqb, bgd, M, me
 
 
@@ -60,14 +60,14 @@ def test_left_multiplication_by_centralizer_is_t_stable(s3_setup):
     # lambda(r) . t = lambda(r . t) for the anchor action on R
     ext, rqb, bgd, M, me = s3_setup
     core = bgd.core
-    anc = anchor(ext, rqb, bgd=bgd)
+    anc = anchor(ext, bgd=bgd)
     for c in range(core.dim):
         tvec = {c: QQ.one}
         for r in range(core.R_alg.dim):
             lam_r = combine(ext.A.left_mults, core.incl_R.cols[r])
             lhs = combine(me.endo_basis,
                           combine(me.action, tvec).image(me.endo_coords(lam_r)))
-            moved = combine(anc.action, tvec).image(core.R_alg.basis_vector(r))
+            moved = combine(anc, tvec).image(core.R_alg.basis_vector(r))
             rhs = combine(ext.A.left_mults, core.incl_R.image(moved))
             assert lhs == rhs
 
@@ -76,7 +76,7 @@ def test_invariants_equal_right_multiplications(s3_setup):
     # for M = A the invariants are exactly rho(A)
     ext, _, _, M, me = s3_setup
     inv = action_invariants(me, M)
-    rho = Subspace.span(QQ, 36, [ext.A.right_mult(i).vec() for i in range(6)])
+    rho = Subspace.span(QQ, 36, [ext.A.right_mults[i].vec() for i in range(6)])
     assert inv == rho
 
 
@@ -84,7 +84,7 @@ def test_invariants_trivial_extension(trivial_m2):
     rqb = right_d2_quasibase(trivial_m2)
     bgd = build_T(trivial_m2, rqb)
     M = LeftModule.regular(trivial_m2.A)
-    me = t_action(trivial_m2, rqb, M, bgd=bgd)
+    me = t_action(trivial_m2, M, bgd=bgd)
     inv = action_invariants(me, M)
     # over B = A every B-endomorphism is already A-linear
     endo_span = Subspace.span(QQ, 16, [f.vec() for f in me.endo_basis])
@@ -95,7 +95,7 @@ def test_invariants_ground_field_twisted_module(sqrt2):
     rqb = right_d2_quasibase(sqrt2)
     bgd = build_T(sqrt2, rqb)
     M = twisted_sqrt2_module(sqrt2)
-    me = t_action(sqrt2, rqb, M, bgd=bgd)
+    me = t_action(sqrt2, M, bgd=bgd)
     inv = action_invariants(me, M)
     a_bm = left_module_bimodule(sqrt2.A, M.dim, M.action)
     independent = Subspace.span(QQ, 4, [f.vec() for f in hom_space(a_bm, a_bm)])
@@ -105,11 +105,11 @@ def test_invariants_ground_field_twisted_module(sqrt2):
 def test_anchor_unit_laws(s3_setup):
     ext, rqb, bgd, _, _ = s3_setup
     core = bgd.core
-    anc = anchor(ext, rqb, bgd=bgd)
-    assert combine(anc.action, core.unit_T) == Matrix.identity(QQ, core.R_alg.dim)
+    anc = anchor(ext, bgd=bgd)
+    assert combine(anc, core.unit_T) == Matrix.identity(QQ, core.R_alg.dim)
     for c in range(core.dim):
         tvec = {c: QQ.one}
-        assert combine(anc.action, tvec).image(core.R_alg.unit) == core.eps.cols[c]
+        assert combine(anc, tvec).image(core.R_alg.unit) == core.eps.cols[c]
 
 
 def test_action_identified_with_composition(s3_setup):
@@ -130,7 +130,7 @@ def test_action_identified_with_composition(s3_setup):
     def f_t(c: int) -> Matrix:
         out = Matrix.zeros(QQ, ts.dim, ts.dim)
         for (s, t), coeff in core.t_items[c]:
-            amb = kron(A.right_mult(s), A.left_mult(t))
+            amb = kron(A.right_mults[s], A.left_mults[t])
             out = out + ts.quot.induced(amb).scaled(coeff)
         return out
 
@@ -184,3 +184,16 @@ def test_endo_coords_on_a_dense_basis(s3a3):
         coeffs = sparse([QQ.of((2 * a + k) % 7 - 3) for a in range(len(endos))])
         endo = combine(endos, coeffs)
         assert me.endo_coords(endo) == coeffs == solve_in_span(endo.vec(), vecs, QQ)
+
+
+def test_the_actions_default_to_the_extension_bialgebroid(s3a3, s3_transposition):
+    M = LeftModule.regular(s3a3.A)
+    bgd = build_T(s3a3, right_d2_quasibase(s3a3))
+    assert t_action(s3a3, M).action == t_action(s3a3, M, bgd=bgd).action
+    assert anchor(s3a3) == anchor(s3a3, bgd=bgd)
+    # with no right quasibase there is no bialgebroid to default to
+    M = LeftModule.regular(s3_transposition.A)
+    for build in (lambda: t_action(s3_transposition, M), lambda: anchor(s3_transposition)):
+        with pytest.raises(AlgebraError) as err:
+            build()
+        assert str(err.value) == "build_T needs a right quasibase"

@@ -9,8 +9,7 @@ from depthtwo.algebras import AlgebraError, SelfCheckError
 from depthtwo.bialgebroid import (WitnessError, _certify, _delta_from_witness, axiom_audit,
                                   build_T, build_T_quasibase_free,
                                   commutative_flip_check, left_r_projectivity,
-                                  r_module_dual_bases, t_core,
-                                  triple_tensor_witness)
+                                  r_module_dual_bases, t_core)
 from depthtwo.bimodules import (DualBasis, left_d2_quasibase, right_d2_quasibase,
                                 split_projectivity_audit, tensor_power)
 from depthtwo.catalog import build_example, catalog_names
@@ -139,7 +138,7 @@ def test_t_core_equals_the_dense_construction(name):
 
 
 def test_witness_round_trips(s3a3, bgd_s3a3):
-    wit = triple_tensor_witness(s3a3)
+    wit = build_T_quasibase_free(s3a3).witness
     core = bgd_s3a3.core
     assert wit.q3b.dim == core.tt.dim
     assert wit.q4b.dim == wit.ttt.dim
@@ -216,7 +215,8 @@ def test_forward3_equals_the_dense_reference_on_every_pair(fixture, request):
     m = wit.core.dim
     for c in range(m):
         for d in range(m):
-            assert wit.forward3(c, d) == _dense_product(wit, wit.q3, (c, d)), (c, d)
+            assert (wit.append(wit.q3, wit.core.ts, wit.core.t_basis[c], d)
+                    == _dense_product(wit, wit.q3, (c, d))), (c, d)
 
 
 def test_a_corrupted_triple_right_action_fails_the_quadruple_certificate(monkeypatch):
@@ -306,11 +306,11 @@ def test_witness_reads_no_quasibase(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the witness read a quasibase")
 
-    for name in ("right_d2_quasibase", "left_d2_quasibase", "verify_right_quasibase"):
+    for name in ("right_d2_quasibase", "left_d2_quasibase", "verify_quasibase"):
         monkeypatch.setattr(bimodules_mod, name, forbidden)
     ext = build_example("s3-a3")
     free = build_T_quasibase_free(ext)
-    assert triple_tensor_witness(ext) is free.witness
+    assert build_T_quasibase_free(ext).witness is free.witness
 
 
 def test_build_T_and_main_theorem_audit_build_one_witness(monkeypatch):
@@ -386,6 +386,15 @@ def test_replacing_a_field_before_any_algebra_read_keeps_the_others(monkeypatch)
     assert len(calls) == core.dim ** 2
 
 
+def test_replaced_rejects_a_name_that_is_no_field():
+    # a misspelt field would otherwise audit the unmutated structure
+    ext = build_example("s3-a3")
+    with pytest.raises(TypeError, match="'epsilon'"):
+        t_core(ext).replaced(epsilon=None).eps
+    with pytest.raises(TypeError, match="'Delt'"):
+        build_T(ext, right_d2_quasibase(ext)).replaced(Delt=None).Delta
+
+
 def _quasibase_inverses(wit, rqb) -> tuple[Matrix, Matrix]:
     """The paper's inverses of the comparison maps, written with a right
     quasibase (gamma_i, u_i):
@@ -454,7 +463,7 @@ def _outside(space) -> dict:
 
 @pytest.mark.parametrize("mutate", ["column_outside", "dependent_columns", "larger_target"])
 def test_certify_rejects_a_forward_map_that_is_not_an_isomorphism(mutate, s3a3):
-    wit = triple_tensor_witness(s3a3)
+    wit = build_T_quasibase_free(s3a3).witness
     cols = list(wit.w3.cols)
     _certify(wit.w3, wit.q3b, "triple")
     if mutate == "column_outside":
@@ -470,7 +479,7 @@ def test_certify_rejects_a_forward_map_that_is_not_an_isomorphism(mutate, s3a3):
 
 def test_delta_rejects_a_corrupted_sandwich_image(monkeypatch, s3a3):
     import depthtwo.bialgebroid as bialgebroid_mod
-    wit = triple_tensor_witness(s3a3)
+    wit = build_T_quasibase_free(s3a3).witness
     core = wit.core
     sandwich3 = bialgebroid_mod.TripleTensorWitness.sandwich3
     stray = _outside(wit.q3b)
@@ -488,7 +497,7 @@ def test_delta_rejects_a_corrupted_sandwich_image(monkeypatch, s3a3):
 
 def test_delta_check_catches_a_wrong_preimage(monkeypatch, s3a3):
     import depthtwo.bialgebroid as bialgebroid_mod
-    wit = triple_tensor_witness(s3a3)
+    wit = build_T_quasibase_free(s3a3).witness
     solve = bialgebroid_mod.solve_in_span
 
     def off_by_one(target, generators, field):

@@ -310,7 +310,7 @@ def test_non_utf8_file_is_one_error_line(tmp_path, capsys):
 def test_failed_self_check_exits_inconsistent(monkeypatch, capsys):
     # a quasibase that fails its own verification is a bug, not bad input
     import depthtwo.bimodules as bimodules_mod
-    monkeypatch.setattr(bimodules_mod, "_verify_quasibase", lambda ext, qb, side: False)
+    monkeypatch.setattr(bimodules_mod, "verify_quasibase", lambda ext, qb: False)
     code, _ = run_cli("d2", json.dumps(example_to_json("s3-a3")))
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_INCONSISTENT
@@ -407,7 +407,7 @@ def test_a_failed_coaction_check_exits_inconsistent(monkeypatch, capsys):
         cols = list(gmap.beta.cols)
         cols[1], cols[2] = cols[2], cols[1]
         beta = Matrix.from_columns(gmap.beta.field, cols, nrows=gmap.beta.nrows)
-        return galois_mod.GaloisMap(beta, gmap.beta_inverse, gmap.bijective)
+        return galois_mod.GaloisMap(beta, gmap.bijective)
 
     monkeypatch.setattr(galois_mod, "galois_map", swapped)
     code, out = run_cli("galois", json.dumps(example_to_json("s3-a3")), "--json")

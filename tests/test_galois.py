@@ -10,11 +10,11 @@ import pytest
 
 from depthtwo.algebras import SelfCheckError, group_pair
 from depthtwo.bialgebroid import WitnessError, axiom_audit, build_T, t_core
-from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square
+from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square, unit_tensor
 from depthtwo.catalog import catalog_names, build_example
 from depthtwo.cli import EXIT_INCONSISTENT, main
 from depthtwo.fields import GF, QQ
-from depthtwo.galois import (balanced_audit, canonical_coaction, coaction, comparison_map,
+from depthtwo.galois import (balanced_audit, canonical_coaction, comparison_map,
                              coassociativity_maps, coinvariants, comodule_algebra_audit,
                              d2_iff_corollary_audit, galois_data, galois_map, ice_matrix,
                              main_theorem_audit, tensor_with_t)
@@ -28,7 +28,7 @@ from conftest import CATALOG_AND_A4, _even_permutations, dense_s3a3
 def sqrt2_galois(sqrt2):
     rqb = right_d2_quasibase(sqrt2)
     bgd = build_T(sqrt2, rqb)
-    delta = coaction(sqrt2, rqb)
+    delta = galois_map(sqrt2, rqb).beta @ unit_tensor(sqrt2, unit_first=True)
     return sqrt2, rqb, bgd, delta
 
 
@@ -36,7 +36,7 @@ def sqrt2_galois(sqrt2):
 def s3_galois(s3a3):
     rqb = right_d2_quasibase(s3a3)
     bgd = build_T(s3a3, rqb)
-    delta = coaction(s3a3, rqb)
+    delta = galois_map(s3a3, rqb).beta @ unit_tensor(s3a3, unit_first=True)
     return s3a3, rqb, bgd, delta
 
 
@@ -86,8 +86,8 @@ def test_galois_map_round_trips(s3_galois):
     assert gmap.bijective
     ts = tensor_square(ext)
     at = tensor_with_t(ext)
-    assert gmap.beta_inverse @ gmap.beta == Matrix.identity(QQ, ts.dim)
-    assert gmap.beta @ gmap.beta_inverse == Matrix.identity(QQ, at.dim)
+    assert comparison_map(ext) @ gmap.beta == Matrix.identity(QQ, ts.dim)
+    assert gmap.beta @ comparison_map(ext) == Matrix.identity(QQ, at.dim)
 
 
 def test_galois_map_on_x_tensor_one(s3_galois):
@@ -113,7 +113,7 @@ def test_galois_data_aggregate(s3a3):
     data = galois_data(s3a3, rqb)
     assert data.galois.bijective
     assert data.coinvariants.equals_b
-    assert data.tensor_at.dim == data.galois.beta.nrows
+    assert tensor_with_t(s3a3).dim == data.galois.beta.nrows
 
 
 # -- coinvariants ------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_coinvariants_contain_b_across_catalog():
         rqb = right_d2_quasibase(ext)
         if rqb is None:
             continue
-        delta = coaction(ext, rqb)
+        delta = galois_map(ext, rqb).beta @ unit_tensor(ext, unit_first=True)
         assert coinvariants(ext, delta).contains_b, name
 
 
@@ -211,7 +211,8 @@ def test_the_coaction_side_of_coassociativity_equals_the_double_sum_over_lifts(n
     delta_id, _ = coassociativity_maps(at, comparison_map(ext), delta, bgd)
     for a in range(ext.A.dim):
         expected = sum_nonzeros(
-            ((x * y, wit.q3.left_action[k2].image(wit.forward3(c2, c)).items())
+            ((x * y, wit.q3.left_action[k2].image(
+                wit.append(wit.q3, bgd.core.ts, bgd.core.t_basis[c2], c)).items())
              for (k, c), x in at.lift_items(delta.cols[a])
              for (k2, c2), y in at.lift_items(delta.cols[k])), delta.field.char)
         assert delta_id.image(delta.cols[a]) == expected, (name, a)
@@ -319,7 +320,7 @@ def test_depth_two_but_not_balanced_stays_consistent():
     assert report.galois_bijective
     assert report.coinvariants_equal_b is False
     rqb = right_d2_quasibase(ext)
-    coinv = coinvariants(ext, coaction(ext, rqb))
+    coinv = coinvariants(ext, galois_map(ext, rqb).beta @ unit_tensor(ext, unit_first=True))
     assert coinv.contains_b and not coinv.equals_b
     assert coinv.subalgebra.dim == ext.A.dim
     assert d2_iff_corollary_audit(ext).agree
@@ -440,7 +441,7 @@ def test_equal_coactions_hit_one_memoized_report(name, monkeypatch):
     # the memo is kept per extension for the canonical coaction, so any equal
     # matrix finds it; no matrix is hashed
     ext = build_example(name)
-    delta = coaction(ext, right_d2_quasibase(ext))
+    delta = galois_map(ext, right_d2_quasibase(ext)).beta @ unit_tensor(ext, unit_first=True)
     from_rows = Matrix(delta.field, delta.data)
     from_cols = Matrix.from_columns(delta.field, [dict(col) for col in delta.cols],
                                     nrows=delta.nrows)
@@ -465,7 +466,8 @@ RIGHT_D2 = {**{name: make for name, make in CATALOG_AND_A4.items()
 def test_the_quasibase_coaction_is_the_canonical_one(name):
     # ice(sum_i gamma_i(a) (x) u_i) = sum_i gamma_i(a) u_i = 1 (x) a
     ext = RIGHT_D2[name]()
-    assert coaction(ext, right_d2_quasibase(ext)) == canonical_coaction(ext)
+    delta = galois_map(ext, right_d2_quasibase(ext)).beta @ unit_tensor(ext, unit_first=True)
+    assert delta == canonical_coaction(ext)
 
 
 def test_galois_data_rejects_a_coaction_other_than_the_canonical_one(monkeypatch):

@@ -23,9 +23,9 @@ from depthtwo.algebras import AlgebraError, AlgebraMorphism, FiniteAlgebra, grou
 from depthtwo.bialgebroid import axiom_audit, build_T
 from depthtwo.bimodules import (Bimodule, QuasibaseSet, algebra_bimodule, intertwiners,
                                 left_d2_quasibase, right_d2_quasibase, t_space, tensor_square,
-                                verify_left_quasibase, verify_right_quasibase)
+                                unit_tensor, verify_quasibase)
 from depthtwo.catalog import S3_TABLE, build_example, catalog_names
-from depthtwo.galois import (_comodule_audit, balanced_audit, coaction, comparison_map,
+from depthtwo.galois import (_comodule_audit, balanced_audit, comparison_map, galois_map,
                              tensor_with_t)
 from depthtwo.linalg import Matrix, Subspace, combine, sum_nonzeros
 
@@ -49,7 +49,7 @@ def galois_inputs():
         bgd = build_T(ext, rqb)
         tensor_with_t(ext)
         comparison_map(ext)
-        out[name] = (ext, bgd, coaction(ext, rqb))
+        out[name] = (ext, bgd, galois_map(ext, rqb).beta @ unit_tensor(ext, unit_first=True))
     return out
 
 
@@ -131,7 +131,7 @@ def test_w3_delta_of_every_product_is_its_sandwich(name, galois_inputs):
     w3_delta = wit.w3 @ bgd.Delta
     for c in range(core.dim):
         for d in range(core.dim):
-            prod = core.t_mul({c: 1}, {d: 1})
+            prod = core.T_alg.mul({c: 1}, {d: 1})
             assert w3_delta.image(prod) == wit.sandwich3(prod, ext.A.unit), (c, d)
 
 
@@ -229,13 +229,13 @@ def _corrupted(qb: QuasibaseSet) -> dict[str, QuasibaseSet]:
 @pytest.mark.parametrize("name", D2_NAMES)
 def test_quasibase_verifiers_equal_the_pairwise_identity(name):
     ext = EXTENSIONS[name]()
-    for qb, verify in ((right_d2_quasibase(ext), verify_right_quasibase),
-                       (left_d2_quasibase(ext), verify_left_quasibase)):
+    for qb in (right_d2_quasibase(ext), left_d2_quasibase(ext)):
         if qb is None:
             continue
-        assert verify(ext, qb) and _holds_on_every_pair(ext, qb)
+        assert verify_quasibase(ext, qb) and _holds_on_every_pair(ext, qb)
         for label, bad in _corrupted(qb).items():
-            assert verify(ext, bad) == _holds_on_every_pair(ext, bad), (name, qb.side, label)
+            assert verify_quasibase(ext, bad) == _holds_on_every_pair(ext, bad), \
+                (name, qb.side, label)
 
 
 # -- validators: the first failure of the pairwise scan ---------------------------
@@ -370,28 +370,28 @@ def test_the_t_action_names_the_first_failing_pair(s3a3_t_corrupted, monkeypatch
     ext, rqb, bgd, bad, a, b = s3a3_t_corrupted
     M = LeftModule.regular(ext.A)
     # the action of t_c is built from the lift of t_c alone
-    action = _swapped_list(t_action(ext, rqb, M, bgd).action, a, b)
+    action = _swapped_list(t_action(ext, M, bgd).action, a, b)
     expected = _action_law_failure(bgd.core.T_alg, action, "T-action is not unital",
                                    "T-action fails the module law on (t_{i}, t_{j})", anti=True)
     assert expected is not None
     assert _in_both_generator_orders(
-        monkeypatch, lambda: t_action(ext, rqb, M, bad)) == [expected] * 2
+        monkeypatch, lambda: t_action(ext, M, bad)) == [expected] * 2
 
 
 def test_the_anchor_names_the_first_failure_in_its_order(s3a3_t_corrupted, monkeypatch):
     ext, rqb, bgd, bad, a, b = s3a3_t_corrupted
     core = bgd.core
     # 1_R . t = eps(t) comes before the module law
-    assert _raised(lambda: anchor(ext, rqb, bad)) == f"anchor: 1_R . t_{a} != eps(t_{a})"
+    assert _raised(lambda: anchor(ext, bad)) == f"anchor: 1_R . t_{a} != eps(t_{a})"
     eps = Matrix.from_columns(core.eps.field, _swapped_list(core.eps.cols, a, b),
                               nrows=core.eps.nrows)
     bad = bad.replaced(eps=eps)
-    action = _swapped_list(anchor(ext, rqb, bgd).action, a, b)
+    action = _swapped_list(anchor(ext, bgd), a, b)
     expected = _action_law_failure(core.T_alg, action, "anchor: r . 1_T != r",
                                    "anchor fails the module law", anti=True)
     assert expected == "anchor fails the module law"
     assert _in_both_generator_orders(
-        monkeypatch, lambda: anchor(ext, rqb, bad)) == [expected] * 2
+        monkeypatch, lambda: anchor(ext, bad)) == [expected] * 2
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -405,5 +405,5 @@ def test_the_validators_pass_on_the_catalog(name):
     tensor_square(ext).check()
     rqb = right_d2_quasibase(ext)
     if rqb is not None:
-        t_action(ext, rqb, LeftModule.regular(A))
-        anchor(ext, rqb)
+        t_action(ext, LeftModule.regular(A))
+        anchor(ext)

@@ -19,7 +19,7 @@ from depthtwo.bialgebroid import axiom_audit, build_T, t_core
 from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square
 from depthtwo.catalog import A3_INDICES, S3_TABLE
 from depthtwo.fields import GF, QQ, FieldError, FpElement
-from depthtwo.galois import galois_data, main_theorem_audit
+from depthtwo.galois import comparison_map, galois_data, main_theorem_audit
 from depthtwo.jsonio import example_to_json, extension_from_json
 from depthtwo.linalg import (Matrix, Subspace, entry, insert_row, nullspace, quotient_structure,
                              reverse_rref, rref, solve_in_span, sum_nonzeros)
@@ -199,7 +199,7 @@ def _artifacts(ext):
                 core.T_alg, core.R_alg, core.unit_T, core.incl_R, core.s_R, core.t_R, core.eps,
                 core.lam_R, core.rho_R, list(core.tt.quot.rows.values()),
                 bgd.Delta, wit.w3, wit.w4, wit.q3b, wit.q4b,
-                data.delta, data.galois.beta, data.galois.beta_inverse,
+                data.delta, data.galois.beta, comparison_map(ext),
                 data.coinvariants.subalgebra.space]
     # the per-extension memos: hom-space bases, the comparison map and the
     # coaction the main audit reads off it
