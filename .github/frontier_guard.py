@@ -8,6 +8,8 @@
         --timeout 60 --max-rss-mib 60 --right-d2 true
     python3 .github/frontier_guard.py S4 V4 --field Fp:5 --command bialgebroid \
         --timeout 300 --max-rss-mib 120 --right-d2 true
+    python3 .github/frontier_guard.py GL23 Q8 --field Fp:5 --timeout 60 \
+        --max-rss-mib 300 --right-d2 true
 
 Builds the group document for the subgroup of the group over the field
 ("Q" or "Fp:<prime>"; a normal subgroup is flagged normal), or with
@@ -35,13 +37,52 @@ import subprocess
 import sys
 import tempfile
 
+def _compose(g: tuple, h: tuple) -> tuple:
+    return tuple(g[h[x]] for x in range(len(g)))
+
+
+def _closure(generators: list[tuple]) -> list[tuple]:
+    """The group the permutations generate, in sorted order."""
+    elements = {tuple(range(len(generators[0])))}
+    frontier = list(elements)
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            p = _compose(g, h)
+            if p not in elements:
+                elements.add(p)
+                frontier.append(p)
+    return sorted(elements)
+
+
+# the nonzero vectors of F_3^2; a 2 x 2 matrix ((a, b), (c, d)) over F_3
+# permutes them by (x, y) -> (a x + b y, c x + d y)
+VECTORS = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
+
+
+def _on_vectors(a: int, b: int, c: int, d: int) -> tuple:
+    return tuple(VECTORS.index(((a * x + b * y) % 3, (c * x + d * y) % 3)) for x, y in VECTORS)
+
+
+def _quaternion(p: tuple) -> bool:
+    """Whether the matrix acting as p lies in SL(2, 3) and has order 1, 2 or 4:
+    the quaternion group Q8 inside GL(2, 3)."""
+    (a, c), (b, d) = VECTORS[p[VECTORS.index((1, 0))]], VECTORS[p[VECTORS.index((0, 1))]]
+    order, q = 1, p
+    while q != tuple(range(len(p))):
+        order, q = order + 1, _compose(q, p)
+    return (a * d - b * c) % 3 == 1 and order in (1, 2, 4)
+
+
 # groups as lists of permutations, composed as (g h)(x) = g(h(x)); D4 is the
-# rotations and then the reflections of a square with corners 0..3
+# rotations and then the reflections of a square with corners 0..3; GL23 is
+# GL(2, 3) acting on VECTORS, closed from two generating matrices
 SQUARE = ([tuple((k + i) % 4 for i in range(4)) for k in range(4)]
           + [tuple((k - i) % 4 for i in range(4)) for k in range(4)])
 GROUPS = {"S4": list(itertools.permutations(range(4))),
           "S5": list(itertools.permutations(range(5))),
-          "D4": SQUARE}
+          "D4": SQUARE,
+          "GL23": _closure([_on_vectors(1, 1, 0, 1), _on_vectors(0, 1, 1, 0)])}
 
 
 def _even(p: tuple) -> bool:
@@ -52,7 +93,8 @@ def _even(p: tuple) -> bool:
 SUBGROUPS = {"V4": lambda p: p in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
              "Z": lambda p: p in ((0, 1, 2, 3), (2, 3, 0, 1)),
              "A5": _even,
-             "S4": lambda p: p[-1] == len(p) - 1}
+             "S4": lambda p: p[-1] == len(p) - 1,
+             "Q8": _quaternion}
 
 
 def group_document(group: str, subgroup: str, field: str) -> dict:

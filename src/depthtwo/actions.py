@@ -141,9 +141,11 @@ def t_action(ext: Extension, M: LeftModule,
     return me
 
 
-def action_invariants(me: MeasuredEndos, M: LeftModule) -> Subspace:
-    """Invariants {phi : phi . t = phi . s_R(eps(t))} inside End_k(M),
-    verified to coincide with the A-linear endomorphisms of M."""
+def action_invariants(me: MeasuredEndos) -> Subspace:
+    """Invariants {phi : phi . t = phi . s_R(eps(t))} inside End_k(M), M the
+    module ``me`` measures, verified to coincide with the A-linear
+    endomorphisms of M."""
+    M = me.module
     core = me.bgd.core
     field = M.algebra.field
     m = core.dim

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from .algebras import (AlgebraError, Extension, FiniteAlgebra, SelfCheckError, centralizer,
                        first_failure, homomorphism_cases, per_extension)
-from .bimodules import (Bimodule, DualBasis, QuasibaseSet, b_centralized, balanced_tensor,
-                        coproduct_summand_test, left_module_bimodule, t_space, tensor_power,
-                        tensor_square)
+from .bimodules import (Bimodule, DualBasis, DualBasisTensor, QuasibaseSet, _summand_system,
+                        b_centralized, balanced_tensor, bimodule_generators, hom_space,
+                        left_module_bimodule, t_space, tensor_power, tensor_square)
+# re-exported: the benchmark's tracer rebinds coproduct_summand_test where it is imported
+from .bimodules import coproduct_summand_test  # noqa: F401
 from .linalg import Matrix, Subspace, combine, solve_in_span, sum_nonzeros
 
 
@@ -198,15 +200,19 @@ class TripleTensorWitness:
     fourfold analogue.
 
     Each forward column appends one T factor at a time: W3(t_c (x) t_d) is
-    t_d appended to t_c in A (x)_B A, and W4(x (x) t_e) is t_e appended to
-    W3(x), the column of ``w3`` at the class x in T (x)_R T, each through
-    the right action of A realized on the previous power (``append``).  No
-    quasibase enters, and no inverse is formed: ``_certify`` shows each
-    forward map to be an isomorphism onto the B-central power, and Delta
-    reads preimages under the triple one.  A preimage is unique, so Delta
-    is the matrix the paper's quasibase formula gives whenever a quasibase
-    exists.  It is built from the extension and keeps the extension's core,
-    not the extension, which caches it.
+    t_d appended to t_c in A (x)_B A, and W4(x (x) t) is t appended to
+    W3(x), each through the right action of A realized on the previous
+    power (``append``).  (T (x)_R T) (x)_R T is the image of an idempotent
+    (``DualBasisTensor``) built from the extension's one dual basis (m_j,
+    phi_j) of T over R (``left_r_projectivity``); without one it raises
+    WitnessError.  Its classes lift to sums x_j (x) m_j, so W4 is read off
+    the columns of ``w3`` appended to each m_j, by linearity.  No quasibase
+    enters, and no inverse is formed: ``_certify`` shows each forward map to
+    be an isomorphism onto the B-central power, and Delta reads preimages
+    under the triple one.  A preimage is unique, so Delta is the matrix the
+    paper's quasibase formula gives whenever a quasibase exists.  It is
+    built from the extension and keeps the extension's core, not the
+    extension, which caches it.
     """
 
     __slots__ = ("core", "q3", "q3b", "w3", "q4", "q4b", "ttt", "w4")
@@ -227,14 +233,19 @@ class TripleTensorWitness:
         _certify(self.w3, self.q3b, "triple")
 
         # the quadruple stage: (T (x)_R T) (x)_R T, one column per class; a
-        # class lifts to pure tensors y_i (x) t_e at ambient index i * dim T + e,
-        # and W4 appends t_e to W3(y_i), the column i of w3
-        ttt = self.ttt = balanced_tensor(core.tt, core.r_bimodule())
-        w3, m = self.w3.cols, core.dim
-        self.w4 = Matrix.from_columns(field, [
-            sum_nonzeros(((x, self.append(q4, q3, w3[f // m], f % m).items())
-                          for f, x in ttt.quot.lift({q: 1}).items()), field.char)
-            for q in range(ttt.dim)], nrows=q4.dim)
+        # class (x_j) lifts to sum_j x_j (x) m_j, at ambient index j * dim tt + c
+        # for the coordinate c of x_j, and W4 sends it to sum_j W3(x_j) appended
+        # with m_j: each column of w3 is appended to each m_j once
+        db = left_r_projectivity(ext)
+        if db is None:
+            raise WitnessError("T is not left R-projective: no dual basis realizes "
+                               "the quadruple power's source")
+        ttt = self.ttt = DualBasisTensor(core.tt, core.r_bimodule(), db)
+        appended = Matrix.from_columns(field, [
+            sum_nonzeros(((y, self.append(q4, q3, col, f).items()) for f, y in m.items()),
+                         field.char)
+            for m in db.elements for col in self.w3.cols], nrows=q4.dim)
+        self.w4 = appended @ Matrix.from_columns(field, ttt.basis, nrows=ttt.image.ambient_dim)
         _certify(self.w4, self.q4b, "quadruple")
 
     # -- forward maps ----------------------------------------------------
@@ -580,16 +591,38 @@ def axiom_audit(bgd: RightBialgebroid) -> AuditReport:
 # -- projectivity of T over R --------------------------------------------
 
 
-def left_r_projectivity(core: TCore) -> DualBasis | None:
-    """Dual bases witnessing that T is projective as a left R-module,
-    decided by the summand criterion; no quasibase involved."""
-    R = core.R_alg
+@per_extension
+def left_r_projectivity(ext: Extension) -> DualBasis | None:
+    """A dual basis of T as a left R-module, or None when T is not left
+    R-projective; no quasibase involved, and one object per extension.
+
+    By the dual basis lemma T is projective exactly when x = sum_j phi_j(x) . m_j
+    for R-generators m_j of T and some phi_j in Hom_R(T, R).  The m_j are the
+    ``bimodule_generators`` of T as a left R-module, the maps r -> r . m_j
+    stand for Hom(R, T), and the phi_j are solved for in one ``hom_space``
+    basis of Hom(T, R): the identity is written on the generators by
+    ``_summand_system``, in (number of m_j) * dim Hom(T, R) unknowns.  The
+    dual basis has one element per generator and is checked on every basis
+    vector of T.
+    """
+    core = t_core(ext)
+    R, field = core.R_alg, ext.A.field
     M = left_module_bimodule(R, core.dim, core.lam_R)
-    P = left_module_bimodule(R, R.dim, R.left_mults)
-    pairs = coproduct_summand_test(M, P)
-    if pairs is None:
+    gens = bimodule_generators(M)
+    homs = hom_space(M, left_module_bimodule(R, R.dim, R.left_mults))
+    # r -> r . m_j, column a the action of e_a on m_j
+    onto = [Matrix.from_columns(field, [lam.cols[g] for lam in core.lam_R], nrows=core.dim)
+            for g in gens]
+    products, target = _summand_system(M, onto, homs, gens)
+    coeffs = solve_in_span(target, products, field)
+    if coeffs is None:
         return None
-    db = DualBasis([f.image(R.unit) for f, _ in pairs], [g for _, g in pairs])
+    # unknown j * len(homs) + b weights homs[b] in phi_j
+    phis: list[dict] = [{} for _ in gens]
+    for k, x in coeffs.items():
+        j, b = divmod(k, len(homs))
+        phis[j][b] = x
+    db = DualBasis([{g: 1} for g in gens], [combine(homs, phi) for phi in phis])
     db.check(core.lam_R, "projectivity dual basis failed reconstruction")
     return db
 

@@ -2,10 +2,15 @@
 
 Elements are {index: value} vectors and maps are column-stored matrices,
 as in ``linalg``; a class, a quasibase tensor and a hom-space basis map
-are built from nonzeros and never pass through a dense list.  Every
-tensor product over an algebra is one construction:
+are built from nonzeros and never pass through a dense list.  A tensor
+product over an algebra is read through one small interface
+(``TensorRealization``) and realized one of two ways.
 ``balanced_tensor(M, N)`` realizes M (x)_C N as a sparse quotient of
-M (x)_k N (reduced relation rows and free columns).  Outer actions,
+M (x)_k N (reduced relation rows and free columns); it needs nothing of
+N, so every product built before projectivity is known is one.
+``DualBasisTensor(M, N, db)`` realizes M (x)_R N as the image of an
+idempotent on M^n when N has a dual basis of n elements over R; a class
+lifts to a sum of n pure tensors.  For a quotient, outer actions,
 classes of pure tensors and every map acting on one leg are computed the
 same way: lift sparsely, act on one leg, reduce.  A sum of pure tensors is
 added in one ambient vector and reduced once (``class_of_sum``), and a map
@@ -14,6 +19,7 @@ the sparse lifts (``matrix_of``).  The
 tensor square A (x)_B A is the first instance; higher powers nest it on
 the left, (A (x)_B A) (x)_B A and so on, so ambient dimensions stay
 manageable and every quotient basis vector lifts to a single pure tensor.
+(T (x)_R T) (x)_R T is the one idempotent image.
 Actions of B are those of A pulled back along iota (``restrict``).
 
 The depth-two decision is span membership of the identity in the image
@@ -29,7 +35,8 @@ T = (A (x)_B A)^B through f -> f(1), and Hom(A (x)_B A, A) off
 S = End_{B-B}(A) through g -> g(1 (x) -) or g(- (x) 1) (Kadison and
 Szlachanyi), both brought into the canonical basis ``hom_space`` would
 return.  The generic ``coproduct_summand_test`` solves both hom spaces and
-serves H-separability and projectivity over R.
+serves H-separability; projectivity of T over R fixes the Hom(R, T) side
+to the maps onto R-generators (``bialgebroid.left_r_projectivity``).
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ import itertools
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, action_cases, field_as_algebra, group_inverses,
                        per_extension, require)
-from .linalg import (Matrix, Subspace, combine, insert_row, nullspace, quotient_structure,
-                     reverse_rref, solve_in_span, sum_nonzeros)
+from .linalg import (Matrix, Subspace, combine, entry, insert_row, nullspace,
+                     quotient_structure, reverse_rref, solve_in_span, sum_nonzeros)
 
 
 class Bimodule:
@@ -171,7 +178,36 @@ def _sylvester_rows(n1: int, n2: int, p_cols: list, q_rows: list, mod: int) -> l
 
 
 
-class BalancedTensor(Bimodule):
+class TensorRealization:
+    """The part of a realized tensor product M (x)_C N that reads it only
+    through ``class_of_sum``, ``lift_items`` and ``dim``: the class of one
+    pure tensor, and linear maps out of the product given on pure tensors.
+
+    ``BalancedTensor`` realizes the product as a Sylvester quotient of
+    M (x)_k N, ``DualBasisTensor`` as the image of an idempotent on M^n.
+    """
+
+    __slots__ = ()
+
+    def class_of(self, x: dict, y: dict) -> dict:
+        """Coordinates of x (x) y for x in M and y in N coordinates."""
+        return self.class_of_sum([(1, x, y)])
+
+    def matrix_of(self, target_dim: int, pure) -> Matrix:
+        """The linear map out of this product that sends the class of a pure
+        tensor of plain basis vectors e_i (x) e_j (x) ... to ``pure(i, j, ...)``.
+
+        Column q sums ``pure`` over the sparse lift of basis vector q; images
+        are {index: value} coordinates, added into one sparse column.
+        """
+        field = self.M.left_algebra.field
+        cols = [sum_nonzeros(((coeff, pure(*idx).items())
+                              for idx, coeff in self.lift_items({q: 1})), field.char)
+                for q in range(self.dim)]
+        return Matrix.from_columns(field, cols, nrows=target_dim)
+
+
+class BalancedTensor(Bimodule, TensorRealization):
     """M (x)_C N realized as a quotient of M (x)_k N; built by ``balanced_tensor``.
 
     Ambient index (i, j) flattens to i * N.dim + j, and a quotient basis
@@ -230,23 +266,6 @@ class BalancedTensor(Bimodule):
                     z = amb.get(off + j)
                     amb[off + j] = ca * b if z is None else z + ca * b
         return self.quot.reduce(amb)
-
-    def class_of(self, x: dict, y: dict) -> dict:
-        """Quotient coordinates of x (x) y for x in M and y in N coordinates."""
-        return self.class_of_sum([(1, x, y)])
-
-    def matrix_of(self, target_dim: int, pure) -> Matrix:
-        """The linear map out of this quotient that sends the class of a pure
-        tensor of plain basis vectors e_i (x) e_j (x) ... to ``pure(i, j, ...)``.
-
-        Column q sums ``pure`` over the sparse lift of basis vector q; images
-        are {index: value} coordinates, added into one sparse column.
-        """
-        field = self.quot.field
-        cols = [sum_nonzeros(((coeff, pure(*idx).items())
-                              for idx, coeff in self.lift_items({q: 1})), field.char)
-                for q in range(self.dim)]
-        return Matrix.from_columns(field, cols, nrows=target_dim)
 
     def lift_items(self, coords: dict) -> list[tuple[tuple, object]]:
         """Sparse lift of {index: value} coordinates to the full tensor
@@ -449,7 +468,7 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
         if M.dim == 0:
             return []
         return None
-    products, target = _summand_system(M, homs_pm, homs_mp)
+    products, target = _summand_system(M, homs_pm, homs_mp, bimodule_generators(M))
     coeffs = solve_in_span(target, products, field)
     if coeffs is None:
         return None
@@ -464,16 +483,16 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
     return pairs
 
 
-def _summand_system(M: Bimodule, homs_pm: list[Matrix],
-                    homs_mp: list[Matrix]) -> tuple[list[dict], dict]:
-    """The products f o g, f-major, and id_M, written on ``bimodule_generators(M)``.
+def _summand_system(M: Bimodule, homs_pm: list[Matrix], homs_mp: list[Matrix],
+                    gens: list[int]) -> tuple[list[dict], dict]:
+    """The products f o g, f-major, and id_M, written on the bimodule
+    generators ``gens`` of M (``bimodule_generators(M)``).
 
     The value on the generator at position p is placed at p * M.dim + row.
     Each product is an {index: value} vector: f o g (e_i) is f applied to
     column i of g, read through both column views.
     """
     dim = M.dim
-    gens = bimodule_generators(M)
     g_on_gens = [[(p * dim, g.cols[i]) for p, i in enumerate(gens)] for g in homs_mp]
     products = []
     for f in homs_pm:
@@ -494,17 +513,17 @@ class QuasibaseSet:
 
     ``pairs`` holds (endo, tensor): for the right side these are
     (gamma_i, u_i) with gamma_i a B-B-endomorphism of A and u_i a
-    B-central class in the tensor square; for the left side (beta_i, t_i).
+    B-central class in the extension's ``tensor_square``; for the left side
+    (beta_i, t_i).
     """
 
-    __slots__ = ("side", "pairs", "ts")
+    __slots__ = ("side", "pairs")
 
-    def __init__(self, side: str, pairs: list[tuple[Matrix, dict]], ts: BalancedTensor):
+    def __init__(self, side: str, pairs: list[tuple[Matrix, dict]]):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.side = side
         self.pairs = pairs
-        self.ts = ts
 
     def __len__(self):
         return len(self.pairs)
@@ -525,7 +544,7 @@ def verify_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     form a subalgebra of B, as iota is a unital algebra map.
     """
     right = qb.side == "right"
-    ts = qb.ts
+    ts = tensor_square(ext)
     A = ext.A
     mults = [m for j in ext.B.generating_indices()
              for m in (ext.left_mult_iota(j), ext.right_mult_iota(j))]
@@ -567,7 +586,7 @@ def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
         # gamma_i = g_i(1 (x) -) on the right side, beta_i = g_i(- (x) 1) on the left
         unit_map = unit_tensor(ext, unit_first=right)
         pairs = [(g @ unit_map, f.image(ext.A.unit)) for f, g in fact]
-        result = QuasibaseSet(side, pairs, ts)
+        result = QuasibaseSet(side, pairs)
         if not verify_quasibase(ext, result):
             raise SelfCheckError(f"derived {side} quasibase failed verification")
     return result
@@ -640,7 +659,7 @@ def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],
         else:
             tensor = ts.class_of(A.basis_vector(g), A.basis_vector(inv[g]))
         pairs.append((proj, tensor))
-    qb = QuasibaseSet(side, pairs, ts)
+    qb = QuasibaseSet(side, pairs)
     if not verify_quasibase(ext, qb):
         raise AlgebraError("transversal quasibase failed verification")
     return qb
@@ -690,6 +709,85 @@ class DualBasis:
                 raise SelfCheckError(err)
 
 
+class DualBasisTensor(TensorRealization):
+    """M (x)_R N for a left R-module N with a dual basis (n_j, phi_j), realized
+    as the image of the idempotent (x_i) -> (sum_i x_i . phi_j(n_i))_j on M^n.
+
+    x (x) y -> (x . phi_j(y))_j embeds M (x)_R N in M^n, through M's right
+    R-action, and (x_j) -> sum_j x_j (x) n_j inverts it on the image, so no
+    quotient of M (x)_k N is formed.  Ambient index (j, i) flattens to
+    j * M.dim + i.  The image is spanned by the classes of e_i (x) n_j and
+    kept as its reduced echelon basis, whose coordinates are the class
+    coordinates; a basis vector lifts to sum_j x_j (x) n_j, a sum of pure
+    tensors and not one.
+    """
+
+    __slots__ = ("M", "db", "image", "basis", "pivots", "_phi_at")
+
+    def __init__(self, M: Bimodule, N: Bimodule, db: DualBasis):
+        self.M = M
+        self.db = db
+        # the nonzeros (j, b, z) of phi_j(e_f) = sum_b z e_b, for each basis vector e_f of N
+        self._phi_at = [[(j, b, z) for j, phi in enumerate(db.functionals)
+                         for b, z in phi.cols[f].items()] for f in range(N.dim)]
+        field = M.left_algebra.field
+        self.image = Subspace.span(field, len(db) * M.dim, [
+            self._ambient([(1, {i: 1}, n)]) for n in db.elements for i in range(M.dim)])
+        self.basis = self.image.basis
+        self.pivots = self.image.pivots
+
+    @property
+    def dim(self) -> int:
+        return self.image.dim
+
+    def _ambient(self, terms) -> dict:
+        """sum c * x . phi_j(y) in slot j of M^n, over the (c, x, y) terms
+        with c native.  The x are first added per slot j and basis vector e_b
+        of R, so each action of R is applied once per slot."""
+        mod = self.M.left_algebra.field.char
+        phi_at = self._phi_at
+        parts: dict[tuple[int, int], list] = {}
+        for c, x, y in terms:
+            items = x.items()
+            for f, yf in y.items():
+                cy = c * yf
+                for j, b, z in phi_at[f]:
+                    parts.setdefault((j, b), []).append((cy * z, items))
+        right, dm = self.M.right_action, self.M.dim
+        return sum_nonzeros(((1, [(j * dm + i, w) for i, w in
+                                  right[b].image(sum_nonzeros(part, mod)).items()])
+                             for (j, b), part in parts.items()), mod)
+
+    def class_of_sum(self, terms) -> dict:
+        """Coordinates of sum c * x (x) y over the (c, x, y) terms, x in M and
+        y in N coordinates, in the image's reduced basis.
+
+        An embedded tensor lies in the image, fixed by the idempotent as
+        sum_j phi_j(y) . n_j = y, so its coordinates are its entries at the
+        basis's pivots.
+        """
+        field = self.M.left_algebra.field
+        amb = self._ambient([(entry(field, {0: c}).get(0, 0), x, y) for c, x, y in terms])
+        return {i: amb[p] for i, p in enumerate(self.pivots) if p in amb}
+
+    def lift_items(self, coords: dict) -> list[tuple[tuple, object]]:
+        """Items over the plain factors of sum_j x_j (x) n_j, (x_j) the image
+        vector with these coordinates."""
+        mod = self.M.left_algebra.field.char
+        dm = self.M.dim
+        slots: dict[int, dict] = {}
+        for k, x in sum_nonzeros(((c, self.basis[q].items()) for q, c in coords.items()),
+                                 mod).items():
+            j, i = divmod(k, dm)
+            slots.setdefault(j, {})[i] = x
+        out = []
+        for j, x_j in slots.items():
+            n_j = self.db.elements[j].items()
+            for idx, c in self.M.lift_items(x_j):
+                out.extend((idx + (f,), (c * y) % mod if mod else c * y) for f, y in n_j)
+        return out
+
+
 def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
     """Dual bases for A as a left B-module from a bimodule splitting p of iota.
 
@@ -711,9 +809,10 @@ def split_projectivity_audit(ext: Extension, p: Matrix) -> DualBasis:
     rqb = right_d2_quasibase(ext)
     if rqb is None:
         raise AlgebraError("extension is not right depth two")
+    ts = tensor_square(ext)
     db = DualBasis([], [])
     for gamma, u in rqb.pairs:
-        for (s, t), c in rqb.ts.lift_items(u):
+        for (s, t), c in ts.lift_items(u):
             # functional y -> p(gamma(y) * (c * e_s)), element e_t
             db.functionals.append(p @ A.right_mults[s].scaled(c) @ gamma)
             db.elements.append(A.basis_vector(t))

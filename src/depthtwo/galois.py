@@ -4,9 +4,12 @@ The canonical comparison map A (x)_R T -> A (x)_B A, a (x) t -> a t^1 (x) t^2
 is defined for every extension with no quasibase at all.  Each extension
 builds it once (``comparison_map``) and inverts it once, to the coaction
 delta(a) = ice^-1(1 (x) a) (``canonical_coaction``, None when ice is not
-bijective).  With an independent projectivity test for T over R that
-decides the depth-two condition a second way (``d2_iff_corollary_audit``),
-the oracle the quasibase solver is checked against.  The main-theorem
+bijective).  With an independent projectivity test for T over R, the
+dual basis lemma on R-generators of T (``left_r_projectivity``, one
+object per extension, which the witness's (T (x)_R T) (x)_R T also
+reads), that decides the depth-two condition a second way
+(``d2_iff_corollary_audit``), the oracle the quasibase solver is checked
+against.  The main-theorem
 audit reads its Galois side off the same coaction.  The quasibase sum
 lives only in ``galois_map`` (beta, whose inverse is ice), and
 ``galois_data`` is the one place that reads the coaction of a quasibase,
@@ -417,10 +420,11 @@ class CorollaryReport:
 @per_extension
 def d2_iff_corollary_audit(ext: Extension) -> CorollaryReport:
     """Decide right depth two twice: quasibase solver vs. the comparison map
-    a (x) t -> a t^1 (x) t^2 being bijective with T left R-projective."""
+    a (x) t -> a t^1 (x) t^2 being bijective with T left R-projective, the
+    latter by the extension's one dual basis of T over R."""
     quasibase_verdict = right_d2_quasibase(ext) is not None
     bij = canonical_coaction(ext) is not None
-    proj = left_r_projectivity(t_core(ext)) is not None
+    proj = left_r_projectivity(ext) is not None
     return CorollaryReport(quasibase_verdict, bij, proj)
 
 

@@ -60,6 +60,7 @@ basis ``nullspace`` returns.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from math import gcd
 
@@ -452,29 +453,6 @@ def _native(vec: dict, ncols: int, what: str, k) -> tuple[dict, int]:
     return k.native(vec)
 
 
-def _insert(basis: dict[int, dict], row: dict, low: int | None, k) -> int | None:
-    """Insert a native row into a reduced basis {pivot: native row}; returns
-    the new pivot, or None when the row lies in the span.  The row is consumed.
-
-    ``low`` is the least stored pivot (None: not known).  A stored row is zero
-    left of its own pivot, so a new pivot left of ``low`` is already zero in
-    every stored row and the clearing scan is skipped.
-    """
-    row = k.residue(basis, row, 1)[0]
-    if not row:
-        return None
-    lead = min(row)
-    row = k.normalized(row, lead)
-    if low is None:
-        low = min(basis, default=lead)
-    if lead > low:
-        for other in basis.values():
-            if lead in other:
-                k.clear(other, row, lead)
-    basis[lead] = row
-    return lead
-
-
 def insert_row(basis: dict[int, dict], row: dict, field) -> bool:
     """Insert a {column: value} row into a reduced basis {pivot: native row}
     over the field.
@@ -485,7 +463,18 @@ def insert_row(basis: dict[int, dict], row: dict, field) -> bool:
     False, leaving the basis as it was, when the row lies in its span.
     """
     k = _kernel(field)
-    return _insert(basis, k.native(row)[0], None, k) is not None
+    row = k.residue(basis, k.native(row)[0], 1)[0]
+    if not row:
+        return False
+    lead = min(row)
+    row = k.normalized(row, lead)
+    # a stored row is zero left of its own pivot
+    if lead > min(basis, default=lead):
+        for other in basis.values():
+            if lead in other:
+                k.clear(other, row, lead)
+    basis[lead] = row
+    return True
 
 
 def _echelon(rows: list[dict], k) -> dict[int, dict]:
@@ -494,15 +483,36 @@ def _echelon(rows: list[dict], k) -> dict[int, dict]:
     The rows are inserted latest leading column first.  A new row then
     usually leads left of every stored pivot, and a stored row is zero left
     of its own pivot, so no stored row has an entry to clear and the scan is
-    skipped.  The reduced echelon basis of a span is unique, so the order
-    changes the work and not the result.  The rows are consumed.
+    skipped.  A row that still leads right of the least stored pivot
+    (``low``) after its reduction is cleared from the stored rows that lead
+    left of it, the only ones that can hold its column: the pivots placed
+    at the left end are kept in descending order (``order``, negated to
+    ascend) and the others in ascending order (``inner``), so those rows
+    are two slices found by bisection.  The reduced echelon basis of a span
+    is unique, so the order changes the work and not the result.  The rows
+    are consumed.
     """
     basis: dict[int, dict] = {}
     low = None
+    order: list[int] = []
+    inner: list[int] = []
     for row in sorted((r for r in rows if r), key=min, reverse=True):
-        lead = _insert(basis, row, low, k)
-        if lead is not None and (low is None or lead < low):
+        row = k.residue(basis, row, 1)[0]
+        if not row:
+            continue
+        lead = min(row)
+        row = k.normalized(row, lead)
+        if low is None or lead < low:
             low = lead
+            order.append(-lead)
+        else:
+            below = [-p for p in order[bisect.bisect_right(order, -lead):]]
+            for piv in below + inner[:bisect.bisect_left(inner, lead)]:
+                other = basis[piv]
+                if lead in other:
+                    k.clear(other, row, lead)
+            bisect.insort(inner, lead)
+        basis[lead] = row
     return basis
 
 

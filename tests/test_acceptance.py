@@ -128,7 +128,7 @@ def test_criterion_06_invariants_theorem(catalog_exts):
         bgd = build_T(ext, rqb)
         M = LeftModule.regular(ext.A)
         me = t_action(ext, M, bgd=bgd)   # measuring checked on all triples
-        inv = action_invariants(me, M)
+        inv = action_invariants(me)
         a_bm = left_module_bimodule(ext.A, M.dim, M.action)
         expected = Subspace.span(QQ, M.dim ** 2,
                                  [f.vec() for f in hom_space(a_bm, a_bm)])
@@ -143,7 +143,7 @@ def test_criterion_06_invariants_theorem(catalog_exts):
             Matrix.identity(field, 2),
             Matrix(field, [[field.zero, -two], [-field.one, field.zero]])])
         me2 = t_action(ext2, twisted, bgd=bgd2)
-        inv2 = action_invariants(me2, twisted)
+        inv2 = action_invariants(me2)
         a_bm2 = left_module_bimodule(ext2.A, 2, twisted.action)
         expected2 = Subspace.span(field, 4,
                                   [f.vec() for f in hom_space(a_bm2, a_bm2)])

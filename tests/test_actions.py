@@ -75,7 +75,7 @@ def test_left_multiplication_by_centralizer_is_t_stable(s3_setup):
 def test_invariants_equal_right_multiplications(s3_setup):
     # for M = A the invariants are exactly rho(A)
     ext, _, _, M, me = s3_setup
-    inv = action_invariants(me, M)
+    inv = action_invariants(me)
     rho = Subspace.span(QQ, 36, [ext.A.right_mults[i].vec() for i in range(6)])
     assert inv == rho
 
@@ -85,7 +85,7 @@ def test_invariants_trivial_extension(trivial_m2):
     bgd = build_T(trivial_m2, rqb)
     M = LeftModule.regular(trivial_m2.A)
     me = t_action(trivial_m2, M, bgd=bgd)
-    inv = action_invariants(me, M)
+    inv = action_invariants(me)
     # over B = A every B-endomorphism is already A-linear
     endo_span = Subspace.span(QQ, 16, [f.vec() for f in me.endo_basis])
     assert inv == endo_span
@@ -96,7 +96,7 @@ def test_invariants_ground_field_twisted_module(sqrt2):
     bgd = build_T(sqrt2, rqb)
     M = twisted_sqrt2_module(sqrt2)
     me = t_action(sqrt2, M, bgd=bgd)
-    inv = action_invariants(me, M)
+    inv = action_invariants(me)
     a_bm = left_module_bimodule(sqrt2.A, M.dim, M.action)
     independent = Subspace.span(QQ, 4, [f.vec() for f in hom_space(a_bm, a_bm)])
     assert inv == independent

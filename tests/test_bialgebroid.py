@@ -5,13 +5,16 @@ import json
 
 import pytest
 
-from depthtwo.algebras import AlgebraError, SelfCheckError
-from depthtwo.bialgebroid import (WitnessError, _certify, _delta_from_witness, axiom_audit,
-                                  build_T, build_T_quasibase_free,
-                                  commutative_flip_check, left_r_projectivity,
-                                  r_module_dual_bases, t_core)
-from depthtwo.bimodules import (DualBasis, left_d2_quasibase, right_d2_quasibase,
-                                split_projectivity_audit, tensor_power)
+import itertools
+
+from depthtwo.algebras import AlgebraError, SelfCheckError, subgroup_extension
+from depthtwo.bialgebroid import (TripleTensorWitness, WitnessError, _certify,
+                                  _delta_from_witness, axiom_audit, build_T,
+                                  build_T_quasibase_free, commutative_flip_check,
+                                  left_r_projectivity, r_module_dual_bases, t_core)
+from depthtwo.bimodules import (DualBasis, balanced_tensor, bimodule_generators,
+                                coproduct_summand_test, left_d2_quasibase, left_module_bimodule,
+                                right_d2_quasibase, split_projectivity_audit, tensor_power)
 from depthtwo.catalog import build_example, catalog_names
 from depthtwo.cli import main
 from depthtwo.fields import GF, QQ
@@ -20,7 +23,7 @@ from depthtwo.galois import (comodule_algebra_audit, d2_iff_corollary_audit, gal
 from depthtwo.jsonio import example_to_json
 from depthtwo.linalg import Matrix, combine, sum_nonzeros
 
-from conftest import CATALOG_AND_A4, dense_s3a3, sparse, unit_vectors
+from conftest import CATALOG_AND_A4, a4_extensions, dense_s3a3, sparse, unit_vectors
 
 
 def _bgd(ext):
@@ -512,8 +515,112 @@ def test_delta_check_catches_a_wrong_preimage(monkeypatch, s3a3):
 # -- projectivity and dual bases ------------------------------------------------
 
 def test_left_projectivity_over_r(s3a3):
-    db = left_r_projectivity(t_core(s3a3))
+    db = left_r_projectivity(s3a3)
     assert db is not None and len(db) >= 1
+
+
+def _permutation_group(elements: list[tuple]) -> list[list[int]]:
+    """Cayley table of permutations listed in ``elements``, (g h)(x) = g(h(x))."""
+    index = {g: i for i, g in enumerate(elements)}
+    return [[index[tuple(g[h[x]] for x in range(len(g)))] for h in elements] for g in elements]
+
+
+_S3 = sorted(itertools.permutations(range(3)))
+_SQUARE = ([tuple((k + i) % 4 for i in range(4)) for k in range(4)]
+           + [tuple((k - i) % 4 for i in range(4)) for k in range(4)])
+_KLEIN = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+# (group elements, subgroup indices): normal and non-normal subgroups; the
+# A4 pairs are conftest's a4_extensions
+GROUP_PAIRS = {
+    "S3>A3": (_S3, [_S3.index(p) for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]),
+    "S3>C2": (_S3, [_S3.index(p) for p in ((0, 1, 2), (1, 0, 2))]),
+    "C4>C2": (_SQUARE[:4], [0, 2]),
+    "V4>C2": (_KLEIN, [0, 1]),
+    "D4>C4": (_SQUARE, [0, 1, 2, 3]),
+    "D4>Z": (_SQUARE, [0, 2]),
+    "D4>C2": (_SQUARE, [0, 4]),
+}
+FIELDS = {"Q": QQ, "F_2": GF(2), "F_3": GF(3), "F_5": GF(5)}
+PROJECTIVITY_CASES = {
+    **{name: (lambda name=name: build_example(name)) for name in catalog_names()},
+    **{f"{pair} over {fname}": (lambda pair=pair, field=field: subgroup_extension(
+        field, _permutation_group(GROUP_PAIRS[pair][0]), GROUP_PAIRS[pair][1])[0])
+       for pair in GROUP_PAIRS for fname, field in FIELDS.items()},
+    **{f"{pair} over {fname}": (lambda pair=pair, field=field: a4_extensions(field)[pair])
+       for pair in ("A4>V4", "A4>C3") for fname, field in FIELDS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTIVITY_CASES))
+def test_dual_basis_verdict_equals_the_summand_test(name):
+    ext = PROJECTIVITY_CASES[name]()
+    core = t_core(ext)
+    R = core.R_alg
+    T_over_R = left_module_bimodule(R, core.dim, core.lam_R)
+    summand = coproduct_summand_test(T_over_R, left_module_bimodule(R, R.dim, R.left_mults))
+    db = left_r_projectivity(ext)
+    assert (db is not None) == (summand is not None), name
+    if db is not None:
+        # one element per R-generator, each the generator itself
+        assert db.elements == [{g: 1} for g in bimodule_generators(T_over_R)], name
+        db.check(core.lam_R, "reconstruction failed")
+        assert left_r_projectivity(ext) is db
+
+
+def test_a4_over_c3_in_characteristic_two_is_not_projective():
+    ext = PROJECTIVITY_CASES["A4>C3 over F_2"]()
+    assert left_r_projectivity(ext) is None
+    assert d2_iff_corollary_audit(ext).rt_projective is False
+
+
+@pytest.mark.parametrize("name", ["s3-a3", "s3-a3-f5", "field-sqrt2", "c2-over-k-f3"])
+def test_a_corrupted_dual_basis_functional_fails_the_check(name):
+    ext = build_example(name)
+    core = t_core(ext)
+    db = left_r_projectivity(ext)
+    (g,), phi = db.elements[0], db.functionals[0]
+    # phi_0 + (e_g -> 1_R): the reconstruction of e_g gains m_0 = e_g
+    bump = Matrix.from_columns(ext.A.field, [core.R_alg.unit if c == g else {}
+                                             for c in range(core.dim)], nrows=core.R_alg.dim)
+    corrupted = DualBasis(db.elements, [phi + bump, *db.functionals[1:]])
+    with pytest.raises(SelfCheckError, match="^reconstruction failed$"):
+        corrupted.check(core.lam_R, "reconstruction failed")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_dual_basis_triple_tensor_has_the_sylvester_dimension(name):
+    ext = build_example(name)
+    if right_d2_quasibase(ext) is None:
+        return
+    wit = build_T_quasibase_free(ext).witness
+    core = wit.core
+    assert wit.ttt.dim == balanced_tensor(core.tt, core.r_bimodule()).dim == wit.q4b.dim
+
+
+@pytest.mark.parametrize("fixture", ["s3a3", "s3a3_f5", "c2_over_k", "dense_s3a3"])
+def test_dual_basis_triple_tensor_is_balanced_and_lifts_to_itself(fixture, request):
+    wit = _bgd(_ext(fixture, request)).witness
+    X, tt, T = wit.ttt, wit.core.tt, wit.core.r_bimodule()
+    field = wit.core.A.field
+    # x.r (x) y and x (x) r.y have the same class for every generator r of R
+    for r in T.left_algebra.generating_indices():
+        for x in unit_vectors(field, tt.dim):
+            xr = tt.right_action[r].image(x)
+            for y in unit_vectors(field, T.dim):
+                assert X.class_of(xr, y) == X.class_of(x, T.left_action[r].image(y))
+    # a class lifts to a sum of pure tensors of plain basis vectors that
+    # adds up to the class again
+    for q in unit_vectors(field, X.dim):
+        items = X.lift_items(q)
+        assert X.class_of_sum([(c, tt.class_of({a: 1}, {b: 1}), {f: 1})
+                               for (a, b, f), c in items]) == q
+
+
+def test_the_witness_needs_a_dual_basis(monkeypatch):
+    import depthtwo.bialgebroid as bialgebroid_mod
+    monkeypatch.setattr(bialgebroid_mod, "left_r_projectivity", lambda ext: None)
+    with pytest.raises(WitnessError, match="not left R-projective"):
+        TripleTensorWitness(build_example("s3-a3"))
 
 
 def test_dual_bases_trivial_extension(trivial_m2):
@@ -583,7 +690,7 @@ def test_reconstruction_check_agrees_with_the_identity_column_loop(fixture, requ
     right_db, left_db = r_module_dual_bases(ext, left_d2_quasibase(ext), right_d2_quasibase(ext))
     core = t_core(ext)
     cases = [(core.rho_R, right_db), (core.lam_R, left_db)]
-    projective = left_r_projectivity(core)
+    projective = left_r_projectivity(ext)
     if projective is not None:
         cases.append((core.lam_R, projective))
     if fixture in SPLITTINGS:

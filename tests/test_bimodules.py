@@ -385,7 +385,7 @@ def test_quasibase_verifiers_reject_doubled_tensors(fixture, request):
     for qb in (right_d2_quasibase(ext), left_d2_quasibase(ext)):
         assert verify_quasibase(ext, qb)
         doubled = QuasibaseSet(qb.side, [(endo, sum_nonzeros([(2, t.items())], mod))
-                                         for endo, t in qb.pairs], qb.ts)
+                                         for endo, t in qb.pairs])
         assert not verify_quasibase(ext, doubled)
 
 
@@ -420,7 +420,7 @@ def test_endo_ring_splitting_from_quasibase(s3a3):
     from depthtwo.bimodules import left_module_bimodule
     A = s3a3.A
     rqb = right_d2_quasibase(s3a3)
-    ts = rqb.ts
+    ts = tensor_square(s3a3)
     left_b = left_module_bimodule(
         s3a3.B, A.dim, [s3a3.left_mult_iota(j) for j in range(s3a3.B.dim)])
     endos = hom_space(left_b, left_b)
@@ -784,7 +784,7 @@ def test_sparse_d2_kernels_equal_the_dense_construction(name):
     for kind, (M, homs_pm, homs_mp) in _summand_cases(ext).items():
         if not homs_pm or not homs_mp:
             continue
-        products, target = _summand_system(M, homs_pm, homs_mp)
+        products, target = _summand_system(M, homs_pm, homs_mp, bimodule_generators(M))
         expected_products, expected_target = _dense_summand_system(M, homs_pm, homs_mp)
         assert target == sparse(expected_target), (name, kind)
         assert len(products) == len(expected_products), (name, kind)

@@ -191,7 +191,7 @@ def _bb_linear(ext, endo):
 def _holds_on_every_pair(ext, qb) -> bool:
     """The quasibase identity on all (dim A)^2 basis pairs, with B-B-linearity
     over every basis element of B and B-centrality of every tensor."""
-    A, ts = ext.A, qb.ts
+    A, ts = ext.A, tensor_square(ext)
     if not all(_bb_linear(ext, endo) and t_space(ext).contains(t) for endo, t in qb.pairs):
         return False
     for x in range(A.dim):
@@ -213,16 +213,16 @@ def _corrupted(qb: QuasibaseSet) -> dict[str, QuasibaseSet]:
     with its pairs reversed (still a quasibase)."""
     (endo, t), *rest = qb.pairs
     n = endo.ncols
-    out = {"reversed": QuasibaseSet(qb.side, qb.pairs[::-1], qb.ts)}
+    out = {"reversed": QuasibaseSet(qb.side, qb.pairs[::-1])}
     bad_endo = _swap_outside(endo, [])
     if bad_endo is not None:
-        out["endo column"] = QuasibaseSet(qb.side, [(bad_endo, t), *rest], qb.ts)
+        out["endo column"] = QuasibaseSet(qb.side, [(bad_endo, t), *rest])
     zeroed = Matrix.from_columns(endo.field, [{} if i == n - 1 else c
                                               for i, c in enumerate(endo.cols)], nrows=n)
-    out["endo column zeroed"] = QuasibaseSet(qb.side, [(zeroed, t), *rest], qb.ts)
+    out["endo column zeroed"] = QuasibaseSet(qb.side, [(zeroed, t), *rest])
     if rest:
         doubled = sum_nonzeros([(1, t.items()), (1, rest[0][1].items())], endo.field.char)
-        out["tensor"] = QuasibaseSet(qb.side, [(endo, doubled), *rest], qb.ts)
+        out["tensor"] = QuasibaseSet(qb.side, [(endo, doubled), *rest])
     return out
 
 

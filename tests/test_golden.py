@@ -57,11 +57,12 @@ def _plain(x, of=None):
     return str(x)
 
 
-def _pairs(qb) -> list | None:
-    """A quasibase's (map, tensor) pairs, each tensor as its dense coordinate list."""
+def _pairs(qb, ts_dim: int) -> list | None:
+    """A quasibase's (map, tensor) pairs, each tensor as its dense coordinate
+    list in the extension's tensor square of dimension ts_dim."""
     if qb is None:
         return None
-    return [(m, [u.get(i, 0) for i in range(qb.ts.dim)]) for m, u in qb.pairs]
+    return [(m, [u.get(i, 0) for i in range(ts_dim)]) for m, u in qb.pairs]
 
 
 VALUES = ("right_quasibase", "left_quasibase", "T_alg.structure", "Delta")
@@ -73,20 +74,19 @@ def _artifacts(doc: dict) -> dict:
     lqb = left_d2_quasibase(ext)
     core = t_core(ext)
     out = {
-        "right_quasibase": _pairs(rqb),
-        "left_quasibase": _pairs(lqb),
+        "right_quasibase": _pairs(rqb, tensor_square(ext).dim),
+        "left_quasibase": _pairs(lqb, tensor_square(ext).dim),
         "T_alg.structure": core.T_alg.structure,
         "free.ts": tensor_square(ext).quot.free,
         "free.tt": core.tt.quot.free,
         "free.at": tensor_with_t(ext).quot.free,
-        "Delta": None, "free.q3": None, "free.q4": None, "free.ttt": None,
+        "Delta": None, "free.q3": None, "free.q4": None,
     }
     if rqb is not None:
         bgd = build_T(ext, rqb)
         out.update({"Delta": bgd.Delta,
                     "free.q3": tensor_power(ext, 3).quot.free,
-                    "free.q4": tensor_power(ext, 4).quot.free,
-                    "free.ttt": bgd.witness.ttt.quot.free})
+                    "free.q4": tensor_power(ext, 4).quot.free})
     return out
 
 

@@ -448,6 +448,31 @@ def test_rref_of_dict_rows_equals_dense_and_reference():
             assert rref(dicts(rows), field, ncols) == (dicts(red), pivots)
 
 
+def test_rref_clears_late_pivots_from_the_rows_left_of_them():
+    # e0 + e3 and e0 + e5 lead at 0; the second reduces to e5 - e3, a pivot
+    # right of 0 that the first row must be cleared at
+    for field in (QQ, GF(2), GF(5)):
+        one, zero = field.one, field.zero
+        rows = [[one if c in (0, 3) else zero for c in range(6)],
+                [one if c in (0, 5) else zero for c in range(6)]]
+        red, pivots = reference_rref(rows, field, 6)
+        assert pivots == [0, 3]
+        assert rref(dicts(rows), field, 6) == (dicts(red), pivots)
+    # sparse rows on many columns: late pivots left and right of each other
+    rng = random.Random(47)
+    for field in (QQ, GF(2), GF(5)):
+        for _ in range(40):
+            ncols = rng.randint(8, 30)
+            rows = []
+            for _ in range(rng.randint(1, 40)):
+                row = [field.zero] * ncols
+                for c in rng.sample(range(ncols), rng.randint(1, 3)):
+                    row[c] = field.of(rng.choice((1, -1, 2, 3)))
+                rows.append(row)
+            red, pivots = reference_rref(rows, field, ncols)
+            assert rref(dicts(rows), field, ncols) == (dicts(red), pivots)
+
+
 def test_insert_row_keeps_the_rref_of_every_prefix():
     rng = random.Random(43)
     for field in (QQ, GF(2), GF(5)):
