@@ -5,8 +5,9 @@ t*u = u^1 t^1 (x) t^2 u^2 (the endomorphism composition transported
 through t -> (x (x) y -> x t^1 (x) t^2 y)).  The base is the centralizer
 R = C_A(B), with source map r -> 1 (x) r, target map r -> r (x) 1 and
 counit the multiplication back to A.  The depth-two decisions read T only
-as an R-bimodule, so T's product, unit, s_R, t_R and counit are built and
-validated on first read, by the bialgebroid and Galois side alone.
+as an R-bimodule and through its R-generators, so T's product, unit, s_R,
+t_R and counit are built and validated on first read, and T (x)_R T is
+built on first read, by the bialgebroid and Galois side alone.
 
 The coproduct is pinned by the isomorphism
 T (x)_R T  ~  (A (x)_B A (x)_B A)^B,  t (x) u  ->  t^1 (x) t^2 u^1 (x) u^2:
@@ -22,26 +23,27 @@ identity is multiplicative or module-linear on algebra generators only.
 from __future__ import annotations
 
 from .algebras import (AlgebraError, Extension, FiniteAlgebra, SelfCheckError, centralizer,
-                       first_failure, homomorphism_cases, per_extension)
-from .bimodules import (Bimodule, DualBasis, DualBasisTensor, QuasibaseSet, _summand_system,
-                        b_centralized, balanced_tensor, bimodule_generators, hom_space,
-                        left_module_bimodule, t_space, tensor_power, tensor_square)
+                       field_as_algebra, first_failure, homomorphism_cases, per_extension)
+from .bimodules import (Bimodule, DualBasis, DualBasisTensor, QuasibaseSet, _generator_maps,
+                        _summand_solve, b_centralized, balanced_tensor, bimodule_generators,
+                        hom_space, left_module_bimodule, t_space, tensor_power, tensor_square)
 # re-exported: the benchmark's tracer rebinds coproduct_summand_test where it is imported
 from .bimodules import coproduct_summand_test  # noqa: F401
 from .linalg import Matrix, Subspace, combine, solve_in_span, sum_nonzeros
 
 
 class TCore:
-    """Quasibase-free part of the bialgebroid: base R, the R-actions on T and
-    the realized quotient T (x)_R T, built with the core; the algebra T,
-    s_R, t_R and the counit, built and validated together on first read.
+    """Quasibase-free part of the bialgebroid: base R, the R-actions on T
+    and T's generators as a left and as a right R-module, built with the
+    core; the realized quotient T (x)_R T, built on first read; the algebra
+    T, s_R, t_R and the counit, built and validated together on first read.
 
-    The depth-two decisions read T only as an R-bimodule, so they never
-    build T's product.
+    The depth-two decisions read T only as an R-bimodule and through its
+    R-generators, so they never build T's product or T (x)_R T.
     """
 
     __slots__ = ("A", "ts", "R", "R_alg", "incl_R", "t_space", "t_basis", "t_items",
-                 "lam_R", "rho_R", "tt", "_algebra")
+                 "lam_R", "rho_R", "left_gens", "right_gens", "_tt", "_algebra")
 
     def __init__(self, ext: Extension):
         # the algebra, not the extension: the extension caches this core
@@ -56,13 +58,27 @@ class TCore:
             raise AlgebraError("B-central tensor square is zero")
         # every product, contraction and witness column reads these lifts
         self.t_items = [ts.lift_items(t) for t in self.t_basis]
+        self._tt = None
         self._algebra = None
 
         incl = self.incl_R.cols
         self.lam_R = self._r_actions(ts.left_action, incl)
         self.rho_R = self._r_actions(ts.right_action, incl)
-        T = self.r_bimodule()
-        self.tt = balanced_tensor(T, T)
+        # indices of basis vectors of T generating it over R on one side; the
+        # right quasibase and the dual basis read the left ones
+        self.left_gens = bimodule_generators(left_module_bimodule(self.R_alg, self.dim,
+                                                                  self.lam_R))
+        self.right_gens = bimodule_generators(Bimodule(
+            field_as_algebra(A.field), self.R_alg, self.dim,
+            [Matrix.identity(A.field, self.dim)], self.rho_R))
+
+    @property
+    def tt(self) -> Bimodule:
+        """T (x)_R T as a realized quotient, built on first read."""
+        if self._tt is None:
+            T = self.r_bimodule()
+            self._tt = balanced_tensor(T, T)
+        return self._tt
 
     T_alg = property(lambda self: self._algebra_part()[0])
     unit_T = property(lambda self: self._algebra_part()[1])
@@ -106,13 +122,14 @@ class TCore:
     def replaced(self, **kw) -> "TCore":
         """Shallow copy with named fields swapped out (for mutation tests).
 
-        Any field but _algebra may be named, and any of T_alg, unit_T, s_R,
-        t_R and eps; the copy shares the rest, the algebra part built here if
-        need be.  Any other name raises TypeError.
+        Any field may be named, tt included, and any of T_alg, unit_T, s_R,
+        t_R and eps; the copy shares the rest, tt and the algebra part built
+        here if need be.  Any other name raises TypeError.
         """
         clone = TCore.__new__(TCore)
-        for name in TCore.__slots__[:-1]:
+        for name in TCore.__slots__[:-2]:
             setattr(clone, name, kw.pop(name, getattr(self, name)))
+        clone._tt = kw.pop("tt") if "tt" in kw else self.tt
         clone._algebra = tuple(kw.pop(name, getattr(self, name))
                                for name in ("T_alg", "unit_T", "s_R", "t_R", "eps"))
         if kw:
@@ -598,31 +615,24 @@ def left_r_projectivity(ext: Extension) -> DualBasis | None:
 
     By the dual basis lemma T is projective exactly when x = sum_j phi_j(x) . m_j
     for R-generators m_j of T and some phi_j in Hom_R(T, R).  The m_j are the
-    ``bimodule_generators`` of T as a left R-module, the maps r -> r . m_j
-    stand for Hom(R, T), and the phi_j are solved for in one ``hom_space``
-    basis of Hom(T, R): the identity is written on the generators by
-    ``_summand_system``, in (number of m_j) * dim Hom(T, R) unknowns.  The
-    dual basis has one element per generator and is checked on every basis
-    vector of T.
+    core's ``left_gens``, which the right quasibase reads too, the maps
+    r -> r . m_j stand for Hom(R, T), and the phi_j are solved for in one
+    ``hom_space`` basis of Hom(T, R): the identity is written on the
+    generators by ``_summand_solve``, in (number of m_j) * dim Hom(T, R)
+    unknowns.  The dual basis has one element per generator and is checked
+    on every basis vector of T.
     """
     core = t_core(ext)
     R, field = core.R_alg, ext.A.field
     M = left_module_bimodule(R, core.dim, core.lam_R)
-    gens = bimodule_generators(M)
+    gens = core.left_gens
     homs = hom_space(M, left_module_bimodule(R, R.dim, R.left_mults))
-    # r -> r . m_j, column a the action of e_a on m_j
-    onto = [Matrix.from_columns(field, [lam.cols[g] for lam in core.lam_R], nrows=core.dim)
-            for g in gens]
-    products, target = _summand_system(M, onto, homs, gens)
-    coeffs = solve_in_span(target, products, field)
-    if coeffs is None:
+    elements = [{g: 1} for g in gens]
+    phis = _summand_solve(_generator_maps(core.lam_R, elements), homs, gens,
+                          Matrix.identity(field, core.dim))
+    if phis is None:
         return None
-    # unknown j * len(homs) + b weights homs[b] in phi_j
-    phis: list[dict] = [{} for _ in gens]
-    for k, x in coeffs.items():
-        j, b = divmod(k, len(homs))
-        phis[j][b] = x
-    db = DualBasis([{g: 1} for g in gens], [combine(homs, phi) for phi in phis])
+    db = DualBasis(elements, [combine(homs, phi) for phi in phis])
     db.check(core.lam_R, "projectivity dual basis failed reconstruction")
     return db
 

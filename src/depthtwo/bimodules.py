@@ -22,21 +22,25 @@ manageable and every quotient basis vector lifts to a single pure tensor.
 (T (x)_R T) (x)_R T is the one idempotent image.
 Actions of B are those of A pulled back along iota (``restrict``).
 
-The depth-two decision is span membership of the identity in the image
-of the composition pairing Hom(P, M) x Hom(M, P) -> End(M).  The pairing's
-products are bimodule maps, so the solve compares them on bimodule
-generators of M only (``bimodule_generators``), never on all of End_k(M);
-a successful solve is converted into a quasibase and re-verified before
-being returned: the quasibase identity is A-linear in one argument, so it
-is checked with that argument 1 and the other on every basis element.
-For depth two, M = A (x)_B A and P = A, and neither hom space is solved
-for: Hom(A, A (x)_B A) is read off
-T = (A (x)_B A)^B through f -> f(1), and Hom(A (x)_B A, A) off
-S = End_{B-B}(A) through g -> g(1 (x) -) or g(- (x) 1) (Kadison and
-Szlachanyi), both brought into the canonical basis ``hom_space`` would
-return.  The generic ``coproduct_summand_test`` solves both hom spaces and
-serves H-separability; projectivity of T over R fixes the Hom(R, T) side
-to the maps onto R-generators (``bialgebroid.left_r_projectivity``).
+The generic summand test (``coproduct_summand_test``) decides M + * = P^(I)
+as span membership of id_M in the image of the composition pairing
+Hom(P, M) x Hom(M, P) -> End(M).  The pairing's products are bimodule
+maps, so the solve compares them on bimodule generators of M only
+(``bimodule_generators``), never on all of End_k(M); H-separability reads
+it.  Depth two is decided on smaller data.  A right quasibase is
+(gamma_i, u_i) with gamma_i in S = End_{B-B}(A), u_i in T = (A (x)_B A)^B
+and 1 (x) a = sum_i gamma_i(a) u_i (Kadison and Szlachanyi).  If m_1..m_g
+generate T as a left R-module, R = C_A(B), then u_i = sum_j r_ij . m_j,
+and gamma'_j = sum_i gamma_i(-) r_ij lies in S (R commutes with iota(B)),
+so (gamma'_j, m_j) is again a quasibase.  Hence the right side solves
+1 (x) a = sum_j gamma_j(a) m_j for gamma_j in the span of S, and the left
+side a (x) 1 = sum_j m'_j beta_j(a) over generators m'_j of T as a right
+R-module; g * dim S unknowns.  Both sides of each identity are B-B-linear
+in a (the m_j are B-central), so the identity is written only at
+bimodule generators of A over B.  A solution is re-verified by
+``verify_quasibase`` before it is returned: the quasibase identity is
+A-linear in one argument, so it is checked with that argument 1 and the
+other on every basis element.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, action_cases, field_as_algebra, group_inverses,
                        per_extension, require)
 from .linalg import (Matrix, Subspace, combine, entry, insert_row, nullspace,
-                     quotient_structure, reverse_rref, solve_in_span, sum_nonzeros)
+                     quotient_structure, solve_in_span, sum_nonzeros)
 
 
 class Bimodule:
@@ -445,37 +449,30 @@ def bimodule_generators(M: Bimodule) -> list[int]:
 
 
 def coproduct_summand_test(M: Bimodule, P: Bimodule) -> list[tuple[Matrix, Matrix]] | None:
-    """Decide M + * = P^(I) as bimodules: pairs (f_i, g_i) with sum f_i g_i = id_M, or None."""
-    return summand_factorization(M, hom_space(P, M), hom_space(M, P))
+    """Decide M + * = P^(I) as bimodules: pairs (f_i, g_i) with sum f_i g_i = id_M, or None.
 
-
-def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
-                          homs_mp: list[Matrix]) -> list[tuple[Matrix, Matrix]] | None:
-    """Solve sum f_i o g_i = id_M over bases of Hom(P, M) and Hom(M, P).
-
-    The span of the composition pairing equals the image of
+    f_i and g_i range over canonical bases of Hom(P, M) and Hom(M, P).  The
+    span of the composition pairing equals the image of
     Hom(P,M) (x) Hom(M,P) -> End(M), so membership of id_M is an exact
     linear solve.  Every f o g and id_M are bimodule maps, and a bimodule
     map is fixed by its values on generators of M, so each product is
     written as its values on ``bimodule_generators(M)``: the system has the
     solutions, and the RREF the pivots, of the one over all of End_k(M).
-    The products are built sparse by ``_summand_system``, and the returned
-    pairs are checked to sum to id_M on all of M, adding only nonzeros.
-    Pairs are grouped by the Hom(M, P) basis element.
+    The returned pairs are checked to sum to id_M on all of M, adding only
+    nonzeros.  Pairs are grouped by the Hom(M, P) basis element.
     """
     field = M.left_algebra.field
+    homs_pm, homs_mp = hom_space(P, M), hom_space(M, P)
     if not homs_pm or not homs_mp:
-        if M.dim == 0:
-            return []
-        return None
-    products, target = _summand_system(M, homs_pm, homs_mp, bimodule_generators(M))
-    coeffs = solve_in_span(target, products, field)
-    if coeffs is None:
+        return [] if M.dim == 0 else None
+    by_f = _summand_solve(homs_pm, homs_mp, bimodule_generators(M),
+                          Matrix.identity(field, M.dim))
+    if by_f is None:
         return None
     by_g: dict[int, dict] = {}
-    for k, x in coeffs.items():
-        a, b = divmod(k, len(homs_mp))
-        by_g.setdefault(b, {})[a] = x
+    for a, coeffs in enumerate(by_f):
+        for b, x in coeffs.items():
+            by_g.setdefault(b, {})[a] = x
     pairs = [(combine(homs_pm, by_g[b]), g) for b, g in enumerate(homs_mp) if b in by_g]
     if any(sum_nonzeros(((1, f.image(g.cols[c]).items()) for f, g in pairs), field.char) != {c: 1}
            for c in range(M.dim)):
@@ -483,16 +480,16 @@ def summand_factorization(M: Bimodule, homs_pm: list[Matrix],
     return pairs
 
 
-def _summand_system(M: Bimodule, homs_pm: list[Matrix], homs_mp: list[Matrix],
-                    gens: list[int]) -> tuple[list[dict], dict]:
-    """The products f o g, f-major, and id_M, written on the bimodule
-    generators ``gens`` of M (``bimodule_generators(M)``).
+def _summand_system(homs_pm: list[Matrix], homs_mp: list[Matrix], gens: list[int],
+                    target: Matrix) -> tuple[list[dict], dict]:
+    """The products f o g, f-major, and the map ``target``, all from one
+    module into another, written on the basis vectors ``gens`` of the source.
 
-    The value on the generator at position p is placed at p * M.dim + row.
-    Each product is an {index: value} vector: f o g (e_i) is f applied to
-    column i of g, read through both column views.
+    The value on the generator at position p is placed at p * target.nrows
+    + row.  Each product is an {index: value} vector: f o g (e_i) is f
+    applied to column i of g, read through both column views.
     """
-    dim = M.dim
+    dim = target.nrows
     g_on_gens = [[(p * dim, g.cols[i]) for p, i in enumerate(gens)] for g in homs_mp]
     products = []
     for f in homs_pm:
@@ -502,7 +499,34 @@ def _summand_system(M: Bimodule, homs_pm: list[Matrix], homs_mp: list[Matrix],
                 for r, x in f.image(g_col).items():
                     prod[off + r] = x
             products.append(prod)
-    return products, {p * dim + i: 1 for p, i in enumerate(gens)}
+    return products, {p * dim + r: x for p, i in enumerate(gens)
+                      for r, x in target.cols[i].items()}
+
+
+def _summand_solve(homs_pm: list[Matrix], homs_mp: list[Matrix], gens: list[int],
+                   target: Matrix) -> list[dict] | None:
+    """Coefficients c with sum_(a, b) c[a][b] f_a o g_b = target on ``gens``
+    (``_summand_system``), one {b: value} per f_a, or None when there are none.
+
+    The solution is ``solve_in_span``'s RREF particular solution.
+    """
+    products, rhs = _summand_system(homs_pm, homs_mp, gens, target)
+    coeffs = solve_in_span(rhs, products, target.field)
+    if coeffs is None:
+        return None
+    by_f: list[dict] = [{} for _ in homs_pm]
+    for k, x in coeffs.items():
+        a, b = divmod(k, len(homs_mp))
+        by_f[a][b] = x
+    return by_f
+
+
+def _generator_maps(actions: list[Matrix], elements: list[dict]) -> list[Matrix]:
+    """For each m in ``elements`` the map y -> y . m = sum_a y_a actions[a] m,
+    column a the action of e_a on m."""
+    first = actions[0]
+    return [Matrix.from_columns(first.field, [act.image(m) for act in actions], nrows=first.nrows)
+            for m in elements]
 
 
 # -- quasibases ----------------------------------------------------------
@@ -514,7 +538,11 @@ class QuasibaseSet:
     ``pairs`` holds (endo, tensor): for the right side these are
     (gamma_i, u_i) with gamma_i a B-B-endomorphism of A and u_i a
     B-central class in the extension's ``tensor_square``; for the left side
-    (beta_i, t_i).
+    (beta_i, t_i).  ``right_d2_quasibase`` and ``left_d2_quasibase`` return
+    one pair per R-generator of T whose endomorphism is not zero: u_i (t_i)
+    is the generator itself, so the size is at most the number of T's left
+    (right) R-generators.  By the lemma in the module docstring any
+    quasibase can be moved onto those generators, so none is lost.
     """
 
     __slots__ = ("side", "pairs")
@@ -577,64 +605,29 @@ def left_d2_quasibase(ext: Extension) -> QuasibaseSet | None:
 
 @per_extension
 def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
-    right = side == "right"
-    ts = tensor_square(ext)
-    M = restrict(ts, right=ext.iota) if right else restrict(ts, left=ext.iota)
-    fact = summand_factorization(M, *_d2_hom_bases(ext, right))
-    result = None
-    if fact is not None:
-        # gamma_i = g_i(1 (x) -) on the right side, beta_i = g_i(- (x) 1) on the left
-        unit_map = unit_tensor(ext, unit_first=right)
-        pairs = [(g @ unit_map, f.image(ext.A.unit)) for f, g in fact]
-        result = QuasibaseSet(side, pairs)
-        if not verify_quasibase(ext, result):
-            raise SelfCheckError(f"derived {side} quasibase failed verification")
-    return result
+    """The quasibase of one side on T's R-generators m_j, or None.
 
-
-def _d2_hom_bases(ext: Extension, right: bool) -> tuple[list[Matrix], list[Matrix]]:
-    """Hom(A, A (x)_B A) and Hom(A (x)_B A, A) as A-B-bimodule maps (right)
-    or B-A-bimodule maps (left), in the canonical basis of ``hom_space``.
-
-    f -> f(1) identifies the first with T: f_t(a) = a.t (right) or t.a
-    (left).  g -> g(1 (x) -) (right) or g(- (x) 1) (left) identifies the
-    second with S = End_{B-B}(A): g(x (x) y) = x gamma(y) or beta(x) y,
-    read on the pure tensor e_i (x) e_j each quotient basis vector lifts to.
-    Both spans go through ``reverse_rref``, which returns the nullspace
-    basis ``hom_space`` would solve for, with its unknowns in the same order.
-    The rows are written from nonzeros only: the tensor-square actions act
-    through their column views, and A's multiplication through its nonzero
-    structure constants.
+    Solves 1 (x) a = sum_j gamma_j(a) m_j (right, m_j generating T as a
+    left R-module) or a (x) 1 = sum_j m_j beta_j(a) (left, as a right
+    R-module) for gamma_j, beta_j in the span of S = ``bb_endomorphisms``,
+    at the bimodule generators a of A over B: the products are
+    (y -> y m_j) o s or (y -> m_j y) o s for s in S (``_summand_system``).
     """
-    A = ext.A
-    field, n = A.field, A.dim
-    ts = tensor_square(ext)
-    d = ts.dim
-    acts = ts.left_action if right else ts.right_action
-    into = []
-    for t in t_space(ext).basis:
-        # column j of f_t is e_j acting on t; unknown (a, j) of the d x n map sits at a*n + j
-        row = {}
-        for j, act in enumerate(acts):
-            for a, x in act.image(t).items():
-                row[a * n + j] = x
-        into.append(row)
-    pure = [divmod(f, n) for f in ts.quot.free]
-    nz, mod = A.nonzeros, field.char
-    onto = []
-    for s in bb_endomorphisms(ext):
-        cols = s.cols
-        row = {}
-        for q, (i, j) in enumerate(pure):
-            # e_i s(e_j) on the right side, s(e_i) e_j on the left
-            img = (sum_nonzeros(((x, nz[i][k].items()) for k, x in cols[j].items()), mod)
-                   if right
-                   else sum_nonzeros(((x, nz[k][j].items()) for k, x in cols[i].items()), mod))
-            for a, x in img.items():
-                row[a * d + q] = x
-        onto.append(row)
-    return ([Matrix.unvec(field, v, d, n) for v in reverse_rref(into, field, d * n)],
-            [Matrix.unvec(field, v, n, d) for v in reverse_rref(onto, field, n * d)])
+    from .bialgebroid import t_core
+    right = side == "right"
+    core = t_core(ext)
+    tensors = [core.t_basis[g] for g in (core.left_gens if right else core.right_gens)]
+    acts = core.ts.left_action if right else core.ts.right_action
+    S = bb_endomorphisms(ext)
+    by_tensor = _summand_solve(_generator_maps(acts, tensors), S,
+                               bimodule_generators(algebra_bimodule(ext, "B", "B")),
+                               unit_tensor(ext, unit_first=right))
+    if by_tensor is None:
+        return None
+    result = QuasibaseSet(side, [(combine(S, c), t) for c, t in zip(by_tensor, tensors) if c])
+    if not verify_quasibase(ext, result):
+        raise SelfCheckError(f"derived {side} quasibase failed verification")
+    return result
 
 
 def group_quasibase(ext: Extension, table: list[list[int]], subgroup: list[int],

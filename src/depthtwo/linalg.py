@@ -12,9 +12,9 @@ conversion, ``entry``: over F_p it takes an int or a public element of
 the same modulus (``GF(p).of``), over Q an int or a ``Fraction``, and
 anything else is a ``FieldError``.  ``Matrix(field, rows)``,
 ``from_columns``, ``unvec``, the algebra constructors, ``insert_row`` and
-every elimination entry point (``rref``, ``nullspace``, ``reverse_rref``,
-``solve_in_span``, ``Subspace.span``, ``Subspace.coords``,
-``Quotient.reduce``) read their values through it.
+every elimination entry point (``rref``, ``nullspace``, ``solve_in_span``,
+``Subspace.span``, ``Subspace.coords``, ``Quotient.reduce``) read their
+values through it.
 
 A ``Matrix`` is stored the same way, as its nonzero columns ``cols`` and
 its shape, and never edited in place.  Products, images, sums,
@@ -37,11 +37,11 @@ Both are unique for a reduced row, so equal spans store equal rows.
 A row enters through the kernel's ``native``, which is the entry
 conversion, and an F_p row leaves as it is stored.  Over Q a row is
 divided by its denominator where it leaves (``rref``'s rows,
-``reverse_rref``, ``Subspace.basis`` and ``Quotient.reduce``): each entry
-becomes an int where the denominator divides it and a Fraction where it
-does not, and a row with denominator 1 leaves as it is.  A vector
-one of these returns may share its dict with a stored row, so no consumer
-edits a vector in place.
+``Subspace.basis`` and ``Quotient.reduce``): each entry becomes an int
+where the denominator divides it and a Fraction where it does not, and a
+row with denominator 1 leaves as it is.  A vector one of these returns
+may share its dict with a stored row, so no consumer edits a vector in
+place.
 
 All rows are checked first and then inserted latest leading column first.
 A stored row is zero left of its own pivot, so when a new row leads left
@@ -54,8 +54,6 @@ onto a quotient, which rewrites the pivot coordinates along their rows;
 lifting places coordinates at the free columns.  Every reduced echelon
 form, nullspace basis and quotient coordinate system produced here is the
 unique canonical one; identical inputs give bit-identical outputs.
-``reverse_rref`` brings any spanning set of a solution space into the
-basis ``nullspace`` returns.
 """
 
 from __future__ import annotations
@@ -564,28 +562,6 @@ def nullspace(rows: list[dict], field, ncols: int) -> list[dict]:
             if f != p:
                 basis[f][p] = mod - x if mod else -x
     return list(basis.values())
-
-
-def reverse_rref(vectors: list[dict], field, ncols: int) -> list[dict]:
-    """The reduced echelon basis of the span of {column: value} vectors with
-    the column order reversed, ordered by ascending leading column (a row
-    leads at its last nonzero entry).
-
-    This is the basis ``nullspace`` returns for any system whose solution
-    space is that span.  nullspace's vector for the free column f is 1 at
-    f, 0 at every other free column, and nonzero elsewhere only at pivots
-    p < f, since an RREF row is zero before its pivot.  So its last
-    nonzero entry is the 1 at f, and every other basis vector is 0 there:
-    read with the columns reversed, those vectors are the reduced echelon
-    basis of their span.  That basis is unique, so inserting any spanning
-    set with the columns reversed reproduces them entry for entry.
-    """
-    last = ncols - 1
-    k = _kernel(field)
-    basis = _echelon([{last - c: x for c, x in _native(vec, ncols, "reverse_rref", k)[0].items()}
-                      for vec in vectors], k)
-    return [{last - c: x for c, x in k.values(basis[p], basis[p][p]).items()}
-            for p in sorted(basis, reverse=True)]
 
 
 class Subspace:

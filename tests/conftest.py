@@ -88,6 +88,39 @@ CATALOG_AND_A4 = {
 }
 
 
+
+def permutation_group(elements: list[tuple]) -> list[list[int]]:
+    """Cayley table of permutations listed in ``elements``, (g h)(x) = g(h(x))."""
+    index = {g: i for i, g in enumerate(elements)}
+    return [[index[tuple(g[h[x]] for x in range(len(g)))] for h in elements] for g in elements]
+
+
+_S3 = sorted(itertools.permutations(range(3)))
+_SQUARE = ([tuple((k + i) % 4 for i in range(4)) for k in range(4)]
+           + [tuple((k - i) % 4 for i in range(4)) for k in range(4)])
+_KLEIN = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+# (group elements, subgroup indices): normal and non-normal subgroups, D4>C2
+# generated by a reflection; the A4 pairs are a4_extensions
+GROUP_PAIRS = {
+    "S3>A3": (_S3, [_S3.index(p) for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]),
+    "S3>C2": (_S3, [_S3.index(p) for p in ((0, 1, 2), (1, 0, 2))]),
+    "C4>C2": (_SQUARE[:4], [0, 2]),
+    "V4>C2": (_KLEIN, [0, 1]),
+    "D4>C4": (_SQUARE, [0, 1, 2, 3]),
+    "D4>Z": (_SQUARE, [0, 2]),
+    "D4>C2": (_SQUARE, [0, 4]),
+}
+FIELDS = {"Q": QQ, "F_2": GF(2), "F_3": GF(3), "F_5": GF(5)}
+# the catalog, and every group pair above and of a4_extensions over every field
+CATALOG_AND_GROUPS = {
+    **{name: (lambda name=name: build_example(name)) for name in catalog_names()},
+    **{f"{pair} over {fname}": (lambda pair=pair, field=field: subgroup_extension(
+        field, permutation_group(GROUP_PAIRS[pair][0]), GROUP_PAIRS[pair][1])[0])
+       for pair in GROUP_PAIRS for fname, field in FIELDS.items()},
+    **{f"{pair} over {fname}": (lambda pair=pair, field=field: a4_extensions(field)[pair])
+       for pair in ("A4>V4", "A4>C3") for fname, field in FIELDS.items()},
+}
+
 def dense_basis(ext, p: Matrix):
     """The same extension with A on the basis f_i = sum_k p[k][i] e_k."""
     A = ext.A

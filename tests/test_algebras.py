@@ -470,13 +470,13 @@ def test_per_extension_keeps_arguments_apart():
 def test_per_extension_caches_none(monkeypatch):
     import depthtwo.bimodules as bimodules_mod
     solves = []
-    original = bimodules_mod.summand_factorization
+    original = bimodules_mod._summand_solve
 
     def counted(*args):
         solves.append(args)
         return original(*args)
 
-    monkeypatch.setattr(bimodules_mod, "summand_factorization", counted)
+    monkeypatch.setattr(bimodules_mod, "_summand_solve", counted)
     ext = build_example("s3-transposition")
     assert bimodules_mod.right_d2_quasibase(ext) is None
     assert bimodules_mod.right_d2_quasibase(ext) is None

@@ -5,10 +5,8 @@ import json
 
 import pytest
 
-import itertools
-
-from depthtwo.algebras import AlgebraError, SelfCheckError, subgroup_extension
-from depthtwo.bialgebroid import (TripleTensorWitness, WitnessError, _certify,
+from depthtwo.algebras import AlgebraError, SelfCheckError
+from depthtwo.bialgebroid import (TCore, TripleTensorWitness, WitnessError, _certify,
                                   _delta_from_witness, axiom_audit, build_T,
                                   build_T_quasibase_free, commutative_flip_check,
                                   left_r_projectivity, r_module_dual_bases, t_core)
@@ -23,7 +21,7 @@ from depthtwo.galois import (comodule_algebra_audit, d2_iff_corollary_audit, gal
 from depthtwo.jsonio import example_to_json
 from depthtwo.linalg import Matrix, combine, sum_nonzeros
 
-from conftest import CATALOG_AND_A4, a4_extensions, dense_s3a3, sparse, unit_vectors
+from conftest import CATALOG_AND_A4, CATALOG_AND_GROUPS, dense_s3a3, sparse, unit_vectors
 
 
 def _bgd(ext):
@@ -336,7 +334,6 @@ def test_build_T_and_main_theorem_audit_build_one_witness(monkeypatch):
 
 def _count_tee_products(monkeypatch) -> list:
     """Patch TCore._tee_product to record each call; the list of calls."""
-    from depthtwo.bialgebroid import TCore
     calls = []
     product = TCore._tee_product
 
@@ -362,6 +359,31 @@ def test_the_depth_two_path_builds_no_product_of_t(name, monkeypatch):
     for command in ("d2", "analyze"):
         assert main([command, doc, "--json"], out=io.StringIO()) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_the_depth_two_path_builds_no_t_tensor_t(name, monkeypatch):
+    # both quasibases build the core and read its R-generators; T (x)_R T is
+    # read by the witness and the axiom audit alone
+    reads = []
+    tt = TCore.tt
+    monkeypatch.setattr(TCore, "tt", property(lambda core: reads.append(core) or tt.fget(core)))
+    ext = build_example(name)
+    right_d2_quasibase(ext)
+    left_d2_quasibase(ext)
+    assert d2_iff_corollary_audit(ext).agree
+    assert main(["d2", json.dumps(example_to_json(name)), "--json"], out=io.StringIO()) == 0
+    assert reads == [] and t_core(ext)._tt is None
+    built = t_core(ext).tt
+    assert t_core(ext).tt is built and t_core(ext).replaced().tt is built
+
+
+def test_replaced_swaps_t_tensor_t_without_building_it():
+    core = t_core(build_example("s3-a3"))
+    stand_in = balanced_tensor(core.r_bimodule(), core.r_bimodule())
+    clone = core.replaced(tt=stand_in)
+    assert clone.tt is stand_in and core._tt is None
+    assert core.tt is not stand_in and core.tt.dim == stand_in.dim
 
 
 def test_the_algebra_of_t_is_built_once_per_extension(monkeypatch):
@@ -519,36 +541,7 @@ def test_left_projectivity_over_r(s3a3):
     assert db is not None and len(db) >= 1
 
 
-def _permutation_group(elements: list[tuple]) -> list[list[int]]:
-    """Cayley table of permutations listed in ``elements``, (g h)(x) = g(h(x))."""
-    index = {g: i for i, g in enumerate(elements)}
-    return [[index[tuple(g[h[x]] for x in range(len(g)))] for h in elements] for g in elements]
-
-
-_S3 = sorted(itertools.permutations(range(3)))
-_SQUARE = ([tuple((k + i) % 4 for i in range(4)) for k in range(4)]
-           + [tuple((k - i) % 4 for i in range(4)) for k in range(4)])
-_KLEIN = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
-# (group elements, subgroup indices): normal and non-normal subgroups; the
-# A4 pairs are conftest's a4_extensions
-GROUP_PAIRS = {
-    "S3>A3": (_S3, [_S3.index(p) for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]),
-    "S3>C2": (_S3, [_S3.index(p) for p in ((0, 1, 2), (1, 0, 2))]),
-    "C4>C2": (_SQUARE[:4], [0, 2]),
-    "V4>C2": (_KLEIN, [0, 1]),
-    "D4>C4": (_SQUARE, [0, 1, 2, 3]),
-    "D4>Z": (_SQUARE, [0, 2]),
-    "D4>C2": (_SQUARE, [0, 4]),
-}
-FIELDS = {"Q": QQ, "F_2": GF(2), "F_3": GF(3), "F_5": GF(5)}
-PROJECTIVITY_CASES = {
-    **{name: (lambda name=name: build_example(name)) for name in catalog_names()},
-    **{f"{pair} over {fname}": (lambda pair=pair, field=field: subgroup_extension(
-        field, _permutation_group(GROUP_PAIRS[pair][0]), GROUP_PAIRS[pair][1])[0])
-       for pair in GROUP_PAIRS for fname, field in FIELDS.items()},
-    **{f"{pair} over {fname}": (lambda pair=pair, field=field: a4_extensions(field)[pair])
-       for pair in ("A4>V4", "A4>C3") for fname, field in FIELDS.items()},
-}
+PROJECTIVITY_CASES = CATALOG_AND_GROUPS
 
 
 @pytest.mark.parametrize("name", sorted(PROJECTIVITY_CASES))

@@ -1,30 +1,39 @@
 from __future__ import annotations
 
+import os
 import random
+import sys
 
 import pytest
 
 from depthtwo.algebras import (AlgebraError, group_pair, ground_field_extension,
-                               matrix_algebra, subgroup_extension, trivial_extension)
+                               matrix_algebra, trivial_extension)
 from depthtwo.bialgebroid import t_core
-from depthtwo.bimodules import (BalancedTensor, Bimodule, QuasibaseSet, _d2_hom_bases,
+from depthtwo.bimodules import (BalancedTensor, Bimodule, QuasibaseSet, _generator_maps,
                                 _summand_system, algebra_bimodule, bb_endomorphisms, b_centralized, balanced_tensor,
                                 bimodule_generators, compose_extensions,
                                 coproduct_summand_test, group_quasibase,
                                 h_separability_test, hom_space, intertwiners,
                                 left_d2_quasibase, left_module_bimodule, restrict,
                                 right_d2_quasibase, split_projectivity_audit,
-                                t_space, tensor_power, tensor_square,
+                                tensor_power, tensor_square, unit_tensor,
                                 verify_quasibase)
 from depthtwo.catalog import (A3_INDICES, S3_TABLE, build_example, catalog_names,
                               m2_over_ground_field)
 from depthtwo.fields import GF, QQ
 from depthtwo.galois import d2_iff_corollary_audit, tensor_with_t
-from depthtwo.linalg import (Matrix, Subspace, combine, insert_row, nullspace, reverse_rref,
+from depthtwo.jsonio import extension_from_json
+from depthtwo.linalg import (Matrix, Subspace, combine, insert_row, nullspace,
                              solve_in_span, sum_nonzeros)
 
-from conftest import (CATALOG_AND_A4, dense, dense_apply, dense_eye, dense_s3a3, kron, native,
-                      sparse, unit_vectors)
+from conftest import (CATALOG_AND_A4, CATALOG_AND_GROUPS, dense, dense_apply, dense_eye,
+                      dense_s3a3, kron, native, sparse, unit_vectors)
+from test_galois import _upper_triangular_extension
+
+# the benchmark's corpus generator, for its dense members
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import workloads  # noqa: E402
 
 
 # -- tensor square -----------------------------------------------------------
@@ -633,33 +642,51 @@ def test_summand_test_builds_no_vectorized_endomorphism(monkeypatch):
     assert h_separability_test(ext) is None
 
 
-# -- depth-two hom spaces in the small forms T and End_{B-B}(A) -----------------
+# -- depth-two quasibases on T's R-generators against the generic summand test ----
 
 
-C4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-D2_HOM_CASES = {
-    **{name: (lambda name=name: build_example(name)) for name in catalog_names()},
-    "S3>A3 over F_2": lambda: group_pair(GF(2), S3_TABLE, A3_INDICES)[0],
-    "S3>A3 over F_3": lambda: group_pair(GF(3), S3_TABLE, A3_INDICES)[0],
-    "C4>C2 over F_2": lambda: subgroup_extension(GF(2), C4_TABLE, [0, 2])[0],
+def _dense_sweep_case(name: str):
+    """A member of the benchmark's ``sweep`` in its fixed dense basis (draw 0,
+    signs of seed 1), parsed."""
+    if "@" in name:
+        entry = workloads.pair_entry(*name.split("@"))
+    else:
+        entry = workloads.catalog_entry(name)
+    member = workloads.member(name, entry, random.Random(1), dense_draw=0)
+    return extension_from_json(member["doc"])
+
+
+D2_ORACLE_CASES = {
+    **CATALOG_AND_GROUPS,
+    **{f"{name} dense": (lambda name=name: _dense_sweep_case(name))
+       for name in [*workloads.DENSE_CATALOG,
+                    *(f"{pair}@{field}" for pair, field in workloads.DENSE_PAIRS)]},
     "s3-a3 dense": dense_s3a3,
+    "M_2 over upper-triangular": _upper_triangular_extension,
 }
 
 
-@pytest.mark.parametrize("name", sorted(D2_HOM_CASES))
-def test_d2_hom_bases_equal_the_hom_space_bases(name):
-    ext = D2_HOM_CASES[name]()
+@pytest.mark.parametrize("name", sorted(D2_ORACLE_CASES))
+def test_d2_verdicts_equal_the_generic_summand_test(name):
+    """Both sides decide as ``coproduct_summand_test`` does, and every pair
+    holds one of T's R-generators on that side, which generate T."""
+    ext = D2_ORACLE_CASES[name]()
     ts = tensor_square(ext)
-    for right in (True, False):
-        if right:
-            M, P = restrict(ts, right=ext.iota), algebra_bimodule(ext, "A", "B")
-        else:
-            M, P = restrict(ts, left=ext.iota), algebra_bimodule(ext, "B", "A")
-        into, onto = _d2_hom_bases(ext, right)
-        expected_into, expected_onto = hom_space(P, M), hom_space(M, P)
-        assert len(into) == len(expected_into) and len(onto) == len(expected_onto)
-        assert all(f == g for f, g in zip(into, expected_into)), (name, right)
-        assert all(f == g for f, g in zip(onto, expected_onto)), (name, right)
+    core = t_core(ext)
+    field = ext.A.field
+    sides = {"right": (right_d2_quasibase(ext), restrict(ts, right=ext.iota),
+                       algebra_bimodule(ext, "A", "B"), core.left_gens, core.lam_R),
+             "left": (left_d2_quasibase(ext), restrict(ts, left=ext.iota),
+                      algebra_bimodule(ext, "B", "A"), core.right_gens, core.rho_R)}
+    for side, (qb, M, P, gens, actions) in sides.items():
+        generated = Subspace.span(field, core.dim, [act.cols[g] for act in actions for g in gens])
+        assert generated.dim == core.dim, (name, side)
+        assert (qb is None) == (coproduct_summand_test(M, P) is None), (name, side)
+        if qb is not None:
+            tensors = [core.t_basis[g] for g in gens]
+            assert qb.side == side and 0 < len(qb) <= len(gens), (name, side)
+            assert all(t in tensors for _, t in qb.pairs), (name, side)
+            assert verify_quasibase(ext, qb), (name, side)
 
 
 def test_dense_basis_case_is_dense():
@@ -718,75 +745,56 @@ def _dense_bimodule_generators(M: Bimodule) -> list[int]:
     return gens
 
 
-def _dense_summand_system(M: Bimodule, homs_pm, homs_mp):
+def _dense_summand_system(homs_pm, homs_mp, gens, target: Matrix):
     """Every product f o g on the generators as one dense application of f per generator."""
-    gens = _dense_bimodule_generators(M)
     g_on_gens = [[[row[i] for row in g.data] for i in gens] for g in homs_mp]
     products = [[x for col in cols for x in dense_apply(f, col)]
                 for f in homs_pm for cols in g_on_gens]
-    eye = dense_eye(M.left_algebra.field, M.dim)
-    return products, [x for i in gens for x in eye[i]]
+    rows = target.data
+    return products, [row[i] for i in gens for row in rows]
 
 
-def _dense_d2_hom_bases(ext, right: bool):
-    """``_d2_hom_bases`` with the tensor-square actions and A's multiplication
-    matrices applied densely, row by row."""
-    A = ext.A
-    field, n = A.field, A.dim
-    ts = tensor_square(ext)
-    d = ts.dim
-    acts = ts.left_action if right else ts.right_action
-    into = []
-    for t in t_space(ext).basis:
-        row = {}
-        for j, act in enumerate(acts):
-            for a, x in enumerate(dense_apply(act, dense(field, t, d))):
-                if x:
-                    row[a * n + j] = x
-        into.append(row)
-    mults = A.left_mults if right else A.right_mults
-    onto = []
-    for s in bb_endomorphisms(ext):
-        cols = [[r[j] for r in s.data] for j in range(s.ncols)]
-        row = {}
-        for q, f in enumerate(ts.quot.free):
-            i, j = divmod(f, n)
-            img = dense_apply(mults[i], cols[j]) if right else dense_apply(mults[j], cols[i])
-            for a, x in enumerate(img):
-                if x:
-                    row[a * d + q] = x
-        onto.append(row)
-    return ([Matrix.unvec(field, v, d, n) for v in reverse_rref(into, field, d * n)],
-            [Matrix.unvec(field, v, n, d) for v in reverse_rref(onto, field, n * d)])
+def _dense_generator_maps(actions: list[Matrix], elements: list[dict]) -> list[Matrix]:
+    """``_generator_maps`` with every action applied densely, row by row."""
+    field, n = actions[0].field, actions[0].nrows
+    return [Matrix(field, [list(row) for row in zip(*(dense_apply(act, dense(field, m, n))
+                                                      for act in actions))])
+            for m in elements]
 
 
 def _summand_cases(ext):
-    """(M, Hom(P, M), Hom(M, P)) for both depth-two sides and for T over R."""
+    """(Hom(P, M) or the generator maps, the second factors, the generators
+    they are written on, the target) for both depth-two sides and for T over R."""
+    field = ext.A.field
     ts = tensor_square(ext)
     core = t_core(ext)
     M_R = left_module_bimodule(core.R_alg, core.dim, core.lam_R)
     R_R = left_module_bimodule(core.R_alg, core.R_alg.dim, core.R_alg.left_mults)
-    return {"right": (restrict(ts, right=ext.iota), *_d2_hom_bases(ext, True)),
-            "left": (restrict(ts, left=ext.iota), *_d2_hom_bases(ext, False)),
-            "T over R": (M_R, hom_space(R_R, M_R), hom_space(M_R, R_R))}
+    a_gens = bimodule_generators(algebra_bimodule(ext, "B", "B"))
+    return {
+        "right": (ts.left_action, [core.t_basis[g] for g in core.left_gens],
+                  bb_endomorphisms(ext), a_gens, unit_tensor(ext, unit_first=True)),
+        "left": (ts.right_action, [core.t_basis[g] for g in core.right_gens],
+                 bb_endomorphisms(ext), a_gens, unit_tensor(ext, unit_first=False)),
+        "T over R": (core.lam_R, [{g: 1} for g in core.left_gens],
+                     hom_space(M_R, R_R), core.left_gens, Matrix.identity(field, core.dim)),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_AND_A4))
 def test_sparse_d2_kernels_equal_the_dense_construction(name):
     ext = CATALOG_AND_A4[name]()
     field = ext.A.field
-    for right in (True, False):
-        into, onto = _d2_hom_bases(ext, right)
-        expected_into, expected_onto = _dense_d2_hom_bases(ext, right)
-        assert into == expected_into and onto == expected_onto, (name, right)
     for kind, M in _catalog_bimodules(ext).items():
         assert bimodule_generators(M) == _dense_bimodule_generators(M), (name, kind)
-    for kind, (M, homs_pm, homs_mp) in _summand_cases(ext).items():
-        if not homs_pm or not homs_mp:
+    for kind, (actions, elements, homs_mp, gens, target) in _summand_cases(ext).items():
+        homs_pm = _generator_maps(actions, elements)
+        assert homs_pm == _dense_generator_maps(actions, elements), (name, kind)
+        if not homs_mp:
             continue
-        products, target = _summand_system(M, homs_pm, homs_mp, bimodule_generators(M))
-        expected_products, expected_target = _dense_summand_system(M, homs_pm, homs_mp)
-        assert target == sparse(expected_target), (name, kind)
+        products, rhs = _summand_system(homs_pm, homs_mp, gens, target)
+        expected_products, expected_rhs = _dense_summand_system(homs_pm, homs_mp, gens, target)
+        assert rhs == sparse(expected_rhs), (name, kind)
         assert len(products) == len(expected_products), (name, kind)
         for got, want in zip(products, expected_products):
             assert all(x for x in got.values()), (name, kind)

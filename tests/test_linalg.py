@@ -8,7 +8,7 @@ import pytest
 from depthtwo.algebras import matrix_algebra
 from depthtwo.fields import GF, QQ
 from depthtwo.linalg import (LinAlgError, Matrix, Subspace, combine, insert_row, nullspace,
-                             quotient_structure, reverse_rref, rref, solve_in_span, sum_nonzeros)
+                             quotient_structure, rref, solve_in_span, sum_nonzeros)
 
 from conftest import dense_eye, kron, native, sparse as as_dict, unit_vectors
 
@@ -278,7 +278,6 @@ def test_column_arithmetic_matches_nested_list_arithmetic():
             assert combination(field, solution, dicts(a)) == as_dict(v)
         null = nullspace(dicts(a), field, k)
         assert len(null) == k - rank and all(ma.image(x) == {} for x in null)
-        assert reverse_rref(null, field, k) == null
         q = quotient_structure(field, k, dicts(a))
         assert q.dim == k - rank and all(q.reduce(u) == {} for u in dicts(a))
         coords = as_dict([field.of(data.draw(st.integers(-2, 2))) for _ in range(q.dim)])
@@ -593,39 +592,6 @@ def relation_cases(rng, field, ncols):
         yield sparse_random_rows(rng, field, rng.randint(1, ncols), ncols)
 
 
-def test_reverse_rref_of_a_spanning_set_is_the_nullspace_basis():
-    # any spanning set of a solution space, dense or sparse, in any order and
-    # with dependent members, gives back nullspace's basis entry for entry
-    rng = random.Random(67)
-    for field in (QQ, GF(2), GF(5)):
-        for _ in range(30):
-            ncols = rng.randint(1, 7)
-            for rows in relation_cases(rng, field, ncols):
-                basis = nullspace(dicts(rows), field, ncols)
-                assert basis == dicts(reference_nullspace(rows, field, ncols))
-                combos = [as_dict([field.of(rng.randint(-3, 3)) for _ in basis])
-                          for _ in range(len(basis) + rng.randint(0, 3))]
-                span = [combination(field, combo, basis) for combo in combos]
-                span += [dict(v) for v in basis]  # makes the set spanning
-                rng.shuffle(span)
-                assert reverse_rref(span, field, ncols) == basis
-                assert reverse_rref(basis, field, ncols) == basis
-
-
-def test_reverse_rref_of_the_zero_and_full_spaces():
-    for field in (QQ, GF(2), GF(5)):
-        eye = unit_vectors(field, 4)
-        assert nullspace(eye, field, 4) == [] == reverse_rref([], field, 4)
-        assert reverse_rref([{}, {2: field.zero}], field, 4) == []
-        full = nullspace([], field, 4)
-        assert full == eye
-        # an invertible mix of the unit vectors, leading columns reversed
-        mix = [sv(field, *row) for row in
-               ([1, 1, 0, 0], [0, 1, 1, 0], [2, 0, 1, 1], [0, 0, 0, 1])]
-        assert reverse_rref(mix, field, 4) == full
-        assert reverse_rref([], field, 0) == []
-
-
 def test_sparse_quotient_agrees_with_the_dense_reference():
     rng = random.Random(61)
     n = 6
@@ -740,8 +706,7 @@ def test_bad_rows_are_rejected_wherever_they_stand():
         for at in range(len(good) + 1):
             rows = good[:at] + [bad] + good[at:]
             for call in (lambda: rref(rows, QQ, 3), lambda: nullspace(rows, QQ, 3),
-                         lambda: quotient_structure(QQ, 3, rows),
-                         lambda: reverse_rref(rows, QQ, 3)):
+                         lambda: quotient_structure(QQ, 3, rows)):
                 with pytest.raises(LinAlgError):
                     call()
 
@@ -823,13 +788,6 @@ def test_kernel_results_equal_the_reference(field):
         basis = nullspace(dicts(rows), field, ncols)
         assert basis == dicts(reference_nullspace(rows, field, ncols))
         assert_field_values(field, basis)
-        combos = [as_dict([kernel_entry(rng, field) for _ in basis])
-                  for _ in range(rng.randint(0, 3))]
-        spanning = [combination(field, combo, basis) for combo in combos] + basis
-        rng.shuffle(spanning)
-        rev = reverse_rref(spanning, field, ncols)
-        assert rev == basis
-        assert_field_values(field, rev)
 
         combo = [kernel_entry(rng, field) for _ in rows]
         inside = [sum((c * r[k] for c, r in zip(combo, rows)), field.zero) for k in range(ncols)]

@@ -22,7 +22,7 @@ from depthtwo.fields import GF, QQ, FieldError, FpElement
 from depthtwo.galois import comparison_map, galois_data, main_theorem_audit
 from depthtwo.jsonio import example_to_json, extension_from_json
 from depthtwo.linalg import (Matrix, Subspace, entry, insert_row, nullspace, quotient_structure,
-                             reverse_rref, rref, solve_in_span, sum_nonzeros)
+                             rref, solve_in_span, sum_nonzeros)
 
 F5 = GF(5)
 BIG_P = 2 ** 61 - 1
@@ -73,7 +73,6 @@ ENTRY_POINTS = {
     "Quotient.reduce": lambda f, x: quotient_structure(f, 1, []).reduce({0: x}),
     "rref": lambda f, x: rref([{0: x}], f, 1),
     "nullspace": lambda f, x: nullspace([{0: x}], f, 1),
-    "reverse_rref": lambda f, x: reverse_rref([{0: x}], f, 1),
     "solve_in_span-target": lambda f, x: solve_in_span({0: x}, [{0: 1}], f),
     "solve_in_span-generator": lambda f, x: solve_in_span({0: 1}, [{0: x}], f),
     "insert_row": lambda f, x: insert_row({}, {0: x}, f),
