@@ -20,9 +20,8 @@ from .bimodules import (Bimodule, QuasibaseSet, b_centralized, balanced_tensor,
                         restrict, right_d2_quasibase, split_projectivity_audit,
                         tensor_power, tensor_square, verify_quasibase)
 from .bialgebroid import (RightBialgebroid, TripleTensorWitness, axiom_audit,
-                          build_T, commutative_flip_check, left_r_projectivity,
-                          r_module_dual_bases, t_core)
-from .actions import LeftModule, MeasuredEndos, action_invariants, anchor, t_action
+                          build_T, commutative_flip_check, left_r_projectivity, t_core)
+from .actions import LeftModule, MeasuredEndos, action_invariants, t_action
 from .galois import (GaloisData, balanced_audit, canonical_coaction, coinvariants,
                      comodule_algebra_audit, d2_iff_corollary_audit, galois_data,
                      galois_map, main_theorem_audit)

@@ -1,22 +1,18 @@
-"""The right T-action on endomorphism rings of left modules, and the
-anchor action on the centralizer.
+"""The right T-action on endomorphism rings of left modules.
 
 For a left A-module M, the endomorphisms of M as a B-module carry a
 right T-action f . t = t^1 f(t^2 -).  The action measures composition
 through the coproduct, and its invariants recover exactly the A-linear
-endomorphisms; the anchor is the same action specialized to R inside
-End(A).
+endomorphisms.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .algebras import AlgebraError, Extension, FiniteAlgebra, action_cases, require
 from .bialgebroid import RightBialgebroid, build_T
 from .bimodules import hom_space, left_module_bimodule, right_d2_quasibase
-from .linalg import Matrix, Subspace, combine, nullspace, sum_nonzeros
-# re-exported: callers and profiling tools look solve_in_span up in this module
+from .linalg import Matrix, Subspace, combine, nullspace
+# re-exported: read here by perfbench's test_rebinding_reaches_every_importing_module
 from .linalg import solve_in_span  # noqa: F401
 
 
@@ -166,44 +162,3 @@ def action_invariants(me: MeasuredEndos) -> Subspace:
     if invariants != a_space:
         raise AlgebraError("invariants differ from the A-linear endomorphisms")
     return invariants
-
-
-def anchor(ext: Extension, bgd: RightBialgebroid | None = None) -> list[Matrix]:
-    """The right T-action r . t = t^1 r t^2 on the centralizer, one matrix on
-    R per basis vector of T, verified: r . 1_T = r, 1_R . t = eps(t), and R
-    is a right T-module algebra under it.  bgd defaults to the extension's
-    bialgebroid, built from its right quasibase."""
-    if bgd is None:
-        bgd = build_T(ext, right_d2_quasibase(ext))
-    core = bgd.core
-    A = ext.A
-    field = A.field
-    m = core.dim
-    rdim = core.R_alg.dim
-    # r . t_c = t_c^1 r t_c^2
-    right_by_r = [combine(A.right_mults, col) for col in core.incl_R.cols]
-    action = [Matrix.from_columns(field, [
-        core._into_R(core.contract(c, left=right_by_r[r]), "anchor value escaped the centralizer")
-        for r in range(rdim)], nrows=rdim) for c in range(m)]
-
-    # r . 1_T = r, then 1_R . t = eps(t), then the module law, anti on gens(T)
-    def laws(rows):
-        module_law = action_cases(core.T_alg, action, rows, "anchor: r . 1_T != r",
-                                  "anchor fails the module law", anti=True)
-        counit = ((action[c].image(core.R_alg.unit) == core.eps.cols[c],
-                   f"anchor: 1_R . t_{c} != eps(t_{c})") for c in range(m))
-        return itertools.chain(itertools.islice(module_law, 1), counit, module_law)
-    require(laws, core.T_alg)
-    # measuring: (r s) . t = (r . t_(1)) (s . t_(2))
-    for c in range(m):
-        lift = core.tt.lift_items(bgd.Delta.cols[c])
-        R = core.R_alg
-        for r in range(rdim):
-            for s in range(rdim):
-                lhs = action[c].image(R.nonzeros[r][s])
-                rhs = sum_nonzeros(((coeff, R.mul(action[e].cols[r], action[f].cols[s]).items())
-                                    for (e, f), coeff in lift), field.char)
-                if lhs != rhs:
-                    raise AlgebraError(
-                        f"anchor measuring fails at (r_{r}, r_{s}, t_{c})")
-    return action

@@ -17,7 +17,7 @@ import functools
 import operator
 
 from .linalg import Matrix, Subspace, combine, entry, insert_row, nullspace, sum_nonzeros
-# re-exported: callers and profiling tools look solve_in_span up in this module
+# re-exported: read here by perfbench's test_rebinding_reaches_every_importing_module
 from .linalg import solve_in_span  # noqa: F401
 
 
@@ -506,12 +506,6 @@ class NormalityReport:
     @property
     def equal(self) -> bool:
         return self.left_in_right and self.right_in_left
-
-    def to_json(self):
-        return {"intersection_dim": self.intersection_dim,
-                "A_IR_in_IR_A": self.left_in_right,
-                "IR_A_in_A_IR": self.right_in_left,
-                "equal": self.equal}
 
 
 def normality_audit(ext: Extension, ideal: Subspace) -> NormalityReport:

@@ -193,10 +193,6 @@ class BalancedReport:
         self.double_commutant_dim = double_commutant_dim
         self.witness = witness
 
-    def to_json(self):
-        return {"balanced": self.balanced, "e_dim": self.e_dim,
-                "double_commutant_dim": self.double_commutant_dim}
-
 
 def double_commutant(A: FiniteAlgebra, e_mats: list[Matrix]) -> list[dict]:
     """Basis of the a in A with e(a) = e(1) a for every e in e_mats: the

@@ -632,12 +632,6 @@ class Subspace:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
                 and self.field == other.field and self.rows == other.rows)
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise LinAlgError("sum: ambient dimension mismatch")
-        rows = [dict(r) for r in self.rows.values()] + [dict(r) for r in other.rows.values()]
-        return Subspace(self.field, self.ambient_dim, _echelon(rows, self._k))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         # Zassenhaus: the reduced basis of the rows (u, u) and (v, 0) leaves
         # the intersection in the right half of the rows that lead there

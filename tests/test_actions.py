@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from depthtwo.actions import (LeftModule, MeasuredEndos, action_invariants, anchor,
-                              b_endomorphisms, t_action)
+from depthtwo.actions import (LeftModule, MeasuredEndos, action_invariants, b_endomorphisms,
+                              t_action)
 from depthtwo.algebras import AlgebraError
 from depthtwo.bialgebroid import build_T
 from depthtwo.bimodules import (hom_space, left_module_bimodule,
@@ -57,19 +57,20 @@ def test_endomorphism_ring_dimension(s3_setup):
 
 
 def test_left_multiplication_by_centralizer_is_t_stable(s3_setup):
-    # lambda(r) . t = lambda(r . t) for the anchor action on R
+    # lambda(r) . t = lambda(r . t), where r . t = t^1 r t^2 on R
     ext, rqb, bgd, M, me = s3_setup
     core = bgd.core
-    anc = anchor(ext, bgd=bgd)
+    A = ext.A
     for c in range(core.dim):
         tvec = {c: QQ.one}
-        for r in range(core.R_alg.dim):
-            lam_r = combine(ext.A.left_mults, core.incl_R.cols[r])
+        for r_vec in core.incl_R.cols:
+            lam_r = combine(A.left_mults, r_vec)
             lhs = combine(me.endo_basis,
                           combine(me.action, tvec).image(me.endo_coords(lam_r)))
-            moved = combine(anc, tvec).image(core.R_alg.basis_vector(r))
-            rhs = combine(ext.A.left_mults, core.incl_R.image(moved))
-            assert lhs == rhs
+            moved = sum_nonzeros(((x, A.mul(A.mul(A.basis_vector(s), r_vec),
+                                            A.basis_vector(t)).items())
+                                  for (s, t), x in core.t_items[c]), QQ.char)
+            assert lhs == combine(A.left_mults, moved)
 
 
 def test_invariants_equal_right_multiplications(s3_setup):
@@ -100,16 +101,6 @@ def test_invariants_ground_field_twisted_module(sqrt2):
     a_bm = left_module_bimodule(sqrt2.A, M.dim, M.action)
     independent = Subspace.span(QQ, 4, [f.vec() for f in hom_space(a_bm, a_bm)])
     assert inv == independent
-
-
-def test_anchor_unit_laws(s3_setup):
-    ext, rqb, bgd, _, _ = s3_setup
-    core = bgd.core
-    anc = anchor(ext, bgd=bgd)
-    assert combine(anc, core.unit_T) == Matrix.identity(QQ, core.R_alg.dim)
-    for c in range(core.dim):
-        tvec = {c: QQ.one}
-        assert combine(anc, tvec).image(core.R_alg.unit) == core.eps.cols[c]
 
 
 def test_action_identified_with_composition(s3_setup):
@@ -190,10 +181,8 @@ def test_the_actions_default_to_the_extension_bialgebroid(s3a3, s3_transposition
     M = LeftModule.regular(s3a3.A)
     bgd = build_T(s3a3, right_d2_quasibase(s3a3))
     assert t_action(s3a3, M).action == t_action(s3a3, M, bgd=bgd).action
-    assert anchor(s3a3) == anchor(s3a3, bgd=bgd)
     # with no right quasibase there is no bialgebroid to default to
     M = LeftModule.regular(s3_transposition.A)
-    for build in (lambda: t_action(s3_transposition, M), lambda: anchor(s3_transposition)):
-        with pytest.raises(AlgebraError) as err:
-            build()
-        assert str(err.value) == "build_T needs a right quasibase"
+    with pytest.raises(AlgebraError) as err:
+        t_action(s3_transposition, M)
+    assert str(err.value) == "build_T needs a right quasibase"

@@ -9,8 +9,8 @@ give the same report.  The balance audit and the quasibase verifiers are
 compared with the (dim A)^2 computations they replace, written out here.
 W3 Delta and ice delta, which the audits pin on a basis, are checked at
 every product.
-The validators of morphisms, bimodules, modules, the T-action and the
-anchor raise the first failure of the pairwise scan written out here, also
+The validators of morphisms, bimodules, modules and the T-action raise
+the first failure of the pairwise scan written out here, also
 when the generators are every index in reverse order.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from depthtwo.actions import LeftModule, anchor, t_action
+from depthtwo.actions import LeftModule, t_action
 from depthtwo.algebras import AlgebraError, AlgebraMorphism, FiniteAlgebra, group_inverses
 from depthtwo.bialgebroid import axiom_audit, build_T
 from depthtwo.bimodules import (Bimodule, QuasibaseSet, algebra_bimodule, intertwiners,
@@ -378,22 +378,6 @@ def test_the_t_action_names_the_first_failing_pair(s3a3_t_corrupted, monkeypatch
         monkeypatch, lambda: t_action(ext, M, bad)) == [expected] * 2
 
 
-def test_the_anchor_names_the_first_failure_in_its_order(s3a3_t_corrupted, monkeypatch):
-    ext, rqb, bgd, bad, a, b = s3a3_t_corrupted
-    core = bgd.core
-    # 1_R . t = eps(t) comes before the module law
-    assert _raised(lambda: anchor(ext, bad)) == f"anchor: 1_R . t_{a} != eps(t_{a})"
-    eps = Matrix.from_columns(core.eps.field, _swapped_list(core.eps.cols, a, b),
-                              nrows=core.eps.nrows)
-    bad = bad.replaced(eps=eps)
-    action = _swapped_list(anchor(ext, bgd), a, b)
-    expected = _action_law_failure(core.T_alg, action, "anchor: r . 1_T != r",
-                                   "anchor fails the module law", anti=True)
-    assert expected == "anchor fails the module law"
-    assert _in_both_generator_orders(
-        monkeypatch, lambda: anchor(ext, bad)) == [expected] * 2
-
-
 @pytest.mark.parametrize("name", catalog_names())
 def test_the_validators_pass_on_the_catalog(name):
     ext = build_example(name)
@@ -406,4 +390,3 @@ def test_the_validators_pass_on_the_catalog(name):
     rqb = right_d2_quasibase(ext)
     if rqb is not None:
         t_action(ext, LeftModule.regular(A))
-        anchor(ext)

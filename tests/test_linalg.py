@@ -364,7 +364,7 @@ def test_intersection_and_sum_dims():
         u = Subspace.span(QQ, 5, dicts(random_matrix(rng, QQ, 2, 5)))
         v = Subspace.span(QQ, 5, dicts(random_matrix(rng, QQ, 3, 5)))
         inter = u.intersect(v)
-        total = u.sum_with(v)
+        total = Subspace.span(QQ, 5, u.basis + v.basis)
         assert inter.dim + total.dim == u.dim + v.dim
         assert inter == Subspace.span(QQ, 5, inter.basis)  # kept in canonical form
         assert inter.is_contained_in(u) and u.is_contained_in(total)
@@ -814,7 +814,7 @@ def test_kernel_results_equal_the_reference(field):
 
         other_rows = kernel_rows(rng, field, rng.randint(0, 4), ncols)
         other = Subspace.span(field, ncols, dicts(other_rows))
-        total = space.sum_with(other)
+        total = Subspace.span(field, ncols, space.basis + other.basis)
         assert total.basis == dicts(reference_rref(rows + other_rows, field, ncols)[0])
         inter = space.intersect(other)
         dense_other = [[field.of(v.get(c, 0)) for c in range(ncols)] for v in other.basis]

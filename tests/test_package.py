@@ -1,15 +1,20 @@
 """The package stays dependency-free: importing it loads only the standard library,
-and every name a module imports is used in that module."""
+every name a module imports is used in that module, and every name the package
+exports has a reader in the library or in the acceptance suite."""
 
 from __future__ import annotations
 
 import ast
 import glob
+import inspect
 import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+import depthtwo
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def _modules_loaded_by(statement: str) -> set[str]:
@@ -54,9 +59,36 @@ def _unused_imports(path: str) -> list[str]:
             if name not in used]
 
 
-def test_every_imported_name_is_used_in_its_module():
+def _library_paths() -> list[str]:
     # __init__.py imports names only to re-export them
     paths = sorted(p for p in glob.glob(os.path.join(SRC, "depthtwo", "*.py"))
                    if os.path.basename(p) != "__init__.py")
     assert paths
-    assert [entry for path in paths for entry in _unused_imports(path)] == []
+    return paths
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    assert [entry for path in _library_paths() for entry in _unused_imports(path)] == []
+
+
+def test_every_exported_name_has_a_reader():
+    # a reader loads the name in a library module, or the acceptance suite imports it
+    loaded = set()
+    for path in _library_paths():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    accepted = {alias.name
+                for node in ast.walk(_parse(os.path.join(TESTS, "test_acceptance.py")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = [name for name in depthtwo.__all__
+                if not inspect.ismodule(getattr(depthtwo, name))]
+    assert exported
+    assert [name for name in exported if name not in loaded | accepted] == []
