@@ -103,6 +103,24 @@ def test_invariants_ground_field_twisted_module(sqrt2):
     assert inv == independent
 
 
+def test_the_unit_and_counit_of_t_act_on_r(s3_setup):
+    # r . t = t^1 r t^2 on R: 1_T fixes every r, and 1_R . t = eps(t)
+    ext, rqb, bgd, _, _ = s3_setup
+    core = bgd.core
+    A = ext.A
+
+    def act(tvec, r_vec):
+        return sum_nonzeros(((y * x, A.mul(A.mul(A.basis_vector(s), r_vec),
+                                             A.basis_vector(t)).items())
+                             for c, y in tvec.items() for (s, t), x in core.t_items[c]), QQ.char)
+
+    assert core.eps.image(core.unit_T) == core.R_alg.unit
+    for r_vec in core.incl_R.cols:
+        assert act(core.unit_T, r_vec) == r_vec
+    for c in range(core.dim):
+        assert act({c: QQ.one}, A.unit) == core.incl_R.image(core.eps.cols[c])
+
+
 def test_action_identified_with_composition(s3_setup):
     # f . t corresponds to composing the transported endomorphisms on the
     # tensor square: hat(f . t) = hat(f) o F_t

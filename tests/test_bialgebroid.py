@@ -541,6 +541,38 @@ def test_left_projectivity_over_r(s3a3):
     assert db is not None and len(db) >= 1
 
 
+def test_left_projectivity_trivial_extension(trivial_m2):
+    # A = B: T = R is free of rank one, on 1_T, with eps as its functional
+    core = t_core(trivial_m2)
+    db = left_r_projectivity(trivial_m2)
+    assert db.elements == [core.unit_T]
+    assert db.functionals == [core.eps]
+
+
+def test_left_projectivity_free_over_ground_field(c2_over_k):
+    # B = k: T is free over R = A and the dual basis is biorthogonal
+    core = t_core(c2_over_k)
+    db = left_r_projectivity(c2_over_k)
+    n = c2_over_k.A.dim
+    assert len(db) == n
+    assert Matrix.from_columns(QQ, db.elements, nrows=core.dim).rank() == n
+    for i, phi in enumerate(db.functionals):
+        for j, elem in enumerate(db.elements):
+            assert phi.image(elem) == (core.R_alg.unit if i == j else {})
+
+
+def test_the_projectivity_functionals_are_left_r_linear():
+    # phi_j lies in Hom_R(T, R): phi_j(r . t) = r phi_j(t) on a basis of R
+    for name in catalog_names():
+        ext = build_example(name)
+        core = t_core(ext)
+        db = left_r_projectivity(ext)
+        assert db is not None, name
+        for phi in db.functionals:
+            for lam, r_mult in zip(core.lam_R, core.R_alg.left_mults):
+                assert phi @ lam == r_mult @ phi, name
+
+
 PROJECTIVITY_CASES = CATALOG_AND_GROUPS
 
 
