@@ -37,22 +37,13 @@ import subprocess
 import sys
 import tempfile
 
-def _compose(g: tuple, h: tuple) -> tuple:
-    return tuple(g[h[x]] for x in range(len(g)))
-
-
-def _closure(generators: list[tuple]) -> list[tuple]:
-    """The group the permutations generate, in sorted order."""
-    elements = {tuple(range(len(generators[0])))}
-    frontier = list(elements)
-    while frontier:
-        g = frontier.pop()
-        for h in generators:
-            p = _compose(g, h)
-            if p not in elements:
-                elements.add(p)
-                frontier.append(p)
-    return sorted(elements)
+# perfbench's group code: permutation composition, closure and normality;
+# imported from its file, writing no bytecode
+_spec = importlib.util.spec_from_file_location("workloads", os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py"))
+workloads = importlib.util.module_from_spec(_spec)
+sys.dont_write_bytecode = True
+_spec.loader.exec_module(workloads)
 
 
 # the nonzero vectors of F_3^2; a 2 x 2 matrix ((a, b), (c, d)) over F_3
@@ -70,7 +61,7 @@ def _quaternion(p: tuple) -> bool:
     (a, c), (b, d) = VECTORS[p[VECTORS.index((1, 0))]], VECTORS[p[VECTORS.index((0, 1))]]
     order, q = 1, p
     while q != tuple(range(len(p))):
-        order, q = order + 1, _compose(q, p)
+        order, q = order + 1, workloads._compose(q, p)
     return (a * d - b * c) % 3 == 1 and order in (1, 2, 4)
 
 
@@ -82,7 +73,7 @@ SQUARE = ([tuple((k + i) % 4 for i in range(4)) for k in range(4)]
 GROUPS = {"S4": list(itertools.permutations(range(4))),
           "S5": list(itertools.permutations(range(5))),
           "D4": SQUARE,
-          "GL23": _closure([_on_vectors(1, 1, 0, 1), _on_vectors(0, 1, 1, 0)])}
+          "GL23": workloads._closure([_on_vectors(1, 1, 0, 1), _on_vectors(0, 1, 1, 0)], 8)}
 
 
 def _even(p: tuple) -> bool:
@@ -100,28 +91,17 @@ SUBGROUPS = {"V4": lambda p: p in ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3,
 def group_document(group: str, subgroup: str, field: str) -> dict:
     elements = GROUPS[group]
     index = {g: i for i, g in enumerate(elements)}
-    table = [[index[tuple(g[h[x]] for x in range(len(g)))] for h in elements]
-             for g in elements]
+    table = [[index[workloads._compose(g, h)] for h in elements] for g in elements]
     sub = [index[p] for p in elements if SUBGROUPS[subgroup](p)]
-    inverse = [row.index(index[tuple(range(len(elements[0])))]) for row in table]
     doc = {"field": "Q" if field == "Q" else {"Fp": int(field.split(":", 1)[1])},
            "kind": "group", "table": table, "subgroup": sub}
-    if all(table[table[g][h]][inverse[g]] in sub for g in range(len(table)) for h in sub):
+    if workloads.is_normal(table, sub):
         doc["normal"] = True
     return doc
 
 
 def dense_document(spec: str) -> dict:
-    """The document of the benchmark member PAIR@FIELD in its fixed dense basis.
-
-    ``perfbench/workloads.py`` is imported from its file, writing no bytecode.
-    """
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "workloads.py")
-    module_spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(module_spec)
-    sys.dont_write_bytecode = True
-    module_spec.loader.exec_module(workloads)
+    """The document of the benchmark member PAIR@FIELD in its fixed dense basis."""
     pair, field = spec.split("@")
     entry = workloads.pair_entry(pair, field)
     return workloads.member(spec, entry, random.Random("frontier"), dense_draw=0)["doc"]

@@ -16,7 +16,8 @@ from __future__ import annotations
 import functools
 import operator
 
-from .linalg import Matrix, Subspace, combine, entry, insert_row, nullspace, sum_nonzeros
+from .linalg import (Matrix, Subspace, close_span, combine, entry, insert_row, nullspace,
+                     sum_nonzeros)
 # re-exported: read here by perfbench's test_rebinding_reaches_every_importing_module
 from .linalg import solve_in_span  # noqa: F401
 
@@ -138,7 +139,7 @@ class FiniteAlgebra:
         algebra by multiplicativity and linearity.
         """
         if self._generators is None:
-            self._generators = _greedy_generators(self.field, self.nonzeros, self.unit)
+            self._generators = _greedy_generators(self)
         return self._generators
 
 
@@ -198,37 +199,31 @@ def _associates(nz, i: int, j: int, k: int, mod: int) -> bool:
             == sum_nonzeros(((c, nz[i][m].items()) for m, c in nz[j][k].items()), mod))
 
 
-def _greedy_generators(field, nz, unit: dict) -> list[int]:
+def _greedy_generators(alg: FiniteAlgebra) -> list[int]:
     """Basis indices, taken greedily in basis order, whose right words span the algebra.
 
     The span of 1 and of the right words g_1 g_2 ... g_r, multiplied left to
-    right, is grown as one reduced basis: a word that enlarges it is
-    multiplied on the right by every generator in turn.  An e_i outside the
-    span becomes the next generator.  For an associative algebra the span
-    is the subalgebra the generators generate.
+    right, is grown as one reduced basis (``close_span``).  An e_i outside
+    the span becomes the next generator: the words found so far are
+    multiplied by e_i, and e_i and the products that enlarge the span are
+    closed under every generator.  For an associative algebra the span is
+    the subalgebra the generators generate.
     """
-    n, mod = len(nz), field.char
+    n, field = alg.dim, alg.field
     span: dict[int, dict] = {}
-    words = [unit]
-    insert_row(span, unit, field)
+    insert_row(span, alg.unit, field)
+    words = [alg.unit]
     gens: list[int] = []
+    maps = []
     for i in range(n):
-        if len(span) == n:
-            break
         if not insert_row(span, {i: 1}, field):
             continue
         gens.append(i)
+        maps.append(lambda w, g=i: alg.mul(w, {g: 1}))
         # the span is closed under the earlier generators: close it under e_i too
-        todo = [(w, (i,)) for w in words]
-        words.append({i: 1})
-        todo.append((words[-1], tuple(gens)))
-        while todo and len(span) < n:
-            w, by = todo.pop()
-            for g in by:
-                v = sum_nonzeros(((c, nz[m][g].items()) for m, c in w.items()), mod)
-                if insert_row(span, v, field):
-                    words.append(v)
-                    todo.append((v, tuple(gens)))
+        new = [{i: 1}] + [v for v in map(maps[-1], words) if insert_row(span, v, field)]
+        words += new
+        words += close_span(span, new, maps, field, n)
     return gens
 
 
@@ -468,29 +463,19 @@ def centralizer(ext: Extension) -> SubalgebraData:
 
 
 def ideal_closure(A: FiniteAlgebra, generators: list[dict]) -> Subspace:
-    """Smallest two-sided ideal containing the {index: value} generators (fixpoint iteration)."""
+    """Smallest two-sided ideal containing the {index: value} generators: their
+    span closed under left and right multiplication by the generators of A
+    (``close_span``), so under all of A, as 1 and their right words span A."""
     span = Subspace.span(A.field, A.dim, generators)
-    for _ in range(A.dim + 1):
-        extra = []
-        for v in span.basis:
-            for i in range(A.dim):
-                extra.append(A.mul(A.basis_vector(i), v))
-                extra.append(A.mul(v, A.basis_vector(i)))
-        bigger = Subspace.span(A.field, A.dim, span.basis + extra)
-        if bigger.dim == span.dim:
-            return bigger
-        span = bigger
+    maps = [f for g in A.generating_indices()
+            for f in (functools.partial(A.mul, {g: 1}), lambda v, g=g: A.mul(v, {g: 1}))]
+    # a basis vector may share its dict with a stored row, which insert_row edits in place
+    close_span(span.rows, [dict(v) for v in span.basis], maps, A.field, A.dim)
     return span
 
 
 def is_two_sided_ideal(A: FiniteAlgebra, space: Subspace) -> bool:
-    for v in space.basis:
-        for i in range(A.dim):
-            if not space.contains(A.mul(A.basis_vector(i), v)):
-                return False
-            if not space.contains(A.mul(v, A.basis_vector(i))):
-                return False
-    return True
+    return ideal_closure(A, space.basis) == space
 
 
 class NormalityReport:

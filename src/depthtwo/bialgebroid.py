@@ -25,25 +25,29 @@ from __future__ import annotations
 from .algebras import (AlgebraError, Extension, FiniteAlgebra, SelfCheckError, centralizer,
                        field_as_algebra, first_failure, homomorphism_cases, per_extension)
 from .bimodules import (Bimodule, DualBasis, DualBasisTensor, QuasibaseSet, _generator_maps,
-                        _summand_solve, b_centralized, balanced_tensor, bimodule_generators,
-                        hom_space, left_module_bimodule, t_space, tensor_power, tensor_square)
+                        _require_right_quasibase, _summand_solve, b_centralized,
+                        balanced_tensor, bimodule_generators, hom_space, left_module_bimodule,
+                        t_space, tensor_power, tensor_square)
 # re-exported: read here by perfbench's test_rebinding_reaches_every_importing_module
 from .bimodules import coproduct_summand_test  # noqa: F401
 from .linalg import Matrix, Subspace, combine, solve_in_span, sum_nonzeros
 
 
 class TCore:
-    """Quasibase-free part of the bialgebroid: base R, the R-actions on T
-    and T's generators as a left and as a right R-module, built with the
-    core; the realized quotient T (x)_R T, built on first read; the algebra
-    T, s_R, t_R and the counit, built and validated together on first read.
+    """Quasibase-free part of the bialgebroid: base R, A acting on T's basis
+    (``left_maps[c]`` is y -> y . t_c and ``right_maps[c]`` y -> t_c . y, into
+    the tensor square), the R-actions on T read off them, and T's generators
+    as a left and as a right R-module, built with the core; the realized
+    quotient T (x)_R T, built on first read; the algebra T, s_R, t_R and the
+    counit, built and validated together on first read.
 
     The depth-two decisions read T only as an R-bimodule and through its
     R-generators, so they never build T's product or T (x)_R T.
     """
 
     __slots__ = ("A", "ts", "R", "R_alg", "incl_R", "t_space", "t_basis", "t_items",
-                 "lam_R", "rho_R", "left_gens", "right_gens", "_tt", "_algebra")
+                 "left_maps", "right_maps", "lam_R", "rho_R", "left_gens", "right_gens",
+                 "_tt", "_algebra")
 
     def __init__(self, ext: Extension):
         # the algebra, not the extension: the extension caches this core
@@ -61,9 +65,10 @@ class TCore:
         self._tt = None
         self._algebra = None
 
-        incl = self.incl_R.cols
-        self.lam_R = self._r_actions(ts.left_action, incl)
-        self.rho_R = self._r_actions(ts.right_action, incl)
+        self.left_maps = _generator_maps(ts.left_action, self.t_basis)
+        self.right_maps = _generator_maps(ts.right_action, self.t_basis)
+        self.lam_R = self._r_actions(self.left_maps)
+        self.rho_R = self._r_actions(self.right_maps)
         # indices of basis vectors of T generating it over R on one side; the
         # right quasibase and the dual basis read the left ones
         self.left_gens = bimodule_generators(left_module_bimodule(self.R_alg, self.dim,
@@ -159,19 +164,12 @@ class TCore:
             raise AlgebraError("counit value escaped R")
         return coords
 
-    def _r_actions(self, actions: list[Matrix], incl: list[dict]) -> list[Matrix]:
-        """The actions on T of R's basis vectors, given in A coordinates by incl.
-
-        Each action of A on the tensor square is applied to T's basis once,
-        through its column view; the action of r weights those images by r's
-        coordinates.
-        """
-        images = [[act.image(t) for act in actions] for t in self.t_basis]
-        field = self.A.field
-        return [Matrix.from_columns(field, [
-            self.t_coords(sum_nonzeros(((x, imgs[a].items()) for a, x in r.items()), field.char),
-                          "R-action left the B-central subspace")
-            for imgs in images], nrows=self.dim) for r in incl]
+    def _r_actions(self, maps: list[Matrix]) -> list[Matrix]:
+        """The actions on T of R's basis vectors r: column c of r's action is
+        maps[c] applied to r in A coordinates, read in T coordinates."""
+        return [Matrix.from_columns(self.A.field, [
+            self.t_coords(m.image(r), "R-action left the B-central subspace") for m in maps],
+            nrows=self.dim) for r in self.incl_R.cols]
 
     def _tee_product(self, c: int, d: int) -> dict:
         """T coordinates of t_c * t_d = u^1 t^1 (x) t^2 u^2."""
@@ -356,11 +354,7 @@ def build_T(ext: Extension, rqb: QuasibaseSet) -> RightBialgebroid:
     The coproduct forced by the witness must agree with the direct
     quasibase sum; a mismatch means the quasibase is corrupt.
     """
-    from .bimodules import verify_quasibase
-    if rqb is None or rqb.side != "right":
-        raise AlgebraError("build_T needs a right quasibase")
-    if not verify_quasibase(ext, rqb):
-        raise AlgebraError("quasibase failed verification")
+    _require_right_quasibase(ext, rqb)
     free = build_T_quasibase_free(ext)
     if free.Delta != _delta_direct(free.core, rqb):
         raise SelfCheckError("witness coproduct disagrees with the quasibase formula")

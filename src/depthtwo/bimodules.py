@@ -40,7 +40,9 @@ in a (the m_j are B-central), so the identity is written only at
 bimodule generators of A over B.  A solution is re-verified by
 ``verify_quasibase`` before it is returned: the quasibase identity is
 A-linear in one argument, so it is checked with that argument 1 and the
-other on every basis element.
+other on every basis element.  That is the one reconstruction check of a
+dual basis, sum_i phi_i(x) . m_i = target(x) (``DualBasis.reconstructs``),
+with target a -> 1 (x) a or a -> a (x) 1.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import itertools
 from .algebras import (AlgebraError, AlgebraMorphism, Extension, FiniteAlgebra,
                        SelfCheckError, action_cases, field_as_algebra, group_inverses,
                        per_extension, require)
-from .linalg import (Matrix, Subspace, combine, entry, insert_row, nullspace,
+from .linalg import (Matrix, Subspace, close_span, combine, entry, insert_row, nullspace,
                      quotient_structure, solve_in_span, sum_nonzeros)
 
 
@@ -424,27 +426,18 @@ def bimodule_generators(M: Bimodule) -> list[int]:
     generated so far.  That sub-bimodule is closed under the actions of the
     generating indices of both acting algebras, which extends to the full
     algebras by multiplicativity.  One reduced span {pivot: row} grows
-    vector by vector through ``insert_row``; vectors are sparse, and each
-    action is applied through its column view (``Matrix.image``).
+    vector by vector (``close_span``); vectors are sparse, and each action
+    is applied through its column view (``Matrix.image``).
     """
     field = M.left_algebra.field
-    acts = [M.left_action[i] for i in M.left_algebra.generating_indices()]
-    acts += [M.right_action[j] for j in M.right_algebra.generating_indices()]
+    acts = [M.left_action[i].image for i in M.left_algebra.generating_indices()]
+    acts += [M.right_action[j].image for j in M.right_algebra.generating_indices()]
     span: dict[int, dict] = {}
     gens: list[int] = []
     for i in range(M.dim):
-        if len(span) == M.dim:
-            break
-        if not insert_row(span, {i: 1}, field):
-            continue
-        gens.append(i)
-        frontier = [{i: 1}]
-        while frontier:
-            w = frontier.pop()
-            for act in acts:
-                img = act.image(w)
-                if insert_row(span, img, field):
-                    frontier.append(img)
+        if insert_row(span, {i: 1}, field):
+            gens.append(i)
+            close_span(span, [{i: 1}], acts, field, M.dim)
     return gens
 
 
@@ -567,29 +560,30 @@ def verify_quasibase(ext: Extension, qb: QuasibaseSet) -> bool:
     x (x) y = sum_i t_i beta_i(x) y right A-linear in y (by an
     anti-representation).  So the free variable is set to 1 and the identity
     checked on every basis element e_a: 1 (x) e_a = sum_i gamma_i(e_a) u_i,
-    or e_a (x) 1 = sum_i t_i beta_i(e_a).  B-B-linearity is checked for b in
-    gens(B): the b whose iota(b) commutes with an endomorphism on both sides
-    form a subalgebra of B, as iota is a unital algebra map.
+    or e_a (x) 1 = sum_i t_i beta_i(e_a) (``DualBasis.reconstructs``).
+    B-B-linearity is checked for b in gens(B): the b whose iota(b) commutes
+    with an endomorphism on both sides form a subalgebra of B, as iota is a
+    unital algebra map.
     """
     right = qb.side == "right"
     ts = tensor_square(ext)
-    A = ext.A
     mults = [m for j in ext.B.generating_indices()
              for m in (ext.left_mult_iota(j), ext.right_mult_iota(j))]
     central = t_space(ext)
     if not all(all(endo @ m == m @ endo for m in mults) and central.contains(t)
                for endo, t in qb.pairs):
         return False
-    mod = A.field.char
-    actions = ts.left_action if right else ts.right_action
-    images = [(endo, [act.image(t) for act in actions]) for endo, t in qb.pairs]
-    for a in range(A.dim):
-        expected = sum_nonzeros(((c, imgs[k].items()) for endo, imgs in images
-                                 for k, c in endo.cols[a].items()), mod)
-        e_a = A.basis_vector(a)
-        if (ts.class_of(A.unit, e_a) if right else ts.class_of(e_a, A.unit)) != expected:
-            return False
-    return True
+    pairs = DualBasis([t for _, t in qb.pairs], [endo for endo, _ in qb.pairs])
+    return pairs.reconstructs(ts.left_action if right else ts.right_action,
+                              unit_tensor(ext, unit_first=right))
+
+
+def _require_right_quasibase(ext: Extension, rqb: QuasibaseSet) -> None:
+    """Raise AlgebraError unless rqb is a right quasibase passing ``verify_quasibase``."""
+    if rqb is None or rqb.side != "right":
+        raise AlgebraError("build_T needs a right quasibase")
+    if not verify_quasibase(ext, rqb):
+        raise AlgebraError("quasibase failed verification")
 
 
 def right_d2_quasibase(ext: Extension) -> QuasibaseSet | None:
@@ -616,15 +610,16 @@ def _d2_quasibase(ext: Extension, side: str) -> QuasibaseSet | None:
     from .bialgebroid import t_core
     right = side == "right"
     core = t_core(ext)
-    tensors = [core.t_basis[g] for g in (core.left_gens if right else core.right_gens)]
-    acts = core.ts.left_action if right else core.ts.right_action
+    gens = core.left_gens if right else core.right_gens
+    maps = core.left_maps if right else core.right_maps
     S = bb_endomorphisms(ext)
-    by_tensor = _summand_solve(_generator_maps(acts, tensors), S,
+    by_tensor = _summand_solve([maps[g] for g in gens], S,
                                bimodule_generators(algebra_bimodule(ext, "B", "B")),
                                unit_tensor(ext, unit_first=right))
     if by_tensor is None:
         return None
-    result = QuasibaseSet(side, [(combine(S, c), t) for c, t in zip(by_tensor, tensors) if c])
+    result = QuasibaseSet(side, [(combine(S, c), core.t_basis[g])
+                                 for c, g in zip(by_tensor, gens) if c])
     if not verify_quasibase(ext, result):
         raise SelfCheckError(f"derived {side} quasibase failed verification")
     return result
@@ -688,18 +683,22 @@ class DualBasis:
     def __len__(self):
         return len(self.elements)
 
-    def check(self, actions: list[Matrix], err: str) -> None:
-        """Raise SelfCheckError(err) unless x = sum_i phi_i(x) . m_i on every basis
-        vector x = e_c of M, s . m being sum_a s_a actions[a] m: each actions[a] m_i
-        is computed once and weighted by the column c of phi_i."""
+    def reconstructs(self, actions: list[Matrix], target: Matrix) -> bool:
+        """Whether sum_i phi_i(x) . m_i = target(x) on every basis vector x = e_c,
+        s . m being sum_a s_a actions[a] m: each actions[a] m_i is computed once
+        and weighted by the column c of phi_i.  A right quasibase (gamma_i, u_i)
+        is one for the target a -> 1 (x) a (``verify_quasibase``)."""
         images = [[act.image(m) for act in actions] for m in self.elements]
-        mod = actions[0].field.char
-        for c in range(actions[0].nrows):
-            got = sum_nonzeros(((x, imgs[a].items())
-                                for imgs, phi in zip(images, self.functionals)
-                                for a, x in phi.cols[c].items()), mod)
-            if got != {c: 1}:
-                raise SelfCheckError(err)
+        mod = target.field.char
+        return all(sum_nonzeros(((x, imgs[a].items())
+                                 for imgs, phi in zip(images, self.functionals)
+                                 for a, x in phi.cols[c].items()), mod) == target.cols[c]
+                   for c in range(target.ncols))
+
+    def check(self, actions: list[Matrix], err: str) -> None:
+        """Raise SelfCheckError(err) unless x = sum_i phi_i(x) . m_i on M's basis."""
+        if not self.reconstructs(actions, Matrix.identity(actions[0].field, actions[0].nrows)):
+            raise SelfCheckError(err)
 
 
 class DualBasisTensor(TensorRealization):

@@ -27,9 +27,9 @@ from .algebras import (AlgebraMorphism, Extension, FiniteAlgebra, SelfCheckError
                        SubalgebraData, first_failure, homomorphism_cases, per_extension)
 from .bialgebroid import (AuditReport, RightBialgebroid, TCore, build_T_quasibase_free,
                           left_r_projectivity, t_core)
-from .bimodules import (BalancedTensor, QuasibaseSet, algebra_bimodule, balanced_tensor,
-                        intertwiners, left_d2_quasibase, restrict, right_d2_quasibase,
-                        tensor_square, unit_tensor)
+from .bimodules import (BalancedTensor, QuasibaseSet, _require_right_quasibase,
+                        algebra_bimodule, balanced_tensor, intertwiners, left_d2_quasibase,
+                        restrict, right_d2_quasibase, tensor_square, unit_tensor)
 from .linalg import LinAlgError, Matrix, Subspace, combine, nullspace
 
 
@@ -44,7 +44,7 @@ def tensor_with_t(ext: Extension) -> BalancedTensor:
 
 def ice_matrix(core: TCore, at: BalancedTensor) -> Matrix:
     """The comparison map A (x)_R T -> A (x)_B A, a (x) t -> a t^1 (x) t^2."""
-    return at.matrix_of(core.ts.dim, lambda k, c: core.ts.left_action[k].image(core.t_basis[c]))
+    return at.matrix_of(core.ts.dim, lambda k, c: core.left_maps[c].cols[k])
 
 
 @per_extension
@@ -79,8 +79,10 @@ def galois_map(ext: Extension, rqb: QuasibaseSet) -> GaloisMap:
     """beta(x (x) y) = sum_i x gamma_i(y) (x)_R u_i with inverse a (x) t -> a t^1 (x) t^2.
 
     Bijectivity is decided by equal dimensions and both round trips through
-    ``comparison_map``, exactly.
+    ``comparison_map``, exactly.  rqb must be a verified right quasibase, as
+    for ``build_T``; anything else raises AlgebraError.
     """
+    _require_right_quasibase(ext, rqb)
     core = t_core(ext)
     at = tensor_with_t(ext)
     ts = core.ts

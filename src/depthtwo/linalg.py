@@ -475,6 +475,25 @@ def insert_row(basis: dict[int, dict], row: dict, field) -> bool:
     return True
 
 
+def close_span(basis: dict[int, dict], frontier: list[dict], maps, field,
+               dim: int) -> list[dict]:
+    """Grow a reduced basis {pivot: native row} by the images of the frontier's
+    {index: value} vectors under every word in the maps, callables on vectors.
+
+    The frontier is consumed, and an image that enlarges the span joins it;
+    the closure stops once the basis has ``dim`` rows.  Returns the inserted
+    images in order."""
+    added = []
+    while frontier and len(basis) < dim:
+        w = frontier.pop()
+        for f in maps:
+            v = f(w)
+            if insert_row(basis, v, field):
+                added.append(v)
+                frontier.append(v)
+    return added
+
+
 def _echelon(rows: list[dict], k) -> dict[int, dict]:
     """The reduced echelon basis {pivot: row} of the span of native rows.
 

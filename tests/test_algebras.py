@@ -15,9 +15,10 @@ from depthtwo.catalog import (A3_INDICES, C2_TABLE, S3_TABLE, TRANSPOSITION_INDI
                               build_example, catalog_names)
 from depthtwo.bialgebroid import t_core
 from depthtwo.fields import GF, QQ
-from depthtwo.linalg import Subspace
+from depthtwo.linalg import Subspace, insert_row, sum_nonzeros
 
-from conftest import alternating_group_table, dense, dense_s3a3, sparse
+from conftest import (GROUP_PAIRS, alternating_group_table, dense, dense_s3a3,
+                      permutation_group, sparse)
 
 
 def _unvalidated(field, cube, unit) -> FiniteAlgebra:
@@ -422,6 +423,80 @@ GENERATOR_CASES = {**{name: (lambda name=name: build_example(name)) for name in 
                    "s3-a3 dense": dense_s3a3,
                    # A4 is no product <a><b>, so right words need every generator
                    "A4>V4 over F_3": lambda: _a4_over_v4(GF(3))}
+
+
+def _fixpoint_ideal(A, generators: list[dict]) -> Subspace:
+    """The ideal as the span of every product with a basis element, re-spanned
+    until its dimension stops growing."""
+    span = Subspace.span(A.field, A.dim, generators)
+    for _ in range(A.dim + 1):
+        extra = [p for v in span.basis for i in range(A.dim)
+                 for p in (A.mul({i: 1}, v), A.mul(v, {i: 1}))]
+        bigger = Subspace.span(A.field, A.dim, span.basis + extra)
+        if bigger.dim == span.dim:
+            return bigger
+        span = bigger
+    return span
+
+
+def _scanned_ideal(A, space: Subspace) -> bool:
+    """Whether every product of a basis vector of space with a basis element stays in it."""
+    return all(space.contains(A.mul({i: 1}, v)) and space.contains(A.mul(v, {i: 1}))
+               for v in space.basis for i in range(A.dim))
+
+
+def _word_generators(A) -> list[int]:
+    """The greedy generators, closed one word at a time: a new generator e_i
+    multiplies the old words, and a word that enlarges the span is multiplied
+    by every generator in turn."""
+    n, nz, field, mod = A.dim, A.nonzeros, A.field, A.field.char
+    span: dict[int, dict] = {}
+    words = [A.unit]
+    insert_row(span, A.unit, field)
+    gens: list[int] = []
+    for i in range(n):
+        if len(span) == n:
+            break
+        if not insert_row(span, {i: 1}, field):
+            continue
+        gens.append(i)
+        todo = [(w, (i,)) for w in words]
+        words.append({i: 1})
+        todo.append((words[-1], tuple(gens)))
+        while todo and len(span) < n:
+            w, by = todo.pop()
+            for g in by:
+                v = sum_nonzeros(((c, nz[m][g].items()) for m, c in w.items()), mod)
+                if insert_row(span, v, field):
+                    words.append(v)
+                    todo.append((v, tuple(gens)))
+    return gens
+
+
+CLOSURE_ALGEBRAS = {
+    **{f"{name} {side}": (lambda name=name, side=side: getattr(build_example(name), side))
+       for name in catalog_names() for side in ("A", "B")},
+    **{f"k[{group}] over {fname}": (lambda table=table, field=field: group_algebra(field, table))
+       for group, table in (("D4", permutation_group(GROUP_PAIRS["D4>C4"][0])),
+                            ("A4", alternating_group_table()))
+       for fname, field in (("Q", QQ), ("F_2", GF(2)))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_ALGEBRAS))
+def test_span_closures_equal_the_fixpoint_references(name):
+    A = CLOSURE_ALGEBRAS[name]()
+    assert A.generating_indices() == _word_generators(A)
+    non_ideals = 0
+    for gen in [{i: 1} for i in range(A.dim)] + [A.unit, {}]:
+        ideal = ideal_closure(A, [gen])
+        assert ideal == _fixpoint_ideal(A, [gen]), gen
+        assert is_two_sided_ideal(A, ideal) and _scanned_ideal(A, ideal), gen
+        line = Subspace.span(A.field, A.dim, [gen])
+        assert is_two_sided_ideal(A, line) == _scanned_ideal(A, line), gen
+        non_ideals += not _scanned_ideal(A, line)
+    # every algebra of dimension > 1 here has a basis vector whose line is no ideal
+    assert non_ideals > 0 or A.dim == 1
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_CASES))

@@ -8,9 +8,10 @@ import weakref
 
 import pytest
 
-from depthtwo.algebras import SelfCheckError, group_pair
+from depthtwo.algebras import AlgebraError, SelfCheckError, group_pair
 from depthtwo.bialgebroid import WitnessError, axiom_audit, build_T, t_core
-from depthtwo.bimodules import left_d2_quasibase, right_d2_quasibase, tensor_square, unit_tensor
+from depthtwo.bimodules import (QuasibaseSet, left_d2_quasibase, right_d2_quasibase,
+                                tensor_square, unit_tensor)
 from depthtwo.catalog import catalog_names, build_example
 from depthtwo.cli import EXIT_INCONSISTENT, main
 from depthtwo.fields import GF, QQ
@@ -114,6 +115,22 @@ def test_galois_data_aggregate(s3a3):
     assert data.galois.bijective
     assert data.coinvariants.equals_b
     assert tensor_with_t(s3a3).dim == data.galois.beta.nrows
+
+
+@pytest.mark.parametrize("build", [galois_map, galois_data])
+def test_galois_map_and_data_reject_what_build_T_rejects(build):
+    # a left quasibase, or a right one that fails verification, is bad input:
+    # AlgebraError with build_T's messages, not a negative verdict
+    # (bijective False) and not a failed self-check
+    ext = build_example("s3-a3")
+    rqb = right_d2_quasibase(ext)
+    truncated = QuasibaseSet("right", rqb.pairs[:-1])
+    for qb, message in ((left_d2_quasibase(ext), "build_T needs a right quasibase"),
+                        (truncated, "quasibase failed verification")):
+        for reader in (build_T, build):
+            with pytest.raises(AlgebraError, match=message) as caught:
+                reader(ext, qb)
+            assert type(caught.value) is AlgebraError
 
 
 # -- coinvariants ------------------------------------------------------------------
